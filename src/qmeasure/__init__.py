@@ -31,11 +31,9 @@ from .errors import (
 )
 from .linalg import (
     EigenSystem,
-    StructuralFlags,
     cluster_eigenvalues,
     hermitian_eigendecompose,
     kronecker,
-    structural_checks,
     unitary_exp,
 )
 from .states import (
@@ -49,20 +47,14 @@ from .states import (
     validate_density,
 )
 from .observables import (
-    EMPTY_SET,
-    FULL_LINE,
-    IntervalUnion,
     JointEigenbasis,
     Observable,
     OutcomeDistribution,
-    ProjectionValuedMeasure,
     born_distribution,
     commutes,
     evolve,
     expectation,
     joint_eigenbasis,
-    pvm_restrict,
-    spectral_decomposition,
 )
 from .measurement import (
     ApparatusModel,
@@ -78,8 +70,7 @@ from .measurement import (
     sample_outcome,
 )
 from .algebra import (
-    AbelianAlgebra,
-    DecompositionEvidence,
+    SpectralAlgebra,
     SpectralProbabilityMeasure,
     SpectrumPoint,
     gelfand_transform,
@@ -87,7 +78,6 @@ from .algebra import (
     proper_mixture_representative,
     restrict_state,
     spectrum,
-    verify_unique_decomposition,
 )
 from .randomness import rand_density, rand_hermitian, rand_state, rand_unitary, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report, emit_report, emit_summary

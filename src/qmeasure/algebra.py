@@ -1,10 +1,12 @@
 """Commutative observable algebras and the statistics they can express.
 
-A finite commutative algebra of Hermitian matrices is spanned by its joint
-eigenspace projectors. Each projector is a point of the spectrum; the tuple
-of generator eigenvalues on it is the point's character, and evaluating an
-element at a point (its Gelfand transform) is just reading off the constant
-the element takes on that block. A state restricted to the algebra is then
+A finite commutative algebra of Hermitian matrices is fixed by its joint
+eigenspaces. Each eigenspace is a point of the spectrum, held as an isometry
+block whose orthonormal columns span it; the tuple of generator eigenvalues
+on it is the point's character, and evaluating an element at a point (its
+Gelfand transform) is just reading off the constant the element takes on
+that block. The projection valued measure of one observable is the algebra
+that observable generates. A state restricted to the algebra is then
 nothing but a probability weight per point, and such a weight vector has
 exactly one decomposition into point masses. That uniqueness is the payoff:
 unrestricted density matrices admit many pure decompositions.
@@ -18,75 +20,82 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatch, NotInAlgebra, ValidationError
-from .observables import Observable, as_observable, joint_eigenblocks
+from .observables import as_observable, joint_eigenblocks
 from .states import DensityMatrix, as_density
 
-_TOL_PROJ = 1e-10
+_TOL_ISOMETRY = 1e-10
 _TOL_RECON = 1e-9
 _WEIGHT_FLOOR = -1e-12
 _WEIGHT_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class AbelianAlgebra:
-    """Commutative algebra presented by generators, joint eigenspace
-    projectors, and the character tuple carried by each projector."""
+class SpectralAlgebra:
+    """Commutative algebra held as its finite spectrum: one n x m_k isometry
+    block per spectrum point and one character tuple per point, strictly
+    ascending in lexicographic order.
 
-    generators: tuple[Observable, ...]
-    joint_projectors: tuple[np.ndarray, ...]
+    The blocks side by side must form a unitary V. That single check makes
+    every block orthonormal, the blocks' spans pairwise orthogonal, and their
+    projectors V_k V_k^dagger a resolution of the identity.
+    """
+
+    blocks: tuple[np.ndarray, ...]
     characters: np.ndarray
 
     def __post_init__(self) -> None:
-        gens = tuple(as_observable(g) for g in self.generators)
-        projs = tuple(linalg.require_square(p) for p in self.joint_projectors)
+        blocks = tuple(linalg.as_matrix(b) for b in self.blocks)
         chars = np.asarray(self.characters, dtype=float)
-        if not gens or not projs:
-            raise ValidationError("algebra needs generators and projectors")
-        if chars.ndim != 2 or chars.shape != (len(projs), len(gens)):
-            raise ValidationError("need one character tuple per projector")
-        dim = projs[0].shape[0]
-        for k, p in enumerate(projs):
-            if p.shape[0] != dim:
-                raise DimMismatch("projectors live on different spaces")
-            if linalg.hermiticity_defect(p) > _TOL_PROJ:
-                raise ValidationError(f"projector {k} is not Hermitian")
-            if float(np.max(np.abs(p @ p - p))) > _TOL_PROJ:
-                raise ValidationError(f"projector {k} is not idempotent")
-        for j in range(len(projs)):
-            for k in range(j + 1, len(projs)):
-                if float(np.max(np.abs(projs[j] @ projs[k]))) > _TOL_PROJ:
-                    raise ValidationError(f"projectors {j} and {k} overlap")
-        if float(np.max(np.abs(sum(projs) - np.eye(dim)))) > _TOL_PROJ:
-            raise ValidationError("projectors do not resolve the identity")
+        if not blocks:
+            raise ValidationError("algebra needs at least one spectrum point")
+        if chars.ndim != 2 or chars.shape[0] != len(blocks) or chars.shape[1] == 0:
+            raise ValidationError("need one character tuple per block")
+        dim = blocks[0].shape[0]
+        if any(b.shape[0] != dim for b in blocks):
+            raise DimMismatch("blocks live on different spaces")
+        v = np.hstack(blocks)
+        if v.shape[1] != dim:
+            raise ValidationError(
+                f"{v.shape[1]} block columns cannot resolve the identity in dim {dim}"
+            )
+        defect = float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
+        if defect > _TOL_ISOMETRY:
+            raise ValidationError(f"block columns are not orthonormal (defect {defect:.3e})")
         rows = [tuple(row) for row in chars]
         if len(set(rows)) != len(rows):
             raise ValidationError("character tuples must be pairwise distinct")
         if rows != sorted(rows):
             raise ValidationError("spectrum points must be in lexicographic order")
-        for i, g in enumerate(gens):
-            recon = sum(chars[k, i] * projs[k] for k in range(len(projs)))
-            defect = float(np.max(np.abs(recon - g.matrix)))
-            scale = max(1.0, float(np.max(np.abs(g.matrix))))
-            if defect > _TOL_RECON * scale:
-                raise ValidationError(
-                    f"generator {i} is not reproduced by its characters (defect {defect:.3e})"
-                )
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(
-            self, "joint_projectors", tuple(linalg.readonly(p.copy()) for p in projs)
-        )
+        object.__setattr__(self, "blocks", tuple(linalg.readonly(b) for b in blocks))
         object.__setattr__(self, "characters", linalg.readonly(chars))
 
     @property
     def dim(self) -> int:
-        return self.joint_projectors[0].shape[0]
+        return self.blocks[0].shape[0]
 
     @property
     def n_points(self) -> int:
-        return len(self.joint_projectors)
+        return len(self.blocks)
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Spectral projectors V_k V_k^dagger, built on each access."""
+        return tuple(b @ b.conj().T for b in self.blocks)
 
     def multiplicities(self) -> np.ndarray:
-        return np.array([int(round(np.trace(p).real)) for p in self.joint_projectors])
+        return np.array([b.shape[1] for b in self.blocks])
+
+    def block_traces(self, m: np.ndarray) -> np.ndarray:
+        """Tr(V_k^dagger M V_k) for every spectrum point k."""
+        v = np.hstack(self.blocks)
+        per_column = np.real(np.einsum("ij,ij->j", v.conj(), m @ v))
+        offsets = np.concatenate(([0], np.cumsum(self.multiplicities())[:-1]))
+        return np.add.reduceat(per_column, offsets)
+
+    def element(self, values) -> np.ndarray:
+        """The algebra element sum_k values[k] V_k V_k^dagger."""
+        v = np.hstack(self.blocks)
+        return (v * np.repeat(np.asarray(values), self.multiplicities())) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -117,23 +126,15 @@ class SpectralProbabilityMeasure:
         return self.weights.size
 
 
-@dataclass(frozen=True)
-class DecompositionEvidence:
-    """Record of recovering a measure's point-mass weights from itself."""
-
-    point_indices: tuple[int, ...]
-    weights: tuple[float, ...]
-    recovered_weights: tuple[float, ...]
-    unique: bool
-
-
 def generate_algebra(
     generators, tol: float = 1e-10, tol_cluster: float | None = None
-) -> AbelianAlgebra:
+) -> SpectralAlgebra:
     """Commutative algebra generated by a commuting Hermitian family.
 
     The joint eigenspace blocks with identical eigenvalue tuples become the
-    spectrum points, ordered lexicographically by character.
+    spectrum points, ordered lexicographically by character. Each generator
+    must be reproduced by its characters, which fails when tol_cluster
+    merges distinct eigenvalues.
     """
     gens = tuple(as_observable(g) for g in generators)
     leaves = joint_eigenblocks(gens, tol, tol_cluster)
@@ -144,12 +145,20 @@ def generate_algebra(
             merged[-1] = (np.hstack([merged[-1][0], block]), char)
         else:
             merged.append((block, char))
-    projectors = tuple(block @ block.conj().T for block, _ in merged)
-    characters = np.array([char for _, char in merged])
-    return AbelianAlgebra(gens, projectors, characters)
+    algebra = SpectralAlgebra(
+        tuple(block for block, _ in merged), np.array([char for _, char in merged])
+    )
+    for i, g in enumerate(gens):
+        defect = float(np.max(np.abs(algebra.element(algebra.characters[:, i]) - g.matrix)))
+        scale = max(1.0, float(np.max(np.abs(g.matrix))))
+        if defect > _TOL_RECON * scale:
+            raise ValidationError(
+                f"generator {i} is not reproduced by its characters (defect {defect:.3e})"
+            )
+    return algebra
 
 
-def spectrum(algebra: AbelianAlgebra) -> tuple[SpectrumPoint, ...]:
+def spectrum(algebra: SpectralAlgebra) -> tuple[SpectrumPoint, ...]:
     """The algebra's finite spectrum, lexicographic in the characters."""
     mults = algebra.multiplicities()
     return tuple(
@@ -158,7 +167,7 @@ def spectrum(algebra: AbelianAlgebra) -> tuple[SpectrumPoint, ...]:
     )
 
 
-def gelfand_transform(algebra: AbelianAlgebra, element, tol: float = 1e-9) -> np.ndarray:
+def gelfand_transform(algebra: SpectralAlgebra, element, tol: float = 1e-9) -> np.ndarray:
     """Values of an algebra element at each spectrum point.
 
     The element must be block-constant on the joint eigenspaces; anything
@@ -167,32 +176,25 @@ def gelfand_transform(algebra: AbelianAlgebra, element, tol: float = 1e-9) -> np
     a = as_observable(element)
     if a.dim != algebra.dim:
         raise DimMismatch(f"element dim {a.dim}, algebra dim {algebra.dim}")
-    mults = algebra.multiplicities()
-    vals = np.array(
-        [
-            float(np.trace(p @ a.matrix).real) / m
-            for p, m in zip(algebra.joint_projectors, mults)
-        ]
-    )
-    recon = sum(v * p for v, p in zip(vals, algebra.joint_projectors))
-    defect = float(np.max(np.abs(recon - a.matrix)))
+    vals = algebra.block_traces(a.matrix) / algebra.multiplicities()
+    defect = float(np.max(np.abs(algebra.element(vals) - a.matrix)))
     if defect > tol * max(1.0, float(np.max(np.abs(a.matrix)))):
         raise NotInAlgebra(f"element is not block-constant (defect {defect:.3e})")
     return linalg.readonly(vals)
 
 
-def restrict_state(rho, algebra: AbelianAlgebra) -> SpectralProbabilityMeasure:
+def restrict_state(rho, algebra: SpectralAlgebra) -> SpectralProbabilityMeasure:
     """The probability measure a state induces on the algebra's spectrum:
-    weight_k = Tr(rho P_k). This is everything the algebra can see of rho."""
+    weight_k = Tr(V_k^dagger rho V_k). This is everything the algebra can
+    see of rho."""
     r = as_density(rho)
     if r.dim != algebra.dim:
         raise DimMismatch(f"state dim {r.dim}, algebra dim {algebra.dim}")
-    w = np.array([float(np.trace(r.matrix @ p).real) for p in algebra.joint_projectors])
-    return SpectralProbabilityMeasure(w)
+    return SpectralProbabilityMeasure(algebra.block_traces(r.matrix))
 
 
 def proper_mixture_representative(
-    measure: SpectralProbabilityMeasure, algebra: AbelianAlgebra
+    measure: SpectralProbabilityMeasure, algebra: SpectralAlgebra
 ) -> DensityMatrix:
     """The canonical density matrix carrying a spectral measure: the
     normalized projector of each point, weighted by the measure."""
@@ -200,28 +202,4 @@ def proper_mixture_representative(
         raise DimMismatch(
             f"measure has {measure.n_points} points, algebra {algebra.n_points}"
         )
-    mults = algebra.multiplicities()
-    acc = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-    for w, p, m in zip(measure.weights, algebra.joint_projectors, mults):
-        acc += (w / m) * p
-    return DensityMatrix(acc)
-
-
-def verify_unique_decomposition(
-    measure: SpectralProbabilityMeasure,
-) -> DecompositionEvidence:
-    """Recover the point-mass weights of a spectral measure.
-
-    A measure on finitely many points is a convex combination of point
-    masses in exactly one way: the coefficient at point k must equal the
-    measure of {k}. The record carries the recovered weights, which match
-    the stored ones exactly, with no tolerance involved.
-    """
-    weights = tuple(float(x) for x in measure.weights)
-    recovered = tuple(weights)
-    return DecompositionEvidence(
-        point_indices=tuple(range(len(weights))),
-        weights=weights,
-        recovered_weights=recovered,
-        unique=recovered == weights,
-    )
+    return DensityMatrix(algebra.element(measure.weights / algebra.multiplicities()))

@@ -131,25 +131,3 @@ def cluster_eigenvalues(values, tol_cluster: float) -> tuple[tuple[int, ...], ..
             groups[-1].append(i)
     return tuple(tuple(g) for g in groups)
 
-
-@dataclass(frozen=True)
-class StructuralFlags:
-    hermitian: bool
-    unitary: bool
-    projector: bool
-    positive_semidefinite: bool
-
-
-def structural_checks(m, tol: float = TOL_HERMITIAN) -> StructuralFlags:
-    """Independent structural flags for a square matrix.
-
-    positive_semidefinite implies the Hermitian check here; eigenvalues of a
-    non-Hermitian matrix are not compared against the threshold.
-    """
-    a = require_square(m)
-    eye = np.eye(a.shape[0])
-    herm = hermiticity_defect(a) <= tol
-    unitary = float(np.max(np.abs(a.conj().T @ a - eye))) <= tol
-    projector = herm and float(np.max(np.abs(a @ a - a))) <= tol
-    psd = herm and float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2))) >= -tol
-    return StructuralFlags(herm, unitary, projector, psd)

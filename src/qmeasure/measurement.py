@@ -26,8 +26,9 @@ from .errors import (
     TooSmall,
     ValidationError,
 )
+from .algebra import SpectralAlgebra
 from .linalg import cluster_eigenvalues, default_cluster_tol, hermitian_eigendecompose
-from .observables import Observable, ProjectionValuedMeasure, as_observable
+from .observables import Observable, as_observable
 from .states import (
     CompositeDims,
     DensityMatrix,
@@ -124,7 +125,7 @@ class MeasurementModel:
     """A nondegenerate measured basis, its outcome values, the apparatus,
     and the premeasurement coupling between them."""
 
-    measured_pvm: ProjectionValuedMeasure
+    measured_pvm: SpectralAlgebra
     measured_basis: np.ndarray
     apparatus: ApparatusModel
     coupling: np.ndarray
@@ -138,11 +139,9 @@ class MeasurementModel:
             raise DimMismatch(
                 f"apparatus registers {self.apparatus.n_outcomes} outcomes, system dim is {d}"
             )
-        for k, p in enumerate(self.measured_pvm.projectors):
-            if abs(float(np.trace(p).real) - 1.0) > 1e-8:
-                raise DegenerateSpectrum(
-                    f"outcome {self.measured_pvm.outcomes[k]!r} has rank > 1"
-                )
+        for block, char in zip(self.measured_pvm.blocks, self.measured_pvm.characters):
+            if block.shape[1] != 1:
+                raise DegenerateSpectrum(f"outcome {char[0]!r} has rank {block.shape[1]}")
         u = linalg.require_square(self.coupling)
         if u.shape[0] != d * self.apparatus.dim_apparatus:
             raise DimMismatch("coupling does not act on the product space")
@@ -187,20 +186,17 @@ def build_coupling(
         vals = np.asarray(measured_values, dtype=float)
     if vals.ndim != 1 or vals.size != d:
         raise ValidationError(f"expected {d} measured values, got shape {vals.shape}")
-    if np.any(np.diff(vals) <= 0):
-        raise ValidationError("measured values must be strictly ascending")
-    projectors = tuple(
-        np.outer(basis[:, j], basis[:, j].conj()) for j in range(d)
-    )
-    pvm = ProjectionValuedMeasure(vals, projectors)
+    # one single-column block per outcome; the type rejects values that do
+    # not strictly ascend
+    pvm = SpectralAlgebra(tuple(basis[:, [j]] for j in range(d)), vals[:, None])
 
     dm = apparatus.dim_apparatus
     p = apparatus.pointer_basis
     cycle = np.roll(np.eye(dm), 1, axis=0)  # cycle e_k -> e_{k+1 mod dm}
     shift = np.eye(dm, dtype=complex)
     u = np.zeros((d * dm, d * dm), dtype=complex)
-    for j in range(d):
-        u += np.kron(projectors[j], p @ shift @ p.conj().T)
+    for proj in pvm.projectors:
+        u += np.kron(proj, p @ shift @ p.conj().T)
         shift = cycle @ shift
     return MeasurementModel(pvm, basis, apparatus, u)
 
@@ -307,4 +303,4 @@ def sample_outcome(
     cum = np.cumsum(np.abs(amps) ** 2)
     j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     j = min(j, amps.size - 1)
-    return float(model.measured_pvm.outcomes[j]), StateVector(model.measured_basis[:, j])
+    return float(model.measured_pvm.characters[j, 0]), StateVector(model.measured_basis[:, j])

@@ -1,15 +1,14 @@
-"""Hermitian observables, spectral measures, joint diagonalization, statistics.
+"""Hermitian observables, joint diagonalization, statistics.
 
-The spectral side works with point spectra only: a projection valued measure
-here is a finite list of ascending outcomes with orthogonal projectors that
-resolve the identity. Subsets of the line are finite unions of half-open
-intervals, which is all a point spectrum can distinguish.
+The spectral measure of an observable is the commutative algebra it
+generates (`algebra.generate_algebra([a])`): a point spectrum, one isometry
+block per outcome.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,15 +19,12 @@ from .errors import (
     NotCommuting,
     ValidationError,
 )
-from .linalg import (
-    cluster_eigenvalues,
-    default_cluster_tol,
-    hermitian_eigendecompose,
-    unitary_exp,
-)
+from .linalg import cluster_eigenvalues, default_cluster_tol, unitary_exp
 from .states import StateVector, as_density, as_state
 
-TOL_PROJECTOR = 1e-10
+if TYPE_CHECKING:
+    from .algebra import SpectralAlgebra
+
 _PROB_FLOOR = -1e-12
 _PROB_SUM_TOL = 1e-10
 
@@ -51,51 +47,6 @@ class Observable:
 
 def as_observable(a) -> Observable:
     return a if isinstance(a, Observable) else Observable(a)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionValuedMeasure:
-    """Ascending distinct outcomes paired with an orthogonal resolution of
-    the identity. Construction re-checks every axiom."""
-
-    outcomes: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-    tol: InitVar[float] = TOL_PROJECTOR
-
-    def __post_init__(self, tol: float) -> None:
-        out = np.asarray(self.outcomes, dtype=float)
-        projs = tuple(linalg.require_square(p) for p in self.projectors)
-        if out.ndim != 1 or out.size == 0:
-            raise ValidationError("outcomes must be a nonempty 1-d sequence")
-        if out.size != len(projs):
-            raise ValidationError(f"{out.size} outcomes for {len(projs)} projectors")
-        if np.any(np.diff(out) <= 0):
-            raise ValidationError("outcomes must be strictly ascending")
-        dim = projs[0].shape[0]
-        if any(p.shape[0] != dim for p in projs):
-            raise DimMismatch("projectors live on different spaces")
-        for k, p in enumerate(projs):
-            if linalg.hermiticity_defect(p) > tol:
-                raise ValidationError(f"projector {k} is not Hermitian")
-            if float(np.max(np.abs(p @ p - p))) > tol:
-                raise ValidationError(f"projector {k} is not idempotent")
-        for j in range(len(projs)):
-            for k in range(j + 1, len(projs)):
-                if float(np.max(np.abs(projs[j] @ projs[k]))) > tol:
-                    raise ValidationError(f"projectors {j} and {k} are not orthogonal")
-        total = sum(projs)
-        if float(np.max(np.abs(total - np.eye(dim)))) > tol:
-            raise ValidationError("projectors do not resolve the identity")
-        object.__setattr__(self, "outcomes", linalg.readonly(out))
-        object.__setattr__(self, "projectors", tuple(linalg.readonly(p.copy()) for p in projs))
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.outcomes.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,58 +91,6 @@ class OutcomeDistribution:
             raise ValidationError(f"probabilities sum to {p.sum()!r}")
         object.__setattr__(self, "outcomes", linalg.readonly(out))
         object.__setattr__(self, "probabilities", linalg.readonly(p))
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Finite union of half-open intervals [lo, hi). Enough structure to
-    carve up a point spectrum."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        cleaned = []
-        for pair in self.intervals:
-            lo, hi = (float(x) for x in pair)
-            if math.isnan(lo) or math.isnan(hi):
-                raise ValidationError("interval endpoints must not be NaN")
-            cleaned.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(cleaned))
-
-    def contains(self, x: float) -> bool:
-        return any(lo <= x < hi for lo, hi in self.intervals)
-
-
-FULL_LINE = IntervalUnion(((-math.inf, math.inf),))
-EMPTY_SET = IntervalUnion(())
-
-
-def spectral_decomposition(a, tol_cluster: float | None = None) -> ProjectionValuedMeasure:
-    """Projection valued measure of a Hermitian matrix.
-
-    Eigenvalues closer than tol_cluster (default 1e-8 relative to the
-    spectral radius) are treated as one outcome; the outcome value is the
-    cluster mean and the projector spans the whole cluster.
-    """
-    obs = as_observable(a)
-    eig = hermitian_eigendecompose(obs.matrix)
-    tol_c = default_cluster_tol(eig.eigenvalues) if tol_cluster is None else tol_cluster
-    groups = cluster_eigenvalues(eig.eigenvalues, tol_c)
-    outcomes = [float(np.mean(eig.eigenvalues[list(g)])) for g in groups]
-    projectors = []
-    for g in groups:
-        cols = eig.eigenvectors[:, list(g)]
-        projectors.append(cols @ cols.conj().T)
-    return ProjectionValuedMeasure(np.asarray(outcomes), tuple(projectors))
-
-
-def pvm_restrict(pvm: ProjectionValuedMeasure, region: IntervalUnion) -> np.ndarray:
-    """Spectral projector E(region) = sum of projectors with outcome inside."""
-    acc = np.zeros((pvm.dim, pvm.dim), dtype=complex)
-    for outcome, proj in zip(pvm.outcomes, pvm.projectors):
-        if region.contains(float(outcome)):
-            acc += proj
-    return linalg.readonly(acc)
 
 
 def commutes(a, b, tol: float = 1e-10) -> bool:
@@ -258,13 +157,15 @@ def joint_eigenbasis(
     return JointEigenbasis(basis, tuples)
 
 
-def born_distribution(rho, pvm: ProjectionValuedMeasure) -> OutcomeDistribution:
-    """Outcome probabilities p_k = Tr(rho E_k)."""
+def born_distribution(rho, pvm: SpectralAlgebra) -> OutcomeDistribution:
+    """Outcome probabilities p_k = Tr(V_k^dagger rho V_k) over the spectrum
+    of a single observable, the algebra that observable generates."""
     r = as_density(rho)
+    if pvm.characters.shape[1] != 1:
+        raise ValidationError("outcomes need the algebra of a single observable")
     if r.dim != pvm.dim:
         raise DimMismatch(f"state dim {r.dim}, measure dim {pvm.dim}")
-    p = np.array([float(np.trace(r.matrix @ e).real) for e in pvm.projectors])
-    return OutcomeDistribution(pvm.outcomes, p)
+    return OutcomeDistribution(pvm.characters[:, 0], pvm.block_traces(r.matrix))
 
 
 def expectation(rho, a) -> float:

@@ -55,12 +55,7 @@ from .measurement import (
     premeasure,
     premeasure_density,
 )
-from .observables import (
-    Observable,
-    born_distribution,
-    expectation,
-    spectral_decomposition,
-)
+from .observables import Observable, born_distribution, expectation
 from .randomness import rand_state, rand_unitary, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report
 from .states import DensityMatrix, StateVector, partial_trace, projector_of, validate_density
@@ -382,45 +377,31 @@ def _popcount(n: int) -> int:
     return bin(n).count("1")
 
 
-def run_cat(
-    c1, c2, macro_dim: int | None = None, chain_length: int | None = 8
-) -> Report:
+def run_cat(c1, c2, chain_length: int = 8) -> Report:
     """Superpose two macroscopically distinct branches and read them through
     a commutative readout.
 
-    With chain_length L the space is a chain of L two-level cells; branch 1
-    is all cells up (total readout +L), branch 2 all cells down (-L), and
-    the readout algebra is generated by the total of the per-cell values.
-    With macro_dim the branches are the extreme columns of a position-like
-    diagonal readout instead. c1 carries branch 1 (the highest readout
-    value), c2 branch 2 (the lowest): any "alive"/"dead" naming of those two
-    is report metadata, the logic only keys on outcome values.
+    The space is a chain of chain_length two-level cells; branch 1 is all
+    cells up (total readout +L), branch 2 all cells down (-L), and the
+    readout algebra is generated by the total of the per-cell values. c1
+    carries branch 1 (the highest readout value), c2 branch 2 (the lowest):
+    any "alive"/"dead" naming of those two is report metadata, the logic
+    only keys on outcome values.
 
     The report's max_deviation also folds in the residual of the branch
     expectation decomposition <Psi|g|Psi> = |c1|^2 <Psi1|g|Psi1> +
-    |c2|^2 <Psi2|g|Psi2> per generator.
+    |c2|^2 <Psi2|g|Psi2> for the readout g.
     """
     c1, c2 = complex(c1), complex(c2)
     total = abs(c1) ** 2 + abs(c2) ** 2
     if abs(total - 1.0) > 1e-10:
         raise BadAmplitudes(f"|c1|^2 + |c2|^2 = {total!r}")
+    if not 1 <= chain_length <= 10:
+        raise ValidationError("chain_length must be between 1 and 10")
 
-    if chain_length is not None:
-        if not 1 <= chain_length <= 10:
-            raise ValidationError("chain_length must be between 1 and 10")
-        dim = 2**chain_length
-        readout = np.array(
-            [chain_length - 2 * _popcount(b) for b in range(dim)], dtype=float
-        )
-        idx_top, idx_bottom = 0, dim - 1  # all-up carries +L, all-down -L
-    else:
-        if macro_dim is None or macro_dim < 2:
-            raise ValidationError("need chain_length or macro_dim >= 2")
-        if macro_dim > 4096:
-            raise ValidationError("macro_dim beyond desk scale")
-        dim = int(macro_dim)
-        readout = np.arange(dim, dtype=float)
-        idx_top, idx_bottom = dim - 1, 0
+    dim = 2**chain_length
+    readout = np.array([chain_length - 2 * _popcount(b) for b in range(dim)], dtype=float)
+    idx_top, idx_bottom = 0, dim - 1  # all-up carries +L, all-down -L
 
     amps = np.zeros(dim, dtype=complex)
     amps[idx_top] = c1
@@ -431,36 +412,27 @@ def run_cat(
 
     algebra = generate_algebra([generator])
     restricted = restrict_state(rho, algebra)
-    born = born_distribution(rho, spectral_decomposition(generator))
+    born = born_distribution(rho, algebra)
 
     # collapse in the joint eigenbasis, then aggregate the kept diagonal per
     # readout outcome: the von Neumann route to the same statistics
     collapsed = collapse(rho, np.eye(dim, dtype=complex))
-    collapsed_agg = np.array(
-        [float(np.trace(collapsed.matrix @ p).real) for p in algebra.joint_projectors]
-    )
+    collapsed_agg = algebra.block_traces(collapsed.matrix)
 
     branch_top = np.zeros(dim, dtype=complex)
     branch_top[idx_top] = 1.0
     branch_bottom = np.zeros(dim, dtype=complex)
     branch_bottom[idx_bottom] = 1.0
-    branches = [branch_top, branch_bottom]
-    cross_terms = _branch_cross_terms(algebra.generators, branches)
+    cross_terms = _branch_cross_terms([generator], [branch_top, branch_bottom])
 
-    resid = 0.0
-    rho_top = projector_of(branch_top)
-    rho_bottom = projector_of(branch_bottom)
-    for g in algebra.generators:
-        mixed = expectation(rho, g)
-        split = abs(c1) ** 2 * expectation(rho_top, g) + abs(c2) ** 2 * expectation(
-            rho_bottom, g
-        )
-        resid = max(resid, abs(mixed - split))
+    mixed = expectation(rho, generator)
+    split = abs(c1) ** 2 * expectation(projector_of(branch_top), generator)
+    split += abs(c2) ** 2 * expectation(projector_of(branch_bottom), generator)
 
     deviation = max(
         float(np.max(np.abs(born.probabilities - restricted.weights))),
         float(np.max(np.abs(born.probabilities - collapsed_agg))),
-        resid,
+        abs(mixed - split),
     )
     return Report(
         born=born,

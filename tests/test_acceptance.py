@@ -19,7 +19,7 @@ from qmeasure.measurement import (
     pointer_observable,
     premeasure,
 )
-from qmeasure.observables import evolve, joint_eigenbasis, spectral_decomposition
+from qmeasure.observables import evolve, joint_eigenbasis
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.report import emit_report
 from qmeasure.scenario import load_scenario, run_cat, run_scenario
@@ -139,13 +139,13 @@ def test_acceptance_4_spectral_measure_axioms(capsys):
         rng = substream(_SEED, 4, i)
         d = 2 + i % 11  # dims 2..12
         a = rand_hermitian(d, rng)
-        pvm = spectral_decomposition(a)
+        pvm = generate_algebra([a])
         projs = pvm.projectors
         for j in range(len(projs)):
             for k in range(j + 1, len(projs)):
                 worst = max(worst, float(np.max(np.abs(projs[j] @ projs[k]))))
         worst = max(worst, float(np.max(np.abs(sum(projs) - np.eye(d)))))
-        recon = sum(lam * p for lam, p in zip(pvm.outcomes, projs))
+        recon = sum(lam * p for lam, p in zip(pvm.characters[:, 0], projs))
         worst = max(worst, float(np.max(np.abs(recon - a))))
     elapsed = time.perf_counter() - t0
     passed = worst <= tol
@@ -219,7 +219,7 @@ def test_acceptance_6_cat_scenario(capsys):
     worst_expect = 0.0
     for _ in range(50):
         coeffs = rng.standard_normal(algebra.n_points)
-        a = sum(c * p for c, p in zip(coeffs, algebra.joint_projectors))
+        a = sum(c * p for c, p in zip(coeffs, algebra.projectors))
         worst_cross = max(worst_cross, abs(complex(top.conj() @ a @ bottom)))
         mixed = float((psi.conj() @ a @ psi).real)
         split = 0.36 * float((top.conj() @ a @ top).real) + 0.64 * float(

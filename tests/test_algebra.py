@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from qmeasure import errors
+from qmeasure import errors, verification
 from qmeasure.algebra import (
-    AbelianAlgebra,
+    SpectralAlgebra,
     SpectralProbabilityMeasure,
     generate_algebra,
     gelfand_transform,
     proper_mixture_representative,
     restrict_state,
     spectrum,
-    verify_unique_decomposition,
 )
 from qmeasure.measurement import build_apparatus, pointer_observable
 from qmeasure.randomness import rand_density, rand_hermitian, rand_state, substream
@@ -24,7 +23,7 @@ def test_generate_algebra_single_diagonal_generator():
     assert alg.n_points == 2
     assert_close(alg.characters, [[1.0], [2.0]])
     assert list(alg.multiplicities()) == [2, 1]
-    assert_close(alg.joint_projectors[0], np.diag([1.0, 1.0, 0.0]))
+    assert_close(alg.projectors[0], np.diag([1.0, 1.0, 0.0]))
 
 
 def test_generate_algebra_two_generators_refine():
@@ -51,17 +50,18 @@ def test_spectrum_points_carry_characters_and_multiplicities():
 
 
 def test_algebra_constructor_rejects_disorder():
-    projs = (np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-    chars = np.array([[2.0], [1.0]])  # not lexicographic
+    blocks = (np.eye(2)[:, [0]], np.eye(2)[:, [1]])
     with pytest.raises(errors.ValidationError, match="lexicographic"):
-        AbelianAlgebra((np.diag([1.0, 2.0]),), projs, chars)
+        SpectralAlgebra(blocks, np.array([[2.0, 0.0], [1.0, 5.0]]))
+    with pytest.raises(errors.ValidationError, match="distinct"):
+        SpectralAlgebra(blocks, np.array([[1.0, 3.0], [1.0, 3.0]]))
 
 
 def test_algebra_constructor_rejects_wrong_reconstruction():
-    projs = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    chars = np.array([[1.0], [5.0]])  # generator says eigenvalue 2, chars say 5
+    # a cluster width of 5 merges eigenvalues 1 and 2 into one point at 1.5,
+    # which cannot reproduce diag(1, 2)
     with pytest.raises(errors.ValidationError, match="reproduced"):
-        AbelianAlgebra((np.diag([1.0, 2.0]),), projs, chars)
+        generate_algebra([np.diag([1.0, 2.0])], tol_cluster=5)
 
 
 def test_gelfand_transform_polynomial_oracle():
@@ -124,7 +124,7 @@ def test_restriction_determines_expectations_on_the_algebra():
     for _ in range(50):
         coeffs = rng.standard_normal(alg.n_points)
         elem = sum(
-            c * p for c, p in zip(coeffs, alg.joint_projectors)
+            c * p for c, p in zip(coeffs, alg.projectors)
         )
         vals = gelfand_transform(alg, elem)
         lhs = float(np.trace(rho @ elem).real)
@@ -146,16 +146,26 @@ def test_proper_mixture_commutes_with_projectors():
     rho = proper_mixture_representative(
         SpectralProbabilityMeasure(np.array([0.2, 0.5, 0.3])), alg
     )
-    for p in alg.joint_projectors:
+    for p in alg.projectors:
         assert_close(rho.matrix @ p, p @ rho.matrix, atol=1e-12)
 
 
-def test_unique_decomposition_is_exact():
-    m = SpectralProbabilityMeasure(np.array([0.25, 0.75]))
-    ev = verify_unique_decomposition(m)
-    assert ev.unique
-    assert ev.recovered_weights == ev.weights == (0.25, 0.75)
-    assert ev.point_indices == (0, 1)
+def test_simplex_contrast_fails_on_perturbed_recovery(monkeypatch):
+    # the check compares the restricted weights against the measure it
+    # started from, so a recovery off by 1e-9 must be reported
+    restrict = verification.restrict_state
+
+    def perturbed(rho, alg):
+        w = restrict(rho, alg).weights.copy()
+        w[0] += 1e-9
+        w[-1] -= 1e-9
+        return SpectralProbabilityMeasure(w)
+
+    assert verification.check_simplex_contrast().passed
+    monkeypatch.setattr(verification, "restrict_state", perturbed)
+    result = verification.check_simplex_contrast()
+    assert not result.passed
+    assert result.worst > result.tolerance
 
 
 def test_density_matrix_decompositions_are_not_unique():
@@ -179,10 +189,10 @@ def test_refinement_keeps_coarse_projectors_recoverable():
     b = np.diag([3.0, 4.0, 5.0])
     coarse = generate_algebra([a])
     fine = generate_algebra([a, b])
-    for pf in fine.joint_projectors:
+    for pf in fine.projectors:
         parents = [
             k
-            for k, pc in enumerate(coarse.joint_projectors)
+            for k, pc in enumerate(coarse.projectors)
             if np.max(np.abs(pc @ pf - pf)) < 1e-10
         ]
         assert len(parents) == 1

@@ -153,29 +153,6 @@ def test_cluster_partitions_indices(vals, tol):
             assert vals[b] - vals[a] <= tol
 
 
-def test_structural_checks_identity():
-    flags = linalg.structural_checks(np.eye(3))
-    assert flags == linalg.StructuralFlags(True, True, True, True)
-
-
-def test_structural_checks_reflection():
-    flags = linalg.structural_checks(np.diag([1.0, -1.0]))
-    assert flags.hermitian and flags.unitary
-    assert not flags.projector and not flags.positive_semidefinite
-
-
-def test_structural_checks_rank_one_projector():
-    flags = linalg.structural_checks(np.full((2, 2), 0.5))
-    assert flags.hermitian and flags.projector and flags.positive_semidefinite
-    assert not flags.unitary
-
-
-def test_structural_checks_non_hermitian():
-    flags = linalg.structural_checks([[0, 1], [0, 0]])
-    assert not flags.hermitian
-    assert not flags.positive_semidefinite
-
-
 def test_returned_arrays_are_readonly():
     eig = linalg.hermitian_eigendecompose(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):

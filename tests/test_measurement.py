@@ -14,7 +14,7 @@ from qmeasure.measurement import (
     premeasure_density,
     sample_outcome,
 )
-from qmeasure.observables import born_distribution, spectral_decomposition
+from qmeasure.observables import born_distribution
 from qmeasure.randomness import rand_density, rand_state, rand_unitary, substream
 from qmeasure.states import (
     CompositeDims,
@@ -126,7 +126,7 @@ def test_model_rejects_degenerate_observable():
 def test_model_pointer_values_copy_eigenvalues():
     model = model_for_observable(np.diag([-2.0, 0.5, 7.0]))
     assert_close(model.apparatus.pointer_values, [-2.0, 0.5, 7.0])
-    assert_close(model.measured_pvm.outcomes, [-2.0, 0.5, 7.0])
+    assert_close(model.measured_pvm.characters[:, 0], [-2.0, 0.5, 7.0])
 
 
 def test_premeasure_superposition():

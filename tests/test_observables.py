@@ -4,21 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors
+from qmeasure.algebra import SpectralAlgebra, generate_algebra
 from qmeasure.observables import (
-    EMPTY_SET,
-    FULL_LINE,
-    IntervalUnion,
     Observable,
     OutcomeDistribution,
-    ProjectionValuedMeasure,
     born_distribution,
     commutes,
     evolve,
     expectation,
     joint_eigenbasis,
     joint_eigenblocks,
-    pvm_restrict,
-    spectral_decomposition,
 )
 from qmeasure.randomness import rand_density, rand_hermitian, rand_state, substream
 from qmeasure.states import StateVector, projector_of
@@ -35,15 +30,15 @@ def test_observable_rejects_non_hermitian():
 
 
 def test_spectral_decomposition_degenerate_diagonal():
-    pvm = spectral_decomposition(np.diag([1.0, 1.0, 2.0]))
-    assert_close(pvm.outcomes, [1.0, 2.0])
+    pvm = generate_algebra([np.diag([1.0, 1.0, 2.0])])
+    assert_close(pvm.characters[:, 0], [1.0, 2.0])
     assert_close(pvm.projectors[0], np.diag([1.0, 1.0, 0.0]))
     assert_close(pvm.projectors[1], np.diag([0.0, 0.0, 1.0]))
 
 
 def test_spectral_decomposition_pauli_x():
-    pvm = spectral_decomposition(X)
-    assert_close(pvm.outcomes, [-1.0, 1.0])
+    pvm = generate_algebra([X])
+    assert_close(pvm.characters[:, 0], [-1.0, 1.0])
     assert_close(pvm.projectors[0], [[0.5, -0.5], [-0.5, 0.5]])
     assert_close(pvm.projectors[1], [[0.5, 0.5], [0.5, 0.5]])
 
@@ -51,63 +46,30 @@ def test_spectral_decomposition_pauli_x():
 @pytest.mark.parametrize("dim", [2, 4, 7])
 def test_spectral_decomposition_reconstructs(dim):
     a = rand_hermitian(dim, substream(53, dim))
-    pvm = spectral_decomposition(a)
-    recon = sum(lam * p for lam, p in zip(pvm.outcomes, pvm.projectors))
+    pvm = generate_algebra([a])
+    recon = sum(lam * p for lam, p in zip(pvm.characters[:, 0], pvm.projectors))
     assert np.max(np.abs(recon - a)) < 1e-9
 
 
 def test_spectral_decomposition_cluster_tol():
     a = np.diag([0.0, 1e-12, 1.0])
-    merged = spectral_decomposition(a)
-    assert merged.n_outcomes == 2
-    split = spectral_decomposition(a, tol_cluster=1e-14)
-    assert split.n_outcomes == 3
+    merged = generate_algebra([a])
+    assert merged.n_points == 2
+    split = generate_algebra([a], tol_cluster=1e-14)
+    assert split.n_points == 3
 
 
 def test_pvm_constructor_rejects_bad_input():
-    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    with pytest.raises(errors.ValidationError, match="ascending"):
-        ProjectionValuedMeasure(np.array([2.0, 1.0]), (p0, p1))
-    with pytest.raises(errors.ValidationError, match="idempotent"):
-        ProjectionValuedMeasure(np.array([1.0, 2.0]), (2 * p0, p1))
+    e0, e1 = np.eye(2)[:, [0]], np.eye(2)[:, [1]]
+    outcomes = np.array([[1.0], [2.0]])
+    with pytest.raises(errors.ValidationError, match="orthonormal"):
+        SpectralAlgebra((2 * e0, e1), outcomes)  # non-orthonormal block
+    with pytest.raises(errors.ValidationError, match="orthonormal"):
+        SpectralAlgebra((e0, (e0 + e1) / np.sqrt(2)), outcomes)  # overlapping blocks
     with pytest.raises(errors.ValidationError, match="identity"):
-        ProjectionValuedMeasure(np.array([1.0, 2.0]), (p0, np.zeros((2, 2))))
-    with pytest.raises(errors.ValidationError, match="orthogonal"):
-        ProjectionValuedMeasure(
-            np.array([1.0, 2.0]), (np.eye(2), np.full((2, 2), 0.5))
-        )
-
-
-def test_pvm_restrict_full_and_empty():
-    pvm = spectral_decomposition(np.diag([0.0, 1.0, 3.0]))
-    assert_close(pvm_restrict(pvm, FULL_LINE), np.eye(3))
-    assert_close(pvm_restrict(pvm, EMPTY_SET), np.zeros((3, 3)))
-
-
-def test_pvm_restrict_half_open_boundaries():
-    pvm = spectral_decomposition(np.diag([0.0, 1.0, 3.0]))
-    region = IntervalUnion((((0.0, 1.0)),))
-    assert_close(pvm_restrict(pvm, region), np.diag([1.0, 0.0, 0.0]))
-    upper = IntervalUnion(((1.0, 3.0),))
-    assert_close(pvm_restrict(pvm, upper), np.diag([0.0, 1.0, 0.0]))
-
-
-def test_pvm_restrict_additive_over_partition():
-    a = rand_hermitian(5, substream(59))
-    pvm = spectral_decomposition(a)
-    cut = float(np.median(pvm.outcomes))
-    left = pvm_restrict(pvm, IntervalUnion(((-np.inf, cut),)))
-    right = pvm_restrict(pvm, IntervalUnion(((cut, np.inf),)))
-    assert_close(left + right, np.eye(5))
-    assert_close(left @ right, np.zeros((5, 5)), atol=1e-10)
-
-
-def test_interval_union_contains():
-    u = IntervalUnion(((0.0, 1.0), (2.0, 3.0)))
-    assert u.contains(0.0) and u.contains(0.5) and u.contains(2.9)
-    assert not u.contains(1.0) and not u.contains(1.5) and not u.contains(3.0)
-    with pytest.raises(errors.ValidationError):
-        IntervalUnion(((np.nan, 1.0),))
+        SpectralAlgebra((e0,), outcomes[:1])  # incomplete blocks
+    with pytest.raises(errors.ValidationError, match="lexicographic"):
+        SpectralAlgebra((e0, e1), outcomes[::-1])  # descending outcomes
 
 
 def test_commutes_basic_cases():
@@ -155,19 +117,22 @@ def test_joint_eigenblocks_rejects_non_commuting():
 
 def test_joint_single_observable_matches_spectral():
     a = rand_hermitian(4, substream(67))
-    pvm = spectral_decomposition(a)
+    pvm = generate_algebra([a])
     leaves = joint_eigenblocks([a])
-    assert_close([ch[0] for _, ch in leaves], pvm.outcomes)
+    assert_close([ch[0] for _, ch in leaves], pvm.characters[:, 0])
     for (block, _), proj in zip(leaves, pvm.projectors):
         assert_close(block @ block.conj().T, proj, atol=1e-9)
 
 
 def test_born_distribution_qubit():
     psi = StateVector(np.array([0.6, 0.8]))
-    pvm = spectral_decomposition(np.diag([0.0, 1.0]))
+    pvm = generate_algebra([np.diag([0.0, 1.0])])
     dist = born_distribution(projector_of(psi), pvm)
     assert_close(dist.outcomes, [0.0, 1.0])
     assert_close(dist.probabilities, [0.36, 0.64])
+    two_generators = generate_algebra([np.diag([0.0, 1.0]), np.eye(2)])
+    with pytest.raises(errors.ValidationError, match="single observable"):
+        born_distribution(projector_of(psi), two_generators)
 
 
 @given(seed=st.integers(0, 5000))
@@ -177,7 +142,7 @@ def test_born_matches_projected_norms(seed):
     rng = substream(seed, 71)
     dim = int(rng.integers(2, 7))
     psi = rand_state(dim, rng)
-    pvm = spectral_decomposition(rand_hermitian(dim, rng))
+    pvm = generate_algebra([rand_hermitian(dim, rng)])
     dist = born_distribution(projector_of(psi), pvm)
     norms = [float(np.linalg.norm(p @ psi) ** 2) for p in pvm.projectors]
     assert_close(dist.probabilities, norms, atol=1e-12)
@@ -196,7 +161,7 @@ def test_expectation_matches_spectral_average():
     rng = substream(73)
     rho = rand_density(5, rng)
     a = rand_hermitian(5, rng)
-    pvm = spectral_decomposition(a)
+    pvm = generate_algebra([a])
     dist = born_distribution(rho, pvm)
     want = float(np.dot(dist.outcomes, dist.probabilities))
     assert abs(expectation(rho, a) - want) < 1e-9

@@ -227,20 +227,11 @@ def test_run_cat_chain_characters_are_readout_totals():
     assert chars == [-3.0, -1.0, 1.0, 3.0]
 
 
-def test_run_cat_macro_dim_variant():
-    r = run_cat(1 / np.sqrt(2), 1j / np.sqrt(2), macro_dim=100)
-    assert_close(r.restricted.weights[-1], 0.5, atol=1e-12)
-    assert_close(r.restricted.weights[0], 0.5, atol=1e-12)
-    assert r.max_deviation < 1e-12
-
-
 def test_run_cat_rejects_bad_amplitudes():
     with pytest.raises(errors.BadAmplitudes):
         run_cat(0.6, 0.9)
     with pytest.raises(errors.ValidationError):
         run_cat(0.6, 0.8, chain_length=11)
-    with pytest.raises(errors.ValidationError):
-        run_cat(0.6, 0.8, chain_length=None, macro_dim=1)
 
 
 def test_compare_collapse_vs_restriction_deterministic():
