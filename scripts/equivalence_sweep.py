@@ -7,29 +7,9 @@ mirroring the CLI convention.
 """
 
 import argparse
-import json
 import sys
 
-from qmeasure.scenario import compare_collapse_vs_restriction, parse_scenario
-
-
-def scenario_at_dim(dim: int, seed: int):
-    """A minimal valid scenario at the given dimension; the comparison only
-    draws on its dimension and seed."""
-    doc = {
-        "system_dim": dim,
-        "initial_state": {
-            "kind": "vector",
-            "data": [[1.0, 0.0]] + [[0.0, 0.0]] * (dim - 1),
-        },
-        "observable": [
-            [[float(i == j) * i, 0.0] for j in range(dim)] for i in range(dim)
-        ],
-        "apparatus": {"dim": dim},
-        "trials": 0,
-        "seed": seed,
-    }
-    return parse_scenario(json.dumps(doc))
+from qmeasure.scenario import compare_collapse_vs_restriction
 
 
 def main(argv=None) -> int:
@@ -44,9 +24,7 @@ def main(argv=None) -> int:
     print(f"{'dim':>4} {'cases':>6} {'worst':>12} {'mean':>12}")
     overall = 0.0
     for dim in range(lo, hi + 1):
-        summary = compare_collapse_vs_restriction(
-            scenario_at_dim(dim, args.seed), args.random
-        )
+        summary = compare_collapse_vs_restriction(dim, args.random, args.seed)
         overall = max(overall, summary.worst)
         print(
             f"{dim:>4} {summary.n_random:>6} {summary.worst:>12.3e} {summary.mean:>12.3e}"

@@ -47,14 +47,12 @@ from .states import (
     validate_density,
 )
 from .observables import (
-    JointEigenbasis,
     Observable,
     OutcomeDistribution,
     born_distribution,
     commutes,
     evolve,
     expectation,
-    joint_eigenbasis,
 )
 from .measurement import (
     ApparatusModel,

@@ -131,22 +131,15 @@ def generate_algebra(
 ) -> SpectralAlgebra:
     """Commutative algebra generated by a commuting Hermitian family.
 
-    The joint eigenspace blocks with identical eigenvalue tuples become the
-    spectrum points, ordered lexicographically by character. Each generator
-    must be reproduced by its characters, which fails when tol_cluster
-    merges distinct eigenvalues.
+    Each joint eigenspace block becomes one spectrum point; the blocks
+    already come in strictly ascending lexicographic order of character.
+    Each generator must be reproduced by its characters, which fails when
+    tol_cluster merges distinct eigenvalues.
     """
     gens = tuple(as_observable(g) for g in generators)
     leaves = joint_eigenblocks(gens, tol, tol_cluster)
-    leaves = sorted(leaves, key=lambda leaf: leaf[1])
-    merged: list[tuple[np.ndarray, tuple[float, ...]]] = []
-    for block, char in leaves:
-        if merged and merged[-1][1] == char:
-            merged[-1] = (np.hstack([merged[-1][0], block]), char)
-        else:
-            merged.append((block, char))
     algebra = SpectralAlgebra(
-        tuple(block for block, _ in merged), np.array([char for _, char in merged])
+        tuple(block for block, _ in leaves), np.array([char for _, char in leaves])
     )
     for i, g in enumerate(gens):
         defect = float(np.max(np.abs(algebra.element(algebra.characters[:, i]) - g.matrix)))

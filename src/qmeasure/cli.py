@@ -102,7 +102,8 @@ def _cmd_cat(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
-    summary = compare_collapse_vs_restriction(scenario, args.random, args.seed)
+    seed = scenario.seed if args.seed is None else args.seed
+    summary = compare_collapse_vs_restriction(scenario.system_dim, args.random, seed)
     sys.stdout.write(emit_summary(summary, args.format))
     if summary.worst > args.tol:
         sys.stderr.write(

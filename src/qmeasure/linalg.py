@@ -16,10 +16,9 @@ from .errors import NotHermitian, NotSquare, ValidationError
 
 TOL_HERMITIAN = 1e-10
 TOL_ORTHO = 1e-10
-# default eigenvalue cluster width, relative to the largest |eigenvalue|
-CLUSTER_RTOL = 1e-8
 
 _RECONSTRUCT_RTOL = 1e-10
+_CLUSTER_SAFETY = 1e4
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -106,8 +105,12 @@ def unitary_exp(h, t: float, tol: float = TOL_HERMITIAN) -> np.ndarray:
 
 
 def default_cluster_tol(values) -> float:
+    """Eigenvalue cluster width: a fixed multiple of the roundoff
+    n * eps * max|eigenvalue| of a dense Hermitian eigensolver, so a gap is
+    merged only when roundoff could have produced it."""
     vals = np.asarray(values, dtype=float)
-    return CLUSTER_RTOL * (float(np.max(np.abs(vals))) if vals.size else 0.0)
+    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    return _CLUSTER_SAFETY * vals.size * float(np.finfo(float).eps) * scale
 
 
 def cluster_eigenvalues(values, tol_cluster: float) -> tuple[tuple[int, ...], ...]:

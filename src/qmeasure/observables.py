@@ -50,30 +50,6 @@ def as_observable(a) -> Observable:
 
 
 @dataclass(frozen=True, eq=False)
-class JointEigenbasis:
-    """Orthonormal columns diagonalizing a commuting family, with one row of
-    eigenvalues per column (one entry per input observable)."""
-
-    basis: np.ndarray
-    value_tuples: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = linalg.require_square(self.basis)
-        vt = np.asarray(self.value_tuples, dtype=float)
-        if vt.ndim != 2 or vt.shape[0] != b.shape[0]:
-            raise ValidationError("need one value tuple per basis column")
-        defect = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-        if defect > linalg.TOL_ORTHO:
-            raise ValidationError(f"joint basis is not unitary (defect {defect:.3e})")
-        object.__setattr__(self, "basis", linalg.readonly(b))
-        object.__setattr__(self, "value_tuples", linalg.readonly(vt))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Outcome values with their probabilities."""
 
@@ -110,9 +86,9 @@ def joint_eigenblocks(
 
     Diagonalizes the first observable, then recursively refines each
     degenerate cluster by the next observable projected into it. Returns
-    (column block, eigenvalue tuple) leaves in lexicographic tuple order;
-    cluster means are the representative eigenvalues, so the tuples of one
-    leaf are exact duplicates across its columns.
+    (column block, eigenvalue tuple) leaves with cluster means as the
+    representative eigenvalues. The means of gap-separated clusters are
+    distinct, so the tuples strictly ascend in lexicographic order.
     """
     obs = [as_observable(o) for o in observables]
     if not obs:
@@ -144,17 +120,6 @@ def joint_eigenblocks(
         return leaves
 
     return refine(np.eye(dim, dtype=complex), 0)
-
-
-def joint_eigenbasis(
-    observables, tol: float = 1e-10, tol_cluster: float | None = None
-) -> JointEigenbasis:
-    """Joint eigenbasis of a commuting family, columns in lexicographic
-    order of their eigenvalue tuples."""
-    leaves = joint_eigenblocks(observables, tol, tol_cluster)
-    basis = np.hstack([block for block, _ in leaves])
-    tuples = np.array([ch for block, ch in leaves for _ in range(block.shape[1])])
-    return JointEigenbasis(basis, tuples)
 
 
 def born_distribution(rho, pvm: SpectralAlgebra) -> OutcomeDistribution:

@@ -333,44 +333,50 @@ def run_scenario(s: Scenario) -> Report:
                 f"restriction puts weight {restricted.weights[k]:.3e} outside the pointer range"
             )
 
-    branches = [model.apparatus.pointer_state(j) for j in range(n)]
-    cross_terms = _branch_cross_terms(generators, branches)
-
-    deviation = max(
-        float(np.max(np.abs(born.probabilities - collapsed_diag))),
-        float(np.max(np.abs(born.probabilities - aligned))),
-    )
-
     empirical = None
     if s.trials > 0:
         empirical = _sample_counts(born.probabilities, s.seed, s.trials)
 
+    return _report(
+        born,
+        collapsed_diag,
+        restricted,
+        algebra,
+        generators,
+        [model.apparatus.pointer_state(j) for j in range(n)],
+        [
+            float(np.max(np.abs(born.probabilities - collapsed_diag))),
+            float(np.max(np.abs(born.probabilities - aligned))),
+        ],
+        empirical,
+    )
+
+
+def _report(
+    born, collapsed, restricted, algebra, generators, branches, residuals, empirical=None
+) -> Report:
+    """Assemble a run report; max_deviation is the largest listed residual."""
     return Report(
         born=born,
-        collapsed_diag=tuple(float(x) for x in collapsed_diag),
+        collapsed_diag=tuple(float(x) for x in collapsed),
         restricted=restricted,
         restricted_characters=tuple(
             tuple(float(x) for x in row) for row in algebra.characters
         ),
         empirical=empirical,
-        max_deviation=deviation,
-        cross_terms=cross_terms,
+        max_deviation=max(residuals),
+        cross_terms=_branch_cross_terms(generators, branches),
     )
 
 
 def _branch_cross_terms(generators, branches) -> tuple[float, ...]:
     """Largest |<branch_j| g |branch_k>|, j != k, per generator."""
-    out = []
-    for g in generators:
-        worst = 0.0
-        for j in range(len(branches)):
-            for k in range(len(branches)):
-                if j == k:
-                    continue
-                val = abs(complex(branches[j].conj() @ (g.matrix @ branches[k])))
-                worst = max(worst, val)
-        out.append(worst)
-    return tuple(out)
+    b = np.column_stack(branches)
+    off = ~np.eye(b.shape[1], dtype=bool)
+    return tuple(
+        float(np.max(np.abs((b.conj().T @ g.matrix @ b)[off]), initial=0.0))
+        for g in generators
+    )
 
 
 def _popcount(n: int) -> int:
@@ -423,65 +429,63 @@ def run_cat(c1, c2, chain_length: int = 8) -> Report:
     branch_top[idx_top] = 1.0
     branch_bottom = np.zeros(dim, dtype=complex)
     branch_bottom[idx_bottom] = 1.0
-    cross_terms = _branch_cross_terms([generator], [branch_top, branch_bottom])
 
     mixed = expectation(rho, generator)
     split = abs(c1) ** 2 * expectation(projector_of(branch_top), generator)
     split += abs(c2) ** 2 * expectation(projector_of(branch_bottom), generator)
 
-    deviation = max(
-        float(np.max(np.abs(born.probabilities - restricted.weights))),
-        float(np.max(np.abs(born.probabilities - collapsed_agg))),
-        abs(mixed - split),
-    )
-    return Report(
-        born=born,
-        collapsed_diag=tuple(float(x) for x in collapsed_agg),
-        restricted=restricted,
-        restricted_characters=tuple(
-            tuple(float(x) for x in row) for row in algebra.characters
-        ),
-        empirical=None,
-        max_deviation=deviation,
-        cross_terms=cross_terms,
+    return _report(
+        born,
+        collapsed_agg,
+        restricted,
+        algebra,
+        [generator],
+        [branch_top, branch_bottom],
+        [
+            float(np.max(np.abs(born.probabilities - restricted.weights))),
+            float(np.max(np.abs(born.probabilities - collapsed_agg))),
+            abs(mixed - split),
+        ],
     )
 
 
-def compare_collapse_vs_restriction(
-    s: Scenario, n_random: int, seed: int | None = None
-) -> ComparisonSummary:
-    """Randomized agreement check at the scenario's dimension.
+def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, algebra) -> float:
+    """Largest gap between the collapse diagonal of psi in the measured basis
+    and the weights its premeasured apparatus state puts on the readout
+    algebra: one case of the collapse vs restriction equivalence."""
+    model = build_coupling(basis, apparatus)
+    rho_app = apparatus_reduced_state(premeasure(psi, model), model.dims)
+    weights = restrict_state(rho_app, algebra).weights
+    collapsed = collapse(projector_of(psi), basis)
+    diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
+    return float(np.max(np.abs(weights - diag)))
+
+
+def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> ComparisonSummary:
+    """Randomized agreement check at system dimension dim.
 
     Each case draws a state and a measured basis from its own substream
     (seed, 2, case_index), runs both routes with a minimal apparatus, and
     records the worst elementwise gap. Bit-for-bit reproducible for a given
-    (seed, n_random).
+    (dim, n_random, seed).
     """
     if n_random < 1:
         raise ValidationError("n_random must be positive")
-    master = s.seed if seed is None else int(seed)
-    d = s.system_dim
-    apparatus = build_apparatus(d)
-    pointer = pointer_observable(apparatus)
-    algebra = generate_algebra([pointer])
+    apparatus = build_apparatus(dim)
+    algebra = generate_algebra([pointer_observable(apparatus)])
     devs = np.zeros(n_random)
     for i in range(n_random):
-        rng = substream(master, _COMPARE_TAG, i)
-        psi = StateVector(rand_state(d, rng))
-        basis = rand_unitary(d, rng)
-        model = build_coupling(basis, apparatus)
-        rho_app = apparatus_reduced_state(premeasure(psi, model), model.dims)
-        weights = restrict_state(rho_app, algebra).weights
-        collapsed = collapse(projector_of(psi), basis)
-        diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
-        devs[i] = float(np.max(np.abs(weights - diag)))
+        rng = substream(seed, _COMPARE_TAG, i)
+        psi = StateVector(rand_state(dim, rng))
+        basis = rand_unitary(dim, rng)
+        devs[i] = collapse_restriction_gap(psi, basis, apparatus, algebra)
     worst_index = int(np.argmax(devs))
     return ComparisonSummary(
-        dim=d,
+        dim=dim,
         n_random=n_random,
-        seed=master,
+        seed=seed,
         worst=float(devs[worst_index]),
         mean=float(devs.mean()),
         worst_index=worst_index,
-        worst_case_key=(master, _COMPARE_TAG, worst_index),
+        worst_case_key=(seed, _COMPARE_TAG, worst_index),
     )

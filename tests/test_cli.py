@@ -69,6 +69,17 @@ def test_run_impossible_tol_exits_two(tmp_path, capsys):
     assert "exceeds --tol" in captured.err
 
 
+def test_run_shifted_observable_exits_zero(tmp_path, capsys):
+    # a gap of 1 on top of 1e9 is far above eigensolver roundoff, so the
+    # spectrum must not be clustered as degenerate
+    path = write_qubit_scenario(
+        tmp_path, observable=[[[1e9, 0], [0, 0]], [[0, 0], [1e9 + 1, 0]]]
+    )
+    assert main(["run", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["born"]["probabilities"] == [0.36, 0.64]
+
+
 def test_cat_table_mentions_branches(capsys):
     assert main(["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "4"]) == 0
     out = capsys.readouterr().out
@@ -106,6 +117,12 @@ def test_compare_json_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["compare", path, "--random", "10", "--format", "json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_compare_uses_scenario_seed_by_default(tmp_path, capsys):
+    path = write_qubit_scenario(tmp_path)
+    assert main(["compare", path, "--random", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 11
 
 
 def test_compare_impossible_tol_exits_two(tmp_path, capsys):

@@ -12,7 +12,6 @@ from qmeasure.observables import (
     commutes,
     evolve,
     expectation,
-    joint_eigenbasis,
     joint_eigenblocks,
 )
 from qmeasure.randomness import rand_density, rand_hermitian, rand_state, substream
@@ -87,27 +86,6 @@ def test_joint_eigenblocks_diagonal_refinement():
     assert tuples == [(1.0, 3.0), (1.0, 4.0), (2.0, 5.0)]
     for block, _ in leaves:
         assert block.shape == (3, 1)
-
-
-def test_joint_eigenbasis_diagonalizes_family():
-    rng = substream(61)
-    h = rand_hermitian(6, rng)
-    coeffs = rng.standard_normal((2, 3))
-    family = [h]
-    for row in coeffs:
-        family.append(row[0] * np.eye(6) + row[1] * h + row[2] * h @ h)
-    jb = joint_eigenbasis(family)
-    for a in family:
-        rotated = jb.basis.conj().T @ a @ jb.basis
-        off = rotated - np.diag(np.diag(rotated))
-        assert np.max(np.abs(off)) < 1e-8
-    assert jb.value_tuples.shape == (6, 3)
-
-
-def test_joint_eigenbasis_tuples_sorted_lexicographically():
-    jb = joint_eigenbasis([np.diag([2.0, 1.0, 1.0]), np.diag([0.0, 5.0, 3.0])])
-    rows = [tuple(r) for r in jb.value_tuples]
-    assert rows == sorted(rows)
 
 
 def test_joint_eigenblocks_rejects_non_commuting():

@@ -235,18 +235,12 @@ def test_run_cat_rejects_bad_amplitudes():
 
 
 def test_compare_collapse_vs_restriction_deterministic():
-    s = parse_scenario(doc_qubit())
-    a = compare_collapse_vs_restriction(s, 20, seed=5)
-    b = compare_collapse_vs_restriction(s, 20, seed=5)
+    a = compare_collapse_vs_restriction(2, 20, 5)
+    b = compare_collapse_vs_restriction(2, 20, 5)
     assert a == b
     assert a.worst < 1e-10
     assert a.n_random == 20 and a.dim == 2
     assert 0 <= a.worst_index < 20
-
-
-def test_compare_uses_scenario_seed_by_default():
-    s = parse_scenario(doc_qubit())
-    assert compare_collapse_vs_restriction(s, 5).seed == s.seed
 
 
 def test_report_json_round_trips_byte_identically():

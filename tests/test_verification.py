@@ -1,0 +1,104 @@
+"""Each per-case kernel must be able to fail: a fault injected into the code
+it checks has to push its verify check past the check's tolerance."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from qmeasure import scenario, verification
+from qmeasure.algebra import SpectralAlgebra
+from qmeasure.randomness import rand_hermitian, substream
+from qmeasure.states import StateVector
+
+
+def uncoupled(psi, model):
+    """A premeasurement that forgets the coupling: psi (x) ready."""
+    return StateVector(np.kron(psi.amplitudes, model.apparatus.ready_state()))
+
+
+def assert_fault_caught(check, module, name, replacement):
+    assert check().passed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, replacement)
+        result = check()
+    assert not result.passed
+    assert result.worst > result.tolerance
+
+
+def test_collapse_restriction_gap_catches_missing_coupling():
+    assert_fault_caught(verification.check_collapse_restriction, scenario, "premeasure", uncoupled)
+
+
+def test_coupling_defects_catch_phase_and_off_ready_faults():
+    build = verification.build_coupling
+
+    def scaled(factor):
+        def build_faulty(basis, apparatus):
+            model = build(basis, apparatus)
+            object.__setattr__(model, "coupling", model.coupling * factor(model))
+            return model
+
+        return build_faulty
+
+    def off_ready_gain(model):
+        # premeasurement reads only the ready columns, so only unitarity sees this
+        col = np.arange(model.coupling.shape[1]) % model.apparatus.dim_apparatus
+        return np.where(col == model.apparatus.ready_index, 1.0, 1 + 1e-9)
+
+    # a global phase keeps the coupling unitary, so only the amplitudes see it
+    for factor in (lambda model: np.exp(1e-6j), off_ready_gain):
+        check = verification.check_coupling_fidelity
+        assert_fault_caught(check, verification, "build_coupling", scaled(factor))
+
+
+def test_spectral_axiom_defect_catches_shifted_eigenvalues():
+    generate = verification.generate_algebra
+
+    def shifted(generators):
+        alg = generate(generators)
+        return SpectralAlgebra(alg.blocks, alg.characters + 1e-6)
+
+    assert_fault_caught(verification.check_spectral_axioms, verification, "generate_algebra", shifted)
+
+
+def test_joint_diagonalization_defect_diagonalizes_family():
+    rng = substream(61)
+    h = rand_hermitian(6, rng)
+    family = [h]
+    for row in rng.standard_normal((2, 3)):
+        family.append(row[0] * np.eye(6) + row[1] * h + row[2] * h @ h)
+    off, distinct = verification.joint_diagonalization_defect(family)
+    assert off < 1e-8
+    assert distinct
+
+
+def test_joint_diagonalization_defect_catches_wrong_basis_and_collided_characters():
+    generate = verification.generate_algebra
+
+    def permuted(family):
+        alg = generate(family)
+        rows_moved = tuple(np.roll(b, 1, axis=0) for b in alg.blocks)
+        return SpectralAlgebra(rows_moved, alg.characters)
+
+    def collided(family):
+        alg = generate(family)
+        chars = np.zeros_like(alg.characters)
+        return SimpleNamespace(blocks=alg.blocks, characters=chars, n_points=alg.n_points)
+
+    for fault in (permuted, collided):
+        check = verification.check_joint_diagonalization
+        assert_fault_caught(check, verification, "generate_algebra", fault)
+
+
+def test_group_law_defects_catch_time_offset():
+    evolve = verification.evolve
+
+    def late(psi, h, t):
+        return evolve(psi, h, t + 1e-6)
+
+    assert_fault_caught(verification.check_dynamics_group, verification, "evolve", late)
+
+
+def test_chain_reduction_gap_catches_missing_coupling():
+    assert_fault_caught(verification.check_chain_reduction, verification, "premeasure", uncoupled)
