@@ -61,6 +61,7 @@ from .measurement import (
     build_apparatus,
     build_coupling,
     collapse,
+    coupling_matrix,
     model_for_observable,
     pointer_observable,
     premeasure,

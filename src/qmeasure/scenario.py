@@ -27,6 +27,11 @@ premeasured composite induces on the commutative readout algebra after the
 system is traced out. With trials > 0 the report also carries sampled
 counts; trial t consumes the t-th variate of a dedicated substream, so the
 counts depend only on (seed, trials).
+
+No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
+apparatus.dim^2 readout matrices, the (system_dim * apparatus.dim)^2
+composite density of a density initial state, and the trials draws. A
+document over that limit fails validation before anything is built.
 """
 
 from __future__ import annotations
@@ -64,6 +69,10 @@ _TRIALS_TAG = 1
 _COMPARE_TAG = 2
 
 _MAX_SEED = 2**64
+
+# largest number of elements any one array of a run may need; documents whose
+# sizes imply more are rejected at parse time, before anything is allocated
+MAX_ARRAY_ELEMENTS = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +129,14 @@ def _complex_matrix(x, where: str) -> np.ndarray:
     if any(r.size != width for r in rows):
         raise ParseError(f"{where}: rows differ in length")
     return np.array(rows)
+
+
+def _check_budget(where: str, elements: int) -> None:
+    if elements > MAX_ARRAY_ELEMENTS:
+        raise ValidationError(
+            f"{where}: needs an array of {elements} elements, over the limit of "
+            f"{MAX_ARRAY_ELEMENTS}"
+        )
 
 
 def _wrap(where: str, build):
@@ -205,6 +222,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(
             f"apparatus.dim: {apparatus_dim} cannot register {system_dim} outcomes"
         )
+    _check_budget("apparatus.dim", apparatus_dim**2)  # apparatus.dim >= system_dim
+    if isinstance(state, DensityMatrix):
+        # the mixed path premeasures into a composite density matrix
+        _check_budget("apparatus.dim", (system_dim * apparatus_dim) ** 2)
     pointer_values: tuple[float, ...] | None = None
     if "pointer_values" in app:
         pv = app["pointer_values"]
@@ -239,6 +260,7 @@ def parse_scenario(text: str) -> Scenario:
     trials = _int_field(doc, "trials", "top level")
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
+    _check_budget("trials", trials)
     seed = _int_field(doc, "seed", "top level")
     if not 0 <= seed < _MAX_SEED:
         raise ValidationError("seed must fit in 64 bits")

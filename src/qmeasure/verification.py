@@ -23,6 +23,7 @@ from .measurement import (
     apparatus_reduced_state,
     build_apparatus,
     build_coupling,
+    coupling_matrix,
     pointer_observable,
     premeasure,
 )
@@ -53,16 +54,19 @@ def _result(name: str, worst: float, tol: float, detail: str) -> CheckResult:
     return CheckResult(name, bool(worst <= tol), float(worst), tol, detail)
 
 
-def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[float, float]:
-    """Amplitude and unitarity defects of one coupling: the premeasured psi
-    must be sum_j c_j b_j (x) F_j with c_j = <b_j|psi>, and U must be unitary."""
+def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[float, float, float]:
+    """Amplitude, agreement and unitarity defects of one coupling: the dense
+    U must take psi (x) ready to sum_j c_j b_j (x) F_j with c_j = <b_j|psi>,
+    premeasure must give the same composite without U, and U must be unitary."""
     model = build_coupling(basis, apparatus)
-    u = model.coupling
+    u = coupling_matrix(model)
     unitarity = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    dense = u @ np.kron(psi.amplitudes, apparatus.ready_state())
     c = basis.conj().T @ psi.amplitudes
     want = sum(c[j] * np.kron(basis[:, j], apparatus.pointer_state(j)) for j in range(c.size))
-    amplitude = float(np.max(np.abs(premeasure(psi, model).amplitudes - want)))
-    return amplitude, unitarity
+    amplitude = float(np.max(np.abs(dense - want)))
+    agreement = float(np.max(np.abs(premeasure(psi, model).amplitudes - dense)))
+    return amplitude, agreement, unitarity
 
 
 def spectral_axiom_defect(a: np.ndarray) -> float:
@@ -113,7 +117,9 @@ def chain_reduction_gap(psi: StateVector, basis: np.ndarray, apparatus, copier, 
     single = restrict_state(
         apparatus_reduced_state(premeasure(psi, model), model.dims), algebra
     ).weights
-    u_total = kronecker(np.eye(d), copier.coupling) @ kronecker(model.coupling, np.eye(d))
+    u_total = kronecker(np.eye(d), coupling_matrix(copier)) @ kronecker(
+        coupling_matrix(model), np.eye(d)
+    )
     start = np.kron(np.kron(psi.amplitudes, apparatus.ready_state()), apparatus.ready_state())
     rho_last = partial_trace(
         projector_of(StateVector(u_total @ start)), CompositeDims(d * d, d), "apparatus"
@@ -139,7 +145,9 @@ def check_collapse_restriction() -> CheckResult:
 
 
 def check_coupling_fidelity() -> CheckResult:
-    """Premeasured amplitudes sit on the correlated slots with value c_j."""
+    """Premeasured amplitudes sit on the correlated slots with value c_j,
+    the structured premeasurement agrees with the dense coupling, and the
+    coupling is unitary."""
     worst = 0.0
     cases = 0
     for d in range(2, 7):

@@ -80,6 +80,23 @@ def test_run_shifted_observable_exits_zero(tmp_path, capsys):
     assert payload["born"]["probabilities"] == [0.36, 0.64]
 
 
+def test_run_oversized_apparatus_exits_one(tmp_path, capsys):
+    # a few hundred bytes asking for 10^6 x 10^6 pointer matrices
+    path = write_qubit_scenario(tmp_path, apparatus={"dim": 1_000_000})
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err
+    assert "apparatus.dim" in err
+
+
+def test_run_oversized_trials_exits_one(tmp_path, capsys):
+    path = write_qubit_scenario(tmp_path, trials=10**12)
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err
+    assert "trials" in err
+
+
 def test_cat_table_mentions_branches(capsys):
     assert main(["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "4"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from qmeasure.measurement import (
     build_apparatus,
     build_coupling,
     collapse,
+    coupling_matrix,
     apparatus_reduced_state,
     model_for_observable,
     pointer_observable,
@@ -70,12 +71,12 @@ def test_qubit_coupling_is_cnot():
         ],
         dtype=complex,
     )
-    assert_close(model.coupling, want)
+    assert_close(coupling_matrix(model), want)
 
 
 def test_single_outcome_coupling_is_identity():
     model = model_for_observable(np.array([[2.0]]))
-    assert_close(model.coupling, np.eye(1))
+    assert_close(coupling_matrix(model), np.eye(1))
 
 
 def test_coupling_registers_every_basis_column():
@@ -84,7 +85,7 @@ def test_coupling_registers_every_basis_column():
     app = build_apparatus(4, dim_apparatus=6)
     model = build_coupling(basis, app, measured_values=[0.0, 1.0, 2.0, 3.0])
     for j in range(4):
-        moved = model.coupling @ np.kron(basis[:, j], app.ready_state())
+        moved = coupling_matrix(model) @ np.kron(basis[:, j], app.ready_state())
         want = np.kron(basis[:, j], app.pointer_state(j))
         assert np.linalg.norm(moved - want) < 1e-10
 
@@ -97,7 +98,7 @@ def test_coupling_permutes_off_ready_slots():
         for k in range(d):
             src = np.kron(np.eye(d)[:, j], np.eye(d)[:, k])
             dst = np.kron(np.eye(d)[:, j], np.eye(d)[:, (k + j) % d])
-            assert np.linalg.norm(model.coupling @ src - dst) < 1e-12
+            assert np.linalg.norm(coupling_matrix(model) @ src - dst) < 1e-12
 
 
 def test_alternative_extension_agrees_on_physical_inputs():
@@ -112,10 +113,11 @@ def test_alternative_extension_agrees_on_physical_inputs():
         swap[[0, j]] = swap[[j, 0]]
         u2 += np.kron(np.outer(np.eye(d)[:, j], np.eye(d)[:, j]), swap)
     assert np.max(np.abs(u2.conj().T @ u2 - np.eye(d * dm))) < 1e-12
-    assert np.max(np.abs(u2 - model.coupling)) > 0.5  # genuinely different unitary
+    u = coupling_matrix(model)
+    assert np.max(np.abs(u2 - u)) > 0.5  # genuinely different unitary
     psi = rand_state(d, substream(89))
     joint = np.kron(psi, np.eye(dm)[:, 0])
-    assert np.linalg.norm(model.coupling @ joint - u2 @ joint) < 1e-12
+    assert np.linalg.norm(u @ joint - u2 @ joint) < 1e-12
 
 
 def test_model_rejects_degenerate_observable():
@@ -149,6 +151,37 @@ def test_premeasure_density_matches_pure_case():
     pure = premeasure(psi, model)
     mixed = premeasure_density(projector_of(psi), model)
     assert_close(mixed.matrix, projector_of(pure).matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_structured_premeasurement_matches_dense_coupling(d):
+    # random pointer bases and both ends of the ready range, so the cyclic
+    # (ready + j) % dm wrap is exercised; build_apparatus pins ready 0
+    for dm in (d, d + 3):
+        for ready in (0, dm - 1):
+            rng = substream(139, d, dm, ready)
+            app = ApparatusModel(dm, rand_unitary(dm, rng), ready, np.arange(d, dtype=float))
+            model = build_coupling(rand_unitary(d, rng), app)
+            u = coupling_matrix(model)
+            r = app.ready_state()
+            psi = rand_state(d, rng)
+            dense = u @ np.kron(psi, r)
+            pure = premeasure(psi, model)
+            assert_close(pure.amplitudes, dense, atol=1e-12, rtol=0)
+            assert_close(
+                apparatus_reduced_state(pure, model.dims).matrix,
+                partial_trace(projector_of(dense), model.dims, "apparatus").matrix,
+                atol=1e-12,
+                rtol=0,
+            )
+            rho = rand_density(d, rng)
+            want = u @ np.kron(rho, np.outer(r, r.conj())) @ u.conj().T
+            assert_close(premeasure_density(rho, model).matrix, want, atol=1e-12, rtol=0)
+
+
+def test_apparatus_reduced_state_rejects_wrong_size():
+    with pytest.raises(errors.DimMismatch):
+        apparatus_reduced_state(rand_state(6, substream(149)), CompositeDims(2, 2))
 
 
 def test_collapse_diagonal_weights():
@@ -211,7 +244,7 @@ def test_two_stage_chain_keeps_pointer_statistics():
         np.diag(apparatus_reduced_state(stage1, m1.dims).matrix)
     )
 
-    u2 = m1.coupling  # same controlled shift, now copying factor 2 to factor 3
+    u2 = coupling_matrix(m1)  # same controlled shift, now copying factor 2 to factor 3
     joint = np.kron(np.eye(d), u2) @ np.kron(stage1.amplitudes, np.eye(d)[:, 0])
     rho_last = partial_trace(projector_of(joint), CompositeDims(d * d, d), "apparatus")
     assert_close(np.real(np.diag(rho_last.matrix)), first_diag, atol=1e-10)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qmeasure.measurement import model_for_observable, sample_outcome
 from qmeasure.randomness import substream
 from qmeasure.report import emit_report, report_payload, sig12
 from qmeasure.scenario import (
+    MAX_ARRAY_ELEMENTS,
     Scenario,
     compare_collapse_vs_restriction,
     load_scenario,
@@ -115,6 +117,22 @@ def test_parse_rejects_negative_trials_and_bad_seed():
         parse_scenario(doc_qubit(seed=-3))
     with pytest.raises(errors.ValidationError, match="seed"):
         parse_scenario(doc_qubit(seed=2**64))
+
+
+def test_parse_enforces_array_budget_at_its_boundary():
+    assert MAX_ARRAY_ELEMENTS == 2**24
+    # pointer matrices: apparatus.dim^2
+    assert parse_scenario(doc_qubit(apparatus={"dim": 4096})).apparatus_dim == 4096
+    with pytest.raises(errors.ValidationError, match="apparatus.dim"):
+        parse_scenario(doc_qubit(apparatus={"dim": 4097}))
+    # a density initial state premeasures into a (2 * dim)^2 composite
+    density = {"kind": "density", "data": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+    assert parse_scenario(doc_qubit(initial_state=density, apparatus={"dim": 2048}))
+    with pytest.raises(errors.ValidationError, match="apparatus.dim"):
+        parse_scenario(doc_qubit(initial_state=density, apparatus={"dim": 2049}))
+    assert parse_scenario(doc_qubit(trials=2**24)).trials == 2**24
+    with pytest.raises(errors.ValidationError, match="trials"):
+        parse_scenario(doc_qubit(trials=2**24 + 1))
 
 
 def test_run_scenario_eigenstate_is_sharp():
@@ -241,6 +259,19 @@ def test_compare_collapse_vs_restriction_deterministic():
     assert a.worst < 1e-10
     assert a.n_random == 20 and a.dim == 2
     assert 0 <= a.worst_index < 20
+
+
+def test_compare_allocates_no_composite_matrix():
+    # one dense (32 * 32)^2 complex matrix is 16 MiB; the structured path
+    # needs well under one
+    compare_collapse_vs_restriction(32, 4, 5)  # warm-up
+    tracemalloc.start()
+    try:
+        compare_collapse_vs_restriction(32, 4, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_report_json_round_trips_byte_identically():

@@ -8,7 +8,7 @@ import pytest
 
 from qmeasure import scenario, verification
 from qmeasure.algebra import SpectralAlgebra
-from qmeasure.randomness import rand_hermitian, substream
+from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import StateVector
 
 
@@ -31,25 +31,49 @@ def test_collapse_restriction_gap_catches_missing_coupling():
 
 
 def test_coupling_defects_catch_phase_and_off_ready_faults():
-    build = verification.build_coupling
+    dense = verification.coupling_matrix
+    check = verification.check_coupling_fidelity
 
     def scaled(factor):
-        def build_faulty(basis, apparatus):
-            model = build(basis, apparatus)
-            object.__setattr__(model, "coupling", model.coupling * factor(model))
-            return model
+        def coupling_faulty(model):
+            u = dense(model)
+            return u * factor(model, u)
 
-        return build_faulty
+        return coupling_faulty
 
-    def off_ready_gain(model):
+    def off_ready_gain(model, u):
         # premeasurement reads only the ready columns, so only unitarity sees this
-        col = np.arange(model.coupling.shape[1]) % model.apparatus.dim_apparatus
+        col = np.arange(u.shape[1]) % model.apparatus.dim_apparatus
         return np.where(col == model.apparatus.ready_index, 1.0, 1 + 1e-9)
 
-    # a global phase keeps the coupling unitary, so only the amplitudes see it
-    for factor in (lambda model: np.exp(1e-6j), off_ready_gain):
-        check = verification.check_coupling_fidelity
-        assert_fault_caught(check, verification, "build_coupling", scaled(factor))
+    # a global phase keeps the coupling unitary, so only the amplitude and
+    # agreement terms see it
+    for factor in (lambda model, u: np.exp(1e-6j), off_ready_gain):
+        assert_fault_caught(check, verification, "coupling_matrix", scaled(factor))
+
+
+def test_coupling_defects_catch_shifted_pointer_column_in_premeasure():
+    # outcome j lands on the pointer column of outcome j + 1: the structured
+    # path no longer matches U, which only the agreement term compares
+    def misregistered(psi, model):
+        b = model.measured_basis
+        f = np.roll(model.apparatus.pointer_states(), -1, axis=1)
+        m = (b * (b.conj().T @ psi.amplitudes)) @ f.T
+        return StateVector(m.reshape(-1))
+
+    check = verification.check_coupling_fidelity
+    assert_fault_caught(check, verification, "premeasure", misregistered)
+    rng = substream(67)
+    basis = rand_unitary(3, rng)
+    psi = StateVector(rand_state(3, rng))
+    tol = 1e-10  # check 2's tolerance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "premeasure", misregistered)
+        amplitude, agreement, unitarity = verification.coupling_defects(
+            basis, psi, verification.build_apparatus(3)
+        )
+    assert agreement > tol
+    assert max(amplitude, unitarity) <= tol
 
 
 def test_spectral_axiom_defect_catches_shifted_eigenvalues():
