@@ -44,7 +44,6 @@ from .states import (
     partial_trace,
     projector_of,
     tensor_state,
-    validate_density,
 )
 from .observables import (
     Observable,

@@ -23,11 +23,6 @@ from .errors import DimMismatch, NotInAlgebra, ValidationError
 from .observables import as_observable, joint_eigenblocks
 from .states import DensityMatrix, as_density
 
-_TOL_ISOMETRY = 1e-10
-_TOL_RECON = 1e-9
-_WEIGHT_FLOOR = -1e-12
-_WEIGHT_SUM_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralAlgebra:
@@ -58,8 +53,8 @@ class SpectralAlgebra:
             raise ValidationError(
                 f"{v.shape[1]} block columns cannot resolve the identity in dim {dim}"
             )
-        defect = float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
-        if defect > _TOL_ISOMETRY:
+        defect = linalg.isometry_defect(v)
+        if defect > linalg.ROUNDOFF_TOL:
             raise ValidationError(f"block columns are not orthonormal (defect {defect:.3e})")
         rows = [tuple(row) for row in chars]
         if len(set(rows)) != len(rows):
@@ -112,13 +107,7 @@ class SpectralProbabilityMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weights must be a nonempty 1-d sequence")
-        if float(w.min()) < _WEIGHT_FLOOR:
-            raise ValidationError(f"weight {w.min():.3e} below the roundoff floor")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValidationError(f"weights sum to {w.sum()!r}")
+        w = linalg.require_weights(self.weights)
         object.__setattr__(self, "weights", linalg.readonly(w))
 
     @property
@@ -126,9 +115,7 @@ class SpectralProbabilityMeasure:
         return self.weights.size
 
 
-def generate_algebra(
-    generators, tol: float = 1e-10, tol_cluster: float | None = None
-) -> SpectralAlgebra:
+def generate_algebra(generators, tol_cluster: float | None = None) -> SpectralAlgebra:
     """Commutative algebra generated by a commuting Hermitian family.
 
     Each joint eigenspace block becomes one spectrum point; the blocks
@@ -137,14 +124,14 @@ def generate_algebra(
     tol_cluster merges distinct eigenvalues.
     """
     gens = tuple(as_observable(g) for g in generators)
-    leaves = joint_eigenblocks(gens, tol, tol_cluster)
+    leaves = joint_eigenblocks(gens, tol_cluster)
     algebra = SpectralAlgebra(
         tuple(block for block, _ in leaves), np.array([char for _, char in leaves])
     )
     for i, g in enumerate(gens):
         defect = float(np.max(np.abs(algebra.element(algebra.characters[:, i]) - g.matrix)))
         scale = max(1.0, float(np.max(np.abs(g.matrix))))
-        if defect > _TOL_RECON * scale:
+        if defect > linalg.ELEMENT_RTOL * scale:
             raise ValidationError(
                 f"generator {i} is not reproduced by its characters (defect {defect:.3e})"
             )
@@ -160,7 +147,7 @@ def spectrum(algebra: SpectralAlgebra) -> tuple[SpectrumPoint, ...]:
     )
 
 
-def gelfand_transform(algebra: SpectralAlgebra, element, tol: float = 1e-9) -> np.ndarray:
+def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
     """Values of an algebra element at each spectrum point.
 
     The element must be block-constant on the joint eigenspaces; anything
@@ -171,7 +158,7 @@ def gelfand_transform(algebra: SpectralAlgebra, element, tol: float = 1e-9) -> n
         raise DimMismatch(f"element dim {a.dim}, algebra dim {algebra.dim}")
     vals = algebra.block_traces(a.matrix) / algebra.multiplicities()
     defect = float(np.max(np.abs(algebra.element(vals) - a.matrix)))
-    if defect > tol * max(1.0, float(np.max(np.abs(a.matrix)))):
+    if defect > linalg.ELEMENT_RTOL * max(1.0, float(np.max(np.abs(a.matrix)))):
         raise NotInAlgebra(f"element is not block-constant (defect {defect:.3e})")
     return linalg.readonly(vals)
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .errors import ParseError, QmError
+from .linalg import DEVIATION_TOL
 from .report import emit_report, emit_summary, sig12
 from .scenario import compare_collapse_vs_restriction, parse_scenario, run_cat, run_scenario
 from .verification import run_all
@@ -37,6 +39,17 @@ def _complex_arg(text: str) -> complex:
     return complex(re, im)
 
 
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse tolerance {text!r}")
+    # a NaN tolerance would make every deviation comparison false
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qmeasure", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
@@ -45,8 +58,8 @@ def build_parser() -> _Parser:
     )
     common.add_argument(
         "--tol",
-        type=float,
-        default=1e-9,
+        type=_tol_arg,
+        default=DEVIATION_TOL,
         help="largest tolerated analytic deviation before exit code 2",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -72,16 +85,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _gate(what: str, deviation: float, tol: float) -> int:
+    """Exit code 2 when an analytic deviation exceeds --tol, else 0."""
+    if deviation > tol:
+        sys.stderr.write(f"error: {what} deviation {deviation:.3e} exceeds --tol {tol:.3e}\n")
+        return 2
+    return 0
+
+
 def _cmd_run(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     report = run_scenario(scenario)
     sys.stdout.write(emit_report(report, args.format))
-    if report.max_deviation > args.tol:
-        sys.stderr.write(
-            f"error: max deviation {report.max_deviation:.3e} exceeds --tol {args.tol:.3e}\n"
-        )
-        return 2
-    return 0
+    return _gate("max", report.max_deviation, args.tol)
 
 
 def _cmd_cat(args) -> int:
@@ -92,12 +108,7 @@ def _cmd_cat(args) -> int:
             f"+{args.chain}, branch 2 (dead) at -{args.chain}\n"
         )
     sys.stdout.write(emit_report(report, args.format))
-    if report.max_deviation > args.tol:
-        sys.stderr.write(
-            f"error: max deviation {report.max_deviation:.3e} exceeds --tol {args.tol:.3e}\n"
-        )
-        return 2
-    return 0
+    return _gate("max", report.max_deviation, args.tol)
 
 
 def _cmd_compare(args) -> int:
@@ -105,12 +116,7 @@ def _cmd_compare(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     summary = compare_collapse_vs_restriction(scenario.system_dim, args.random, seed)
     sys.stdout.write(emit_summary(summary, args.format))
-    if summary.worst > args.tol:
-        sys.stderr.write(
-            f"error: worst deviation {summary.worst:.3e} exceeds --tol {args.tol:.3e}\n"
-        )
-        return 2
-    return 0
+    return _gate("worst", summary.worst, args.tol)
 
 
 def _cmd_verify(args) -> int:

@@ -1,9 +1,12 @@
-"""Dense complex linear algebra kernel for small Hilbert spaces.
+"""Dense complex linear algebra kernel for small Hilbert spaces, and the
+package's one tolerance policy.
 
 Pure functions over immutable numpy arrays; every returned array is marked
 read-only. Intended scale is dim <= ~64, where LAPACK's dense symmetric
 solver is accurate to a few ulps and all tolerances below are loose by
-several orders of magnitude.
+several orders of magnitude. Every validator in the package reads its
+tolerance from the four constants below, and the CLI its --tol default;
+only the verify checks pin their own, as part of the acceptance spec.
 """
 
 from __future__ import annotations
@@ -12,12 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotSquare, ValidationError
+from .errors import NotHermitian, NotSquare, QmError, ValidationError
 
-TOL_HERMITIAN = 1e-10
-TOL_ORTHO = 1e-10
+# roundoff: norms, traces, Hermiticity, orthonormality, commutators,
+# probability sums, and the relative residual of an eigendecomposition
+ROUNDOFF_TOL = 1e-10
+# how far a probability weight may dip below zero, or a sampled frequency
+# stray from its count ratio
+WEIGHT_FLOOR = 1e-12
+# relative accuracy to which an algebra element is reproduced from its
+# values at the spectrum points
+ELEMENT_RTOL = 1e-9
+# relative distance within which a spectrum point's pointer value matches an outcome
+POINTER_MATCH_RTOL = 1e-6
+# default --tol: the largest disagreement between the routes before exit code 2
+DEVIATION_TOL = 1e-9
 
-_RECONSTRUCT_RTOL = 1e-10
 _CLUSTER_SAFETY = 1e4
 
 
@@ -55,13 +68,33 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m, tol: float = TOL_HERMITIAN) -> np.ndarray:
+def isometry_defect(v: np.ndarray) -> float:
+    """max |V^dagger V - I|: zero exactly when the columns of V are orthonormal."""
+    return float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
+
+
+def require_hermitian(m) -> np.ndarray:
     a = require_square(m)
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if defect > ROUNDOFF_TOL:
         raise NotHermitian(
-            f"max |M - M^dagger| entry is {defect:.3e}, tolerance {tol:.3e}"
+            f"max |M - M^dagger| entry is {defect:.3e}, tolerance {ROUNDOFF_TOL:.3e}"
         )
+    return a
+
+
+def require_weights(
+    w, what: str = "weights", error: type[QmError] = ValidationError
+) -> np.ndarray:
+    """A nonempty 1-d probability vector: no entry below -WEIGHT_FLOOR and
+    a sum within ROUNDOFF_TOL of 1. Violations raise error."""
+    a = np.asarray(w, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise error(f"{what} must be a nonempty 1-d sequence")
+    if float(a.min()) < -WEIGHT_FLOOR:
+        raise error(f"{what}: entry {a.min():.3e} below the roundoff floor")
+    if abs(float(a.sum()) - 1.0) > ROUNDOFF_TOL:
+        raise error(f"{what} sum to {a.sum()!r}")
     return a
 
 
@@ -73,19 +106,19 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def hermitian_eigendecompose(m, tol: float = TOL_HERMITIAN) -> EigenSystem:
+def hermitian_eigendecompose(m) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The decomposition is verified before returning: columns must be
     orthonormal and sum_k w_k v_k v_k^dagger must reproduce the input to
-    relative Frobenius accuracy 1e-10.
+    relative Frobenius accuracy ROUNDOFF_TOL.
     """
-    a = require_hermitian(m, tol)
+    a = require_hermitian(m)
     w, v = np.linalg.eigh(a)
-    ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(a.shape[0]))))
+    ortho = isometry_defect(v)
     scale = max(float(np.linalg.norm(a)), 1e-300)
     resid = float(np.linalg.norm((v * w) @ v.conj().T - a)) / scale
-    if ortho > TOL_ORTHO or resid > _RECONSTRUCT_RTOL:
+    if ortho > ROUNDOFF_TOL or resid > ROUNDOFF_TOL:
         raise ArithmeticError(
             f"eigendecomposition failed verification (ortho {ortho:.3e}, resid {resid:.3e})"
         )
@@ -97,9 +130,9 @@ def kronecker(a, b) -> np.ndarray:
     return readonly(np.kron(as_matrix(a), as_matrix(b)))
 
 
-def unitary_exp(h, t: float, tol: float = TOL_HERMITIAN) -> np.ndarray:
+def unitary_exp(h, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, computed through the eigenbasis."""
-    eig = hermitian_eigendecompose(h, tol)
+    eig = hermitian_eigendecompose(h)
     phases = np.exp(-1j * float(t) * eig.eigenvalues)
     return readonly((eig.eigenvectors * phases) @ eig.eigenvectors.conj().T)
 

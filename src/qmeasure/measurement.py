@@ -44,13 +44,11 @@ from .states import (
     as_state,
 )
 
-_TOL = 1e-10
-
 
 def _require_unitary_columns(m, what: str) -> np.ndarray:
     a = linalg.require_square(m)
-    defect = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
-    if defect > _TOL:
+    defect = linalg.isometry_defect(a)
+    if defect > linalg.ROUNDOFF_TOL:
         raise NotOrthonormal(f"{what} columns are not orthonormal (defect {defect:.3e})")
     return a
 
@@ -215,7 +213,6 @@ def model_for_observable(
     a,
     dim_apparatus: int | None = None,
     pointer_values=None,
-    tol_cluster: float | None = None,
 ) -> MeasurementModel:
     """Measurement model for a nondegenerate Hermitian observable.
 
@@ -226,8 +223,7 @@ def model_for_observable(
     """
     obs = as_observable(a)
     eig = hermitian_eigendecompose(obs.matrix)
-    tol_c = default_cluster_tol(eig.eigenvalues) if tol_cluster is None else tol_cluster
-    groups = cluster_eigenvalues(eig.eigenvalues, tol_c)
+    groups = cluster_eigenvalues(eig.eigenvalues, default_cluster_tol(eig.eigenvalues))
     if len(groups) != obs.dim:
         sizes = [len(g) for g in groups]
         raise DegenerateSpectrum(

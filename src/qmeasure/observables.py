@@ -7,7 +7,7 @@ block per outcome.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,19 +25,15 @@ from .states import StateVector, as_density, as_state
 if TYPE_CHECKING:
     from .algebra import SpectralAlgebra
 
-_PROB_FLOOR = -1e-12
-_PROB_SUM_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A Hermitian matrix. Any Hermitian matrix is accepted."""
 
     matrix: np.ndarray
-    tol: InitVar[float] = linalg.TOL_HERMITIAN
 
-    def __post_init__(self, tol: float) -> None:
-        m = linalg.require_hermitian(self.matrix, tol)
+    def __post_init__(self) -> None:
+        m = linalg.require_hermitian(self.matrix)
         object.__setattr__(self, "matrix", linalg.readonly(m))
 
     @property
@@ -58,29 +54,25 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         out = np.asarray(self.outcomes, dtype=float)
-        p = np.asarray(self.probabilities, dtype=float)
-        if out.ndim != 1 or p.ndim != 1 or out.size != p.size or out.size == 0:
+        p = linalg.require_weights(self.probabilities, "probabilities")
+        if out.shape != p.shape:
             raise ValidationError("outcomes and probabilities must match in length")
-        if float(p.min()) < _PROB_FLOOR:
-            raise ValidationError(f"probability {p.min():.3e} below the roundoff floor")
-        if abs(float(p.sum()) - 1.0) > _PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {p.sum()!r}")
         object.__setattr__(self, "outcomes", linalg.readonly(out))
         object.__setattr__(self, "probabilities", linalg.readonly(p))
 
 
-def commutes(a, b, tol: float = 1e-10) -> bool:
+def commutes(a, b) -> bool:
     """Commutator check scaled by the product of the max-entry norms."""
     oa, ob = as_observable(a), as_observable(b)
     if oa.dim != ob.dim:
         raise DimMismatch(f"dims {oa.dim} and {ob.dim}")
     defect = float(np.max(np.abs(oa.matrix @ ob.matrix - ob.matrix @ oa.matrix)))
     scale = float(np.max(np.abs(oa.matrix))) * float(np.max(np.abs(ob.matrix)))
-    return defect <= tol * scale
+    return defect <= linalg.ROUNDOFF_TOL * scale
 
 
 def joint_eigenblocks(
-    observables, tol: float = 1e-10, tol_cluster: float | None = None
+    observables, tol_cluster: float | None = None
 ) -> list[tuple[np.ndarray, tuple[float, ...]]]:
     """Common eigenspace blocks of a commuting Hermitian family.
 
@@ -99,7 +91,7 @@ def joint_eigenblocks(
             raise DimMismatch("observables live on different spaces")
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
-            if not commutes(obs[i], obs[j], tol):
+            if not commutes(obs[i], obs[j]):
                 raise NotCommuting(f"observables {i} and {j} do not commute")
     if tol_cluster is None:
         ctols = [default_cluster_tol(np.linalg.eigvalsh(o.matrix)) for o in obs]
@@ -134,13 +126,13 @@ def born_distribution(rho, pvm: SpectralAlgebra) -> OutcomeDistribution:
 
 
 def expectation(rho, a) -> float:
-    """Tr(rho A). The imaginary part must vanish to 1e-10 and is dropped."""
+    """Tr(rho A). The imaginary part must vanish to roundoff and is dropped."""
     r = as_density(rho)
     obs = as_observable(a)
     if r.dim != obs.dim:
         raise DimMismatch(f"state dim {r.dim}, observable dim {obs.dim}")
     val = complex(np.trace(r.matrix @ obs.matrix))
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > linalg.ROUNDOFF_TOL:
         raise NonRealExpectation(f"Tr(rho A) = {val!r}")
     return float(val.real)
 

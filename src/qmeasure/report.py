@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import linalg
 from .algebra import SpectralProbabilityMeasure
 from .errors import UnknownFormat, ValidationError
 from .observables import OutcomeDistribution
-
-_SUM_TOL = 1e-10
 
 
 def sig12(x: float) -> float:
@@ -44,7 +43,7 @@ class EmpiricalCounts:
         if sum(self.counts) != self.trials:
             raise ValidationError("counts do not add up to the trial count")
         for c, f in zip(self.counts, self.frequencies):
-            if abs(f - c / self.trials) > 1e-12:
+            if abs(f - c / self.trials) > linalg.WEIGHT_FLOOR:
                 raise ValidationError("frequencies do not match counts")
 
 
@@ -62,8 +61,7 @@ class Report:
     cross_terms: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if abs(sum(self.collapsed_diag) - 1.0) > _SUM_TOL:
-            raise ValidationError("collapse diagonal is not normalized")
+        linalg.require_weights(self.collapsed_diag, "collapse diagonal")
         if len(self.restricted_characters) != self.restricted.n_points:
             raise ValidationError("need one character tuple per restricted weight")
         if self.empirical is not None and len(self.empirical.counts) != self.born.outcomes.size:

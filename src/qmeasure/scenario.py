@@ -31,7 +31,8 @@ counts depend only on (seed, trials).
 No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
 apparatus.dim^2 readout matrices, the (system_dim * apparatus.dim)^2
 composite density of a density initial state, and the trials draws. A
-document over that limit fails validation before anything is built.
+document over that limit fails validation before anything is built, and so
+does a randomized comparison asking for more cases.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .algebra import generate_algebra, gelfand_transform, restrict_state
 from .errors import (
     BadAmplitudes,
@@ -63,7 +65,7 @@ from .measurement import (
 from .observables import Observable, born_distribution, expectation
 from .randomness import rand_state, rand_unitary, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report
-from .states import DensityMatrix, StateVector, partial_trace, projector_of, validate_density
+from .states import DensityMatrix, StateVector, partial_trace, projector_of
 
 _TRIALS_TAG = 1
 _COMPARE_TAG = 2
@@ -178,7 +180,7 @@ def _parse_initial_state(doc, system_dim: int) -> StateVector | DensityMatrix:
         if tr <= 0:
             raise ValidationError(f"{where}.data: cannot normalize trace {tr!r}")
         data = data / tr
-    return _wrap(where, lambda: validate_density(data))
+    return _wrap(where, lambda: DensityMatrix(data))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -303,7 +305,7 @@ def _match_outcome(value: float, targets: np.ndarray) -> int | None:
     gaps = np.abs(targets - value)
     j = int(np.argmin(gaps))
     scale = max(1.0, float(np.max(np.abs(targets))))
-    if gaps[j] <= 1e-6 * scale:
+    if gaps[j] <= linalg.POINTER_MATCH_RTOL * scale:
         return j
     return None
 
@@ -350,7 +352,7 @@ def run_scenario(s: Scenario) -> Report:
         j = _match_outcome(float(char), values)
         if j is not None:
             aligned[j] += restricted.weights[k]
-        elif restricted.weights[k] > 1e-10:
+        elif restricted.weights[k] > linalg.ROUNDOFF_TOL:
             raise ValidationError(
                 f"restriction puts weight {restricted.weights[k]:.3e} outside the pointer range"
             )
@@ -422,7 +424,7 @@ def run_cat(c1, c2, chain_length: int = 8) -> Report:
     """
     c1, c2 = complex(c1), complex(c2)
     total = abs(c1) ** 2 + abs(c2) ** 2
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > linalg.ROUNDOFF_TOL:
         raise BadAmplitudes(f"|c1|^2 + |c2|^2 = {total!r}")
     if not 1 <= chain_length <= 10:
         raise ValidationError("chain_length must be between 1 and 10")
@@ -493,6 +495,7 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
     """
     if n_random < 1:
         raise ValidationError("n_random must be positive")
+    _check_budget("n_random", n_random)
     apparatus = build_apparatus(dim)
     algebra = generate_algebra([pointer_observable(apparatus)])
     devs = np.zeros(n_random)

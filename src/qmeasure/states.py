@@ -13,7 +13,7 @@ invariants instead of trusting the caller.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,15 +22,11 @@ from . import linalg
 from .errors import (
     BadWeights,
     DimMismatch,
-    NotHermitian,
     NotNormalized,
     NotPositive,
     TraceNotOne,
     ValidationError,
 )
-
-TOL_STATE = 1e-10
-_WEIGHT_FLOOR = -1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +34,14 @@ class StateVector:
     """A normalized pure state."""
 
     amplitudes: np.ndarray
-    tol: InitVar[float] = TOL_STATE
 
-    def __post_init__(self, tol: float) -> None:
+    def __post_init__(self) -> None:
         amp = linalg.as_vector(self.amplitudes)
         nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > tol:
-            raise NotNormalized(f"norm is {nrm!r}, expected 1 within {tol:g}")
+        if abs(nrm - 1.0) > linalg.ROUNDOFF_TOL:
+            raise NotNormalized(
+                f"norm is {nrm!r}, expected 1 within {linalg.ROUNDOFF_TOL:g}"
+            )
         object.__setattr__(self, "amplitudes", linalg.readonly(amp))
 
     @property
@@ -63,21 +60,17 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix."""
+    """Hermitian, positive semidefinite, unit-trace matrix, checked in that order."""
 
     matrix: np.ndarray
-    tol: InitVar[float] = TOL_STATE
 
-    def __post_init__(self, tol: float) -> None:
-        m = linalg.require_square(self.matrix)
-        defect = linalg.hermiticity_defect(m)
-        if defect > tol:
-            raise NotHermitian(f"max |M - M^dagger| entry is {defect:.3e}")
+    def __post_init__(self) -> None:
+        m = linalg.require_hermitian(self.matrix)
         low = float(np.min(np.linalg.eigvalsh(m)))
-        if low < -tol:
+        if low < -linalg.ROUNDOFF_TOL:
             raise NotPositive(f"lowest eigenvalue is {low:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > linalg.ROUNDOFF_TOL:
             raise TraceNotOne(f"trace is {tr:.12g}")
         object.__setattr__(self, "matrix", linalg.readonly(m))
 
@@ -118,15 +111,9 @@ def projector_of(psi) -> DensityMatrix:
 
 def mix(weights, states: Sequence[DensityMatrix]) -> DensityMatrix:
     """Convex combination sum_k w_k rho_k of density matrices."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise BadWeights("weights must be a nonempty 1-d sequence")
+    w = linalg.require_weights(weights, error=BadWeights)
     if w.size != len(states):
         raise BadWeights(f"{w.size} weights for {len(states)} states")
-    if float(w.min()) < _WEIGHT_FLOOR:
-        raise BadWeights(f"negative weight {w.min():.3e}")
-    if abs(float(w.sum()) - 1.0) > TOL_STATE:
-        raise BadWeights(f"weights sum to {w.sum()!r}")
     rhos = [as_density(s) for s in states]
     dim = rhos[0].dim
     if any(r.dim != dim for r in rhos):
@@ -162,8 +149,3 @@ def partial_trace(rho, dims: CompositeDims, keep: str) -> DensityMatrix:
     else:
         raise ValidationError(f"keep must be 'system' or 'apparatus', got {keep!r}")
     return DensityMatrix(out)
-
-
-def validate_density(matrix, tol: float = TOL_STATE) -> DensityMatrix:
-    """Check Hermiticity, positivity and unit trace, in that order."""
-    return DensityMatrix(matrix, tol)

@@ -18,7 +18,7 @@ from .algebra import (
     proper_mixture_representative,
     restrict_state,
 )
-from .linalg import kronecker
+from .linalg import isometry_defect, kronecker
 from .measurement import (
     apparatus_reduced_state,
     build_apparatus,
@@ -60,7 +60,7 @@ def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[fl
     premeasure must give the same composite without U, and U must be unitary."""
     model = build_coupling(basis, apparatus)
     u = coupling_matrix(model)
-    unitarity = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    unitarity = isometry_defect(u)
     dense = u @ np.kron(psi.amplitudes, apparatus.ready_state())
     c = basis.conj().T @ psi.amplitudes
     want = sum(c[j] * np.kron(basis[:, j], apparatus.pointer_state(j)) for j in range(c.size))
@@ -71,18 +71,14 @@ def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[fl
 
 def spectral_axiom_defect(a: np.ndarray) -> float:
     """Worst violation of the spectral measure axioms for the algebra a
-    generates: orthonormal blocks, pairwise orthogonal and complete
-    projectors, and eigenvalues that reconstruct a."""
+    generates, in one pass over V, the blocks side by side: V^dagger V = I
+    makes the blocks orthonormal and their projectors pairwise orthogonal,
+    V V^dagger = I makes the projectors complete, and the eigenvalues must
+    reconstruct a."""
     pvm = generate_algebra([a])
     v = np.hstack(pvm.blocks)
-    worst = float(np.max(np.abs(v.conj().T @ v - np.eye(pvm.dim))))
-    projs = pvm.projectors
-    for j in range(len(projs)):
-        for k in range(j + 1, len(projs)):
-            worst = max(worst, float(np.max(np.abs(projs[j] @ projs[k]))))
-    worst = max(worst, float(np.max(np.abs(sum(projs) - np.eye(pvm.dim)))))
-    recon = sum(lam * p for lam, p in zip(pvm.characters[:, 0], projs))
-    return max(worst, float(np.max(np.abs(recon - a))))
+    recon = float(np.max(np.abs(pvm.element(pvm.characters[:, 0]) - a)))
+    return max(isometry_defect(v), isometry_defect(v.conj().T), recon)
 
 
 def joint_diagonalization_defect(family) -> tuple[float, bool]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qmeasure.cli import main
 
 
@@ -146,6 +148,31 @@ def test_compare_impossible_tol_exits_two(tmp_path, capsys):
     path = write_qubit_scenario(tmp_path)
     assert main(["compare", path, "--random", "5", "--tol", "0"]) == 2
     assert "exceeds --tol" in capsys.readouterr().err
+
+
+def test_compare_oversized_random_exits_one(tmp_path, capsys):
+    # one case over the array budget: rejected before the per-case array exists
+    path = write_qubit_scenario(tmp_path)
+    assert main(["compare", path, "--random", "16777217"]) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err
+    assert "n_random" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("verb", ["run", "cat", "compare"])
+def test_nonfinite_or_negative_tol_is_usage_error(tmp_path, capsys, verb, tol):
+    # a NaN tolerance would compare false against every deviation and so
+    # silently disable exit code 2
+    args = {
+        "run": ["run", write_qubit_scenario(tmp_path)],
+        "cat": ["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "3"],
+        "compare": ["compare", write_qubit_scenario(tmp_path), "--random", "2"],
+    }[verb]
+    assert main([*args, f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance" in captured.err
 
 
 def test_verify_exit_zero(capsys):

@@ -15,7 +15,6 @@ from qmeasure.states import (
     partial_trace,
     projector_of,
     tensor_state,
-    validate_density,
 )
 
 from conftest import assert_close
@@ -63,9 +62,9 @@ def test_density_matrix_validation_order():
         DensityMatrix(np.diag([0.6, 0.6]))
 
 
-def test_validate_density_passes_good_state():
-    rho = validate_density(np.diag([0.25, 0.75]))
-    assert isinstance(rho, DensityMatrix)
+def test_density_matrix_passes_good_state():
+    rho = DensityMatrix(np.diag([0.25, 0.75]))
+    assert_close(rho.matrix, np.diag([0.25, 0.75]))
 
 
 def test_projector_from_raw_amplitudes():
