@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, NotInAlgebra, ValidationError
+from .errors import DimMismatch, NotInAlgebra, NotOrthonormal, ValidationError
 from .observables import as_observable, joint_eigenblocks
 from .states import DensityMatrix, as_density
 
@@ -55,7 +55,7 @@ class SpectralAlgebra:
             )
         defect = linalg.isometry_defect(v)
         if defect > linalg.ROUNDOFF_TOL:
-            raise ValidationError(f"block columns are not orthonormal (defect {defect:.3e})")
+            raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
         rows = [tuple(row) for row in chars]
         if len(set(rows)) != len(rows):
             raise ValidationError("character tuples must be pairwise distinct")
@@ -91,13 +91,6 @@ class SpectralAlgebra:
         """The algebra element sum_k values[k] V_k V_k^dagger."""
         v = np.hstack(self.blocks)
         return (v * np.repeat(np.asarray(values), self.multiplicities())) @ v.conj().T
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    index: int
-    character: tuple[float, ...]
-    multiplicity: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,15 +131,6 @@ def generate_algebra(generators, tol_cluster: float | None = None) -> SpectralAl
     return algebra
 
 
-def spectrum(algebra: SpectralAlgebra) -> tuple[SpectrumPoint, ...]:
-    """The algebra's finite spectrum, lexicographic in the characters."""
-    mults = algebra.multiplicities()
-    return tuple(
-        SpectrumPoint(k, tuple(float(x) for x in algebra.characters[k]), int(mults[k]))
-        for k in range(algebra.n_points)
-    )
-
-
 def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
     """Values of an algebra element at each spectrum point.
 
@@ -182,4 +166,4 @@ def proper_mixture_representative(
         raise DimMismatch(
             f"measure has {measure.n_points} points, algebra {algebra.n_points}"
         )
-    return DensityMatrix(algebra.element(measure.weights / algebra.multiplicities()))
+    return DensityMatrix._trusted(algebra.element(measure.weights / algebra.multiplicities()))

@@ -41,10 +41,6 @@ class NotCommuting(QmError):
     """A pair of observables fails the commutator check."""
 
 
-class NotOrthonormal(QmError):
-    """Basis columns are not orthonormal within tolerance."""
-
-
 class TooSmall(QmError):
     """Apparatus dimension cannot register the requested number of outcomes."""
 
@@ -74,6 +70,10 @@ class ParseError(QmError):
 
 class ValidationError(QmError):
     """Scenario or matrix input is well-formed but violates an invariant."""
+
+
+class NotOrthonormal(ValidationError):
+    """Basis columns are not orthonormal within tolerance."""
 
 
 class UnknownFormat(QmError):

@@ -133,18 +133,14 @@ def build_apparatus(
 
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
-    """A nondegenerate measured basis, its outcome values, and the apparatus
-    the controlled shift couples it to."""
+    """A nondegenerate spectral measure, one rank-one block per outcome, and
+    the apparatus the controlled shift couples it to."""
 
     measured_pvm: SpectralAlgebra
-    measured_basis: np.ndarray
     apparatus: ApparatusModel
 
     def __post_init__(self) -> None:
-        basis = _require_unitary_columns(self.measured_basis, "measured basis")
-        d = basis.shape[0]
-        if self.measured_pvm.dim != d:
-            raise DimMismatch("measured basis and spectral measure disagree on dim")
+        d = self.measured_pvm.dim
         if self.apparatus.n_outcomes != d:
             raise DimMismatch(
                 f"apparatus registers {self.apparatus.n_outcomes} outcomes, system dim is {d}"
@@ -152,11 +148,16 @@ class MeasurementModel:
         for block, char in zip(self.measured_pvm.blocks, self.measured_pvm.characters):
             if block.shape[1] != 1:
                 raise DegenerateSpectrum(f"outcome {char[0]!r} has rank {block.shape[1]}")
-        object.__setattr__(self, "measured_basis", linalg.readonly(basis))
+
+    @property
+    def measured_basis(self) -> np.ndarray:
+        """The measured basis: the rank-one blocks side by side, column j
+        the eigenvector of outcome j."""
+        return linalg.readonly(np.hstack(self.measured_pvm.blocks))
 
     @property
     def dim_system(self) -> int:
-        return self.measured_basis.shape[0]
+        return self.measured_pvm.dim
 
     @property
     def dims(self) -> CompositeDims:
@@ -169,24 +170,21 @@ def build_coupling(
     """Assemble the measurement model for an orthonormal measured basis.
 
     measured_values are the outcome values attached to the basis columns,
-    strictly ascending; they default to the apparatus pointer values.
+    strictly ascending; they default to the apparatus pointer values. The
+    spectral measure built from the basis checks its orthonormality.
     """
-    basis = _require_unitary_columns(measured_basis, "measured basis")
+    basis = linalg.require_square(measured_basis)
     d = basis.shape[0]
-    if apparatus.n_outcomes != d:
-        raise DimMismatch(
-            f"apparatus registers {apparatus.n_outcomes} outcomes, system dim is {d}"
-        )
     if measured_values is None:
         vals = np.asarray(apparatus.pointer_values, dtype=float)
     else:
         vals = np.asarray(measured_values, dtype=float)
     if vals.ndim != 1 or vals.size != d:
         raise ValidationError(f"expected {d} measured values, got shape {vals.shape}")
-    # one single-column block per outcome; the type rejects values that do
-    # not strictly ascend
+    # one single-column block per outcome; the type rejects a basis that is
+    # not orthonormal and values that do not strictly ascend
     pvm = SpectralAlgebra(tuple(basis[:, [j]] for j in range(d)), vals[:, None])
-    return MeasurementModel(pvm, basis, apparatus)
+    return MeasurementModel(pvm, apparatus)
 
 
 def coupling_matrix(model: MeasurementModel) -> np.ndarray:
@@ -275,7 +273,7 @@ def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
     f = model.apparatus.pointer_states()
     # column j of the product array is b_j (x) F_j
     w = (b[:, None, :] * f[None, :, :]).reshape(-1, b.shape[1]) @ b.conj().T
-    return DensityMatrix(w @ r.matrix @ w.conj().T)
+    return DensityMatrix._trusted(w @ r.matrix @ w.conj().T)
 
 
 def collapse(rho, measured_basis) -> DensityMatrix:
@@ -289,7 +287,7 @@ def collapse(rho, measured_basis) -> DensityMatrix:
     if r.dim != basis.shape[0]:
         raise DimMismatch(f"state dim {r.dim}, basis dim {basis.shape[0]}")
     probs = np.real(np.diag(basis.conj().T @ r.matrix @ basis))
-    return DensityMatrix((basis * probs) @ basis.conj().T)
+    return DensityMatrix._trusted((basis * probs) @ basis.conj().T)
 
 
 def apparatus_reduced_state(composite, dims: CompositeDims) -> DensityMatrix:
@@ -302,7 +300,7 @@ def apparatus_reduced_state(composite, dims: CompositeDims) -> DensityMatrix:
             f"state dim {amp.size} != {dims.dim_system} x {dims.dim_apparatus}"
         )
     m = amp.reshape(dims.dim_system, dims.dim_apparatus)
-    return DensityMatrix(m.T @ m.conj())
+    return DensityMatrix._trusted(m.T @ m.conj())
 
 
 def sample_outcome(

@@ -1,14 +1,17 @@
-"""Quantum states: unit vectors, density matrices, composition, reduction.
+"""Quantum states: unit vectors, density matrices, mixtures, reduction.
 
 Composite index convention used by the whole package: a joint basis label is
 
     i = i_system * dim_apparatus + i_apparatus
 
-so the system is the slow (left) Kronecker factor. Every tensor product and
-partial trace below relies on that one line.
+so the system is the slow (left) Kronecker factor. The partial trace below
+relies on that one line.
 
-States are immutable after validation; constructors re-check their
-invariants instead of trusting the caller.
+States are immutable. The public constructors validate what a caller hands
+them; a density matrix the package computes from already-validated inputs
+(a projector, a mixture, a partial trace, a collapse) is Hermitian, positive
+and of unit trace by construction, and is stored through
+DensityMatrix._trusted without being checked again.
 """
 
 from __future__ import annotations
@@ -74,6 +77,13 @@ class DensityMatrix:
             raise TraceNotOne(f"trace is {tr:.12g}")
         object.__setattr__(self, "matrix", linalg.readonly(m))
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """Store a matrix that is a density matrix by construction, unchecked."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", linalg.readonly(matrix))
+        return rho
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -106,7 +116,7 @@ def as_density(rho) -> DensityMatrix:
 def projector_of(psi) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi|; global phase drops out."""
     amp = as_state(psi).amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()))
+    return DensityMatrix._trusted(np.outer(amp, amp.conj()))
 
 
 def mix(weights, states: Sequence[DensityMatrix]) -> DensityMatrix:
@@ -121,12 +131,7 @@ def mix(weights, states: Sequence[DensityMatrix]) -> DensityMatrix:
     acc = np.zeros((dim, dim), dtype=complex)
     for wk, rk in zip(w, rhos):
         acc += wk * rk.matrix
-    return DensityMatrix(acc)
-
-
-def tensor_state(psi, phi) -> StateVector:
-    """Product state psi (x) phi under the package index convention."""
-    return StateVector(np.kron(as_state(psi).amplitudes, as_state(phi).amplitudes))
+    return DensityMatrix._trusted(acc)
 
 
 def partial_trace(rho, dims: CompositeDims, keep: str) -> DensityMatrix:
@@ -148,4 +153,4 @@ def partial_trace(rho, dims: CompositeDims, keep: str) -> DensityMatrix:
         out = np.trace(t, axis1=0, axis2=2)
     else:
         raise ValidationError(f"keep must be 'system' or 'apparatus', got {keep!r}")
-    return DensityMatrix(out)
+    return DensityMatrix._trusted(out)

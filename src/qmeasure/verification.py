@@ -27,7 +27,7 @@ from .measurement import (
     pointer_observable,
     premeasure,
 )
-from .observables import evolve
+from .observables import evolve, joint_eigenblocks
 from .randomness import rand_hermitian, rand_state, rand_unitary, substream
 from .scenario import collapse_restriction_gap, run_cat, run_scenario
 from .states import (
@@ -82,16 +82,17 @@ def spectral_axiom_defect(a: np.ndarray) -> float:
 
 
 def joint_diagonalization_defect(family) -> tuple[float, bool]:
-    """Largest off-diagonal entry of any family member in the joint basis of
-    the algebra the family generates, and whether its characters are
-    pairwise distinct."""
-    algebra = generate_algebra(family)
-    v = np.hstack(algebra.blocks)
+    """Largest off-diagonal entry of any family member in the joint eigenbasis
+    of the family, and whether the joint eigenspaces carry pairwise distinct
+    characters. Both are read from the raw joint_eigenblocks leaves, before
+    a SpectralAlgebra could reject colliding characters."""
+    leaves = joint_eigenblocks(family)
+    v = np.hstack([block for block, _ in leaves])
     worst = 0.0
     for a in family:
         rotated = v.conj().T @ a @ v
         worst = max(worst, float(np.max(np.abs(rotated - np.diag(np.diag(rotated))))))
-    distinct = len({tuple(row) for row in algebra.characters}) == algebra.n_points
+    distinct = len({char for _, char in leaves}) == len(leaves)
     return worst, distinct
 
 

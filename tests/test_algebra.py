@@ -9,7 +9,6 @@ from qmeasure.algebra import (
     gelfand_transform,
     proper_mixture_representative,
     restrict_state,
-    spectrum,
 )
 from qmeasure.measurement import build_apparatus, pointer_observable
 from qmeasure.randomness import rand_density, rand_hermitian, rand_state, substream
@@ -39,14 +38,6 @@ def test_generate_algebra_merges_equal_characters():
     alg = generate_algebra([a])
     assert alg.n_points == 2
     assert list(alg.multiplicities()) == [2, 2]
-
-
-def test_spectrum_points_carry_characters_and_multiplicities():
-    alg = generate_algebra([np.diag([1.0, 1.0, 2.0])])
-    pts = spectrum(alg)
-    assert [p.index for p in pts] == [0, 1]
-    assert pts[0].character == (1.0,) and pts[0].multiplicity == 2
-    assert pts[1].character == (2.0,) and pts[1].multiplicity == 1
 
 
 def test_algebra_constructor_rejects_disorder():

@@ -1,0 +1,76 @@
+"""Every public top-level function and class in the package must be reached
+from the package itself, its scripts or its benchmark: a name that only its
+own unit tests import is dead code. The allowlist names the exceptions."""
+
+import ast
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src" / "qmeasure"
+_USERS = (_SRC, _ROOT / "scripts", _ROOT / "perfbench")
+
+# name: why it stays although only tests reach it
+KEPT_FOR_TESTS = {
+    "sample_outcome": "the one-draw-at-a-time oracle for the vectorized scenario sampling",
+    "rand_density": "random mixed states for the property and trust tests",
+    "load_scenario": "the acceptance tests read the sample documents from disk through it",
+}
+
+
+def public_definitions(source: str) -> set[str]:
+    """Names of the public top-level functions and classes of a module."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads or reaches as an attribute, except inside
+    the top-level definition that binds that same name. Importing a name
+    without using it, as a re-export list does, does not count."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def unreferenced(defining_dir: Path, user_dirs) -> set[str]:
+    defined = set()
+    for path in defining_dir.glob("*.py"):
+        defined |= public_definitions(path.read_text())
+    used = set()
+    for directory in user_dirs:
+        for path in directory.rglob("*.py"):
+            used |= referenced_names(path.read_text())
+    return defined - used
+
+
+def test_lint_finds_a_name_only_its_definition_mentions(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def lonely(n):\n    return lonely(n - 1) if n else used()\n\n"
+        "class Kept:\n    pass\n\n"
+        "def _private():\n    pass\n"
+    )
+    (tmp_path / "user.py").write_text("from mod import Kept, lonely\n\nk = Kept()\n")
+    assert unreferenced(tmp_path, [tmp_path]) == {"lonely"}
+
+
+def test_every_public_name_is_reached():
+    dead = unreferenced(_SRC, _USERS) - set(KEPT_FOR_TESTS)
+    assert dead == set(), "public names nothing but tests reach: " + ", ".join(sorted(dead))
+
+
+def test_allowlist_names_only_unreached_names():
+    assert unreferenced(_SRC, _USERS) >= set(KEPT_FOR_TESTS)

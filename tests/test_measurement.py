@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmeasure import errors
+from qmeasure import errors, linalg
 from qmeasure.measurement import (
     ApparatusModel,
     build_apparatus,
@@ -22,7 +22,6 @@ from qmeasure.states import (
     StateVector,
     partial_trace,
     projector_of,
-    tensor_state,
 )
 
 from conftest import assert_close
@@ -90,6 +89,26 @@ def test_coupling_registers_every_basis_column():
         assert np.linalg.norm(moved - want) < 1e-10
 
 
+def test_build_coupling_checks_the_basis_once(monkeypatch):
+    calls = []
+    defect = linalg.isometry_defect
+
+    def counted(v):
+        calls.append(v.shape)
+        return defect(v)
+
+    app = build_apparatus(3)
+    basis = rand_unitary(3, substream(151))
+    monkeypatch.setattr(linalg, "isometry_defect", counted)
+    build_coupling(basis, app)
+    assert calls == [(3, 3)]
+
+
+def test_build_coupling_rejects_nonsquare_basis():
+    with pytest.raises(errors.NotSquare):
+        build_coupling(np.eye(3)[:, :2], build_apparatus(2))
+
+
 def test_coupling_permutes_off_ready_slots():
     # the cyclic extension shifts every pointer column, not just ready
     model = model_for_observable(np.diag([0.0, 1.0, 2.0]))
@@ -141,8 +160,8 @@ def test_premeasure_eigenstate_is_product():
     model = model_for_observable(np.diag([0.0, 1.0, 2.0]))
     e1 = StateVector(np.eye(3)[:, 1])
     out = premeasure(e1, model)
-    want = tensor_state(e1, StateVector(model.apparatus.pointer_state(1)))
-    assert_close(out.amplitudes, want.amplitudes)
+    want = np.kron(e1.amplitudes, model.apparatus.pointer_state(1))
+    assert_close(out.amplitudes, want)
 
 
 def test_premeasure_density_matches_pure_case():

@@ -4,7 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors
-from qmeasure.randomness import rand_density, rand_hermitian, rand_state, substream
+from qmeasure.algebra import (
+    SpectralProbabilityMeasure,
+    generate_algebra,
+    proper_mixture_representative,
+)
+from qmeasure.measurement import (
+    apparatus_reduced_state,
+    build_apparatus,
+    build_coupling,
+    collapse,
+    premeasure,
+    premeasure_density,
+)
+from qmeasure.randomness import rand_density, rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import (
     CompositeDims,
     DensityMatrix,
@@ -14,7 +27,6 @@ from qmeasure.states import (
     mix,
     partial_trace,
     projector_of,
-    tensor_state,
 )
 
 from conftest import assert_close
@@ -126,8 +138,8 @@ def test_tensor_state_ordering():
     # system index is the slow factor
     sys = StateVector.normalized([1, 1])
     app = StateVector(np.array([1.0, 0.0]))
-    joint = tensor_state(sys, app)
-    assert_close(joint.amplitudes, np.array([1, 0, 1, 0]) / np.sqrt(2))
+    joint = np.kron(sys.amplitudes, app.amplitudes)
+    assert_close(joint, np.array([1, 0, 1, 0]) / np.sqrt(2))
 
 
 def test_partial_trace_bell_state():
@@ -140,7 +152,7 @@ def test_partial_trace_bell_state():
 def test_partial_trace_product_state():
     sys = rand_state(3, substream(31))
     app = rand_state(2, substream(32))
-    joint = projector_of(tensor_state(sys, app))
+    joint = projector_of(np.kron(sys, app))
     rho_s = partial_trace(joint, CompositeDims(3, 2), "system")
     assert_close(rho_s.matrix, projector_of(sys).matrix, atol=1e-12)
 
@@ -174,3 +186,31 @@ def test_composite_dims_total():
     assert CompositeDims(3, 4).total == 12
     with pytest.raises(errors.ValidationError):
         CompositeDims(0, 2)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_trusted_results_pass_the_public_checks(d):
+    # these seven functions store their results without validating them;
+    # each result must still be a density matrix the public constructor accepts
+    rng = substream(157, d)
+    psi = StateVector(rand_state(d, rng))
+    rho = rand_density(d, rng)
+    basis = rand_unitary(d, rng)
+    model = build_coupling(basis, build_apparatus(d, dim_apparatus=d + 2))
+    composite = rand_density(2 * d, rng)
+    algebra = generate_algebra([rand_hermitian(d, rng)])
+    raw = rng.uniform(0.05, 1.0, size=algebra.n_points)
+    w = float(rng.uniform())
+    results = [
+        projector_of(psi),
+        collapse(rho, basis),
+        mix([w, 1 - w], [rho, projector_of(psi)]),
+        partial_trace(composite, CompositeDims(d, 2), "system"),
+        partial_trace(composite, CompositeDims(2, d), "apparatus"),
+        apparatus_reduced_state(premeasure(psi, model), model.dims),
+        premeasure_density(rho, model),
+        proper_mixture_representative(SpectralProbabilityMeasure(raw / raw.sum()), algebra),
+    ]
+    for result in results:
+        assert not result.matrix.flags.writeable
+        assert_close(DensityMatrix(result.matrix).matrix, result.matrix, atol=0, rtol=0)

@@ -21,7 +21,7 @@ from qmeasure.algebra import (
     gelfand_transform,
     generate_algebra,
 )
-from qmeasure.measurement import ApparatusModel
+from qmeasure.measurement import ApparatusModel, build_apparatus, build_coupling
 from qmeasure.observables import Observable, OutcomeDistribution
 from qmeasure.states import DensityMatrix, StateVector, mix, projector_of
 
@@ -37,6 +37,10 @@ def _stretched(d):
 
 def _pointer_apparatus(d):
     return ApparatusModel(2, _stretched(d), 0, [0.0, 1.0])
+
+
+def _measured_basis(d):
+    return build_coupling(_stretched(d), build_apparatus(2))
 
 
 def _algebra(d):
@@ -80,6 +84,7 @@ BOUNDARIES = {
     ),
     "algebra isometry": (_algebra, 1e-10, errors.ValidationError),
     "pointer basis": (_pointer_apparatus, 1e-10, errors.NotOrthonormal),
+    "measured basis": (_measured_basis, 1e-10, errors.NotOrthonormal),
     "outcome floor": (
         lambda d: OutcomeDistribution([0, 1], [-d, 1 + d]),
         1e-12,

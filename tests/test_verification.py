@@ -1,8 +1,6 @@
 """Each per-case kernel must be able to fail: a fault injected into the code
 it checks has to push its verify check past the check's tolerance."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -98,21 +96,17 @@ def test_joint_diagonalization_defect_diagonalizes_family():
 
 
 def test_joint_diagonalization_defect_catches_wrong_basis_and_collided_characters():
-    generate = verification.generate_algebra
+    leaves_of = verification.joint_eigenblocks
 
     def permuted(family):
-        alg = generate(family)
-        rows_moved = tuple(np.roll(b, 1, axis=0) for b in alg.blocks)
-        return SpectralAlgebra(rows_moved, alg.characters)
+        return [(np.roll(block, 1, axis=0), char) for block, char in leaves_of(family)]
 
     def collided(family):
-        alg = generate(family)
-        chars = np.zeros_like(alg.characters)
-        return SimpleNamespace(blocks=alg.blocks, characters=chars, n_points=alg.n_points)
+        return [(block, (0.0,) * len(char)) for block, char in leaves_of(family)]
 
     for fault in (permuted, collided):
         check = verification.check_joint_diagonalization
-        assert_fault_caught(check, verification, "generate_algebra", fault)
+        assert_fault_caught(check, verification, "joint_eigenblocks", fault)
 
 
 def test_group_law_defects_catch_time_offset():
