@@ -16,7 +16,13 @@ from pathlib import Path
 from .errors import ParseError, QmError
 from .linalg import DEVIATION_TOL
 from .report import emit_report, emit_summary, sig12
-from .scenario import compare_collapse_vs_restriction, parse_scenario, run_cat, run_scenario
+from .scenario import (
+    MAX_CHAIN,
+    compare_collapse_vs_restriction,
+    parse_scenario,
+    run_cat,
+    run_scenario,
+)
 from .verification import run_all
 
 
@@ -72,7 +78,9 @@ def build_parser() -> _Parser:
     )
     p_cat.add_argument("--c1", type=_complex_arg, required=True, help="amplitude re,im of branch 1")
     p_cat.add_argument("--c2", type=_complex_arg, required=True, help="amplitude re,im of branch 2")
-    p_cat.add_argument("--chain", type=int, default=8, help="number of two-level cells")
+    p_cat.add_argument(
+        "--chain", type=int, default=8, help=f"number of two-level cells, 1 to {MAX_CHAIN}"
+    )
 
     p_cmp = sub.add_parser(
         "compare", parents=[common], help="randomized collapse vs restriction check"

@@ -55,11 +55,6 @@ class NotInAlgebra(QmError):
     outside the generated commutative algebra."""
 
 
-class NonRealExpectation(QmError):
-    """Tr(rho A) came out with a non-negligible imaginary part, which signals
-    broken input rather than physics."""
-
-
 class BadAmplitudes(QmError):
     """Branch amplitudes do not satisfy |c1|^2 + |c2|^2 = 1."""
 

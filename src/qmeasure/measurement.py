@@ -145,9 +145,9 @@ class MeasurementModel:
             raise DimMismatch(
                 f"apparatus registers {self.apparatus.n_outcomes} outcomes, system dim is {d}"
             )
-        for block, char in zip(self.measured_pvm.blocks, self.measured_pvm.characters):
-            if block.shape[1] != 1:
-                raise DegenerateSpectrum(f"outcome {char[0]!r} has rank {block.shape[1]}")
+        for rank, char in zip(self.measured_pvm.multiplicities(), self.measured_pvm.characters):
+            if rank != 1:
+                raise DegenerateSpectrum(f"outcome {char[0]!r} has rank {rank}")
 
     @property
     def measured_basis(self) -> np.ndarray:
@@ -181,9 +181,9 @@ def build_coupling(
         vals = np.asarray(measured_values, dtype=float)
     if vals.ndim != 1 or vals.size != d:
         raise ValidationError(f"expected {d} measured values, got shape {vals.shape}")
-    # one single-column block per outcome; the type rejects a basis that is
-    # not orthonormal and values that do not strictly ascend
-    pvm = SpectralAlgebra(tuple(basis[:, [j]] for j in range(d)), vals[:, None])
+    # one basis column per outcome; the type rejects a basis that is not
+    # orthonormal and values that do not strictly ascend
+    pvm = SpectralAlgebra(np.arange(d), vals[:, None], basis)
     return MeasurementModel(pvm, apparatus)
 
 
@@ -276,13 +276,18 @@ def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
     return DensityMatrix._trusted(w @ r.matrix @ w.conj().T)
 
 
-def collapse(rho, measured_basis) -> DensityMatrix:
+def collapse(rho, measured) -> DensityMatrix:
     """Projective collapse: keep the diagonal of rho in the measured basis.
 
     Returns sum_n <b_n|rho|b_n> |b_n><b_n|, the post-measurement mixture
-    when the outcome is not recorded.
+    when the outcome is not recorded. measured is a MeasurementModel, whose
+    measured basis its spectral measure already checked, or an orthonormal
+    basis, checked here.
     """
-    basis = _require_unitary_columns(measured_basis, "measured basis")
+    if isinstance(measured, MeasurementModel):
+        basis = measured.measured_basis
+    else:
+        basis = _require_unitary_columns(measured, "measured basis")
     r = as_density(rho)
     if r.dim != basis.shape[0]:
         raise DimMismatch(f"state dim {r.dim}, basis dim {basis.shape[0]}")

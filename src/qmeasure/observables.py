@@ -15,7 +15,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimMismatch,
-    NonRealExpectation,
     NotCommuting,
     ValidationError,
 )
@@ -94,7 +93,8 @@ def joint_eigenblocks(
             if not commutes(obs[i], obs[j]):
                 raise NotCommuting(f"observables {i} and {j} do not commute")
     if tol_cluster is None:
-        ctols = [default_cluster_tol(np.linalg.eigvalsh(o.matrix)) for o in obs]
+        # the first width comes from the full spectrum refine computes first
+        ctols = [None] + [default_cluster_tol(np.linalg.eigvalsh(o.matrix)) for o in obs[1:]]
     else:
         ctols = [float(tol_cluster)] * len(obs)
 
@@ -104,8 +104,9 @@ def joint_eigenblocks(
         block = cols.conj().T @ obs[k].matrix @ cols
         block = (block + block.conj().T) / 2
         w, u = np.linalg.eigh(block)
+        tol = default_cluster_tol(w) if ctols[k] is None else ctols[k]
         leaves = []
-        for g in cluster_eigenvalues(w, ctols[k]):
+        for g in cluster_eigenvalues(w, tol):
             rep = float(np.mean(w[list(g)]))
             for sub, tail in refine(cols @ u[:, list(g)], k + 1):
                 leaves.append((sub, (rep, *tail)))
@@ -123,18 +124,6 @@ def born_distribution(rho, pvm: SpectralAlgebra) -> OutcomeDistribution:
     if r.dim != pvm.dim:
         raise DimMismatch(f"state dim {r.dim}, measure dim {pvm.dim}")
     return OutcomeDistribution(pvm.characters[:, 0], pvm.block_traces(r.matrix))
-
-
-def expectation(rho, a) -> float:
-    """Tr(rho A). The imaginary part must vanish to roundoff and is dropped."""
-    r = as_density(rho)
-    obs = as_observable(a)
-    if r.dim != obs.dim:
-        raise DimMismatch(f"state dim {r.dim}, observable dim {obs.dim}")
-    val = complex(np.trace(r.matrix @ obs.matrix))
-    if abs(val.imag) > linalg.ROUNDOFF_TOL:
-        raise NonRealExpectation(f"Tr(rho A) = {val!r}")
-    return float(val.real)
 
 
 def evolve(psi, h, t: float) -> StateVector:

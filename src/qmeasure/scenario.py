@@ -32,7 +32,10 @@ No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
 apparatus.dim^2 readout matrices, the (system_dim * apparatus.dim)^2
 composite density of a density initial state, and the trials draws. A
 document over that limit fails validation before anything is built, and so
-does a randomized comparison asking for more cases.
+does a randomized comparison asking for more cases. The cat run is held to
+the same limit: its largest arrays are the 2^chain_length readout values and
+point labels, since its readout algebra is in index form, so the chain may
+have up to MAX_CHAIN = 24 cells.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .algebra import generate_algebra, gelfand_transform, restrict_state
+from .algebra import (
+    SpectralProbabilityMeasure,
+    diagonal_algebra,
+    generate_algebra,
+    gelfand_transform,
+    restrict_state,
+)
 from .errors import (
     BadAmplitudes,
     NotInAlgebra,
@@ -62,7 +71,7 @@ from .measurement import (
     premeasure,
     premeasure_density,
 )
-from .observables import Observable, born_distribution, expectation
+from .observables import Observable, OutcomeDistribution, born_distribution
 from .randomness import rand_state, rand_unitary, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report
 from .states import DensityMatrix, StateVector, partial_trace, projector_of
@@ -75,6 +84,9 @@ _MAX_SEED = 2**64
 # largest number of elements any one array of a run may need; documents whose
 # sizes imply more are rejected at parse time, before anything is allocated
 MAX_ARRAY_ELEMENTS = 2**24
+# longest cat chain: its 2**chain_length readout values and point labels are
+# the largest arrays of a cat run
+MAX_CHAIN = MAX_ARRAY_ELEMENTS.bit_length() - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +333,7 @@ def run_scenario(s: Scenario) -> Report:
     rho = projector_of(s.initial_state) if pure else s.initial_state
 
     born = born_distribution(rho, model.measured_pvm)
-    collapsed = collapse(rho, model.measured_basis)
+    collapsed = collapse(rho, model)
     basis = model.measured_basis
     collapsed_diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
 
@@ -366,8 +378,7 @@ def run_scenario(s: Scenario) -> Report:
         collapsed_diag,
         restricted,
         algebra,
-        generators,
-        [model.apparatus.pointer_state(j) for j in range(n)],
+        _branch_cross_terms(generators, [model.apparatus.pointer_state(j) for j in range(n)]),
         [
             float(np.max(np.abs(born.probabilities - collapsed_diag))),
             float(np.max(np.abs(born.probabilities - aligned))),
@@ -377,7 +388,7 @@ def run_scenario(s: Scenario) -> Report:
 
 
 def _report(
-    born, collapsed, restricted, algebra, generators, branches, residuals, empirical=None
+    born, collapsed, restricted, algebra, cross_terms, residuals, empirical=None
 ) -> Report:
     """Assemble a run report; max_deviation is the largest listed residual."""
     return Report(
@@ -389,7 +400,7 @@ def _report(
         ),
         empirical=empirical,
         max_deviation=max(residuals),
-        cross_terms=_branch_cross_terms(generators, branches),
+        cross_terms=cross_terms,
     )
 
 
@@ -403,10 +414,6 @@ def _branch_cross_terms(generators, branches) -> tuple[float, ...]:
     )
 
 
-def _popcount(n: int) -> int:
-    return bin(n).count("1")
-
-
 def run_cat(c1, c2, chain_length: int = 8) -> Report:
     """Superpose two macroscopically distinct branches and read them through
     a commutative readout.
@@ -418,7 +425,12 @@ def run_cat(c1, c2, chain_length: int = 8) -> Report:
     any "alive"/"dead" naming of those two is report metadata, the logic
     only keys on outcome values.
 
-    The report's max_deviation also folds in the residual of the branch
+    The readout is diagonal in the product basis, so everything is read off
+    the amplitude vector and the readout diagonal, O(2^L), with no
+    2^L x 2^L matrix. The spectral projectors, the collapse basis and the
+    restriction all act on coordinates, so the Born, collapsed and restricted
+    weight of a readout value is the same sum of |a_i|^2 over its
+    coordinates. The report's max_deviation is the residual of the branch
     expectation decomposition <Psi|g|Psi> = |c1|^2 <Psi1|g|Psi1> +
     |c2|^2 <Psi2|g|Psi2> for the readout g.
     """
@@ -426,50 +438,39 @@ def run_cat(c1, c2, chain_length: int = 8) -> Report:
     total = abs(c1) ** 2 + abs(c2) ** 2
     if abs(total - 1.0) > linalg.ROUNDOFF_TOL:
         raise BadAmplitudes(f"|c1|^2 + |c2|^2 = {total!r}")
-    if not 1 <= chain_length <= 10:
-        raise ValidationError("chain_length must be between 1 and 10")
+    if not 1 <= chain_length <= MAX_CHAIN:
+        raise ValidationError(f"chain_length must be between 1 and {MAX_CHAIN}")
 
     dim = 2**chain_length
-    readout = np.array([chain_length - 2 * _popcount(b) for b in range(dim)], dtype=float)
-    idx_top, idx_bottom = 0, dim - 1  # all-up carries +L, all-down -L
+    # basis label b has a down cell per set bit: readout L - 2 popcount(b)
+    readout = np.bitwise_count(np.arange(dim, dtype=np.uint32)).astype(float)
+    readout *= -2.0
+    readout += chain_length
+    # the state's nonzero amplitudes: c1 on all-up (+L), c2 on all-down (-L)
+    branches = np.array([0, dim - 1])
+    amps = np.array([c1, c2])
+    algebra = diagonal_algebra([readout])
 
-    amps = np.zeros(dim, dtype=complex)
-    amps[idx_top] = c1
-    amps[idx_bottom] = c2
-    psi = StateVector(amps)
-    rho = projector_of(psi)
-    generator = Observable(np.diag(readout))
+    weights = np.zeros(dim)
+    weights[branches] = np.real(amps * amps.conj())
+    per_point = algebra.point_sums(weights)
+    born = OutcomeDistribution(algebra.characters[:, 0], per_point)
 
-    algebra = generate_algebra([generator])
-    restricted = restrict_state(rho, algebra)
-    born = born_distribution(rho, algebra)
+    # <Psi|g|Psi> = sum_i |a_i|^2 r_i, over the nonzero amplitudes
+    mixed = float(np.sum(weights[branches] * readout[branches]))
+    split = abs(c1) ** 2 * readout[branches[0]] + abs(c2) ** 2 * readout[branches[1]]
 
-    # collapse in the joint eigenbasis, then aggregate the kept diagonal per
-    # readout outcome: the von Neumann route to the same statistics
-    collapsed = collapse(rho, np.eye(dim, dtype=complex))
-    collapsed_agg = algebra.block_traces(collapsed.matrix)
-
-    branch_top = np.zeros(dim, dtype=complex)
-    branch_top[idx_top] = 1.0
-    branch_bottom = np.zeros(dim, dtype=complex)
-    branch_bottom[idx_bottom] = 1.0
-
-    mixed = expectation(rho, generator)
-    split = abs(c1) ** 2 * expectation(projector_of(branch_top), generator)
-    split += abs(c2) ** 2 * expectation(projector_of(branch_bottom), generator)
+    # <e_i| diag(r) |e_j> is r_i when i == j and 0 otherwise
+    elements = np.where(branches[:, None] == branches, readout[branches][:, None], 0.0)
+    cross = float(np.max(np.abs(elements[~np.eye(branches.size, dtype=bool)])))
 
     return _report(
         born,
-        collapsed_agg,
-        restricted,
+        per_point,
+        SpectralProbabilityMeasure(per_point),
         algebra,
-        [generator],
-        [branch_top, branch_bottom],
-        [
-            float(np.max(np.abs(born.probabilities - restricted.weights))),
-            float(np.max(np.abs(born.probabilities - collapsed_agg))),
-            abs(mixed - split),
-        ],
+        (cross,),
+        [abs(mixed - float(split))],
     )
 
 
@@ -480,7 +481,7 @@ def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, alg
     model = build_coupling(basis, apparatus)
     rho_app = apparatus_reduced_state(premeasure(psi, model), model.dims)
     weights = restrict_state(rho_app, algebra).weights
-    collapsed = collapse(projector_of(psi), basis)
+    collapsed = collapse(projector_of(psi), model)
     diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
     return float(np.max(np.abs(weights - diag)))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure import errors, verification
 from qmeasure.algebra import (
@@ -11,7 +13,13 @@ from qmeasure.algebra import (
     restrict_state,
 )
 from qmeasure.measurement import build_apparatus, pointer_observable
-from qmeasure.randomness import rand_density, rand_hermitian, rand_state, substream
+from qmeasure.randomness import (
+    rand_density,
+    rand_hermitian,
+    rand_state,
+    rand_unitary,
+    substream,
+)
 from qmeasure.states import DensityMatrix, mix, projector_of
 
 from conftest import assert_close
@@ -40,12 +48,66 @@ def test_generate_algebra_merges_equal_characters():
     assert list(alg.multiplicities()) == [2, 2]
 
 
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_index_form_matches_the_dense_path_in_a_rotated_basis(seed):
+    # a diagonal family with repeated values takes the index path; the same
+    # family in a random basis takes the eigensolver path, and both must see
+    # one algebra: the same points, and the same restrictions and transforms
+    rng = substream(seed, 167)
+    n = int(rng.integers(1, 13))
+    diags = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), n)).astype(float)
+    u = rand_unitary(n, rng)
+    index = generate_algebra([np.diag(d) for d in diags])
+    rotated = generate_algebra([(u * d) @ u.conj().T for d in diags])
+    assert index.basis is None
+    assert_close(index.characters, rotated.characters)
+    assert list(index.multiplicities()) == list(rotated.multiplicities())
+    rho = rand_density(n, rng)
+    assert_close(
+        restrict_state(rho, index).weights,
+        restrict_state(u @ rho @ u.conj().T, rotated).weights,
+        atol=1e-12,
+        rtol=0,
+    )
+    element = index.element(rng.standard_normal(index.n_points))
+    assert_close(
+        gelfand_transform(index, element),
+        gelfand_transform(rotated, u @ element @ u.conj().T),
+        atol=1e-12,
+        rtol=0,
+    )
+
+
+def test_diagonal_family_needs_no_eigensolver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver called on a diagonal family")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    alg = generate_algebra([np.diag([2.0, 1.0, 2.0, 1.0]), np.diag([0.0, 0.0, 1.0, 0.0])])
+    assert_close(alg.characters, [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
+    assert list(alg.labels) == [1, 0, 2, 0]
+
+
+def test_index_form_rejects_bad_labels():
+    chars = [[0.0], [1.0]]
+    with pytest.raises(errors.ValidationError, match="at least one"):
+        SpectralAlgebra(np.array([0, 0, 0]), chars)  # point 1 is empty
+    with pytest.raises(errors.ValidationError, match="name one of"):
+        SpectralAlgebra(np.array([0, 2, 1]), chars)
+    with pytest.raises(errors.ValidationError, match="integer"):
+        SpectralAlgebra(np.array([0.0, 1.0]), chars)
+    with pytest.raises(errors.ValidationError, match="lexicographic"):
+        SpectralAlgebra(np.array([0, 1]), chars[::-1])
+
+
 def test_algebra_constructor_rejects_disorder():
     blocks = (np.eye(2)[:, [0]], np.eye(2)[:, [1]])
     with pytest.raises(errors.ValidationError, match="lexicographic"):
-        SpectralAlgebra(blocks, np.array([[2.0, 0.0], [1.0, 5.0]]))
+        SpectralAlgebra.from_blocks(blocks, np.array([[2.0, 0.0], [1.0, 5.0]]))
     with pytest.raises(errors.ValidationError, match="distinct"):
-        SpectralAlgebra(blocks, np.array([[1.0, 3.0], [1.0, 3.0]]))
+        SpectralAlgebra.from_blocks(blocks, np.array([[1.0, 3.0], [1.0, 3.0]]))
 
 
 def test_algebra_constructor_rejects_wrong_reconstruction():

@@ -118,6 +118,12 @@ def test_cat_bad_amplitudes_exit_one(capsys):
     assert "BadAmplitudes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chain", ["0", "25"])
+def test_cat_chain_outside_the_cap_exits_one(capsys, chain):
+    assert main(["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", chain]) == 1
+    assert "chain_length must be between 1 and 24" in capsys.readouterr().err
+
+
 def test_cat_malformed_amplitude_is_usage_error(capsys):
     assert main(["cat", "--c1", "zebra", "--c2", "0.8"]) == 1
     assert "error" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from qmeasure.measurement import (
 )
 from qmeasure.observables import born_distribution
 from qmeasure.randomness import rand_density, rand_state, rand_unitary, substream
+from qmeasure.scenario import compare_collapse_vs_restriction
 from qmeasure.states import (
     CompositeDims,
     StateVector,
@@ -102,6 +103,27 @@ def test_build_coupling_checks_the_basis_once(monkeypatch):
     monkeypatch.setattr(linalg, "isometry_defect", counted)
     build_coupling(basis, app)
     assert calls == [(3, 3)]
+
+
+def test_compare_checks_each_basis_once(monkeypatch):
+    # one check for the apparatus and one per case for its measured basis:
+    # collapse trusts the checked model, and the diagonal pointer algebra
+    # has no basis to check
+    calls = []
+    defect = linalg.isometry_defect
+
+    def counted(v):
+        calls.append(v.shape)
+        return defect(v)
+
+    monkeypatch.setattr(linalg, "isometry_defect", counted)
+    compare_collapse_vs_restriction(16, 100, 1)
+    assert len(calls) <= 101
+
+
+def test_collapse_checks_a_caller_basis():
+    with pytest.raises(errors.NotOrthonormal):
+        collapse(projector_of([0.6, 0.8]), np.diag([1.0, 1.1]))
 
 
 def test_build_coupling_rejects_nonsquare_basis():

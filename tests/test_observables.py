@@ -11,7 +11,6 @@ from qmeasure.observables import (
     born_distribution,
     commutes,
     evolve,
-    expectation,
     joint_eigenblocks,
 )
 from qmeasure.randomness import rand_density, rand_hermitian, rand_state, substream
@@ -62,13 +61,13 @@ def test_pvm_constructor_rejects_bad_input():
     e0, e1 = np.eye(2)[:, [0]], np.eye(2)[:, [1]]
     outcomes = np.array([[1.0], [2.0]])
     with pytest.raises(errors.ValidationError, match="orthonormal"):
-        SpectralAlgebra((2 * e0, e1), outcomes)  # non-orthonormal block
+        SpectralAlgebra.from_blocks((2 * e0, e1), outcomes)  # non-orthonormal block
     with pytest.raises(errors.ValidationError, match="orthonormal"):
-        SpectralAlgebra((e0, (e0 + e1) / np.sqrt(2)), outcomes)  # overlapping blocks
+        SpectralAlgebra.from_blocks((e0, (e0 + e1) / np.sqrt(2)), outcomes)  # overlapping blocks
     with pytest.raises(errors.ValidationError, match="identity"):
-        SpectralAlgebra((e0,), outcomes[:1])  # incomplete blocks
+        SpectralAlgebra.from_blocks((e0,), outcomes[:1])  # incomplete blocks
     with pytest.raises(errors.ValidationError, match="lexicographic"):
-        SpectralAlgebra((e0, e1), outcomes[::-1])  # descending outcomes
+        SpectralAlgebra.from_blocks((e0, e1), outcomes[::-1])  # descending outcomes
 
 
 def test_commutes_basic_cases():
@@ -133,23 +132,6 @@ def test_outcome_distribution_validation():
         OutcomeDistribution(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
     with pytest.raises(errors.ValidationError):
         OutcomeDistribution(np.array([0.0]), np.array([0.5, 0.5]))
-
-
-def test_expectation_matches_spectral_average():
-    rng = substream(73)
-    rho = rand_density(5, rng)
-    a = rand_hermitian(5, rng)
-    pvm = generate_algebra([a])
-    dist = born_distribution(rho, pvm)
-    want = float(np.dot(dist.outcomes, dist.probabilities))
-    assert abs(expectation(rho, a) - want) < 1e-9
-
-
-def test_expectation_of_eigenstate_is_sharp():
-    a = np.diag([2.0, 5.0, 7.0])
-    e1 = projector_of([0, 1, 0])
-    assert abs(expectation(e1, a) - 5.0) < 1e-12
-    assert abs(expectation(e1, a @ a) - 25.0) < 1e-12
 
 
 def test_evolve_preserves_norm_and_eigenstates():

@@ -249,7 +249,20 @@ def test_run_cat_rejects_bad_amplitudes():
     with pytest.raises(errors.BadAmplitudes):
         run_cat(0.6, 0.9)
     with pytest.raises(errors.ValidationError):
-        run_cat(0.6, 0.8, chain_length=11)
+        run_cat(0.6, 0.8, chain_length=25)
+
+
+def test_cat_allocates_no_dense_matrix():
+    # one dense 1024^2 complex matrix is 16 MiB; the chain of 10 needs
+    # only arrays of 2^10 entries
+    run_cat(0.6, 0.8j, chain_length=10)  # warm-up
+    tracemalloc.start()
+    try:
+        run_cat(0.6, 0.8j, chain_length=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_compare_collapse_vs_restriction_deterministic():

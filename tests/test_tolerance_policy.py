@@ -45,7 +45,7 @@ def _measured_basis(d):
 
 def _algebra(d):
     v = _stretched(d)
-    return SpectralAlgebra((v[:, [0]], v[:, [1]]), [[0.0], [1.0]])
+    return SpectralAlgebra.from_blocks((v[:, [0]], v[:, [1]]), [[0.0], [1.0]])
 
 
 def _element_off_block(d):

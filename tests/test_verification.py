@@ -79,7 +79,7 @@ def test_spectral_axiom_defect_catches_shifted_eigenvalues():
 
     def shifted(generators):
         alg = generate(generators)
-        return SpectralAlgebra(alg.blocks, alg.characters + 1e-6)
+        return SpectralAlgebra(alg.labels, alg.characters + 1e-6, alg.basis)
 
     assert_fault_caught(verification.check_spectral_axioms, verification, "generate_algebra", shifted)
 
