@@ -199,8 +199,12 @@ def _split_points(labels, counts, values, tol):
     point's mean value, taken in ascending order as joint_eigenblocks does."""
     n = labels.size
     # coordinates by point so far, then by ascending value; a new point
-    # starts at each old point and at each gap wider than tol
-    order = np.lexsort((values, labels))
+    # starts at each old point and at each gap wider than tol. Equal
+    # (point, value) pairs may come in any order: they fall in one new point
+    # and leave the sorted values as they are, so only the sort by point
+    # needs to be stable
+    order = np.argsort(values)
+    order = order[np.argsort(labels[order], kind="stable")]
     ascending = values[order]
     new = np.empty(n, dtype=bool)
     new[0] = True
@@ -212,7 +216,10 @@ def _split_points(labels, counts, values, tol):
     means = ascending[starts]
     for j in np.flatnonzero(np.diff(bounds) > 1):
         means[j] = np.mean(ascending[starts[j] : bounds[j + 1]])
-    labels[order] = np.cumsum(new) - 1
+    del ascending  # the relabelling below is the largest step; free n floats first
+    ranks = np.cumsum(new)
+    ranks -= 1
+    labels[order] = ranks
     return np.diff(bounds), np.searchsorted(old_starts, starts, side="right"), means
 
 
@@ -241,6 +248,7 @@ def diagonal_algebra(diagonals, tol_cluster: float | None = None) -> SpectralAlg
         counts, parents, means = _split_points(labels, counts, values, tol)
         chars = np.column_stack((chars[parents], means))
     algebra = SpectralAlgebra(labels, chars)
+    labels = algebra.labels  # the algebra keeps its own copy; drop the working one
     for i, d in enumerate(diags):
         defect = float(np.max(np.abs(algebra.characters[labels, i] - d)))
         _require_reproduced(i, defect, d)

@@ -265,7 +265,12 @@ def premeasure(psi, model: MeasurementModel) -> StateVector:
 def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
     """Mixed-state version of premeasure: W rho W^dagger with the ready-input
     isometry W = sum_j (b_j (x) F_j) b_j^dagger, equal to
-    U (rho (x) |ready><ready|) U^dagger."""
+    U (rho (x) |ready><ready|) U^dagger.
+
+    An oracle: it is (d * dim_apparatus)^2. A run needs only its apparatus
+    marginal, which apparatus_reduced_density gives in closed form; the
+    tests hold the two against each other.
+    """
     r = as_density(rho)
     if r.dim != model.dim_system:
         raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
@@ -306,6 +311,22 @@ def apparatus_reduced_state(composite, dims: CompositeDims) -> DensityMatrix:
         )
     m = amp.reshape(dims.dim_system, dims.dim_apparatus)
     return DensityMatrix._trusted(m.T @ m.conj())
+
+
+def apparatus_reduced_density(rho, model: MeasurementModel) -> DensityMatrix:
+    """Reduced apparatus state of a premeasured mixed system state:
+    F diag(p) F^dagger, with F the pointer columns [F_0 ... F_{d-1}] and
+    p_j = <b_j|rho|b_j>. Tracing the system out of W rho W^dagger keeps
+    only the terms with equal measured-basis index, since the b_j are
+    orthonormal; O(d^2 dim_apparatus + d dim_apparatus^2), and no composite
+    matrix is formed."""
+    r = as_density(rho)
+    if r.dim != model.dim_system:
+        raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
+    b = model.measured_basis
+    p = np.real(np.einsum("ij,ij->j", b.conj(), r.matrix @ b))
+    f = model.apparatus.pointer_states()
+    return DensityMatrix._trusted((f * p) @ f.conj().T)
 
 
 def sample_outcome(

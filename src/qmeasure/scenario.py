@@ -26,21 +26,24 @@ observable, the diagonal kept by the collapse map, and the weights the
 premeasured composite induces on the commutative readout algebra after the
 system is traced out. With trials > 0 the report also carries sampled
 counts; trial t consumes the t-th variate of a dedicated substream, so the
-counts depend only on (seed, trials).
+counts depend only on (seed, trials). They are counted by sorting the draws
+once, which gives the same counts as looking each trial up on its own.
 
 No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
-apparatus.dim^2 readout matrices, the (system_dim * apparatus.dim)^2
-composite density of a density initial state, and the trials draws. A
-document over that limit fails validation before anything is built, and so
-does a randomized comparison asking for more cases. The cat run is held to
-the same limit: its largest arrays are the 2^chain_length readout values and
-point labels, since its readout algebra is in index form, so the chain may
-have up to MAX_CHAIN = 24 cells.
+apparatus.dim^2 readout matrices and reduced apparatus state (apparatus.dim
+>= system_dim, and no composite state matrix is formed for either kind of
+initial state), and the trials draws. A document over that limit fails
+validation before anything is built, and so does a randomized comparison
+asking for more cases. The cat run is held to the same limit: its largest
+arrays are the 2^chain_length readout values and point labels, since its
+readout algebra is in index form, so the chain may have up to MAX_CHAIN = 24
+cells.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +65,7 @@ from .errors import (
     ValidationError,
 )
 from .measurement import (
+    apparatus_reduced_density,
     apparatus_reduced_state,
     build_apparatus,
     build_coupling,
@@ -69,12 +73,11 @@ from .measurement import (
     model_for_observable,
     pointer_observable,
     premeasure,
-    premeasure_density,
 )
 from .observables import Observable, OutcomeDistribution, born_distribution
 from .randomness import rand_state, rand_unitary, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report
-from .states import DensityMatrix, StateVector, partial_trace, projector_of
+from .states import DensityMatrix, StateVector, projector_of
 
 _TRIALS_TAG = 1
 _COMPARE_TAG = 2
@@ -119,6 +122,13 @@ def _int_field(doc: dict, key: str, where: str) -> int:
     return val
 
 
+def _float(x, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParseError(f"{where}: number too large for a float") from None
+
+
 def _complex_entry(x, where: str) -> complex:
     if (
         not isinstance(x, list)
@@ -126,16 +136,41 @@ def _complex_entry(x, where: str) -> complex:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in x)
     ):
         raise ParseError(f"{where}: complex entries are [re, im] pairs, got {x!r}")
-    return complex(x[0], x[1])
+    return complex(_float(x[0], where), _float(x[1], where))
+
+
+def _pair_array(x, axes: int) -> np.ndarray | None:
+    """x as a complex array with `axes` axes, converted in one numpy call, if
+    it is a rectangular nonempty nested list of [re, im] number pairs; None
+    for anything else, which the entry-by-entry walk then names."""
+    try:
+        arr = np.array(x, dtype=object)
+    except ValueError:
+        return None
+    if arr.ndim != axes + 1 or arr.shape[-1] != 2 or 0 in arr.shape:
+        return None
+    # exact types: json gives bool for true/false, and bool is an int
+    if not set(map(type, arr.flat)) <= {int, float}:
+        return None
+    try:
+        return arr.astype(float).view(complex)[..., 0]
+    except OverflowError:
+        return None
 
 
 def _complex_vector(x, where: str) -> np.ndarray:
+    arr = _pair_array(x, 1)
+    if arr is not None:
+        return arr
     if not isinstance(x, list) or not x:
         raise ParseError(f"{where}: expected a nonempty list")
     return np.array([_complex_entry(v, f"{where}[{i}]") for i, v in enumerate(x)])
 
 
 def _complex_matrix(x, where: str) -> np.ndarray:
+    arr = _pair_array(x, 2)
+    if arr is not None:
+        return arr
     if not isinstance(x, list) or not x:
         raise ParseError(f"{where}: expected a nonempty list of rows")
     rows = [_complex_vector(row, f"{where}[{i}]") for i, row in enumerate(x)]
@@ -237,9 +272,6 @@ def parse_scenario(text: str) -> Scenario:
             f"apparatus.dim: {apparatus_dim} cannot register {system_dim} outcomes"
         )
     _check_budget("apparatus.dim", apparatus_dim**2)  # apparatus.dim >= system_dim
-    if isinstance(state, DensityMatrix):
-        # the mixed path premeasures into a composite density matrix
-        _check_budget("apparatus.dim", (system_dim * apparatus_dim) ** 2)
     pointer_values: tuple[float, ...] | None = None
     if "pointer_values" in app:
         pv = app["pointer_values"]
@@ -253,7 +285,9 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(
                 f"apparatus.pointer_values: need one value per outcome ({system_dim})"
             )
-        pointer_values = tuple(float(v) for v in pv)
+        pointer_values = tuple(_float(v, "apparatus.pointer_values") for v in pv)
+        if not all(math.isfinite(v) for v in pointer_values):
+            raise ValidationError("apparatus.pointer_values: values must be finite")
 
     generators: tuple[Observable, ...] | None = None
     if "algebra_generators" in doc:
@@ -297,14 +331,22 @@ def load_scenario(path) -> Scenario:
 
 def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> EmpiricalCounts:
     """Inverse-CDF sampling; trial t consumes the t-th uniform of the
-    (seed, trials) substream, identical to t sequential draws."""
+    (seed, 1) substream, identical to t sequential draws.
+
+    Trial t lands on the first outcome whose cumulative weight exceeds its
+    scaled variate, the last outcome taking the rest. Counts do not depend
+    on the order of the trials, so the variates are sorted in place and the
+    count of outcome j is the number of them between its two cumulative
+    weights: one sort, not one search per trial.
+    """
     rng = substream(seed, _TRIALS_TAG)
-    cum = np.cumsum(probabilities)
-    u = rng.random(trials) * cum[-1]
-    idx = np.minimum(
-        np.searchsorted(cum, u, side="right"), probabilities.size - 1
-    )
-    counts = np.bincount(idx, minlength=probabilities.size)
+    # a running maximum leaves a weight floored just below zero an empty
+    # interval, so no count can go negative; for weights >= 0 it changes nothing
+    cum = np.maximum.accumulate(np.cumsum(probabilities))
+    u = rng.random(trials)
+    u *= cum[-1]
+    u.sort()
+    counts = np.diff(np.searchsorted(u, cum[:-1], side="left"), prepend=0, append=trials)
     return EmpiricalCounts(
         counts=tuple(int(c) for c in counts),
         frequencies=tuple(float(c) / trials for c in counts),
@@ -352,7 +394,7 @@ def run_scenario(s: Scenario) -> Report:
         composite = premeasure(s.initial_state, model)
         rho_app = apparatus_reduced_state(composite, model.dims)
     else:
-        rho_app = partial_trace(premeasure_density(rho, model), model.dims, "apparatus")
+        rho_app = apparatus_reduced_density(rho, model)
     restricted = restrict_state(rho_app, algebra)
 
     # fold restriction weights back onto measured outcomes via the pointer

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -97,6 +98,54 @@ def test_run_oversized_trials_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ValidationError" in err
     assert "trials" in err
+
+
+# an integer literal too large for any float
+_HUGE = 10**401
+
+_HUGE_LITERALS = {
+    "observable": (
+        {"observable": [[[0, 0], [0, 0]], [[0, 0], [_HUGE, 0]]]},
+        "observable[1][1]",
+    ),
+    "vector state": (
+        {"initial_state": {"kind": "vector", "data": [[0.6, _HUGE], [0.8, 0]]}},
+        "initial_state.data[0]",
+    ),
+    "density state": (
+        {
+            "initial_state": {
+                "kind": "density",
+                "data": [[[_HUGE, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+            }
+        },
+        "initial_state.data[0][0]",
+    ),
+    "pointer values": (
+        {"apparatus": {"dim": 2, "pointer_values": [0, _HUGE]}},
+        "apparatus.pointer_values",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", list(_HUGE_LITERALS))
+def test_run_huge_integer_literal_exits_one(tmp_path, capsys, field):
+    overrides, where = _HUGE_LITERALS[field]
+    assert main(["run", write_qubit_scenario(tmp_path, **overrides)]) == 1
+    err = capsys.readouterr().err
+    assert f"ParseError: {where}: number too large for a float" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_run_nonfinite_pointer_values_exit_one_naming_the_field(tmp_path, capsys, value):
+    path = write_qubit_scenario(tmp_path, apparatus={"dim": 2, "pointer_values": [0, value]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError: apparatus.pointer_values" in err
+    assert "Warning" not in err
+    assert caught == []
 
 
 def test_cat_table_mentions_branches(capsys):

@@ -14,6 +14,7 @@ KEPT_FOR_TESTS = {
     "sample_outcome": "the one-draw-at-a-time oracle for the vectorized scenario sampling",
     "rand_density": "random mixed states for the property and trust tests",
     "load_scenario": "the acceptance tests read the sample documents from disk through it",
+    "premeasure_density": "the dense oracle the closed-form apparatus_reduced_density is held against",
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 from qmeasure import errors, linalg
 from qmeasure.measurement import (
     ApparatusModel,
+    apparatus_reduced_density,
     build_apparatus,
     build_coupling,
     collapse,
@@ -218,6 +219,28 @@ def test_structured_premeasurement_matches_dense_coupling(d):
             rho = rand_density(d, rng)
             want = u @ np.kron(rho, np.outer(r, r.conj())) @ u.conj().T
             assert_close(premeasure_density(rho, model).matrix, want, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_apparatus_reduced_density_matches_dense_premeasurement(d):
+    # the closed form F diag(p) F^dagger against tracing the system out of
+    # the (d * dm)^2 composite, on random pointer bases and ready columns
+    for dm in (d, d + 3):
+        for ready in (0, dm - 1):
+            rng = substream(151, d, dm, ready)
+            app = ApparatusModel(dm, rand_unitary(dm, rng), ready, np.arange(d, dtype=float))
+            model = build_coupling(rand_unitary(d, rng), app)
+            rho = rand_density(d, rng)
+            dense = partial_trace(premeasure_density(rho, model), model.dims, "apparatus")
+            assert_close(
+                apparatus_reduced_density(rho, model).matrix, dense.matrix, atol=1e-12, rtol=0
+            )
+
+
+def test_apparatus_reduced_density_rejects_wrong_size():
+    model = model_for_observable(np.diag([0.0, 1.0]), dim_apparatus=3)
+    with pytest.raises(errors.DimMismatch):
+        apparatus_reduced_density(rand_density(3, substream(157)), model)
 
 
 def test_apparatus_reduced_state_rejects_wrong_size():

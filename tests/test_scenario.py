@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure import errors
 from qmeasure.measurement import model_for_observable, sample_outcome
@@ -11,6 +13,7 @@ from qmeasure.report import emit_report, report_payload, sig12
 from qmeasure.scenario import (
     MAX_ARRAY_ELEMENTS,
     Scenario,
+    _sample_counts,
     compare_collapse_vs_restriction,
     load_scenario,
     parse_scenario,
@@ -69,6 +72,49 @@ def test_parse_rejects_bad_complex_entry():
         )
 
 
+_PAIR_MESSAGE = "complex entries are [re, im] pairs, got "
+
+# (a bad list of [re, im] entries, the index path below it that the error
+# names, the message); it stands as the whole vector, or as row 1 of a matrix
+_BAD_ENTRIES = {
+    "bool": ([[0.6, 0], [True, 0]], "[1]", _PAIR_MESSAGE + "[True, 0]"),
+    "string": ([[0.6, 0], ["0.8", 0]], "[1]", _PAIR_MESSAGE + "['0.8', 0]"),
+    "none": ([[0.6, 0], None], "[1]", _PAIR_MESSAGE + "None"),
+    "re only": ([[0.6, 0], [0.8]], "[1]", _PAIR_MESSAGE + "[0.8]"),
+    "re im extra": ([[0.6, 0], [0.8, 0, 0]], "[1]", _PAIR_MESSAGE + "[0.8, 0, 0]"),
+    "ragged row": ([[0.6, 0], [[0.8, 0], [0]]], "[1]", _PAIR_MESSAGE + "[[0.8, 0], [0]]"),
+    "empty row": ([], "", "expected a nonempty list"),
+    "four deep": ([[[0.6, 0]], [[0.8, 0]]], "[0]", _PAIR_MESSAGE + "[[0.6, 0]]"),
+}
+
+
+@pytest.mark.parametrize("position", ["vector", "matrix"])
+@pytest.mark.parametrize("case", list(_BAD_ENTRIES))
+def test_parse_names_the_bad_entry(case, position):
+    entries, path, message = _BAD_ENTRIES[case]
+    if position == "vector":
+        doc = doc_qubit(initial_state={"kind": "vector", "data": entries})
+        where = "initial_state.data"
+    else:
+        doc = doc_qubit(observable=[[[0, 0], [0, 0]], entries])
+        where = "observable[1]"
+    with pytest.raises(errors.ParseError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == f"{where}{path}: {message}"
+
+
+def test_parse_rejects_rows_of_different_lengths():
+    with pytest.raises(errors.ParseError, match=r"^observable: rows differ in length$"):
+        parse_scenario(doc_qubit(observable=[[[0, 0], [0, 0]], [[1, 0]]]))
+
+
+def test_parse_keeps_every_bit_of_the_pairs():
+    data = [[-0.0, 0.6], [0.8, -0.0]]
+    s = parse_scenario(doc_qubit(initial_state={"kind": "vector", "data": data}))
+    want = np.array([complex(-0.0, 0.6), complex(0.8, -0.0)])
+    assert s.initial_state.amplitudes.tobytes() == want.tobytes()
+
+
 def test_parse_rejects_bool_dims():
     with pytest.raises(errors.ParseError, match="expected an integer"):
         parse_scenario(doc_qubit(system_dim=True))
@@ -125,11 +171,11 @@ def test_parse_enforces_array_budget_at_its_boundary():
     assert parse_scenario(doc_qubit(apparatus={"dim": 4096})).apparatus_dim == 4096
     with pytest.raises(errors.ValidationError, match="apparatus.dim"):
         parse_scenario(doc_qubit(apparatus={"dim": 4097}))
-    # a density initial state premeasures into a (2 * dim)^2 composite
+    # a density initial state forms no composite matrix: the same dim^2 budget
     density = {"kind": "density", "data": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
-    assert parse_scenario(doc_qubit(initial_state=density, apparatus={"dim": 2048}))
+    assert parse_scenario(doc_qubit(initial_state=density, apparatus={"dim": 4096}))
     with pytest.raises(errors.ValidationError, match="apparatus.dim"):
-        parse_scenario(doc_qubit(initial_state=density, apparatus={"dim": 2049}))
+        parse_scenario(doc_qubit(initial_state=density, apparatus={"dim": 4097}))
     assert parse_scenario(doc_qubit(trials=2**24)).trials == 2**24
     with pytest.raises(errors.ValidationError, match="trials"):
         parse_scenario(doc_qubit(trials=2**24 + 1))
@@ -203,6 +249,61 @@ def test_sample_counts_match_sequential_draws():
     seq = [sample_outcome(psi, model, rng)[0] for _ in range(200)]
     counts = [seq.count(0.0), seq.count(1.0)]
     assert list(r.empirical.counts) == counts
+
+
+def _per_trial_counts(p, seed, trials):
+    # one search per trial into the cumulative weights, then a tally
+    cum = np.cumsum(p)
+    u = substream(seed, 1).random(trials) * cum[-1]
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), p.size - 1)
+    return tuple(int(c) for c in np.bincount(idx, minlength=p.size))
+
+
+@given(
+    n=st.integers(1, 64),
+    trials=st.integers(1, 5000),
+    seed=st.integers(0, 2**64 - 1),
+    ties=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sample_counts_match_the_per_trial_search(n, trials, seed, ties, data):
+    if ties:
+        # cumulative weights placed exactly on drawn variates: the variates
+        # and their differences are multiples of 2^-53, so the weights sum
+        # back to those cuts and to 1 exactly, and a tie goes to the upper outcome
+        u = substream(seed, 1).random(trials)
+        picks = data.draw(st.lists(st.integers(0, trials - 1), min_size=n - 1, max_size=n - 1))
+        p = np.diff(np.sort(u[picks]), prepend=0.0, append=1.0)
+    else:
+        weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        p = np.array(data.draw(st.lists(weight, min_size=n, max_size=n)))
+    assert _sample_counts(p, seed, trials).counts == _per_trial_counts(p, seed, trials)
+
+
+def test_sample_counts_give_a_weight_just_below_zero_no_trials():
+    # outcome 1 carries -1e-13 and a drawn variate sits inside the dip of
+    # the cumulative weights it leaves
+    seed, trials, delta = 5, 1000, 5e-14
+    a = substream(seed, 1).random(trials)[0]
+    p = np.array([a + delta, -2 * delta, 1.0 - a + delta])
+    counts = _sample_counts(p, seed, trials).counts
+    assert min(counts) >= 0 and sum(counts) == trials
+    assert counts[1] == 0
+
+
+def test_sample_counts_sort_the_draws_in_place():
+    trials = 2**20
+    p = np.array([0.25, 0.25, 0.5])
+    _sample_counts(p, 3, 1000)  # warm-up
+    tracemalloc.start()
+    try:
+        _sample_counts(p, 3, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the draws themselves are 8 bytes per trial
+    assert peak < 1.5 * 8 * trials
 
 
 def test_run_scenario_custom_generators_must_contain_pointer():
