@@ -116,18 +116,15 @@ def hermitian_eigendecompose(m) -> EigenSystem:
     a = require_hermitian(m)
     w, v = np.linalg.eigh(a)
     ortho = isometry_defect(v)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    resid = float(np.linalg.norm((v * w) @ v.conj().T - a)) / scale
+    # in units of the largest real or imaginary part, so no norm overflows
+    s = float(np.max(np.abs(a.view(float)))) or 1.0
+    b = a / s
+    resid = float(np.linalg.norm((v * (w / s)) @ v.conj().T - b) / max(np.linalg.norm(b), 1.0))
     if ortho > ROUNDOFF_TOL or resid > ROUNDOFF_TOL:
         raise ArithmeticError(
             f"eigendecomposition failed verification (ortho {ortho:.3e}, resid {resid:.3e})"
         )
     return EigenSystem(readonly(w), readonly(v))
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the slow index."""
-    return readonly(np.kron(as_matrix(a), as_matrix(b)))
 
 
 def unitary_exp(h, t: float) -> np.ndarray:

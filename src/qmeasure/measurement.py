@@ -9,7 +9,9 @@ which on the ready column realizes the one-to-one correlation
 b_j (x) F_ready -> b_j (x) F_{ready + j}. Off the ready column the cyclic
 extension keeps U a permutation of the product basis, hence exactly unitary;
 any other unitary extension acts identically on physical inputs, which
-always start in the ready state.
+always start in the ready state. As a matrix, U = G Pi G^dagger, with G the
+product basis (column j * dim_apparatus + k is b_j (x) F_k) and Pi the
+cyclic relabelling (j, k) -> (j, k + j mod dim_apparatus) of its columns.
 
 Premeasurement therefore only ever needs U on the ready input, where it is
 the isometry W = sum_j (b_j (x) F_j) b_j^dagger from the system into the
@@ -151,9 +153,11 @@ class MeasurementModel:
 
     @property
     def measured_basis(self) -> np.ndarray:
-        """The measured basis: the rank-one blocks side by side, column j
+        """The measured basis: the basis columns in label order, column j
         the eigenvector of outcome j."""
-        return linalg.readonly(np.hstack(self.measured_pvm.blocks))
+        pvm = self.measured_pvm
+        v = np.eye(pvm.dim, dtype=complex) if pvm.basis is None else pvm.basis
+        return linalg.readonly(v[:, np.argsort(pvm.labels, kind="stable")])
 
     @property
     def dim_system(self) -> int:
@@ -188,23 +192,20 @@ def build_coupling(
 
 
 def coupling_matrix(model: MeasurementModel) -> np.ndarray:
-    """The dense controlled shift U = sum_j P_j (x) S^j on the full product
-    space, S cycling the pointer columns F_k -> F_{k+1 mod dim_apparatus}.
+    """The dense controlled shift U = G Pi G^dagger on the full product
+    space: G has column j * dim_apparatus + k equal to b_j (x) F_k, and Pi
+    relabels column (j, k) as (j, k + j mod dim_apparatus).
 
     An oracle: it is (d * dim_apparatus)^2, and premeasurement never builds
     it. The verify suite and the tests check that U is unitary and that
     premeasure agrees with it on ready inputs.
     """
-    dm = model.apparatus.dim_apparatus
+    b = model.measured_basis
     p = model.apparatus.pointer_basis
-    cycle = np.roll(np.eye(dm), 1, axis=0)  # cycle e_k -> e_{k+1 mod dm}
-    shift = np.eye(dm, dtype=complex)
-    n = model.dim_system * dm
-    u = np.zeros((n, n), dtype=complex)
-    for proj in model.measured_pvm.projectors:
-        u += np.kron(proj, p @ shift @ p.conj().T)
-        shift = cycle @ shift
-    return u
+    d, dm = b.shape[1], p.shape[1]
+    g = (b[:, None, :, None] * p[None, :, None, :]).reshape(d * dm, d * dm)
+    j, k = np.divmod(np.arange(d * dm), dm)
+    return g[:, j * dm + (k + j) % dm] @ g.conj().T
 
 
 def model_for_observable(

@@ -18,7 +18,7 @@ from .algebra import (
     proper_mixture_representative,
     restrict_state,
 )
-from .linalg import isometry_defect, kronecker
+from .linalg import isometry_defect
 from .measurement import (
     apparatus_reduced_state,
     build_apparatus,
@@ -61,9 +61,9 @@ def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[fl
     model = build_coupling(basis, apparatus)
     u = coupling_matrix(model)
     unitarity = isometry_defect(u)
-    dense = u @ np.kron(psi.amplitudes, apparatus.ready_state())
+    dense = u @ np.outer(psi.amplitudes, apparatus.ready_state()).reshape(-1)
     c = basis.conj().T @ psi.amplitudes
-    want = sum(c[j] * np.kron(basis[:, j], apparatus.pointer_state(j)) for j in range(c.size))
+    want = np.einsum("j,aj,kj->ak", c, basis, apparatus.pointer_states()).reshape(-1)
     amplitude = float(np.max(np.abs(dense - want)))
     agreement = float(np.max(np.abs(premeasure(psi, model).amplitudes - dense)))
     return amplitude, agreement, unitarity
@@ -114,12 +114,12 @@ def chain_reduction_gap(psi: StateVector, basis: np.ndarray, apparatus, copier, 
     single = restrict_state(
         apparatus_reduced_state(premeasure(psi, model), model.dims), algebra
     ).weights
-    u_total = kronecker(np.eye(d), coupling_matrix(copier)) @ kronecker(
-        coupling_matrix(model), np.eye(d)
-    )
-    start = np.kron(np.kron(psi.amplitudes, apparatus.ready_state()), apparatus.ready_state())
+    r = apparatus.ready_state()
+    # U_model (x) I on psi (x) ready (x) ready, then I (x) U_copier
+    first = coupling_matrix(model) @ np.outer(np.outer(psi.amplitudes, r), r)
+    final = first.reshape(d, -1) @ coupling_matrix(copier).T
     rho_last = partial_trace(
-        projector_of(StateVector(u_total @ start)), CompositeDims(d * d, d), "apparatus"
+        projector_of(StateVector(final.reshape(-1))), CompositeDims(d * d, d), "apparatus"
     )
     two_stage = restrict_state(rho_last, algebra).weights
     return float(np.max(np.abs(single - two_stage)))

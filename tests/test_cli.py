@@ -148,6 +148,16 @@ def test_run_nonfinite_pointer_values_exit_one_naming_the_field(tmp_path, capsys
     assert caught == []
 
 
+def test_run_observable_entry_near_the_float_limit_warns_nothing(tmp_path, capsys):
+    # the eigendecomposition check once took the Frobenius norm of this
+    # observable, which overflows
+    path = write_qubit_scenario(tmp_path, observable=[[[0, 0], [0, 0]], [[0, 0], [1e308, 0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["born"]["outcomes"] == [0.0, 1e308]
+
+
 def test_cat_table_mentions_branches(capsys):
     assert main(["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "4"]) == 0
     out = capsys.readouterr().out
@@ -243,6 +253,31 @@ def test_verify_json_payload(capsys):
     assert len(payload) == 9
     assert all(entry["passed"] for entry in payload)
     assert all(entry["worst"] <= entry["tolerance"] for entry in payload)
+
+
+# every check's name, pinned tolerance and case count: verify may get
+# faster, but not by drawing fewer cases or loosening a tolerance
+VERIFY_CHECKS = [
+    ("collapse vs restriction", 1e-09, "200 random cases, dims 2..6"),
+    ("coupling fidelity", 1e-10, "150 random states, dims 2..6"),
+    ("spectral measure axioms", 1e-09, "35 random Hermitians, dims 2..8"),
+    ("joint diagonalization", 1e-08, "20 random commuting families"),
+    ("sampling agreement", 1.0, "20000 trials against (0.36, 0.64), 4 sigma units"),
+    ("cat branches", 1e-10, "chain of 6 cells, c = (0.6, 0.8i)"),
+    (
+        "simplex contrast",
+        1e-12,
+        "two pure decompositions of the mixed qubit; weight round trip on 10 random algebras",
+    ),
+    ("dynamics group law", 1e-09, "20 random (H, s, t)"),
+    ("chain reduction", 1e-10, "20 random states, dim 4, two-stage pointer"),
+]
+
+
+def test_verify_json_pins_names_tolerances_and_case_counts(capsys):
+    assert main(["verify", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(e["name"], e["tolerance"], e["detail"]) for e in payload] == VERIFY_CHECKS
 
 
 def test_usage_error_exits_one(capsys):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg
+from qmeasure.algebra import SpectralAlgebra
 from qmeasure.measurement import (
     ApparatusModel,
+    MeasurementModel,
     apparatus_reduced_density,
     build_apparatus,
     build_coupling,
@@ -89,6 +91,42 @@ def test_coupling_registers_every_basis_column():
         moved = coupling_matrix(model) @ np.kron(basis[:, j], app.ready_state())
         want = np.kron(basis[:, j], app.pointer_state(j))
         assert np.linalg.norm(moved - want) < 1e-10
+
+
+def _coupling_by_outcome(model):
+    """The controlled shift as the literal sum_j P_j (x) P S^j P^dagger,
+    one Kronecker product per outcome, S cycling e_k -> e_{k+1 mod dm}."""
+    dm = model.apparatus.dim_apparatus
+    p = model.apparatus.pointer_basis
+    cycle = np.roll(np.eye(dm), 1, axis=0)
+    shift = np.eye(dm, dtype=complex)
+    n = model.dim_system * dm
+    u = np.zeros((n, n), dtype=complex)
+    for proj in model.measured_pvm.projectors:
+        u += np.kron(proj, p @ shift @ p.conj().T)
+        shift = cycle @ shift
+    return u
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_coupling_matrix_is_the_sum_of_per_outcome_shifts(d):
+    for dm in (d, d + 3):
+        for ready in (0, dm - 1):
+            rng = substream(163, d, dm, ready)
+            app = ApparatusModel(dm, rand_unitary(dm, rng), ready, np.arange(d, dtype=float))
+            model = build_coupling(rand_unitary(d, rng), app)
+            assert_close(coupling_matrix(model), _coupling_by_outcome(model), atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_measured_basis_is_the_blocks_side_by_side(dense):
+    # permuted labels: column j of the measured basis is the basis column
+    # labelled j, in index form a standard basis vector
+    labels = np.array([2, 0, 3, 1])
+    basis = rand_unitary(4, substream(167)) if dense else None
+    pvm = SpectralAlgebra(labels, np.arange(4.0)[:, None], basis)
+    model = MeasurementModel(pvm, build_apparatus(4))
+    assert np.array_equal(model.measured_basis, np.hstack(pvm.blocks))
 
 
 def test_build_coupling_checks_the_basis_once(monkeypatch):

@@ -120,3 +120,18 @@ def test_group_law_defects_catch_time_offset():
 
 def test_chain_reduction_gap_catches_missing_coupling():
     assert_fault_caught(verification.check_chain_reduction, verification, "premeasure", uncoupled)
+
+
+def test_run_all_forms_no_kronecker_product(monkeypatch):
+    # the dense oracles are built as relabelled products and applied by
+    # reshapes, so the suite never calls np.kron
+    calls = []
+    kron = np.kron
+
+    def counted(a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counted)
+    assert all(r.passed for r in verification.run_all())
+    assert calls == []
