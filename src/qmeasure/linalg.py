@@ -98,6 +98,17 @@ def require_weights(
     return a
 
 
+def require_float_span(values: np.ndarray, what: str) -> None:
+    """Reject values that are not all finite or whose span max - min exceeds
+    the largest float, so that no difference of two of them overflows."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{what} are not all finite")
+    # the halved span cannot overflow, and exceeds max/2 exactly when the span
+    # itself would round past the largest float
+    if float(np.max(values)) / 2 - float(np.min(values)) / 2 > np.finfo(float).max / 2:
+        raise ValidationError(f"{what} span more than the largest float")
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Ascending real eigenvalues and the unitary matrix of column eigenvectors."""
@@ -111,16 +122,20 @@ def hermitian_eigendecompose(m) -> EigenSystem:
 
     The decomposition is verified before returning: columns must be
     orthonormal and sum_k w_k v_k v_k^dagger must reproduce the input to
-    relative Frobenius accuracy ROUNDOFF_TOL.
+    relative Frobenius accuracy ROUNDOFF_TOL. A spectrum that overflows, or
+    spans more than the largest float, raises ValidationError: no gap
+    between its eigenvalues could be taken.
     """
     a = require_hermitian(m)
     w, v = np.linalg.eigh(a)
+    require_float_span(w, "eigenvalues")
     ortho = isometry_defect(v)
     # in units of the largest real or imaginary part, so no norm overflows
     s = float(np.max(np.abs(a.view(float)))) or 1.0
     b = a / s
     resid = float(np.linalg.norm((v * (w / s)) @ v.conj().T - b) / max(np.linalg.norm(b), 1.0))
-    if ortho > ROUNDOFF_TOL or resid > ROUNDOFF_TOL:
+    # written so that a NaN residual fails
+    if not (ortho <= ROUNDOFF_TOL and resid <= ROUNDOFF_TOL):
         raise ArithmeticError(
             f"eigendecomposition failed verification (ortho {ortho:.3e}, resid {resid:.3e})"
         )

@@ -1,24 +1,27 @@
 """The measurement chain: pointer apparatus, premeasurement, collapse map.
 
-The coupling follows a controlled-shift convention. With measured basis
-columns b_j and pointer columns F_k,
+The pointer is written in the standard basis e_k of the apparatus: e_0 is
+the ready state and e_j registers outcome j. Which orthonormal basis the
+pointer uses is a convention the statistics do not depend on. The coupling
+follows a controlled-shift convention. With measured basis columns b_j,
 
-    U (b_j (x) F_k) = b_j (x) F_{(k + j) mod dim_apparatus}
+    U (b_j (x) e_k) = b_j (x) e_{(k + j) mod dim_apparatus}
 
 which on the ready column realizes the one-to-one correlation
-b_j (x) F_ready -> b_j (x) F_{ready + j}. Off the ready column the cyclic
-extension keeps U a permutation of the product basis, hence exactly unitary;
-any other unitary extension acts identically on physical inputs, which
-always start in the ready state. As a matrix, U = G Pi G^dagger, with G the
-product basis (column j * dim_apparatus + k is b_j (x) F_k) and Pi the
+b_j (x) e_0 -> b_j (x) e_j. Off the ready column the cyclic extension keeps
+U a permutation of the product basis, hence exactly unitary; any other
+unitary extension acts identically on physical inputs, which always start
+in the ready state. As a matrix, U = G Pi G^dagger, with G = B (x) I the
+product basis (column j * dim_apparatus + k is b_j (x) e_k) and Pi the
 cyclic relabelling (j, k) -> (j, k + j mod dim_apparatus) of its columns.
 
 Premeasurement therefore only ever needs U on the ready input, where it is
-the isometry W = sum_j (b_j (x) F_j) b_j^dagger from the system into the
+the isometry W = sum_j (b_j (x) e_j) b_j^dagger from the system into the
 composite: a pure state becomes the d x dim_apparatus coefficient matrix of
-sum_j c_j b_j (x) F_j, and no (d * dim_apparatus)^2 matrix is formed. The
-dense U is built only by coupling_matrix, the oracle the verify suite and
-the tests hold the structured path against.
+sum_j c_j b_j (x) e_j, B diag(c) in its first d columns, and no
+(d * dim_apparatus)^2 matrix is formed. The dense U is built only by
+coupling_matrix, the oracle the verify suite and the tests hold the
+structured path against.
 """
 
 from __future__ import annotations
@@ -28,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DegenerateSpectrum,
-    DimMismatch,
-    NotOrthonormal,
-    TooSmall,
-    ValidationError,
-)
+from .errors import DegenerateSpectrum, DimMismatch, TooSmall, ValidationError
 from .algebra import SpectralAlgebra
 from .linalg import cluster_eigenvalues, default_cluster_tol, hermitian_eigendecompose
 from .observables import Observable, as_observable
@@ -47,30 +44,18 @@ from .states import (
 )
 
 
-def _require_unitary_columns(m, what: str) -> np.ndarray:
-    a = linalg.require_square(m)
-    defect = linalg.isometry_defect(a)
-    if defect > linalg.ROUNDOFF_TOL:
-        raise NotOrthonormal(f"{what} columns are not orthonormal (defect {defect:.3e})")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class ApparatusModel:
-    """Pointer degrees of freedom: an orthonormal pointer basis, the ready
-    column, and one real pointer value per registrable outcome."""
+    """Pointer degrees of freedom in the standard basis of the apparatus:
+    e_0 is the ready state, e_j registers outcome j, and each registrable
+    outcome has one real pointer value. The values must be distinct and
+    finite, and span no more than the largest float, so that no gap between
+    two of them overflows."""
 
     dim_apparatus: int
-    pointer_basis: np.ndarray
-    ready_index: int
     pointer_values: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = _require_unitary_columns(self.pointer_basis, "pointer basis")
-        if basis.shape[0] != self.dim_apparatus:
-            raise DimMismatch(
-                f"pointer basis is {basis.shape[0]}-dim, apparatus claims {self.dim_apparatus}"
-            )
         vals = np.asarray(self.pointer_values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValidationError("pointer_values must be a nonempty 1-d sequence")
@@ -80,31 +65,12 @@ class ApparatusModel:
             )
         if np.unique(vals).size != vals.size:
             raise ValidationError("pointer values must be distinct")
-        if not 0 <= self.ready_index < self.dim_apparatus:
-            raise ValidationError(f"ready_index {self.ready_index} out of range")
-        object.__setattr__(self, "pointer_basis", linalg.readonly(basis))
+        linalg.require_float_span(vals, "pointer values")
         object.__setattr__(self, "pointer_values", linalg.readonly(vals))
 
     @property
     def n_outcomes(self) -> int:
         return self.pointer_values.size
-
-    def ready_state(self) -> np.ndarray:
-        return self.pointer_basis[:, self.ready_index]
-
-    def pointer_slots(self) -> np.ndarray:
-        """Index of the pointer column registering each outcome: (ready + j) mod dim."""
-        return (self.ready_index + np.arange(self.n_outcomes)) % self.dim_apparatus
-
-    def pointer_states(self) -> np.ndarray:
-        """dim_apparatus x n_outcomes matrix whose column j is pointer_state(j)."""
-        return self.pointer_basis[:, self.pointer_slots()]
-
-    def pointer_state(self, j: int) -> np.ndarray:
-        """Pointer column registering outcome j, cyclically off the ready column."""
-        if not 0 <= j < self.n_outcomes:
-            raise ValidationError(f"outcome index {j} out of range")
-        return self.pointer_basis[:, self.pointer_slots()[j]]
 
 
 def build_apparatus(
@@ -112,7 +78,7 @@ def build_apparatus(
     dim_apparatus: int | None = None,
     pointer_values=None,
 ) -> ApparatusModel:
-    """Standard-basis apparatus with ready column 0.
+    """Apparatus of dim_apparatus (default n_outcomes) registering n_outcomes.
 
     pointer_values defaults to 0..n_outcomes-1; models built from an
     observable override it with the measured eigenvalues.
@@ -130,7 +96,7 @@ def build_apparatus(
             raise ValidationError(
                 f"expected {n_outcomes} pointer values, got shape {vals.shape}"
             )
-    return ApparatusModel(dim, np.eye(dim, dtype=complex), 0, vals)
+    return ApparatusModel(dim, vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,17 +159,16 @@ def build_coupling(
 
 def coupling_matrix(model: MeasurementModel) -> np.ndarray:
     """The dense controlled shift U = G Pi G^dagger on the full product
-    space: G has column j * dim_apparatus + k equal to b_j (x) F_k, and Pi
-    relabels column (j, k) as (j, k + j mod dim_apparatus).
+    space: G = B (x) I has column j * dim_apparatus + k equal to b_j (x) e_k,
+    and Pi relabels column (j, k) as (j, k + j mod dim_apparatus).
 
     An oracle: it is (d * dim_apparatus)^2, and premeasurement never builds
     it. The verify suite and the tests check that U is unitary and that
     premeasure agrees with it on ready inputs.
     """
     b = model.measured_basis
-    p = model.apparatus.pointer_basis
-    d, dm = b.shape[1], p.shape[1]
-    g = (b[:, None, :, None] * p[None, :, None, :]).reshape(d * dm, d * dm)
+    d, dm = b.shape[1], model.apparatus.dim_apparatus
+    g = (b[:, None, :, None] * np.eye(dm)[None, :, None, :]).reshape(d * dm, d * dm)
     j, k = np.divmod(np.arange(d * dm), dm)
     return g[:, j * dm + (k + j) % dm] @ g.conj().T
 
@@ -236,37 +201,39 @@ def model_for_observable(
 
 
 def pointer_observable(apparatus: ApparatusModel) -> Observable:
-    """The pointer readout: pointer value j on the column registering
-    outcome j. Pointer columns never reached from the ready state share one
-    idle eigenvalue below the real values, so the readout stays a single
+    """The pointer readout: the diagonal matrix with pointer value j on e_j.
+    Columns past the last outcome, never reached from the ready state, share
+    one idle eigenvalue below the real values, so the readout stays a single
     observable on the full apparatus space."""
     vals = apparatus.pointer_values
     w = np.full(apparatus.dim_apparatus, float(vals.min()) - 1.0)
-    w[apparatus.pointer_slots()] = vals
-    p = apparatus.pointer_basis
-    return Observable((p * w) @ p.conj().T)
+    w[: vals.size] = vals
+    return Observable(np.diag(w.astype(complex)))
 
 
 def premeasure(psi, model: MeasurementModel) -> StateVector:
     """Couple a pure system state to the ready apparatus.
 
-    The output is sum_j c_j b_j (x) F_j with c_j the overlap of psi with
+    The output is sum_j c_j b_j (x) e_j with c_j the overlap of psi with
     measured basis column j. Nothing is discarded and no outcome is chosen.
-    Its amplitudes are the d x dim_apparatus coefficient matrix
-    M = (B diag(c)) [F_0 ... F_{d-1}]^T read row by row, O(d^2 dim_apparatus).
+    Its amplitudes are the d x dim_apparatus coefficient matrix M, B diag(c)
+    in its first d columns and zero after, read row by row:
+    O(d^2 + d dim_apparatus).
     """
     p = as_state(psi)
     if p.dim != model.dim_system:
         raise DimMismatch(f"state dim {p.dim}, system dim {model.dim_system}")
     b = model.measured_basis
-    m = (b * (b.conj().T @ p.amplitudes)) @ model.apparatus.pointer_states().T
+    d = model.dim_system
+    m = np.zeros((d, model.apparatus.dim_apparatus), dtype=complex)
+    m[:, :d] = b * (b.conj().T @ p.amplitudes)
     return StateVector(m.reshape(-1))
 
 
 def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
     """Mixed-state version of premeasure: W rho W^dagger with the ready-input
-    isometry W = sum_j (b_j (x) F_j) b_j^dagger, equal to
-    U (rho (x) |ready><ready|) U^dagger.
+    isometry W = sum_j (b_j (x) e_j) b_j^dagger, equal to
+    U (rho (x) |e_0><e_0|) U^dagger.
 
     An oracle: it is (d * dim_apparatus)^2. A run needs only its apparatus
     marginal, which apparatus_reduced_density gives in closed form; the
@@ -276,27 +243,23 @@ def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
     if r.dim != model.dim_system:
         raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
     b = model.measured_basis
-    f = model.apparatus.pointer_states()
-    # column j of the product array is b_j (x) F_j
+    f = np.eye(model.apparatus.dim_apparatus, model.dim_system)
+    # column j of the product array is b_j (x) e_j
     w = (b[:, None, :] * f[None, :, :]).reshape(-1, b.shape[1]) @ b.conj().T
     return DensityMatrix._trusted(w @ r.matrix @ w.conj().T)
 
 
-def collapse(rho, measured) -> DensityMatrix:
+def collapse(rho, model: MeasurementModel) -> DensityMatrix:
     """Projective collapse: keep the diagonal of rho in the measured basis.
 
     Returns sum_n <b_n|rho|b_n> |b_n><b_n|, the post-measurement mixture
-    when the outcome is not recorded. measured is a MeasurementModel, whose
-    measured basis its spectral measure already checked, or an orthonormal
-    basis, checked here.
+    when the outcome is not recorded. The basis is the model's, which its
+    spectral measure already checked.
     """
-    if isinstance(measured, MeasurementModel):
-        basis = measured.measured_basis
-    else:
-        basis = _require_unitary_columns(measured, "measured basis")
     r = as_density(rho)
-    if r.dim != basis.shape[0]:
-        raise DimMismatch(f"state dim {r.dim}, basis dim {basis.shape[0]}")
+    if r.dim != model.dim_system:
+        raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
+    basis = model.measured_basis
     probs = np.real(np.diag(basis.conj().T @ r.matrix @ basis))
     return DensityMatrix._trusted((basis * probs) @ basis.conj().T)
 
@@ -316,18 +279,18 @@ def apparatus_reduced_state(composite, dims: CompositeDims) -> DensityMatrix:
 
 def apparatus_reduced_density(rho, model: MeasurementModel) -> DensityMatrix:
     """Reduced apparatus state of a premeasured mixed system state:
-    F diag(p) F^dagger, with F the pointer columns [F_0 ... F_{d-1}] and
-    p_j = <b_j|rho|b_j>. Tracing the system out of W rho W^dagger keeps
-    only the terms with equal measured-basis index, since the b_j are
-    orthonormal; O(d^2 dim_apparatus + d dim_apparatus^2), and no composite
-    matrix is formed."""
+    diag(p) padded with zeros to dim_apparatus, with p_j = <b_j|rho|b_j>.
+    Tracing the system out of W rho W^dagger keeps only the terms with equal
+    measured-basis index, since the b_j are orthonormal; O(d^3 +
+    dim_apparatus^2), and no composite matrix is formed."""
     r = as_density(rho)
     if r.dim != model.dim_system:
         raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
     b = model.measured_basis
     p = np.real(np.einsum("ij,ij->j", b.conj(), r.matrix @ b))
-    f = model.apparatus.pointer_states()
-    return DensityMatrix._trusted((f * p) @ f.conj().T)
+    w = np.zeros(model.apparatus.dim_apparatus, dtype=complex)
+    w[: p.size] = p
+    return DensityMatrix._trusted(np.diag(w))
 
 
 def sample_outcome(

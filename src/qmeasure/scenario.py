@@ -420,7 +420,7 @@ def run_scenario(s: Scenario) -> Report:
         collapsed_diag,
         restricted,
         algebra,
-        _branch_cross_terms(generators, [model.apparatus.pointer_state(j) for j in range(n)]),
+        _branch_cross_terms(generators, n),
         [
             float(np.max(np.abs(born.probabilities - collapsed_diag))),
             float(np.max(np.abs(born.probabilities - aligned))),
@@ -446,13 +446,13 @@ def _report(
     )
 
 
-def _branch_cross_terms(generators, branches) -> tuple[float, ...]:
-    """Largest |<branch_j| g |branch_k>|, j != k, per generator."""
-    b = np.column_stack(branches)
-    off = ~np.eye(b.shape[1], dtype=bool)
+def _branch_cross_terms(generators, n: int) -> tuple[float, ...]:
+    """Largest |<e_j| g |e_k>|, j != k < n, per generator: the pointer
+    branches are the first n standard columns, so these are the
+    off-diagonal entries of the leading n x n block."""
+    off = ~np.eye(n, dtype=bool)
     return tuple(
-        float(np.max(np.abs((b.conj().T @ g.matrix @ b)[off]), initial=0.0))
-        for g in generators
+        float(np.max(np.abs(g.matrix[:n, :n][off]), initial=0.0)) for g in generators
     )
 
 

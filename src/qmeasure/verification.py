@@ -56,15 +56,17 @@ def _result(name: str, worst: float, tol: float, detail: str) -> CheckResult:
 
 def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[float, float, float]:
     """Amplitude, agreement and unitarity defects of one coupling: the dense
-    U must take psi (x) ready to sum_j c_j b_j (x) F_j with c_j = <b_j|psi>,
+    U must take psi (x) e_0 to sum_j c_j b_j (x) e_j with c_j = <b_j|psi>,
     premeasure must give the same composite without U, and U must be unitary."""
     model = build_coupling(basis, apparatus)
     u = coupling_matrix(model)
     unitarity = isometry_defect(u)
-    dense = u @ np.outer(psi.amplitudes, apparatus.ready_state()).reshape(-1)
-    c = basis.conj().T @ psi.amplitudes
-    want = np.einsum("j,aj,kj->ak", c, basis, apparatus.pointer_states()).reshape(-1)
-    amplitude = float(np.max(np.abs(dense - want)))
+    ready = np.eye(apparatus.dim_apparatus)[0]
+    dense = u @ np.outer(psi.amplitudes, ready).reshape(-1)
+    d = basis.shape[1]
+    want = np.zeros((d, apparatus.dim_apparatus), dtype=complex)
+    want[:, :d] = basis * (basis.conj().T @ psi.amplitudes)
+    amplitude = float(np.max(np.abs(dense - want.reshape(-1))))
     agreement = float(np.max(np.abs(premeasure(psi, model).amplitudes - dense)))
     return amplitude, agreement, unitarity
 
@@ -114,8 +116,8 @@ def chain_reduction_gap(psi: StateVector, basis: np.ndarray, apparatus, copier, 
     single = restrict_state(
         apparatus_reduced_state(premeasure(psi, model), model.dims), algebra
     ).weights
-    r = apparatus.ready_state()
-    # U_model (x) I on psi (x) ready (x) ready, then I (x) U_copier
+    r = np.eye(apparatus.dim_apparatus)[0]
+    # U_model (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
     first = coupling_matrix(model) @ np.outer(np.outer(psi.amplitudes, r), r)
     final = first.reshape(d, -1) @ coupling_matrix(copier).T
     rho_last = partial_trace(

@@ -158,6 +158,25 @@ def test_run_observable_entry_near_the_float_limit_warns_nothing(tmp_path, capsy
     assert json.loads(capsys.readouterr().out)["born"]["outcomes"] == [0.0, 1e308]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"observable": [[[1.5e308, 0]] * 2] * 2},
+        {"observable": [[[0, 0], [1e308, 0]], [[1e308, 0], [1, 0]]]},
+        {"apparatus": {"dim": 2, "pointer_values": [-1e308, 1e308]}},
+    ],
+    ids=["infinite eigenvalue", "eigenvalue gap", "pointer value span"],
+)
+def test_run_rejects_spectra_beyond_the_float_range(tmp_path, capsys, overrides):
+    path = write_qubit_scenario(tmp_path, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert "ValidationError" in err
+    assert "largest float" in err or "not all finite" in err
+
+
 def test_cat_table_mentions_branches(capsys):
     assert main(["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "4"]) == 0
     out = capsys.readouterr().out

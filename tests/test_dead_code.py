@@ -1,6 +1,8 @@
-"""Every public top-level function and class in the package must be reached
-from the package itself, its scripts or its benchmark: a name that only its
-own unit tests import is dead code. The allowlist names the exceptions."""
+"""Every public top-level function and class in the package, and every
+public method and property of its classes, must be reached from the package
+itself, its scripts or its benchmark: a name that only its own unit tests
+use is dead code. Methods are matched by attribute name, as functions are.
+The allowlist names the exceptions."""
 
 import ast
 from pathlib import Path
@@ -15,34 +17,39 @@ KEPT_FOR_TESTS = {
     "rand_density": "random mixed states for the property and trust tests",
     "load_scenario": "the acceptance tests read the sample documents from disk through it",
     "premeasure_density": "the dense oracle the closed-form apparatus_reduced_density is held against",
+    "projectors": "the textbook V_k V_k^dagger form the algebra tests check block_traces and element against",
 }
 
 
 def public_definitions(source: str) -> set[str]:
-    """Names of the public top-level functions and classes of a module."""
-    return {
-        node.name
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    """Names of the public top-level functions and classes of a module, and
+    of the public methods and properties those classes define."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            found |= {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return {name for name in found if not name.startswith("_")}
 
 
 def referenced_names(source: str) -> set[str]:
     """Every name a module reads or reaches as an attribute, except inside
-    the top-level definition that binds that same name. Importing a name
-    without using it, as a re-export list does, does not count."""
+    a definition that binds that same name. Importing a name without using
+    it, as a re-export list does, does not count."""
     found = set()
-    for stmt in ast.parse(source).body:
-        own = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                continue
-            if name != own:
-                found.add(name)
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and node.id not in enclosing:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
     return found
 
 
@@ -61,11 +68,15 @@ def test_lint_finds_a_name_only_its_definition_mentions(tmp_path):
     (tmp_path / "mod.py").write_text(
         "def used():\n    return 1\n\n"
         "def lonely(n):\n    return lonely(n - 1) if n else used()\n\n"
-        "class Kept:\n    pass\n\n"
+        "class Kept:\n"
+        "    def read(self):\n        return self.size\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def again(self):\n        return self.again()\n\n"
+        "    def _hidden(self):\n        pass\n\n"
         "def _private():\n    pass\n"
     )
-    (tmp_path / "user.py").write_text("from mod import Kept, lonely\n\nk = Kept()\n")
-    assert unreferenced(tmp_path, [tmp_path]) == {"lonely"}
+    (tmp_path / "user.py").write_text("from mod import Kept, lonely\n\nk = Kept().read()\n")
+    assert unreferenced(tmp_path, [tmp_path]) == {"lonely", "again"}
 
 
 def test_every_public_name_is_reached():

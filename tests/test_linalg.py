@@ -74,6 +74,36 @@ def test_eigendecompose_checks_reconstruction_near_the_float_limit(monkeypatch):
         linalg.hermitian_eigendecompose(m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.full((2, 2), 1.5e308),  # eigenvalue 3e308 overflows
+        [[0.0, 1e308], [1e308, 1.0]],  # eigenvalues +-1e308: their gap overflows
+    ],
+)
+def test_eigendecompose_rejects_a_spectrum_beyond_the_float_range(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.ValidationError, match="finite|largest float"):
+            linalg.hermitian_eigendecompose(m)
+
+
+def test_eigendecompose_fails_a_nan_residual(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def poisoned(a):
+        w, v = eigh(a)
+        v = v.copy()
+        v[0, 0] = np.nan
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ArithmeticError):
+            linalg.hermitian_eigendecompose(np.diag([1.0, 2.0]))
+
+
 def test_unitary_exp_zero_time():
     h = rand_hermitian(3, substream(11))
     assert_close(linalg.unitary_exp(h, 0.0), np.eye(3))

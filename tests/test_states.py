@@ -203,7 +203,7 @@ def test_trusted_results_pass_the_public_checks(d):
     w = float(rng.uniform())
     results = [
         projector_of(psi),
-        collapse(rho, basis),
+        collapse(rho, model),
         mix([w, 1 - w], [rho, projector_of(psi)]),
         partial_trace(composite, CompositeDims(d, 2), "system"),
         partial_trace(composite, CompositeDims(2, d), "apparatus"),

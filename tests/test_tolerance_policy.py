@@ -21,7 +21,7 @@ from qmeasure.algebra import (
     gelfand_transform,
     generate_algebra,
 )
-from qmeasure.measurement import ApparatusModel, build_apparatus, build_coupling
+from qmeasure.measurement import build_apparatus, build_coupling
 from qmeasure.observables import Observable, OutcomeDistribution
 from qmeasure.states import DensityMatrix, StateVector, mix, projector_of
 
@@ -33,10 +33,6 @@ _LARGEST_TOLERANCE_LITERAL = 1e-5
 def _stretched(d):
     """2x2 matrix whose first column has squared norm 1 + d: max|V^dagger V - I| = d."""
     return np.diag([np.sqrt(1 + d), 1.0])
-
-
-def _pointer_apparatus(d):
-    return ApparatusModel(2, _stretched(d), 0, [0.0, 1.0])
 
 
 def _measured_basis(d):
@@ -83,7 +79,6 @@ BOUNDARIES = {
         errors.NotHermitian,
     ),
     "algebra isometry": (_algebra, 1e-10, errors.ValidationError),
-    "pointer basis": (_pointer_apparatus, 1e-10, errors.NotOrthonormal),
     "measured basis": (_measured_basis, 1e-10, errors.NotOrthonormal),
     "outcome floor": (
         lambda d: OutcomeDistribution([0, 1], [-d, 1 + d]),

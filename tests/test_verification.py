@@ -11,8 +11,8 @@ from qmeasure.states import StateVector
 
 
 def uncoupled(psi, model):
-    """A premeasurement that forgets the coupling: psi (x) ready."""
-    return StateVector(np.kron(psi.amplitudes, model.apparatus.ready_state()))
+    """A premeasurement that forgets the coupling: psi (x) e_0."""
+    return StateVector(np.kron(psi.amplitudes, np.eye(model.apparatus.dim_apparatus)[0]))
 
 
 def assert_fault_caught(check, module, name, replacement):
@@ -42,7 +42,7 @@ def test_coupling_defects_catch_phase_and_off_ready_faults():
     def off_ready_gain(model, u):
         # premeasurement reads only the ready columns, so only unitarity sees this
         col = np.arange(u.shape[1]) % model.apparatus.dim_apparatus
-        return np.where(col == model.apparatus.ready_index, 1.0, 1 + 1e-9)
+        return np.where(col == 0, 1.0, 1 + 1e-9)
 
     # a global phase keeps the coupling unitary, so only the amplitude and
     # agreement terms see it
@@ -55,7 +55,7 @@ def test_coupling_defects_catch_shifted_pointer_column_in_premeasure():
     # path no longer matches U, which only the agreement term compares
     def misregistered(psi, model):
         b = model.measured_basis
-        f = np.roll(model.apparatus.pointer_states(), -1, axis=1)
+        f = np.roll(np.eye(model.apparatus.dim_apparatus, model.dim_system), -1, axis=1)
         m = (b * (b.conj().T @ psi.amplitudes)) @ f.T
         return StateVector(m.reshape(-1))
 
