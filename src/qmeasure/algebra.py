@@ -11,11 +11,13 @@ then nothing but a probability weight per point, and such a weight vector
 has exactly one decomposition into point masses. That uniqueness is the
 payoff: unrestricted density matrices admit many pure decompositions.
 
-An algebra whose generators are all exactly diagonal is held in index form:
-its basis is the identity, so it is nothing but one point label per
-coordinate. It is generated by sorting the diagonals, with no eigensolver,
-and a state restricts to it through its diagonal alone; no dim x dim array is
-needed unless a caller asks for the blocks, projectors or an element.
+One loop generates every algebra: each generator in turn splits every point
+so far by its values there. While the generators are exactly diagonal the
+algebra is held in index form: its basis is the identity, so it is one point
+label per coordinate, sorted with no eigensolver, and a state restricts to it
+through its diagonal alone. From the first other generator on, the eigh of
+the generator compressed to each point turns the point's columns and gives
+the values.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, NotInAlgebra, NotOrthonormal, ValidationError
+from .errors import DimMismatch, NotCommuting, NotInAlgebra, NotOrthonormal, ValidationError
 from .linalg import default_cluster_tol
-from .observables import as_observable, joint_eigenblocks
+from .observables import as_observable, commutes
 from .states import DensityMatrix, as_density
 
 
@@ -83,19 +85,6 @@ class SpectralAlgebra:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_multiplicities", linalg.readonly(counts))
 
-    @classmethod
-    def from_blocks(cls, blocks, characters) -> "SpectralAlgebra":
-        """The algebra with one n x m_k isometry block per spectrum point;
-        the blocks side by side are its basis."""
-        blocks = tuple(linalg.as_matrix(b) for b in blocks)
-        if not blocks:
-            raise ValidationError("algebra needs at least one spectrum point")
-        dim = blocks[0].shape[0]
-        if any(b.shape[0] != dim for b in blocks):
-            raise DimMismatch("blocks live on different spaces")
-        labels = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
-        return cls(labels, characters, np.hstack(blocks))
-
     @property
     def dim(self) -> int:
         return self.labels.size
@@ -108,18 +97,11 @@ class SpectralAlgebra:
         return self._multiplicities
 
     @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Isometry block V_k per point, the basis columns labelled k in
-        order, built on each access."""
-        v = np.eye(self.dim, dtype=complex) if self.basis is None else self.basis
-        by_point = v[:, np.argsort(self.labels, kind="stable")]
-        ends = np.cumsum(self._multiplicities)
-        return tuple(by_point[:, end - m : end] for end, m in zip(ends, self._multiplicities))
-
-    @property
     def projectors(self) -> tuple[np.ndarray, ...]:
         """Spectral projectors V_k V_k^dagger, built on each access."""
-        return tuple(b @ b.conj().T for b in self.blocks)
+        v = np.eye(self.dim, dtype=complex) if self.basis is None else self.basis
+        blocks = (v[:, self.labels == k] for k in range(self.n_points))
+        return tuple(b @ b.conj().T for b in blocks)
 
     def point_sums(self, per_column) -> np.ndarray:
         """Sum of per-column values over the columns of each spectrum point."""
@@ -162,41 +144,11 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
-def _require_reproduced(i: int, defect: float, generator: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(generator))))
-    if defect > linalg.ELEMENT_RTOL * scale:
-        raise ValidationError(
-            f"generator {i} is not reproduced by its characters (defect {defect:.3e})"
-        )
-
-
-def generate_algebra(generators, tol_cluster: float | None = None) -> SpectralAlgebra:
-    """Commutative algebra generated by a commuting Hermitian family.
-
-    Each joint eigenspace block becomes one spectrum point; the blocks
-    already come in strictly ascending lexicographic order of character.
-    Each generator must be reproduced by its characters, which fails when
-    tol_cluster merges distinct eigenvalues. A family of exactly diagonal
-    matrices gives the index form, through diagonal_algebra.
-    """
-    gens = tuple(as_observable(g) for g in generators)
-    if gens and all(_is_diagonal(g.matrix) for g in gens):
-        return diagonal_algebra([np.diagonal(g.matrix) for g in gens], tol_cluster)
-    leaves = joint_eigenblocks(gens, tol_cluster)
-    algebra = SpectralAlgebra.from_blocks(
-        tuple(block for block, _ in leaves), np.array([char for _, char in leaves])
-    )
-    for i, g in enumerate(gens):
-        defect = float(np.max(np.abs(algebra.element(algebra.characters[:, i]) - g.matrix)))
-        _require_reproduced(i, defect, g.matrix)
-    return algebra
-
-
 def _split_points(labels, counts, values, tol):
     """Split each point of labels, counts[k] coordinates for point k, into
     the gap-separated clusters of its ascending values, relabelling in place.
     Returns the new counts, the old point of each new point, and each new
-    point's mean value, taken in ascending order as joint_eigenblocks does."""
+    point's mean value. This is the package's one clustering rule."""
     n = labels.size
     # coordinates by point so far, then by ascending value; a new point
     # starts at each old point and at each gap wider than tol. Equal
@@ -215,7 +167,9 @@ def _split_points(labels, counts, values, tol):
     bounds = np.append(starts, n)
     means = ascending[starts]
     for j in np.flatnonzero(np.diff(bounds) > 1):
-        means[j] = np.mean(ascending[starts[j] : bounds[j + 1]])
+        # offsets from the cluster's least value, so no sum can overflow
+        cluster = ascending[starts[j] : bounds[j + 1]]
+        means[j] = cluster[0] + np.mean(cluster - cluster[0])
     del ascending  # the relabelling below is the largest step; free n floats first
     ranks = np.cumsum(new)
     ranks -= 1
@@ -223,36 +177,99 @@ def _split_points(labels, counts, values, tol):
     return np.diff(bounds), np.searchsorted(old_starts, starts, side="right"), means
 
 
-def diagonal_algebra(diagonals, tol_cluster: float | None = None) -> SpectralAlgebra:
-    """Index-form algebra generated by a family of diagonal matrices, given
-    by their diagonals.
-
-    It has the points, order and characters joint_eigenblocks gives the dense
-    family: generator k splits each point so far into gap-separated clusters
-    of its ascending values, with the same default width, and a point's
-    character is the mean of each cluster's values in ascending order. A sort
-    takes the place of every eigensolver.
-    """
-    diags = [np.asarray(d) for d in diagonals]
-    if not diags:
-        raise ValidationError("need at least one observable")
-    n = diags[0].size
-    if any(d.shape != (n,) for d in diags):
+def _spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The split loop: the raw labels, characters (in ascending lexicographic
+    order) and basis of the joint spectrum of gens, diagonals (1-d) followed
+    by Hermitian matrices. A matrix g turns the columns V_k of each point to
+    the eigenvectors of V_k^dagger g V_k, a submatrix of g while the basis is
+    the identity (None)."""
+    if not gens or gens[0].size == 0:
+        raise ValidationError("need at least one nonempty observable")
+    n = gens[0].shape[0]
+    if any(g.shape[0] != n for g in gens):
         raise DimMismatch("observables live on different spaces")
     labels = np.zeros(n, dtype=np.intp)
     counts = np.array([n])
     chars = np.zeros((1, 0))
-    for d in diags:
-        values = np.real(d)
-        tol = default_cluster_tol(values) if tol_cluster is None else float(tol_cluster)
-        counts, parents, means = _split_points(labels, counts, values, tol)
+    basis = None
+    for i, g in enumerate(gens):
+        if g.ndim == 1:
+            values = np.real(g)
+        else:
+            fresh = basis is None
+            basis = np.eye(n, dtype=complex) if fresh else basis
+            values = np.empty(n)
+            order = np.argsort(labels, kind="stable")
+            for end, m in zip(np.cumsum(counts), counts):
+                cols = order[end - m : end]
+                if fresh:
+                    block = np.ix_(cols, cols)
+                    values[cols], basis[block] = np.linalg.eigh(g[block])
+                else:
+                    v = basis[:, cols]
+                    try:
+                        with np.errstate(over="raise", invalid="raise"):
+                            compressed = v.conj().T @ g @ v
+                    except FloatingPointError as err:
+                        raise ValidationError(f"generator {i} overflows in its eigenbasis") from err
+                    values[cols], u = np.linalg.eigh(compressed)
+                    basis[:, cols] = v @ u
+        linalg.require_float_span(values, f"generator {i} values")
+        counts, parents, means = _split_points(labels, counts, values, default_cluster_tol(values))
         chars = np.column_stack((chars[parents], means))
-    algebra = SpectralAlgebra(labels, chars)
-    labels = algebra.labels  # the algebra keeps its own copy; drop the working one
-    for i, d in enumerate(diags):
-        defect = float(np.max(np.abs(algebra.characters[labels, i] - d)))
-        _require_reproduced(i, defect, d)
+    return labels, chars, basis
+
+
+def _algebra(gens) -> SpectralAlgebra:
+    """The algebra of _spectrum(gens), validated. Each generator must be
+    reproduced by its characters, which fails when the cluster width merges
+    distinct values."""
+    algebra = SpectralAlgebra(*_spectrum(gens))
+    for i, g in enumerate(gens):
+        chars = algebra.characters[:, i]
+        rebuilt = chars[algebra.labels] if g.ndim == 1 else algebra.element(chars)
+        defect = float(np.max(np.abs(rebuilt - g)))
+        if defect > linalg.ELEMENT_RTOL * max(1.0, float(np.max(np.abs(g)))):
+            raise ValidationError(
+                f"generator {i} is not reproduced by its characters (defect {defect:.3e})"
+            )
     return algebra
+
+
+def _family(generators) -> list[np.ndarray]:
+    """A commuting Hermitian family as _spectrum takes it: the leading
+    exactly diagonal matrices as their diagonals, the rest as matrices."""
+    obs = [as_observable(g) for g in generators]
+    lead = next((i for i, o in enumerate(obs) if not _is_diagonal(o.matrix)), len(obs))
+    # diagonal matrices commute exactly; every other pair is checked
+    for i in range(len(obs)):
+        for j in range(max(i + 1, lead), len(obs)):
+            if not commutes(obs[i], obs[j]):
+                raise NotCommuting(f"observables {i} and {j} do not commute")
+    return [np.diagonal(o.matrix) for o in obs[:lead]] + [o.matrix for o in obs[lead:]]
+
+
+def joint_spectrum(generators) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The raw (labels, characters, basis) of the algebra a commuting
+    Hermitian family generates, before a SpectralAlgebra validates them."""
+    return _spectrum(_family(generators))
+
+
+def generate_algebra(generators) -> SpectralAlgebra:
+    """Commutative algebra generated by a commuting Hermitian family, one
+    spectrum point per joint eigenspace. It stays in index form, with no
+    eigensolver, while the generators are exactly diagonal."""
+    return _algebra(_family(generators))
+
+
+def diagonal_algebra(diagonals) -> SpectralAlgebra:
+    """Index-form algebra generated by a family of diagonal matrices, given
+    by their diagonals: generate_algebra of those matrices, without forming
+    them."""
+    diags = [np.asarray(d) for d in diagonals]
+    if any(d.ndim != 1 for d in diags):
+        raise DimMismatch("diagonals must be 1-d")
+    return _algebra(diags)
 
 
 def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:

@@ -150,32 +150,10 @@ def unitary_exp(h, t: float) -> np.ndarray:
 
 
 def default_cluster_tol(values) -> float:
-    """Eigenvalue cluster width: a fixed multiple of the roundoff
-    n * eps * max|eigenvalue| of a dense Hermitian eigensolver, so a gap is
-    merged only when roundoff could have produced it."""
+    """Eigenvalue cluster width, the one every generator's values are
+    clustered with: a fixed multiple of the roundoff n * eps * max|eigenvalue|
+    of a dense Hermitian eigensolver, so a gap is merged only when roundoff
+    could have produced it."""
     vals = np.asarray(values, dtype=float)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     return _CLUSTER_SAFETY * vals.size * float(np.finfo(float).eps) * scale
-
-
-def cluster_eigenvalues(values, tol_cluster: float) -> tuple[tuple[int, ...], ...]:
-    """Group indices of ascending values into gap-separated clusters.
-
-    A new group starts exactly where the gap to the previous value exceeds
-    tol_cluster. The groups partition range(len(values)) in order.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1:
-        raise ValidationError("cluster_eigenvalues expects a 1-d value sequence")
-    if vals.size == 0:
-        return ()
-    if np.any(np.diff(vals) < 0):
-        raise ValidationError("values must be ascending")
-    groups: list[list[int]] = [[0]]
-    for i in range(1, vals.size):
-        if vals[i] - vals[i - 1] > tol_cluster:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    return tuple(tuple(g) for g in groups)
-

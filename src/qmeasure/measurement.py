@@ -32,8 +32,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateSpectrum, DimMismatch, TooSmall, ValidationError
-from .algebra import SpectralAlgebra
-from .linalg import cluster_eigenvalues, default_cluster_tol, hermitian_eigendecompose
+from .algebra import SpectralAlgebra, diagonal_algebra
+from .linalg import default_cluster_tol, hermitian_eigendecompose
 from .observables import Observable, as_observable
 from .states import (
     CompositeDims,
@@ -187,9 +187,9 @@ def model_for_observable(
     """
     obs = as_observable(a)
     eig = hermitian_eigendecompose(obs.matrix)
-    groups = cluster_eigenvalues(eig.eigenvalues, default_cluster_tol(eig.eigenvalues))
-    if len(groups) != obs.dim:
-        sizes = [len(g) for g in groups]
+    points = diagonal_algebra([eig.eigenvalues])
+    if points.n_points != obs.dim:
+        sizes = points.multiplicities().tolist()
         raise DegenerateSpectrum(
             f"spectrum splits into clusters of sizes {sizes}; need all distinct"
         )
@@ -204,10 +204,18 @@ def pointer_observable(apparatus: ApparatusModel) -> Observable:
     """The pointer readout: the diagonal matrix with pointer value j on e_j.
     Columns past the last outcome, never reached from the ready state, share
     one idle eigenvalue below the real values, so the readout stays a single
-    observable on the full apparatus space."""
-    vals = apparatus.pointer_values
-    w = np.full(apparatus.dim_apparatus, float(vals.min()) - 1.0)
+    observable on the full apparatus space. The idle value is min - 1 unless
+    that is within reach of the least pointer value, where it would match
+    that outcome (_match_outcome) or merge with it (the cluster width of any
+    values up to twice the largest); then it is twice that reach below."""
+    vals, dim = apparatus.pointer_values, apparatus.dim_apparatus
+    low = float(vals.min())
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    reach = max(linalg.POINTER_MATCH_RTOL * scale, 2 * default_cluster_tol(np.full(dim, scale)))
+    idle = low - 1.0 if low - (low - 1.0) > reach else low - 2 * reach
+    w = np.full(dim, idle)
     w[: vals.size] = vals
+    linalg.require_float_span(w, "pointer values with the idle value below them")
     return Observable(np.diag(w.astype(complex)))
 
 

@@ -1,4 +1,4 @@
-"""Hermitian observables, joint diagonalization, statistics.
+"""Hermitian observables, commutation, statistics.
 
 The spectral measure of an observable is the commutative algebra it
 generates (`algebra.generate_algebra([a])`): a point spectrum, one isometry
@@ -13,12 +13,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimMismatch,
-    NotCommuting,
-    ValidationError,
-)
-from .linalg import cluster_eigenvalues, default_cluster_tol, unitary_exp
+from .errors import DimMismatch, ValidationError
+from .linalg import unitary_exp
 from .states import StateVector, as_density, as_state
 
 if TYPE_CHECKING:
@@ -61,58 +57,14 @@ class OutcomeDistribution:
 
 
 def commutes(a, b) -> bool:
-    """Commutator check scaled by the product of the max-entry norms."""
+    """Commutator check in units of the max-entry norms, so that no product
+    overflows."""
     oa, ob = as_observable(a), as_observable(b)
     if oa.dim != ob.dim:
         raise DimMismatch(f"dims {oa.dim} and {ob.dim}")
-    defect = float(np.max(np.abs(oa.matrix @ ob.matrix - ob.matrix @ oa.matrix)))
-    scale = float(np.max(np.abs(oa.matrix))) * float(np.max(np.abs(ob.matrix)))
-    return defect <= linalg.ROUNDOFF_TOL * scale
-
-
-def joint_eigenblocks(
-    observables, tol_cluster: float | None = None
-) -> list[tuple[np.ndarray, tuple[float, ...]]]:
-    """Common eigenspace blocks of a commuting Hermitian family.
-
-    Diagonalizes the first observable, then recursively refines each
-    degenerate cluster by the next observable projected into it. Returns
-    (column block, eigenvalue tuple) leaves with cluster means as the
-    representative eigenvalues. The means of gap-separated clusters are
-    distinct, so the tuples strictly ascend in lexicographic order.
-    """
-    obs = [as_observable(o) for o in observables]
-    if not obs:
-        raise ValidationError("need at least one observable")
-    dim = obs[0].dim
-    for o in obs[1:]:
-        if o.dim != dim:
-            raise DimMismatch("observables live on different spaces")
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            if not commutes(obs[i], obs[j]):
-                raise NotCommuting(f"observables {i} and {j} do not commute")
-    if tol_cluster is None:
-        # the first width comes from the full spectrum refine computes first
-        ctols = [None] + [default_cluster_tol(np.linalg.eigvalsh(o.matrix)) for o in obs[1:]]
-    else:
-        ctols = [float(tol_cluster)] * len(obs)
-
-    def refine(cols: np.ndarray, k: int) -> list[tuple[np.ndarray, tuple[float, ...]]]:
-        if k == len(obs):
-            return [(cols, ())]
-        block = cols.conj().T @ obs[k].matrix @ cols
-        block = (block + block.conj().T) / 2
-        w, u = np.linalg.eigh(block)
-        tol = default_cluster_tol(w) if ctols[k] is None else ctols[k]
-        leaves = []
-        for g in cluster_eigenvalues(w, tol):
-            rep = float(np.mean(w[list(g)]))
-            for sub, tail in refine(cols @ u[:, list(g)], k + 1):
-                leaves.append((sub, (rep, *tail)))
-        return leaves
-
-    return refine(np.eye(dim, dtype=complex), 0)
+    ma = oa.matrix / (float(np.max(np.abs(oa.matrix))) or 1.0)
+    mb = ob.matrix / (float(np.max(np.abs(ob.matrix))) or 1.0)
+    return float(np.max(np.abs(ma @ mb - mb @ ma))) <= linalg.ROUNDOFF_TOL
 
 
 def born_distribution(rho, pvm: SpectralAlgebra) -> OutcomeDistribution:

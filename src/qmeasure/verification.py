@@ -15,6 +15,7 @@ import numpy as np
 from .algebra import (
     SpectralProbabilityMeasure,
     generate_algebra,
+    joint_spectrum,
     proper_mixture_representative,
     restrict_state,
 )
@@ -27,7 +28,7 @@ from .measurement import (
     pointer_observable,
     premeasure,
 )
-from .observables import evolve, joint_eigenblocks
+from .observables import evolve
 from .randomness import rand_hermitian, rand_state, rand_unitary, substream
 from .scenario import collapse_restriction_gap, run_cat, run_scenario
 from .states import (
@@ -73,28 +74,28 @@ def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[fl
 
 def spectral_axiom_defect(a: np.ndarray) -> float:
     """Worst violation of the spectral measure axioms for the algebra a
-    generates, in one pass over V, the blocks side by side: V^dagger V = I
-    makes the blocks orthonormal and their projectors pairwise orthogonal,
-    V V^dagger = I makes the projectors complete, and the eigenvalues must
-    reconstruct a."""
-    pvm = generate_algebra([a])
-    v = np.hstack(pvm.blocks)
-    recon = float(np.max(np.abs(pvm.element(pvm.characters[:, 0]) - a)))
-    return max(isometry_defect(v), isometry_defect(v.conj().T), recon)
+    generates, read from its raw joint spectrum before a SpectralAlgebra
+    validates it. For the square basis V, V^dagger V = I makes the blocks
+    orthonormal, their projectors pairwise orthogonal and complete; and the
+    eigenvalues must reconstruct a."""
+    labels, chars, basis = joint_spectrum([a])
+    v = np.eye(labels.size) if basis is None else basis
+    recon = float(np.max(np.abs((v * chars[labels, 0]) @ v.conj().T - a)))
+    return max(isometry_defect(v), recon)
 
 
 def joint_diagonalization_defect(family) -> tuple[float, bool]:
     """Largest off-diagonal entry of any family member in the joint eigenbasis
     of the family, and whether the joint eigenspaces carry pairwise distinct
-    characters. Both are read from the raw joint_eigenblocks leaves, before
-    a SpectralAlgebra could reject colliding characters."""
-    leaves = joint_eigenblocks(family)
-    v = np.hstack([block for block, _ in leaves])
+    characters. Both are read from the raw joint spectrum, before a
+    SpectralAlgebra could reject colliding characters."""
+    labels, chars, basis = joint_spectrum(family)
+    v = np.eye(labels.size) if basis is None else basis
     worst = 0.0
     for a in family:
         rotated = v.conj().T @ a @ v
         worst = max(worst, float(np.max(np.abs(rotated - np.diag(np.diag(rotated))))))
-    distinct = len({char for _, char in leaves}) == len(leaves)
+    distinct = len({tuple(char) for char in chars}) == len(chars)
     return worst, distinct
 
 

@@ -7,11 +7,13 @@ from qmeasure import errors, verification
 from qmeasure.algebra import (
     SpectralAlgebra,
     SpectralProbabilityMeasure,
+    diagonal_algebra,
     generate_algebra,
     gelfand_transform,
     proper_mixture_representative,
     restrict_state,
 )
+from qmeasure.linalg import default_cluster_tol
 from qmeasure.measurement import build_apparatus, pointer_observable
 from qmeasure.randomness import (
     rand_density,
@@ -48,19 +50,29 @@ def test_generate_algebra_merges_equal_characters():
     assert list(alg.multiplicities()) == [2, 2]
 
 
-@given(seed=st.integers(0, 10_000))
+@given(seed=st.integers(0, 10_000), mixed=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_index_form_matches_the_dense_path_in_a_rotated_basis(seed):
+def test_index_form_matches_the_dense_path_in_a_rotated_basis(seed, mixed):
     # a diagonal family with repeated values takes the index path; the same
     # family in a random basis takes the eigensolver path, and both must see
-    # one algebra: the same points, and the same restrictions and transforms
+    # one algebra: the same points, and the same restrictions and transforms.
+    # A mixed family appends a non-diagonal generator that splits the
+    # degenerate block of the first diagonal's leading value, as run_mixed's
+    # splitter splits the idle block: the loop leaves the index form there
     rng = substream(seed, 167)
-    n = int(rng.integers(1, 13))
+    n = int(rng.integers(2 if mixed else 1, 13))
     diags = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), n)).astype(float)
+    family = [np.diag(d) for d in diags]
+    if mixed:
+        diags[0, 1] = diags[0, 0]
+        block = np.flatnonzero(diags[0] == diags[0, 0])
+        splitter = np.zeros((n, n), dtype=complex)
+        splitter[np.ix_(block, block)] = rand_hermitian(block.size, rng)
+        family = [np.diag(diags[0]), splitter]
     u = rand_unitary(n, rng)
-    index = generate_algebra([np.diag(d) for d in diags])
-    rotated = generate_algebra([(u * d) @ u.conj().T for d in diags])
-    assert index.basis is None
+    index = generate_algebra(family)
+    rotated = generate_algebra([u @ g @ u.conj().T for g in family])
+    assert (index.basis is None) is not mixed
     assert_close(index.characters, rotated.characters)
     assert list(index.multiplicities()) == list(rotated.multiplicities())
     rho = rand_density(n, rng)
@@ -103,18 +115,21 @@ def test_index_form_rejects_bad_labels():
 
 
 def test_algebra_constructor_rejects_disorder():
-    blocks = (np.eye(2)[:, [0]], np.eye(2)[:, [1]])
+    labels, basis = np.array([0, 1]), np.eye(2)
     with pytest.raises(errors.ValidationError, match="lexicographic"):
-        SpectralAlgebra.from_blocks(blocks, np.array([[2.0, 0.0], [1.0, 5.0]]))
+        SpectralAlgebra(labels, np.array([[2.0, 0.0], [1.0, 5.0]]), basis)
     with pytest.raises(errors.ValidationError, match="distinct"):
-        SpectralAlgebra.from_blocks(blocks, np.array([[1.0, 3.0], [1.0, 3.0]]))
+        SpectralAlgebra(labels, np.array([[1.0, 3.0], [1.0, 3.0]]), basis)
 
 
 def test_algebra_constructor_rejects_wrong_reconstruction():
-    # a cluster width of 5 merges eigenvalues 1 and 2 into one point at 1.5,
-    # which cannot reproduce diag(1, 2)
+    # 64 values, each gap 0.9 cluster widths: no gap splits them, so one
+    # point at their mean misses the ends by 31.5 gaps, 4.0e-9 > 1e-9
+    values = 1.0 + 0.9 * default_cluster_tol(np.ones(64)) * np.arange(64)
     with pytest.raises(errors.ValidationError, match="reproduced"):
-        generate_algebra([np.diag([1.0, 2.0])], tol_cluster=5)
+        diagonal_algebra([values])
+    with pytest.raises(errors.ValidationError, match=r"reproduced .*defect 4\.0"):
+        generate_algebra([np.diag(values)])
 
 
 def test_gelfand_transform_polynomial_oracle():

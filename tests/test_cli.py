@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qmeasure
 from qmeasure.cli import main
+
+_MAIN = "import sys; from qmeasure.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def write_qubit_scenario(tmp_path, **overrides):
@@ -175,6 +183,95 @@ def test_run_rejects_spectra_beyond_the_float_range(tmp_path, capsys, overrides)
     err = capsys.readouterr().err
     assert "ValidationError" in err
     assert "largest float" in err or "not all finite" in err
+
+
+def run_strict(argv):
+    """The CLI in a fresh interpreter that turns every warning into an error."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qmeasure.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", _MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([[[[-1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]], "generator 0 values span"),
+        ([[[[0, 0], [1e308, 0]], [[1e308, 0], [1, 0]]]], "generator 0 values span"),
+        # eigenvalues 0 and 2e308 of the second, reached in the first's eigenbasis
+        (
+            [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[1e308, 0], [1e308, 0]]] * 2],
+            "generator 1 overflows in its eigenbasis",
+        ),
+    ],
+    ids=["diagonal", "non-diagonal", "second generator"],
+)
+def test_run_rejects_generator_values_beyond_the_float_range(
+    tmp_path, capsys, generators, message
+):
+    path = write_qubit_scenario(tmp_path, algebra_generators=generators)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path]) == 1
+    assert f"ValidationError: {message}" in capsys.readouterr().err
+    strict = run_strict(["run", path])
+    assert strict.returncode == 1, strict.stderr
+    assert message in strict.stderr
+
+
+def test_run_accepts_commuting_generators_with_entries_near_1e200(tmp_path, capsys):
+    # the commutator of these overflows unless it is taken in units of the
+    # largest entries; the algebra they generate holds the pointer readout
+    x_idle = np.zeros((4, 4))
+    x_idle[2, 3] = x_idle[3, 2] = 1e200
+    generators = [x_idle, np.diag([0.0, 1e200, 2e200, 2e200])]
+    path = write_qubit_scenario(
+        tmp_path,
+        apparatus={"dim": 4},
+        algebra_generators=[[[[float(x), 0] for x in row] for row in g] for g in generators],
+    )
+    strict = run_strict(["run", path, "--format", "json"])
+    assert strict.returncode == 0, strict.stderr
+    assert len(json.loads(strict.stdout)["restricted"]["characters"]) == 4
+
+
+def report_shape(node):
+    """The report with every number replaced by its type: its keys and the
+    lengths of its lists."""
+    if isinstance(node, dict):
+        return {key: report_shape(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [report_shape(value) for value in node]
+    return type(node).__name__
+
+
+def test_report_shape_does_not_depend_on_the_size_of_the_pointer_values(tmp_path, capsys):
+    # the idle column once took min - 1 = 1e17 and merged with outcome 0
+    shapes = []
+    for values in ([10, 20], [1e17, 2e17]):
+        path = write_qubit_scenario(tmp_path, apparatus={"dim": 3, "pointer_values": values})
+        assert main(["run", path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["restricted"]["characters"]) == 3
+        shapes.append(report_shape(report))
+    assert shapes[0] == shapes[1]
+
+
+@pytest.mark.parametrize(
+    "apparatus",
+    [
+        {"dim": 3, "pointer_values": [-1.79e308, -1.7e308]},
+        {"dim": 4, "pointer_values": [-1.79e308, -1.7e308]},
+        {"dim": 4, "pointer_values": [-1.7976931348623157e308, -1e308]},
+    ],
+    ids=["one idle column", "two idle columns", "no room below"],
+)
+def test_run_pointer_values_near_the_float_limit_exit_zero_or_one(tmp_path, apparatus):
+    path = write_qubit_scenario(tmp_path, apparatus=apparatus)
+    strict = run_strict(["run", path])
+    assert strict.returncode in (0, 1), strict.stderr
+    assert "Warning" not in strict.stderr
 
 
 def test_cat_table_mentions_branches(capsys):

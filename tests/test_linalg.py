@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors, linalg
+from qmeasure.algebra import _split_points, diagonal_algebra
 from qmeasure.randomness import rand_hermitian, substream
 
 from conftest import assert_close
@@ -132,14 +133,12 @@ def test_unitary_exp_group_law(case):
 
 
 def test_cluster_examples():
-    assert linalg.cluster_eigenvalues([1.0, 1.0 + 1e-12, 2.0], 1e-8) == ((0, 1), (2,))
-    assert linalg.cluster_eigenvalues([1.0, 1.1, 2.0], 1e-8) == ((0,), (1,), (2,))
-    assert linalg.cluster_eigenvalues([], 1e-8) == ()
-
-
-def test_cluster_rejects_descending():
-    with pytest.raises(errors.ValidationError, match="ascending"):
-        linalg.cluster_eigenvalues([2.0, 1.0], 1e-8)
+    # the width is default_cluster_tol, 1e4 * 3 * eps * 2 = 1.3e-11 here
+    merged = diagonal_algebra([[1.0, 1.0 + 1e-12, 2.0]])
+    assert merged.multiplicities().tolist() == [2, 1]
+    assert diagonal_algebra([[1.0, 1.1, 2.0]]).n_points == 3
+    # the values need not come sorted
+    assert diagonal_algebra([[2.0, 1.0 + 1e-12, 1.0]]).labels.tolist() == [1, 0, 0]
 
 
 @given(
@@ -148,16 +147,21 @@ def test_cluster_rejects_descending():
 )
 @settings(max_examples=80, deadline=None)
 def test_cluster_partitions_indices(vals, tol):
-    vals = sorted(vals)
-    groups = linalg.cluster_eigenvalues(vals, tol)
-    flat = [i for g in groups for i in g]
-    assert flat == list(range(len(vals)))
-    # boundaries occur exactly where the gap exceeds tol
-    for g, h in zip(groups, groups[1:]):
-        assert vals[h[0]] - vals[g[-1]] > tol
-    for g in groups:
-        for a, b in zip(g, g[1:]):
-            assert vals[b] - vals[a] <= tol
+    # _split_points is the one clustering rule: from a single point, each
+    # new point is a run of the sorted values, and a run ends exactly where
+    # the gap to the next value exceeds tol
+    values = np.array(vals)
+    labels = np.zeros(values.size, dtype=np.intp)
+    counts, parents, means = _split_points(labels, np.array([values.size]), values, tol)
+    assert np.bincount(labels).tolist() == counts.tolist()
+    assert (parents == 0).all()
+    order = np.argsort(values, kind="stable")
+    steps = np.diff(labels[order])
+    assert set(steps.tolist()) <= {0, 1}
+    assert ((steps == 1) == (np.diff(values[order]) > tol)).all()
+    for k, mean in enumerate(means):
+        members = values[labels == k]
+        assert members.min() - 1e-12 <= mean <= members.max() + 1e-12
 
 
 def test_returned_arrays_are_readonly():

@@ -135,7 +135,8 @@ def test_measured_basis_is_the_blocks_side_by_side(dense):
     basis = rand_unitary(4, substream(167)) if dense else None
     pvm = SpectralAlgebra(labels, np.arange(4.0)[:, None], basis)
     model = MeasurementModel(pvm, build_apparatus(4))
-    assert np.array_equal(model.measured_basis, np.hstack(pvm.blocks))
+    v = np.eye(4) if basis is None else basis
+    assert np.array_equal(model.measured_basis, v[:, [1, 3, 0, 2]])
 
 
 def test_build_coupling_checks_the_basis_once(monkeypatch):
@@ -391,6 +392,18 @@ def test_pointer_observable_idle_value():
     app = build_apparatus(2, dim_apparatus=4, pointer_values=[3.0, 5.0])
     obs = pointer_observable(app)
     assert_close(np.diag(obs.matrix), [3.0, 5.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "values", [[1e13, 2e13], [1e17, 2e17], [-1.79e308, -1.7e308], [1.7e308, 1.79e308]]
+)
+def test_pointer_observable_idle_value_stays_out_of_reach(values):
+    # min - 1 would round to min, or lie within the radius at which a
+    # pointer value matches outcome 0; the idle value moves further below
+    app = build_apparatus(2, dim_apparatus=3, pointer_values=values)
+    idle = np.real(np.diag(pointer_observable(app).matrix))[2]
+    assert np.isfinite(idle)
+    assert min(values) - idle > linalg.POINTER_MATCH_RTOL * max(np.abs(values))
 
 
 def test_pointer_observable_minimal_apparatus():

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors
-from qmeasure.algebra import SpectralAlgebra, generate_algebra
+from qmeasure.algebra import SpectralAlgebra, generate_algebra, joint_spectrum
 from qmeasure.observables import (
     Observable,
     OutcomeDistribution,
     born_distribution,
     commutes,
     evolve,
-    joint_eigenblocks,
 )
 from qmeasure.randomness import rand_density, rand_hermitian, rand_state, substream
 from qmeasure.states import StateVector, projector_of
@@ -50,24 +49,26 @@ def test_spectral_decomposition_reconstructs(dim):
 
 
 def test_spectral_decomposition_cluster_tol():
-    a = np.diag([0.0, 1e-12, 1.0])
-    merged = generate_algebra([a])
+    # the cluster width here is 1e4 * 3 * eps * 1 = 6.7e-12
+    merged = generate_algebra([np.diag([0.0, 1e-12, 1.0])])
     assert merged.n_points == 2
-    split = generate_algebra([a], tol_cluster=1e-14)
+    split = generate_algebra([np.diag([0.0, 1e-10, 1.0])])
     assert split.n_points == 3
 
 
 def test_pvm_constructor_rejects_bad_input():
-    e0, e1 = np.eye(2)[:, [0]], np.eye(2)[:, [1]]
+    e0, e1 = np.eye(2)[:, 0], np.eye(2)[:, 1]
+    labels = np.array([0, 1])
     outcomes = np.array([[1.0], [2.0]])
     with pytest.raises(errors.ValidationError, match="orthonormal"):
-        SpectralAlgebra.from_blocks((2 * e0, e1), outcomes)  # non-orthonormal block
+        SpectralAlgebra(labels, outcomes, np.column_stack((2 * e0, e1)))  # non-orthonormal block
     with pytest.raises(errors.ValidationError, match="orthonormal"):
-        SpectralAlgebra.from_blocks((e0, (e0 + e1) / np.sqrt(2)), outcomes)  # overlapping blocks
+        overlapping = np.column_stack((e0, (e0 + e1) / np.sqrt(2)))
+        SpectralAlgebra(labels, outcomes, overlapping)
     with pytest.raises(errors.ValidationError, match="identity"):
-        SpectralAlgebra.from_blocks((e0,), outcomes[:1])  # incomplete blocks
+        SpectralAlgebra(labels[:1], outcomes[:1], e0[:, None])  # incomplete blocks
     with pytest.raises(errors.ValidationError, match="lexicographic"):
-        SpectralAlgebra.from_blocks((e0, e1), outcomes[::-1])  # descending outcomes
+        SpectralAlgebra(labels, outcomes[::-1], np.eye(2))  # descending outcomes
 
 
 def test_commutes_basic_cases():
@@ -77,28 +78,31 @@ def test_commutes_basic_cases():
         commutes(X, np.eye(3))
 
 
-def test_joint_eigenblocks_diagonal_refinement():
+def test_joint_spectrum_diagonal_refinement():
     a = np.diag([1.0, 1.0, 2.0])
     b = np.diag([3.0, 4.0, 5.0])
-    leaves = joint_eigenblocks([a, b])
-    tuples = [ch for _, ch in leaves]
-    assert tuples == [(1.0, 3.0), (1.0, 4.0), (2.0, 5.0)]
-    for block, _ in leaves:
-        assert block.shape == (3, 1)
+    labels, chars, basis = joint_spectrum([a, b])
+    assert chars.tolist() == [[1.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+    assert labels.tolist() == [0, 1, 2]
+    assert basis is None  # one column per point, in index form
 
 
-def test_joint_eigenblocks_rejects_non_commuting():
+def test_joint_spectrum_rejects_non_commuting():
     with pytest.raises(errors.NotCommuting):
-        joint_eigenblocks([X, Z])
+        joint_spectrum([X, Z])
+    # a diagonal generator is checked against a later non-diagonal one
+    with pytest.raises(errors.NotCommuting, match="observables 0 and 1"):
+        joint_spectrum([Z, X])
 
 
 def test_joint_single_observable_matches_spectral():
     a = rand_hermitian(4, substream(67))
-    pvm = generate_algebra([a])
-    leaves = joint_eigenblocks([a])
-    assert_close([ch[0] for _, ch in leaves], pvm.characters[:, 0])
-    for (block, _), proj in zip(leaves, pvm.projectors):
-        assert_close(block @ block.conj().T, proj, atol=1e-9)
+    labels, chars, basis = joint_spectrum([a])
+    w, v = np.linalg.eigh(a)
+    assert_close(chars[:, 0], w)
+    for k in range(4):
+        block = basis[:, labels == k]
+        assert_close(block @ block.conj().T, np.outer(v[:, k], v[:, k].conj()), atol=1e-9)
 
 
 def test_born_distribution_qubit():

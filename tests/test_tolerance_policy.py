@@ -41,7 +41,7 @@ def _measured_basis(d):
 
 def _algebra(d):
     v = _stretched(d)
-    return SpectralAlgebra.from_blocks((v[:, [0]], v[:, [1]]), [[0.0], [1.0]])
+    return SpectralAlgebra(np.arange(2), [[0.0], [1.0]], v)
 
 
 def _element_off_block(d):

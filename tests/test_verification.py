@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qmeasure import scenario, verification
-from qmeasure.algebra import SpectralAlgebra
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import StateVector
 
@@ -75,13 +74,27 @@ def test_coupling_defects_catch_shifted_pointer_column_in_premeasure():
 
 
 def test_spectral_axiom_defect_catches_shifted_eigenvalues():
-    generate = verification.generate_algebra
+    spectrum = verification.joint_spectrum
 
     def shifted(generators):
-        alg = generate(generators)
-        return SpectralAlgebra(alg.labels, alg.characters + 1e-6, alg.basis)
+        labels, chars, basis = spectrum(generators)
+        return labels, chars + 1e-6, basis
 
-    assert_fault_caught(verification.check_spectral_axioms, verification, "generate_algebra", shifted)
+    assert_fault_caught(verification.check_spectral_axioms, verification, "joint_spectrum", shifted)
+
+
+def test_spectral_axiom_defect_catches_a_non_orthonormal_raw_basis():
+    # check 3 reads the basis before a SpectralAlgebra could reject it, so
+    # a column stretched by 1e-9 reaches the check instead of raising
+    spectrum = verification.joint_spectrum
+
+    def stretched(generators):
+        labels, chars, basis = spectrum(generators)
+        basis = basis.copy()
+        basis[:, 0] *= 1 + 1e-9
+        return labels, chars, basis
+
+    assert_fault_caught(verification.check_spectral_axioms, verification, "joint_spectrum", stretched)
 
 
 def test_joint_diagonalization_defect_diagonalizes_family():
@@ -96,17 +109,19 @@ def test_joint_diagonalization_defect_diagonalizes_family():
 
 
 def test_joint_diagonalization_defect_catches_wrong_basis_and_collided_characters():
-    leaves_of = verification.joint_eigenblocks
+    spectrum = verification.joint_spectrum
 
     def permuted(family):
-        return [(np.roll(block, 1, axis=0), char) for block, char in leaves_of(family)]
+        labels, chars, basis = spectrum(family)
+        return labels, chars, np.roll(basis, 1, axis=0)
 
     def collided(family):
-        return [(block, (0.0,) * len(char)) for block, char in leaves_of(family)]
+        labels, chars, basis = spectrum(family)
+        return labels, np.zeros_like(chars), basis
 
     for fault in (permuted, collided):
         check = verification.check_joint_diagonalization
-        assert_fault_caught(check, verification, "joint_eigenblocks", fault)
+        assert_fault_caught(check, verification, "joint_spectrum", fault)
 
 
 def test_group_law_defects_catch_time_offset():
