@@ -96,13 +96,6 @@ class SpectralAlgebra:
     def multiplicities(self) -> np.ndarray:
         return self._multiplicities
 
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Spectral projectors V_k V_k^dagger, built on each access."""
-        v = np.eye(self.dim, dtype=complex) if self.basis is None else self.basis
-        blocks = (v[:, self.labels == k] for k in range(self.n_points))
-        return tuple(b @ b.conj().T for b in blocks)
-
     def point_sums(self, per_column) -> np.ndarray:
         """Sum of per-column values over the columns of each spectrum point."""
         return np.bincount(self.labels, weights=per_column, minlength=self.n_points)
@@ -281,9 +274,13 @@ def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
     a = as_observable(element)
     if a.dim != algebra.dim:
         raise DimMismatch(f"element dim {a.dim}, algebra dim {algebra.dim}")
-    vals = algebra.block_traces(a.matrix) / algebra.multiplicities()
+    amax = float(np.max(np.abs(a.matrix)))
+    # a point's trace is summed in units of a power of two near the largest
+    # entry, so it cannot overflow; scaling down by a power of two is exact
+    unit = np.ldexp(1.0, max(int(np.frexp(amax)[1]) - 1, 0))
+    vals = algebra.block_traces(a.matrix / unit) / algebra.multiplicities() * unit
     defect = float(np.max(np.abs(algebra.element(vals) - a.matrix)))
-    if defect > linalg.ELEMENT_RTOL * max(1.0, float(np.max(np.abs(a.matrix)))):
+    if defect > linalg.ELEMENT_RTOL * max(1.0, amax):
         raise NotInAlgebra(f"element is not block-constant (defect {defect:.3e})")
     return linalg.readonly(vals)
 

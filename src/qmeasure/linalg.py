@@ -11,8 +11,6 @@ only the verify checks pin their own, as part of the acceptance spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotHermitian, NotSquare, QmError, ValidationError
@@ -109,16 +107,9 @@ def require_float_span(values: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} span more than the largest float")
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Ascending real eigenvalues and the unitary matrix of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigendecompose(m) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition (w, v) of a Hermitian matrix: eigenvalues w
+    ascending, and the unitary matrix v of column eigenvectors.
 
     The decomposition is verified before returning: columns must be
     orthonormal and sum_k w_k v_k v_k^dagger must reproduce the input to
@@ -139,14 +130,13 @@ def hermitian_eigendecompose(m) -> EigenSystem:
         raise ArithmeticError(
             f"eigendecomposition failed verification (ortho {ortho:.3e}, resid {resid:.3e})"
         )
-    return EigenSystem(readonly(w), readonly(v))
+    return readonly(w), readonly(v)
 
 
 def unitary_exp(h, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, computed through the eigenbasis."""
-    eig = hermitian_eigendecompose(h)
-    phases = np.exp(-1j * float(t) * eig.eigenvalues)
-    return readonly((eig.eigenvectors * phases) @ eig.eigenvectors.conj().T)
+    w, v = hermitian_eigendecompose(h)
+    return readonly((v * np.exp(-1j * float(t) * w)) @ v.conj().T)
 
 
 def default_cluster_tol(values) -> float:

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateSpectrum, DimMismatch, TooSmall, ValidationError
-from .algebra import SpectralAlgebra, diagonal_algebra
-from .linalg import default_cluster_tol, hermitian_eigendecompose
-from .observables import Observable, as_observable
+from .algebra import SpectralAlgebra, generate_algebra
+from .linalg import default_cluster_tol
+from .observables import Observable
 from .states import (
     CompositeDims,
     DensityMatrix,
@@ -102,7 +102,8 @@ def build_apparatus(
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """A nondegenerate spectral measure, one rank-one block per outcome, and
-    the apparatus the controlled shift couples it to."""
+    the apparatus the controlled shift couples it to. build_coupling and
+    model_for_observable only make nondegenerate measures."""
 
     measured_pvm: SpectralAlgebra
     apparatus: ApparatusModel
@@ -113,9 +114,6 @@ class MeasurementModel:
             raise DimMismatch(
                 f"apparatus registers {self.apparatus.n_outcomes} outcomes, system dim is {d}"
             )
-        for rank, char in zip(self.measured_pvm.multiplicities(), self.measured_pvm.characters):
-            if rank != 1:
-                raise DegenerateSpectrum(f"outcome {char[0]!r} has rank {rank}")
 
     @property
     def measured_basis(self) -> np.ndarray:
@@ -134,26 +132,13 @@ class MeasurementModel:
         return CompositeDims(self.dim_system, self.apparatus.dim_apparatus)
 
 
-def build_coupling(
-    measured_basis, apparatus: ApparatusModel, measured_values=None
-) -> MeasurementModel:
-    """Assemble the measurement model for an orthonormal measured basis.
-
-    measured_values are the outcome values attached to the basis columns,
-    strictly ascending; they default to the apparatus pointer values. The
-    spectral measure built from the basis checks its orthonormality.
-    """
-    basis = linalg.require_square(measured_basis)
-    d = basis.shape[0]
-    if measured_values is None:
-        vals = np.asarray(apparatus.pointer_values, dtype=float)
-    else:
-        vals = np.asarray(measured_values, dtype=float)
-    if vals.ndim != 1 or vals.size != d:
-        raise ValidationError(f"expected {d} measured values, got shape {vals.shape}")
-    # one basis column per outcome; the type rejects a basis that is not
-    # orthonormal and values that do not strictly ascend
-    pvm = SpectralAlgebra(np.arange(d), vals[:, None], basis)
+def build_coupling(measured_basis, apparatus: ApparatusModel) -> MeasurementModel:
+    """Assemble the measurement model for an orthonormal measured basis:
+    column j is outcome j, valued at pointer value j, so the pointer values
+    must strictly ascend. The spectral measure checks the basis's shape and
+    orthonormality, once."""
+    vals = apparatus.pointer_values
+    pvm = SpectralAlgebra(np.arange(vals.size), vals[:, None], measured_basis)
     return MeasurementModel(pvm, apparatus)
 
 
@@ -180,24 +165,23 @@ def model_for_observable(
 ) -> MeasurementModel:
     """Measurement model for a nondegenerate Hermitian observable.
 
-    The measured basis is the eigenbasis in ascending eigenvalue order, and
-    the pointer values default to copies of the measured eigenvalues. A
-    repeated eigenvalue (within the cluster tolerance) raises
-    DegenerateSpectrum.
+    The measured spectral measure is generate_algebra([a]), the algebra the
+    observable generates: its basis is the eigenbasis in ascending
+    eigenvalue order, and the pointer values default to copies of the
+    eigenvalues. Eigenvalues that share a point (within the cluster width)
+    raise DegenerateSpectrum.
     """
-    obs = as_observable(a)
-    eig = hermitian_eigendecompose(obs.matrix)
-    points = diagonal_algebra([eig.eigenvalues])
-    if points.n_points != obs.dim:
-        sizes = points.multiplicities().tolist()
+    pvm = generate_algebra([a])
+    if pvm.n_points != pvm.dim:
+        sizes = pvm.multiplicities().tolist()
         raise DegenerateSpectrum(
             f"spectrum splits into clusters of sizes {sizes}; need all distinct"
         )
-    vals = eig.eigenvalues
+    vals = pvm.characters[:, 0]
     apparatus = build_apparatus(
-        obs.dim, dim_apparatus, vals if pointer_values is None else pointer_values
+        pvm.dim, dim_apparatus, vals if pointer_values is None else pointer_values
     )
-    return build_coupling(eig.eigenvectors, apparatus, measured_values=vals)
+    return MeasurementModel(pvm, apparatus)
 
 
 def pointer_observable(apparatus: ApparatusModel) -> Observable:
@@ -236,25 +220,6 @@ def premeasure(psi, model: MeasurementModel) -> StateVector:
     m = np.zeros((d, model.apparatus.dim_apparatus), dtype=complex)
     m[:, :d] = b * (b.conj().T @ p.amplitudes)
     return StateVector(m.reshape(-1))
-
-
-def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
-    """Mixed-state version of premeasure: W rho W^dagger with the ready-input
-    isometry W = sum_j (b_j (x) e_j) b_j^dagger, equal to
-    U (rho (x) |e_0><e_0|) U^dagger.
-
-    An oracle: it is (d * dim_apparatus)^2. A run needs only its apparatus
-    marginal, which apparatus_reduced_density gives in closed form; the
-    tests hold the two against each other.
-    """
-    r = as_density(rho)
-    if r.dim != model.dim_system:
-        raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
-    b = model.measured_basis
-    f = np.eye(model.apparatus.dim_apparatus, model.dim_system)
-    # column j of the product array is b_j (x) e_j
-    w = (b[:, None, :] * f[None, :, :]).reshape(-1, b.shape[1]) @ b.conj().T
-    return DensityMatrix._trusted(w @ r.matrix @ w.conj().T)
 
 
 def collapse(rho, model: MeasurementModel) -> DensityMatrix:
@@ -299,23 +264,3 @@ def apparatus_reduced_density(rho, model: MeasurementModel) -> DensityMatrix:
     w = np.zeros(model.apparatus.dim_apparatus, dtype=complex)
     w[: p.size] = p
     return DensityMatrix._trusted(np.diag(w))
-
-
-def sample_outcome(
-    psi, model: MeasurementModel, rng: np.random.Generator
-) -> tuple[float, StateVector]:
-    """Draw one outcome with probability |<b_j|psi>|^2.
-
-    Consumes exactly one uniform variate from rng via the inverse CDF over
-    outcomes in ascending order. The returned post-state is measured basis
-    column j; reporting it is a labeling convention for the run record, not
-    a claim about dynamics.
-    """
-    p = as_state(psi)
-    if p.dim != model.dim_system:
-        raise DimMismatch(f"state dim {p.dim}, system dim {model.dim_system}")
-    amps = model.measured_basis.conj().T @ p.amplitudes
-    cum = np.cumsum(np.abs(amps) ** 2)
-    j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    j = min(j, amps.size - 1)
-    return float(model.measured_pvm.characters[j, 0]), StateVector(model.measured_basis[:, j])

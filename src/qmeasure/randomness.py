@@ -38,11 +38,3 @@ def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def rand_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (a + a.conj().T) / 2
-
-
-def rand_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density matrix from a Ginibre factor, full rank by default."""
-    r = dim if rank is None else rank
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-    m = g @ g.conj().T
-    return m / np.trace(m).real

@@ -45,7 +45,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -323,10 +322,6 @@ def parse_scenario(text: str) -> Scenario:
         trials=trials,
         seed=seed,
     )
-
-
-def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text())
 
 
 def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> EmpiricalCounts:

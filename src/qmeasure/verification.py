@@ -77,7 +77,8 @@ def spectral_axiom_defect(a: np.ndarray) -> float:
     generates, read from its raw joint spectrum before a SpectralAlgebra
     validates it. For the square basis V, V^dagger V = I makes the blocks
     orthonormal, their projectors pairwise orthogonal and complete; and the
-    eigenvalues must reconstruct a."""
+    eigenvalues must reconstruct a. It is the route by which
+    model_for_observable builds every run's measured spectral measure."""
     labels, chars, basis = joint_spectrum([a])
     v = np.eye(labels.size) if basis is None else basis
     recon = float(np.max(np.abs((v * chars[labels, 0]) @ v.conj().T - a)))

@@ -166,6 +166,15 @@ def test_run_observable_entry_near_the_float_limit_warns_nothing(tmp_path, capsy
     assert json.loads(capsys.readouterr().out)["born"]["outcomes"] == [0.0, 1e308]
 
 
+def test_run_observable_with_a_subnormal_entry_exits_zero(tmp_path, capsys):
+    # the largest entry is subnormal, so nothing may scale by its reciprocal
+    path = write_qubit_scenario(tmp_path, observable=[[[5e-324, 0], [0, 0]], [[0, 0], [0, 0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["born"]["outcomes"] == [0.0, 5e-324]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -259,18 +268,21 @@ def test_report_shape_does_not_depend_on_the_size_of_the_pointer_values(tmp_path
 
 
 @pytest.mark.parametrize(
-    "apparatus",
+    "apparatus, code",
     [
-        {"dim": 3, "pointer_values": [-1.79e308, -1.7e308]},
-        {"dim": 4, "pointer_values": [-1.79e308, -1.7e308]},
-        {"dim": 4, "pointer_values": [-1.7976931348623157e308, -1e308]},
+        ({"dim": 3, "pointer_values": [-1.79e308, -1.7e308]}, 0),
+        # two idle columns near the limit: their point's trace must not overflow
+        ({"dim": 4, "pointer_values": [-1.79e308, -1.7e308]}, 0),
+        ({"dim": 4, "pointer_values": [1.7e308, 1.79e308]}, 0),
+        # the idle value would have to lie below the least float
+        ({"dim": 4, "pointer_values": [-1.7976931348623157e308, -1e308]}, 1),
     ],
-    ids=["one idle column", "two idle columns", "no room below"],
+    ids=["one idle column", "two idle columns", "two idle columns near +max", "no room below"],
 )
-def test_run_pointer_values_near_the_float_limit_exit_zero_or_one(tmp_path, apparatus):
+def test_run_pointer_values_near_the_float_limit_exit_zero_or_one(tmp_path, apparatus, code):
     path = write_qubit_scenario(tmp_path, apparatus=apparatus)
     strict = run_strict(["run", path])
-    assert strict.returncode in (0, 1), strict.stderr
+    assert strict.returncode == code, strict.stderr
     assert "Warning" not in strict.stderr
 
 

@@ -2,7 +2,7 @@
 public method and property of its classes, must be reached from the package
 itself, its scripts or its benchmark: a name that only its own unit tests
 use is dead code. Methods are matched by attribute name, as functions are.
-The allowlist names the exceptions."""
+Oracles the tests need live in the test tree (tests/oracles.py)."""
 
 import ast
 from pathlib import Path
@@ -10,16 +10,6 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = _ROOT / "src" / "qmeasure"
 _USERS = (_SRC, _ROOT / "scripts", _ROOT / "perfbench")
-
-# name: why it stays although only tests reach it
-KEPT_FOR_TESTS = {
-    "sample_outcome": "the one-draw-at-a-time oracle for the vectorized scenario sampling",
-    "rand_density": "random mixed states for the property and trust tests",
-    "load_scenario": "the acceptance tests read the sample documents from disk through it",
-    "premeasure_density": "the dense oracle the closed-form apparatus_reduced_density is held against",
-    "projectors": "the textbook V_k V_k^dagger form the algebra tests check block_traces and element against",
-}
-
 
 def public_definitions(source: str) -> set[str]:
     """Names of the public top-level functions and classes of a module, and
@@ -80,9 +70,5 @@ def test_lint_finds_a_name_only_its_definition_mentions(tmp_path):
 
 
 def test_every_public_name_is_reached():
-    dead = unreferenced(_SRC, _USERS) - set(KEPT_FOR_TESTS)
+    dead = unreferenced(_SRC, _USERS)
     assert dead == set(), "public names nothing but tests reach: " + ", ".join(sorted(dead))
-
-
-def test_allowlist_names_only_unreached_names():
-    assert unreferenced(_SRC, _USERS) >= set(KEPT_FOR_TESTS)

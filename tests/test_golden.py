@@ -25,6 +25,7 @@ CASES = {
     "run_qubit_0608": ["run", str(_SCENARIOS / "qubit_0608.json")],
     "run_qutrit_mixed": ["run", str(_SCENARIOS / "qutrit_mixed.json")],
     "run_eigenstate": ["run", str(_SCENARIOS / "eigenstate.json")],
+    "run_dense_ququart": ["run", str(_SCENARIOS / "dense_ququart.json")],
     "compare_qubit_0608": ["compare", str(_SCENARIOS / "qubit_0608.json")],
     "compare_qutrit_mixed": [
         "compare", str(_SCENARIOS / "qutrit_mixed.json"), "--random", "50", "--seed", "3",
@@ -34,6 +35,7 @@ CASES = {
         f"cat_chain{n}": ["cat", "--chain", str(n), "--c1", "0.6,0", "--c2", "0,0.8"]
         for n in (3, 7, 10)
     },
+    "verify": ["verify"],
 }
 
 

@@ -15,11 +15,9 @@ from qmeasure.measurement import (
     model_for_observable,
     pointer_observable,
     premeasure,
-    premeasure_density,
-    sample_outcome,
 )
 from qmeasure.observables import born_distribution
-from qmeasure.randomness import rand_density, rand_state, rand_unitary, substream
+from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.scenario import compare_collapse_vs_restriction
 from qmeasure.states import (
     CompositeDims,
@@ -29,6 +27,7 @@ from qmeasure.states import (
 )
 
 from conftest import assert_close
+from oracles import premeasure_density, projectors, rand_density, sample_outcome
 
 
 def _model(basis):
@@ -98,7 +97,7 @@ def test_coupling_registers_every_basis_column():
     rng = substream(83)
     basis = rand_unitary(4, rng)
     app = build_apparatus(4, dim_apparatus=6)
-    model = build_coupling(basis, app, measured_values=[0.0, 1.0, 2.0, 3.0])
+    model = build_coupling(basis, app)
     for j in range(4):
         moved = coupling_matrix(model) @ np.kron(basis[:, j], np.eye(6)[:, 0])
         want = np.kron(basis[:, j], np.eye(6)[:, j])
@@ -113,7 +112,7 @@ def _coupling_by_outcome(model):
     shift = np.eye(dm, dtype=complex)
     n = model.dim_system * dm
     u = np.zeros((n, n), dtype=complex)
-    for proj in model.measured_pvm.projectors:
+    for proj in projectors(model.measured_pvm):
         u += np.kron(proj, shift)
         shift = cycle @ shift
     return u
@@ -154,6 +153,21 @@ def test_build_coupling_checks_the_basis_once(monkeypatch):
     assert calls == [(3, 3)]
 
 
+def test_model_for_observable_checks_the_basis_once(monkeypatch):
+    # the measured measure is generate_algebra([a]): one eigh and one
+    # orthonormality check, by SpectralAlgebra, with no eigensolver of its own
+    calls = []
+    defect = linalg.isometry_defect
+
+    def counted(v):
+        calls.append(v.shape)
+        return defect(v)
+
+    monkeypatch.setattr(linalg, "isometry_defect", counted)
+    model_for_observable(rand_hermitian(3, substream(173)))
+    assert calls == [(3, 3)]
+
+
 def test_compare_checks_each_basis_once(monkeypatch):
     # one check per case, for its measured basis: collapse trusts the
     # checked model, and the apparatus and the diagonal pointer algebra
@@ -171,7 +185,7 @@ def test_compare_checks_each_basis_once(monkeypatch):
 
 
 def test_build_coupling_rejects_nonsquare_basis():
-    with pytest.raises(errors.NotSquare):
+    with pytest.raises(errors.ValidationError, match="cannot resolve the identity"):
         build_coupling(np.eye(3)[:, :2], build_apparatus(2))
 
 

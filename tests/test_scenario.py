@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors
-from qmeasure.measurement import model_for_observable, sample_outcome
+from qmeasure.measurement import model_for_observable
 from qmeasure.randomness import substream
 from qmeasure.report import emit_report, report_payload, sig12
 from qmeasure.scenario import (
@@ -15,7 +15,6 @@ from qmeasure.scenario import (
     Scenario,
     _sample_counts,
     compare_collapse_vs_restriction,
-    load_scenario,
     parse_scenario,
     run_cat,
     run_scenario,
@@ -23,6 +22,7 @@ from qmeasure.scenario import (
 from qmeasure.states import DensityMatrix, StateVector
 
 from conftest import assert_close
+from oracles import load_scenario, sample_outcome
 
 
 def doc_qubit(**overrides) -> str:

@@ -15,9 +15,8 @@ from qmeasure.measurement import (
     build_coupling,
     collapse,
     premeasure,
-    premeasure_density,
 )
-from qmeasure.randomness import rand_density, rand_hermitian, rand_state, rand_unitary, substream
+from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import (
     CompositeDims,
     DensityMatrix,
@@ -30,6 +29,7 @@ from qmeasure.states import (
 )
 
 from conftest import assert_close
+from oracles import premeasure_density, rand_density
 
 
 def test_state_vector_requires_unit_norm():
