@@ -276,9 +276,9 @@ def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
         raise DimMismatch(f"element dim {a.dim}, algebra dim {algebra.dim}")
     amax = float(np.max(np.abs(a.matrix)))
     # a point's trace is summed in units of a power of two near the largest
-    # entry, so it cannot overflow; scaling down by a power of two is exact
-    unit = np.ldexp(1.0, max(int(np.frexp(amax)[1]) - 1, 0))
-    vals = algebra.block_traces(a.matrix / unit) / algebra.multiplicities() * unit
+    # entry, so it cannot overflow; scaling by a power of two is exact
+    scaled, k = linalg.unit_scaled(a.matrix)
+    vals = np.ldexp(algebra.block_traces(scaled) / algebra.multiplicities(), k)
     defect = float(np.max(np.abs(algebra.element(vals) - a.matrix)))
     if defect > linalg.ELEMENT_RTOL * max(1.0, amax):
         raise NotInAlgebra(f"element is not block-constant (defect {defect:.3e})")

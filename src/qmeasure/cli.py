@@ -3,11 +3,14 @@
 Verbs: run <scenario-file>, cat, compare <scenario-file>, verify.
 Exit codes: 0 success, 1 parse or validation failure, 2 a numerical
 invariant was violated, 3 internal error.
+main(argv) may be called repeatedly in one process; the parser is built on
+the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -56,6 +59,8 @@ def _tol_arg(text: str) -> float:
     return tol
 
 
+# argparse keeps no per-parse state on the parser, so one serves every call
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="qmeasure", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)

@@ -107,6 +107,16 @@ def require_float_span(values: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} span more than the largest float")
 
 
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2**-k, k) for a complex array a, with 2**k the power of two at or
+    below its largest real or imaginary part, so that part lands in [1, 2).
+    np.ldexp on the float view scales exactly and forms no reciprocal, which
+    would overflow when that part is subnormal."""
+    f = a.view(float)
+    k = int(np.frexp(np.max(np.abs(f)))[1]) - 1
+    return np.ldexp(f, -k).view(complex), k
+
+
 def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition (w, v) of a Hermitian matrix: eigenvalues w
     ascending, and the unitary matrix v of column eigenvectors.
@@ -121,10 +131,11 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(a)
     require_float_span(w, "eigenvalues")
     ortho = isometry_defect(v)
-    # in units of the largest real or imaginary part, so no norm overflows
-    s = float(np.max(np.abs(a.view(float)))) or 1.0
-    b = a / s
-    resid = float(np.linalg.norm((v * (w / s)) @ v.conj().T - b) / max(np.linalg.norm(b), 1.0))
+    # in power-of-two units near the largest real or imaginary part: no norm overflows
+    b, k = unit_scaled(a)
+    resid = float(
+        np.linalg.norm((v * np.ldexp(w, -k)) @ v.conj().T - b) / max(np.linalg.norm(b), 1.0)
+    )
     # written so that a NaN residual fails
     if not (ortho <= ROUNDOFF_TOL and resid <= ROUNDOFF_TOL):
         raise ArithmeticError(

@@ -57,13 +57,13 @@ class OutcomeDistribution:
 
 
 def commutes(a, b) -> bool:
-    """Commutator check in units of the max-entry norms, so that no product
-    overflows."""
+    """Commutator check with each matrix in units of a power of two near its
+    largest entry, so that no product overflows."""
     oa, ob = as_observable(a), as_observable(b)
     if oa.dim != ob.dim:
         raise DimMismatch(f"dims {oa.dim} and {ob.dim}")
-    ma = oa.matrix / (float(np.max(np.abs(oa.matrix))) or 1.0)
-    mb = ob.matrix / (float(np.max(np.abs(ob.matrix))) or 1.0)
+    ma, _ = linalg.unit_scaled(oa.matrix)
+    mb, _ = linalg.unit_scaled(ob.matrix)
     return float(np.max(np.abs(ma @ mb - mb @ ma))) <= linalg.ROUNDOFF_TOL
 
 

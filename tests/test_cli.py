@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qmeasure
+from qmeasure import cli
 from qmeasure.cli import main
 
 _MAIN = "import sys; from qmeasure.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -245,6 +246,22 @@ def test_run_accepts_commuting_generators_with_entries_near_1e200(tmp_path, caps
     assert len(json.loads(strict.stdout)["restricted"]["characters"]) == 4
 
 
+def test_run_accepts_commuting_generators_with_a_subnormal_largest_entry(tmp_path):
+    # the second generator's largest entry is subnormal: a commutator taken in
+    # units of its reciprocal overflows and reports a false NotCommuting
+    x_idle = np.zeros((4, 4))
+    x_idle[2, 3] = x_idle[3, 2] = 1.0
+    generators = [np.diag([0.0, 1.0, -1.0, -1.0]), np.diag([5e-324, 0.0, 0.0, 0.0]), x_idle]
+    path = write_qubit_scenario(
+        tmp_path,
+        apparatus={"dim": 4},
+        algebra_generators=[[[[float(x), 0] for x in row] for row in g] for g in generators],
+    )
+    strict = run_strict(["run", path, "--format", "json"])
+    assert strict.returncode == 0, strict.stderr
+    assert len(json.loads(strict.stdout)["restricted"]["characters"]) == 4
+
+
 def report_shape(node):
     """The report with every number replaced by its type: its keys and the
     lengths of its lists."""
@@ -416,3 +433,43 @@ def test_usage_error_exits_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "run" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    path = write_qubit_scenario(tmp_path)
+    calls = [
+        ["run", path],
+        ["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "2"],
+        ["compare", path, "--random", "2"],
+        ["verify"],
+    ]
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert [main(argv) for argv in calls] == [0, 0, 0, 0]
+    assert len(built) > 0
+    del built[:]
+    assert [main(argv) for argv in calls] == [0, 0, 0, 0]
+    assert built == []
+
+
+def test_in_process_calls_share_no_state(tmp_path, capsys):
+    # the same observable as test_run_impossible_tol_exits_two: a strictly
+    # positive roundoff deviation, so --tol 0 exits 2 and the default exits 0
+    path = write_qubit_scenario(tmp_path, observable=[[[1, 0], [0, -0.5]], [[0, 0.5], [2, 0]]])
+    assert main(["cat", "--chain", "x", "--c1", "0.6", "--c2", "0,0.8"]) == 1
+    assert main(["--help"]) == 0
+    assert main(["run", path, "--tol", "0"]) == 2
+    assert main(["cat", "--c1", "1", "--c2", "1"]) == 1
+    capsys.readouterr()
+    golden = Path(__file__).resolve().parent / "golden" / "cat_chain7.json"
+    argv = ["cat", "--chain", "7", "--c1", "0.6,0", "--c2", "0,0.8", "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden.read_text()
+    assert main(["run", path]) == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,17 @@ def test_commutes_basic_cases():
         commutes(X, np.eye(3))
 
 
+def test_commutes_is_relative_to_the_size_of_the_matrices():
+    # tiny matrices are scaled up, not compared with an absolute threshold
+    assert not commutes(1e-300 * X, 1e-300 * Z)
+    assert commutes(1e-300 * Z, 1e-300 * np.eye(2))
+    # a subnormal largest entry: its reciprocal would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert commutes(np.diag([5e-324, 0.0]), Z)
+        assert not commutes(5e-324 * X, Z)
+
+
 def test_joint_spectrum_diagonal_refinement():
     a = np.diag([1.0, 1.0, 2.0])
     b = np.diag([3.0, 4.0, 5.0])
@@ -147,3 +160,11 @@ def test_evolve_preserves_norm_and_eigenstates():
     assert_close(projector_of(out).matrix, projector_of(psi).matrix, atol=1e-12)
     moved = evolve(rand_state(4, substream(80)), h, 1.7)
     assert abs(np.linalg.norm(moved.amplitudes) - 1) < 1e-12
+
+
+def test_evolve_under_a_subnormal_generator_warns_nothing():
+    # the eigendecomposition's residual check once divided by the subnormal entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evolve([1.0, 0.0], [[5e-324, 0.0], [0.0, 0.0]], 1.0)
+    assert_close(out.amplitudes, np.array([1.0, 0.0]), atol=1e-12)
