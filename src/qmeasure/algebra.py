@@ -213,6 +213,14 @@ def _spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return labels, chars, basis
 
 
+def _element_tol(element: np.ndarray) -> float:
+    """The largest defect at which an element counts as reproduced from its
+    values at the spectrum points: ELEMENT_RTOL relative to its largest
+    entry, floored at the smallest normal float, since an eigensolver cannot
+    return subnormal values to relative accuracy."""
+    return linalg.ELEMENT_RTOL * max(float(np.max(np.abs(element))), np.finfo(float).tiny)
+
+
 def _algebra(gens) -> SpectralAlgebra:
     """The algebra of _spectrum(gens), validated. Each generator must be
     reproduced by its characters, which fails when the cluster width merges
@@ -222,7 +230,7 @@ def _algebra(gens) -> SpectralAlgebra:
         chars = algebra.characters[:, i]
         rebuilt = chars[algebra.labels] if g.ndim == 1 else algebra.element(chars)
         defect = float(np.max(np.abs(rebuilt - g)))
-        if defect > linalg.ELEMENT_RTOL * max(1.0, float(np.max(np.abs(g)))):
+        if defect > _element_tol(g):
             raise ValidationError(
                 f"generator {i} is not reproduced by its characters (defect {defect:.3e})"
             )
@@ -274,13 +282,12 @@ def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
     a = as_observable(element)
     if a.dim != algebra.dim:
         raise DimMismatch(f"element dim {a.dim}, algebra dim {algebra.dim}")
-    amax = float(np.max(np.abs(a.matrix)))
     # a point's trace is summed in units of a power of two near the largest
     # entry, so it cannot overflow; scaling by a power of two is exact
     scaled, k = linalg.unit_scaled(a.matrix)
     vals = np.ldexp(algebra.block_traces(scaled) / algebra.multiplicities(), k)
     defect = float(np.max(np.abs(algebra.element(vals) - a.matrix)))
-    if defect > linalg.ELEMENT_RTOL * max(1.0, amax):
+    if defect > _element_tol(a.matrix):
         raise NotInAlgebra(f"element is not block-constant (defect {defect:.3e})")
     return linalg.readonly(vals)
 

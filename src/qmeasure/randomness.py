@@ -35,6 +35,6 @@ def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def rand_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (a + a.conj().T) / 2
+    return (a + a.conj().T) / 2

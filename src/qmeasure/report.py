@@ -115,7 +115,7 @@ def _table(r: Report) -> list[str]:
     return lines
 
 
-def emit_report(r: Report, format_selector: str = "table") -> str:
+def emit_report(r: Report, format_selector: str) -> str:
     """Render a report. format_selector is "table" or "json"."""
     if format_selector == "json":
         return json.dumps(report_payload(r), indent=2) + "\n"
@@ -139,7 +139,7 @@ class ComparisonSummary:
     worst_case_key: tuple[int, ...]
 
 
-def emit_summary(s: ComparisonSummary, format_selector: str = "table") -> str:
+def emit_summary(s: ComparisonSummary, format_selector: str) -> str:
     if format_selector == "json":
         payload = {
             "dim": s.dim,

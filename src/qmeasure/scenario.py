@@ -451,7 +451,7 @@ def _branch_cross_terms(generators, n: int) -> tuple[float, ...]:
     )
 
 
-def run_cat(c1, c2, chain_length: int = 8) -> Report:
+def run_cat(c1, c2, chain_length: int) -> Report:
     """Superpose two macroscopically distinct branches and read them through
     a commutative readout.
 

@@ -134,11 +134,9 @@ def mix(weights, states: Sequence[DensityMatrix]) -> DensityMatrix:
     return DensityMatrix._trusted(acc)
 
 
-def partial_trace(rho, dims: CompositeDims, keep: str) -> DensityMatrix:
-    """Trace out one tensor factor of a composite density matrix.
-
-    keep selects the surviving factor, "system" or "apparatus".
-    """
+def partial_trace(rho, dims: CompositeDims) -> DensityMatrix:
+    """Trace the system factor out of a composite density matrix, keeping
+    the apparatus."""
     r = as_density(rho)
     if r.dim != dims.total:
         raise DimMismatch(
@@ -147,10 +145,4 @@ def partial_trace(rho, dims: CompositeDims, keep: str) -> DensityMatrix:
     t = r.matrix.reshape(
         dims.dim_system, dims.dim_apparatus, dims.dim_system, dims.dim_apparatus
     )
-    if keep == "system":
-        out = np.trace(t, axis1=1, axis2=3)
-    elif keep == "apparatus":
-        out = np.trace(t, axis1=0, axis2=2)
-    else:
-        raise ValidationError(f"keep must be 'system' or 'apparatus', got {keep!r}")
-    return DensityMatrix._trusted(out)
+    return DensityMatrix._trusted(np.trace(t, axis1=0, axis2=2))

@@ -122,9 +122,8 @@ def chain_reduction_gap(psi: StateVector, basis: np.ndarray, apparatus, copier, 
     # U_model (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
     first = coupling_matrix(model) @ np.outer(np.outer(psi.amplitudes, r), r)
     final = first.reshape(d, -1) @ coupling_matrix(copier).T
-    rho_last = partial_trace(
-        projector_of(StateVector(final.reshape(-1))), CompositeDims(d * d, d), "apparatus"
-    )
+    joint = projector_of(StateVector(final.reshape(-1)))
+    rho_last = partial_trace(joint, CompositeDims(d * d, d))
     two_stage = restrict_state(rho_last, algebra).weights
     return float(np.max(np.abs(single - two_stage)))
 

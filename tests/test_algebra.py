@@ -161,6 +161,21 @@ def test_gelfand_transform_rejects_outside_element():
         gelfand_transform(alg, np.diag([1.0, 1.0, 2.0]) + 0.5 * off_block)
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0])
+def test_gelfand_transform_rejects_a_small_element_outside_the_algebra(s):
+    # the defect is judged against the element's own size: an absolute floor
+    # of 1e-9 once let 1e-12 X through as the element [0, 0]
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(errors.NotInAlgebra):
+        gelfand_transform(diagonal_algebra([[0.0, 1.0]]), s * x)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-320])
+def test_gelfand_transform_of_a_small_element_in_the_algebra(s):
+    got = gelfand_transform(diagonal_algebra([[0.0, 1.0]]), np.diag([0.0, s]))
+    assert list(got) == [0.0, s]
+
+
 def test_restrict_point_mass():
     alg = generate_algebra([np.diag([0.0, 1.0])])
     m = restrict_state(projector_of([0.0, 1.0]), alg)

@@ -11,6 +11,7 @@ import pytest
 import qmeasure
 from qmeasure import cli
 from qmeasure.cli import main
+from qmeasure.randomness import rand_hermitian, substream
 
 _MAIN = "import sys; from qmeasure.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -262,6 +263,44 @@ def test_run_accepts_commuting_generators_with_a_subnormal_largest_entry(tmp_pat
     assert len(json.loads(strict.stdout)["restricted"]["characters"]) == 4
 
 
+def test_run_judges_a_small_pointer_readout_by_its_own_size(tmp_path):
+    # the identity generates no algebra that holds the readout [0, 1e-12], as
+    # it holds none for [0, 1]; an absolute floor of 1e-9 on the transform's
+    # defect once let the small readout in, and run exited 2 on a deviation
+    # of 0.64 between the routes
+    messages = []
+    for values in ([0, 1e-12], [0, 1]):
+        path = write_qubit_scenario(
+            tmp_path,
+            apparatus={"dim": 2, "pointer_values": values},
+            algebra_generators=[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        )
+        strict = run_strict(["run", path])
+        assert strict.returncode == 1, strict.stderr
+        messages.append(strict.stderr.split("(defect")[0])
+    assert messages[0] == messages[1]
+    assert "the generated algebra does not contain the pointer readout" in messages[0]
+
+
+@pytest.mark.parametrize("scale", [1e-315, 1e-320])
+def test_run_accepts_a_subnormal_splitter_on_the_idle_block(tmp_path, scale):
+    # an eigensolver returns subnormal values to no relative accuracy, so a
+    # generator's reproduction defect is judged no finer than the least normal
+    # float; judged against its own subnormal size, this splitter fails
+    splitter = np.zeros((6, 6), dtype=complex)
+    splitter[2:, 2:] = scale * rand_hermitian(4, substream(181))
+    generators = [np.diag([0.0, 1.0, -1.0, -1.0, -1.0, -1.0]), splitter]
+    path = write_qubit_scenario(
+        tmp_path,
+        apparatus={"dim": 6},
+        algebra_generators=[
+            [[[float(x.real), float(x.imag)] for x in row] for row in g] for g in generators
+        ],
+    )
+    strict = run_strict(["run", path])
+    assert strict.returncode == 0, strict.stderr
+
+
 def report_shape(node):
     """The report with every number replaced by its type: its keys and the
     lengths of its lists."""
@@ -317,6 +356,14 @@ def test_cat_json_has_no_legend(capsys):
     assert payload["restricted"]["weights"][-1] == 0.36
 
 
+def test_cat_deviation_above_tol_exits_two(capsys):
+    # |c1|^2 L + |c2|^2 (-L) misses the branch split by one ulp here
+    argv = ["cat", "--c1", "0.5,0.5", "--c2", "0.7071067811865475", "--chain", "1"]
+    assert main(argv) == 0
+    assert main(argv + ["--tol", "0"]) == 2
+    assert "exceeds --tol" in capsys.readouterr().err
+
+
 def test_cat_bad_amplitudes_exit_one(capsys):
     assert main(["cat", "--c1", "1", "--c2", "1"]) == 1
     assert "BadAmplitudes" in capsys.readouterr().err
@@ -360,10 +407,12 @@ def test_compare_impossible_tol_exits_two(tmp_path, capsys):
     assert "exceeds --tol" in capsys.readouterr().err
 
 
-def test_compare_oversized_random_exits_one(tmp_path, capsys):
-    # one case over the array budget: rejected before the per-case array exists
+# 2^24 + 1 is one case over the array budget: rejected before the per-case
+# array exists
+@pytest.mark.parametrize("n_random", ["0", "16777217"])
+def test_compare_oversized_random_exits_one(tmp_path, capsys, n_random):
     path = write_qubit_scenario(tmp_path)
-    assert main(["compare", path, "--random", "16777217"]) == 1
+    assert main(["compare", path, "--random", n_random]) == 1
     err = capsys.readouterr().err
     assert "ValidationError" in err
     assert "n_random" in err
@@ -428,6 +477,8 @@ def test_verify_json_pins_names_tolerances_and_case_counts(capsys):
 def test_usage_error_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+    assert main(["cat", "--no-such-flag"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

@@ -1,15 +1,17 @@
 """Every public top-level function and class in the package, and every
 public method and property of its classes, must be reached from the package
-itself, its scripts or its benchmark: a name that only its own unit tests
-use is dead code. Methods are matched by attribute name, as functions are.
-Oracles the tests need live in the test tree (tests/oracles.py)."""
+itself or its benchmark: a name that only its own unit tests use is dead
+code. Methods are matched by attribute name, as functions are. Oracles the
+tests need live in the test tree (tests/oracles.py). Code outside the
+package that is not a test imports none of its private names, so the CLI
+stays the one place that parses arguments."""
 
 import ast
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = _ROOT / "src" / "qmeasure"
-_USERS = (_SRC, _ROOT / "scripts", _ROOT / "perfbench")
+_USERS = (_SRC, _ROOT / "perfbench")
 
 def public_definitions(source: str) -> set[str]:
     """Names of the public top-level functions and classes of a module, and
@@ -72,3 +74,43 @@ def test_lint_finds_a_name_only_its_definition_mentions(tmp_path):
 def test_every_public_name_is_reached():
     dead = unreferenced(_SRC, _USERS)
     assert dead == set(), "public names nothing but tests reach: " + ", ".join(sorted(dead))
+
+
+def private_imports(source: str) -> set[str]:
+    """The dotted names of the package a module imports that have a private
+    part, as in `from qmeasure.cli import _Parser` or `import qmeasure._m`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {
+            name
+            for name in names
+            if name.split(".")[0] == "qmeasure"
+            and any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
+        }
+    return found
+
+
+def test_no_code_outside_the_package_imports_a_private_name():
+    assert private_imports(
+        "from qmeasure.cli import _Parser, main\nimport qmeasure._m, numpy._x\n"
+    ) == {"qmeasure.cli._Parser", "qmeasure._m"}
+    outside = [
+        path
+        for path in _ROOT.rglob("*.py")
+        if not path.is_relative_to(_SRC)
+        and "tests" not in path.relative_to(_ROOT).parts
+        and not path.relative_to(_ROOT).parts[0].startswith(".")
+    ]
+    assert _ROOT / "perfbench" / "run.py" in outside
+    found = {
+        f"{path.relative_to(_ROOT)}: {name}"
+        for path in outside
+        for name in private_imports(path.read_text())
+    }
+    assert found == set(), "private package names imported: " + ", ".join(sorted(found))

@@ -266,7 +266,7 @@ def test_structured_premeasurement_matches_dense_coupling(d):
         assert_close(pure.amplitudes, dense, atol=1e-12, rtol=0)
         assert_close(
             apparatus_reduced_state(pure, model.dims).matrix,
-            partial_trace(projector_of(dense), model.dims, "apparatus").matrix,
+            partial_trace(projector_of(dense), model.dims).matrix,
             atol=1e-12,
             rtol=0,
         )
@@ -283,7 +283,7 @@ def test_apparatus_reduced_density_matches_dense_premeasurement(d):
         rng = substream(151, d, dm)
         model = build_coupling(rand_unitary(d, rng), build_apparatus(d, dim_apparatus=dm))
         rho = rand_density(d, rng)
-        dense = partial_trace(premeasure_density(rho, model), model.dims, "apparatus")
+        dense = partial_trace(premeasure_density(rho, model), model.dims)
         assert_close(
             apparatus_reduced_density(rho, model).matrix, dense.matrix, atol=1e-12, rtol=0
         )
@@ -363,10 +363,12 @@ def test_two_stage_chain_keeps_pointer_statistics():
 
     u2 = coupling_matrix(m1)  # same controlled shift, now copying factor 2 to factor 3
     joint = np.kron(np.eye(d), u2) @ np.kron(stage1.amplitudes, np.eye(d)[:, 0])
-    rho_last = partial_trace(projector_of(joint), CompositeDims(d * d, d), "apparatus")
+    rho_last = partial_trace(projector_of(joint), CompositeDims(d * d, d))
     assert_close(np.real(np.diag(rho_last.matrix)), first_diag, atol=1e-10)
 
-    rho12 = partial_trace(projector_of(joint), CompositeDims(d * d, d), "system")
+    # factors (S, A1, A2) reordered to (A2, S, A1), so the trace keeps (S, A1)
+    swapped = joint.reshape(d * d, d).T.reshape(-1)
+    rho12 = partial_trace(projector_of(swapped), CompositeDims(d, d * d))
     assert_close(
         np.real(np.diag(rho12.matrix)),
         np.real(np.diag(projector_of(stage1).matrix)),

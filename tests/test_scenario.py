@@ -348,7 +348,7 @@ def test_run_cat_chain_characters_are_readout_totals():
 
 def test_run_cat_rejects_bad_amplitudes():
     with pytest.raises(errors.BadAmplitudes):
-        run_cat(0.6, 0.9)
+        run_cat(0.6, 0.9, chain_length=8)
     with pytest.raises(errors.ValidationError):
         run_cat(0.6, 0.8, chain_length=25)
 

@@ -144,42 +144,34 @@ def test_tensor_state_ordering():
 
 def test_partial_trace_bell_state():
     bell = projector_of(StateVector.normalized([1, 0, 0, 1]))
-    dims = CompositeDims(2, 2)
-    assert_close(partial_trace(bell, dims, "system").matrix, np.eye(2) / 2)
-    assert_close(partial_trace(bell, dims, "apparatus").matrix, np.eye(2) / 2)
+    assert_close(partial_trace(bell, CompositeDims(2, 2)).matrix, np.eye(2) / 2)
 
 
 def test_partial_trace_product_state():
     sys = rand_state(3, substream(31))
     app = rand_state(2, substream(32))
     joint = projector_of(np.kron(sys, app))
-    rho_s = partial_trace(joint, CompositeDims(3, 2), "system")
-    assert_close(rho_s.matrix, projector_of(sys).matrix, atol=1e-12)
+    rho_a = partial_trace(joint, CompositeDims(3, 2))
+    assert_close(rho_a.matrix, projector_of(app).matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", range(6))
 def test_partial_trace_defining_property(case):
-    # Tr(rho_S X) must equal Tr(rho (X (x) I)) for every system observable X
+    # Tr(rho_A Y) must equal Tr(rho (I (x) Y)) for every apparatus observable Y
     rng = substream(37, case)
     ds, da = int(rng.integers(2, 4)), int(rng.integers(2, 4))
     rho = rand_density(ds * da, rng)
-    reduced = partial_trace(rho, CompositeDims(ds, da), "system")
+    reduced = partial_trace(rho, CompositeDims(ds, da))
     for _ in range(4):
-        x = rand_hermitian(ds, rng)
-        lifted = np.kron(x, np.eye(da))
-        assert abs(np.trace(reduced.matrix @ x) - np.trace(rho @ lifted)) < 1e-10
+        y = rand_hermitian(da, rng)
+        lifted = np.kron(np.eye(ds), y)
+        assert abs(np.trace(reduced.matrix @ y) - np.trace(rho @ lifted)) < 1e-10
 
 
 def test_partial_trace_rejects_wrong_dims():
     rho = rand_density(6, substream(41))
     with pytest.raises(errors.DimMismatch):
-        partial_trace(rho, CompositeDims(2, 2), "system")
-
-
-def test_partial_trace_rejects_unknown_factor():
-    rho = rand_density(4, substream(43))
-    with pytest.raises(errors.ValidationError):
-        partial_trace(rho, CompositeDims(2, 2), "environment")
+        partial_trace(rho, CompositeDims(2, 2))
 
 
 def test_composite_dims_total():
@@ -205,8 +197,7 @@ def test_trusted_results_pass_the_public_checks(d):
         projector_of(psi),
         collapse(rho, model),
         mix([w, 1 - w], [rho, projector_of(psi)]),
-        partial_trace(composite, CompositeDims(d, 2), "system"),
-        partial_trace(composite, CompositeDims(2, d), "apparatus"),
+        partial_trace(composite, CompositeDims(2, d)),
         apparatus_reduced_state(premeasure(psi, model), model.dims),
         premeasure_density(rho, model),
         proper_mixture_representative(SpectralProbabilityMeasure(raw / raw.sum()), algebra),

@@ -46,7 +46,7 @@ def _algebra(d):
 
 def _element_off_block(d):
     # entries 0 and 2d on the degenerate block: its mean d misses both by d,
-    # against the scale max(1, max entry) = 1
+    # against the largest entry, 1
     alg = generate_algebra([np.diag([0.0, 0.0, 1.0])])
     return gelfand_transform(alg, np.diag([0.0, 2 * d, 1.0]))
 
