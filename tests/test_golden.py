@@ -26,6 +26,7 @@ CASES = {
     "run_qutrit_mixed": ["run", str(_SCENARIOS / "qutrit_mixed.json")],
     "run_eigenstate": ["run", str(_SCENARIOS / "eigenstate.json")],
     "run_dense_ququart": ["run", str(_SCENARIOS / "dense_ququart.json")],
+    "run_mixed_splitter": ["run", str(_SCENARIOS / "mixed_splitter.json")],
     "compare_qubit_0608": ["compare", str(_SCENARIOS / "qubit_0608.json")],
     "compare_qutrit_mixed": [
         "compare", str(_SCENARIOS / "qutrit_mixed.json"), "--random", "50", "--seed", "3",
