@@ -17,7 +17,8 @@ algebra is held in index form: its basis is the identity, so it is one point
 label per coordinate, sorted with no eigensolver, and a state restricts to it
 through its diagonal alone. From the first other generator on, the eigh of
 the generator compressed to each point turns the point's columns and gives
-the values.
+the values. A point with one column keeps it, and its value is the real
+compressed entry: what the eigensolver returns for a 1 x 1 matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .errors import DimMismatch, NotCommuting, NotInAlgebra, NotOrthonormal, Val
 from .linalg import default_cluster_tol
 from .observables import as_observable, commutes
 from .states import DensityMatrix, as_density
+
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +163,14 @@ def _split_points(labels, counts, values, tol):
     bounds = np.append(starts, n)
     means = ascending[starts]
     for j in np.flatnonzero(np.diff(bounds) > 1):
-        # offsets from the cluster's least value, so no sum can overflow
         cluster = ascending[starts[j] : bounds[j + 1]]
-        means[j] = cluster[0] + np.mean(cluster - cluster[0])
+        if cluster[-1] == cluster[0]:
+            # the mean below would give cluster[0] + 0.0; singletons skip
+            # this loop and keep their raw value, so a lone -0.0 stays -0.0
+            means[j] = cluster[0] + 0.0
+        else:
+            # offsets from the cluster's least value, so no sum can overflow
+            means[j] = cluster[0] + np.mean(cluster - cluster[0])
     del ascending  # the relabelling below is the largest step; free n floats first
     ranks = np.cumsum(new)
     ranks -= 1
@@ -196,6 +204,9 @@ def _spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             for end, m in zip(np.cumsum(counts), counts):
                 cols = order[end - m : end]
                 if fresh:
+                    if m == 1:
+                        values[cols] = g[cols, cols].real
+                        continue
                     block = np.ix_(cols, cols)
                     values[cols], basis[block] = np.linalg.eigh(g[block])
                 else:
@@ -205,6 +216,9 @@ def _spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
                             compressed = v.conj().T @ g @ v
                     except FloatingPointError as err:
                         raise ValidationError(f"generator {i} overflows in its eigenbasis") from err
+                    if m == 1:
+                        values[cols] = compressed.real[0]
+                        continue
                     values[cols], u = np.linalg.eigh(compressed)
                     basis[:, cols] = v @ u
         linalg.require_float_span(values, f"generator {i} values")
@@ -218,7 +232,7 @@ def _element_tol(element: np.ndarray) -> float:
     values at the spectrum points: ELEMENT_RTOL relative to its largest
     entry, floored at the smallest normal float, since an eigensolver cannot
     return subnormal values to relative accuracy."""
-    return linalg.ELEMENT_RTOL * max(float(np.max(np.abs(element))), np.finfo(float).tiny)
+    return linalg.ELEMENT_RTOL * max(float(np.abs(element).max()), _TINY)
 
 
 def _algebra(gens) -> SpectralAlgebra:

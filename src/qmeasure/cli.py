@@ -88,9 +88,16 @@ def build_parser() -> _Parser:
     )
 
     p_cmp = sub.add_parser(
-        "compare", parents=[common], help="randomized collapse vs restriction check"
+        "compare",
+        parents=[common],
+        help="randomized collapse vs restriction check",
+        description="Randomized collapse vs restriction check at the scenario's "
+        "dimension. Of the scenario document only system_dim and seed are used; "
+        "the whole document is still validated.",
     )
-    p_cmp.add_argument("scenario", help="path to a scenario JSON document")
+    p_cmp.add_argument(
+        "scenario", help="path to a scenario JSON document (only system_dim and seed are used)"
+    )
     p_cmp.add_argument("--random", type=int, default=100, help="number of random cases")
     p_cmp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 

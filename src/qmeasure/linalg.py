@@ -31,6 +31,9 @@ DEVIATION_TOL = 1e-9
 
 _CLUSTER_SAFETY = 1e4
 
+_EPS = float(np.finfo(float).eps)
+_HALF_MAX = float(np.finfo(float).max) / 2
+
 
 def readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -41,7 +44,7 @@ def as_vector(v) -> np.ndarray:
     a = np.array(v, dtype=complex)
     if a.ndim != 1 or a.shape[0] == 0:
         raise ValidationError(f"expected a nonempty vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("vector has non-finite entries")
     return a
 
@@ -50,7 +53,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or 0 in a.shape:
         raise ValidationError(f"expected a nonempty matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
@@ -63,22 +66,31 @@ def require_square(m) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.abs(m - m.conj().T).max())
 
 
 def isometry_defect(v: np.ndarray) -> float:
     """max |V^dagger V - I|: zero exactly when the columns of V are orthonormal."""
-    return float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
+    gram = v.conj().T @ v
+    gram.flat[:: gram.shape[0] + 1] -= 1
+    return float(np.abs(gram).max())
 
 
 def require_hermitian(m) -> np.ndarray:
+    """A square matrix within ROUNDOFF_TOL of Hermitian in units of 2^k, the
+    power of two at or below its largest real or imaginary part, as its
+    Hermitian part: the input itself when it is exactly Hermitian, so its
+    bits are kept, else (M + M^dagger) / 2, halved before the sum so that
+    no entry overflows."""
     a = require_square(m)
-    defect = hermiticity_defect(a)
+    scaled, k = unit_scaled(a)
+    defect = hermiticity_defect(scaled)
     if defect > ROUNDOFF_TOL:
         raise NotHermitian(
-            f"max |M - M^dagger| entry is {defect:.3e}, tolerance {ROUNDOFF_TOL:.3e}"
+            f"max |M - M^dagger| entry is {defect:.3e} x 2^{k}, "
+            f"tolerance {ROUNDOFF_TOL:.3e} x 2^{k}"
         )
-    return a
+    return a / 2 + a.conj().T / 2 if defect else a
 
 
 def require_weights(
@@ -99,11 +111,11 @@ def require_weights(
 def require_float_span(values: np.ndarray, what: str) -> None:
     """Reject values that are not all finite or whose span max - min exceeds
     the largest float, so that no difference of two of them overflows."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValidationError(f"{what} are not all finite")
     # the halved span cannot overflow, and exceeds max/2 exactly when the span
     # itself would round past the largest float
-    if float(np.max(values)) / 2 - float(np.min(values)) / 2 > np.finfo(float).max / 2:
+    if float(values.max()) / 2 - float(values.min()) / 2 > _HALF_MAX:
         raise ValidationError(f"{what} span more than the largest float")
 
 
@@ -157,4 +169,4 @@ def default_cluster_tol(values) -> float:
     could have produced it."""
     vals = np.asarray(values, dtype=float)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return _CLUSTER_SAFETY * vals.size * float(np.finfo(float).eps) * scale
+    return _CLUSTER_SAFETY * vals.size * _EPS * scale

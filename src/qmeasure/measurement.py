@@ -109,19 +109,21 @@ class MeasurementModel:
     apparatus: ApparatusModel
 
     def __post_init__(self) -> None:
-        d = self.measured_pvm.dim
-        if self.apparatus.n_outcomes != d:
+        pvm = self.measured_pvm
+        if self.apparatus.n_outcomes != pvm.dim:
             raise DimMismatch(
-                f"apparatus registers {self.apparatus.n_outcomes} outcomes, system dim is {d}"
+                f"apparatus registers {self.apparatus.n_outcomes} outcomes, "
+                f"system dim is {pvm.dim}"
             )
+        v = np.eye(pvm.dim, dtype=complex) if pvm.basis is None else pvm.basis
+        basis = linalg.readonly(v[:, np.argsort(pvm.labels, kind="stable")])
+        object.__setattr__(self, "_measured_basis", basis)
 
     @property
     def measured_basis(self) -> np.ndarray:
         """The measured basis: the basis columns in label order, column j
         the eigenvector of outcome j."""
-        pvm = self.measured_pvm
-        v = np.eye(pvm.dim, dtype=complex) if pvm.basis is None else pvm.basis
-        return linalg.readonly(v[:, np.argsort(pvm.labels, kind="stable")])
+        return self._measured_basis
 
     @property
     def dim_system(self) -> int:

@@ -26,8 +26,10 @@ observable, the diagonal kept by the collapse map, and the weights the
 premeasured composite induces on the commutative readout algebra after the
 system is traced out. With trials > 0 the report also carries sampled
 counts; trial t consumes the t-th variate of a dedicated substream, so the
-counts depend only on (seed, trials). They are counted by sorting the draws
-once, which gives the same counts as looking each trial up on its own.
+counts depend only on (seed, trials). They are counted without looking each
+trial up on its own, and give the same counts: one pass over the draws per
+outcome boundary when there are at most log2(trials) boundaries, else one
+sort of the draws.
 
 No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
 apparatus.dim^2 readout matrices and reduced apparatus state (apparatus.dim
@@ -330,18 +332,30 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
 
     Trial t lands on the first outcome whose cumulative weight exceeds its
     scaled variate, the last outcome taking the rest. Counts do not depend
-    on the order of the trials, so the variates are sorted in place and the
-    count of outcome j is the number of them between its two cumulative
-    weights: one sort, not one search per trial.
+    on the order of the trials: the count of outcome j is the number of
+    variates below its upper cumulative weight less the number below its
+    lower one. With n outcomes there are n - 1 such boundaries. Up to
+    log2(trials) of them, each is counted in one pass over the variates,
+    (n - 1) * trials comparisons; past that the variates are sorted in place
+    and each boundary is searched, about trials * log2(trials) comparisons.
+    Both give the same counts, and neither allocates more than one byte per
+    trial beside the variates.
     """
     rng = substream(seed, _TRIALS_TAG)
     # a running maximum leaves a weight floored just below zero an empty
     # interval, so no count can go negative; for weights >= 0 it changes nothing
     cum = np.maximum.accumulate(np.cumsum(probabilities))
+    bounds = cum[:-1]
     u = rng.random(trials)
     u *= cum[-1]
-    u.sort()
-    counts = np.diff(np.searchsorted(u, cum[:-1], side="left"), prepend=0, append=trials)
+    if bounds.size < trials.bit_length():  # n - 1 <= floor(log2(trials))
+        below = np.fromiter(
+            (np.count_nonzero(u < c) for c in bounds), dtype=np.intp, count=bounds.size
+        )
+    else:
+        u.sort()
+        below = np.searchsorted(u, bounds, side="left")
+    counts = np.diff(below, prepend=0, append=trials)
     return EmpiricalCounts(
         counts=tuple(int(c) for c in counts),
         frequencies=tuple(float(c) / trials for c in counts),
@@ -349,11 +363,11 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
     )
 
 
-def _match_outcome(value: float, targets: np.ndarray) -> int | None:
-    """Index of the target closest to value, if convincingly close."""
+def _match_outcome(value: float, targets: np.ndarray, scale: float) -> int | None:
+    """Index of the target closest to value, if within POINTER_MATCH_RTOL
+    of scale, the larger of 1 and the largest |target|."""
     gaps = np.abs(targets - value)
     j = int(np.argmin(gaps))
-    scale = max(1.0, float(np.max(np.abs(targets))))
     if gaps[j] <= linalg.POINTER_MATCH_RTOL * scale:
         return j
     return None
@@ -397,8 +411,9 @@ def run_scenario(s: Scenario) -> Report:
     n = born.outcomes.size
     aligned = np.zeros(n)
     values = model.apparatus.pointer_values
+    scale = max(1.0, float(np.abs(values).max()))
     for k, char in enumerate(pointer_chars):
-        j = _match_outcome(float(char), values)
+        j = _match_outcome(float(char), values, scale)
         if j is not None:
             aligned[j] += restricted.weights[k]
         elif restricted.weights[k] > linalg.ROUNDOFF_TOL:

@@ -68,7 +68,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = linalg.require_hermitian(self.matrix)
+        m = linalg.require_square(self.matrix)
+        # judged, not replaced by its Hermitian part: a density keeps its bits,
+        # and eigvalsh reads one triangle
+        linalg.require_hermitian(m)
         low = float(np.min(np.linalg.eigvalsh(m)))
         if low < -linalg.ROUNDOFF_TOL:
             raise NotPositive(f"lowest eigenvalue is {low:.3e}")

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from qmeasure.algebra import SpectralAlgebra
+from qmeasure.algebra import SpectralAlgebra, _split_points
 from qmeasure.errors import DimMismatch
+from qmeasure.linalg import default_cluster_tol
 from qmeasure.measurement import MeasurementModel
 from qmeasure.scenario import Scenario, parse_scenario
 from qmeasure.states import DensityMatrix, StateVector, as_density, as_state
@@ -30,6 +31,43 @@ def projectors(algebra: SpectralAlgebra) -> tuple[np.ndarray, ...]:
     v = np.eye(algebra.dim, dtype=complex) if algebra.basis is None else algebra.basis
     blocks = (v[:, algebra.labels == k] for k in range(algebra.n_points))
     return tuple(b @ b.conj().T for b in blocks)
+
+
+def spectrum_reference(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The split loop of qmeasure.algebra._spectrum, on the same input, with
+    an eigensolver call at every spectrum point, one-column points included,
+    and every new point valued at the mean of its cluster, a lone value kept
+    as it is. The package reads a one-column point's value off the compressed
+    generator and values a cluster of equal values at the first of them."""
+    n = gens[0].shape[0]
+    labels = np.zeros(n, dtype=np.intp)
+    counts = np.array([n])
+    chars = np.zeros((1, 0))
+    basis = None
+    for g in gens:
+        if g.ndim == 1:
+            values = np.real(g)
+        else:
+            fresh = basis is None
+            basis = np.eye(n, dtype=complex) if fresh else basis
+            values = np.empty(n)
+            order = np.argsort(labels, kind="stable")
+            for end, m in zip(np.cumsum(counts), counts):
+                cols = order[end - m : end]
+                if fresh:
+                    block = np.ix_(cols, cols)
+                    values[cols], basis[block] = np.linalg.eigh(g[block])
+                else:
+                    v = basis[:, cols]
+                    values[cols], u = np.linalg.eigh(v.conj().T @ g @ v)
+                    basis[:, cols] = v @ u
+        counts, parents, _ = _split_points(labels, counts, values, default_cluster_tol(values))
+        means = np.empty(counts.size)
+        for k in range(counts.size):
+            cluster = np.sort(values[labels == k])
+            means[k] = cluster[0] if cluster.size == 1 else cluster[0] + np.mean(cluster - cluster[0])
+        chars = np.column_stack((chars[parents], means))
+    return labels, chars, basis
 
 
 def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:

@@ -7,6 +7,7 @@ from qmeasure import errors, verification
 from qmeasure.algebra import (
     SpectralAlgebra,
     SpectralProbabilityMeasure,
+    _spectrum,
     diagonal_algebra,
     generate_algebra,
     gelfand_transform,
@@ -24,7 +25,7 @@ from qmeasure.randomness import (
 from qmeasure.states import DensityMatrix, mix, projector_of
 
 from conftest import assert_close
-from oracles import projectors, rand_density
+from oracles import projectors, rand_density, spectrum_reference
 
 
 def test_generate_algebra_single_diagonal_generator():
@@ -100,6 +101,55 @@ def test_diagonal_family_needs_no_eigensolver(monkeypatch):
     alg = generate_algebra([np.diag([2.0, 1.0, 2.0, 1.0]), np.diag([0.0, 0.0, 1.0, 0.0])])
     assert_close(alg.characters, [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
     assert list(alg.labels) == [1, 0, 2, 0]
+
+
+# with signed zeros, so that -0.0 singletons and clusters of -0.0 and +0.0 occur
+_SPLIT_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, 2.5])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    n_diagonals=st.integers(0, 2),
+    n_matrices=st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_split_loop_matches_an_eigensolver_at_every_point(seed, n, n_diagonals, n_matrices):
+    # a commuting family: diagonals, then matrices W diag(x) W^dagger with W
+    # a random unitary on each point the diagonals leave, so one-column and
+    # multi-column points mix in both the fresh and the rotated branch
+    if n_diagonals + n_matrices == 0:
+        n_matrices = 1
+    rng = np.random.default_rng(seed)
+    diagonals = [rng.choice(_SPLIT_VALUES, n) for _ in range(n_diagonals)]
+    w = np.zeros((n, n), dtype=complex)
+    keys = np.array(diagonals).T if diagonals else np.zeros((n, 1))
+    for key in np.unique(keys, axis=0):
+        cols = np.flatnonzero((keys == key).all(axis=1))
+        w[np.ix_(cols, cols)] = rand_unitary(cols.size, rng)
+    matrices = []
+    for _ in range(n_matrices):
+        g = (w * rng.choice(_SPLIT_VALUES, n)) @ w.conj().T
+        matrices.append(g / 2 + g.conj().T / 2)
+    family = [d.astype(complex) for d in diagonals] + matrices
+    labels, chars, basis = _spectrum(family)
+    want_labels, want_chars, want_basis = spectrum_reference(family)
+    assert np.array_equal(labels, want_labels)
+    assert chars.shape == want_chars.shape
+    assert chars.tobytes() == want_chars.tobytes()
+    if basis is None:
+        assert want_basis is None
+    else:
+        # equal elementwise: only the sign of a zero entry may differ
+        assert np.array_equal(basis, want_basis)
+
+
+def test_one_column_points_keep_a_signed_zero_value():
+    alg = diagonal_algebra([[-0.0, 1.0]])
+    assert alg.characters.tobytes() == np.array([[-0.0], [1.0]]).tobytes()
+    # a cluster of -0.0 and +0.0 is valued +0.0, the mean of its offsets
+    alg = diagonal_algebra([[0.0, -0.0, 1.0]])
+    assert alg.characters.tobytes() == np.array([[0.0], [1.0]]).tobytes()
 
 
 def test_index_form_rejects_bad_labels():

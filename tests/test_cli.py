@@ -301,6 +301,19 @@ def test_run_accepts_a_subnormal_splitter_on_the_idle_block(tmp_path, scale):
     assert strict.returncode == 0, strict.stderr
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+def test_run_judges_hermiticity_in_units_of_the_largest_entry(tmp_path, scale):
+    # one ulp of asymmetry in the off-diagonal entry is roundoff at any scale;
+    # an antisymmetric one is not Hermitian at any scale
+    next_up = float(np.nextafter(scale, np.inf))
+    for lower, code in ((next_up, 0), (-scale, 1)):
+        observable = [[[0.0, 0], [scale, 0]], [[lower, 0], [3 * scale, 0]]]
+        strict = run_strict(["run", write_qubit_scenario(tmp_path, observable=observable)])
+        assert strict.returncode == code, strict.stderr
+        if code:
+            assert "NotHermitian" in strict.stderr
+
+
 def report_shape(node):
     """The report with every number replaced by its type: its keys and the
     lengths of its lists."""

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from qmeasure.states import DensityMatrix, StateVector
 
 from conftest import assert_close
 from oracles import load_scenario, sample_outcome
+
+_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def doc_qubit(**overrides) -> str:
@@ -292,18 +295,46 @@ def test_sample_counts_give_a_weight_just_below_zero_no_trials():
     assert counts[1] == 0
 
 
-def test_sample_counts_sort_the_draws_in_place():
+@pytest.mark.parametrize("trials", [100, 1024, 1025, 100_000])
+@pytest.mark.parametrize("above", [0, 1])
+def test_sample_counts_choose_the_sort_past_log2_trials_boundaries(monkeypatch, trials, above):
+    # n - 1 outcome boundaries: one pass over the draws each up to
+    # floor(log2(trials)) of them, a sort and a search past that
+    n = trials.bit_length() + above
+    p = substream(trials, n).uniform(0.0, 1.0, n)
+    p[::3] = 0.0
+    p /= p.sum()
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or search(*a, **k))
+    counts = _sample_counts(p, 9, trials).counts
+    assert len(searches) == above
+    assert counts == _per_trial_counts(p, 9, trials)
+
+
+def test_sample_counts_peak_under_one_and_a_half_times_the_draws():
+    # three outcomes count by passes over the draws, 64 by sorting them in
+    # place; either way the draws themselves are 8 bytes per trial
     trials = 2**20
-    p = np.array([0.25, 0.25, 0.5])
-    _sample_counts(p, 3, 1000)  # warm-up
-    tracemalloc.start()
-    try:
-        _sample_counts(p, 3, trials)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the draws themselves are 8 bytes per trial
-    assert peak < 1.5 * 8 * trials
+    for p in (np.array([0.25, 0.25, 0.5]), np.full(64, 1 / 64)):
+        _sample_counts(p, 3, 1000)  # warm-up
+        tracemalloc.start()
+        try:
+            _sample_counts(p, 3, trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * trials
+
+
+def test_mixed_run_calls_the_eigensolver_only_on_multi_column_points(monkeypatch):
+    # the measured observable's one block and the idle block the splitter
+    # splits; the twelve one-column pointer points need no eigensolver
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    run_scenario(load_scenario(_SCENARIOS / "mixed_splitter.json"))
+    assert len(calls) == 2
 
 
 def test_run_scenario_custom_generators_must_contain_pointer():

@@ -58,8 +58,9 @@ def _mix(weights):
 # name: (build with defect d, the tolerance d is measured against, error)
 BOUNDARIES = {
     "state norm": (lambda d: StateVector([1 + d, 0]), 1e-10, errors.NotNormalized),
+    # Hermiticity is judged in units of the largest entry, here 1
     "density hermiticity": (
-        lambda d: DensityMatrix([[0.5, d], [0, 0.5]]),
+        lambda d: DensityMatrix([[1, d], [0, 0]]),
         1e-10,
         errors.NotHermitian,
     ),
@@ -74,7 +75,7 @@ BOUNDARIES = {
         errors.TraceNotOne,
     ),
     "observable hermiticity": (
-        lambda d: Observable([[0, d], [0, 0]]),
+        lambda d: Observable([[1, d], [0, 1]]),
         1e-10,
         errors.NotHermitian,
     ),
