@@ -163,14 +163,9 @@ def _split_points(labels, counts, values, tol):
     bounds = np.append(starts, n)
     means = ascending[starts]
     for j in np.flatnonzero(np.diff(bounds) > 1):
+        # offsets from the cluster's least value, so no sum can overflow
         cluster = ascending[starts[j] : bounds[j + 1]]
-        if cluster[-1] == cluster[0]:
-            # the mean below would give cluster[0] + 0.0; singletons skip
-            # this loop and keep their raw value, so a lone -0.0 stays -0.0
-            means[j] = cluster[0] + 0.0
-        else:
-            # offsets from the cluster's least value, so no sum can overflow
-            means[j] = cluster[0] + np.mean(cluster - cluster[0])
+        means[j] = cluster[0] + np.mean(cluster - cluster[0])
     del ascending  # the relabelling below is the largest step; free n floats first
     ranks = np.cumsum(new)
     ranks -= 1

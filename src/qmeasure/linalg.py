@@ -76,13 +76,10 @@ def isometry_defect(v: np.ndarray) -> float:
     return float(np.abs(gram).max())
 
 
-def require_hermitian(m) -> np.ndarray:
-    """A square matrix within ROUNDOFF_TOL of Hermitian in units of 2^k, the
-    power of two at or below its largest real or imaginary part, as its
-    Hermitian part: the input itself when it is exactly Hermitian, so its
-    bits are kept, else (M + M^dagger) / 2, halved before the sum so that
-    no entry overflows."""
-    a = require_square(m)
+def judge_hermitian(a: np.ndarray) -> float:
+    """The Hermiticity defect of a square complex array in units of 2^k, the
+    power of two at or below its largest real or imaginary part; a defect
+    past ROUNDOFF_TOL raises NotHermitian."""
     scaled, k = unit_scaled(a)
     defect = hermiticity_defect(scaled)
     if defect > ROUNDOFF_TOL:
@@ -90,7 +87,16 @@ def require_hermitian(m) -> np.ndarray:
             f"max |M - M^dagger| entry is {defect:.3e} x 2^{k}, "
             f"tolerance {ROUNDOFF_TOL:.3e} x 2^{k}"
         )
-    return a / 2 + a.conj().T / 2 if defect else a
+    return defect
+
+
+def require_hermitian(m) -> np.ndarray:
+    """A square matrix that judge_hermitian accepts, as its Hermitian part:
+    the input itself when it is exactly Hermitian, so its bits are kept,
+    else (M + M^dagger) / 2, halved before the sum so that no entry
+    overflows."""
+    a = require_square(m)
+    return a / 2 + a.conj().T / 2 if judge_hermitian(a) else a
 
 
 def require_weights(

@@ -28,8 +28,8 @@ system is traced out. With trials > 0 the report also carries sampled
 counts; trial t consumes the t-th variate of a dedicated substream, so the
 counts depend only on (seed, trials). They are counted without looking each
 trial up on its own, and give the same counts: one pass over the draws per
-outcome boundary when there are at most log2(trials) boundaries, else one
-sort of the draws.
+outcome boundary when there are few boundaries and many draws, else one
+sort of the draws (see _sample_counts for where the two cross).
 
 No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
 apparatus.dim^2 readout matrices and reduced apparatus state (apparatus.dim
@@ -84,6 +84,13 @@ _TRIALS_TAG = 1
 _COMPARE_TAG = 2
 
 _MAX_SEED = 2**64
+
+# _sample_counts makes one pass over the draws per outcome boundary when there
+# are at most _PASS_BOUNDARIES boundaries and at least _PASS_TRIALS draws, and
+# sorts the draws otherwise. Both bounds are the timed crossover of the two
+# counting branches; see the README's "Reproducibility" for the timings.
+_PASS_BOUNDARIES = 11
+_PASS_TRIALS = 2**13
 
 # largest number of elements any one array of a run may need; documents whose
 # sizes imply more are rejected at parse time, before anything is allocated
@@ -334,12 +341,13 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
     scaled variate, the last outcome taking the rest. Counts do not depend
     on the order of the trials: the count of outcome j is the number of
     variates below its upper cumulative weight less the number below its
-    lower one. With n outcomes there are n - 1 such boundaries. Up to
-    log2(trials) of them, each is counted in one pass over the variates,
-    (n - 1) * trials comparisons; past that the variates are sorted in place
-    and each boundary is searched, about trials * log2(trials) comparisons.
-    Both give the same counts, and neither allocates more than one byte per
-    trial beside the variates.
+    lower one. With n outcomes there are n - 1 such boundaries. Each pass
+    over the variates costs a fixed call overhead plus a vectorized
+    comparison per variate, so n - 1 passes beat one in-place sort and search
+    only for few boundaries and many variates: up to _PASS_BOUNDARIES of them
+    from _PASS_TRIALS variates on. Otherwise the variates are sorted in place
+    and each boundary is searched. Both give the same counts, and neither
+    allocates more than one byte per trial beside the variates.
     """
     rng = substream(seed, _TRIALS_TAG)
     # a running maximum leaves a weight floored just below zero an empty
@@ -348,7 +356,7 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
     bounds = cum[:-1]
     u = rng.random(trials)
     u *= cum[-1]
-    if bounds.size < trials.bit_length():  # n - 1 <= floor(log2(trials))
+    if bounds.size <= _PASS_BOUNDARIES and trials >= _PASS_TRIALS:
         below = np.fromiter(
             (np.count_nonzero(u < c) for c in bounds), dtype=np.intp, count=bounds.size
         )
@@ -363,11 +371,11 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
     )
 
 
-def _match_outcome(value: float, targets: np.ndarray, scale: float) -> int | None:
-    """Index of the target closest to value, if within POINTER_MATCH_RTOL
-    of scale, the larger of 1 and the largest |target|."""
+def _match_outcome(value: float, targets: np.ndarray) -> int | None:
+    """Index of the target closest to value, if convincingly close."""
     gaps = np.abs(targets - value)
     j = int(np.argmin(gaps))
+    scale = max(1.0, float(np.max(np.abs(targets))))
     if gaps[j] <= linalg.POINTER_MATCH_RTOL * scale:
         return j
     return None
@@ -411,9 +419,8 @@ def run_scenario(s: Scenario) -> Report:
     n = born.outcomes.size
     aligned = np.zeros(n)
     values = model.apparatus.pointer_values
-    scale = max(1.0, float(np.abs(values).max()))
     for k, char in enumerate(pointer_chars):
-        j = _match_outcome(float(char), values, scale)
+        j = _match_outcome(float(char), values)
         if j is not None:
             aligned[j] += restricted.weights[k]
         elif restricted.weights[k] > linalg.ROUNDOFF_TOL:

@@ -71,7 +71,7 @@ class DensityMatrix:
         m = linalg.require_square(self.matrix)
         # judged, not replaced by its Hermitian part: a density keeps its bits,
         # and eigvalsh reads one triangle
-        linalg.require_hermitian(m)
+        linalg.judge_hermitian(m)
         low = float(np.min(np.linalg.eigvalsh(m)))
         if low < -linalg.ROUNDOFF_TOL:
             raise NotPositive(f"lowest eigenvalue is {low:.3e}")

@@ -38,7 +38,7 @@ def spectrum_reference(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]
     an eigensolver call at every spectrum point, one-column points included,
     and every new point valued at the mean of its cluster, a lone value kept
     as it is. The package reads a one-column point's value off the compressed
-    generator and values a cluster of equal values at the first of them."""
+    generator instead."""
     n = gens[0].shape[0]
     labels = np.zeros(n, dtype=np.intp)
     counts = np.array([n])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeasure import errors
+from qmeasure import errors, linalg
 from qmeasure.algebra import SpectralAlgebra, generate_algebra, joint_spectrum
 from qmeasure.observables import (
     Observable,
@@ -15,7 +15,7 @@ from qmeasure.observables import (
     evolve,
 )
 from qmeasure.randomness import rand_hermitian, rand_state, substream
-from qmeasure.states import StateVector, projector_of
+from qmeasure.states import DensityMatrix, StateVector, projector_of
 
 from conftest import assert_close
 from oracles import projectors
@@ -27,6 +27,37 @@ Z = np.diag([1.0, -1.0])
 def test_observable_rejects_non_hermitian():
     with pytest.raises(errors.NotHermitian):
         Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e6, 1e12])
+def test_observable_keeps_the_hermitian_part_of_a_one_ulp_asymmetry(s):
+    a = np.array([[0, s], [np.nextafter(s, np.inf), 3 * s]], dtype=complex)
+    m = Observable(a).matrix
+    assert not np.array_equal(a, a.conj().T)
+    assert np.array_equal(m, a / 2 + a.conj().T / 2)
+    assert np.array_equal(m, m.conj().T)
+
+
+def test_exactly_hermitian_input_keeps_its_bits():
+    # the Hermitian part would halve the subnormal entry to zero
+    tiny = 5e-324
+    a = np.array([[tiny, 1 + 2j], [1 - 2j, -0.0]])
+    assert Observable(a).matrix.tobytes() == a.tobytes()
+    # a density is judged, never replaced, so an inexact one keeps its bits too
+    rho = np.array([[0.5, 0.25], [np.nextafter(0.25, 1), 0.5]], dtype=complex)
+    assert DensityMatrix(rho).matrix.tobytes() == rho.tobytes()
+
+
+def test_hermitian_part_near_the_float_limit_does_not_overflow():
+    # the sum of the two off-diagonal entries is past the largest float
+    big = np.finfo(float).max
+    a = np.array([[0, big], [np.nextafter(big, 0), big]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = linalg.require_hermitian(a)
+    assert np.isfinite(m).all()
+    assert np.array_equal(m, m.conj().T)
+    assert m[0, 1] == big / 2 + np.nextafter(big, 0) / 2
 
 
 def test_spectral_decomposition_degenerate_diagonal():

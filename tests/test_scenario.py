@@ -295,12 +295,23 @@ def test_sample_counts_give_a_weight_just_below_zero_no_trials():
     assert counts[1] == 0
 
 
-@pytest.mark.parametrize("trials", [100, 1024, 1025, 100_000])
-@pytest.mark.parametrize("above", [0, 1])
-def test_sample_counts_choose_the_sort_past_log2_trials_boundaries(monkeypatch, trials, above):
-    # n - 1 outcome boundaries: one pass over the draws each up to
-    # floor(log2(trials)) of them, a sort and a search past that
-    n = trials.bit_length() + above
+@pytest.mark.parametrize(
+    "trials, boundaries, sorts",
+    [
+        (8192, 11, False),
+        (8192, 12, True),
+        (8191, 11, True),
+        (100_000, 11, False),
+        (100_000, 12, True),
+        (100, 1, True),
+    ],
+)
+def test_sample_counts_sort_past_eleven_boundaries_or_under_8192_trials(
+    monkeypatch, trials, boundaries, sorts
+):
+    # n - 1 outcome boundaries: one pass over the draws each for at most 11
+    # of them and at least 8192 draws, a sort and a search otherwise
+    n = boundaries + 1
     p = substream(trials, n).uniform(0.0, 1.0, n)
     p[::3] = 0.0
     p /= p.sum()
@@ -308,7 +319,7 @@ def test_sample_counts_choose_the_sort_past_log2_trials_boundaries(monkeypatch, 
     search = np.searchsorted
     monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or search(*a, **k))
     counts = _sample_counts(p, 9, trials).counts
-    assert len(searches) == above
+    assert len(searches) == sorts
     assert counts == _per_trial_counts(p, 9, trials)
 
 
