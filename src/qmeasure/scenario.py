@@ -85,10 +85,9 @@ _COMPARE_TAG = 2
 
 _MAX_SEED = 2**64
 
-# _sample_counts makes one pass over the draws per outcome boundary when there
-# are at most _PASS_BOUNDARIES boundaries and at least _PASS_TRIALS draws, and
-# sorts the draws otherwise. Both bounds are the timed crossover of the two
-# counting branches; see the README's "Reproducibility" for the timings.
+# where _sample_counts switches from sorting the draws to one pass per outcome
+# boundary: the timed crossover of the two, listed in the README's
+# "Reproducibility" section
 _PASS_BOUNDARIES = 11
 _PASS_TRIALS = 2**13
 
