@@ -100,14 +100,26 @@ class SpectralAlgebra:
         return self._multiplicities
 
     def point_sums(self, per_column) -> np.ndarray:
-        """Sum of per-column values over the columns of each spectrum point."""
-        return np.bincount(self.labels, weights=per_column, minlength=self.n_points)
+        """Sum of per-column values over the columns of each spectrum point,
+        along the last axis of a vector or a stack of them."""
+        per_column = np.asarray(per_column)
+        if per_column.ndim == 1:
+            return np.bincount(self.labels, weights=per_column, minlength=self.n_points)
+        # one bincount for the stack: row r's labels are offset by r points
+        rows = per_column.reshape(-1, self.dim)
+        offsets = np.arange(0, rows.shape[0] * self.n_points, self.n_points)
+        sums = np.bincount(
+            (offsets[:, None] + self.labels).ravel(),
+            weights=rows.ravel(),
+            minlength=offsets.size * self.n_points,
+        )
+        return sums.reshape(*per_column.shape[:-1], self.n_points)
 
     def block_traces(self, m: np.ndarray) -> np.ndarray:
         """Tr(V_k^dagger M V_k) for every spectrum point k; in index form
-        the per-point sums of diag(M)."""
+        the per-point sums of diag(M), for a matrix or a stack of them."""
         if self.basis is None:
-            return self.point_sums(np.real(np.diagonal(m)))
+            return self.point_sums(np.real(np.diagonal(m, axis1=-2, axis2=-1)))
         v = self.basis
         return self.point_sums(np.real(np.einsum("ij,ij->j", v.conj(), m @ v)))
 

@@ -224,6 +224,25 @@ def premeasure(psi, model: MeasurementModel) -> StateVector:
     return StateVector(m.reshape(-1))
 
 
+def premeasure_stack(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """premeasure for a stack of n cases with a minimal apparatus, on bare
+    arrays: the (n, d, d) coefficient matrices B diag(c), c = B^dagger psi, of
+    the premeasured composites, from the (n, d) states and (n, d, d) measured
+    bases. A case's coefficients have the bits premeasure gives it when its
+    basis is stored column-major, as a model's measured basis is."""
+    c = (bases.conj().swapaxes(-1, -2) @ states[..., None])[..., 0]
+    if c.shape[-1] > 1:
+        return bases * c[..., None, :]
+    # d = 1: premeasure multiplies a 1 x 1 basis by a broadcast c, which numpy
+    # does with its scalar complex loop, but a stack of 1 x 1 slices is one
+    # contiguous run for its vector loop, which rounds otherwise; so the
+    # product is formed part by part, as the scalar loop forms it
+    out = np.empty(bases.shape, dtype=complex)
+    out.real = bases.real * c.real[..., None, :] - bases.imag * c.imag[..., None, :]
+    out.imag = bases.real * c.imag[..., None, :] + bases.imag * c.real[..., None, :]
+    return out
+
+
 def collapse(rho, model: MeasurementModel) -> DensityMatrix:
     """Projective collapse: keep the diagonal of rho in the measured basis.
 
@@ -234,9 +253,15 @@ def collapse(rho, model: MeasurementModel) -> DensityMatrix:
     r = as_density(rho)
     if r.dim != model.dim_system:
         raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
-    basis = model.measured_basis
-    probs = np.real(np.diag(basis.conj().T @ r.matrix @ basis))
-    return DensityMatrix._trusted((basis * probs) @ basis.conj().T)
+    return DensityMatrix._trusted(collapse_stack(r.matrix, model.measured_basis))
+
+
+def collapse_stack(rhos: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The collapse sum_n <b_n|rho|b_n> |b_n><b_n| of one density matrix
+    in one measured basis, or of stacks (..., d, d) of both."""
+    adjoints = bases.conj().swapaxes(-1, -2)
+    probs = np.real(np.diagonal(adjoints @ rhos @ bases, axis1=-2, axis2=-1))
+    return (bases * probs[..., None, :]) @ adjoints
 
 
 def apparatus_reduced_state(composite, dims: CompositeDims) -> DensityMatrix:

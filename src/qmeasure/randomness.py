@@ -27,12 +27,39 @@ def rand_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """dim x dim complex Ginibre matrix: independent entries of unit variance."""
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+
+
+def haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from a Ginibre matrix or a stack (..., d, d)
+    of them: QR, with each column's phase fixed by the diagonal of R. One
+    stacked QR gives every slice the bits of its own."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_unitaries(ginibre(dim, rng))
+
+
+def random_cases(
+    dim: int, seed: int, tags: tuple[int, ...], cases: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """A Haar state and then a Ginibre matrix from substream(seed, *tags, i)
+    for each case i, in order: the (n, dim) states and the (n, dim, dim)
+    Haar unitaries, from one stacked QR, of the n cases. Case i draws what
+    rand_state and then rand_unitary draw from its stream."""
+    states = np.empty((len(cases), dim), dtype=complex)
+    ginibres = np.empty((len(cases), dim, dim), dtype=complex)
+    for k, i in enumerate(cases):
+        rng = substream(seed, *tags, i)
+        states[k] = rand_state(dim, rng)
+        ginibres[k] = ginibre(dim, rng)
+    return states, haar_unitaries(ginibres)
 
 
 def rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

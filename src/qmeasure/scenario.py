@@ -52,6 +52,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
+    SpectralAlgebra,
     SpectralProbabilityMeasure,
     diagonal_algebra,
     generate_algebra,
@@ -60,7 +61,10 @@ from .algebra import (
 )
 from .errors import (
     BadAmplitudes,
+    DimMismatch,
     NotInAlgebra,
+    NotNormalized,
+    NotOrthonormal,
     ParseError,
     QmError,
     ValidationError,
@@ -69,14 +73,15 @@ from .measurement import (
     apparatus_reduced_density,
     apparatus_reduced_state,
     build_apparatus,
-    build_coupling,
     collapse,
+    collapse_stack,
     model_for_observable,
     pointer_observable,
     premeasure,
+    premeasure_stack,
 )
 from .observables import Observable, OutcomeDistribution, born_distribution
-from .randomness import rand_state, rand_unitary, substream
+from .randomness import random_cases, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report
 from .states import DensityMatrix, StateVector, projector_of
 
@@ -90,6 +95,10 @@ _MAX_SEED = 2**64
 # "Reproducibility" section
 _PASS_BOUNDARIES = 11
 _PASS_TRIALS = 2**13
+
+# most elements of one (cases, d, d) stack of compare's kernel, so at least
+# _CASE_BLOCK // d^2 cases per stack: the timings behind it are in the README
+_CASE_BLOCK = 2**16
 
 # largest number of elements any one array of a run may need; documents whose
 # sizes imply more are rejected at parse time, before anything is allocated
@@ -532,16 +541,58 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     )
 
 
-def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, algebra) -> float:
-    """Largest gap between the collapse diagonal of psi in the measured basis
-    and the weights its premeasured apparatus state puts on the readout
-    algebra: one case of the collapse vs restriction equivalence."""
-    model = build_coupling(basis, apparatus)
-    rho_app = apparatus_reduced_state(premeasure(psi, model), model.dims)
-    weights = restrict_state(rho_app, algebra).weights
-    collapsed = collapse(projector_of(psi), model)
-    diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
-    return float(np.max(np.abs(weights - diag)))
+def pointer_readout(dim: int) -> SpectralAlgebra:
+    """The readout algebra of a minimal apparatus registering dim outcomes:
+    the diagonal algebra of its pointer values 0..dim-1, held in index form,
+    whose point j is pointer column j."""
+    return diagonal_algebra([build_apparatus(dim).pointer_values])
+
+
+def collapse_restriction_gaps(
+    states: np.ndarray, bases: np.ndarray, readout: SpectralAlgebra
+) -> np.ndarray:
+    """The collapse vs restriction equivalence on a stack of cases: per case,
+    the largest gap between the collapse diagonal of states[i] in the
+    measured basis bases[i] and the weights its premeasured apparatus state
+    puts on readout, the pointer_readout of a minimal apparatus.
+
+    Every step is one stacked product, and the checks the objects of one
+    case would make run once on the stack, each written so that a NaN fails
+    it: the state norms, the bases' orthonormality, the composite norms and
+    the weights' floor and sum. The bases are copied column-major, the
+    layout of a model's measured basis, so each case's gap has the bits that
+    case alone gets through the objects of a run.
+    """
+    n, d = states.shape
+    if bases.shape != (n, d, d):
+        raise DimMismatch(f"{n} states of dim {d}, bases of shape {bases.shape}")
+    norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
+    if not norm_gap <= linalg.ROUNDOFF_TOL:
+        raise NotNormalized(f"a state's norm is off by {norm_gap:.3e}")
+    defect = linalg.isometry_defect(bases)
+    if not defect <= linalg.ROUNDOFF_TOL:
+        raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
+    b = np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+    # premeasure and reduce: the composite's d x d coefficient matrices M, and
+    # the reduced apparatus states M^T conj(M), restricted to the readout
+    m = premeasure_stack(states, b)
+    norm_gap = float(np.max(np.abs(np.linalg.norm(m.reshape(n, -1), axis=-1) - 1.0)))
+    if not norm_gap <= linalg.ROUNDOFF_TOL:
+        raise NotNormalized(f"a premeasured composite's norm is off by {norm_gap:.3e}")
+    weights = readout.block_traces(m.swapaxes(-1, -2) @ m.conj())
+    low = float(weights.min())
+    if not low >= -linalg.WEIGHT_FLOOR:
+        raise ValidationError(f"weights: entry {low:.3e} below the roundoff floor")
+    sum_gap = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
+    if not sum_gap <= linalg.ROUNDOFF_TOL:
+        raise ValidationError(f"weights: a sum is off from 1 by {sum_gap:.3e}")
+
+    # collapse the projectors |psi><psi| and read the diagonal back
+    projectors = states[:, :, None] * states.conj()[:, None, :]
+    collapsed = collapse_stack(projectors, b)
+    diag = np.real(np.diagonal(b.conj().swapaxes(-1, -2) @ collapsed @ b, axis1=-2, axis2=-1))
+    return np.max(np.abs(weights - diag), axis=-1)
 
 
 def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> ComparisonSummary:
@@ -549,20 +600,20 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
 
     Each case draws a state and a measured basis from its own substream
     (seed, 2, case_index), runs both routes with a minimal apparatus, and
-    records the worst elementwise gap. Bit-for-bit reproducible for a given
-    (dim, n_random, seed).
+    records the worst elementwise gap. The cases run in stacks of at most
+    _CASE_BLOCK elements each, so memory does not grow with n_random.
+    Bit-for-bit reproducible for a given (dim, n_random, seed).
     """
     if n_random < 1:
         raise ValidationError("n_random must be positive")
     _check_budget("n_random", n_random)
-    apparatus = build_apparatus(dim)
-    algebra = generate_algebra([pointer_observable(apparatus)])
-    devs = np.zeros(n_random)
-    for i in range(n_random):
-        rng = substream(seed, _COMPARE_TAG, i)
-        psi = StateVector(rand_state(dim, rng))
-        basis = rand_unitary(dim, rng)
-        devs[i] = collapse_restriction_gap(psi, basis, apparatus, algebra)
+    readout = pointer_readout(dim)
+    per_block = max(1, _CASE_BLOCK // dim**2)
+    devs = np.empty(n_random)
+    for start in range(0, n_random, per_block):
+        cases = range(start, min(start + per_block, n_random))
+        states, bases = random_cases(dim, seed, (_COMPARE_TAG,), cases)
+        devs[start : cases.stop] = collapse_restriction_gaps(states, bases, readout)
     worst_index = int(np.argmax(devs))
     return ComparisonSummary(
         dim=dim,

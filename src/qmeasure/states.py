@@ -10,8 +10,10 @@ relies on that one line.
 States are immutable. The public constructors validate what a caller hands
 them; a density matrix the package computes from already-validated inputs
 (a projector, a mixture, a partial trace, a collapse) is Hermitian, positive
-and of unit trace by construction, and is stored through
-DensityMatrix._trusted without being checked again.
+and of unit trace to roundoff, and is stored through DensityMatrix._trusted
+without being checked again. It is not exactly Hermitian: the products that
+form an entry and its mirror image round apart, so M and M^dagger may differ
+in the last bits.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class DensityMatrix:
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
-        """Store a matrix that is a density matrix by construction, unchecked."""
+        """Store a matrix that is a density matrix to roundoff by the way it
+        was computed, unchecked."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", linalg.readonly(matrix))
         return rho

@@ -6,12 +6,18 @@ from pathlib import Path
 
 import numpy as np
 
-from qmeasure.algebra import SpectralAlgebra, _split_points
+from qmeasure.algebra import SpectralAlgebra, _split_points, restrict_state
 from qmeasure.errors import DimMismatch
 from qmeasure.linalg import default_cluster_tol
-from qmeasure.measurement import MeasurementModel
+from qmeasure.measurement import (
+    MeasurementModel,
+    apparatus_reduced_state,
+    build_coupling,
+    collapse,
+    premeasure,
+)
 from qmeasure.scenario import Scenario, parse_scenario
-from qmeasure.states import DensityMatrix, StateVector, as_density, as_state
+from qmeasure.states import DensityMatrix, StateVector, as_density, as_state, projector_of
 
 
 def load_scenario(path) -> Scenario:
@@ -68,6 +74,20 @@ def spectrum_reference(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]
             means[k] = cluster[0] if cluster.size == 1 else cluster[0] + np.mean(cluster - cluster[0])
         chars = np.column_stack((chars[parents], means))
     return labels, chars, basis
+
+
+def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, algebra) -> float:
+    """One case of the collapse vs restriction equivalence, through the
+    objects of a run: the largest gap between the collapse diagonal of psi in
+    the measured basis and the weights its premeasured apparatus state puts
+    on the readout algebra. The package runs a stack of cases at once
+    (scenario.collapse_restriction_gaps)."""
+    model = build_coupling(basis, apparatus)
+    rho_app = apparatus_reduced_state(premeasure(psi, model), model.dims)
+    weights = restrict_state(rho_app, algebra).weights
+    collapsed = collapse(projector_of(psi), model)
+    diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
+    return float(np.max(np.abs(weights - diag)))
 
 
 def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:

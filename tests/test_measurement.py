@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,9 +171,9 @@ def test_model_for_observable_checks_the_basis_once(monkeypatch):
 
 
 def test_compare_checks_each_basis_once(monkeypatch):
-    # one check per case, for its measured basis: collapse trusts the
-    # checked model, and the apparatus and the diagonal pointer algebra
-    # have no basis to check
+    # each case's measured basis is checked once, in the check of its stack:
+    # collapse trusts the checked bases, and the apparatus and the diagonal
+    # pointer algebra have no basis to check
     calls = []
     defect = linalg.isometry_defect
 
@@ -181,7 +183,8 @@ def test_compare_checks_each_basis_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "isometry_defect", counted)
     compare_collapse_vs_restriction(16, 100, 1)
-    assert len(calls) <= 100
+    assert all(shape[-2:] == (16, 16) for shape in calls)
+    assert sum(math.prod(shape[:-2]) for shape in calls) == 100
 
 
 def test_build_coupling_rejects_nonsquare_basis():

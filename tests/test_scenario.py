@@ -8,22 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors
-from qmeasure.measurement import model_for_observable
-from qmeasure.randomness import substream
-from qmeasure.report import emit_report, report_payload, sig12
+from qmeasure.algebra import generate_algebra
+from qmeasure.measurement import build_apparatus, model_for_observable, pointer_observable
+from qmeasure.randomness import random_cases, substream
+from qmeasure.report import ComparisonSummary, emit_report, report_payload, sig12
 from qmeasure.scenario import (
+    _CASE_BLOCK,
     MAX_ARRAY_ELEMENTS,
     Scenario,
     _sample_counts,
+    collapse_restriction_gaps,
     compare_collapse_vs_restriction,
     parse_scenario,
+    pointer_readout,
     run_cat,
     run_scenario,
 )
 from qmeasure.states import DensityMatrix, StateVector
 
 from conftest import assert_close
-from oracles import load_scenario, sample_outcome
+from oracles import collapse_restriction_gap, load_scenario, sample_outcome
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -428,6 +432,90 @@ def test_compare_allocates_no_composite_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def per_case_gaps(d: int, states, bases) -> np.ndarray:
+    """The gaps of the one-case-at-a-time kernel, with the readout algebra
+    generated by the dense pointer observable."""
+    apparatus = build_apparatus(d)
+    algebra = generate_algebra([pointer_observable(apparatus)])
+    return np.array(
+        [
+            collapse_restriction_gap(StateVector(psi), basis, apparatus, algebra)
+            for psi, basis in zip(states, bases)
+        ]
+    )
+
+
+@pytest.mark.parametrize("d", [*range(1, 13), 16, 32])
+def test_stacked_gaps_have_the_bits_of_the_per_case_kernel(d):
+    # at d = 1 a plain stacked product rounds differently in about 45% of
+    # the cases, so 400 of them
+    states, bases = random_cases(d, 29, (2,), range(400 if d == 1 else 40))
+    gaps = collapse_restriction_gaps(states, bases, pointer_readout(d))
+    assert np.array_equal(gaps, per_case_gaps(d, states, bases))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_compare_across_a_block_boundary_has_the_per_case_bits(offset):
+    d, seed = 32, 31
+    n_random = _CASE_BLOCK // d**2 + offset
+    devs = per_case_gaps(d, *random_cases(d, seed, (2,), range(n_random)))
+    worst_index = int(np.argmax(devs))
+    assert compare_collapse_vs_restriction(d, n_random, seed) == ComparisonSummary(
+        dim=d,
+        n_random=n_random,
+        seed=seed,
+        worst=float(devs[worst_index]),
+        mean=float(devs.mean()),
+        worst_index=worst_index,
+        worst_case_key=(seed, 2, worst_index),
+    )
+
+
+def test_compare_memory_does_not_grow_with_n_random():
+    # at d = 64 one stack of 256 cases is 16 MiB; the cases run in blocks of
+    # _CASE_BLOCK elements, so the peak stays that of one block
+    per_block = _CASE_BLOCK // 64**2
+    peaks = []
+    for n_random in (per_block, 256):
+        compare_collapse_vs_restriction(64, n_random, 5)  # warm-up
+        tracemalloc.start()
+        try:
+            compare_collapse_vs_restriction(64, n_random, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 2**16
+    assert peaks[1] < 16 * 2**20
+
+
+def stretch_a_basis(states, bases):
+    bases[2, :, 0] *= 1 + 1e-9
+
+
+def stretch_a_state(states, bases):
+    states[3] *= 1 + 1e-9
+
+
+def nan_state(states, bases):
+    states[1, 0] = np.nan
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        (stretch_a_basis, errors.NotOrthonormal),
+        (stretch_a_state, errors.NotNormalized),
+        (nan_state, errors.NotNormalized),
+    ],
+)
+def test_stacked_kernel_checks_every_case(fault, error):
+    states, bases = random_cases(3, 37, (2,), range(5))
+    fault(states, bases)
+    with pytest.raises(error):
+        collapse_restriction_gaps(states, bases, pointer_readout(3))
 
 
 def test_report_json_round_trips_byte_identically():

@@ -14,6 +14,14 @@ def uncoupled(psi, model):
     return StateVector(np.kron(psi.amplitudes, np.eye(model.apparatus.dim_apparatus)[0]))
 
 
+def uncoupled_stack(states, bases):
+    """The stacked premeasurement forgetting the coupling: psi (x) e_0 per
+    case, the coefficient matrix with psi in its ready column."""
+    m = np.zeros(bases.shape, dtype=complex)
+    m[..., 0] = states
+    return m
+
+
 def assert_fault_caught(check, module, name, replacement):
     assert check().passed
     with pytest.MonkeyPatch.context() as mp:
@@ -24,7 +32,8 @@ def assert_fault_caught(check, module, name, replacement):
 
 
 def test_collapse_restriction_gap_catches_missing_coupling():
-    assert_fault_caught(verification.check_collapse_restriction, scenario, "premeasure", uncoupled)
+    check = verification.check_collapse_restriction
+    assert_fault_caught(check, scenario, "premeasure_stack", uncoupled_stack)
 
 
 def test_coupling_defects_catch_phase_and_off_ready_faults():
