@@ -2,9 +2,10 @@
 package's one tolerance policy.
 
 Pure functions over immutable numpy arrays; every returned array is marked
-read-only. Intended scale is dim <= ~64, where LAPACK's dense symmetric
-solver is accurate to a few ulps and all tolerances below are loose by
-several orders of magnitude. Every validator in the package reads its
+read-only. A run allows dimensions up to 4096 (apparatus.dim^2 within
+scenario.MAX_ARRAY_ELEMENTS), where LAPACK's dense symmetric solver is still
+accurate to about n eps and the tolerances below stay loose by orders of
+magnitude. Every validator in the package reads its
 tolerance from the four constants below, and the CLI its --tol default;
 only the verify checks pin their own, as part of the acceptance spec.
 

@@ -17,11 +17,15 @@ cyclic relabelling (j, k) -> (j, k + j mod dim_apparatus) of its columns.
 
 Premeasurement therefore only ever needs U on the ready input, where it is
 the isometry W = sum_j (b_j (x) e_j) b_j^dagger from the system into the
-composite: a pure state becomes the d x dim_apparatus coefficient matrix of
-sum_j c_j b_j (x) e_j, B diag(c) in its first d columns, and no
-(d * dim_apparatus)^2 matrix is formed. The dense U is built only by
-coupling_matrix, the oracle the verify suite and the tests hold the
-structured path against.
+composite: a pure state becomes sum_j c_j b_j (x) e_j, whose d x
+dim_apparatus coefficient matrix is B diag(c) in its first d columns and
+zero after. premeasure returns only that d x d block, for one state or a
+stack of them; the zero columns and the (d * dim_apparatus)^2 matrix U are
+never formed. A mixed state is premeasured through a factor rho = F F^dagger,
+each column of F as one state of the stack, so no composite density matrix
+is formed either.
+The dense U is built only by coupling_matrix, the oracle the verify suite
+and the tests hold the structured path against.
 """
 
 from __future__ import annotations
@@ -35,13 +39,7 @@ from .errors import DegenerateSpectrum, DimMismatch, TooSmall, ValidationError
 from .algebra import SpectralAlgebra, generate_algebra
 from .linalg import default_cluster_tol
 from .observables import Observable
-from .states import (
-    CompositeDims,
-    DensityMatrix,
-    StateVector,
-    as_density,
-    as_state,
-)
+from .states import DensityMatrix, as_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +127,6 @@ class MeasurementModel:
     def dim_system(self) -> int:
         return self.measured_pvm.dim
 
-    @property
-    def dims(self) -> CompositeDims:
-        return CompositeDims(self.dim_system, self.apparatus.dim_apparatus)
-
 
 def build_coupling(measured_basis, apparatus: ApparatusModel) -> MeasurementModel:
     """Assemble the measurement model for an orthonormal measured basis:
@@ -192,7 +186,7 @@ def pointer_observable(apparatus: ApparatusModel) -> Observable:
     one idle eigenvalue below the real values, so the readout stays a single
     observable on the full apparatus space. The idle value is min - 1 unless
     that is within reach of the least pointer value, where it would match
-    that outcome (_match_outcome) or merge with it (the cluster width of any
+    that outcome (_match_outcomes) or merge with it (the cluster width of any
     values up to twice the largest); then it is twice that reach below."""
     vals, dim = apparatus.pointer_values, apparatus.dim_apparatus
     low = float(vals.min())
@@ -205,39 +199,26 @@ def pointer_observable(apparatus: ApparatusModel) -> Observable:
     return Observable(np.diag(w.astype(complex)))
 
 
-def premeasure(psi, model: MeasurementModel) -> StateVector:
-    """Couple a pure system state to the ready apparatus.
+def premeasure(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Couple pure system states to the ready apparatus, on bare arrays.
 
-    The output is sum_j c_j b_j (x) e_j with c_j the overlap of psi with
-    measured basis column j. Nothing is discarded and no outcome is chosen.
-    Its amplitudes are the d x dim_apparatus coefficient matrix M, B diag(c)
-    in its first d columns and zero after, read row by row:
-    O(d^2 + d dim_apparatus).
+    The output for a state psi is sum_j c_j b_j (x) e_j with c_j the overlap
+    of psi with measured basis column j: nothing is discarded and no outcome
+    is chosen. It is returned as the nonzero d x d block B diag(c) of its
+    coefficient matrix, rows indexed by the system and columns by the pointer
+    e_j, from a (..., d) stack of states and a (..., d, d) stack of measured
+    bases, which broadcast against each other. A case's block has the same
+    bits alone or in a stack when its basis is stored column-major, as a
+    model's measured basis is.
     """
-    p = as_state(psi)
-    if p.dim != model.dim_system:
-        raise DimMismatch(f"state dim {p.dim}, system dim {model.dim_system}")
-    b = model.measured_basis
-    d = model.dim_system
-    m = np.zeros((d, model.apparatus.dim_apparatus), dtype=complex)
-    m[:, :d] = b * (b.conj().T @ p.amplitudes)
-    return StateVector(m.reshape(-1))
-
-
-def premeasure_stack(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """premeasure for a stack of n cases with a minimal apparatus, on bare
-    arrays: the (n, d, d) coefficient matrices B diag(c), c = B^dagger psi, of
-    the premeasured composites, from the (n, d) states and (n, d, d) measured
-    bases. A case's coefficients have the bits premeasure gives it when its
-    basis is stored column-major, as a model's measured basis is."""
     c = (bases.conj().swapaxes(-1, -2) @ states[..., None])[..., 0]
     if c.shape[-1] > 1:
         return bases * c[..., None, :]
-    # d = 1: premeasure multiplies a 1 x 1 basis by a broadcast c, which numpy
-    # does with its scalar complex loop, but a stack of 1 x 1 slices is one
-    # contiguous run for its vector loop, which rounds otherwise; so the
-    # product is formed part by part, as the scalar loop forms it
-    out = np.empty(bases.shape, dtype=complex)
+    # d = 1: numpy multiplies a lone 1 x 1 basis by a broadcast c with its
+    # scalar complex loop, but a stack of 1 x 1 slices is one contiguous run
+    # for its vector loop, which rounds otherwise; so the product is formed
+    # part by part, as the scalar loop forms it
+    out = np.empty(np.broadcast_shapes(bases.shape, c.shape[:-1] + (1, 1)), dtype=complex)
     out.real = bases.real * c.real[..., None, :] - bases.imag * c.imag[..., None, :]
     out.imag = bases.real * c.imag[..., None, :] + bases.imag * c.real[..., None, :]
     return out
@@ -262,32 +243,3 @@ def collapse_stack(rhos: np.ndarray, bases: np.ndarray) -> np.ndarray:
     adjoints = bases.conj().swapaxes(-1, -2)
     probs = np.real(np.diagonal(adjoints @ rhos @ bases, axis1=-2, axis2=-1))
     return (bases * probs[..., None, :]) @ adjoints
-
-
-def apparatus_reduced_state(composite, dims: CompositeDims) -> DensityMatrix:
-    """Reduced apparatus state of a composite pure state: with M the
-    coefficient matrix of the composite, M^T conj(M), without forming the
-    composite projector."""
-    amp = as_state(composite).amplitudes
-    if amp.size != dims.total:
-        raise DimMismatch(
-            f"state dim {amp.size} != {dims.dim_system} x {dims.dim_apparatus}"
-        )
-    m = amp.reshape(dims.dim_system, dims.dim_apparatus)
-    return DensityMatrix._trusted(m.T @ m.conj())
-
-
-def apparatus_reduced_density(rho, model: MeasurementModel) -> DensityMatrix:
-    """Reduced apparatus state of a premeasured mixed system state:
-    diag(p) padded with zeros to dim_apparatus, with p_j = <b_j|rho|b_j>.
-    Tracing the system out of W rho W^dagger keeps only the terms with equal
-    measured-basis index, since the b_j are orthonormal; O(d^3 +
-    dim_apparatus^2), and no composite matrix is formed."""
-    r = as_density(rho)
-    if r.dim != model.dim_system:
-        raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
-    b = model.measured_basis
-    p = np.real(np.einsum("ij,ij->j", b.conj(), r.matrix @ b))
-    w = np.zeros(model.apparatus.dim_apparatus, dtype=complex)
-    w[: p.size] = p
-    return DensityMatrix._trusted(np.diag(w))

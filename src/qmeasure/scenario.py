@@ -24,7 +24,12 @@ Running a scenario computes the outcome statistics three ways and reports
 the worst disagreement: the spectral probabilities of the measured
 observable, the diagonal kept by the collapse map, and the weights the
 premeasured composite induces on the commutative readout algebra after the
-system is traced out. With trials > 0 the report also carries sampled
+system is traced out. The collapse is compared through its diagonal only.
+The last route is one private kernel, _readout_weights, shared by run,
+compare, the cat and verify's chain check: premeasure, reduce to the d x d
+apparatus block, restrict, and align points to outcomes by pointer value. A
+vector state is premeasured as it is, a density matrix through the rows of
+one factor of it. With trials > 0 the report also carries sampled
 counts; trial t consumes the t-th variate of a dedicated substream, so the
 counts depend only on (seed, trials). They are counted without looking each
 trial up on its own, and give the same counts: one pass over the draws per
@@ -32,9 +37,9 @@ outcome boundary when there are few boundaries and many draws, else one
 sort of the draws (see _sample_counts for where the two cross).
 
 No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
-apparatus.dim^2 readout matrices and reduced apparatus state (apparatus.dim
->= system_dim, and no composite state matrix is formed for either kind of
-initial state), and the trials draws. A document over that limit fails
+apparatus.dim^2 readout matrices (apparatus.dim >= system_dim; no composite
+state matrix is formed for either kind of initial state), and the trials
+draws. A document over that limit fails
 validation before anything is built, and so does a randomized comparison
 asking for more cases. The cat run is held to the same limit: its largest
 arrays are the 2^chain_length readout values and point labels, since its
@@ -57,7 +62,6 @@ from .algebra import (
     diagonal_algebra,
     generate_algebra,
     gelfand_transform,
-    restrict_state,
 )
 from .errors import (
     BadAmplitudes,
@@ -70,15 +74,12 @@ from .errors import (
     ValidationError,
 )
 from .measurement import (
-    apparatus_reduced_density,
-    apparatus_reduced_state,
     build_apparatus,
     collapse,
     collapse_stack,
     model_for_observable,
     pointer_observable,
     premeasure,
-    premeasure_stack,
 )
 from .observables import Observable, OutcomeDistribution, born_distribution
 from .randomness import random_cases, substream
@@ -379,14 +380,72 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
     )
 
 
-def _match_outcome(value: float, targets: np.ndarray) -> int | None:
-    """Index of the target closest to value, if convincingly close."""
-    gaps = np.abs(targets - value)
-    j = int(np.argmin(gaps))
-    scale = max(1.0, float(np.max(np.abs(targets))))
-    if gaps[j] <= linalg.POINTER_MATCH_RTOL * scale:
-        return j
-    return None
+def _match_outcomes(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per value, the index of the target closest to it if convincingly
+    close, else -1."""
+    gaps = np.abs(values[:, None] - targets)
+    tol = linalg.POINTER_MATCH_RTOL * max(1.0, float(np.abs(targets).max()))
+    return np.where(gaps.min(axis=1) <= tol, gaps.argmin(axis=1), -1)
+
+
+def _readout_weights(
+    m: np.ndarray, readout: SpectralAlgebra, pointer_values: np.ndarray, point_values=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce premeasured coefficient blocks to the apparatus, restrict them
+    to a readout algebra and fold the result onto the measured outcomes.
+
+    m is a (..., k, d) stack of coefficient blocks, premeasure's d x d ones
+    or several of them stacked into k rows, whose pointer column j registers
+    outcome j, valued pointer_values[j]. The reduced apparatus state of each
+    is the d x d product M^T conj(M), which sums over its k rows: the zero
+    columns past d add nothing. An index-form readout reads its diagonal,
+    padded with zeros to the readout's dimension, and a dense one the
+    padded block. Each spectrum point carries the pointer value point_values
+    (default: the readout's first character, for a readout generated by the
+    pointer) and its weight goes to the outcome of that value; the points
+    that match none must carry no weight between them.
+
+    Returns the (..., n_points) weights on the readout and the (..., d)
+    outcome weights, unchecked: a caller checks them as a probability
+    measure would, once per stack.
+    """
+    d = m.shape[-1]
+    if pointer_values.size != d or d > readout.dim:
+        raise DimMismatch(
+            f"{d} pointer columns, {pointer_values.size} pointer values, "
+            f"readout dim {readout.dim}"
+        )
+    reduced = m.swapaxes(-1, -2) @ m.conj()
+    lead = reduced.shape[:-2]
+    if readout.basis is None:
+        diag = np.zeros(lead + (readout.dim,))
+        diag[..., :d] = reduced.diagonal(axis1=-2, axis2=-1).real
+        weights = readout.point_sums(diag)
+    else:
+        padded = np.zeros(lead + (readout.dim, readout.dim), dtype=complex)
+        padded[..., :d, :d] = reduced
+        weights = readout.block_traces(padded)
+    if point_values is None:
+        point_values = readout.characters[:, 0]
+    outcome = _match_outcomes(point_values, pointer_values)
+    # column 0 gathers the points that match no outcome (-1), column j + 1
+    # those of outcome j
+    folded = weights @ (outcome[:, None] == np.arange(-1, d))
+    idle = float(folded[..., 0].max())
+    if idle > linalg.ROUNDOFF_TOL:
+        raise ValidationError(f"restriction puts weight {idle:.3e} outside the pointer range")
+    return weights, folded[..., 1:]
+
+
+def _factor_rows(state: StateVector | DensityMatrix) -> np.ndarray:
+    """Rows f_i with sum_i f_i f_i^dagger the state's density matrix: a
+    vector is its one row, a density matrix its eigenvectors scaled by the
+    roots of its positive eigenvalues, so one eigh and no composite matrix."""
+    if isinstance(state, StateVector):
+        return state.amplitudes[None]
+    lam, v = np.linalg.eigh(state.matrix)
+    keep = lam > 0
+    return (v[:, keep] * np.sqrt(lam[keep])).T
 
 
 def run_scenario(s: Scenario) -> Report:
@@ -396,8 +455,8 @@ def run_scenario(s: Scenario) -> Report:
         dim_apparatus=s.apparatus_dim,
         pointer_values=s.pointer_values,
     )
-    pure = isinstance(s.initial_state, StateVector)
-    rho = projector_of(s.initial_state) if pure else s.initial_state
+    state = s.initial_state
+    rho = projector_of(state) if isinstance(state, StateVector) else state
 
     born = born_distribution(rho, model.measured_pvm)
     collapsed = collapse(rho, model)
@@ -415,26 +474,12 @@ def run_scenario(s: Scenario) -> Report:
             f"pointer readout ({err})"
         ) from err
 
-    if pure:
-        composite = premeasure(s.initial_state, model)
-        rho_app = apparatus_reduced_state(composite, model.dims)
-    else:
-        rho_app = apparatus_reduced_density(rho, model)
-    restricted = restrict_state(rho_app, algebra)
-
-    # fold restriction weights back onto measured outcomes via the pointer
-    # value each spectrum point carries; idle points must carry no weight
-    n = born.outcomes.size
-    aligned = np.zeros(n)
-    values = model.apparatus.pointer_values
-    for k, char in enumerate(pointer_chars):
-        j = _match_outcome(float(char), values)
-        if j is not None:
-            aligned[j] += restricted.weights[k]
-        elif restricted.weights[k] > linalg.ROUNDOFF_TOL:
-            raise ValidationError(
-                f"restriction puts weight {restricted.weights[k]:.3e} outside the pointer range"
-            )
+    # premeasure each row of the state's factor; their blocks stacked into
+    # one column of blocks reduce to the premeasured density's apparatus state
+    m = premeasure(_factor_rows(state), basis).reshape(-1, model.dim_system)
+    weights, aligned = _readout_weights(
+        m, algebra, model.apparatus.pointer_values, pointer_chars
+    )
 
     empirical = None
     if s.trials > 0:
@@ -443,9 +488,9 @@ def run_scenario(s: Scenario) -> Report:
     return _report(
         born,
         collapsed_diag,
-        restricted,
+        SpectralProbabilityMeasure(weights),
         algebra,
-        _branch_cross_terms(generators, n),
+        _branch_cross_terms([g.matrix for g in generators], born.outcomes.size),
         [
             float(np.max(np.abs(born.probabilities - collapsed_diag))),
             float(np.max(np.abs(born.probabilities - aligned))),
@@ -474,32 +519,32 @@ def _report(
 def _branch_cross_terms(generators, n: int) -> tuple[float, ...]:
     """Largest |<e_j| g |e_k>|, j != k < n, per generator: the pointer
     branches are the first n standard columns, so these are the
-    off-diagonal entries of the leading n x n block."""
+    off-diagonal entries of the leading n x n block. A 1-d generator is a
+    diagonal, given by its entries, so it has none."""
     off = ~np.eye(n, dtype=bool)
     return tuple(
-        float(np.max(np.abs(g.matrix[:n, :n][off]), initial=0.0)) for g in generators
+        0.0 if g.ndim == 1 else float(np.max(np.abs(g[:n, :n][off]), initial=0.0))
+        for g in generators
     )
 
 
 def run_cat(c1, c2, chain_length: int) -> Report:
-    """Superpose two macroscopically distinct branches and read them through
-    a commutative readout.
+    """The Schrodinger cat as premeasured pointer branches: the qubit
+    c1|0> + c2|1>, measured in the z basis by a chain of chain_length
+    two-level cells, read through a commutative readout by the kernel of a
+    run. The readout algebra is generated by the total of the per-cell
+    values, diagonal in the product basis, where label b has a down cell per
+    set bit and reads L - 2 popcount(b). Outcome 0 registers on pointer
+    column 0, all cells up (+L); the readout is relabelled so that column 1,
+    which registers outcome 1, reads -L (all down) and column 2^L - 1 reads
+    L - 2. So c1 carries the highest readout value and c2 the lowest: any
+    "alive"/"dead" naming of those two is report metadata.
 
-    The space is a chain of chain_length two-level cells; branch 1 is all
-    cells up (total readout +L), branch 2 all cells down (-L), and the
-    readout algebra is generated by the total of the per-cell values. c1
-    carries branch 1 (the highest readout value), c2 branch 2 (the lowest):
-    any "alive"/"dead" naming of those two is report metadata, the logic
-    only keys on outcome values.
-
-    The readout is diagonal in the product basis, so everything is read off
-    the amplitude vector and the readout diagonal, O(2^L), with no
-    2^L x 2^L matrix. The spectral projectors, the collapse basis and the
-    restriction all act on coordinates, so the Born, collapsed and restricted
-    weight of a readout value is the same sum of |a_i|^2 over its
-    coordinates. The report's max_deviation is the residual of the branch
-    expectation decomposition <Psi|g|Psi> = |c1|^2 <Psi1|g|Psi1> +
-    |c2|^2 <Psi2|g|Psi2> for the readout g.
+    The report gives the qubit's Born weights, its collapse diagonal and the
+    restriction per readout point, and max_deviation the larger of the
+    born-vs-collapse and born-vs-restriction residuals. The readout is held
+    in index form, so the largest arrays are its 2^L values and point
+    labels: no 2^L x 2^L matrix and no 2 x 2^L coefficient matrix.
     """
     c1, c2 = complex(c1), complex(c2)
     total = abs(c1) ** 2 + abs(c2) ** 2
@@ -509,35 +554,30 @@ def run_cat(c1, c2, chain_length: int) -> Report:
         raise ValidationError(f"chain_length must be between 1 and {MAX_CHAIN}")
 
     dim = 2**chain_length
-    # basis label b has a down cell per set bit: readout L - 2 popcount(b)
     readout = np.bitwise_count(np.arange(dim, dtype=np.uint32)).astype(float)
     readout *= -2.0
     readout += chain_length
-    # the state's nonzero amplitudes: c1 on all-up (+L), c2 on all-down (-L)
-    branches = np.array([0, dim - 1])
-    amps = np.array([c1, c2])
+    readout[[1, -1]] = readout[[-1, 1]]
     algebra = diagonal_algebra([readout])
 
-    weights = np.zeros(dim)
-    weights[branches] = np.real(amps * amps.conj())
-    per_point = algebra.point_sums(weights)
-    born = OutcomeDistribution(algebra.characters[:, 0], per_point)
+    qubit = np.array([c1, c2])
+    z = np.eye(2, dtype=complex)
+    born = (qubit * qubit.conj()).real
+    # the collapse in the z basis, read on its diagonal
+    collapsed = collapse_stack(qubit[:, None] * qubit.conj(), z).diagonal().real
+    weights, aligned = _readout_weights(premeasure(qubit, z), algebra, readout[:2])
 
-    # <Psi|g|Psi> = sum_i |a_i|^2 r_i, over the nonzero amplitudes
-    mixed = float(np.sum(weights[branches] * readout[branches]))
-    split = abs(c1) ** 2 * readout[branches[0]] + abs(c2) ** 2 * readout[branches[1]]
-
-    # <e_i| diag(r) |e_j> is r_i when i == j and 0 otherwise
-    elements = np.where(branches[:, None] == branches, readout[branches][:, None], 0.0)
-    cross = float(np.max(np.abs(elements[~np.eye(branches.size, dtype=bool)])))
+    # the two outcomes' Born and collapse weights, on their pointer columns' points
+    on_points = np.zeros((2, algebra.n_points))
+    on_points[:, algebra.labels[:2]] = born, collapsed
 
     return _report(
-        born,
-        per_point,
-        SpectralProbabilityMeasure(per_point),
+        OutcomeDistribution(algebra.characters[:, 0], on_points[0]),
+        on_points[1],
+        SpectralProbabilityMeasure(weights),
         algebra,
-        (cross,),
-        [abs(mixed - float(split))],
+        _branch_cross_terms([readout], 2),
+        [float(np.abs(born - collapsed).max()), float(np.abs(born - aligned).max())],
     )
 
 
@@ -554,14 +594,16 @@ def collapse_restriction_gaps(
     """The collapse vs restriction equivalence on a stack of cases: per case,
     the largest gap between the collapse diagonal of states[i] in the
     measured basis bases[i] and the weights its premeasured apparatus state
-    puts on readout, the pointer_readout of a minimal apparatus.
+    puts on readout, the pointer_readout of a minimal apparatus. The
+    collapse is read through its diagonal only.
 
-    Every step is one stacked product, and the checks the objects of one
-    case would make run once on the stack, each written so that a NaN fails
-    it: the state norms, the bases' orthonormality, the composite norms and
-    the weights' floor and sum. The bases are copied column-major, the
-    layout of a model's measured basis, so each case's gap has the bits that
-    case alone gets through the objects of a run.
+    Every step is one stacked product, through the readout kernel of a run,
+    and the checks the objects of one case would make run once on the
+    stack, each written so that a NaN fails it: the state norms, the bases'
+    orthonormality, and the weights' floor and sum (each sum a premeasured
+    composite's squared norm). The bases are copied column-major, the layout
+    of a model's measured basis, so each case's gap has the bits that case
+    alone gets through a run's objects.
     """
     n, d = states.shape
     if bases.shape != (n, d, d):
@@ -574,25 +616,21 @@ def collapse_restriction_gaps(
         raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
     b = np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
 
-    # premeasure and reduce: the composite's d x d coefficient matrices M, and
-    # the reduced apparatus states M^T conj(M), restricted to the readout
-    m = premeasure_stack(states, b)
-    norm_gap = float(np.max(np.abs(np.linalg.norm(m.reshape(n, -1), axis=-1) - 1.0)))
-    if not norm_gap <= linalg.ROUNDOFF_TOL:
-        raise NotNormalized(f"a premeasured composite's norm is off by {norm_gap:.3e}")
-    weights = readout.block_traces(m.swapaxes(-1, -2) @ m.conj())
+    # premeasure, reduce and restrict, and collapse the projectors
+    # |psi><psi| to read their diagonal back
+    weights, aligned = _readout_weights(
+        premeasure(states, b), readout, np.arange(d, dtype=float)
+    )
     low = float(weights.min())
     if not low >= -linalg.WEIGHT_FLOOR:
         raise ValidationError(f"weights: entry {low:.3e} below the roundoff floor")
     sum_gap = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
     if not sum_gap <= linalg.ROUNDOFF_TOL:
         raise ValidationError(f"weights: a sum is off from 1 by {sum_gap:.3e}")
-
-    # collapse the projectors |psi><psi| and read the diagonal back
     projectors = states[:, :, None] * states.conj()[:, None, :]
     collapsed = collapse_stack(projectors, b)
     diag = np.real(np.diagonal(b.conj().swapaxes(-1, -2) @ collapsed @ b, axis1=-2, axis2=-1))
-    return np.max(np.abs(weights - diag), axis=-1)
+    return np.max(np.abs(aligned - diag), axis=-1)
 
 
 def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> ComparisonSummary:

@@ -1,8 +1,16 @@
 import numpy as np
 
+from qmeasure.measurement import premeasure
+
 ATOL = 1e-12
 RTOL = 1e-9
 
 
 def assert_close(actual, desired, atol=ATOL, rtol=RTOL):
     np.testing.assert_allclose(np.asarray(actual), np.asarray(desired), atol=atol, rtol=rtol)
+
+
+def misregistered(states, bases):
+    """A faulty premeasurement: outcome j registers on pointer column
+    j + 1 (mod d) of its coefficient block instead of column j."""
+    return np.roll(premeasure(states, bases), 1, axis=-1)

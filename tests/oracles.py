@@ -9,15 +9,16 @@ import numpy as np
 from qmeasure.algebra import SpectralAlgebra, _split_points, restrict_state
 from qmeasure.errors import DimMismatch
 from qmeasure.linalg import default_cluster_tol
-from qmeasure.measurement import (
-    MeasurementModel,
-    apparatus_reduced_state,
-    build_coupling,
-    collapse,
-    premeasure,
-)
+from qmeasure.measurement import MeasurementModel, build_coupling, collapse, premeasure
 from qmeasure.scenario import Scenario, parse_scenario
-from qmeasure.states import DensityMatrix, StateVector, as_density, as_state, projector_of
+from qmeasure.states import (
+    CompositeDims,
+    DensityMatrix,
+    StateVector,
+    as_density,
+    as_state,
+    projector_of,
+)
 
 
 def load_scenario(path) -> Scenario:
@@ -76,6 +77,32 @@ def spectrum_reference(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]
     return labels, chars, basis
 
 
+def dims(model: MeasurementModel) -> CompositeDims:
+    return CompositeDims(model.dim_system, model.apparatus.dim_apparatus)
+
+
+def premeasured_state(psi, model: MeasurementModel) -> StateVector:
+    """The premeasured composite sum_j c_j b_j (x) e_j on the whole product
+    space: premeasure's d x d block padded with the zero columns past d."""
+    d = model.dim_system
+    m = np.zeros((d, model.apparatus.dim_apparatus), dtype=complex)
+    m[:, :d] = premeasure(as_state(psi).amplitudes, model.measured_basis)
+    return StateVector(m.reshape(-1))
+
+
+def apparatus_reduced_state(composite, dims: CompositeDims) -> DensityMatrix:
+    """Reduced apparatus state of a composite pure state: with M the
+    coefficient matrix of the composite, M^T conj(M), without forming the
+    composite projector."""
+    amp = as_state(composite).amplitudes
+    if amp.size != dims.total:
+        raise DimMismatch(
+            f"state dim {amp.size} != {dims.dim_system} x {dims.dim_apparatus}"
+        )
+    m = amp.reshape(dims.dim_system, dims.dim_apparatus)
+    return DensityMatrix._trusted(m.T @ m.conj())
+
+
 def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, algebra) -> float:
     """One case of the collapse vs restriction equivalence, through the
     objects of a run: the largest gap between the collapse diagonal of psi in
@@ -83,7 +110,7 @@ def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, alg
     on the readout algebra. The package runs a stack of cases at once
     (scenario.collapse_restriction_gaps)."""
     model = build_coupling(basis, apparatus)
-    rho_app = apparatus_reduced_state(premeasure(psi, model), model.dims)
+    rho_app = apparatus_reduced_state(premeasured_state(psi, model), dims(model))
     weights = restrict_state(rho_app, algebra).weights
     collapsed = collapse(projector_of(psi), model)
     diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
@@ -93,9 +120,9 @@ def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, alg
 def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
     """Mixed-state premeasurement as the dense W rho W^dagger, with the
     ready-input isometry W = sum_j (b_j (x) e_j) b_j^dagger, equal to
-    U (rho (x) |e_0><e_0|) U^dagger. It is (d * dim_apparatus)^2; a run needs
-    only its apparatus marginal, which apparatus_reduced_density gives in
-    closed form."""
+    U (rho (x) |e_0><e_0|) U^dagger. It is (d * dim_apparatus)^2; a run
+    premeasures a factor of rho instead and forms only the d x d reduced
+    apparatus block."""
     r = as_density(rho)
     if r.dim != model.dim_system:
         raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")

@@ -59,7 +59,6 @@ def test_acceptance_1_collapse_restriction_equivalence(capsys):
 def test_acceptance_2_coupling_fidelity(capsys):
     tol = 1e-10
     t0 = time.perf_counter()
-    worst_amp = 0.0
     worst_agree = 0.0
     worst_unitary = 0.0
     for i in range(100):
@@ -67,20 +66,18 @@ def test_acceptance_2_coupling_fidelity(capsys):
         d = 2 + i % 7  # dims 2..8
         basis = rand_unitary(d, rng)
         psi = StateVector(rand_state(d, rng))
-        amp, agree, unitary = coupling_defects(basis, psi, build_apparatus(d))
-        worst_amp = max(worst_amp, amp)
+        agree, unitary = coupling_defects(basis, psi, build_apparatus(d))
         worst_agree = max(worst_agree, agree)
         worst_unitary = max(worst_unitary, unitary)
     elapsed = time.perf_counter() - t0
-    worst = max(worst_amp, worst_agree, worst_unitary)
+    worst = max(worst_agree, worst_unitary)
     passed = worst <= tol
     _announce(
         capsys,
         2,
         "coupling fidelity",
         passed,
-        f"amplitudes {worst_amp:.3e}, premeasure vs U {worst_agree:.3e}, "
-        f"unitarity {worst_unitary:.3e} "
+        f"premeasure vs U {worst_agree:.3e}, unitarity {worst_unitary:.3e} "
         f"(tol {tol:g}, 100 states dims 2..8, {elapsed:.2f}s)",
     )
     assert passed, f"worst defect {worst:.3e} exceeds {tol:g}"

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import qmeasure
-from qmeasure import cli
+from qmeasure import cli, scenario
 from qmeasure.cli import main
 from qmeasure.randomness import rand_hermitian, substream
 
+from conftest import misregistered
+
+_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _MAIN = "import sys; from qmeasure.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -369,11 +372,33 @@ def test_cat_json_has_no_legend(capsys):
     assert payload["restricted"]["weights"][-1] == 0.36
 
 
-def test_cat_deviation_above_tol_exits_two(capsys):
-    # |c1|^2 L + |c2|^2 (-L) misses the branch split by one ulp here
-    argv = ["cat", "--c1", "0.5,0.5", "--c2", "0.7071067811865475", "--chain", "1"]
+def test_cat_deviation_above_tol_exits_two(capsys, monkeypatch):
+    # the cat's routes agree to the bit, so even --tol 0 passes; a
+    # premeasurement that swaps the two pointer columns puts the restriction
+    # 0.64 - 0.36 = 0.28 off the Born weights
+    argv = ["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "3"]
+    assert main(argv + ["--tol", "0"]) == 0
+    monkeypatch.setattr(scenario, "premeasure", misregistered)
+    assert main(argv + ["--tol", "0.3"]) == 0
+    assert main(argv) == 2
+    assert "exceeds --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(_SCENARIOS / "qutrit_mixed.json")],
+        ["cat", "--chain", "7", "--c1", "0.6,0", "--c2", "0,0.8"],
+    ],
+    ids=["run_mixed", "cat"],
+)
+def test_a_misregistering_premeasure_exits_two(capsys, monkeypatch, argv):
+    # outcome j registers on pointer column j + 1 (mod d): both routes
+    # premeasure, so the restriction moves off the Born weights, which are
+    # unequal here so that the swap shows
     assert main(argv) == 0
-    assert main(argv + ["--tol", "0"]) == 2
+    monkeypatch.setattr(scenario, "premeasure", misregistered)
+    assert main(argv) == 2
     assert "exceeds --tol" in capsys.readouterr().err
 
 

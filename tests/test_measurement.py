@@ -4,32 +4,39 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg
-from qmeasure.algebra import SpectralAlgebra
+from qmeasure.algebra import SpectralAlgebra, diagonal_algebra
 from qmeasure.measurement import (
     ApparatusModel,
     MeasurementModel,
-    apparatus_reduced_density,
     build_apparatus,
     build_coupling,
     collapse,
     coupling_matrix,
-    apparatus_reduced_state,
     model_for_observable,
     pointer_observable,
     premeasure,
 )
 from qmeasure.observables import born_distribution
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
-from qmeasure.scenario import compare_collapse_vs_restriction
+from qmeasure.scenario import _factor_rows, _readout_weights, compare_collapse_vs_restriction
 from qmeasure.states import (
     CompositeDims,
+    DensityMatrix,
     StateVector,
     partial_trace,
     projector_of,
 )
 
 from conftest import assert_close
-from oracles import premeasure_density, projectors, rand_density, sample_outcome
+from oracles import (
+    apparatus_reduced_state,
+    dims,
+    premeasure_density,
+    premeasured_state,
+    projectors,
+    rand_density,
+    sample_outcome,
+)
 
 
 def _model(basis):
@@ -49,7 +56,9 @@ def test_build_apparatus_oversized():
     assert app.n_outcomes == 2
     # outcome 1 registers on e_1 of the padded apparatus
     model = build_coupling(np.eye(2), app)
-    assert_close(premeasure([0.0, 1.0], model).amplitudes, np.kron([0.0, 1.0], np.eye(5)[:, 1]))
+    assert_close(
+        premeasured_state([0.0, 1.0], model).amplitudes, np.kron([0.0, 1.0], np.eye(5)[:, 1])
+    )
 
 
 def test_build_apparatus_too_small():
@@ -234,23 +243,23 @@ def test_model_pointer_values_copy_eigenvalues():
 
 
 def test_premeasure_superposition():
+    # the d x d coefficient block: rows the system, columns the pointer
     model = model_for_observable(np.diag([0.0, 1.0]))
-    out = premeasure(StateVector(np.array([0.6, 0.8])), model)
-    assert_close(out.amplitudes, [0.6, 0.0, 0.0, 0.8])
+    out = premeasure(np.array([0.6, 0.8]), model.measured_basis)
+    assert_close(out, [[0.6, 0.0], [0.0, 0.8]])
 
 
 def test_premeasure_eigenstate_is_product():
     model = model_for_observable(np.diag([0.0, 1.0, 2.0]))
-    e1 = StateVector(np.eye(3)[:, 1])
-    out = premeasure(e1, model)
-    want = np.kron(e1.amplitudes, np.eye(3)[:, 1])
-    assert_close(out.amplitudes, want)
+    e1 = np.eye(3)[:, 1]
+    out = premeasure(e1, model.measured_basis)
+    assert_close(out, np.outer(e1, e1))
 
 
 def test_premeasure_density_matches_pure_case():
     model = model_for_observable(np.diag([0.0, 1.0, 2.0]), dim_apparatus=4)
     psi = rand_state(3, substream(97))
-    pure = premeasure(psi, model)
+    pure = premeasured_state(psi, model)
     mixed = premeasure_density(projector_of(psi), model)
     assert_close(mixed.matrix, projector_of(pure).matrix, atol=1e-12)
 
@@ -265,11 +274,11 @@ def test_structured_premeasurement_matches_dense_coupling(d):
         r = np.eye(dm)[:, 0]
         psi = rand_state(d, rng)
         dense = u @ np.kron(psi, r)
-        pure = premeasure(psi, model)
+        pure = premeasured_state(psi, model)
         assert_close(pure.amplitudes, dense, atol=1e-12, rtol=0)
         assert_close(
-            apparatus_reduced_state(pure, model.dims).matrix,
-            partial_trace(projector_of(dense), model.dims).matrix,
+            apparatus_reduced_state(pure, dims(model)).matrix,
+            partial_trace(projector_of(dense), dims(model)).matrix,
             atol=1e-12,
             rtol=0,
         )
@@ -280,27 +289,39 @@ def test_structured_premeasurement_matches_dense_coupling(d):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_apparatus_reduced_density_matches_dense_premeasurement(d):
-    # the closed form diag(p) against tracing the system out of the
-    # (d * dm)^2 composite, on a minimal and on a padded apparatus
+    # the premeasured factor rows of rho, reduced to the apparatus and
+    # restricted by the readout kernel, against the apparatus diagonal of
+    # the (d * dm)^2 composite, on a minimal and on a padded apparatus,
+    # through an index-form and a dense readout whose point k is column k
     for dm in (d, d + 3):
         rng = substream(151, d, dm)
         model = build_coupling(rand_unitary(d, rng), build_apparatus(d, dim_apparatus=dm))
         rho = rand_density(d, rng)
-        dense = partial_trace(premeasure_density(rho, model), model.dims)
-        assert_close(
-            apparatus_reduced_density(rho, model).matrix, dense.matrix, atol=1e-12, rtol=0
-        )
+        dense = partial_trace(premeasure_density(rho, model), dims(model))
+        diagonal = np.real(np.diag(dense.matrix))
+        m = premeasure(_factor_rows(DensityMatrix(rho)), model.measured_basis).reshape(-1, d)
+        columns = np.arange(dm, dtype=float)
+        for readout in (
+            diagonal_algebra([columns]),
+            SpectralAlgebra(np.arange(dm), columns[:, None], np.eye(dm, dtype=complex)),
+        ):
+            weights, aligned = _readout_weights(m, readout, columns[:d])
+            assert_close(weights, diagonal, atol=1e-12, rtol=0)
+            assert_close(aligned, diagonal[:d], atol=1e-12, rtol=0)
 
 
 def test_apparatus_reduced_density_rejects_wrong_size():
-    model = model_for_observable(np.diag([0.0, 1.0]), dim_apparatus=3)
+    # the readout kernel's size check: more pointer columns than the readout has
+    m = premeasure(rand_state(3, substream(157)), np.eye(3, dtype=complex))
     with pytest.raises(errors.DimMismatch):
-        apparatus_reduced_density(rand_density(3, substream(157)), model)
+        _readout_weights(m, diagonal_algebra([np.arange(2.0)]), np.arange(3.0))
 
 
 def test_apparatus_reduced_state_rejects_wrong_size():
+    # the readout kernel's size check: a pointer value per pointer column
+    m = premeasure(rand_state(3, substream(149)), np.eye(3, dtype=complex))
     with pytest.raises(errors.DimMismatch):
-        apparatus_reduced_state(rand_state(6, substream(149)), CompositeDims(2, 2))
+        _readout_weights(m, diagonal_algebra([np.arange(4.0)]), np.arange(2.0))
 
 
 def test_collapse_diagonal_weights():
@@ -344,8 +365,8 @@ def test_reduced_apparatus_diagonal_equals_born(dim):
     gaps = np.sort(rng.uniform(-3, 3, dim)) + np.arange(dim) * 1e-3
     model = model_for_observable(np.diag(gaps))
     psi = rand_state(dim, rng)
-    joint = premeasure(psi, model)
-    reduced = apparatus_reduced_state(joint, model.dims)
+    joint = premeasured_state(psi, model)
+    reduced = apparatus_reduced_state(joint, dims(model))
     dist = born_distribution(projector_of(psi), model.measured_pvm)
     pointer_diag = np.real(np.diag(reduced.matrix))
     # outcome j registers on pointer column e_j
@@ -359,10 +380,8 @@ def test_two_stage_chain_keeps_pointer_statistics():
     d = 2
     m1 = model_for_observable(np.diag([0.0, 1.0]))
     psi = rand_state(d, substream(113))
-    stage1 = premeasure(psi, m1)
-    first_diag = np.real(
-        np.diag(apparatus_reduced_state(stage1, m1.dims).matrix)
-    )
+    stage1 = premeasured_state(psi, m1)
+    first_diag = np.real(np.diag(apparatus_reduced_state(stage1, dims(m1)).matrix))
 
     u2 = coupling_matrix(m1)  # same controlled shift, now copying factor 2 to factor 3
     joint = np.kron(np.eye(d), u2) @ np.kron(stage1.amplitudes, np.eye(d)[:, 0])

@@ -343,13 +343,14 @@ def test_sample_counts_peak_under_one_and_a_half_times_the_draws():
 
 
 def test_mixed_run_calls_the_eigensolver_only_on_multi_column_points(monkeypatch):
-    # the measured observable's one block and the idle block the splitter
-    # splits; the twelve one-column pointer points need no eigensolver
+    # the measured observable's one block, the idle block the splitter
+    # splits and the density's factor; the twelve one-column pointer points
+    # need no eigensolver
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
     run_scenario(load_scenario(_SCENARIOS / "mixed_splitter.json"))
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_run_scenario_custom_generators_must_contain_pointer():
@@ -410,6 +411,21 @@ def test_cat_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_cat_forms_no_coefficient_matrix_over_the_chain():
+    # at a chain of 20 the readout values and point labels dominate, 49.0 MiB
+    # when the cat did not premeasure at all; the premeasured qubit adds only
+    # its 2 x 2 block, where a 2 x 2^20 complex coefficient matrix would add
+    # 32 MiB
+    run_cat(0.6, 0.8j, chain_length=3)  # warm-up
+    tracemalloc.start()
+    try:
+        run_cat(0.6, 0.8j, chain_length=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_compare_collapse_vs_restriction_deterministic():

@@ -10,11 +10,9 @@ from qmeasure.algebra import (
     proper_mixture_representative,
 )
 from qmeasure.measurement import (
-    apparatus_reduced_state,
     build_apparatus,
     build_coupling,
     collapse,
-    premeasure,
 )
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import (
@@ -29,7 +27,13 @@ from qmeasure.states import (
 )
 
 from conftest import assert_close
-from oracles import premeasure_density, rand_density
+from oracles import (
+    apparatus_reduced_state,
+    dims,
+    premeasure_density,
+    premeasured_state,
+    rand_density,
+)
 
 
 def test_state_vector_requires_unit_norm():
@@ -182,7 +186,7 @@ def test_composite_dims_total():
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_trusted_results_pass_the_public_checks(d):
-    # these seven functions store their results without validating them;
+    # these seven functions (two of them test oracles) store their results without validating them;
     # each result must still be a density matrix the public constructor accepts
     rng = substream(157, d)
     psi = StateVector(rand_state(d, rng))
@@ -198,7 +202,7 @@ def test_trusted_results_pass_the_public_checks(d):
         collapse(rho, model),
         mix([w, 1 - w], [rho, projector_of(psi)]),
         partial_trace(composite, CompositeDims(2, d)),
-        apparatus_reduced_state(premeasure(psi, model), model.dims),
+        apparatus_reduced_state(premeasured_state(psi, model), dims(model)),
         premeasure_density(rho, model),
         proper_mixture_representative(SpectralProbabilityMeasure(raw / raw.sum()), algebra),
     ]

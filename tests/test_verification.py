@@ -8,16 +8,13 @@ from qmeasure import scenario, verification
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import StateVector
 
-
-def uncoupled(psi, model):
-    """A premeasurement that forgets the coupling: psi (x) e_0."""
-    return StateVector(np.kron(psi.amplitudes, np.eye(model.apparatus.dim_apparatus)[0]))
+from conftest import misregistered
 
 
-def uncoupled_stack(states, bases):
-    """The stacked premeasurement forgetting the coupling: psi (x) e_0 per
-    case, the coefficient matrix with psi in its ready column."""
-    m = np.zeros(bases.shape, dtype=complex)
+def uncoupled(states, bases):
+    """A premeasurement that forgets the coupling: psi (x) e_0 per state,
+    the coefficient block with psi in its ready column."""
+    m = np.zeros(np.broadcast_shapes(bases.shape, states.shape + (1,)), dtype=complex)
     m[..., 0] = states
     return m
 
@@ -33,7 +30,7 @@ def assert_fault_caught(check, module, name, replacement):
 
 def test_collapse_restriction_gap_catches_missing_coupling():
     check = verification.check_collapse_restriction
-    assert_fault_caught(check, scenario, "premeasure_stack", uncoupled_stack)
+    assert_fault_caught(check, scenario, "premeasure", uncoupled)
 
 
 def test_coupling_defects_catch_phase_and_off_ready_faults():
@@ -61,12 +58,6 @@ def test_coupling_defects_catch_phase_and_off_ready_faults():
 def test_coupling_defects_catch_shifted_pointer_column_in_premeasure():
     # outcome j lands on the pointer column of outcome j + 1: the structured
     # path no longer matches U, which only the agreement term compares
-    def misregistered(psi, model):
-        b = model.measured_basis
-        f = np.roll(np.eye(model.apparatus.dim_apparatus, model.dim_system), -1, axis=1)
-        m = (b * (b.conj().T @ psi.amplitudes)) @ f.T
-        return StateVector(m.reshape(-1))
-
     check = verification.check_coupling_fidelity
     assert_fault_caught(check, verification, "premeasure", misregistered)
     rng = substream(67)
@@ -75,11 +66,11 @@ def test_coupling_defects_catch_shifted_pointer_column_in_premeasure():
     tol = 1e-10  # check 2's tolerance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "premeasure", misregistered)
-        amplitude, agreement, unitarity = verification.coupling_defects(
+        agreement, unitarity = verification.coupling_defects(
             basis, psi, verification.build_apparatus(3)
         )
     assert agreement > tol
-    assert max(amplitude, unitarity) <= tol
+    assert unitarity <= tol
 
 
 def test_spectral_axiom_defect_catches_shifted_eigenvalues():
