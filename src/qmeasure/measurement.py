@@ -211,7 +211,7 @@ def premeasure(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     bits alone or in a stack when its basis is stored column-major, as a
     model's measured basis is.
     """
-    c = (bases.conj().swapaxes(-1, -2) @ states[..., None])[..., 0]
+    c = (states.conj()[..., None, :] @ bases)[..., 0, :].conj()
     if c.shape[-1] > 1:
         return bases * c[..., None, :]
     # d = 1: numpy multiplies a lone 1 x 1 basis by a broadcast c with its

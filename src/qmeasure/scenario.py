@@ -29,22 +29,23 @@ The last route is one private kernel, _readout_weights, shared by run,
 compare, the cat and verify's chain check: premeasure, reduce to the d x d
 apparatus block, restrict, and align points to outcomes by pointer value. A
 vector state is premeasured as it is, a density matrix through the rows of
-one factor of it. With trials > 0 the report also carries sampled
-counts; trial t consumes the t-th variate of a dedicated substream, so the
-counts depend only on (seed, trials). They are counted without looking each
+one factor of it, _CASE_BLOCK elements at a time (see run_scenario). With
+trials > 0 the report also carries sampled counts; trial t consumes the
+t-th variate of a dedicated substream, so the counts depend only on (seed,
+trials). They are counted without looking each
 trial up on its own, and give the same counts: one pass over the draws per
 outcome boundary when there are few boundaries and many draws, else one
 sort of the draws (see _sample_counts for where the two cross).
 
 No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
 apparatus.dim^2 readout matrices (apparatus.dim >= system_dim; no composite
-state matrix is formed for either kind of initial state), and the trials
-draws. A document over that limit fails
-validation before anything is built, and so does a randomized comparison
-asking for more cases. The cat run is held to the same limit: its largest
-arrays are the 2^chain_length readout values and point labels, since its
-readout algebra is in index form, so the chain may have up to MAX_CHAIN = 24
-cells.
+state matrix is formed for either kind of initial state, nor more than one
+d x d premeasured block at a time from d = 256 on), and the trials draws. A
+document over that limit fails validation before anything is built, and so
+does a randomized comparison asking for more cases. The cat run is held to
+the same limit: its largest arrays are the 2^chain_length readout values
+and point labels, since its readout algebra is in index form, so the chain
+may have up to MAX_CHAIN = 24 cells.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ _MAX_SEED = 2**64
 _PASS_BOUNDARIES = 11
 _PASS_TRIALS = 2**13
 
-# most elements of one (cases, d, d) stack of compare's kernel, so at least
-# _CASE_BLOCK // d^2 cases per stack: the timings behind it are in the README
+# most elements of one stack of premeasured d x d blocks (compare's cases, a
+# density's factor rows) or of pointer gaps: the timings are in the README
 _CASE_BLOCK = 2**16
 
 # largest number of elements any one array of a run may need; documents whose
@@ -382,40 +383,44 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
 
 def _match_outcomes(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per value, the index of the target closest to it if convincingly
-    close, else -1."""
-    gaps = np.abs(values[:, None] - targets)
+    close, else -1; in runs of values holding at most _CASE_BLOCK gaps."""
     tol = linalg.POINTER_MATCH_RTOL * max(1.0, float(np.abs(targets).max()))
-    return np.where(gaps.min(axis=1) <= tol, gaps.argmin(axis=1), -1)
+    step = max(1, _CASE_BLOCK // targets.size)
+    out = np.empty(values.size, dtype=np.intp)
+    for i in range(0, values.size, step):
+        gaps = np.abs(values[i : i + step, None] - targets)
+        out[i : i + step] = np.where(gaps.min(axis=1) <= tol, gaps.argmin(axis=1), -1)
+    return out
+
+
+def _reduce(m: np.ndarray) -> np.ndarray:
+    """M^T conj(M): the reduced apparatus state of k premeasured rows (..., k, d)."""
+    return m.swapaxes(-1, -2) @ m.conj()
 
 
 def _readout_weights(
-    m: np.ndarray, readout: SpectralAlgebra, pointer_values: np.ndarray, point_values=None
+    reduced: np.ndarray, readout: SpectralAlgebra, pointer_values: np.ndarray, point_values=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce premeasured coefficient blocks to the apparatus, restrict them
-    to a readout algebra and fold the result onto the measured outcomes.
+    """Restrict reduced apparatus states to a readout algebra and fold the
+    result onto the measured outcomes.
 
-    m is a (..., k, d) stack of coefficient blocks, premeasure's d x d ones
-    or several of them stacked into k rows, whose pointer column j registers
-    outcome j, valued pointer_values[j]. The reduced apparatus state of each
-    is the d x d product M^T conj(M), which sums over its k rows: the zero
-    columns past d add nothing. An index-form readout reads its diagonal,
-    padded with zeros to the readout's dimension, and a dense one the
-    padded block. Each spectrum point carries the pointer value point_values
-    (default: the readout's first character, for a readout generated by the
-    pointer) and its weight goes to the outcome of that value; the points
-    that match none must carry no weight between them.
+    reduced is a (..., d, d) stack of them, pointer column j registering
+    outcome j, valued pointer_values[j]; the columns past d, never reached
+    from the ready state, are zero. An index-form readout reads the
+    diagonal, a dense one the block. Each spectrum point carries the pointer
+    value point_values (default: the readout's first character, for a
+    readout generated by the pointer) and its weight goes to the outcome of
+    that value; the points that match none must carry no weight in all.
 
     Returns the (..., n_points) weights on the readout and the (..., d)
-    outcome weights, unchecked: a caller checks them as a probability
-    measure would, once per stack.
+    outcome weights, unchecked: the caller checks them, once per stack.
     """
-    d = m.shape[-1]
+    d = reduced.shape[-1]
     if pointer_values.size != d or d > readout.dim:
         raise DimMismatch(
             f"{d} pointer columns, {pointer_values.size} pointer values, "
             f"readout dim {readout.dim}"
         )
-    reduced = m.swapaxes(-1, -2) @ m.conj()
     lead = reduced.shape[:-2]
     if readout.basis is None:
         diag = np.zeros(lead + (readout.dim,))
@@ -438,12 +443,12 @@ def _readout_weights(
 
 
 def _factor_rows(state: StateVector | DensityMatrix) -> np.ndarray:
-    """Rows f_i with sum_i f_i f_i^dagger the state's density matrix: a
-    vector is its one row, a density matrix its eigenvectors scaled by the
-    roots of its positive eigenvalues, so one eigh and no composite matrix."""
+    """Rows f_i with sum_i f_i f_i^dagger the state: a vector is its one
+    row, a density matrix the eigenvectors of its Hermitian part (eigh reads
+    one triangle only) scaled by the roots of their positive eigenvalues."""
     if isinstance(state, StateVector):
         return state.amplitudes[None]
-    lam, v = np.linalg.eigh(state.matrix)
+    lam, v = np.linalg.eigh(linalg.require_hermitian(state.matrix))
     keep = lam > 0
     return (v[:, keep] * np.sqrt(lam[keep])).T
 
@@ -474,11 +479,17 @@ def run_scenario(s: Scenario) -> Report:
             f"pointer readout ({err})"
         ) from err
 
-    # premeasure each row of the state's factor; their blocks stacked into
-    # one column of blocks reduce to the premeasured density's apparatus state
-    m = premeasure(_factor_rows(state), basis).reshape(-1, model.dim_system)
+    # premeasure the factor rows, _CASE_BLOCK elements at a time, and sum the
+    # diagonals of their reduced states: the readout holds the pointer, whose
+    # values are distinct, so no projector of it mixes two pointer columns
+    rows = _factor_rows(state)
+    step = max(1, _CASE_BLOCK // basis.size)
+    diag = np.zeros(basis.shape[0])
+    for i in range(0, rows.shape[0], step):
+        m = premeasure(rows[i : i + step], basis)
+        diag += np.einsum("kaj,kaj->j", m.real, m.real) + np.einsum("kaj,kaj->j", m.imag, m.imag)
     weights, aligned = _readout_weights(
-        m, algebra, model.apparatus.pointer_values, pointer_chars
+        np.diag(diag), algebra, model.apparatus.pointer_values, pointer_chars
     )
 
     empirical = None
@@ -542,9 +553,8 @@ def run_cat(c1, c2, chain_length: int) -> Report:
 
     The report gives the qubit's Born weights, its collapse diagonal and the
     restriction per readout point, and max_deviation the larger of the
-    born-vs-collapse and born-vs-restriction residuals. The readout is held
-    in index form, so the largest arrays are its 2^L values and point
-    labels: no 2^L x 2^L matrix and no 2 x 2^L coefficient matrix.
+    born-vs-collapse and born-vs-restriction residuals. Only the 2^L readout
+    values and point labels grow with the chain.
     """
     c1, c2 = complex(c1), complex(c2)
     total = abs(c1) ** 2 + abs(c2) ** 2
@@ -565,7 +575,7 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     born = (qubit * qubit.conj()).real
     # the collapse in the z basis, read on its diagonal
     collapsed = collapse_stack(qubit[:, None] * qubit.conj(), z).diagonal().real
-    weights, aligned = _readout_weights(premeasure(qubit, z), algebra, readout[:2])
+    weights, aligned = _readout_weights(_reduce(premeasure(qubit, z)), algebra, readout[:2])
 
     # the two outcomes' Born and collapse weights, on their pointer columns' points
     on_points = np.zeros((2, algebra.n_points))
@@ -597,13 +607,11 @@ def collapse_restriction_gaps(
     puts on readout, the pointer_readout of a minimal apparatus. The
     collapse is read through its diagonal only.
 
-    Every step is one stacked product, through the readout kernel of a run,
-    and the checks the objects of one case would make run once on the
-    stack, each written so that a NaN fails it: the state norms, the bases'
-    orthonormality, and the weights' floor and sum (each sum a premeasured
-    composite's squared norm). The bases are copied column-major, the layout
-    of a model's measured basis, so each case's gap has the bits that case
-    alone gets through a run's objects.
+    Every step is one stacked product through the readout kernel, and the
+    checks one case's objects would make run once on the stack, each failing
+    on a NaN: the state norms, the bases' orthonormality, and the weights'
+    floor and sum. The bases are copied column-major, a model's layout, so
+    each case's gap has the bits that case alone gets through a run's objects.
     """
     n, d = states.shape
     if bases.shape != (n, d, d):
@@ -619,7 +627,7 @@ def collapse_restriction_gaps(
     # premeasure, reduce and restrict, and collapse the projectors
     # |psi><psi| to read their diagonal back
     weights, aligned = _readout_weights(
-        premeasure(states, b), readout, np.arange(d, dtype=float)
+        _reduce(premeasure(states, b)), readout, np.arange(d, dtype=float)
     )
     low = float(weights.min())
     if not low >= -linalg.WEIGHT_FLOOR:

@@ -31,6 +31,7 @@ from .observables import evolve
 from .randomness import rand_hermitian, rand_state, rand_unitary, random_cases, substream
 from .scenario import (
     _readout_weights,
+    _reduce,
     collapse_restriction_gaps,
     pointer_readout,
     run_cat,
@@ -116,9 +117,8 @@ def chain_reduction_gap(psi: StateVector, basis: np.ndarray, apparatus, copier, 
     second apparatus reads after copier copies the first pointer."""
     d = basis.shape[0]
     model = build_coupling(basis, apparatus)
-    single, _ = _readout_weights(
-        premeasure(psi.amplitudes, model.measured_basis), algebra, apparatus.pointer_values
-    )
+    m = premeasure(psi.amplitudes, model.measured_basis)
+    single, _ = _readout_weights(_reduce(m), algebra, apparatus.pointer_values)
     r = np.eye(apparatus.dim_apparatus)[0]
     # U_model (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
     first = coupling_matrix(model) @ np.outer(np.outer(psi.amplitudes, r), r)

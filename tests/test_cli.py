@@ -317,6 +317,30 @@ def test_run_judges_hermiticity_in_units_of_the_largest_entry(tmp_path, scale):
             assert "NotHermitian" in strict.stderr
 
 
+def test_run_factors_the_hermitian_part_of_a_density(tmp_path, capsys):
+    # a density skewed on its lower triangle by just under the Hermiticity
+    # tolerance, 5e-11 at a largest entry of 1/2; eigh reads one triangle,
+    # and through it the uniform Fourier column would get 63 x 4.9e-11 / 2 =
+    # 1.5e-9 more weight than the Born and collapse routes give it
+    d = 64
+    rho = np.diag(np.r_[0.5, np.full(d - 1, 0.5 / (d - 1))]).astype(complex)
+    rho[np.tril_indices(d, -1)] += 4.9e-11
+    f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    observable = f @ np.diag(np.arange(d, dtype=float)) @ f.conj().T
+
+    def pairs(m):
+        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+    path = write_qubit_scenario(
+        tmp_path,
+        system_dim=d,
+        initial_state={"kind": "density", "data": pairs(rho)},
+        observable=pairs(observable),
+        apparatus={"dim": d},
+    )
+    assert main(["run", path]) == 0
+
+
 def report_shape(node):
     """The report with every number replaced by its type: its keys and the
     lengths of its lists."""

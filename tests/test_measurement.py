@@ -18,7 +18,12 @@ from qmeasure.measurement import (
 )
 from qmeasure.observables import born_distribution
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
-from qmeasure.scenario import _factor_rows, _readout_weights, compare_collapse_vs_restriction
+from qmeasure.scenario import (
+    _factor_rows,
+    _readout_weights,
+    _reduce,
+    compare_collapse_vs_restriction,
+)
 from qmeasure.states import (
     CompositeDims,
     DensityMatrix,
@@ -305,7 +310,7 @@ def test_apparatus_reduced_density_matches_dense_premeasurement(d):
             diagonal_algebra([columns]),
             SpectralAlgebra(np.arange(dm), columns[:, None], np.eye(dm, dtype=complex)),
         ):
-            weights, aligned = _readout_weights(m, readout, columns[:d])
+            weights, aligned = _readout_weights(_reduce(m), readout, columns[:d])
             assert_close(weights, diagonal, atol=1e-12, rtol=0)
             assert_close(aligned, diagonal[:d], atol=1e-12, rtol=0)
 
@@ -314,14 +319,16 @@ def test_apparatus_reduced_density_rejects_wrong_size():
     # the readout kernel's size check: more pointer columns than the readout has
     m = premeasure(rand_state(3, substream(157)), np.eye(3, dtype=complex))
     with pytest.raises(errors.DimMismatch):
-        _readout_weights(m, diagonal_algebra([np.arange(2.0)]), np.arange(3.0))
+        readout = diagonal_algebra([np.arange(2.0)])
+        _readout_weights(_reduce(m), readout, np.arange(3.0))
 
 
 def test_apparatus_reduced_state_rejects_wrong_size():
     # the readout kernel's size check: a pointer value per pointer column
     m = premeasure(rand_state(3, substream(149)), np.eye(3, dtype=complex))
     with pytest.raises(errors.DimMismatch):
-        _readout_weights(m, diagonal_algebra([np.arange(4.0)]), np.arange(2.0))
+        readout = diagonal_algebra([np.arange(4.0)])
+        _readout_weights(_reduce(m), readout, np.arange(2.0))
 
 
 def test_collapse_diagonal_weights():

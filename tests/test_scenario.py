@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeasure import errors
+from qmeasure import errors, linalg
 from qmeasure.algebra import generate_algebra
 from qmeasure.measurement import build_apparatus, model_for_observable, pointer_observable
-from qmeasure.randomness import random_cases, substream
+from qmeasure.observables import Observable
+from qmeasure.randomness import rand_hermitian, random_cases, substream
 from qmeasure.report import ComparisonSummary, emit_report, report_payload, sig12
 from qmeasure.scenario import (
     _CASE_BLOCK,
     MAX_ARRAY_ELEMENTS,
     Scenario,
+    _match_outcomes,
     _sample_counts,
     collapse_restriction_gaps,
     compare_collapse_vs_restriction,
@@ -27,7 +29,7 @@ from qmeasure.scenario import (
 from qmeasure.states import DensityMatrix, StateVector
 
 from conftest import assert_close
-from oracles import collapse_restriction_gap, load_scenario, sample_outcome
+from oracles import collapse_restriction_gap, load_scenario, rand_density, sample_outcome
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -351,6 +353,69 @@ def test_mixed_run_calls_the_eigensolver_only_on_multi_column_points(monkeypatch
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
     run_scenario(load_scenario(_SCENARIOS / "mixed_splitter.json"))
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("idle", [0, 4])
+def test_full_rank_density_run_peaks_at_a_few_apparatus_matrices(idle):
+    # the run holds about ten dim x dim complex matrices (the observable,
+    # the density, their eigenvectors, the collapse, the readout): 10.1 and
+    # 11.3 of them at numpy 2.4. Its 256 factor rows are premeasured one
+    # 256 x 256 block, 1 MiB, at a time, where all of them at once would be
+    # 256 MiB. With idle columns a splitter on them makes the readout dense
+    d = 256
+    dim = d + idle
+    rng = substream(163, idle)
+    observable = Observable(rand_hermitian(d, rng))
+    generators = ()
+    if idle:
+        model = model_for_observable(observable, dim_apparatus=dim)
+        splitter = np.zeros((dim, dim), dtype=complex)
+        splitter[d:, d:] = 1.0
+        generators = (pointer_observable(model.apparatus), Observable(splitter))
+    s = Scenario(
+        system_dim=d,
+        initial_state=DensityMatrix(rand_density(d, rng)),
+        measured_observable=observable,
+        apparatus_dim=dim,
+        pointer_values=None,
+        algebra_generators=generators,
+        trials=0,
+        seed=1,
+    )
+    tracemalloc.start()
+    try:
+        report = run_scenario(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.max_deviation < 1e-12
+    assert peak < 16 * 16 * dim**2
+
+
+def test_match_outcomes_in_runs_gives_the_broadcast_rule():
+    # 4096 values against 64 targets take four runs of 1024; the one
+    # broadcast over all of them would match each value the same way
+    rng = substream(167)
+    targets = rng.permutation(64).astype(float)
+    values = np.concatenate([targets, rng.uniform(-1, 64, 4096 - 64)])
+    values[::7] += 1e-7
+    gaps = np.abs(values[:, None] - targets)
+    tol = linalg.POINTER_MATCH_RTOL * 63
+    want = np.where(gaps.min(axis=1) <= tol, gaps.argmin(axis=1), -1)
+    got = _match_outcomes(values, targets)
+    assert np.array_equal(got, want)
+    assert (got >= 0).sum() >= 64
+    # 4096 values against 4096 targets: runs of 16, where one broadcast
+    # would hold 2^24 gaps, 128 MiB
+    points = np.arange(4096.0)
+    tracemalloc.start()
+    try:
+        got = _match_outcomes(points, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, np.arange(4096))
+    assert peak < 2**22
 
 
 def test_run_scenario_custom_generators_must_contain_pointer():
