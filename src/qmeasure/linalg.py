@@ -123,13 +123,15 @@ def require_weights(
     w, what: str = "weights", error: type[QmError] = ValidationError
 ) -> np.ndarray:
     """A nonempty 1-d probability vector: no entry below -WEIGHT_FLOOR and
-    a sum within ROUNDOFF_TOL of 1. Violations raise error."""
+    a sum within ROUNDOFF_TOL of 1. Violations raise error, and so does a
+    NaN entry."""
     a = np.asarray(w, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise error(f"{what} must be a nonempty 1-d sequence")
-    if float(a.min()) < -WEIGHT_FLOOR:
+    # written so that a NaN fails
+    if not a.min() >= -WEIGHT_FLOOR:
         raise error(f"{what}: entry {a.min():.3e} below the roundoff floor")
-    if abs(float(a.sum()) - 1.0) > ROUNDOFF_TOL:
+    if not abs(float(a.sum()) - 1.0) <= ROUNDOFF_TOL:
         raise error(f"{what} sum to {a.sum()!r}")
     return a
 

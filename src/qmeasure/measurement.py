@@ -138,20 +138,25 @@ def build_coupling(measured_basis, apparatus: ApparatusModel) -> MeasurementMode
     return MeasurementModel(pvm, apparatus)
 
 
-def coupling_matrix(model: MeasurementModel) -> np.ndarray:
+def coupling_matrix(bases: np.ndarray, dim_apparatus: int) -> np.ndarray:
     """The dense controlled shift U = G Pi G^dagger on the full product
-    space: G = B (x) I has column j * dim_apparatus + k equal to b_j (x) e_k,
-    and Pi relabels column (j, k) as (j, k + j mod dim_apparatus).
+    space, for a measured basis B or a (..., d, d) stack of them: G = B (x) I
+    has column j * dim_apparatus + k equal to b_j (x) e_k, and Pi relabels
+    column (j, k) as (j, k + j mod dim_apparatus). One stacked product builds
+    every U.
 
     An oracle: it is (d * dim_apparatus)^2, and premeasurement never builds
     it. The verify suite and the tests check that U is unitary and that
     premeasure agrees with it on ready inputs.
     """
-    b = model.measured_basis
-    d, dm = b.shape[1], model.apparatus.dim_apparatus
-    g = (b[:, None, :, None] * np.eye(dm)[None, :, None, :]).reshape(d * dm, d * dm)
-    j, k = np.divmod(np.arange(d * dm), dm)
-    return g[:, j * dm + (k + j) % dm] @ g.conj().T
+    d, dm = bases.shape[-1], dim_apparatus
+    n = d * dm
+    g = (bases[..., :, None, :, None] * np.eye(dm)[:, None, :]).reshape(*bases.shape[:-2], n, n)
+    j, k = np.divmod(np.arange(n), dm)
+    g_pi = g[..., j * dm + (k + j) % dm]
+    # G is not needed again: conjugating it in place saves one more (d * dm)^2
+    # array per basis
+    return g_pi @ np.conjugate(g, out=g).swapaxes(-1, -2)
 
 
 def model_for_observable(

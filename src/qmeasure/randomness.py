@@ -4,7 +4,10 @@ All randomness flows through numpy's PCG64 bit generator. A consumer never
 shares a stream with another consumer: substream(seed, *tags) derives an
 independent generator from SeedSequence([seed, *tags]), so results are a
 pure function of the master seed and the tags, independent of evaluation
-order, and bit-stable across platforms.
+order, and bit-stable across platforms. A stack of random cases draws all
+the normals of each case from its stream in one call: the same variates, in
+the same order, that rand_state, ginibre and rand_unitary draw one object at
+a time, so each case has the same bits alone or in a stack.
 """
 
 from __future__ import annotations
@@ -46,20 +49,39 @@ def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(ginibre(dim, rng))
 
 
+def _draw_cases(
+    dim: int, seed: int, tags: tuple[int, ...], cases: range, state_first: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """A Haar state and a Haar unitary from substream(seed, *tags, i) for each
+    case i, in order: the (n, dim) states and the (n, dim, dim) unitaries of
+    the n cases. Each stream gives all 2 dim + 2 dim^2 normals of its case in
+    one standard_normal call, the state's before the Ginibre matrix's when
+    state_first, else after them; a single call draws the same variates as
+    the calls of rand_state and ginibre in that order. The states are
+    normalized one at a time, as rand_state does, and the Ginibre matrices
+    go through one stacked QR."""
+    n_state, n_ginibre = 2 * dim, 2 * dim * dim
+    x = np.empty((len(cases), n_state + n_ginibre))
+    for row, i in zip(x, cases):
+        substream(seed, *tags, i).standard_normal(out=row)
+    if state_first:
+        v, z = x[:, :n_state], x[:, n_state:]
+    else:
+        z, v = x[:, :n_ginibre], x[:, n_ginibre:]
+    states = v[:, :dim] + 1j * v[:, dim:]
+    states /= np.array([np.linalg.norm(psi) for psi in states])[:, None]
+    ginibres = (z[:, : dim * dim] + 1j * z[:, dim * dim :]) / np.sqrt(2)
+    return states, haar_unitaries(ginibres.reshape(-1, dim, dim))
+
+
 def random_cases(
     dim: int, seed: int, tags: tuple[int, ...], cases: range
 ) -> tuple[np.ndarray, np.ndarray]:
     """A Haar state and then a Ginibre matrix from substream(seed, *tags, i)
     for each case i, in order: the (n, dim) states and the (n, dim, dim)
     Haar unitaries, from one stacked QR, of the n cases. Case i draws what
-    rand_state and then rand_unitary draw from its stream."""
-    states = np.empty((len(cases), dim), dtype=complex)
-    ginibres = np.empty((len(cases), dim, dim), dtype=complex)
-    for k, i in enumerate(cases):
-        rng = substream(seed, *tags, i)
-        states[k] = rand_state(dim, rng)
-        ginibres[k] = ginibre(dim, rng)
-    return states, haar_unitaries(ginibres)
+    rand_state and then rand_unitary draw from its stream, in one call."""
+    return _draw_cases(dim, seed, tags, cases, state_first=True)
 
 
 def rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -598,6 +598,24 @@ def pointer_readout(dim: int) -> SpectralAlgebra:
     return diagonal_algebra([build_apparatus(dim).pointer_values])
 
 
+def _checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The checks a StateVector and a measured spectral measure make on one
+    case, run once on a stack of cases, each failing on a NaN: (n, d)
+    states of unit norm and (n, d, d) orthonormal bases. Returns the bases
+    copied column-major, the layout of a model's measured basis, so that
+    each case gets the bits it gets alone through a model."""
+    n, d = states.shape
+    if bases.shape != (n, d, d):
+        raise DimMismatch(f"{n} states of dim {d}, bases of shape {bases.shape}")
+    norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
+    if not norm_gap <= linalg.ROUNDOFF_TOL:
+        raise NotNormalized(f"a state's norm is off by {norm_gap:.3e}")
+    defect = linalg.isometry_defect(bases)
+    if not defect <= linalg.ROUNDOFF_TOL:
+        raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
+    return np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 def collapse_restriction_gaps(
     states: np.ndarray, bases: np.ndarray, readout: SpectralAlgebra
 ) -> np.ndarray:
@@ -608,21 +626,13 @@ def collapse_restriction_gaps(
     collapse is read through its diagonal only.
 
     Every step is one stacked product through the readout kernel, and the
-    checks one case's objects would make run once on the stack, each failing
-    on a NaN: the state norms, the bases' orthonormality, and the weights'
-    floor and sum. The bases are copied column-major, a model's layout, so
-    each case's gap has the bits that case alone gets through a run's objects.
+    checks one case's objects would make run once on the stack
+    (_checked_cases), and on the weights' floor and sum, each failing on a
+    NaN, so each case's gap has the bits that case alone gets through a
+    run's objects.
     """
-    n, d = states.shape
-    if bases.shape != (n, d, d):
-        raise DimMismatch(f"{n} states of dim {d}, bases of shape {bases.shape}")
-    norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
-    if not norm_gap <= linalg.ROUNDOFF_TOL:
-        raise NotNormalized(f"a state's norm is off by {norm_gap:.3e}")
-    defect = linalg.isometry_defect(bases)
-    if not defect <= linalg.ROUNDOFF_TOL:
-        raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
-    b = np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
+    d = states.shape[-1]
+    b = _checked_cases(states, bases)
 
     # premeasure, reduce and restrict, and collapse the projectors
     # |psi><psi| to read their diagonal back

@@ -2,8 +2,10 @@
 
 Each check is a fast, seeded, deterministic property run with its own pinned
 tolerance; the CLI tolerance flag does not loosen these. A property's body
-is a kernel taking one drawn case and returning its residuals; the acceptance
-test suite runs the same kernels at larger sample sizes.
+is a kernel returning the residuals of its drawn cases: one case at a time,
+or, for collapse vs restriction and coupling fidelity, one stack of cases
+per dimension, checked once per stack. The acceptance test suite runs the
+same kernels at larger sample sizes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .algebra import (
     proper_mixture_representative,
     restrict_state,
 )
+from .errors import TooSmall
 from .linalg import isometry_defect
 from .measurement import (
     build_apparatus,
@@ -28,8 +31,16 @@ from .measurement import (
     premeasure,
 )
 from .observables import evolve
-from .randomness import rand_hermitian, rand_state, rand_unitary, random_cases, substream
+from .randomness import (
+    _draw_cases,
+    rand_hermitian,
+    rand_state,
+    rand_unitary,
+    random_cases,
+    substream,
+)
 from .scenario import (
+    _checked_cases,
     _readout_weights,
     _reduce,
     collapse_restriction_gaps,
@@ -61,17 +72,28 @@ def _result(name: str, worst: float, tol: float, detail: str) -> CheckResult:
     return CheckResult(name, bool(worst <= tol), float(worst), tol, detail)
 
 
-def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[float, float]:
-    """Agreement and unitarity defects of one coupling: premeasure must give,
-    without U, the composite the dense U makes of psi (x) e_0, its d x d
-    block and zero columns after it, and U must be unitary."""
-    model = build_coupling(basis, apparatus)
-    u = coupling_matrix(model)
-    ready = np.eye(apparatus.dim_apparatus)[0]
-    d = basis.shape[1]
-    gap = (u @ np.outer(psi.amplitudes, ready).reshape(-1)).reshape(d, -1)
-    gap[:, :d] -= premeasure(psi.amplitudes, model.measured_basis)
-    return float(np.max(np.abs(gap))), isometry_defect(u)
+def coupling_defects(
+    states: np.ndarray, bases: np.ndarray, dim_apparatus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per case of a stack of (n, d) states and (n, d, d) measured bases, the
+    agreement and unitarity defects of its coupling to an apparatus of
+    dim_apparatus: premeasure must give, without U, the composite the dense
+    U makes of psi (x) e_0, its d x d block and zero columns after it, and U
+    must be unitary. The checks one case's objects would make run once on
+    the stack, and one stacked product builds every U; each case's defects
+    have the bits that case alone gets through its model."""
+    b = _checked_cases(states, bases)
+    n, d = states.shape
+    if dim_apparatus < d:
+        raise TooSmall(f"apparatus dim {dim_apparatus} cannot register {d} outcomes")
+    u = coupling_matrix(b, dim_apparatus)
+    ready = np.zeros((n, d, dim_apparatus), dtype=complex)
+    ready[..., 0] = states
+    gap = (u @ ready.reshape(n, -1, 1)).reshape(n, d, -1)
+    gap[..., :d] -= premeasure(states, b)
+    gram = u.conj().swapaxes(-1, -2) @ u
+    gram.reshape(n, -1)[:, :: d * dim_apparatus + 1] -= 1
+    return np.abs(gap).max(axis=(-2, -1)), np.abs(gram).max(axis=(-2, -1))
 
 
 def spectral_axiom_defect(a: np.ndarray) -> float:
@@ -112,17 +134,21 @@ def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tu
     return group, norm
 
 
-def chain_reduction_gap(psi: StateVector, basis: np.ndarray, apparatus, copier, algebra) -> float:
+def chain_reduction_gap(
+    psi: StateVector, basis: np.ndarray, apparatus, copier: np.ndarray, algebra
+) -> float:
     """Gap between the pointer weights after one premeasurement and those a
-    second apparatus reads after copier copies the first pointer."""
+    second apparatus reads after copier, the dense coupling of the second
+    apparatus to the first pointer, copies that pointer."""
     d = basis.shape[0]
     model = build_coupling(basis, apparatus)
     m = premeasure(psi.amplitudes, model.measured_basis)
     single, _ = _readout_weights(_reduce(m), algebra, apparatus.pointer_values)
     r = np.eye(apparatus.dim_apparatus)[0]
     # U_model (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
-    first = coupling_matrix(model) @ np.outer(np.outer(psi.amplitudes, r), r)
-    final = first.reshape(d, -1) @ coupling_matrix(copier).T
+    u = coupling_matrix(model.measured_basis, apparatus.dim_apparatus)
+    first = u @ np.outer(np.outer(psi.amplitudes, r), r)
+    final = first.reshape(d, -1) @ copier.T
     joint = projector_of(StateVector(final.reshape(-1)))
     rho_last = partial_trace(joint, CompositeDims(d * d, d))
     two_stage = restrict_state(rho_last, algebra).weights
@@ -144,17 +170,15 @@ def check_collapse_restriction() -> CheckResult:
 
 def check_coupling_fidelity() -> CheckResult:
     """The structured premeasurement agrees with the dense coupling, on the
-    correlated slots and off them, and the coupling is unitary."""
+    correlated slots and off them, and the coupling is unitary, one stack of
+    cases per dimension. Each case draws its basis and then its state."""
     worst = 0.0
     cases = 0
     for d in range(2, 7):
-        apparatus = build_apparatus(d)
-        for i in range(30):
-            rng = substream(_SEED, 11, d, i)
-            basis = rand_unitary(d, rng)
-            psi = StateVector(rand_state(d, rng))
-            worst = max(worst, *coupling_defects(basis, psi, apparatus))
-            cases += 1
+        states, bases = _draw_cases(d, _SEED, (11, d), range(30), state_first=False)
+        agreement, unitarity = coupling_defects(states, bases, d)
+        worst = max(worst, float(agreement.max()), float(unitarity.max()))
+        cases += agreement.size
     return _result("coupling fidelity", worst, 1e-10, f"{cases} random states, dims 2..6")
 
 
@@ -274,7 +298,7 @@ def check_chain_reduction() -> CheckResult:
     worst = 0.0
     apparatus = build_apparatus(d)
     algebra = generate_algebra([pointer_observable(apparatus)])
-    copier = build_coupling(np.eye(d, dtype=complex), apparatus)
+    copier = coupling_matrix(np.eye(d, dtype=complex), apparatus.dim_apparatus)
     for i in range(20):
         rng = substream(_SEED, 16, i)
         basis = rand_unitary(d, rng)

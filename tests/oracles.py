@@ -8,8 +8,14 @@ import numpy as np
 
 from qmeasure.algebra import SpectralAlgebra, _split_points, restrict_state
 from qmeasure.errors import DimMismatch
-from qmeasure.linalg import default_cluster_tol
-from qmeasure.measurement import MeasurementModel, build_coupling, collapse, premeasure
+from qmeasure.linalg import default_cluster_tol, isometry_defect
+from qmeasure.measurement import (
+    MeasurementModel,
+    build_coupling,
+    collapse,
+    coupling_matrix,
+    premeasure,
+)
 from qmeasure.scenario import Scenario, parse_scenario
 from qmeasure.states import (
     CompositeDims,
@@ -115,6 +121,21 @@ def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, alg
     collapsed = collapse(projector_of(psi), model)
     diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
     return float(np.max(np.abs(weights - diag)))
+
+
+def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[float, float]:
+    """Agreement and unitarity defects of one coupling, through the objects
+    of one case: premeasure must give, without U, the composite the dense U
+    makes of psi (x) e_0, its d x d block and zero columns after it, and U
+    must be unitary. The package runs a stack of cases at once
+    (verification.coupling_defects)."""
+    model = build_coupling(basis, apparatus)
+    u = coupling_matrix(model.measured_basis, apparatus.dim_apparatus)
+    ready = np.eye(apparatus.dim_apparatus)[0]
+    d = basis.shape[1]
+    gap = (u @ np.outer(psi.amplitudes, ready).reshape(-1)).reshape(d, -1)
+    gap[:, :d] -= premeasure(psi.amplitudes, model.measured_basis)
+    return float(np.max(np.abs(gap))), isometry_defect(u)
 
 
 def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:

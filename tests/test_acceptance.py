@@ -8,8 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from qmeasure.algebra import generate_algebra
-from qmeasure.measurement import build_apparatus, build_coupling, pointer_observable
-from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, random_cases, substream
+from qmeasure.measurement import build_apparatus, coupling_matrix, pointer_observable
+from qmeasure.randomness import (
+    _draw_cases,
+    rand_hermitian,
+    rand_state,
+    rand_unitary,
+    random_cases,
+    substream,
+)
 from qmeasure.report import emit_report
 from qmeasure.scenario import collapse_restriction_gaps, pointer_readout, run_cat, run_scenario
 from qmeasure.states import StateVector
@@ -61,14 +68,13 @@ def test_acceptance_2_coupling_fidelity(capsys):
     t0 = time.perf_counter()
     worst_agree = 0.0
     worst_unitary = 0.0
-    for i in range(100):
-        rng = substream(_SEED, 2, i)
-        d = 2 + i % 7  # dims 2..8
-        basis = rand_unitary(d, rng)
-        psi = StateVector(rand_state(d, rng))
-        agree, unitary = coupling_defects(basis, psi, build_apparatus(d))
-        worst_agree = max(worst_agree, agree)
-        worst_unitary = max(worst_unitary, unitary)
+    for d in range(2, 9):
+        # case i has dim 2 + i % 7, and draws its basis and then its state
+        cases = range(d - 2, 100, 7)
+        states, bases = _draw_cases(d, _SEED, (2,), cases, state_first=False)
+        agree, unitary = coupling_defects(states, bases, d)
+        worst_agree = max(worst_agree, float(agree.max()))
+        worst_unitary = max(worst_unitary, float(unitary.max()))
     elapsed = time.perf_counter() - t0
     worst = max(worst_agree, worst_unitary)
     passed = worst <= tol
@@ -263,7 +269,7 @@ def test_acceptance_9_chain_reduction(capsys):
     d = 4
     apparatus = build_apparatus(d)
     algebra = generate_algebra([pointer_observable(apparatus)])
-    copier = build_coupling(np.eye(d, dtype=complex), apparatus)
+    copier = coupling_matrix(np.eye(d, dtype=complex), apparatus.dim_apparatus)
     worst = 0.0
     for i in range(50):
         rng = substream(_SEED, 9, i)

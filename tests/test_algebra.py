@@ -355,3 +355,5 @@ def test_spectral_measure_validation():
         SpectralProbabilityMeasure(np.array([-0.2, 1.2]))
     with pytest.raises(errors.ValidationError):
         SpectralProbabilityMeasure(np.array([]))
+    with pytest.raises(errors.ValidationError):
+        SpectralProbabilityMeasure(np.array([np.nan, np.nan]))

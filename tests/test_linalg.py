@@ -105,6 +105,12 @@ def test_eigendecompose_fails_a_nan_residual(monkeypatch):
             linalg.hermitian_eigendecompose(np.diag([1.0, 2.0]))
 
 
+def test_require_weights_rejects_a_nan():
+    # a NaN compares False both ways, so each check is written to fail on it
+    with pytest.raises(errors.ValidationError):
+        linalg.require_weights([np.nan, 1.0])
+
+
 def test_unitary_exp_zero_time():
     h = rand_hermitian(3, substream(11))
     assert_close(linalg.unitary_exp(h, 0.0), np.eye(3))

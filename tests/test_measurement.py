@@ -49,6 +49,11 @@ def _model(basis):
     return build_coupling(basis, build_apparatus(basis.shape[0]))
 
 
+def _dense(model):
+    """The dense coupling of a model."""
+    return coupling_matrix(model.measured_basis, model.apparatus.dim_apparatus)
+
+
 def test_build_apparatus_defaults():
     app = build_apparatus(3)
     assert app.dim_apparatus == 3
@@ -101,12 +106,12 @@ def test_qubit_coupling_is_cnot():
         ],
         dtype=complex,
     )
-    assert_close(coupling_matrix(model), want)
+    assert_close(_dense(model), want)
 
 
 def test_single_outcome_coupling_is_identity():
     model = model_for_observable(np.array([[2.0]]))
-    assert_close(coupling_matrix(model), np.eye(1))
+    assert_close(_dense(model), np.eye(1))
 
 
 def test_coupling_registers_every_basis_column():
@@ -115,7 +120,7 @@ def test_coupling_registers_every_basis_column():
     app = build_apparatus(4, dim_apparatus=6)
     model = build_coupling(basis, app)
     for j in range(4):
-        moved = coupling_matrix(model) @ np.kron(basis[:, j], np.eye(6)[:, 0])
+        moved = _dense(model) @ np.kron(basis[:, j], np.eye(6)[:, 0])
         want = np.kron(basis[:, j], np.eye(6)[:, j])
         assert np.linalg.norm(moved - want) < 1e-10
 
@@ -139,7 +144,18 @@ def test_coupling_matrix_is_the_sum_of_per_outcome_shifts(d):
     for dm in (d, d + 3):
         rng = substream(163, d, dm)
         model = build_coupling(rand_unitary(d, rng), build_apparatus(d, dim_apparatus=dm))
-        assert_close(coupling_matrix(model), _coupling_by_outcome(model), atol=1e-12, rtol=0)
+        assert_close(_dense(model), _coupling_by_outcome(model), atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_coupling_matrix_of_a_stack_is_each_basis_coupling(d):
+    rng = substream(171, d)
+    bases = np.stack([rand_unitary(d, rng) for _ in range(4)])
+    for dm in (d, d + 3):
+        stacked = coupling_matrix(bases, dm)
+        assert stacked.shape == (4, d * dm, d * dm)
+        for basis, u in zip(bases, stacked):
+            assert np.array_equal(u, coupling_matrix(basis, dm))
 
 
 @pytest.mark.parametrize("dense", [False, True])
@@ -214,7 +230,7 @@ def test_coupling_permutes_off_ready_slots():
         for k in range(d):
             src = np.kron(np.eye(d)[:, j], np.eye(d)[:, k])
             dst = np.kron(np.eye(d)[:, j], np.eye(d)[:, (k + j) % d])
-            assert np.linalg.norm(coupling_matrix(model) @ src - dst) < 1e-12
+            assert np.linalg.norm(_dense(model) @ src - dst) < 1e-12
 
 
 def test_alternative_extension_agrees_on_physical_inputs():
@@ -229,7 +245,7 @@ def test_alternative_extension_agrees_on_physical_inputs():
         swap[[0, j]] = swap[[j, 0]]
         u2 += np.kron(np.outer(np.eye(d)[:, j], np.eye(d)[:, j]), swap)
     assert np.max(np.abs(u2.conj().T @ u2 - np.eye(d * dm))) < 1e-12
-    u = coupling_matrix(model)
+    u = _dense(model)
     assert np.max(np.abs(u2 - u)) > 0.5  # genuinely different unitary
     psi = rand_state(d, substream(89))
     joint = np.kron(psi, np.eye(dm)[:, 0])
@@ -275,7 +291,7 @@ def test_structured_premeasurement_matches_dense_coupling(d):
     for dm in (d, d + 3):
         rng = substream(139, d, dm)
         model = build_coupling(rand_unitary(d, rng), build_apparatus(d, dim_apparatus=dm))
-        u = coupling_matrix(model)
+        u = _dense(model)
         r = np.eye(dm)[:, 0]
         psi = rand_state(d, rng)
         dense = u @ np.kron(psi, r)
@@ -390,7 +406,7 @@ def test_two_stage_chain_keeps_pointer_statistics():
     stage1 = premeasured_state(psi, m1)
     first_diag = np.real(np.diag(apparatus_reduced_state(stage1, dims(m1)).matrix))
 
-    u2 = coupling_matrix(m1)  # same controlled shift, now copying factor 2 to factor 3
+    u2 = _dense(m1)  # same controlled shift, now copying factor 2 to factor 3
     joint = np.kron(np.eye(d), u2) @ np.kron(stage1.amplitudes, np.eye(d)[:, 0])
     rho_last = partial_trace(projector_of(joint), CompositeDims(d * d, d))
     assert_close(np.real(np.diag(rho_last.matrix)), first_diag, atol=1e-10)

@@ -28,7 +28,7 @@ from qmeasure.scenario import (
 )
 from qmeasure.states import DensityMatrix, StateVector
 
-from conftest import assert_close
+from conftest import assert_close, nan_state, stretch_a_basis, stretch_a_state
 from oracles import collapse_restriction_gap, load_scenario, rand_density, sample_outcome
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -570,18 +570,6 @@ def test_compare_memory_does_not_grow_with_n_random():
         peaks.append(peak)
     assert peaks[1] < peaks[0] + 2**16
     assert peaks[1] < 16 * 2**20
-
-
-def stretch_a_basis(states, bases):
-    bases[2, :, 0] *= 1 + 1e-9
-
-
-def stretch_a_state(states, bases):
-    states[3] *= 1 + 1e-9
-
-
-def nan_state(states, bases):
-    states[1, 0] = np.nan
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
-"""Each per-case kernel must be able to fail: a fault injected into the code
-it checks has to push its verify check past the check's tolerance."""
+"""Each verify kernel must be able to fail: a fault injected into the code
+it checks has to push its verify check past the check's tolerance. A
+stacked kernel must also give every case the bits of its per-case oracle
+and make the checks of every case's objects."""
 
 import numpy as np
 import pytest
 
-from qmeasure import scenario, verification
-from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
+from qmeasure import errors, scenario, verification
+from qmeasure.measurement import build_apparatus
+from qmeasure.randomness import rand_hermitian, random_cases, substream
 from qmeasure.states import StateVector
 
-from conftest import misregistered
+from conftest import misregistered, nan_state, stretch_a_basis, stretch_a_state
+from oracles import coupling_defects
 
 
 def uncoupled(states, bases):
@@ -38,20 +42,20 @@ def test_coupling_defects_catch_phase_and_off_ready_faults():
     check = verification.check_coupling_fidelity
 
     def scaled(factor):
-        def coupling_faulty(model):
-            u = dense(model)
-            return u * factor(model, u)
+        def coupling_faulty(bases, dim_apparatus):
+            u = dense(bases, dim_apparatus)
+            return u * factor(dim_apparatus, u)
 
         return coupling_faulty
 
-    def off_ready_gain(model, u):
+    def off_ready_gain(dim_apparatus, u):
         # premeasurement reads only the ready columns, so only unitarity sees this
-        col = np.arange(u.shape[1]) % model.apparatus.dim_apparatus
+        col = np.arange(u.shape[-1]) % dim_apparatus
         return np.where(col == 0, 1.0, 1 + 1e-9)
 
     # a global phase keeps the coupling unitary, so only the amplitude and
     # agreement terms see it
-    for factor in (lambda model, u: np.exp(1e-6j), off_ready_gain):
+    for factor in (lambda dim_apparatus, u: np.exp(1e-6j), off_ready_gain):
         assert_fault_caught(check, verification, "coupling_matrix", scaled(factor))
 
 
@@ -60,17 +64,47 @@ def test_coupling_defects_catch_shifted_pointer_column_in_premeasure():
     # path no longer matches U, which only the agreement term compares
     check = verification.check_coupling_fidelity
     assert_fault_caught(check, verification, "premeasure", misregistered)
-    rng = substream(67)
-    basis = rand_unitary(3, rng)
-    psi = StateVector(rand_state(3, rng))
+    states, bases = random_cases(3, 67, (), range(4))
     tol = 1e-10  # check 2's tolerance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "premeasure", misregistered)
-        agreement, unitarity = verification.coupling_defects(
-            basis, psi, verification.build_apparatus(3)
-        )
-    assert agreement > tol
-    assert unitarity <= tol
+        agreement, unitarity = verification.coupling_defects(states, bases, 3)
+    assert agreement.min() > tol
+    assert unitarity.max() <= tol
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_coupling_defects_have_the_bits_of_the_per_case_oracle(d):
+    # d = 1 takes more cases, as the collapse vs restriction stack does
+    cases = range(400 if d == 1 else 30)
+    for dm in (d, d + 2):
+        states, bases = random_cases(d, 71, (dm,), cases)
+        agreement, unitarity = verification.coupling_defects(states, bases, dm)
+        apparatus = build_apparatus(d, dim_apparatus=dm)
+        for k, (psi, basis) in enumerate(zip(states, bases)):
+            want = coupling_defects(basis, StateVector(psi), apparatus)
+            assert (agreement[k], unitarity[k]) == want
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        (stretch_a_basis, errors.NotOrthonormal),
+        (stretch_a_state, errors.NotNormalized),
+        (nan_state, errors.NotNormalized),
+    ],
+)
+def test_stacked_coupling_defects_check_every_case(fault, error):
+    states, bases = random_cases(3, 37, (2,), range(5))
+    fault(states, bases)
+    with pytest.raises(error):
+        verification.coupling_defects(states, bases, 3)
+
+
+def test_stacked_coupling_defects_reject_a_small_apparatus():
+    states, bases = random_cases(3, 37, (2,), range(5))
+    with pytest.raises(errors.TooSmall):
+        verification.coupling_defects(states, bases, 2)
 
 
 def test_spectral_axiom_defect_catches_shifted_eigenvalues():
@@ -150,3 +184,20 @@ def test_run_all_forms_no_kronecker_product(monkeypatch):
     monkeypatch.setattr(np, "kron", counted)
     assert all(r.passed for r in verification.run_all())
     assert calls == []
+
+
+def test_run_all_builds_each_dense_coupling_once_per_stack(monkeypatch):
+    # check 2 builds one stack of 30 couplings per dimension 2..6; check 9
+    # builds its copier once and then the first stage of each of its 20 cases
+    calls = []
+    dense = verification.coupling_matrix
+
+    def counted(bases, dim_apparatus):
+        calls.append((bases.shape, bool(np.array_equal(bases, np.eye(bases.shape[-1])))))
+        return dense(bases, dim_apparatus)
+
+    monkeypatch.setattr(verification, "coupling_matrix", counted)
+    assert all(r.passed for r in verification.run_all())
+    check_2 = [((30, d, d), False) for d in range(2, 7)]
+    check_9 = [((4, 4), True)] + [((4, 4), False)] * 20
+    assert calls == check_2 + check_9
