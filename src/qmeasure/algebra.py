@@ -156,15 +156,21 @@ def _split_points(labels, counts, values, tol):
     """Split each point of labels, counts[k] coordinates for point k, into
     the gap-separated clusters of its ascending values, relabelling in place.
     Returns the new counts, the old point of each new point, and each new
-    point's mean value. This is the package's one clustering rule."""
+    point's mean value. This is the package's one clustering rule.
+
+    A mean is the cluster's least value plus the mean of its offsets from
+    it. A cluster of equal values skips that mean: its offsets are all +0.0,
+    so the mean is exactly its value plus 0.0 (which turns -0.0 to +0.0),
+    and that is what it gets. Only clusters whose values differ average."""
     n = labels.size
     # coordinates by point so far, then by ascending value; a new point
     # starts at each old point and at each gap wider than tol. Equal
     # (point, value) pairs may come in any order: they fall in one new point
     # and leave the sorted values as they are, so only the sort by point
-    # needs to be stable
+    # needs to be stable, and one point needs none
     order = np.argsort(values)
-    order = order[np.argsort(labels[order], kind="stable")]
+    if counts.size > 1:
+        order = order[np.argsort(labels[order], kind="stable")]
     ascending = values[order]
     new = np.empty(n, dtype=bool)
     new[0] = True
@@ -173,16 +179,20 @@ def _split_points(labels, counts, values, tol):
     new[old_starts] = True
     starts = np.flatnonzero(new)
     bounds = np.append(starts, n)
+    sizes = np.diff(bounds)
     means = ascending[starts]
-    for j in np.flatnonzero(np.diff(bounds) > 1):
-        # offsets from the cluster's least value, so no sum can overflow
-        cluster = ascending[starts[j] : bounds[j + 1]]
-        means[j] = cluster[0] + np.mean(cluster - cluster[0])
+    if starts.size < n:  # some cluster has more than one column
+        multi = np.flatnonzero(sizes > 1)
+        means[multi] += 0.0
+        for j in multi[ascending[bounds[multi + 1] - 1] != means[multi]]:
+            # offsets from the cluster's least value, so no sum can overflow
+            cluster = ascending[starts[j] : bounds[j + 1]]
+            means[j] = cluster[0] + np.mean(cluster - cluster[0])
     del ascending  # the relabelling below is the largest step; free n floats first
     ranks = np.cumsum(new)
     ranks -= 1
     labels[order] = ranks
-    return np.diff(bounds), np.searchsorted(old_starts, starts, side="right"), means
+    return sizes, np.searchsorted(old_starts, starts, side="right"), means
 
 
 def _spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

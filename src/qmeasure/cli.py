@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
 
 from .errors import ParseError, QmError
 from .linalg import DEVIATION_TOL
-from .report import emit_report, emit_summary, sig12
+from .report import _dumps, emit_report, emit_summary, sig12
 from .scenario import (
     MAX_CHAIN,
     compare_collapse_vs_restriction,
@@ -152,7 +151,7 @@ def _cmd_verify(args) -> int:
             }
             for r in results
         ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
     else:
         for r in results:
             flag = "PASS" if r.passed else "FAIL"

@@ -4,7 +4,11 @@ Machine form: one JSON object with keys in the fixed order born,
 collapsed_diag, restricted, empirical, max_deviation, cross_terms. Every
 float is printed with 12 significant digits, and values are pre-rounded
 through that decimal form, so emitting, parsing and re-emitting a report is
-byte-stable.
+byte-stable. Every JSON text the package prints (reports, comparison
+summaries and verify's results) has exactly the bytes of
+json.dumps(payload, indent=2). It comes from one emitter, _dumps, that
+joins each list of finite numbers in one pass instead of encoding it item by
+item; a property test holds it to json.dumps on drawn payloads.
 """
 
 from __future__ import annotations
@@ -12,19 +16,63 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .algebra import SpectralProbabilityMeasure
 from .errors import UnknownFormat, ValidationError
 from .observables import OutcomeDistribution
 
 
+_PRINTED = ".12g"  # the 12-significant-digit decimal every float is printed in
+
+
 def sig12(x: float) -> float:
     """Round through the 12-significant-digit decimal used for output."""
-    return float(format(float(x), ".12g"))
+    return float(format(float(x), _PRINTED))
+
+
+def _sig12_list(xs) -> list[float]:
+    """sig12 of every entry of a float sequence or 1-d array."""
+    if isinstance(xs, np.ndarray):
+        xs = xs.tolist()
+    return [float(format(x, _PRINTED)) for x in xs]
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return format(float(x), _PRINTED)
+
+
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for plain data with string
+    keys, indent being the current nesting's leading spaces. json prints an
+    exact float or int as its repr unless it is a NaN or an infinity, so a
+    list of them is joined with repr in one pass, and a lone one is its
+    repr, when the result shows neither; keys and every other scalar go
+    through json.dumps."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, obj)) <= {float, int}:
+            body = sep.join(map(repr, obj))
+            # the repr of a finite number has no "n"; nan, inf and -inf do
+            if "n" not in body:
+                return f"[\n{inner}{body}\n{indent}]"
+        return f"[\n{inner}{sep.join([_dumps(x, inner) for x in obj])}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        items = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    if type(obj) in {float, int}:
+        text = repr(obj)
+        if "n" not in text:
+            return text
+    return json.dumps(obj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +90,11 @@ class EmpiricalCounts:
             raise ValidationError("counts and frequencies must match in length")
         if sum(self.counts) != self.trials:
             raise ValidationError("counts do not add up to the trial count")
-        for c, f in zip(self.counts, self.frequencies):
-            if abs(f - c / self.trials) > linalg.WEIGHT_FLOOR:
-                raise ValidationError("frequencies do not match counts")
+        expected = np.divide(self.counts, self.trials)
+        gaps = np.abs(np.asarray(self.frequencies, dtype=float) - expected)
+        # written so that a NaN fails
+        if not gaps.max() <= linalg.WEIGHT_FLOOR:
+            raise ValidationError("frequencies do not match counts")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,22 +124,22 @@ def report_payload(r: Report) -> dict:
     if r.empirical is not None:
         empirical = {
             "counts": list(r.empirical.counts),
-            "frequencies": [sig12(f) for f in r.empirical.frequencies],
+            "frequencies": _sig12_list(r.empirical.frequencies),
             "trials": r.empirical.trials,
         }
     return {
         "born": {
-            "outcomes": [sig12(x) for x in r.born.outcomes],
-            "probabilities": [sig12(x) for x in r.born.probabilities],
+            "outcomes": _sig12_list(r.born.outcomes),
+            "probabilities": _sig12_list(r.born.probabilities),
         },
-        "collapsed_diag": [sig12(x) for x in r.collapsed_diag],
+        "collapsed_diag": _sig12_list(r.collapsed_diag),
         "restricted": {
-            "characters": [[sig12(x) for x in ch] for ch in r.restricted_characters],
-            "weights": [sig12(x) for x in r.restricted.weights],
+            "characters": [_sig12_list(ch) for ch in r.restricted_characters],
+            "weights": _sig12_list(r.restricted.weights),
         },
         "empirical": empirical,
         "max_deviation": sig12(r.max_deviation),
-        "cross_terms": [sig12(x) for x in r.cross_terms],
+        "cross_terms": _sig12_list(r.cross_terms),
     }
 
 
@@ -118,7 +168,7 @@ def _table(r: Report) -> list[str]:
 def emit_report(r: Report, format_selector: str) -> str:
     """Render a report. format_selector is "table" or "json"."""
     if format_selector == "json":
-        return json.dumps(report_payload(r), indent=2) + "\n"
+        return _dumps(report_payload(r)) + "\n"
     if format_selector == "table":
         return "\n".join(_table(r)) + "\n"
     raise UnknownFormat(f"unknown format {format_selector!r}")
@@ -150,7 +200,7 @@ def emit_summary(s: ComparisonSummary, format_selector: str) -> str:
             "worst_index": s.worst_index,
             "worst_case_key": list(s.worst_case_key),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _dumps(payload) + "\n"
     if format_selector == "table":
         lines = [
             f"collapse vs restriction over {s.n_random} random cases at dim {s.dim} (seed {s.seed}):",

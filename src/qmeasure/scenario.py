@@ -516,11 +516,9 @@ def _report(
     """Assemble a run report; max_deviation is the largest listed residual."""
     return Report(
         born=born,
-        collapsed_diag=tuple(float(x) for x in collapsed),
+        collapsed_diag=tuple(collapsed.tolist()),
         restricted=restricted,
-        restricted_characters=tuple(
-            tuple(float(x) for x in row) for row in algebra.characters
-        ),
+        restricted_characters=tuple(map(tuple, algebra.characters.tolist())),
         empirical=empirical,
         max_deviation=max(residuals),
         cross_terms=cross_terms,
@@ -558,7 +556,8 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     """
     c1, c2 = complex(c1), complex(c2)
     total = abs(c1) ** 2 + abs(c2) ** 2
-    if abs(total - 1.0) > linalg.ROUNDOFF_TOL:
+    # written so that a NaN amplitude fails
+    if not abs(total - 1.0) <= linalg.ROUNDOFF_TOL:
         raise BadAmplitudes(f"|c1|^2 + |c2|^2 = {total!r}")
     if not 1 <= chain_length <= MAX_CHAIN:
         raise ValidationError(f"chain_length must be between 1 and {MAX_CHAIN}")

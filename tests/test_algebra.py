@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from qmeasure.algebra import (
     SpectralAlgebra,
     SpectralProbabilityMeasure,
     _spectrum,
+    _split_points,
     diagonal_algebra,
     generate_algebra,
     gelfand_transform,
@@ -150,6 +153,44 @@ def test_one_column_points_keep_a_signed_zero_value():
     # a cluster of -0.0 and +0.0 is valued +0.0, the mean of its offsets
     alg = diagonal_algebra([[0.0, -0.0, 1.0]])
     assert alg.characters.tobytes() == np.array([[0.0], [1.0]]).tobytes()
+
+
+def offset_mean(cluster) -> np.ndarray:
+    """A cluster's value by the offset-mean rule: its least entry plus the
+    mean of its offsets from it. A single column keeps its value."""
+    c = np.array(cluster)
+    return c[0] if c.size == 1 else c[0] + np.mean(c - c[0])
+
+
+def test_split_points_values_equal_clusters_with_the_bits_of_the_offset_mean():
+    # per old point, gap-separated clusters (tol 0.5): equal values, among
+    # them -0.0 alone and mixed with +0.0, skip the mean; a cluster whose
+    # values differ still averages; one-column points keep their value
+    old_points = [
+        [[-0.0, -0.0], [3.0, 3.0, 3.0], [7.0, 7.1, 7.3]],
+        [[-5.0], [0.0, -0.0, 0.0], [4.0, 4.0]],
+        [[-0.0], [2.5], [1e300, 1e300]],
+    ]
+    clusters = [c for point in old_points for c in point]
+    values = np.array([x for c in clusters for x in c])
+    counts = np.array([sum(map(len, point)) for point in old_points])
+    labels = np.repeat(np.arange(counts.size), counts)
+    rng = np.random.default_rng(5)
+    shuffle = rng.permutation(values.size)  # the split may not lean on the input order
+    labels, values = labels[shuffle], values[shuffle]
+
+    sizes, parents, means = _split_points(labels, counts, values, 0.5)
+
+    assert sizes.tolist() == [len(c) for c in clusters]
+    assert parents.tolist() == [k for k, point in enumerate(old_points) for _ in point]
+    for k, c in enumerate(clusters):
+        # every order the sort may leave equal values in (+-0.0 compare equal)
+        forms = {offset_mean(p).tobytes() for p in set(permutations(c)) if list(p) == sorted(p)}
+        assert forms == {means[k].tobytes()}, c
+        assert np.array_equal(np.sort(values[labels == k]), np.sort(c))
+    assert not np.signbit(means[0]) and not np.signbit(means[4])
+    assert np.signbit(means[6])
+    assert means[2] != 7.0  # the differing cluster was averaged
 
 
 def test_index_form_rejects_bad_labels():

@@ -431,6 +431,12 @@ def test_cat_bad_amplitudes_exit_one(capsys):
     assert "BadAmplitudes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c1, c2", [("nan,0", "1,0"), ("1,0", "0,nan")])
+def test_cat_nan_amplitude_exits_one(capsys, c1, c2):
+    assert main(["cat", "--chain", "3", "--c1", c1, "--c2", c2]) == 1
+    assert "BadAmplitudes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("chain", ["0", "25"])
 def test_cat_chain_outside_the_cap_exits_one(capsys, chain):
     assert main(["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", chain]) == 1

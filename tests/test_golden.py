@@ -34,7 +34,7 @@ CASES = {
     "compare_eigenstate": ["compare", str(_SCENARIOS / "eigenstate.json"), "--random", "50"],
     **{
         f"cat_chain{n}": ["cat", "--chain", str(n), "--c1", "0.6,0", "--c2", "0,0.8"]
-        for n in (3, 7, 10)
+        for n in (3, 7, 10, 16)
     },
     "verify": ["verify"],
 }
