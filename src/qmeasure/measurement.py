@@ -2,7 +2,9 @@
 
 The pointer is written in the standard basis e_k of the apparatus: e_0 is
 the ready state and e_j registers outcome j. Which orthonormal basis the
-pointer uses is a convention the statistics do not depend on. The coupling
+pointer uses is a convention the statistics do not depend on. The pointer
+readout is held as its diagonal in that basis, and the algebra it generates
+in index form, so no apparatus.dim^2 pointer matrix is formed. The coupling
 follows a controlled-shift convention. With measured basis columns b_j,
 
     U (b_j (x) e_k) = b_j (x) e_{(k + j) mod dim_apparatus}
@@ -25,7 +27,8 @@ never formed. A mixed state is premeasured through a factor rho = F F^dagger,
 each column of F as one state of the stack, so no composite density matrix
 is formed either.
 The dense U is built only by coupling_matrix, the oracle the verify suite
-and the tests hold the structured path against.
+and the tests hold the structured path against. collapse, like premeasure,
+works on bare arrays.
 """
 
 from __future__ import annotations
@@ -36,10 +39,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateSpectrum, DimMismatch, TooSmall, ValidationError
-from .algebra import SpectralAlgebra, generate_algebra
+from .algebra import SpectralAlgebra, diagonal_algebra, generate_algebra
 from .linalg import default_cluster_tol
-from .observables import Observable
-from .states import DensityMatrix, as_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +82,7 @@ def build_apparatus(
     pointer_values defaults to 0..n_outcomes-1; models built from an
     observable override it with the measured eigenvalues.
     """
-    if n_outcomes < 1:
-        raise ValidationError("need at least one outcome")
     dim = n_outcomes if dim_apparatus is None else int(dim_apparatus)
-    if dim < n_outcomes:
-        raise TooSmall(f"apparatus dim {dim} cannot register {n_outcomes} outcomes")
     if pointer_values is None:
         vals = np.arange(n_outcomes, dtype=float)
     else:
@@ -122,10 +119,6 @@ class MeasurementModel:
         """The measured basis: the basis columns in label order, column j
         the eigenvector of outcome j."""
         return self._measured_basis
-
-    @property
-    def dim_system(self) -> int:
-        return self.measured_pvm.dim
 
 
 def build_coupling(measured_basis, apparatus: ApparatusModel) -> MeasurementModel:
@@ -185,14 +178,15 @@ def model_for_observable(
     return MeasurementModel(pvm, apparatus)
 
 
-def pointer_observable(apparatus: ApparatusModel) -> Observable:
-    """The pointer readout: the diagonal matrix with pointer value j on e_j.
+def pointer_diagonal(apparatus: ApparatusModel) -> np.ndarray:
+    """The pointer readout as its diagonal w: pointer value j on e_j.
     Columns past the last outcome, never reached from the ready state, share
-    one idle eigenvalue below the real values, so the readout stays a single
+    one idle value below the real values, so the readout stays a single
     observable on the full apparatus space. The idle value is min - 1 unless
     that is within reach of the least pointer value, where it would match
     that outcome (_match_outcomes) or merge with it (the cluster width of any
-    values up to twice the largest); then it is twice that reach below."""
+    values up to twice the largest); then it is twice that reach below. Two
+    entries within the cluster width of w would share a readout point."""
     vals, dim = apparatus.pointer_values, apparatus.dim_apparatus
     low = float(vals.min())
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -201,7 +195,20 @@ def pointer_observable(apparatus: ApparatusModel) -> Observable:
     w = np.full(dim, idle)
     w[: vals.size] = vals
     linalg.require_float_span(w, "pointer values with the idle value below them")
-    return Observable(np.diag(w.astype(complex)))
+    # the gaps between the values and one idle entry, if there is one
+    gap = float(np.diff(np.sort(w[: vals.size + 1])).min(initial=np.inf))
+    if gap <= (tol := default_cluster_tol(w)):
+        raise ValidationError(
+            f"pointer values {gap:.3e} apart fall in one readout point (cluster width {tol:.3e})"
+        )
+    return w
+
+
+def pointer_readout(apparatus: ApparatusModel) -> SpectralAlgebra:
+    """The readout algebra the pointer generates, held in index form: point
+    j is pointer column j, valued pointer value j, and the idle columns, if
+    any, form one more point below them."""
+    return diagonal_algebra([pointer_diagonal(apparatus)])
 
 
 def premeasure(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -229,22 +236,11 @@ def premeasure(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return out
 
 
-def collapse(rho, model: MeasurementModel) -> DensityMatrix:
-    """Projective collapse: keep the diagonal of rho in the measured basis.
-
-    Returns sum_n <b_n|rho|b_n> |b_n><b_n|, the post-measurement mixture
-    when the outcome is not recorded. The basis is the model's, which its
-    spectral measure already checked.
-    """
-    r = as_density(rho)
-    if r.dim != model.dim_system:
-        raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
-    return DensityMatrix._trusted(collapse_stack(r.matrix, model.measured_basis))
-
-
-def collapse_stack(rhos: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The collapse sum_n <b_n|rho|b_n> |b_n><b_n| of one density matrix
-    in one measured basis, or of stacks (..., d, d) of both."""
+def collapse(rhos: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Projective collapse on bare arrays: sum_n <b_n|rho|b_n> |b_n><b_n|,
+    the post-measurement mixture when the outcome is not recorded, of one
+    density matrix in one measured basis, or of stacks (..., d, d) of both.
+    The caller holds checked bases, as a model's or a checked stack's are."""
     adjoints = bases.conj().swapaxes(-1, -2)
     probs = np.real(np.diagonal(adjoints @ rhos @ bases, axis1=-2, axis2=-1))
     return (bases * probs[..., None, :]) @ adjoints

@@ -38,9 +38,10 @@ outcome boundary when there are few boundaries and many draws, else one
 sort of the draws (see _sample_counts for where the two cross).
 
 No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
-apparatus.dim^2 readout matrices (apparatus.dim >= system_dim; no composite
-state matrix is formed for either kind of initial state, nor more than one
-d x d premeasured block at a time from d = 256 on), and the trials draws. A
+apparatus.dim^2 matrices of algebra_generators, a bound every document is
+held to (the default readout is the pointer's diagonal; no composite state
+matrix is formed for either kind of initial state, nor more than one d x d
+premeasured block at a time from d = 256 on), and the trials draws. A
 document over that limit fails validation before anything is built, and so
 does a randomized comparison asking for more cases. The cat run is held to
 the same limit: its largest arrays are the 2^chain_length readout values
@@ -77,9 +78,9 @@ from .errors import (
 from .measurement import (
     build_apparatus,
     collapse,
-    collapse_stack,
     model_for_observable,
-    pointer_observable,
+    pointer_diagonal,
+    pointer_readout,
     premeasure,
 )
 from .observables import Observable, OutcomeDistribution, born_distribution
@@ -464,20 +465,23 @@ def run_scenario(s: Scenario) -> Report:
     rho = projector_of(state) if isinstance(state, StateVector) else state
 
     born = born_distribution(rho, model.measured_pvm)
-    collapsed = collapse(rho, model)
     basis = model.measured_basis
-    collapsed_diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
+    collapsed_diag = np.real(np.diag(basis.conj().T @ collapse(rho.matrix, basis) @ basis))
 
-    pointer = pointer_observable(model.apparatus)
-    generators = s.algebra_generators if s.algebra_generators else (pointer,)
-    algebra = generate_algebra(generators)
-    try:
-        pointer_chars = gelfand_transform(algebra, pointer)
-    except NotInAlgebra as err:
-        raise ValidationError(
-            "algebra_generators: the generated algebra does not contain the "
-            f"pointer readout ({err})"
-        ) from err
+    if s.algebra_generators:
+        pointer = np.diag(pointer_diagonal(model.apparatus))
+        algebra = generate_algebra(s.algebra_generators)
+        try:
+            point_values = gelfand_transform(algebra, pointer)
+        except NotInAlgebra as err:
+            raise ValidationError(
+                "algebra_generators: the generated algebra does not contain the "
+                f"pointer readout ({err})"
+            ) from err
+        cross_terms = _branch_cross_terms([g.matrix for g in s.algebra_generators], basis.shape[0])
+    else:
+        # the pointer alone: its points carry their own values, its diagonal no cross terms
+        algebra, point_values, cross_terms = pointer_readout(model.apparatus), None, (0.0,)
 
     # premeasure the factor rows, _CASE_BLOCK elements at a time, and sum the
     # diagonals of their reduced states: the readout holds the pointer, whose
@@ -489,7 +493,7 @@ def run_scenario(s: Scenario) -> Report:
         m = premeasure(rows[i : i + step], basis)
         diag += np.einsum("kaj,kaj->j", m.real, m.real) + np.einsum("kaj,kaj->j", m.imag, m.imag)
     weights, aligned = _readout_weights(
-        np.diag(diag), algebra, model.apparatus.pointer_values, pointer_chars
+        np.diag(diag), algebra, model.apparatus.pointer_values, point_values
     )
 
     empirical = None
@@ -501,7 +505,7 @@ def run_scenario(s: Scenario) -> Report:
         collapsed_diag,
         SpectralProbabilityMeasure(weights),
         algebra,
-        _branch_cross_terms([g.matrix for g in generators], born.outcomes.size),
+        cross_terms,
         [
             float(np.max(np.abs(born.probabilities - collapsed_diag))),
             float(np.max(np.abs(born.probabilities - aligned))),
@@ -573,7 +577,7 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     z = np.eye(2, dtype=complex)
     born = (qubit * qubit.conj()).real
     # the collapse in the z basis, read on its diagonal
-    collapsed = collapse_stack(qubit[:, None] * qubit.conj(), z).diagonal().real
+    collapsed = collapse(qubit[:, None] * qubit.conj(), z).diagonal().real
     weights, aligned = _readout_weights(_reduce(premeasure(qubit, z)), algebra, readout[:2])
 
     # the two outcomes' Born and collapse weights, on their pointer columns' points
@@ -588,13 +592,6 @@ def run_cat(c1, c2, chain_length: int) -> Report:
         _branch_cross_terms([readout], 2),
         [float(np.abs(born - collapsed).max()), float(np.abs(born - aligned).max())],
     )
-
-
-def pointer_readout(dim: int) -> SpectralAlgebra:
-    """The readout algebra of a minimal apparatus registering dim outcomes:
-    the diagonal algebra of its pointer values 0..dim-1, held in index form,
-    whose point j is pointer column j."""
-    return diagonal_algebra([build_apparatus(dim).pointer_values])
 
 
 def _checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -645,7 +642,7 @@ def collapse_restriction_gaps(
     if not sum_gap <= linalg.ROUNDOFF_TOL:
         raise ValidationError(f"weights: a sum is off from 1 by {sum_gap:.3e}")
     projectors = states[:, :, None] * states.conj()[:, None, :]
-    collapsed = collapse_stack(projectors, b)
+    collapsed = collapse(projectors, b)
     diag = np.real(np.diagonal(b.conj().swapaxes(-1, -2) @ collapsed @ b, axis1=-2, axis2=-1))
     return np.max(np.abs(aligned - diag), axis=-1)
 
@@ -662,7 +659,7 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
     if n_random < 1:
         raise ValidationError("n_random must be positive")
     _check_budget("n_random", n_random)
-    readout = pointer_readout(dim)
+    readout = pointer_readout(build_apparatus(dim))
     per_block = max(1, _CASE_BLOCK // dim**2)
     devs = np.empty(n_random)
     for start in range(0, n_random, per_block):

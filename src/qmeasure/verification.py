@@ -27,7 +27,7 @@ from .measurement import (
     build_apparatus,
     build_coupling,
     coupling_matrix,
-    pointer_observable,
+    pointer_readout,
     premeasure,
 )
 from .observables import evolve
@@ -44,7 +44,6 @@ from .scenario import (
     _readout_weights,
     _reduce,
     collapse_restriction_gaps,
-    pointer_readout,
     run_cat,
     run_scenario,
 )
@@ -162,7 +161,7 @@ def check_collapse_restriction() -> CheckResult:
     cases = 0
     for d in range(2, 7):
         states, bases = random_cases(d, _SEED, (10, d), range(40))
-        gaps = collapse_restriction_gaps(states, bases, pointer_readout(d))
+        gaps = collapse_restriction_gaps(states, bases, pointer_readout(build_apparatus(d)))
         worst = max(worst, float(gaps.max()))
         cases += gaps.size
     return _result("collapse vs restriction", worst, 1e-9, f"{cases} random cases, dims 2..6")
@@ -297,7 +296,7 @@ def check_chain_reduction() -> CheckResult:
     d = 4
     worst = 0.0
     apparatus = build_apparatus(d)
-    algebra = generate_algebra([pointer_observable(apparatus)])
+    algebra = pointer_readout(apparatus)
     copier = coupling_matrix(np.eye(d, dtype=complex), apparatus.dim_apparatus)
     for i in range(20):
         rng = substream(_SEED, 16, i)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from qmeasure.measurement import premeasure
@@ -8,6 +10,17 @@ RTOL = 1e-9
 
 def assert_close(actual, desired, atol=ATOL, rtol=RTOL):
     np.testing.assert_allclose(np.asarray(actual), np.asarray(desired), atol=atol, rtol=rtol)
+
+
+def peak_bytes(fn, *args):
+    """fn(*args) and the tracemalloc peak of that one call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def misregistered(states, bases):

@@ -84,13 +84,13 @@ def spectrum_reference(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]
 
 
 def dims(model: MeasurementModel) -> CompositeDims:
-    return CompositeDims(model.dim_system, model.apparatus.dim_apparatus)
+    return CompositeDims(model.measured_pvm.dim, model.apparatus.dim_apparatus)
 
 
 def premeasured_state(psi, model: MeasurementModel) -> StateVector:
     """The premeasured composite sum_j c_j b_j (x) e_j on the whole product
     space: premeasure's d x d block padded with the zero columns past d."""
-    d = model.dim_system
+    d = model.measured_pvm.dim
     m = np.zeros((d, model.apparatus.dim_apparatus), dtype=complex)
     m[:, :d] = premeasure(as_state(psi).amplitudes, model.measured_basis)
     return StateVector(m.reshape(-1))
@@ -118,8 +118,8 @@ def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, alg
     model = build_coupling(basis, apparatus)
     rho_app = apparatus_reduced_state(premeasured_state(psi, model), dims(model))
     weights = restrict_state(rho_app, algebra).weights
-    collapsed = collapse(projector_of(psi), model)
-    diag = np.real(np.diag(basis.conj().T @ collapsed.matrix @ basis))
+    collapsed = collapse(projector_of(psi).matrix, model.measured_basis)
+    diag = np.real(np.diag(basis.conj().T @ collapsed @ basis))
     return float(np.max(np.abs(weights - diag)))
 
 
@@ -145,10 +145,10 @@ def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
     premeasures a factor of rho instead and forms only the d x d reduced
     apparatus block."""
     r = as_density(rho)
-    if r.dim != model.dim_system:
-        raise DimMismatch(f"state dim {r.dim}, system dim {model.dim_system}")
+    if r.dim != model.measured_pvm.dim:
+        raise DimMismatch(f"state dim {r.dim}, system dim {model.measured_pvm.dim}")
     b = model.measured_basis
-    f = np.eye(model.apparatus.dim_apparatus, model.dim_system)
+    f = np.eye(model.apparatus.dim_apparatus, model.measured_pvm.dim)
     # column j of the product array is b_j (x) e_j
     w = (b[:, None, :] * f[None, :, :]).reshape(-1, b.shape[1]) @ b.conj().T
     return DensityMatrix._trusted(w @ r.matrix @ w.conj().T)
@@ -166,8 +166,8 @@ def sample_outcome(
     a claim about dynamics.
     """
     p = as_state(psi)
-    if p.dim != model.dim_system:
-        raise DimMismatch(f"state dim {p.dim}, system dim {model.dim_system}")
+    if p.dim != model.measured_pvm.dim:
+        raise DimMismatch(f"state dim {p.dim}, system dim {model.measured_pvm.dim}")
     amps = model.measured_basis.conj().T @ p.amplitudes
     cum = np.cumsum(np.abs(amps) ** 2)
     j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))

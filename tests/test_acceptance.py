@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from qmeasure.algebra import generate_algebra
-from qmeasure.measurement import build_apparatus, coupling_matrix, pointer_observable
+from qmeasure.measurement import build_apparatus, coupling_matrix, pointer_readout
 from qmeasure.randomness import (
     _draw_cases,
     rand_hermitian,
@@ -18,7 +18,7 @@ from qmeasure.randomness import (
     substream,
 )
 from qmeasure.report import emit_report
-from qmeasure.scenario import collapse_restriction_gaps, pointer_readout, run_cat, run_scenario
+from qmeasure.scenario import collapse_restriction_gaps, run_cat, run_scenario
 from qmeasure.states import StateVector
 from qmeasure.verification import (
     chain_reduction_gap,
@@ -48,7 +48,7 @@ def test_acceptance_1_collapse_restriction_equivalence(capsys):
     cases = 0
     for d in range(2, 11):
         states, bases = random_cases(d, _SEED, (1, d), range(200))
-        gaps = collapse_restriction_gaps(states, bases, pointer_readout(d))
+        gaps = collapse_restriction_gaps(states, bases, pointer_readout(build_apparatus(d)))
         worst = max(worst, float(gaps.max()))
         cases += gaps.size
     elapsed = time.perf_counter() - t0
@@ -268,7 +268,7 @@ def test_acceptance_9_chain_reduction(capsys):
     t0 = time.perf_counter()
     d = 4
     apparatus = build_apparatus(d)
-    algebra = generate_algebra([pointer_observable(apparatus)])
+    algebra = pointer_readout(apparatus)
     copier = coupling_matrix(np.eye(d, dtype=complex), apparatus.dim_apparatus)
     worst = 0.0
     for i in range(50):

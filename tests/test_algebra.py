@@ -18,7 +18,7 @@ from qmeasure.algebra import (
     restrict_state,
 )
 from qmeasure.linalg import default_cluster_tol
-from qmeasure.measurement import build_apparatus, pointer_observable
+from qmeasure.measurement import build_apparatus, pointer_diagonal, pointer_readout
 from qmeasure.randomness import (
     rand_hermitian,
     rand_state,
@@ -384,9 +384,14 @@ def test_restrict_rejects_dim_mismatch():
 
 def test_pointer_algebra_has_idle_point():
     app = build_apparatus(2, dim_apparatus=3, pointer_values=[4.0, 6.0])
-    alg = generate_algebra([pointer_observable(app)])
+    alg = pointer_readout(app)
     chars = alg.characters[:, 0]
     assert_close(sorted(chars), [3.0, 4.0, 6.0])  # idle value min - 1
+    # the algebra the dense pointer generates, held the same way
+    dense = generate_algebra([np.diag(pointer_diagonal(app))])
+    assert dense.basis is None and alg.basis is None
+    assert np.array_equal(dense.labels, alg.labels)
+    assert np.array_equal(dense.characters, alg.characters)
 
 
 def test_spectral_measure_validation():

@@ -1,17 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmeasure
 from qmeasure import cli, scenario
 from qmeasure.cli import main
-from qmeasure.randomness import rand_hermitian, substream
+from qmeasure.randomness import rand_hermitian, rand_state, substream
 
 from conftest import misregistered
 
@@ -285,6 +290,23 @@ def test_run_judges_a_small_pointer_readout_by_its_own_size(tmp_path):
     assert "the generated algebra does not contain the pointer readout" in messages[0]
 
 
+@pytest.mark.parametrize(
+    "values, dim", [([1.0, 1.0000000000001], 2), ([0, 1e-300], 7)], ids=["close", "idle"]
+)
+def test_run_rejects_pointer_values_the_readout_merges(tmp_path, values, dim):
+    # distinct values within the pointer readout's cluster width fall in one
+    # point, and the run once exited 2 on a deviation of 0.64; at dim 7 the
+    # idle value -1 widens the width past the gap that dim 2 resolves
+    path = write_qubit_scenario(tmp_path, apparatus={"dim": dim, "pointer_values": values})
+    strict = run_strict(["run", path])
+    assert strict.returncode == 1, strict.stderr
+    assert "ValidationError: pointer values" in strict.stderr
+    assert "apart fall in one readout point" in strict.stderr
+    if dim == 7:
+        path = write_qubit_scenario(tmp_path, apparatus={"dim": 2, "pointer_values": values})
+        assert run_strict(["run", path]).returncode == 0
+
+
 @pytest.mark.parametrize("scale", [1e-315, 1e-320])
 def test_run_accepts_a_subnormal_splitter_on_the_idle_block(tmp_path, scale):
     # an eigensolver returns subnormal values to no relative accuracy, so a
@@ -315,6 +337,53 @@ def test_run_judges_hermiticity_in_units_of_the_largest_entry(tmp_path, scale):
         assert strict.returncode == code, strict.stderr
         if code:
             assert "NotHermitian" in strict.stderr
+
+
+def _pairs(a):
+    """A complex array as nested [re, im] pairs."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+@given(
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1.0, 1e18),
+    trials=st.sampled_from([0, 100]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_statistics_do_not_change_when_the_apparatus_is_padded(d, seed, scale, trials, data):
+    # pointer values on a grid of scale / 1000, so at least 1e-3 of the
+    # largest of 1 and their magnitudes apart; apparatus.dim = d + k
+    grid = data.draw(st.lists(st.integers(-1000, 1000), min_size=d, max_size=d, unique=True))
+    rng = substream(seed)
+    doc = {
+        "system_dim": d,
+        "initial_state": {"kind": "vector", "data": _pairs(rand_state(d, rng))},
+        "observable": _pairs(rand_hermitian(d, rng)),
+        "apparatus": {"pointer_values": [g * scale / 1000 for g in grid]},
+        "trials": trials,
+        "seed": 3,
+    }
+    payloads = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        for k in (0, 1, 7, 200):
+            doc["apparatus"]["dim"] = d + k
+            path.write_text(json.dumps(doc))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["run", str(path), "--format", "json"]) == 0, k
+            payloads.append(json.loads(out.getvalue()))
+    bare = payloads[0]
+    for padded in payloads[1:]:
+        for key in ("born", "collapsed_diag", "empirical", "max_deviation"):
+            assert padded[key] == bare[key], key
+        # one idle point of weight 0 below the pointer values' points
+        chars, weights = padded["restricted"]["characters"], padded["restricted"]["weights"]
+        assert chars[1:] == bare["restricted"]["characters"]
+        assert weights == [0.0, *bare["restricted"]["weights"]]
+        assert chars[0] < chars[1]
 
 
 def test_run_factors_the_hermitian_part_of_a_density(tmp_path, capsys):

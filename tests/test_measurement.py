@@ -13,7 +13,7 @@ from qmeasure.measurement import (
     collapse,
     coupling_matrix,
     model_for_observable,
-    pointer_observable,
+    pointer_diagonal,
     premeasure,
 )
 from qmeasure.observables import born_distribution
@@ -44,11 +44,6 @@ from oracles import (
 )
 
 
-def _model(basis):
-    """Measurement model of an orthonormal basis on a minimal apparatus."""
-    return build_coupling(basis, build_apparatus(basis.shape[0]))
-
-
 def _dense(model):
     """The dense coupling of a model."""
     return coupling_matrix(model.measured_basis, model.apparatus.dim_apparatus)
@@ -72,8 +67,12 @@ def test_build_apparatus_oversized():
 
 
 def test_build_apparatus_too_small():
-    with pytest.raises(errors.TooSmall):
+    # the apparatus model makes the checks
+    with pytest.raises(errors.TooSmall, match="apparatus dim 3 cannot register 4 outcomes"):
         build_apparatus(4, dim_apparatus=3)
+    for n in (0, -1):
+        with pytest.raises(errors.ValidationError):
+            build_apparatus(n)
 
 
 def test_apparatus_rejects_duplicate_pointer_values():
@@ -131,7 +130,7 @@ def _coupling_by_outcome(model):
     dm = model.apparatus.dim_apparatus
     cycle = np.roll(np.eye(dm), 1, axis=0)
     shift = np.eye(dm, dtype=complex)
-    n = model.dim_system * dm
+    n = model.measured_pvm.dim * dm
     u = np.zeros((n, n), dtype=complex)
     for proj in projectors(model.measured_pvm):
         u += np.kron(proj, shift)
@@ -349,36 +348,44 @@ def test_apparatus_reduced_state_rejects_wrong_size():
 
 def test_collapse_diagonal_weights():
     rho = projector_of([0.6, 0.8])
-    out = collapse(rho, _model(np.eye(2)))
-    assert_close(out.matrix, np.diag([0.36, 0.64]))
+    out = collapse(rho.matrix, np.eye(2))
+    assert_close(out, np.diag([0.36, 0.64]))
 
 
 def test_collapse_is_idempotent():
     rng = substream(101)
     basis = rand_unitary(4, rng)
     rho = rand_density(4, rng)
-    model = _model(basis)
-    once = collapse(rho, model)
-    twice = collapse(once, model)
-    assert_close(twice.matrix, once.matrix, atol=1e-12)
+    once = collapse(rho, basis)
+    twice = collapse(once, basis)
+    assert_close(twice, once, atol=1e-12)
+
+
+def test_collapse_of_a_stack_is_each_case_collapsed():
+    rng = substream(113)
+    bases = np.stack([rand_unitary(3, rng) for _ in range(4)])
+    rhos = np.stack([rand_density(3, rng) for _ in range(4)])
+    stacked = collapse(rhos, bases)
+    for rho, basis, out in zip(rhos, bases, stacked):
+        assert_close(out, collapse(rho, basis), atol=1e-15)
 
 
 def test_collapse_fixes_basis_diagonal_states():
     basis = rand_unitary(3, substream(103))
     rho = (basis * [0.2, 0.3, 0.5]) @ basis.conj().T
-    out = collapse(rho, _model(basis))
-    assert_close(out.matrix, rho, atol=1e-12)
+    out = collapse(rho, basis)
+    assert_close(out, rho, atol=1e-12)
 
 
 def test_collapse_preserves_born_weights():
     rng = substream(107)
     basis = rand_unitary(5, rng)
     rho = rand_density(5, rng)
-    out = collapse(rho, _model(basis))
+    out = collapse(rho, basis)
     for j in range(5):
         b = basis[:, j]
         before = float((b.conj() @ rho @ b).real)
-        after = float((b.conj() @ out.matrix @ b).real)
+        after = float((b.conj() @ out @ b).real)
         assert abs(before - after) < 1e-12
 
 
@@ -449,25 +456,38 @@ def test_sample_outcome_is_seed_reproducible():
     assert a == b
 
 
-def test_pointer_observable_idle_value():
+def test_pointer_diagonal_idle_value():
     app = build_apparatus(2, dim_apparatus=4, pointer_values=[3.0, 5.0])
-    obs = pointer_observable(app)
-    assert_close(np.diag(obs.matrix), [3.0, 5.0, 2.0, 2.0])
+    assert_close(pointer_diagonal(app), [3.0, 5.0, 2.0, 2.0])
 
 
 @pytest.mark.parametrize(
     "values", [[1e13, 2e13], [1e17, 2e17], [-1.79e308, -1.7e308], [1.7e308, 1.79e308]]
 )
-def test_pointer_observable_idle_value_stays_out_of_reach(values):
+def test_pointer_diagonal_idle_value_stays_out_of_reach(values):
     # min - 1 would round to min, or lie within the radius at which a
     # pointer value matches outcome 0; the idle value moves further below
     app = build_apparatus(2, dim_apparatus=3, pointer_values=values)
-    idle = np.real(np.diag(pointer_observable(app).matrix))[2]
+    idle = pointer_diagonal(app)[2]
     assert np.isfinite(idle)
     assert min(values) - idle > linalg.POINTER_MATCH_RTOL * max(np.abs(values))
 
 
-def test_pointer_observable_minimal_apparatus():
+def test_pointer_diagonal_minimal_apparatus():
     app = build_apparatus(3, pointer_values=[-1.0, 0.0, 1.0])
-    obs = pointer_observable(app)
-    assert_close(obs.matrix, np.diag([-1.0, 0.0, 1.0]))
+    assert_close(pointer_diagonal(app), [-1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "values, dim",
+    [([1.0, 1.0000000000001], 2), ([0.0, 1e-300], 7), ([0.0, 1e-300, 1.0], 3)],
+)
+def test_pointer_diagonal_rejects_values_the_readout_merges(values, dim):
+    # distinct values within the cluster width of the pointer diagonal, the
+    # idle value included, would fall in one readout point
+    app = build_apparatus(len(values), dim_apparatus=dim, pointer_values=values)
+    with pytest.raises(errors.ValidationError, match="apart fall in one readout point"):
+        pointer_diagonal(app)
+    # the same two values alone, with no idle value to widen the width
+    if dim == 7:
+        pointer_diagonal(build_apparatus(2, pointer_values=values))

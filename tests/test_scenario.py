@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors, linalg
-from qmeasure.algebra import generate_algebra
-from qmeasure.measurement import build_apparatus, model_for_observable, pointer_observable
+from qmeasure.measurement import (
+    build_apparatus,
+    model_for_observable,
+    pointer_diagonal,
+    pointer_readout,
+)
 from qmeasure.observables import Observable
 from qmeasure.randomness import rand_hermitian, random_cases, substream
 from qmeasure.report import (
@@ -30,13 +33,12 @@ from qmeasure.scenario import (
     collapse_restriction_gaps,
     compare_collapse_vs_restriction,
     parse_scenario,
-    pointer_readout,
     run_cat,
     run_scenario,
 )
 from qmeasure.states import DensityMatrix, StateVector
 
-from conftest import assert_close, nan_state, stretch_a_basis, stretch_a_state
+from conftest import assert_close, nan_state, peak_bytes, stretch_a_basis, stretch_a_state
 from oracles import collapse_restriction_gap, load_scenario, rand_density, sample_outcome
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -343,12 +345,7 @@ def test_sample_counts_peak_under_one_and_a_half_times_the_draws():
     trials = 2**20
     for p in (np.array([0.25, 0.25, 0.5]), np.full(64, 1 / 64)):
         _sample_counts(p, 3, 1000)  # warm-up
-        tracemalloc.start()
-        try:
-            _sample_counts(p, 3, trials)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(_sample_counts, p, 3, trials)
         assert peak < 1.5 * 8 * trials
 
 
@@ -379,7 +376,8 @@ def test_full_rank_density_run_peaks_at_a_few_apparatus_matrices(idle):
         model = model_for_observable(observable, dim_apparatus=dim)
         splitter = np.zeros((dim, dim), dtype=complex)
         splitter[d:, d:] = 1.0
-        generators = (pointer_observable(model.apparatus), Observable(splitter))
+        pointer = Observable(np.diag(pointer_diagonal(model.apparatus)))
+        generators = (pointer, Observable(splitter))
     s = Scenario(
         system_dim=d,
         initial_state=DensityMatrix(rand_density(d, rng)),
@@ -390,14 +388,19 @@ def test_full_rank_density_run_peaks_at_a_few_apparatus_matrices(idle):
         trials=0,
         seed=1,
     )
-    tracemalloc.start()
-    try:
-        report = run_scenario(s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = peak_bytes(run_scenario, s)
     assert report.max_deviation < 1e-12
     assert peak < 16 * 16 * dim**2
+
+
+def test_vector_run_forms_no_apparatus_matrix():
+    # the default readout is the pointer's diagonal: the dense 2048 x 2048
+    # pointer observable and its Gelfand transform peaked at 321 MiB here
+    s = parse_scenario(doc_qubit(apparatus={"dim": 2048}))
+    run_scenario(s)  # warm-up
+    report, peak = peak_bytes(run_scenario, s)
+    assert report.max_deviation < 1e-12
+    assert peak < 2**20
 
 
 def test_match_outcomes_in_runs_gives_the_broadcast_rule():
@@ -416,12 +419,7 @@ def test_match_outcomes_in_runs_gives_the_broadcast_rule():
     # 4096 values against 4096 targets: runs of 16, where one broadcast
     # would hold 2^24 gaps, 128 MiB
     points = np.arange(4096.0)
-    tracemalloc.start()
-    try:
-        got = _match_outcomes(points, points)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = peak_bytes(_match_outcomes, points, points)
     assert np.array_equal(got, np.arange(4096))
     assert peak < 2**22
 
@@ -477,12 +475,7 @@ def test_cat_allocates_no_dense_matrix():
     # one dense 1024^2 complex matrix is 16 MiB; the chain of 10 needs
     # only arrays of 2^10 entries
     run_cat(0.6, 0.8j, chain_length=10)  # warm-up
-    tracemalloc.start()
-    try:
-        run_cat(0.6, 0.8j, chain_length=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(run_cat, 0.6, 0.8j, 10)
     assert peak < 2**20
 
 
@@ -493,12 +486,7 @@ def test_cat_forms_no_coefficient_matrix_over_the_chain():
     # 49.0 MiB. The premeasured qubit adds only its 2 x 2 block, where a
     # 2 x 2^20 complex coefficient matrix would add 32 MiB
     run_cat(0.6, 0.8j, chain_length=3)  # warm-up
-    tracemalloc.start()
-    try:
-        run_cat(0.6, 0.8j, chain_length=20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(run_cat, 0.6, 0.8j, 20)
     assert peak < 45 * 2**20
 
 
@@ -515,20 +503,14 @@ def test_compare_allocates_no_composite_matrix():
     # one dense (32 * 32)^2 complex matrix is 16 MiB; the structured path
     # needs well under one
     compare_collapse_vs_restriction(32, 4, 5)  # warm-up
-    tracemalloc.start()
-    try:
-        compare_collapse_vs_restriction(32, 4, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(compare_collapse_vs_restriction, 32, 4, 5)
     assert peak < 4 * 2**20
 
 
 def per_case_gaps(d: int, states, bases) -> np.ndarray:
-    """The gaps of the one-case-at-a-time kernel, with the readout algebra
-    generated by the dense pointer observable."""
+    """The gaps of the one-case-at-a-time kernel."""
     apparatus = build_apparatus(d)
-    algebra = generate_algebra([pointer_observable(apparatus)])
+    algebra = pointer_readout(apparatus)
     return np.array(
         [
             collapse_restriction_gap(StateVector(psi), basis, apparatus, algebra)
@@ -542,7 +524,7 @@ def test_stacked_gaps_have_the_bits_of_the_per_case_kernel(d):
     # at d = 1 a plain stacked product rounds differently in about 45% of
     # the cases, so 400 of them
     states, bases = random_cases(d, 29, (2,), range(400 if d == 1 else 40))
-    gaps = collapse_restriction_gaps(states, bases, pointer_readout(d))
+    gaps = collapse_restriction_gaps(states, bases, pointer_readout(build_apparatus(d)))
     assert np.array_equal(gaps, per_case_gaps(d, states, bases))
 
 
@@ -570,12 +552,7 @@ def test_compare_memory_does_not_grow_with_n_random():
     peaks = []
     for n_random in (per_block, 256):
         compare_collapse_vs_restriction(64, n_random, 5)  # warm-up
-        tracemalloc.start()
-        try:
-            compare_collapse_vs_restriction(64, n_random, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(compare_collapse_vs_restriction, 64, n_random, 5)
         peaks.append(peak)
     assert peaks[1] < peaks[0] + 2**16
     assert peaks[1] < 16 * 2**20
@@ -593,7 +570,7 @@ def test_stacked_kernel_checks_every_case(fault, error):
     states, bases = random_cases(3, 37, (2,), range(5))
     fault(states, bases)
     with pytest.raises(error):
-        collapse_restriction_gaps(states, bases, pointer_readout(3))
+        collapse_restriction_gaps(states, bases, pointer_readout(build_apparatus(3)))
 
 
 def test_report_json_round_trips_byte_identically():

@@ -186,8 +186,9 @@ def test_composite_dims_total():
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_trusted_results_pass_the_public_checks(d):
-    # these seven functions (two of them test oracles) store their results without validating them;
-    # each result must still be a density matrix the public constructor accepts
+    # these six functions (two of them test oracles) store their results without validating them;
+    # each result, and the bare array the collapse returns, must still be a density matrix
+    # the public constructor accepts
     rng = substream(157, d)
     psi = StateVector(rand_state(d, rng))
     rho = rand_density(d, rng)
@@ -199,13 +200,14 @@ def test_trusted_results_pass_the_public_checks(d):
     w = float(rng.uniform())
     results = [
         projector_of(psi),
-        collapse(rho, model),
         mix([w, 1 - w], [rho, projector_of(psi)]),
         partial_trace(composite, CompositeDims(2, d)),
         apparatus_reduced_state(premeasured_state(psi, model), dims(model)),
         premeasure_density(rho, model),
         proper_mixture_representative(SpectralProbabilityMeasure(raw / raw.sum()), algebra),
     ]
+    collapsed = collapse(rho, model.measured_basis)
+    assert_close(DensityMatrix(collapsed).matrix, collapsed, atol=0, rtol=0)
     for result in results:
         assert not result.matrix.flags.writeable
         assert_close(DensityMatrix(result.matrix).matrix, result.matrix, atol=0, rtol=0)
