@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import DimMismatch, NotCommuting, NotInAlgebra, NotOrthonormal, ValidationError
 from .linalg import default_cluster_tol
-from .observables import as_observable, commutes
+from .observables import as_observable
 from .states import DensityMatrix, as_density
 
 _TINY = float(np.finfo(float).tiny)
@@ -163,6 +163,10 @@ def _split_points(labels, counts, values, tol):
     so the mean is exactly its value plus 0.0 (which turns -0.0 to +0.0),
     and that is what it gets. Only clusters whose values differ average."""
     n = labels.size
+    if counts.size == n:  # every point has one coordinate, so none splits
+        means = np.empty(n)
+        means[labels] = values
+        return counts, np.arange(n), means
     # coordinates by point so far, then by ascending value; a new point
     # starts at each old point and at each gap wider than tol. Equal
     # (point, value) pairs may come in any order: they fall in one new point
@@ -213,31 +217,42 @@ def _spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     for i, g in enumerate(gens):
         if g.ndim == 1:
             values = np.real(g)
-        else:
-            fresh = basis is None
-            basis = np.eye(n, dtype=complex) if fresh else basis
-            values = np.empty(n)
+        elif basis is None and counts.size == 1:
+            # a single point: its columns are the whole space
+            values, basis = np.linalg.eigh(g)
+        elif basis is None:
+            # each one-column point keeps its column and reads its diagonal entry
+            values = np.real(np.diagonal(g)).copy()
+            basis = np.eye(n, dtype=complex)
             order = np.argsort(labels, kind="stable")
             for end, m in zip(np.cumsum(counts), counts):
-                cols = order[end - m : end]
-                if fresh:
-                    if m == 1:
-                        values[cols] = g[cols, cols].real
-                        continue
+                if m > 1:
+                    cols = order[end - m : end]
                     block = np.ix_(cols, cols)
                     values[cols], basis[block] = np.linalg.eigh(g[block])
-                else:
-                    v = basis[:, cols]
-                    try:
-                        with np.errstate(over="raise", invalid="raise"):
-                            compressed = v.conj().T @ g @ v
-                    except FloatingPointError as err:
-                        raise ValidationError(f"generator {i} overflows in its eigenbasis") from err
-                    if m == 1:
-                        values[cols] = compressed.real[0]
-                        continue
-                    values[cols], u = np.linalg.eigh(compressed)
-                    basis[:, cols] = v @ u
+        else:
+            values = np.empty(n)
+            order = np.argsort(labels, kind="stable")
+            ends = np.cumsum(counts)
+            singles = order[ends[counts == 1] - 1]
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    if singles.size:
+                        # every one-column point's compressed entry at once: per
+                        # column the vector-matrix and the dot product it alone
+                        # would take, on contiguous copies, so with its bits
+                        v = basis[:, singles]
+                        rows = np.ascontiguousarray(v.conj().T)[:, None, :] @ g
+                        entries = rows @ np.ascontiguousarray(v.T)[:, :, None]
+                        values[singles] = entries[:, 0, 0].real
+                    for end, m in zip(ends, counts):
+                        if m > 1:
+                            cols = order[end - m : end]
+                            v = basis[:, cols]
+                            values[cols], u = np.linalg.eigh(v.conj().T @ g @ v)
+                            basis[:, cols] = v @ u
+            except FloatingPointError as err:
+                raise ValidationError(f"generator {i} overflows in its eigenbasis") from err
         linalg.require_float_span(values, f"generator {i} values")
         counts, parents, means = _split_points(labels, counts, values, default_cluster_tol(values))
         chars = np.column_stack((chars[parents], means))
@@ -272,12 +287,20 @@ def _family(generators) -> list[np.ndarray]:
     """A commuting Hermitian family as _spectrum takes it: the leading
     exactly diagonal matrices as their diagonals, the rest as matrices."""
     obs = [as_observable(g) for g in generators]
+    if any(o.dim != obs[0].dim for o in obs):
+        raise DimMismatch("observables live on different spaces")
     lead = next((i for i, o in enumerate(obs) if not _is_diagonal(o.matrix)), len(obs))
-    # diagonal matrices commute exactly; every other pair is checked
-    for i in range(len(obs)):
-        for j in range(max(i + 1, lead), len(obs)):
-            if not commutes(obs[i], obs[j]):
-                raise NotCommuting(f"observables {i} and {j} do not commute")
+    if len(obs) > 1 and lead < len(obs):
+        # diagonal matrices commute exactly; every other pair is checked, each
+        # matrix in units of a power of two near its largest entry, so that no
+        # product overflows
+        scaled = [linalg.unit_scaled(o.matrix)[0] for o in obs]
+        for i, a in enumerate(scaled):
+            for j in range(max(i + 1, lead), len(obs)):
+                b = scaled[j]
+                # written so that a NaN fails
+                if not float(np.max(np.abs(a @ b - b @ a))) <= linalg.ROUNDOFF_TOL:
+                    raise NotCommuting(f"observables {i} and {j} do not commute")
     return [np.diagonal(o.matrix) for o in obs[:lead]] + [o.matrix for o in obs[lead:]]
 
 

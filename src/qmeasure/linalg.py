@@ -96,10 +96,11 @@ def isometry_defect(v: np.ndarray) -> float:
     return float(np.abs(gram).max())
 
 
-def judge_hermitian(a: np.ndarray) -> float:
+def judge_hermitian(a: np.ndarray) -> tuple[float, np.ndarray, int]:
     """The Hermiticity defect of a square complex array in units of 2^k, the
-    power of two at or below its largest real or imaginary part; a defect
-    past ROUNDOFF_TOL raises NotHermitian."""
+    power of two at or below its largest real or imaginary part, with the
+    scaled array and k of unit_scaled(a); a defect past ROUNDOFF_TOL raises
+    NotHermitian."""
     scaled, k = unit_scaled(a)
     defect = hermiticity_defect(scaled)
     if defect > ROUNDOFF_TOL:
@@ -107,16 +108,19 @@ def judge_hermitian(a: np.ndarray) -> float:
             f"max |M - M^dagger| entry is {defect:.3e} x 2^{k}, "
             f"tolerance {ROUNDOFF_TOL:.3e} x 2^{k}"
         )
-    return defect
+    return defect, scaled, k
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dagger) / 2, halved before the sum so that no entry overflows."""
+    return a / 2 + a.conj().T / 2
 
 
 def require_hermitian(m) -> np.ndarray:
     """A square matrix that judge_hermitian accepts, as its Hermitian part:
-    the input itself when it is exactly Hermitian, so its bits are kept,
-    else (M + M^dagger) / 2, halved before the sum so that no entry
-    overflows."""
+    the input itself when it is exactly Hermitian, so its bits are kept."""
     a = require_square(m)
-    return a / 2 + a.conj().T / 2 if judge_hermitian(a) else a
+    return _hermitian_part(a) if judge_hermitian(a)[0] else a
 
 
 def require_weights(
@@ -167,12 +171,14 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     spans more than the largest float, raises ValidationError: no gap
     between its eigenvalues could be taken.
     """
-    a = require_hermitian(m)
+    a = require_square(m)
+    defect, b, k = judge_hermitian(a)
+    if defect:
+        a, b = _hermitian_part(a), _hermitian_part(b)
     w, v = np.linalg.eigh(a)
     require_float_span(w, "eigenvalues")
     ortho = isometry_defect(v)
-    # in power-of-two units near the largest real or imaginary part: no norm overflows
-    b, k = unit_scaled(a)
+    # b is a in units of 2^k near its largest real or imaginary part: no norm overflows
     resid = float(
         np.linalg.norm((v * np.ldexp(w, -k)) @ v.conj().T - b) / max(np.linalg.norm(b), 1.0)
     )

@@ -1,4 +1,4 @@
-"""Hermitian observables, commutation, statistics.
+"""Hermitian observables, their statistics and their dynamics.
 
 The spectral measure of an observable is the commutative algebra it
 generates (`algebra.generate_algebra([a])`): a point spectrum, one isometry
@@ -54,17 +54,6 @@ class OutcomeDistribution:
             raise ValidationError("outcomes and probabilities must match in length")
         object.__setattr__(self, "outcomes", linalg.readonly(out))
         object.__setattr__(self, "probabilities", linalg.readonly(p))
-
-
-def commutes(a, b) -> bool:
-    """Commutator check with each matrix in units of a power of two near its
-    largest entry, so that no product overflows."""
-    oa, ob = as_observable(a), as_observable(b)
-    if oa.dim != ob.dim:
-        raise DimMismatch(f"dims {oa.dim} and {ob.dim}")
-    ma, _ = linalg.unit_scaled(oa.matrix)
-    mb, _ = linalg.unit_scaled(ob.matrix)
-    return float(np.max(np.abs(ma @ mb - mb @ ma))) <= linalg.ROUNDOFF_TOL
 
 
 def born_distribution(rho, pvm: SpectralAlgebra) -> OutcomeDistribution:

@@ -8,13 +8,26 @@ order, and bit-stable across platforms. A stack of random cases draws all
 the normals of each case from its stream in one call: the same variates, in
 the same order, that rand_state, ginibre and rand_unitary draw one object at
 a time, so each case has the same bits alone or in a stack.
+
+The streams of at least _VECTOR_SEEDING_CASES (10) cases that differ only
+in their last tag (_substreams) build no SeedSequence per case. One
+vectorized pass derives the PCG64 state of every case's stream: it
+reimplements numpy's documented SeedSequence entropy mixing and
+generate_state, and PCG64's seeding from that state. Each state is then set
+on one reused PCG64. This ties the package to those two numpy algorithms;
+tests/test_randomness.py holds the pass equal to substream, and the golden
+files pin the draws.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import readonly
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
@@ -49,6 +62,123 @@ def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(ginibre(dim, rng))
 
 
+# numpy's SeedSequence with its default pool of 4 uint32 words
+# (numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
+# (numpy/random/src/pcg64/pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# smallest stack whose streams are seeded in one pass rather than through
+# substream: the pass has a fixed cost of about 0.13 ms and saves about 15 us
+# a case, and the two paths broke even at 8 cases for dim 2 and 6 and at 10
+# for dim 16 (in-process timeit, min of 7 x 50 calls, 2-core x86-64, numpy
+# 2.4, one BLAS thread)
+_VECTOR_SEEDING_CASES = 10
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads an entropy integer as."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of count successive hash calls, and after
+    the last, as a read-only column: init, init * mult, ... mod 2^32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return readonly(np.array(consts, dtype=np.uint32)[:, None])
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of values, row j with the hash
+    constant before and after its call, consts[j] and consts[j + 1]."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of y into x, mod 2^32 like every uint32 product."""
+    values = _MIX_L * x - _MIX_R * y
+    return values ^ values >> 16
+
+
+def _pcg64_states(seed: int, tags: tuple[int, ...], cases: range) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of substream(seed, *tags, i) for each case
+    i < 2^32 of cases, in one vectorized pass over the cases: SeedSequence's
+    pool mixing of the entropy words, its generate_state(4, uint64), and
+    PCG64's srandom_r seeding, as numpy documents and implements them."""
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
+    prefix = [w for key in (seed, *tags) for w in _words(int(key))]
+    entropy = np.empty((len(prefix) + 1, len(cases)), dtype=np.uint32)
+    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(cases.start, cases.stop, cases.step)
+    n_words = max(len(entropy), _POOL)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * n_words)
+    pool = np.zeros((_POOL, len(cases)), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(pool, consts[: _POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [j for j in range(_POOL) if j != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + _POOL]))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, consts[k : k + _POOL + 1]))
+        k += _POOL
+    # generate_state(4, np.uint64): 8 words cycling the pool, read as
+    # little-endian pairs
+    words = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    seeds = words.T.astype("<u4", order="C").view("<u8").tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in seeds:
+        # pcg_setseq_128_srandom_r: inc from the sequence, two LCG steps from 0
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (((inc + (s_hi << 64 | s_lo)) & _MASK128) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of an (n, d) complex array, with its bits:
+    the two dot products it takes over the strided real and imaginary parts,
+    as one stacked product each."""
+    re, im = vectors.real[:, None, :], vectors.imag[:, None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
+
+
+def _substreams(seed: int, tags: tuple[int, ...], cases: range) -> Iterator[np.random.Generator]:
+    """substream(seed, *tags, i) for each case i of cases, in turn. From
+    _VECTOR_SEEDING_CASES cases on, one generator is reset to each case's
+    state from one pass, so each is valid only until the next is taken."""
+    if len(cases) < _VECTOR_SEEDING_CASES or max(cases[0], cases[-1]) > _MASK32:
+        for i in cases:
+            yield substream(seed, *tags, i)
+        return
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for state, inc in _pcg64_states(seed, tags, cases):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _draw_cases(
     dim: int, seed: int, tags: tuple[int, ...], cases: range, state_first: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -58,18 +188,18 @@ def _draw_cases(
     one standard_normal call, the state's before the Ginibre matrix's when
     state_first, else after them; a single call draws the same variates as
     the calls of rand_state and ginibre in that order. The states are
-    normalized one at a time, as rand_state does, and the Ginibre matrices
-    go through one stacked QR."""
+    normalized with the bits of np.linalg.norm, and the Ginibre matrices go
+    through one stacked QR."""
     n_state, n_ginibre = 2 * dim, 2 * dim * dim
     x = np.empty((len(cases), n_state + n_ginibre))
-    for row, i in zip(x, cases):
-        substream(seed, *tags, i).standard_normal(out=row)
+    for row, rng in zip(x, _substreams(seed, tags, cases)):
+        rng.standard_normal(out=row)
     if state_first:
         v, z = x[:, :n_state], x[:, n_state:]
     else:
         z, v = x[:, :n_ginibre], x[:, n_ginibre:]
     states = v[:, :dim] + 1j * v[:, dim:]
-    states /= np.array([np.linalg.norm(psi) for psi in states])[:, None]
+    states /= _row_norms(states)[:, None]
     ginibres = (z[:, : dim * dim] + 1j * z[:, dim * dim :]) / np.sqrt(2)
     return states, haar_unitaries(ginibres.reshape(-1, dim, dim))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,8 +49,9 @@ def _dumps(obj, indent: str = "") -> str:
     keys, indent being the current nesting's leading spaces. json prints an
     exact float or int as its repr unless it is a NaN or an infinity, so a
     list of them is joined with repr in one pass, and a lone one is its
-    repr, when the result shows neither; keys and every other scalar go
-    through json.dumps."""
+    repr, when the result shows neither; True, False and None are written
+    as their literals, and keys and strings through the escaper json.dumps
+    itself calls for a str."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -66,12 +68,20 @@ def _dumps(obj, indent: str = "") -> str:
             return "{}"
         inner = indent + "  "
         sep = ",\n" + inner
-        items = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
         return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
     if type(obj) in {float, int}:
         text = repr(obj)
         if "n" not in text:
             return text
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
     return json.dumps(obj)
 
 

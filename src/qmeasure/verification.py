@@ -30,9 +30,10 @@ from .measurement import (
     pointer_readout,
     premeasure,
 )
-from .observables import evolve
+from .observables import Observable, evolve
 from .randomness import (
     _draw_cases,
+    _substreams,
     rand_hermitian,
     rand_state,
     rand_unitary,
@@ -114,11 +115,12 @@ def joint_diagonalization_defect(family) -> tuple[float, bool]:
     characters. Both are read from the raw joint spectrum, before a
     SpectralAlgebra could reject colliding characters."""
     labels, chars, basis = joint_spectrum(family)
-    v = np.eye(labels.size) if basis is None else basis
-    worst = 0.0
-    for a in family:
-        rotated = v.conj().T @ a @ v
-        worst = max(worst, float(np.max(np.abs(rotated - np.diag(np.diag(rotated))))))
+    n = labels.size
+    v = np.eye(n) if basis is None else basis
+    # one product per member, as a stack; the diagonal entries are cleared
+    off = np.abs(v.conj().T @ np.stack(family) @ v)
+    off.reshape(-1, n * n)[:, :: n + 1] = 0
+    worst = float(off.max())
     distinct = len({tuple(char) for char in chars}) == len(chars)
     return worst, distinct
 
@@ -126,8 +128,9 @@ def joint_diagonalization_defect(family) -> tuple[float, bool]:
 def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tuple[float, float]:
     """Composition defect |e^{-isH} e^{-itH} psi - e^{-i(s+t)H} psi| and the
     worst norm drift of the two evolved states."""
-    stepwise = evolve(evolve(psi, h, t), h, s)
-    direct = evolve(psi, h, s + t)
+    obs = Observable(h)
+    stepwise = evolve(evolve(psi, obs, t), obs, s)
+    direct = evolve(psi, obs, s + t)
     group = float(np.max(np.abs(stepwise.amplitudes - direct.amplitudes)))
     norm = max(abs(float(np.linalg.norm(x.amplitudes)) - 1.0) for x in (stepwise, direct))
     return group, norm
@@ -198,8 +201,7 @@ def check_joint_diagonalization() -> CheckResult:
     """Commuting families become simultaneously diagonal with distinct characters."""
     worst = 0.0
     cases = 0
-    for i in range(20):
-        rng = substream(_SEED, 13, i)
+    for rng in _substreams(_SEED, (13,), range(20)):
         d = int(rng.integers(2, 9))
         h = rand_hermitian(d, rng)
         h = h / max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
@@ -262,8 +264,7 @@ def check_simplex_contrast() -> CheckResult:
     distinct = float(np.max(np.abs(projector_of(e0).matrix - projector_of(plus).matrix)))
     worst = max(agree, 0.0 if distinct > 0.1 else 1.0)
 
-    for i in range(10):
-        rng = substream(_SEED, 14, i)
+    for rng in _substreams(_SEED, (14,), range(10)):
         algebra = generate_algebra([rand_hermitian(int(rng.integers(2, 6)), rng)])
         raw = rng.uniform(0.05, 1.0, size=algebra.n_points)
         measure = SpectralProbabilityMeasure(raw / raw.sum())
@@ -281,8 +282,7 @@ def check_simplex_contrast() -> CheckResult:
 def check_dynamics_group() -> CheckResult:
     """exp(-isH) exp(-itH) psi = exp(-i(s+t)H) psi and norms are preserved."""
     worst = 0.0
-    for i in range(20):
-        rng = substream(_SEED, 15, i)
+    for rng in _substreams(_SEED, (15,), range(20)):
         d = int(rng.integers(2, 9))
         h = rand_hermitian(d, rng)
         s, t = rng.uniform(-3, 3, size=2)
@@ -298,8 +298,7 @@ def check_chain_reduction() -> CheckResult:
     apparatus = build_apparatus(d)
     algebra = pointer_readout(apparatus)
     copier = coupling_matrix(np.eye(d, dtype=complex), apparatus.dim_apparatus)
-    for i in range(20):
-        rng = substream(_SEED, 16, i)
+    for rng in _substreams(_SEED, (16,), range(20)):
         basis = rand_unitary(d, rng)
         psi = StateVector(rand_state(d, rng))
         worst = max(worst, chain_reduction_gap(psi, basis, apparatus, copier, algebra))

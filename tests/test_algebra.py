@@ -19,13 +19,8 @@ from qmeasure.algebra import (
 )
 from qmeasure.linalg import default_cluster_tol
 from qmeasure.measurement import build_apparatus, pointer_diagonal, pointer_readout
-from qmeasure.randomness import (
-    rand_hermitian,
-    rand_state,
-    rand_unitary,
-    substream,
-)
-from qmeasure.states import DensityMatrix, mix, projector_of
+from qmeasure.randomness import rand_hermitian, rand_unitary, substream
+from qmeasure.states import mix, projector_of
 
 from conftest import assert_close
 from oracles import projectors, rand_density, spectrum_reference
@@ -160,6 +155,19 @@ def offset_mean(cluster) -> np.ndarray:
     mean of its offsets from it. A single column keeps its value."""
     c = np.array(cluster)
     return c[0] if c.size == 1 else c[0] + np.mean(c - c[0])
+
+
+def test_split_points_leaves_one_coordinate_points_whole():
+    # every point has one coordinate: none splits, however close two values
+    # are, and each keeps its value, -0.0 included, and its label
+    values = np.array([2.0, -0.0, 5.0, 2.0 + 1e-15, -3.0])
+    labels = np.array([3, 0, 4, 1, 2])
+    relabelled = labels.copy()
+    sizes, parents, means = _split_points(relabelled, np.ones(5, dtype=np.intp), values, 1.0)
+    assert sizes.tolist() == [1] * 5
+    assert parents.tolist() == list(range(5))
+    assert means.tobytes() == values[np.argsort(labels)].tobytes()
+    assert np.array_equal(relabelled, labels)
 
 
 def test_split_points_values_equal_clusters_with_the_bits_of_the_offset_mean():

@@ -12,6 +12,7 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = _ROOT / "src" / "qmeasure"
 _USERS = (_SRC, _ROOT / "perfbench")
+_TESTS = _ROOT / "tests"
 
 def public_definitions(source: str) -> set[str]:
     """Names of the public top-level functions and classes of a module, and
@@ -114,3 +115,43 @@ def test_no_code_outside_the_package_imports_a_private_name():
         for name in private_imports(path.read_text())
     }
     assert found == set(), "private package names imported: " + ", ".join(sorted(found))
+
+
+def unread_imports(directory: Path) -> set[str]:
+    """"module: name" for each name a module of directory binds by an import
+    and never reads. A __future__ import binds no name."""
+    found = set()
+    for path in directory.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found |= {f"{path.stem}: {name}" for name in imported - read}
+    return found
+
+
+def test_lint_finds_an_import_its_module_never_reads(tmp_path):
+    (tmp_path / "test_mod.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import json as j, os\n"
+        "import numpy.linalg\n"
+        "from pathlib import Path, PurePath as Pure\n"
+        "from x import (kept, lost)\n\n"
+        "def test_it(Path=None):\n"
+        "    return os.sep, numpy.pi, Pure, kept\n"
+    )
+    (tmp_path / "helper.py").write_text("import sys\n\nprint(sys.argv)\n")
+    assert unread_imports(tmp_path) == {"test_mod: j", "test_mod: Path", "test_mod: lost"}
+
+
+def test_every_import_of_a_test_module_is_read():
+    unread = unread_imports(_TESTS)
+    assert unread == set(), "imported and never read: " + ", ".join(sorted(unread))

@@ -11,7 +11,6 @@ from qmeasure.observables import (
     Observable,
     OutcomeDistribution,
     born_distribution,
-    commutes,
     evolve,
 )
 from qmeasure.randomness import rand_hermitian, rand_state, substream
@@ -105,22 +104,27 @@ def test_pvm_constructor_rejects_bad_input():
         SpectralAlgebra(labels, outcomes[::-1], np.eye(2))  # descending outcomes
 
 
-def test_commutes_basic_cases():
-    assert commutes(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert not commutes(X, Z)
-    with pytest.raises(errors.DimMismatch):
-        commutes(X, np.eye(3))
+def test_commutation_check_basic_cases():
+    labels, _, _ = joint_spectrum([X, np.eye(2)])
+    assert labels.size == 2
+    with pytest.raises(errors.NotCommuting, match="observables 0 and 1"):
+        joint_spectrum([X, Z])
+    for family in ([X, np.eye(3)], [np.eye(3), X]):
+        with pytest.raises(errors.DimMismatch):
+            joint_spectrum(family)
 
 
-def test_commutes_is_relative_to_the_size_of_the_matrices():
+def test_commutation_check_is_relative_to_the_size_of_the_matrices():
     # tiny matrices are scaled up, not compared with an absolute threshold
-    assert not commutes(1e-300 * X, 1e-300 * Z)
-    assert commutes(1e-300 * Z, 1e-300 * np.eye(2))
+    with pytest.raises(errors.NotCommuting):
+        joint_spectrum([1e-300 * X, 1e-300 * Z])
+    joint_spectrum([1e-300 * X, 1e-300 * np.eye(2)])
     # a subnormal largest entry: its reciprocal would overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert commutes(np.diag([5e-324, 0.0]), Z)
-        assert not commutes(5e-324 * X, Z)
+        joint_spectrum([X, 5e-324 * np.eye(2)])
+        with pytest.raises(errors.NotCommuting):
+            joint_spectrum([5e-324 * X, Z])
 
 
 def test_joint_spectrum_diagonal_refinement():

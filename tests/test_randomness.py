@@ -1,10 +1,21 @@
 """A stack of random cases draws each case's normals in one call, and must
-keep the bits of the one-object draws from the same streams."""
+keep the bits of the one-object draws from the same streams, whether its
+streams are seeded one by one or in one pass."""
 
 import numpy as np
 import pytest
 
-from qmeasure.randomness import _draw_cases, rand_state, rand_unitary, random_cases, substream
+from qmeasure.randomness import (
+    _VECTOR_SEEDING_CASES,
+    _draw_cases,
+    _pcg64_states,
+    _row_norms,
+    _substreams,
+    rand_state,
+    rand_unitary,
+    random_cases,
+    substream,
+)
 
 
 def one_at_a_time(dim, seed, tags, cases, state_first):
@@ -39,3 +50,61 @@ def test_unitary_first_cases_keep_the_bits_of_rand_unitary_then_rand_state(d, ca
     want_states, want_unitaries = one_at_a_time(d, 59, (11, d), cases, state_first=False)
     assert np.array_equal(states, want_states)
     assert np.array_equal(unitaries, want_unitaries)
+
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**63 + 5]
+TAGS = [(), (7,), (3, 2**32 + 9)]
+STACKS = [1, _VECTOR_SEEDING_CASES - 1, _VECTOR_SEEDING_CASES, 1000]
+
+
+@pytest.mark.parametrize("n", STACKS)
+@pytest.mark.parametrize("tags", TAGS, ids=str)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_pass_gives_the_pcg64_states_of_substream(seed, tags, n):
+    # the last stack ends at the largest case index the pass takes
+    for cases in (range(n), range(2**32 - n, 2**32)):
+        want = [substream(seed, *tags, i).bit_generator.state["state"] for i in cases]
+        got = _pcg64_states(seed, tags, cases)
+        assert got == [(s["state"], s["inc"]) for s in want]
+
+
+@pytest.mark.parametrize("state_first", [True, False])
+@pytest.mark.parametrize("n", STACKS)
+@pytest.mark.parametrize("tags", TAGS, ids=str)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cases_keep_the_bits_of_substream_on_either_side_of_the_seeding_threshold(
+    seed, tags, n, state_first
+):
+    got = _draw_cases(2, seed, tags, range(n), state_first)
+    want = one_at_a_time(2, seed, tags, range(n), state_first)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", STACKS)
+def test_substreams_draw_what_substream_draws(n):
+    # an odd count of bounded integers leaves half a 64-bit word buffered,
+    # which must not carry over into the next case
+    def draws(rng):
+        return (
+            rng.integers(2, 9, size=3).tolist(),
+            rng.standard_normal(3).tolist(),
+            rng.uniform(-1, 1, size=2).tolist(),
+        )
+
+    got = [draws(rng) for rng in _substreams(71, (13,), range(n))]
+    assert got == [draws(substream(71, 13, i)) for i in range(n)]
+
+
+def test_cases_past_the_last_32_bit_index_keep_the_bits_of_substream():
+    cases = range(2**32 - 5, 2**32 + 2 * _VECTOR_SEEDING_CASES)
+    got = _draw_cases(2, 61, (4,), cases, state_first=True)
+    want = one_at_a_time(2, 61, (4,), cases, state_first=True)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_row_norms_keep_the_bits_of_np_linalg_norm(d):
+    rng = substream(67, d)
+    for n in (1, 2, 5, 16, 63, 200):
+        vectors = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        assert np.array_equal(_row_norms(vectors), [np.linalg.norm(v) for v in vectors])

@@ -598,6 +598,19 @@ def test_json_emitter_writes_the_bytes_of_json_dumps(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        json.loads((Path(__file__).parent / "golden" / "verify.json").read_text()),
+        {"a": [True, None, {"b": False, "c": [None, [True, 1, 0.5]]}], "d": None, "e": []},
+        [False, True, None, 0, 1, {}],
+    ],
+    ids=["verify payload", "nested literals", "literals beside numbers"],
+)
+def test_json_emitter_writes_literals_with_the_bytes_of_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
 def test_report_payload_fixed_keys():
     r = run_scenario(parse_scenario(doc_qubit()))
     payload = report_payload(r)
