@@ -1,10 +1,17 @@
-"""The measurement chain: pointer apparatus, premeasurement, collapse map.
+"""The measurement chain on bare arrays: measured basis, premeasurement,
+pointer readout, collapse map.
+
+A measurement is three plain values: the measured basis B, column j the
+eigenvector of outcome j (model_for_observable gives it for an observable),
+the apparatus dimension, and one real pointer value per outcome.
+pointer_diagonal is the one check of the pointer values and the apparatus
+dimension: it returns the pointer readout as its diagonal w, and
+diagonal_algebra([w]) is the readout algebra, held in index form, so no
+apparatus.dim^2 pointer matrix is formed.
 
 The pointer is written in the standard basis e_k of the apparatus: e_0 is
 the ready state and e_j registers outcome j. Which orthonormal basis the
-pointer uses is a convention the statistics do not depend on. The pointer
-readout is held as its diagonal in that basis, and the algebra it generates
-in index form, so no apparatus.dim^2 pointer matrix is formed. The coupling
+pointer uses is a convention the statistics do not depend on. The coupling
 follows a controlled-shift convention. With measured basis columns b_j,
 
     U (b_j (x) e_k) = b_j (x) e_{(k + j) mod dim_apparatus}
@@ -27,108 +34,17 @@ never formed. A mixed state is premeasured through a factor rho = F F^dagger,
 each column of F as one state of the stack, so no composite density matrix
 is formed either.
 The dense U is built only by coupling_matrix, the oracle the verify suite
-and the tests hold the structured path against. collapse, like premeasure,
-works on bare arrays.
+and the tests hold the structured path against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrum, DimMismatch, TooSmall, ValidationError
-from .algebra import SpectralAlgebra, diagonal_algebra, generate_algebra
+from .errors import DegenerateSpectrum, TooSmall, ValidationError
+from .algebra import SpectralAlgebra, generate_algebra
 from .linalg import default_cluster_tol
-
-
-@dataclass(frozen=True, eq=False)
-class ApparatusModel:
-    """Pointer degrees of freedom in the standard basis of the apparatus:
-    e_0 is the ready state, e_j registers outcome j, and each registrable
-    outcome has one real pointer value. The values must be distinct and
-    finite, and span no more than the largest float, so that no gap between
-    two of them overflows."""
-
-    dim_apparatus: int
-    pointer_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.pointer_values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValidationError("pointer_values must be a nonempty 1-d sequence")
-        if vals.size > self.dim_apparatus:
-            raise TooSmall(
-                f"apparatus dim {self.dim_apparatus} cannot register {vals.size} outcomes"
-            )
-        if np.unique(vals).size != vals.size:
-            raise ValidationError("pointer values must be distinct")
-        linalg.require_float_span(vals, "pointer values")
-        object.__setattr__(self, "pointer_values", linalg.readonly(vals))
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.pointer_values.size
-
-
-def build_apparatus(
-    n_outcomes: int,
-    dim_apparatus: int | None = None,
-    pointer_values=None,
-) -> ApparatusModel:
-    """Apparatus of dim_apparatus (default n_outcomes) registering n_outcomes.
-
-    pointer_values defaults to 0..n_outcomes-1; models built from an
-    observable override it with the measured eigenvalues.
-    """
-    dim = n_outcomes if dim_apparatus is None else int(dim_apparatus)
-    if pointer_values is None:
-        vals = np.arange(n_outcomes, dtype=float)
-    else:
-        vals = np.asarray(pointer_values, dtype=float)
-        if vals.ndim != 1 or vals.size != n_outcomes:
-            raise ValidationError(
-                f"expected {n_outcomes} pointer values, got shape {vals.shape}"
-            )
-    return ApparatusModel(dim, vals)
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementModel:
-    """A nondegenerate spectral measure, one rank-one block per outcome, and
-    the apparatus the controlled shift couples it to. build_coupling and
-    model_for_observable only make nondegenerate measures."""
-
-    measured_pvm: SpectralAlgebra
-    apparatus: ApparatusModel
-
-    def __post_init__(self) -> None:
-        pvm = self.measured_pvm
-        if self.apparatus.n_outcomes != pvm.dim:
-            raise DimMismatch(
-                f"apparatus registers {self.apparatus.n_outcomes} outcomes, "
-                f"system dim is {pvm.dim}"
-            )
-        v = np.eye(pvm.dim, dtype=complex) if pvm.basis is None else pvm.basis
-        basis = linalg.readonly(v[:, np.argsort(pvm.labels, kind="stable")])
-        object.__setattr__(self, "_measured_basis", basis)
-
-    @property
-    def measured_basis(self) -> np.ndarray:
-        """The measured basis: the basis columns in label order, column j
-        the eigenvector of outcome j."""
-        return self._measured_basis
-
-
-def build_coupling(measured_basis, apparatus: ApparatusModel) -> MeasurementModel:
-    """Assemble the measurement model for an orthonormal measured basis:
-    column j is outcome j, valued at pointer value j, so the pointer values
-    must strictly ascend. The spectral measure checks the basis's shape and
-    orthonormality, once."""
-    vals = apparatus.pointer_values
-    pvm = SpectralAlgebra(np.arange(vals.size), vals[:, None], measured_basis)
-    return MeasurementModel(pvm, apparatus)
 
 
 def coupling_matrix(bases: np.ndarray, dim_apparatus: int) -> np.ndarray:
@@ -152,18 +68,15 @@ def coupling_matrix(bases: np.ndarray, dim_apparatus: int) -> np.ndarray:
     return g_pi @ np.conjugate(g, out=g).swapaxes(-1, -2)
 
 
-def model_for_observable(
-    a,
-    dim_apparatus: int | None = None,
-    pointer_values=None,
-) -> MeasurementModel:
-    """Measurement model for a nondegenerate Hermitian observable.
+def model_for_observable(a) -> tuple[SpectralAlgebra, np.ndarray]:
+    """The measured spectral measure of a nondegenerate Hermitian observable
+    and its basis in label order, column j the eigenvector of outcome j.
 
-    The measured spectral measure is generate_algebra([a]), the algebra the
-    observable generates: its basis is the eigenbasis in ascending
-    eigenvalue order, and the pointer values default to copies of the
-    eigenvalues. Eigenvalues that share a point (within the cluster width)
-    raise DegenerateSpectrum.
+    The measure is generate_algebra([a]), the algebra the observable
+    generates, which checks its basis once; its points are the eigenvalues
+    in ascending order. Eigenvalues that share a point (within the cluster
+    width) raise DegenerateSpectrum. The basis is a column-major copy, the
+    layout in which premeasure gives a case the bits it gets in a stack.
     """
     pvm = generate_algebra([a])
     if pvm.n_points != pvm.dim:
@@ -171,28 +84,36 @@ def model_for_observable(
         raise DegenerateSpectrum(
             f"spectrum splits into clusters of sizes {sizes}; need all distinct"
         )
-    vals = pvm.characters[:, 0]
-    apparatus = build_apparatus(
-        pvm.dim, dim_apparatus, vals if pointer_values is None else pointer_values
-    )
-    return MeasurementModel(pvm, apparatus)
+    v = np.eye(pvm.dim, dtype=complex) if pvm.basis is None else pvm.basis
+    return pvm, linalg.readonly(v[:, np.argsort(pvm.labels, kind="stable")])
 
 
-def pointer_diagonal(apparatus: ApparatusModel) -> np.ndarray:
-    """The pointer readout as its diagonal w: pointer value j on e_j.
+def pointer_diagonal(pointer_values, dim_apparatus: int) -> np.ndarray:
+    """The pointer readout of an apparatus of dim_apparatus as its diagonal
+    w: pointer value j on e_j. This is the one check of the pointer values:
+    a nonempty 1-d sequence, no more values than apparatus columns
+    (TooSmall), all finite and spanning no more than the largest float, so
+    that no gap between two of them overflows, and no two within the
+    cluster width of w, where they would share a readout point; equal
+    values are the plainest case.
+
     Columns past the last outcome, never reached from the ready state, share
     one idle value below the real values, so the readout stays a single
     observable on the full apparatus space. The idle value is min - 1 unless
     that is within reach of the least pointer value, where it would match
     that outcome (_match_outcomes) or merge with it (the cluster width of any
-    values up to twice the largest); then it is twice that reach below. Two
-    entries within the cluster width of w would share a readout point."""
-    vals, dim = apparatus.pointer_values, apparatus.dim_apparatus
+    values up to twice the largest); then it is twice that reach below."""
+    vals = np.asarray(pointer_values, dtype=float)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValidationError("pointer_values must be a nonempty 1-d sequence")
+    if vals.size > dim_apparatus:
+        raise TooSmall(f"apparatus dim {dim_apparatus} cannot register {vals.size} outcomes")
+    linalg.require_float_span(vals, "pointer values")
     low = float(vals.min())
     scale = max(1.0, float(np.max(np.abs(vals))))
-    reach = max(linalg.POINTER_MATCH_RTOL * scale, 2 * default_cluster_tol(np.full(dim, scale)))
+    reach = max(linalg.POINTER_MATCH_RTOL * scale, 2 * default_cluster_tol(np.full(dim_apparatus, scale)))
     idle = low - 1.0 if low - (low - 1.0) > reach else low - 2 * reach
-    w = np.full(dim, idle)
+    w = np.full(dim_apparatus, idle)
     w[: vals.size] = vals
     linalg.require_float_span(w, "pointer values with the idle value below them")
     # the gaps between the values and one idle entry, if there is one
@@ -204,13 +125,6 @@ def pointer_diagonal(apparatus: ApparatusModel) -> np.ndarray:
     return w
 
 
-def pointer_readout(apparatus: ApparatusModel) -> SpectralAlgebra:
-    """The readout algebra the pointer generates, held in index form: point
-    j is pointer column j, valued pointer value j, and the idle columns, if
-    any, form one more point below them."""
-    return diagonal_algebra([pointer_diagonal(apparatus)])
-
-
 def premeasure(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Couple pure system states to the ready apparatus, on bare arrays.
 
@@ -220,8 +134,8 @@ def premeasure(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     coefficient matrix, rows indexed by the system and columns by the pointer
     e_j, from a (..., d) stack of states and a (..., d, d) stack of measured
     bases, which broadcast against each other. A case's block has the same
-    bits alone or in a stack when its basis is stored column-major, as a
-    model's measured basis is.
+    bits alone or in a stack when its basis is stored column-major, as
+    model_for_observable and a checked stack store it.
     """
     c = (states.conj()[..., None, :] @ bases)[..., 0, :].conj()
     if c.shape[-1] > 1:
@@ -240,7 +154,8 @@ def collapse(rhos: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Projective collapse on bare arrays: sum_n <b_n|rho|b_n> |b_n><b_n|,
     the post-measurement mixture when the outcome is not recorded, of one
     density matrix in one measured basis, or of stacks (..., d, d) of both.
-    The caller holds checked bases, as a model's or a checked stack's are."""
+    The caller holds checked bases, as model_for_observable's or a checked
+    stack's are."""
     adjoints = bases.conj().swapaxes(-1, -2)
     probs = np.real(np.diagonal(adjoints @ rhos @ bases, axis1=-2, axis2=-1))
     return (bases * probs[..., None, :]) @ adjoints

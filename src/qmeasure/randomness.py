@@ -30,10 +30,16 @@ from .errors import ValidationError
 from .linalg import readonly
 
 
+def _check_seed(seed: int) -> None:
+    """The one range check of a master seed, a document's or a command
+    line's: an unsigned 64-bit word."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in 64 bits, in [0, 2^64)")
+
+
 def substream(seed: int, *tags: int) -> np.random.Generator:
     """Independent PCG64 generator for (seed, tags)."""
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
@@ -119,8 +125,7 @@ def _pcg64_states(seed: int, tags: tuple[int, ...], cases: range) -> list[tuple[
     i < 2^32 of cases, in one vectorized pass over the cases: SeedSequence's
     pool mixing of the entropy words, its generate_state(4, uint64), and
     PCG64's srandom_r seeding, as numpy documents and implements them."""
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    _check_seed(seed)
     prefix = [w for key in (seed, *tags) for w in _words(int(key))]
     entropy = np.empty((len(prefix) + 1, len(cases)), dtype=np.uint32)
     entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]

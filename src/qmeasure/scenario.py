@@ -52,7 +52,6 @@ may have up to MAX_CHAIN = 24 cells.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,22 +75,18 @@ from .errors import (
     ValidationError,
 )
 from .measurement import (
-    build_apparatus,
     collapse,
     model_for_observable,
     pointer_diagonal,
-    pointer_readout,
     premeasure,
 )
 from .observables import Observable, OutcomeDistribution, born_distribution
-from .randomness import random_cases, substream
+from .randomness import _check_seed, random_cases, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report
 from .states import DensityMatrix, StateVector, projector_of
 
 _TRIALS_TAG = 1
 _COMPARE_TAG = 2
-
-_MAX_SEED = 2**64
 
 # where _sample_counts switches from sorting the draws to one pass per outcome
 # boundary: the timed crossover of the two, listed in the README's
@@ -119,7 +114,9 @@ class Scenario:
     initial_state: StateVector | DensityMatrix
     measured_observable: Observable
     apparatus_dim: int
-    pointer_values: tuple[float, ...] | None
+    # the checked pointer diagonal (pointer_diagonal) of the document's
+    # pointer values, or None to value the pointer at the eigenvalues
+    pointer: np.ndarray | None
     algebra_generators: tuple[Observable, ...] | None
     trials: int
     seed: int
@@ -291,7 +288,7 @@ def parse_scenario(text: str) -> Scenario:
             f"apparatus.dim: {apparatus_dim} cannot register {system_dim} outcomes"
         )
     _check_budget("apparatus.dim", apparatus_dim**2)  # apparatus.dim >= system_dim
-    pointer_values: tuple[float, ...] | None = None
+    pointer = None
     if "pointer_values" in app:
         pv = app["pointer_values"]
         if (
@@ -304,9 +301,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(
                 f"apparatus.pointer_values: need one value per outcome ({system_dim})"
             )
-        pointer_values = tuple(_float(v, "apparatus.pointer_values") for v in pv)
-        if not all(math.isfinite(v) for v in pointer_values):
-            raise ValidationError("apparatus.pointer_values: values must be finite")
+        values = [_float(v, "apparatus.pointer_values") for v in pv]
+        pointer = linalg.readonly(
+            _wrap("apparatus.pointer_values", lambda: pointer_diagonal(values, apparatus_dim))
+        )
 
     generators: tuple[Observable, ...] | None = None
     if "algebra_generators" in doc:
@@ -329,15 +327,15 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
     _check_budget("trials", trials)
     seed = _int_field(doc, "seed", "top level")
-    if not 0 <= seed < _MAX_SEED:
-        raise ValidationError("seed must fit in 64 bits")
+    # a run with no trials draws nothing, so the seed is checked here
+    _check_seed(seed)
 
     return Scenario(
         system_dim=system_dim,
         initial_state=state,
         measured_observable=observable,
         apparatus_dim=apparatus_dim,
-        pointer_values=pointer_values,
+        pointer=pointer,
         algebra_generators=generators,
         trials=trials,
         seed=seed,
@@ -456,23 +454,22 @@ def _factor_rows(state: StateVector | DensityMatrix) -> np.ndarray:
 
 def run_scenario(s: Scenario) -> Report:
     """Execute one scenario and cross-check the three analytic routes."""
-    model = model_for_observable(
-        s.measured_observable,
-        dim_apparatus=s.apparatus_dim,
-        pointer_values=s.pointer_values,
-    )
+    pvm, basis = model_for_observable(s.measured_observable)
+    # the pointer diagonal of a document's values is checked at parse time;
+    # the eigenvalues are checked here, against the apparatus they fill
+    w = s.pointer
+    if w is None:
+        w = pointer_diagonal(pvm.characters[:, 0], s.apparatus_dim)
     state = s.initial_state
     rho = projector_of(state) if isinstance(state, StateVector) else state
 
-    born = born_distribution(rho, model.measured_pvm)
-    basis = model.measured_basis
+    born = born_distribution(rho, pvm)
     collapsed_diag = np.real(np.diag(basis.conj().T @ collapse(rho.matrix, basis) @ basis))
 
     if s.algebra_generators:
-        pointer = np.diag(pointer_diagonal(model.apparatus))
         algebra = generate_algebra(s.algebra_generators)
         try:
-            point_values = gelfand_transform(algebra, pointer)
+            point_values = gelfand_transform(algebra, np.diag(w))
         except NotInAlgebra as err:
             raise ValidationError(
                 "algebra_generators: the generated algebra does not contain the "
@@ -481,7 +478,7 @@ def run_scenario(s: Scenario) -> Report:
         cross_terms = _branch_cross_terms([g.matrix for g in s.algebra_generators], basis.shape[0])
     else:
         # the pointer alone: its points carry their own values, its diagonal no cross terms
-        algebra, point_values, cross_terms = pointer_readout(model.apparatus), None, (0.0,)
+        algebra, point_values, cross_terms = diagonal_algebra([w]), None, (0.0,)
 
     # premeasure the factor rows, _CASE_BLOCK elements at a time, and sum the
     # diagonals of their reduced states: the readout holds the pointer, whose
@@ -492,9 +489,7 @@ def run_scenario(s: Scenario) -> Report:
     for i in range(0, rows.shape[0], step):
         m = premeasure(rows[i : i + step], basis)
         diag += np.einsum("kaj,kaj->j", m.real, m.real) + np.einsum("kaj,kaj->j", m.imag, m.imag)
-    weights, aligned = _readout_weights(
-        np.diag(diag), algebra, model.apparatus.pointer_values, point_values
-    )
+    weights, aligned = _readout_weights(np.diag(diag), algebra, w[: diag.size], point_values)
 
     empirical = None
     if s.trials > 0:
@@ -598,8 +593,8 @@ def _checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """The checks a StateVector and a measured spectral measure make on one
     case, run once on a stack of cases, each failing on a NaN: (n, d)
     states of unit norm and (n, d, d) orthonormal bases. Returns the bases
-    copied column-major, the layout of a model's measured basis, so that
-    each case gets the bits it gets alone through a model."""
+    copied column-major, the layout model_for_observable gives a measured
+    basis, so that each case gets the bits it gets alone."""
     n, d = states.shape
     if bases.shape != (n, d, d):
         raise DimMismatch(f"{n} states of dim {d}, bases of shape {bases.shape}")
@@ -612,28 +607,26 @@ def _checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def collapse_restriction_gaps(
-    states: np.ndarray, bases: np.ndarray, readout: SpectralAlgebra
-) -> np.ndarray:
+def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """The collapse vs restriction equivalence on a stack of cases: per case,
     the largest gap between the collapse diagonal of states[i] in the
     measured basis bases[i] and the weights its premeasured apparatus state
-    puts on readout, the pointer_readout of a minimal apparatus. The
-    collapse is read through its diagonal only.
+    puts on the pointer readout of a minimal apparatus, pointer value j on
+    column j, in index form. The collapse is read through its diagonal only.
 
     Every step is one stacked product through the readout kernel, and the
-    checks one case's objects would make run once on the stack
+    checks one case's state and basis need run once on the stack
     (_checked_cases), and on the weights' floor and sum, each failing on a
     NaN, so each case's gap has the bits that case alone gets through a
-    run's objects.
+    run.
     """
-    d = states.shape[-1]
+    pointer_values = np.arange(states.shape[-1], dtype=float)
     b = _checked_cases(states, bases)
 
     # premeasure, reduce and restrict, and collapse the projectors
     # |psi><psi| to read their diagonal back
     weights, aligned = _readout_weights(
-        _reduce(premeasure(states, b)), readout, np.arange(d, dtype=float)
+        _reduce(premeasure(states, b)), diagonal_algebra([pointer_values]), pointer_values
     )
     low = float(weights.min())
     if not low >= -linalg.WEIGHT_FLOOR:
@@ -659,13 +652,12 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
     if n_random < 1:
         raise ValidationError("n_random must be positive")
     _check_budget("n_random", n_random)
-    readout = pointer_readout(build_apparatus(dim))
     per_block = max(1, _CASE_BLOCK // dim**2)
     devs = np.empty(n_random)
     for start in range(0, n_random, per_block):
         cases = range(start, min(start + per_block, n_random))
         states, bases = random_cases(dim, seed, (_COMPARE_TAG,), cases)
-        devs[start : cases.stop] = collapse_restriction_gaps(states, bases, readout)
+        devs[start : cases.stop] = collapse_restriction_gaps(states, bases)
     worst_index = int(np.argmax(devs))
     return ComparisonSummary(
         dim=dim,

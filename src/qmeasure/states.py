@@ -95,22 +95,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class CompositeDims:
-    """Factor dimensions of a system (x) apparatus product space."""
-
-    dim_system: int
-    dim_apparatus: int
-
-    def __post_init__(self) -> None:
-        if self.dim_system < 1 or self.dim_apparatus < 1:
-            raise ValidationError("factor dimensions must be positive")
-
-    @property
-    def total(self) -> int:
-        return self.dim_system * self.dim_apparatus
-
-
 def as_state(psi) -> StateVector:
     return psi if isinstance(psi, StateVector) else StateVector(psi)
 
@@ -140,15 +124,13 @@ def mix(weights, states: Sequence[DensityMatrix]) -> DensityMatrix:
     return DensityMatrix._trusted(acc)
 
 
-def partial_trace(rho, dims: CompositeDims) -> DensityMatrix:
-    """Trace the system factor out of a composite density matrix, keeping
-    the apparatus."""
+def partial_trace(rho, dim_system: int, dim_apparatus: int) -> DensityMatrix:
+    """Trace the system factor out of a composite density matrix on a
+    dim_system x dim_apparatus product space, keeping the apparatus."""
+    if dim_system < 1 or dim_apparatus < 1:
+        raise ValidationError("factor dimensions must be positive")
     r = as_density(rho)
-    if r.dim != dims.total:
-        raise DimMismatch(
-            f"state dim {r.dim} != {dims.dim_system} x {dims.dim_apparatus}"
-        )
-    t = r.matrix.reshape(
-        dims.dim_system, dims.dim_apparatus, dims.dim_system, dims.dim_apparatus
-    )
+    if r.dim != dim_system * dim_apparatus:
+        raise DimMismatch(f"state dim {r.dim} != {dim_system} x {dim_apparatus}")
+    t = r.matrix.reshape(dim_system, dim_apparatus, dim_system, dim_apparatus)
     return DensityMatrix._trusted(np.trace(t, axis1=0, axis2=2))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import (
     SpectralProbabilityMeasure,
+    diagonal_algebra,
     generate_algebra,
     joint_spectrum,
     proper_mixture_representative,
@@ -23,13 +24,7 @@ from .algebra import (
 )
 from .errors import TooSmall
 from .linalg import isometry_defect
-from .measurement import (
-    build_apparatus,
-    build_coupling,
-    coupling_matrix,
-    pointer_readout,
-    premeasure,
-)
+from .measurement import coupling_matrix, premeasure
 from .observables import Observable, evolve
 from .randomness import (
     _draw_cases,
@@ -48,13 +43,7 @@ from .scenario import (
     run_cat,
     run_scenario,
 )
-from .states import (
-    CompositeDims,
-    StateVector,
-    mix,
-    partial_trace,
-    projector_of,
-)
+from .states import StateVector, mix, partial_trace, projector_of
 
 _SEED = 20240811
 
@@ -81,7 +70,7 @@ def coupling_defects(
     U makes of psi (x) e_0, its d x d block and zero columns after it, and U
     must be unitary. The checks one case's objects would make run once on
     the stack, and one stacked product builds every U; each case's defects
-    have the bits that case alone gets through its model."""
+    have the bits that case alone gets."""
     b = _checked_cases(states, bases)
     n, d = states.shape
     if dim_apparatus < d:
@@ -137,22 +126,25 @@ def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tu
 
 
 def chain_reduction_gap(
-    psi: StateVector, basis: np.ndarray, apparatus, copier: np.ndarray, algebra
+    psi: np.ndarray, basis: np.ndarray, copier: np.ndarray, algebra
 ) -> float:
-    """Gap between the pointer weights after one premeasurement and those a
-    second apparatus reads after copier, the dense coupling of the second
-    apparatus to the first pointer, copies that pointer."""
+    """Gap between the pointer weights after one premeasurement of the state
+    psi in the measured basis, on a minimal apparatus (pointer value j on
+    column j) read through algebra, and those a second such apparatus reads
+    after copier, the dense coupling of the second apparatus to the first
+    pointer, copies that pointer. The state and basis are checked once, as a
+    stack of one case."""
     d = basis.shape[0]
-    model = build_coupling(basis, apparatus)
-    m = premeasure(psi.amplitudes, model.measured_basis)
-    single, _ = _readout_weights(_reduce(m), algebra, apparatus.pointer_values)
-    r = np.eye(apparatus.dim_apparatus)[0]
-    # U_model (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
-    u = coupling_matrix(model.measured_basis, apparatus.dim_apparatus)
-    first = u @ np.outer(np.outer(psi.amplitudes, r), r)
+    b = _checked_cases(psi[None], basis[None])[0]
+    m = premeasure(psi, b)
+    single, _ = _readout_weights(_reduce(m), algebra, np.arange(d, dtype=float))
+    r = np.eye(d)[0]
+    # U (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
+    u = coupling_matrix(b, d)
+    first = u @ np.outer(np.outer(psi, r), r)
     final = first.reshape(d, -1) @ copier.T
     joint = projector_of(StateVector(final.reshape(-1)))
-    rho_last = partial_trace(joint, CompositeDims(d * d, d))
+    rho_last = partial_trace(joint, d * d, d)
     two_stage = restrict_state(rho_last, algebra).weights
     return float(np.max(np.abs(single - two_stage)))
 
@@ -164,7 +156,7 @@ def check_collapse_restriction() -> CheckResult:
     cases = 0
     for d in range(2, 7):
         states, bases = random_cases(d, _SEED, (10, d), range(40))
-        gaps = collapse_restriction_gaps(states, bases, pointer_readout(build_apparatus(d)))
+        gaps = collapse_restriction_gaps(states, bases)
         worst = max(worst, float(gaps.max()))
         cases += gaps.size
     return _result("collapse vs restriction", worst, 1e-9, f"{cases} random cases, dims 2..6")
@@ -295,13 +287,12 @@ def check_chain_reduction() -> CheckResult:
     """A second apparatus copying the first reads the same distribution."""
     d = 4
     worst = 0.0
-    apparatus = build_apparatus(d)
-    algebra = pointer_readout(apparatus)
-    copier = coupling_matrix(np.eye(d, dtype=complex), apparatus.dim_apparatus)
+    algebra = diagonal_algebra([np.arange(d, dtype=float)])
+    copier = coupling_matrix(np.eye(d, dtype=complex), d)
     for rng in _substreams(_SEED, (16,), range(20)):
         basis = rand_unitary(d, rng)
-        psi = StateVector(rand_state(d, rng))
-        worst = max(worst, chain_reduction_gap(psi, basis, apparatus, copier, algebra))
+        psi = rand_state(d, rng)
+        worst = max(worst, chain_reduction_gap(psi, basis, copier, algebra))
     return _result("chain reduction", worst, 1e-10, "20 random states, dim 4, two-stage pointer")
 
 

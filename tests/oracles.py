@@ -6,25 +6,12 @@ from pathlib import Path
 
 import numpy as np
 
-from qmeasure.algebra import SpectralAlgebra, _split_points, restrict_state
+from qmeasure.algebra import SpectralAlgebra, _split_points, diagonal_algebra, restrict_state
 from qmeasure.errors import DimMismatch
 from qmeasure.linalg import default_cluster_tol, isometry_defect
-from qmeasure.measurement import (
-    MeasurementModel,
-    build_coupling,
-    collapse,
-    coupling_matrix,
-    premeasure,
-)
+from qmeasure.measurement import collapse, coupling_matrix, premeasure
 from qmeasure.scenario import Scenario, parse_scenario
-from qmeasure.states import (
-    CompositeDims,
-    DensityMatrix,
-    StateVector,
-    as_density,
-    as_state,
-    projector_of,
-)
+from qmeasure.states import DensityMatrix, StateVector, as_density, as_state, projector_of
 
 
 def load_scenario(path) -> Scenario:
@@ -83,82 +70,83 @@ def spectrum_reference(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]
     return labels, chars, basis
 
 
-def dims(model: MeasurementModel) -> CompositeDims:
-    return CompositeDims(model.measured_pvm.dim, model.apparatus.dim_apparatus)
+def _column_major(basis: np.ndarray) -> np.ndarray:
+    """A measured basis stored column-major, as model_for_observable and a
+    checked stack store it, so that one case gets the bits of a stack."""
+    return np.asfortranarray(basis, dtype=complex)
 
 
-def premeasured_state(psi, model: MeasurementModel) -> StateVector:
+def premeasured_state(psi, basis: np.ndarray, dim_apparatus: int) -> StateVector:
     """The premeasured composite sum_j c_j b_j (x) e_j on the whole product
     space: premeasure's d x d block padded with the zero columns past d."""
-    d = model.measured_pvm.dim
-    m = np.zeros((d, model.apparatus.dim_apparatus), dtype=complex)
-    m[:, :d] = premeasure(as_state(psi).amplitudes, model.measured_basis)
+    d = basis.shape[1]
+    m = np.zeros((d, dim_apparatus), dtype=complex)
+    m[:, :d] = premeasure(as_state(psi).amplitudes, basis)
     return StateVector(m.reshape(-1))
 
 
-def apparatus_reduced_state(composite, dims: CompositeDims) -> DensityMatrix:
+def apparatus_reduced_state(composite, dim_system: int, dim_apparatus: int) -> DensityMatrix:
     """Reduced apparatus state of a composite pure state: with M the
     coefficient matrix of the composite, M^T conj(M), without forming the
     composite projector."""
     amp = as_state(composite).amplitudes
-    if amp.size != dims.total:
-        raise DimMismatch(
-            f"state dim {amp.size} != {dims.dim_system} x {dims.dim_apparatus}"
-        )
-    m = amp.reshape(dims.dim_system, dims.dim_apparatus)
+    if amp.size != dim_system * dim_apparatus:
+        raise DimMismatch(f"state dim {amp.size} != {dim_system} x {dim_apparatus}")
+    m = amp.reshape(dim_system, dim_apparatus)
     return DensityMatrix._trusted(m.T @ m.conj())
 
 
-def collapse_restriction_gap(psi: StateVector, basis: np.ndarray, apparatus, algebra) -> float:
-    """One case of the collapse vs restriction equivalence, through the
-    objects of a run: the largest gap between the collapse diagonal of psi in
-    the measured basis and the weights its premeasured apparatus state puts
-    on the readout algebra. The package runs a stack of cases at once
-    (scenario.collapse_restriction_gaps)."""
-    model = build_coupling(basis, apparatus)
-    rho_app = apparatus_reduced_state(premeasured_state(psi, model), dims(model))
-    weights = restrict_state(rho_app, algebra).weights
-    collapsed = collapse(projector_of(psi).matrix, model.measured_basis)
+def collapse_restriction_gap(psi: StateVector, basis: np.ndarray) -> float:
+    """One case of the collapse vs restriction equivalence, one object at a
+    time: the largest gap between the collapse diagonal of psi in the
+    measured basis and the weights its premeasured state, on a minimal
+    apparatus, puts on the pointer readout. The package runs a stack of
+    cases at once (scenario.collapse_restriction_gaps)."""
+    d = basis.shape[1]
+    b = _column_major(basis)
+    rho_app = apparatus_reduced_state(premeasured_state(psi, b, d), d, d)
+    weights = restrict_state(rho_app, diagonal_algebra([np.arange(d, dtype=float)])).weights
+    collapsed = collapse(projector_of(psi).matrix, b)
     diag = np.real(np.diag(basis.conj().T @ collapsed @ basis))
     return float(np.max(np.abs(weights - diag)))
 
 
-def coupling_defects(basis: np.ndarray, psi: StateVector, apparatus) -> tuple[float, float]:
-    """Agreement and unitarity defects of one coupling, through the objects
-    of one case: premeasure must give, without U, the composite the dense U
-    makes of psi (x) e_0, its d x d block and zero columns after it, and U
-    must be unitary. The package runs a stack of cases at once
+def coupling_defects(basis: np.ndarray, psi: StateVector, dim_apparatus: int) -> tuple[float, float]:
+    """Agreement and unitarity defects of one coupling, one case at a time:
+    premeasure must give, without U, the composite the dense U makes of
+    psi (x) e_0, its d x d block and zero columns after it, and U must be
+    unitary. The package runs a stack of cases at once
     (verification.coupling_defects)."""
-    model = build_coupling(basis, apparatus)
-    u = coupling_matrix(model.measured_basis, apparatus.dim_apparatus)
-    ready = np.eye(apparatus.dim_apparatus)[0]
+    b = _column_major(basis)
+    u = coupling_matrix(b, dim_apparatus)
+    ready = np.eye(dim_apparatus)[0]
     d = basis.shape[1]
     gap = (u @ np.outer(psi.amplitudes, ready).reshape(-1)).reshape(d, -1)
-    gap[:, :d] -= premeasure(psi.amplitudes, model.measured_basis)
+    gap[:, :d] -= premeasure(psi.amplitudes, b)
     return float(np.max(np.abs(gap))), isometry_defect(u)
 
 
-def premeasure_density(rho, model: MeasurementModel) -> DensityMatrix:
+def premeasure_density(rho, basis: np.ndarray, dim_apparatus: int) -> DensityMatrix:
     """Mixed-state premeasurement as the dense W rho W^dagger, with the
     ready-input isometry W = sum_j (b_j (x) e_j) b_j^dagger, equal to
     U (rho (x) |e_0><e_0|) U^dagger. It is (d * dim_apparatus)^2; a run
     premeasures a factor of rho instead and forms only the d x d reduced
     apparatus block."""
     r = as_density(rho)
-    if r.dim != model.measured_pvm.dim:
-        raise DimMismatch(f"state dim {r.dim}, system dim {model.measured_pvm.dim}")
-    b = model.measured_basis
-    f = np.eye(model.apparatus.dim_apparatus, model.measured_pvm.dim)
+    d = basis.shape[1]
+    if r.dim != d:
+        raise DimMismatch(f"state dim {r.dim}, system dim {d}")
+    f = np.eye(dim_apparatus, d)
     # column j of the product array is b_j (x) e_j
-    w = (b[:, None, :] * f[None, :, :]).reshape(-1, b.shape[1]) @ b.conj().T
+    w = (basis[:, None, :] * f[None, :, :]).reshape(-1, d) @ basis.conj().T
     return DensityMatrix._trusted(w @ r.matrix @ w.conj().T)
 
 
 def sample_outcome(
-    psi, model: MeasurementModel, rng: np.random.Generator
+    psi, basis: np.ndarray, values: np.ndarray, rng: np.random.Generator
 ) -> tuple[float, StateVector]:
-    """Draw one outcome with probability |<b_j|psi>|^2: the one-draw-at-a-time
-    form of the scenario sampling.
+    """Draw one outcome with probability |<b_j|psi>|^2, valued values[j]:
+    the one-draw-at-a-time form of the scenario sampling.
 
     Consumes exactly one uniform variate from rng via the inverse CDF over
     outcomes in ascending order. The returned post-state is measured basis
@@ -166,10 +154,10 @@ def sample_outcome(
     a claim about dynamics.
     """
     p = as_state(psi)
-    if p.dim != model.measured_pvm.dim:
-        raise DimMismatch(f"state dim {p.dim}, system dim {model.measured_pvm.dim}")
-    amps = model.measured_basis.conj().T @ p.amplitudes
+    if p.dim != basis.shape[1]:
+        raise DimMismatch(f"state dim {p.dim}, system dim {basis.shape[1]}")
+    amps = basis.conj().T @ p.amplitudes
     cum = np.cumsum(np.abs(amps) ** 2)
     j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     j = min(j, amps.size - 1)
-    return float(model.measured_pvm.characters[j, 0]), StateVector(model.measured_basis[:, j])
+    return float(values[j]), StateVector(basis[:, j])

@@ -18,7 +18,7 @@ from qmeasure.algebra import (
     restrict_state,
 )
 from qmeasure.linalg import default_cluster_tol
-from qmeasure.measurement import build_apparatus, pointer_diagonal, pointer_readout
+from qmeasure.measurement import pointer_diagonal
 from qmeasure.randomness import rand_hermitian, rand_unitary, substream
 from qmeasure.states import mix, projector_of
 
@@ -391,15 +391,20 @@ def test_restrict_rejects_dim_mismatch():
 
 
 def test_pointer_algebra_has_idle_point():
-    app = build_apparatus(2, dim_apparatus=3, pointer_values=[4.0, 6.0])
-    alg = pointer_readout(app)
+    w = pointer_diagonal([4.0, 6.0], 3)
+    alg = diagonal_algebra([w])
     chars = alg.characters[:, 0]
     assert_close(sorted(chars), [3.0, 4.0, 6.0])  # idle value min - 1
     # the algebra the dense pointer generates, held the same way
-    dense = generate_algebra([np.diag(pointer_diagonal(app))])
+    dense = generate_algebra([np.diag(w)])
     assert dense.basis is None and alg.basis is None
     assert np.array_equal(dense.labels, alg.labels)
     assert np.array_equal(dense.characters, alg.characters)
+
+
+def test_spectral_algebra_rejects_a_nonsquare_basis():
+    with pytest.raises(errors.ValidationError, match="cannot resolve the identity"):
+        SpectralAlgebra(np.arange(2), [[0.0], [1.0]], np.eye(3)[:, :2])
 
 
 def test_spectral_measure_validation():

@@ -307,6 +307,46 @@ def test_run_rejects_pointer_values_the_readout_merges(tmp_path, values, dim):
         assert run_strict(["run", path]).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "values", [[1, 1], [1.7e308, -1.7e308], [1.0, 1.0000000000001]], ids=["equal", "span", "merged"]
+)
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_pointer_values_the_readout_cannot_take_exit_one_from_run_and_compare(
+    tmp_path, capsys, verb, values
+):
+    # compare reads only system_dim and seed, but validates the whole document
+    path = write_qubit_scenario(tmp_path, apparatus={"dim": 2, "pointer_values": values})
+    assert main([verb, path]) == 1
+    assert "ValidationError: apparatus.pointer_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_pointer_values_are_checked_once_per_verb(tmp_path, monkeypatch, verb):
+    calls = []
+    check = scenario.pointer_diagonal
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(scenario, "pointer_diagonal", counted)
+    path = write_qubit_scenario(tmp_path, apparatus={"dim": 3, "pointer_values": [4, 6]})
+    assert main([verb, path]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed, code", [(2**64, 1), (2**64 - 1, 0), (-1, 1)])
+def test_compare_seed_takes_the_document_seed_range(tmp_path, capsys, seed, code):
+    path = write_qubit_scenario(tmp_path)
+    assert main(["compare", path, "--random", "5", f"--seed={seed}"]) == code
+    from_argv = capsys.readouterr().err
+    path = write_qubit_scenario(tmp_path, seed=seed)
+    assert main(["compare", path, "--random", "5"]) == code
+    assert capsys.readouterr().err == from_argv
+    if code:
+        assert "seed must fit in 64 bits" in from_argv
+
+
 @pytest.mark.parametrize("scale", [1e-315, 1e-320])
 def test_run_accepts_a_subnormal_splitter_on_the_idle_block(tmp_path, scale):
     # an eigensolver returns subnormal values to no relative accuracy, so a

@@ -6,10 +6,6 @@ import pytest
 from qmeasure import errors, linalg
 from qmeasure.algebra import SpectralAlgebra, diagonal_algebra
 from qmeasure.measurement import (
-    ApparatusModel,
-    MeasurementModel,
-    build_apparatus,
-    build_coupling,
     collapse,
     coupling_matrix,
     model_for_observable,
@@ -25,7 +21,6 @@ from qmeasure.scenario import (
     compare_collapse_vs_restriction,
 )
 from qmeasure.states import (
-    CompositeDims,
     DensityMatrix,
     StateVector,
     partial_trace,
@@ -35,67 +30,52 @@ from qmeasure.states import (
 from conftest import assert_close
 from oracles import (
     apparatus_reduced_state,
-    dims,
     premeasure_density,
     premeasured_state,
-    projectors,
     rand_density,
     sample_outcome,
 )
 
 
-def _dense(model):
-    """The dense coupling of a model."""
-    return coupling_matrix(model.measured_basis, model.apparatus.dim_apparatus)
-
-
-def test_build_apparatus_defaults():
-    app = build_apparatus(3)
-    assert app.dim_apparatus == 3
-    assert_close(app.pointer_values, [0.0, 1.0, 2.0])
-
-
-def test_build_apparatus_oversized():
-    app = build_apparatus(2, dim_apparatus=5, pointer_values=[10.0, 20.0])
-    assert app.dim_apparatus == 5
-    assert app.n_outcomes == 2
-    # outcome 1 registers on e_1 of the padded apparatus
-    model = build_coupling(np.eye(2), app)
+def test_pointer_diagonal_of_an_oversized_apparatus():
+    # outcome 1 registers on e_1 of the padded apparatus, whose idle columns
+    # read one value below the pointer values
+    assert_close(pointer_diagonal([10.0, 20.0], 5), [10.0, 20.0, 9.0, 9.0, 9.0])
     assert_close(
-        premeasured_state([0.0, 1.0], model).amplitudes, np.kron([0.0, 1.0], np.eye(5)[:, 1])
+        premeasured_state([0.0, 1.0], np.eye(2), 5).amplitudes, np.kron([0.0, 1.0], np.eye(5)[:, 1])
     )
 
 
-def test_build_apparatus_too_small():
-    # the apparatus model makes the checks
+def test_pointer_diagonal_rejects_more_values_than_columns():
+    # numpy would otherwise fail to broadcast them into the diagonal
     with pytest.raises(errors.TooSmall, match="apparatus dim 3 cannot register 4 outcomes"):
-        build_apparatus(4, dim_apparatus=3)
-    for n in (0, -1):
-        with pytest.raises(errors.ValidationError):
-            build_apparatus(n)
+        pointer_diagonal(np.arange(4.0), 3)
+    for values in (np.arange(0.0), np.zeros((1, 2)), 1.0):
+        with pytest.raises(errors.ValidationError, match="nonempty 1-d"):
+            pointer_diagonal(values, 2)
 
 
-def test_apparatus_rejects_duplicate_pointer_values():
-    with pytest.raises(errors.ValidationError, match="distinct"):
-        ApparatusModel(2, np.array([1.0, 1.0]))
+def test_pointer_diagonal_rejects_equal_values():
+    with pytest.raises(errors.ValidationError, match="apart fall in one readout point"):
+        pointer_diagonal([1.0, 1.0], 2)
 
 
 @pytest.mark.parametrize(
     "values", [[0.0, np.inf], [np.nan, 1.0], [-1e308, 1e308], [-np.finfo(float).max, 1e300]]
 )
-def test_apparatus_rejects_pointer_values_beyond_the_float_range(values):
+def test_pointer_diagonal_rejects_values_beyond_the_float_range(values):
     with pytest.raises(errors.ValidationError, match="finite|largest float"):
-        ApparatusModel(2, np.array(values))
+        pointer_diagonal(values, 2)
 
 
-def test_apparatus_accepts_pointer_values_spanning_the_float_range():
+def test_pointer_diagonal_accepts_values_spanning_the_float_range():
     top = np.finfo(float).max
-    ApparatusModel(2, np.array([-top / 2, top / 2]))
-    ApparatusModel(2, np.array([0.0, top]))
+    for values in ([-top / 2, top / 2], [0.0, top]):
+        assert_close(pointer_diagonal(values, 2), values)
 
 
 def test_qubit_coupling_is_cnot():
-    model = model_for_observable(np.diag([0.0, 1.0]))
+    _, basis = model_for_observable(np.diag([0.0, 1.0]))
     want = np.array(
         [
             [1, 0, 0, 0],
@@ -105,35 +85,33 @@ def test_qubit_coupling_is_cnot():
         ],
         dtype=complex,
     )
-    assert_close(_dense(model), want)
+    assert_close(coupling_matrix(basis, 2), want)
 
 
 def test_single_outcome_coupling_is_identity():
-    model = model_for_observable(np.array([[2.0]]))
-    assert_close(_dense(model), np.eye(1))
+    _, basis = model_for_observable(np.array([[2.0]]))
+    assert_close(coupling_matrix(basis, 1), np.eye(1))
 
 
 def test_coupling_registers_every_basis_column():
     rng = substream(83)
     basis = rand_unitary(4, rng)
-    app = build_apparatus(4, dim_apparatus=6)
-    model = build_coupling(basis, app)
     for j in range(4):
-        moved = _dense(model) @ np.kron(basis[:, j], np.eye(6)[:, 0])
+        moved = coupling_matrix(basis, 6) @ np.kron(basis[:, j], np.eye(6)[:, 0])
         want = np.kron(basis[:, j], np.eye(6)[:, j])
         assert np.linalg.norm(moved - want) < 1e-10
 
 
-def _coupling_by_outcome(model):
+def _coupling_by_outcome(basis, dm):
     """The controlled shift as the literal sum_j P_j (x) S^j, one Kronecker
-    product per outcome, S cycling e_k -> e_{k+1 mod dm}."""
-    dm = model.apparatus.dim_apparatus
+    product per outcome, P_j the projector on basis column j and S cycling
+    e_k -> e_{k+1 mod dm}."""
     cycle = np.roll(np.eye(dm), 1, axis=0)
     shift = np.eye(dm, dtype=complex)
-    n = model.measured_pvm.dim * dm
+    n = basis.shape[0] * dm
     u = np.zeros((n, n), dtype=complex)
-    for proj in projectors(model.measured_pvm):
-        u += np.kron(proj, shift)
+    for b in basis.T:
+        u += np.kron(np.outer(b, b.conj()), shift)
         shift = cycle @ shift
     return u
 
@@ -142,8 +120,8 @@ def _coupling_by_outcome(model):
 def test_coupling_matrix_is_the_sum_of_per_outcome_shifts(d):
     for dm in (d, d + 3):
         rng = substream(163, d, dm)
-        model = build_coupling(rand_unitary(d, rng), build_apparatus(d, dim_apparatus=dm))
-        assert_close(_dense(model), _coupling_by_outcome(model), atol=1e-12, rtol=0)
+        basis = rand_unitary(d, rng)
+        assert_close(coupling_matrix(basis, dm), _coupling_by_outcome(basis, dm), atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -158,30 +136,19 @@ def test_coupling_matrix_of_a_stack_is_each_basis_coupling(d):
 
 
 @pytest.mark.parametrize("dense", [False, True])
-def test_measured_basis_is_the_blocks_side_by_side(dense):
-    # permuted labels: column j of the measured basis is the basis column
-    # labelled j, in index form a standard basis vector
-    labels = np.array([2, 0, 3, 1])
-    basis = rand_unitary(4, substream(167)) if dense else None
-    pvm = SpectralAlgebra(labels, np.arange(4.0)[:, None], basis)
-    model = MeasurementModel(pvm, build_apparatus(4))
-    v = np.eye(4) if basis is None else basis
-    assert np.array_equal(model.measured_basis, v[:, [1, 3, 0, 2]])
-
-
-def test_build_coupling_checks_the_basis_once(monkeypatch):
-    calls = []
-    defect = linalg.isometry_defect
-
-    def counted(v):
-        calls.append(v.shape)
-        return defect(v)
-
-    app = build_apparatus(3)
-    basis = rand_unitary(3, substream(151))
-    monkeypatch.setattr(linalg, "isometry_defect", counted)
-    build_coupling(basis, app)
-    assert calls == [(3, 3)]
+def test_measured_basis_is_in_label_order(dense):
+    # column j of the measured basis is the eigenvector of the j-th least
+    # eigenvalue: a diagonal observable has permuted labels, and its basis
+    # columns are standard basis vectors
+    values = np.array([2.0, 0.0, 3.0, 1.0])
+    v = rand_unitary(4, substream(167)) if dense else np.eye(4)
+    a = (v * values) @ v.conj().T
+    pvm, basis = model_for_observable(a)
+    assert basis.flags.f_contiguous and not basis.flags.writeable
+    assert_close(pvm.characters[:, 0], np.arange(4.0), atol=1e-12)
+    assert_close(a @ basis, basis * np.arange(4.0), atol=1e-12)
+    if not dense:
+        assert np.array_equal(basis, np.eye(4)[:, [1, 3, 0, 2]])
 
 
 def test_model_for_observable_checks_the_basis_once(monkeypatch):
@@ -216,27 +183,22 @@ def test_compare_checks_each_basis_once(monkeypatch):
     assert sum(math.prod(shape[:-2]) for shape in calls) == 100
 
 
-def test_build_coupling_rejects_nonsquare_basis():
-    with pytest.raises(errors.ValidationError, match="cannot resolve the identity"):
-        build_coupling(np.eye(3)[:, :2], build_apparatus(2))
-
-
 def test_coupling_permutes_off_ready_slots():
     # the cyclic extension shifts every pointer column, not just ready
-    model = model_for_observable(np.diag([0.0, 1.0, 2.0]))
+    _, basis = model_for_observable(np.diag([0.0, 1.0, 2.0]))
     d = 3
     for j in range(d):
         for k in range(d):
             src = np.kron(np.eye(d)[:, j], np.eye(d)[:, k])
             dst = np.kron(np.eye(d)[:, j], np.eye(d)[:, (k + j) % d])
-            assert np.linalg.norm(_dense(model) @ src - dst) < 1e-12
+            assert np.linalg.norm(coupling_matrix(basis, d) @ src - dst) < 1e-12
 
 
 def test_alternative_extension_agrees_on_physical_inputs():
     # a controlled transposition (swap ready with slot j) extends the same
     # registration map differently off the ready column; premeasurement
     # output from ready cannot tell the two unitaries apart
-    model = model_for_observable(np.diag([0.0, 1.0, 2.0]))
+    _, basis = model_for_observable(np.diag([0.0, 1.0, 2.0]))
     d, dm = 3, 3
     u2 = np.zeros((d * dm, d * dm), dtype=complex)
     for j in range(d):
@@ -244,7 +206,7 @@ def test_alternative_extension_agrees_on_physical_inputs():
         swap[[0, j]] = swap[[j, 0]]
         u2 += np.kron(np.outer(np.eye(d)[:, j], np.eye(d)[:, j]), swap)
     assert np.max(np.abs(u2.conj().T @ u2 - np.eye(d * dm))) < 1e-12
-    u = _dense(model)
+    u = coupling_matrix(basis, dm)
     assert np.max(np.abs(u2 - u)) > 0.5  # genuinely different unitary
     psi = rand_state(d, substream(89))
     joint = np.kron(psi, np.eye(dm)[:, 0])
@@ -256,31 +218,31 @@ def test_model_rejects_degenerate_observable():
         model_for_observable(np.diag([1.0, 1.0, 2.0]))
 
 
-def test_model_pointer_values_copy_eigenvalues():
-    model = model_for_observable(np.diag([-2.0, 0.5, 7.0]))
-    assert_close(model.apparatus.pointer_values, [-2.0, 0.5, 7.0])
-    assert_close(model.measured_pvm.characters[:, 0], [-2.0, 0.5, 7.0])
+def test_model_values_its_outcomes_at_the_eigenvalues():
+    # a run's pointer values default to them
+    pvm, _ = model_for_observable(np.diag([-2.0, 0.5, 7.0]))
+    assert_close(pvm.characters[:, 0], [-2.0, 0.5, 7.0])
 
 
 def test_premeasure_superposition():
     # the d x d coefficient block: rows the system, columns the pointer
-    model = model_for_observable(np.diag([0.0, 1.0]))
-    out = premeasure(np.array([0.6, 0.8]), model.measured_basis)
+    _, basis = model_for_observable(np.diag([0.0, 1.0]))
+    out = premeasure(np.array([0.6, 0.8]), basis)
     assert_close(out, [[0.6, 0.0], [0.0, 0.8]])
 
 
 def test_premeasure_eigenstate_is_product():
-    model = model_for_observable(np.diag([0.0, 1.0, 2.0]))
+    _, basis = model_for_observable(np.diag([0.0, 1.0, 2.0]))
     e1 = np.eye(3)[:, 1]
-    out = premeasure(e1, model.measured_basis)
+    out = premeasure(e1, basis)
     assert_close(out, np.outer(e1, e1))
 
 
 def test_premeasure_density_matches_pure_case():
-    model = model_for_observable(np.diag([0.0, 1.0, 2.0]), dim_apparatus=4)
+    _, basis = model_for_observable(np.diag([0.0, 1.0, 2.0]))
     psi = rand_state(3, substream(97))
-    pure = premeasured_state(psi, model)
-    mixed = premeasure_density(projector_of(psi), model)
+    pure = premeasured_state(psi, basis, 4)
+    mixed = premeasure_density(projector_of(psi), basis, 4)
     assert_close(mixed.matrix, projector_of(pure).matrix, atol=1e-12)
 
 
@@ -289,22 +251,22 @@ def test_structured_premeasurement_matches_dense_coupling(d):
     # random measured bases, on a minimal and on a padded apparatus
     for dm in (d, d + 3):
         rng = substream(139, d, dm)
-        model = build_coupling(rand_unitary(d, rng), build_apparatus(d, dim_apparatus=dm))
-        u = _dense(model)
+        basis = rand_unitary(d, rng)
+        u = coupling_matrix(basis, dm)
         r = np.eye(dm)[:, 0]
         psi = rand_state(d, rng)
         dense = u @ np.kron(psi, r)
-        pure = premeasured_state(psi, model)
+        pure = premeasured_state(psi, basis, dm)
         assert_close(pure.amplitudes, dense, atol=1e-12, rtol=0)
         assert_close(
-            apparatus_reduced_state(pure, dims(model)).matrix,
-            partial_trace(projector_of(dense), dims(model)).matrix,
+            apparatus_reduced_state(pure, d, dm).matrix,
+            partial_trace(projector_of(dense), d, dm).matrix,
             atol=1e-12,
             rtol=0,
         )
         rho = rand_density(d, rng)
         want = u @ np.kron(rho, np.outer(r, r)) @ u.conj().T
-        assert_close(premeasure_density(rho, model).matrix, want, atol=1e-12, rtol=0)
+        assert_close(premeasure_density(rho, basis, dm).matrix, want, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -315,11 +277,11 @@ def test_apparatus_reduced_density_matches_dense_premeasurement(d):
     # through an index-form and a dense readout whose point k is column k
     for dm in (d, d + 3):
         rng = substream(151, d, dm)
-        model = build_coupling(rand_unitary(d, rng), build_apparatus(d, dim_apparatus=dm))
+        basis = rand_unitary(d, rng)
         rho = rand_density(d, rng)
-        dense = partial_trace(premeasure_density(rho, model), dims(model))
+        dense = partial_trace(premeasure_density(rho, basis, dm), d, dm)
         diagonal = np.real(np.diag(dense.matrix))
-        m = premeasure(_factor_rows(DensityMatrix(rho)), model.measured_basis).reshape(-1, d)
+        m = premeasure(_factor_rows(DensityMatrix(rho)), basis).reshape(-1, d)
         columns = np.arange(dm, dtype=float)
         for readout in (
             diagonal_algebra([columns]),
@@ -393,11 +355,11 @@ def test_collapse_preserves_born_weights():
 def test_reduced_apparatus_diagonal_equals_born(dim):
     rng = substream(109, dim)
     gaps = np.sort(rng.uniform(-3, 3, dim)) + np.arange(dim) * 1e-3
-    model = model_for_observable(np.diag(gaps))
+    pvm, basis = model_for_observable(np.diag(gaps))
     psi = rand_state(dim, rng)
-    joint = premeasured_state(psi, model)
-    reduced = apparatus_reduced_state(joint, dims(model))
-    dist = born_distribution(projector_of(psi), model.measured_pvm)
+    joint = premeasured_state(psi, basis, dim)
+    reduced = apparatus_reduced_state(joint, dim, dim)
+    dist = born_distribution(projector_of(psi), pvm)
     pointer_diag = np.real(np.diag(reduced.matrix))
     # outcome j registers on pointer column e_j
     assert_close(pointer_diag, dist.probabilities, atol=1e-10)
@@ -408,19 +370,19 @@ def test_two_stage_chain_keeps_pointer_statistics():
     # the second pointer reads the same distribution as the first, and the
     # surviving (system, apparatus 1) pair keeps the same pointer diagonal
     d = 2
-    m1 = model_for_observable(np.diag([0.0, 1.0]))
+    _, basis = model_for_observable(np.diag([0.0, 1.0]))
     psi = rand_state(d, substream(113))
-    stage1 = premeasured_state(psi, m1)
-    first_diag = np.real(np.diag(apparatus_reduced_state(stage1, dims(m1)).matrix))
+    stage1 = premeasured_state(psi, basis, d)
+    first_diag = np.real(np.diag(apparatus_reduced_state(stage1, d, d).matrix))
 
-    u2 = _dense(m1)  # same controlled shift, now copying factor 2 to factor 3
+    u2 = coupling_matrix(basis, d)  # the same controlled shift, copying factor 2 to factor 3
     joint = np.kron(np.eye(d), u2) @ np.kron(stage1.amplitudes, np.eye(d)[:, 0])
-    rho_last = partial_trace(projector_of(joint), CompositeDims(d * d, d))
+    rho_last = partial_trace(projector_of(joint), d * d, d)
     assert_close(np.real(np.diag(rho_last.matrix)), first_diag, atol=1e-10)
 
     # factors (S, A1, A2) reordered to (A2, S, A1), so the trace keeps (S, A1)
     swapped = joint.reshape(d * d, d).T.reshape(-1)
-    rho12 = partial_trace(projector_of(swapped), CompositeDims(d, d * d))
+    rho12 = partial_trace(projector_of(swapped), d, d * d)
     assert_close(
         np.real(np.diag(rho12.matrix)),
         np.real(np.diag(projector_of(stage1).matrix)),
@@ -429,36 +391,38 @@ def test_two_stage_chain_keeps_pointer_statistics():
 
 
 def test_sample_outcome_eigenstate_is_deterministic():
-    model = model_for_observable(np.diag([4.0, 9.0]))
+    pvm, basis = model_for_observable(np.diag([4.0, 9.0]))
     rng = substream(127)
     for _ in range(5):
-        outcome, post = sample_outcome(StateVector(np.array([0.0, 1.0])), model, rng)
+        outcome, post = sample_outcome(
+            StateVector(np.array([0.0, 1.0])), basis, pvm.characters[:, 0], rng
+        )
         assert outcome == 9.0
         assert_close(np.abs(post.amplitudes), [0.0, 1.0])
 
 
 def test_sample_outcome_frequencies_converge():
-    model = model_for_observable(np.diag([0.0, 1.0]))
+    pvm, basis = model_for_observable(np.diag([0.0, 1.0]))
     psi = StateVector(np.array([0.6, 0.8]))
     rng = substream(131)
     n = 20000
-    hits = sum(sample_outcome(psi, model, rng)[0] for _ in range(n))
+    hits = sum(sample_outcome(psi, basis, pvm.characters[:, 0], rng)[0] for _ in range(n))
     freq = hits / n
     # binomial 4 sigma band around 0.64
     assert abs(freq - 0.64) < 4 * np.sqrt(0.64 * 0.36 / n)
 
 
 def test_sample_outcome_is_seed_reproducible():
-    model = model_for_observable(np.diag([0.0, 1.0]))
+    pvm, basis = model_for_observable(np.diag([0.0, 1.0]))
     psi = StateVector(np.array([0.6, 0.8]))
-    a = [sample_outcome(psi, model, substream(137, t))[0] for t in range(50)]
-    b = [sample_outcome(psi, model, substream(137, t))[0] for t in range(50)]
+    values = pvm.characters[:, 0]
+    a = [sample_outcome(psi, basis, values, substream(137, t))[0] for t in range(50)]
+    b = [sample_outcome(psi, basis, values, substream(137, t))[0] for t in range(50)]
     assert a == b
 
 
 def test_pointer_diagonal_idle_value():
-    app = build_apparatus(2, dim_apparatus=4, pointer_values=[3.0, 5.0])
-    assert_close(pointer_diagonal(app), [3.0, 5.0, 2.0, 2.0])
+    assert_close(pointer_diagonal([3.0, 5.0], 4), [3.0, 5.0, 2.0, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -467,15 +431,14 @@ def test_pointer_diagonal_idle_value():
 def test_pointer_diagonal_idle_value_stays_out_of_reach(values):
     # min - 1 would round to min, or lie within the radius at which a
     # pointer value matches outcome 0; the idle value moves further below
-    app = build_apparatus(2, dim_apparatus=3, pointer_values=values)
-    idle = pointer_diagonal(app)[2]
+    idle = pointer_diagonal(values, 3)[2]
     assert np.isfinite(idle)
     assert min(values) - idle > linalg.POINTER_MATCH_RTOL * max(np.abs(values))
 
 
 def test_pointer_diagonal_minimal_apparatus():
-    app = build_apparatus(3, pointer_values=[-1.0, 0.0, 1.0])
-    assert_close(pointer_diagonal(app), [-1.0, 0.0, 1.0])
+    assert_close(pointer_diagonal([-1.0, 0.0, 1.0], 3), [-1.0, 0.0, 1.0])
+    assert_close(pointer_diagonal(np.arange(3.0), 3), [0.0, 1.0, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -485,9 +448,8 @@ def test_pointer_diagonal_minimal_apparatus():
 def test_pointer_diagonal_rejects_values_the_readout_merges(values, dim):
     # distinct values within the cluster width of the pointer diagonal, the
     # idle value included, would fall in one readout point
-    app = build_apparatus(len(values), dim_apparatus=dim, pointer_values=values)
     with pytest.raises(errors.ValidationError, match="apart fall in one readout point"):
-        pointer_diagonal(app)
+        pointer_diagonal(values, dim)
     # the same two values alone, with no idle value to widen the width
     if dim == 7:
-        pointer_diagonal(build_apparatus(2, pointer_values=values))
+        pointer_diagonal(values, 2)

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors, linalg
-from qmeasure.measurement import (
-    build_apparatus,
-    model_for_observable,
-    pointer_diagonal,
-    pointer_readout,
-)
+from qmeasure.measurement import model_for_observable, pointer_diagonal
 from qmeasure.observables import Observable
 from qmeasure.randomness import rand_hermitian, random_cases, substream
 from qmeasure.report import (
@@ -62,9 +57,15 @@ def test_parse_minimal_scenario():
     assert s.system_dim == 2
     assert isinstance(s.initial_state, StateVector)
     assert s.apparatus_dim == 2
-    assert s.pointer_values is None
+    assert s.pointer is None
     assert s.algebra_generators is None
     assert s.trials == 0 and s.seed == 11
+
+
+def test_parse_holds_pointer_values_as_the_checked_pointer_diagonal():
+    s = parse_scenario(doc_qubit(apparatus={"dim": 3, "pointer_values": [4, 6]}))
+    assert np.array_equal(s.pointer, [4.0, 6.0, 3.0])
+    assert not s.pointer.flags.writeable
 
 
 def test_parse_rejects_unknown_field():
@@ -262,10 +263,10 @@ def test_sample_counts_match_sequential_draws():
     # single-outcome draws from the same substream
     s = parse_scenario(doc_qubit(trials=200))
     r = run_scenario(s)
-    model = model_for_observable(np.diag([0.0, 1.0]), dim_apparatus=2)
+    pvm, basis = model_for_observable(np.diag([0.0, 1.0]))
     rng = substream(s.seed, 1)
     psi = StateVector(np.array([0.6, 0.8]))
-    seq = [sample_outcome(psi, model, rng)[0] for _ in range(200)]
+    seq = [sample_outcome(psi, basis, pvm.characters[:, 0], rng)[0] for _ in range(200)]
     counts = [seq.count(0.0), seq.count(1.0)]
     assert list(r.empirical.counts) == counts
 
@@ -373,17 +374,17 @@ def test_full_rank_density_run_peaks_at_a_few_apparatus_matrices(idle):
     observable = Observable(rand_hermitian(d, rng))
     generators = ()
     if idle:
-        model = model_for_observable(observable, dim_apparatus=dim)
+        pvm, _ = model_for_observable(observable)
         splitter = np.zeros((dim, dim), dtype=complex)
         splitter[d:, d:] = 1.0
-        pointer = Observable(np.diag(pointer_diagonal(model.apparatus)))
+        pointer = Observable(np.diag(pointer_diagonal(pvm.characters[:, 0], dim)))
         generators = (pointer, Observable(splitter))
     s = Scenario(
         system_dim=d,
         initial_state=DensityMatrix(rand_density(d, rng)),
         measured_observable=observable,
         apparatus_dim=dim,
-        pointer_values=None,
+        pointer=None,
         algebra_generators=generators,
         trials=0,
         seed=1,
@@ -507,15 +508,10 @@ def test_compare_allocates_no_composite_matrix():
     assert peak < 4 * 2**20
 
 
-def per_case_gaps(d: int, states, bases) -> np.ndarray:
+def per_case_gaps(states, bases) -> np.ndarray:
     """The gaps of the one-case-at-a-time kernel."""
-    apparatus = build_apparatus(d)
-    algebra = pointer_readout(apparatus)
     return np.array(
-        [
-            collapse_restriction_gap(StateVector(psi), basis, apparatus, algebra)
-            for psi, basis in zip(states, bases)
-        ]
+        [collapse_restriction_gap(StateVector(psi), basis) for psi, basis in zip(states, bases)]
     )
 
 
@@ -524,15 +520,15 @@ def test_stacked_gaps_have_the_bits_of_the_per_case_kernel(d):
     # at d = 1 a plain stacked product rounds differently in about 45% of
     # the cases, so 400 of them
     states, bases = random_cases(d, 29, (2,), range(400 if d == 1 else 40))
-    gaps = collapse_restriction_gaps(states, bases, pointer_readout(build_apparatus(d)))
-    assert np.array_equal(gaps, per_case_gaps(d, states, bases))
+    gaps = collapse_restriction_gaps(states, bases)
+    assert np.array_equal(gaps, per_case_gaps(states, bases))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_compare_across_a_block_boundary_has_the_per_case_bits(offset):
     d, seed = 32, 31
     n_random = _CASE_BLOCK // d**2 + offset
-    devs = per_case_gaps(d, *random_cases(d, seed, (2,), range(n_random)))
+    devs = per_case_gaps(*random_cases(d, seed, (2,), range(n_random)))
     worst_index = int(np.argmax(devs))
     assert compare_collapse_vs_restriction(d, n_random, seed) == ComparisonSummary(
         dim=d,
@@ -570,7 +566,7 @@ def test_stacked_kernel_checks_every_case(fault, error):
     states, bases = random_cases(3, 37, (2,), range(5))
     fault(states, bases)
     with pytest.raises(error):
-        collapse_restriction_gaps(states, bases, pointer_readout(build_apparatus(3)))
+        collapse_restriction_gaps(states, bases)
 
 
 def test_report_json_round_trips_byte_identically():

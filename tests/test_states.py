@@ -9,14 +9,9 @@ from qmeasure.algebra import (
     generate_algebra,
     proper_mixture_representative,
 )
-from qmeasure.measurement import (
-    build_apparatus,
-    build_coupling,
-    collapse,
-)
+from qmeasure.measurement import collapse
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import (
-    CompositeDims,
     DensityMatrix,
     StateVector,
     as_density,
@@ -29,7 +24,6 @@ from qmeasure.states import (
 from conftest import assert_close
 from oracles import (
     apparatus_reduced_state,
-    dims,
     premeasure_density,
     premeasured_state,
     rand_density,
@@ -148,14 +142,14 @@ def test_tensor_state_ordering():
 
 def test_partial_trace_bell_state():
     bell = projector_of(StateVector.normalized([1, 0, 0, 1]))
-    assert_close(partial_trace(bell, CompositeDims(2, 2)).matrix, np.eye(2) / 2)
+    assert_close(partial_trace(bell, 2, 2).matrix, np.eye(2) / 2)
 
 
 def test_partial_trace_product_state():
     sys = rand_state(3, substream(31))
     app = rand_state(2, substream(32))
     joint = projector_of(np.kron(sys, app))
-    rho_a = partial_trace(joint, CompositeDims(3, 2))
+    rho_a = partial_trace(joint, 3, 2)
     assert_close(rho_a.matrix, projector_of(app).matrix, atol=1e-12)
 
 
@@ -165,7 +159,7 @@ def test_partial_trace_defining_property(case):
     rng = substream(37, case)
     ds, da = int(rng.integers(2, 4)), int(rng.integers(2, 4))
     rho = rand_density(ds * da, rng)
-    reduced = partial_trace(rho, CompositeDims(ds, da))
+    reduced = partial_trace(rho, ds, da)
     for _ in range(4):
         y = rand_hermitian(da, rng)
         lifted = np.kron(np.eye(ds), y)
@@ -175,13 +169,14 @@ def test_partial_trace_defining_property(case):
 def test_partial_trace_rejects_wrong_dims():
     rho = rand_density(6, substream(41))
     with pytest.raises(errors.DimMismatch):
-        partial_trace(rho, CompositeDims(2, 2))
+        partial_trace(rho, 2, 2)
 
 
-def test_composite_dims_total():
-    assert CompositeDims(3, 4).total == 12
-    with pytest.raises(errors.ValidationError):
-        CompositeDims(0, 2)
+def test_partial_trace_rejects_nonpositive_dims():
+    rho = rand_density(2, substream(43))
+    for dims in ((0, 2), (2, 0), (-1, -2)):
+        with pytest.raises(errors.ValidationError, match="positive"):
+            partial_trace(rho, *dims)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -193,7 +188,6 @@ def test_trusted_results_pass_the_public_checks(d):
     psi = StateVector(rand_state(d, rng))
     rho = rand_density(d, rng)
     basis = rand_unitary(d, rng)
-    model = build_coupling(basis, build_apparatus(d, dim_apparatus=d + 2))
     composite = rand_density(2 * d, rng)
     algebra = generate_algebra([rand_hermitian(d, rng)])
     raw = rng.uniform(0.05, 1.0, size=algebra.n_points)
@@ -201,12 +195,12 @@ def test_trusted_results_pass_the_public_checks(d):
     results = [
         projector_of(psi),
         mix([w, 1 - w], [rho, projector_of(psi)]),
-        partial_trace(composite, CompositeDims(2, d)),
-        apparatus_reduced_state(premeasured_state(psi, model), dims(model)),
-        premeasure_density(rho, model),
+        partial_trace(composite, 2, d),
+        apparatus_reduced_state(premeasured_state(psi, basis, d + 2), d, d + 2),
+        premeasure_density(rho, basis, d + 2),
         proper_mixture_representative(SpectralProbabilityMeasure(raw / raw.sum()), algebra),
     ]
-    collapsed = collapse(rho, model.measured_basis)
+    collapsed = collapse(rho, basis)
     assert_close(DensityMatrix(collapsed).matrix, collapsed, atol=0, rtol=0)
     for result in results:
         assert not result.matrix.flags.writeable

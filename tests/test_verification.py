@@ -6,9 +6,10 @@ and make the checks of every case's objects."""
 import numpy as np
 import pytest
 
-from qmeasure import errors, scenario, verification
-from qmeasure.measurement import build_apparatus
-from qmeasure.randomness import rand_hermitian, random_cases, substream
+from qmeasure import errors, linalg, scenario, verification
+from qmeasure.algebra import diagonal_algebra
+from qmeasure.measurement import coupling_matrix
+from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, random_cases, substream
 from qmeasure.states import StateVector
 
 from conftest import misregistered, nan_state, stretch_a_basis, stretch_a_state
@@ -80,9 +81,8 @@ def test_stacked_coupling_defects_have_the_bits_of_the_per_case_oracle(d):
     for dm in (d, d + 2):
         states, bases = random_cases(d, 71, (dm,), cases)
         agreement, unitarity = verification.coupling_defects(states, bases, dm)
-        apparatus = build_apparatus(d, dim_apparatus=dm)
         for k, (psi, basis) in enumerate(zip(states, bases)):
-            want = coupling_defects(basis, StateVector(psi), apparatus)
+            want = coupling_defects(basis, StateVector(psi), dm)
             assert (agreement[k], unitarity[k]) == want
 
 
@@ -169,6 +169,30 @@ def test_group_law_defects_catch_time_offset():
 
 def test_chain_reduction_gap_catches_missing_coupling():
     assert_fault_caught(verification.check_chain_reduction, verification, "premeasure", uncoupled)
+
+
+def test_chain_reduction_gap_checks_its_state_and_basis_once(monkeypatch):
+    # as a stack of one case, through the check compare's stacks get; the
+    # pointer readout is diagonal and has no basis to check
+    d = 3
+    rng = substream(151)
+    psi, basis = rand_state(d, rng), rand_unitary(d, rng)
+    copier = coupling_matrix(np.eye(d, dtype=complex), d)
+    algebra = diagonal_algebra([np.arange(d, dtype=float)])
+    calls = []
+    defect = linalg.isometry_defect
+
+    def counted(v):
+        calls.append(v.shape)
+        return defect(v)
+
+    monkeypatch.setattr(linalg, "isometry_defect", counted)
+    assert verification.chain_reduction_gap(psi, basis, copier, algebra) <= 1e-12
+    assert calls == [(1, d, d)]
+    with pytest.raises(errors.NotOrthonormal):
+        verification.chain_reduction_gap(psi, basis * [1 + 1e-9, 1, 1], copier, algebra)
+    with pytest.raises(errors.NotNormalized):
+        verification.chain_reduction_gap(psi * (1 + 1e-9), basis, copier, algebra)
 
 
 def test_run_all_forms_no_kronecker_product(monkeypatch):
