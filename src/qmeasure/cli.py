@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ParseError, QmError
 from .linalg import DEVIATION_TOL
-from .report import _dumps, emit_report, emit_summary, sig12
+from .report import emit_checks, emit_report, emit_summary
 from .scenario import (
     MAX_CHAIN,
     compare_collapse_vs_restriction,
@@ -140,24 +140,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = run_all()
-    if args.format == "json":
-        payload = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "worst": sig12(r.worst),
-                "tolerance": sig12(r.tolerance),
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        sys.stdout.write(_dumps(payload) + "\n")
-    else:
-        for r in results:
-            flag = "PASS" if r.passed else "FAIL"
-            sys.stdout.write(
-                f"{flag} {r.name}: worst {r.worst:.3e}, tolerance {r.tolerance:.1e} ({r.detail})\n"
-            )
+    sys.stdout.write(emit_checks(results, args.format))
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -1,5 +1,6 @@
 """The measurement chain on bare arrays: measured basis, premeasurement,
-pointer readout, collapse map.
+reduction to the apparatus, pointer readout, collapse map, and the readout
+kernel that composes them.
 
 A measurement is three plain values: the measured basis B, column j the
 eigenvector of outcome j (model_for_observable gives it for an observable),
@@ -35,6 +36,15 @@ each column of F as one state of the stack, so no composite density matrix
 is formed either.
 The dense U is built only by coupling_matrix, the oracle the verify suite
 and the tests hold the structured path against.
+
+One kernel, readout_weights, reads the composite for run, compare, the cat
+and verify's chain check: it restricts the reduced apparatus state to a
+commutative readout algebra and aligns its points to outcomes by pointer
+value. The readout holds the pointer, whose values are distinct, so no
+projector of it mixes two pointer columns: the kernel takes the state's
+diagonal, from reduce for a stack of premeasured blocks, from
+pointer_weights for a bare vector or, through the rows of one factor of it,
+density matrix. collapse_diagonal reads the collapse on its diagonal too.
 """
 
 from __future__ import annotations
@@ -42,9 +52,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrum, TooSmall, ValidationError
-from .algebra import SpectralAlgebra, generate_algebra
+from .errors import (
+    DegenerateSpectrum,
+    DimMismatch,
+    NotNormalized,
+    NotOrthonormal,
+    TooSmall,
+    ValidationError,
+)
+from .algebra import SpectralAlgebra, diagonal_algebra, generate_algebra
 from .linalg import default_cluster_tol
+
+# most elements of one stack of premeasured d x d blocks (compare's cases, a
+# density's factor rows) or of pointer gaps: the timings are in the README
+CASE_BLOCK = 2**16
 
 
 def coupling_matrix(bases: np.ndarray, dim_apparatus: int) -> np.ndarray:
@@ -101,7 +122,7 @@ def pointer_diagonal(pointer_values, dim_apparatus: int) -> np.ndarray:
     one idle value below the real values, so the readout stays a single
     observable on the full apparatus space. The idle value is min - 1 unless
     that is within reach of the least pointer value, where it would match
-    that outcome (_match_outcomes) or merge with it (the cluster width of any
+    that outcome (match_outcomes) or merge with it (the cluster width of any
     values up to twice the largest); then it is twice that reach below."""
     vals = np.asarray(pointer_values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
@@ -123,6 +144,18 @@ def pointer_diagonal(pointer_values, dim_apparatus: int) -> np.ndarray:
             f"pointer values {gap:.3e} apart fall in one readout point (cluster width {tol:.3e})"
         )
     return w
+
+
+def match_outcomes(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per value, the index of the target closest to it if convincingly
+    close, else -1; in runs of values holding at most CASE_BLOCK gaps."""
+    tol = linalg.POINTER_MATCH_RTOL * max(1.0, float(np.abs(targets).max()))
+    step = max(1, CASE_BLOCK // targets.size)
+    out = np.empty(values.size, dtype=np.intp)
+    for i in range(0, values.size, step):
+        gaps = np.abs(values[i : i + step, None] - targets)
+        out[i : i + step] = np.where(gaps.min(axis=1) <= tol, gaps.argmin(axis=1), -1)
+    return out
 
 
 def premeasure(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -159,3 +192,131 @@ def collapse(rhos: np.ndarray, bases: np.ndarray) -> np.ndarray:
     adjoints = bases.conj().swapaxes(-1, -2)
     probs = np.real(np.diagonal(adjoints @ rhos @ bases, axis1=-2, axis2=-1))
     return (bases * probs[..., None, :]) @ adjoints
+
+
+def collapse_diagonal(rhos: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The collapse read on its diagonal in the measured basis, real
+    diag(B^dagger collapse(rho, B) B), of one density matrix and basis or of
+    stacks (..., d, d) of both."""
+    adjoints = bases.conj().swapaxes(-1, -2)
+    return np.real(np.diagonal(adjoints @ collapse(rhos, bases) @ bases, axis1=-2, axis2=-1))
+
+
+def factor_rows(state: np.ndarray) -> np.ndarray:
+    """Rows f_i with sum_i f_i f_i^dagger the state: a bare state vector is
+    its one row, a density matrix the eigenvectors of its Hermitian part
+    (eigh reads one triangle only) scaled by the roots of their positive
+    eigenvalues."""
+    if state.ndim == 1:
+        return state[None]
+    lam, v = np.linalg.eigh(linalg.require_hermitian(state))
+    keep = lam > 0
+    return (v[:, keep] * np.sqrt(lam[keep])).T
+
+
+def reduce(m: np.ndarray) -> np.ndarray:
+    """The pointer-column weights of the reduced apparatus state of k
+    premeasured rows (..., k, d): the real diagonal of M^T conj(M)."""
+    return np.real(np.diagonal(m.swapaxes(-1, -2) @ m.conj(), axis1=-2, axis2=-1))
+
+
+def pointer_weights(state: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The pointer-column weights of the apparatus after premeasuring a bare
+    state vector or density matrix in the measured basis: its factor rows
+    premeasured CASE_BLOCK elements at a time, and the diagonals
+    sum_a |M_aj|^2 of their reduced states summed."""
+    rows = factor_rows(state)
+    step = max(1, CASE_BLOCK // basis.size)
+    diag = np.zeros(basis.shape[0])
+    for i in range(0, rows.shape[0], step):
+        m = premeasure(rows[i : i + step], basis)
+        diag += np.einsum("kaj,kaj->j", m.real, m.real) + np.einsum("kaj,kaj->j", m.imag, m.imag)
+    return diag
+
+
+def readout_weights(
+    weights: np.ndarray, readout: SpectralAlgebra, pointer_values: np.ndarray, point_values=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Restrict reduced apparatus states to a readout algebra and fold the
+    result onto the measured outcomes.
+
+    weights is a (..., d) stack of their real pointer-column weights, pointer
+    column j registering outcome j, valued pointer_values[j]; the columns
+    past d, never reached from the ready state, carry none. An index-form
+    readout sums them per point, a dense one traces the diagonal matrix
+    they make. Each spectrum point carries the pointer value point_values
+    (default: the readout's first character, for a readout generated by the
+    pointer) and its weight goes to the outcome of that value; the points
+    that match none must carry no weight in all.
+
+    Returns the (..., n_points) weights on the readout and the (..., d)
+    outcome weights, unchecked: the caller checks them, once per stack.
+    """
+    d = weights.shape[-1]
+    if pointer_values.size != d or d > readout.dim:
+        raise DimMismatch(
+            f"{d} pointer columns, {pointer_values.size} pointer values, "
+            f"readout dim {readout.dim}"
+        )
+    lead = weights.shape[:-1]
+    if readout.basis is None:
+        diag = np.zeros(lead + (readout.dim,))
+        diag[..., :d] = weights
+        on_points = readout.point_sums(diag)
+    else:
+        padded = np.zeros(lead + (readout.dim, readout.dim), dtype=complex)
+        padded[..., np.arange(d), np.arange(d)] = weights
+        on_points = readout.block_traces(padded)
+    if point_values is None:
+        point_values = readout.characters[:, 0]
+    outcome = match_outcomes(point_values, pointer_values)
+    # column 0 gathers the points that match no outcome (-1), column j + 1
+    # those of outcome j
+    folded = on_points @ (outcome[:, None] == np.arange(-1, d))
+    idle = float(folded[..., 0].max())
+    if idle > linalg.ROUNDOFF_TOL:
+        raise ValidationError(f"restriction puts weight {idle:.3e} outside the pointer range")
+    return on_points, folded[..., 1:]
+
+
+def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The checks a StateVector and a measured spectral measure make on one
+    case, run once on a stack of cases, each failing on a NaN: (n, d)
+    states of unit norm and (n, d, d) orthonormal bases. Returns the bases
+    copied column-major, the layout model_for_observable gives a measured
+    basis, so that each case gets the bits it gets alone."""
+    n, d = states.shape
+    if bases.shape != (n, d, d):
+        raise DimMismatch(f"{n} states of dim {d}, bases of shape {bases.shape}")
+    norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
+    if not norm_gap <= linalg.ROUNDOFF_TOL:
+        raise NotNormalized(f"a state's norm is off by {norm_gap:.3e}")
+    defect = linalg.isometry_defect(bases)
+    if not defect <= linalg.ROUNDOFF_TOL:
+        raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
+    return np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The collapse vs restriction equivalence on a stack of cases: per case,
+    the largest gap between the collapse diagonal of states[i] in the
+    measured basis bases[i] and the weights its premeasured apparatus state
+    puts on the pointer readout of a minimal apparatus, pointer value j on
+    column j, in index form. Each step is one stacked product, and the
+    checks of one case (checked_cases, the weights' floor and sum) run once
+    on the stack, each failing on a NaN, so each case's gap has the bits
+    that case alone gets through a run."""
+    pointer_values = np.arange(states.shape[-1], dtype=float)
+    b = checked_cases(states, bases)
+    weights, aligned = readout_weights(
+        reduce(premeasure(states, b)), diagonal_algebra([pointer_values]), pointer_values
+    )
+    low = float(weights.min())
+    if not low >= -linalg.WEIGHT_FLOOR:
+        raise ValidationError(f"weights: entry {low:.3e} below the roundoff floor")
+    sum_gap = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
+    if not sum_gap <= linalg.ROUNDOFF_TOL:
+        raise ValidationError(f"weights: a sum is off from 1 by {sum_gap:.3e}")
+    # the collapse of the projectors |psi><psi|, read on its diagonal
+    projectors = states[:, :, None] * states.conj()[:, None, :]
+    return np.max(np.abs(aligned - collapse_diagonal(projectors, b)), axis=-1)

@@ -10,7 +10,7 @@ the same order, that rand_state, ginibre and rand_unitary draw one object at
 a time, so each case has the same bits alone or in a stack.
 
 The streams of at least _VECTOR_SEEDING_CASES (10) cases that differ only
-in their last tag (_substreams) build no SeedSequence per case. One
+in their last tag (substreams) build no SeedSequence per case. One
 vectorized pass derives the PCG64 state of every case's stream: it
 reimplements numpy's documented SeedSequence entropy mixing and
 generate_state, and PCG64's seeding from that state. Each state is then set
@@ -30,7 +30,7 @@ from .errors import ValidationError
 from .linalg import readonly
 
 
-def _check_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
     """The one range check of a master seed, a document's or a command
     line's: an unsigned 64-bit word."""
     if not 0 <= seed < 2**64:
@@ -39,7 +39,7 @@ def _check_seed(seed: int) -> None:
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
     """Independent PCG64 generator for (seed, tags)."""
-    _check_seed(seed)
+    check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
@@ -125,7 +125,7 @@ def _pcg64_states(seed: int, tags: tuple[int, ...], cases: range) -> list[tuple[
     i < 2^32 of cases, in one vectorized pass over the cases: SeedSequence's
     pool mixing of the entropy words, its generate_state(4, uint64), and
     PCG64's srandom_r seeding, as numpy documents and implements them."""
-    _check_seed(seed)
+    check_seed(seed)
     prefix = [w for key in (seed, *tags) for w in _words(int(key))]
     entropy = np.empty((len(prefix) + 1, len(cases)), dtype=np.uint32)
     entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
@@ -164,7 +164,7 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
 
 
-def _substreams(seed: int, tags: tuple[int, ...], cases: range) -> Iterator[np.random.Generator]:
+def substreams(seed: int, tags: tuple[int, ...], cases: range) -> Iterator[np.random.Generator]:
     """substream(seed, *tags, i) for each case i of cases, in turn. From
     _VECTOR_SEEDING_CASES cases on, one generator is reset to each case's
     state from one pass, so each is valid only until the next is taken."""
@@ -184,7 +184,7 @@ def _substreams(seed: int, tags: tuple[int, ...], cases: range) -> Iterator[np.r
         yield rng
 
 
-def _draw_cases(
+def draw_cases(
     dim: int, seed: int, tags: tuple[int, ...], cases: range, state_first: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """A Haar state and a Haar unitary from substream(seed, *tags, i) for each
@@ -197,7 +197,7 @@ def _draw_cases(
     through one stacked QR."""
     n_state, n_ginibre = 2 * dim, 2 * dim * dim
     x = np.empty((len(cases), n_state + n_ginibre))
-    for row, rng in zip(x, _substreams(seed, tags, cases)):
+    for row, rng in zip(x, substreams(seed, tags, cases)):
         rng.standard_normal(out=row)
     if state_first:
         v, z = x[:, :n_state], x[:, n_state:]
@@ -207,16 +207,6 @@ def _draw_cases(
     states /= _row_norms(states)[:, None]
     ginibres = (z[:, : dim * dim] + 1j * z[:, dim * dim :]) / np.sqrt(2)
     return states, haar_unitaries(ginibres.reshape(-1, dim, dim))
-
-
-def random_cases(
-    dim: int, seed: int, tags: tuple[int, ...], cases: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """A Haar state and then a Ginibre matrix from substream(seed, *tags, i)
-    for each case i, in order: the (n, dim) states and the (n, dim, dim)
-    Haar unitaries, from one stacked QR, of the n cases. Case i draws what
-    rand_state and then rand_unitary draw from its stream, in one call."""
-    return _draw_cases(dim, seed, tags, cases, state_first=True)
 
 
 def rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,7 @@ float is printed with 12 significant digits, and values are pre-rounded
 through that decimal form, so emitting, parsing and re-emitting a report is
 byte-stable. Every JSON text the package prints (reports, comparison
 summaries and verify's results) has exactly the bytes of
-json.dumps(payload, indent=2). It comes from one emitter, _dumps, that
+json.dumps(payload, indent=2). It comes from one emitter, dumps, that
 joins each list of finite numbers in one pass instead of encoding it item by
 item; a property test holds it to json.dumps on drawn payloads.
 """
@@ -44,7 +44,7 @@ def _fmt(x: float) -> str:
     return format(float(x), _PRINTED)
 
 
-def _dumps(obj, indent: str = "") -> str:
+def dumps(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2), byte for byte, for plain data with string
     keys, indent being the current nesting's leading spaces. json prints an
     exact float or int as its repr unless it is a NaN or an infinity, so a
@@ -62,13 +62,13 @@ def _dumps(obj, indent: str = "") -> str:
             # the repr of a finite number has no "n"; nan, inf and -inf do
             if "n" not in body:
                 return f"[\n{inner}{body}\n{indent}]"
-        return f"[\n{inner}{sep.join([_dumps(x, inner) for x in obj])}\n{indent}]"
+        return f"[\n{inner}{sep.join([dumps(x, inner) for x in obj])}\n{indent}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = indent + "  "
         sep = ",\n" + inner
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        items = [f"{encode_basestring_ascii(k)}: {dumps(v, inner)}" for k, v in obj.items()]
         return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
     if type(obj) in {float, int}:
         text = repr(obj)
@@ -178,7 +178,7 @@ def _table(r: Report) -> list[str]:
 def emit_report(r: Report, format_selector: str) -> str:
     """Render a report. format_selector is "table" or "json"."""
     if format_selector == "json":
-        return _dumps(report_payload(r)) + "\n"
+        return dumps(report_payload(r)) + "\n"
     if format_selector == "table":
         return "\n".join(_table(r)) + "\n"
     raise UnknownFormat(f"unknown format {format_selector!r}")
@@ -201,16 +201,14 @@ class ComparisonSummary:
 
 def emit_summary(s: ComparisonSummary, format_selector: str) -> str:
     if format_selector == "json":
+        # the fields in declaration order, the floats at printed precision
         payload = {
-            "dim": s.dim,
-            "n_random": s.n_random,
-            "seed": s.seed,
+            **vars(s),
             "worst": sig12(s.worst),
             "mean": sig12(s.mean),
-            "worst_index": s.worst_index,
             "worst_case_key": list(s.worst_case_key),
         }
-        return _dumps(payload) + "\n"
+        return dumps(payload) + "\n"
     if format_selector == "table":
         lines = [
             f"collapse vs restriction over {s.n_random} random cases at dim {s.dim} (seed {s.seed}):",
@@ -218,4 +216,31 @@ def emit_summary(s: ComparisonSummary, format_selector: str) -> str:
             f"  mean deviation:  {_fmt(s.mean)}",
         ]
         return "\n".join(lines) + "\n"
+    raise UnknownFormat(f"unknown format {format_selector!r}")
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One verify check's worst residual, against its pinned tolerance."""
+
+    name: str
+    passed: bool
+    worst: float
+    tolerance: float
+    detail: str
+
+
+def emit_checks(results: list[CheckResult], format_selector: str) -> str:
+    """Render verify's results: one PASS/FAIL line each, or a JSON list."""
+    if format_selector == "json":
+        payload = [
+            {**vars(r), "worst": sig12(r.worst), "tolerance": sig12(r.tolerance)} for r in results
+        ]
+        return dumps(payload) + "\n"
+    if format_selector == "table":
+        return "".join(
+            f"{'PASS' if r.passed else 'FAIL'} {r.name}: worst {r.worst:.3e}, "
+            f"tolerance {r.tolerance:.1e} ({r.detail})\n"
+            for r in results
+        )
     raise UnknownFormat(f"unknown format {format_selector!r}")

@@ -23,19 +23,14 @@ readout alone. Unknown fields anywhere are rejected.
 Running a scenario computes the outcome statistics three ways and reports
 the worst disagreement: the spectral probabilities of the measured
 observable, the diagonal kept by the collapse map, and the weights the
-premeasured composite induces on the commutative readout algebra after the
-system is traced out. The collapse is compared through its diagonal only.
-The last route is one private kernel, _readout_weights, shared by run,
-compare, the cat and verify's chain check: premeasure, reduce to the d x d
-apparatus block, restrict, and align points to outcomes by pointer value. A
-vector state is premeasured as it is, a density matrix through the rows of
-one factor of it, _CASE_BLOCK elements at a time (see run_scenario). With
-trials > 0 the report also carries sampled counts; trial t consumes the
+premeasured composite puts on the commutative readout algebra after the
+system is traced out, through the readout kernel of the measurement module.
+With trials > 0 the report also carries sampled counts; trial t consumes the
 t-th variate of a dedicated substream, so the counts depend only on (seed,
-trials). They are counted without looking each
-trial up on its own, and give the same counts: one pass over the draws per
-outcome boundary when there are few boundaries and many draws, else one
-sort of the draws (see _sample_counts for where the two cross).
+trials). They are counted without looking each trial up on its own, and
+give the same counts: one pass over the draws per outcome boundary when
+there are few boundaries and many draws, else one sort of the draws (see
+_sample_counts for where the two cross).
 
 No array of a run may need more than MAX_ARRAY_ELEMENTS elements: the
 apparatus.dim^2 matrices of algebra_generators, a bound every document is
@@ -58,30 +53,25 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
-    SpectralAlgebra,
     SpectralProbabilityMeasure,
     diagonal_algebra,
-    generate_algebra,
     gelfand_transform,
+    generate_algebra,
 )
-from .errors import (
-    BadAmplitudes,
-    DimMismatch,
-    NotInAlgebra,
-    NotNormalized,
-    NotOrthonormal,
-    ParseError,
-    QmError,
-    ValidationError,
-)
+from .errors import BadAmplitudes, NotInAlgebra, ParseError, QmError, ValidationError
 from .measurement import (
-    collapse,
+    CASE_BLOCK,
+    collapse_diagonal,
+    collapse_restriction_gaps,
     model_for_observable,
     pointer_diagonal,
+    pointer_weights,
     premeasure,
+    readout_weights,
+    reduce,
 )
 from .observables import Observable, OutcomeDistribution, born_distribution
-from .randomness import _check_seed, random_cases, substream
+from .randomness import check_seed, draw_cases, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report
 from .states import DensityMatrix, StateVector, projector_of
 
@@ -93,10 +83,6 @@ _COMPARE_TAG = 2
 # "Reproducibility" section
 _PASS_BOUNDARIES = 11
 _PASS_TRIALS = 2**13
-
-# most elements of one stack of premeasured d x d blocks (compare's cases, a
-# density's factor rows) or of pointer gaps: the timings are in the README
-_CASE_BLOCK = 2**16
 
 # largest number of elements any one array of a run may need; documents whose
 # sizes imply more are rejected at parse time, before anything is allocated
@@ -256,6 +242,12 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
+    except ValueError:
+        # json raises a plain ValueError for an integer literal with more
+        # digits than Python converts to an int
+        raise ParseError("an integer literal has too many digits") from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level: expected a JSON object")
     _check_fields(
@@ -328,7 +320,7 @@ def parse_scenario(text: str) -> Scenario:
     _check_budget("trials", trials)
     seed = _int_field(doc, "seed", "top level")
     # a run with no trials draws nothing, so the seed is checked here
-    _check_seed(seed)
+    check_seed(seed)
 
     return Scenario(
         system_dim=system_dim,
@@ -380,78 +372,6 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
     )
 
 
-def _match_outcomes(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per value, the index of the target closest to it if convincingly
-    close, else -1; in runs of values holding at most _CASE_BLOCK gaps."""
-    tol = linalg.POINTER_MATCH_RTOL * max(1.0, float(np.abs(targets).max()))
-    step = max(1, _CASE_BLOCK // targets.size)
-    out = np.empty(values.size, dtype=np.intp)
-    for i in range(0, values.size, step):
-        gaps = np.abs(values[i : i + step, None] - targets)
-        out[i : i + step] = np.where(gaps.min(axis=1) <= tol, gaps.argmin(axis=1), -1)
-    return out
-
-
-def _reduce(m: np.ndarray) -> np.ndarray:
-    """M^T conj(M): the reduced apparatus state of k premeasured rows (..., k, d)."""
-    return m.swapaxes(-1, -2) @ m.conj()
-
-
-def _readout_weights(
-    reduced: np.ndarray, readout: SpectralAlgebra, pointer_values: np.ndarray, point_values=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict reduced apparatus states to a readout algebra and fold the
-    result onto the measured outcomes.
-
-    reduced is a (..., d, d) stack of them, pointer column j registering
-    outcome j, valued pointer_values[j]; the columns past d, never reached
-    from the ready state, are zero. An index-form readout reads the
-    diagonal, a dense one the block. Each spectrum point carries the pointer
-    value point_values (default: the readout's first character, for a
-    readout generated by the pointer) and its weight goes to the outcome of
-    that value; the points that match none must carry no weight in all.
-
-    Returns the (..., n_points) weights on the readout and the (..., d)
-    outcome weights, unchecked: the caller checks them, once per stack.
-    """
-    d = reduced.shape[-1]
-    if pointer_values.size != d or d > readout.dim:
-        raise DimMismatch(
-            f"{d} pointer columns, {pointer_values.size} pointer values, "
-            f"readout dim {readout.dim}"
-        )
-    lead = reduced.shape[:-2]
-    if readout.basis is None:
-        diag = np.zeros(lead + (readout.dim,))
-        diag[..., :d] = reduced.diagonal(axis1=-2, axis2=-1).real
-        weights = readout.point_sums(diag)
-    else:
-        padded = np.zeros(lead + (readout.dim, readout.dim), dtype=complex)
-        padded[..., :d, :d] = reduced
-        weights = readout.block_traces(padded)
-    if point_values is None:
-        point_values = readout.characters[:, 0]
-    outcome = _match_outcomes(point_values, pointer_values)
-    # column 0 gathers the points that match no outcome (-1), column j + 1
-    # those of outcome j
-    folded = weights @ (outcome[:, None] == np.arange(-1, d))
-    idle = float(folded[..., 0].max())
-    if idle > linalg.ROUNDOFF_TOL:
-        raise ValidationError(f"restriction puts weight {idle:.3e} outside the pointer range")
-    return weights, folded[..., 1:]
-
-
-def _factor_rows(state: StateVector | DensityMatrix) -> np.ndarray:
-    """Rows f_i with sum_i f_i f_i^dagger the state: a vector is its one
-    row, a density matrix the eigenvectors of its Hermitian part (eigh reads
-    one triangle only) scaled by the roots of their positive eigenvalues."""
-    if isinstance(state, StateVector):
-        return state.amplitudes[None]
-    lam, v = np.linalg.eigh(linalg.require_hermitian(state.matrix))
-    keep = lam > 0
-    return (v[:, keep] * np.sqrt(lam[keep])).T
-
-
 def run_scenario(s: Scenario) -> Report:
     """Execute one scenario and cross-check the three analytic routes."""
     pvm, basis = model_for_observable(s.measured_observable)
@@ -461,10 +381,11 @@ def run_scenario(s: Scenario) -> Report:
     if w is None:
         w = pointer_diagonal(pvm.characters[:, 0], s.apparatus_dim)
     state = s.initial_state
+    bare = state.amplitudes if isinstance(state, StateVector) else state.matrix
     rho = projector_of(state) if isinstance(state, StateVector) else state
 
     born = born_distribution(rho, pvm)
-    collapsed_diag = np.real(np.diag(basis.conj().T @ collapse(rho.matrix, basis) @ basis))
+    collapsed_diag = collapse_diagonal(rho.matrix, basis)
 
     if s.algebra_generators:
         algebra = generate_algebra(s.algebra_generators)
@@ -480,16 +401,9 @@ def run_scenario(s: Scenario) -> Report:
         # the pointer alone: its points carry their own values, its diagonal no cross terms
         algebra, point_values, cross_terms = diagonal_algebra([w]), None, (0.0,)
 
-    # premeasure the factor rows, _CASE_BLOCK elements at a time, and sum the
-    # diagonals of their reduced states: the readout holds the pointer, whose
-    # values are distinct, so no projector of it mixes two pointer columns
-    rows = _factor_rows(state)
-    step = max(1, _CASE_BLOCK // basis.size)
-    diag = np.zeros(basis.shape[0])
-    for i in range(0, rows.shape[0], step):
-        m = premeasure(rows[i : i + step], basis)
-        diag += np.einsum("kaj,kaj->j", m.real, m.real) + np.einsum("kaj,kaj->j", m.imag, m.imag)
-    weights, aligned = _readout_weights(np.diag(diag), algebra, w[: diag.size], point_values)
+    weights, aligned = readout_weights(
+        pointer_weights(bare, basis), algebra, w[: basis.shape[0]], point_values
+    )
 
     empirical = None
     if s.trials > 0:
@@ -527,13 +441,9 @@ def _report(
 def _branch_cross_terms(generators, n: int) -> tuple[float, ...]:
     """Largest |<e_j| g |e_k>|, j != k < n, per generator: the pointer
     branches are the first n standard columns, so these are the
-    off-diagonal entries of the leading n x n block. A 1-d generator is a
-    diagonal, given by its entries, so it has none."""
+    off-diagonal entries of the leading n x n block."""
     off = ~np.eye(n, dtype=bool)
-    return tuple(
-        0.0 if g.ndim == 1 else float(np.max(np.abs(g[:n, :n][off]), initial=0.0))
-        for g in generators
-    )
+    return tuple(float(np.max(np.abs(g[:n, :n][off]), initial=0.0)) for g in generators)
 
 
 def run_cat(c1, c2, chain_length: int) -> Report:
@@ -571,9 +481,8 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     qubit = np.array([c1, c2])
     z = np.eye(2, dtype=complex)
     born = (qubit * qubit.conj()).real
-    # the collapse in the z basis, read on its diagonal
-    collapsed = collapse(qubit[:, None] * qubit.conj(), z).diagonal().real
-    weights, aligned = _readout_weights(_reduce(premeasure(qubit, z)), algebra, readout[:2])
+    collapsed = collapse_diagonal(qubit[:, None] * qubit.conj(), z)
+    weights, aligned = readout_weights(reduce(premeasure(qubit, z)), algebra, readout[:2])
 
     # the two outcomes' Born and collapse weights, on their pointer columns' points
     on_points = np.zeros((2, algebra.n_points))
@@ -584,60 +493,10 @@ def run_cat(c1, c2, chain_length: int) -> Report:
         on_points[1],
         SpectralProbabilityMeasure(weights),
         algebra,
-        _branch_cross_terms([readout], 2),
+        # the readout is diagonal, so it has no cross terms
+        (0.0,),
         [float(np.abs(born - collapsed).max()), float(np.abs(born - aligned).max())],
     )
-
-
-def _checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The checks a StateVector and a measured spectral measure make on one
-    case, run once on a stack of cases, each failing on a NaN: (n, d)
-    states of unit norm and (n, d, d) orthonormal bases. Returns the bases
-    copied column-major, the layout model_for_observable gives a measured
-    basis, so that each case gets the bits it gets alone."""
-    n, d = states.shape
-    if bases.shape != (n, d, d):
-        raise DimMismatch(f"{n} states of dim {d}, bases of shape {bases.shape}")
-    norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
-    if not norm_gap <= linalg.ROUNDOFF_TOL:
-        raise NotNormalized(f"a state's norm is off by {norm_gap:.3e}")
-    defect = linalg.isometry_defect(bases)
-    if not defect <= linalg.ROUNDOFF_TOL:
-        raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
-    return np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
-def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The collapse vs restriction equivalence on a stack of cases: per case,
-    the largest gap between the collapse diagonal of states[i] in the
-    measured basis bases[i] and the weights its premeasured apparatus state
-    puts on the pointer readout of a minimal apparatus, pointer value j on
-    column j, in index form. The collapse is read through its diagonal only.
-
-    Every step is one stacked product through the readout kernel, and the
-    checks one case's state and basis need run once on the stack
-    (_checked_cases), and on the weights' floor and sum, each failing on a
-    NaN, so each case's gap has the bits that case alone gets through a
-    run.
-    """
-    pointer_values = np.arange(states.shape[-1], dtype=float)
-    b = _checked_cases(states, bases)
-
-    # premeasure, reduce and restrict, and collapse the projectors
-    # |psi><psi| to read their diagonal back
-    weights, aligned = _readout_weights(
-        _reduce(premeasure(states, b)), diagonal_algebra([pointer_values]), pointer_values
-    )
-    low = float(weights.min())
-    if not low >= -linalg.WEIGHT_FLOOR:
-        raise ValidationError(f"weights: entry {low:.3e} below the roundoff floor")
-    sum_gap = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
-    if not sum_gap <= linalg.ROUNDOFF_TOL:
-        raise ValidationError(f"weights: a sum is off from 1 by {sum_gap:.3e}")
-    projectors = states[:, :, None] * states.conj()[:, None, :]
-    collapsed = collapse(projectors, b)
-    diag = np.real(np.diagonal(b.conj().swapaxes(-1, -2) @ collapsed @ b, axis1=-2, axis2=-1))
-    return np.max(np.abs(aligned - diag), axis=-1)
 
 
 def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> ComparisonSummary:
@@ -646,17 +505,17 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
     Each case draws a state and a measured basis from its own substream
     (seed, 2, case_index), runs both routes with a minimal apparatus, and
     records the worst elementwise gap. The cases run in stacks of at most
-    _CASE_BLOCK elements each, so memory does not grow with n_random.
+    CASE_BLOCK elements each, so memory does not grow with n_random.
     Bit-for-bit reproducible for a given (dim, n_random, seed).
     """
     if n_random < 1:
         raise ValidationError("n_random must be positive")
     _check_budget("n_random", n_random)
-    per_block = max(1, _CASE_BLOCK // dim**2)
+    per_block = max(1, CASE_BLOCK // dim**2)
     devs = np.empty(n_random)
     for start in range(0, n_random, per_block):
         cases = range(start, min(start + per_block, n_random))
-        states, bases = random_cases(dim, seed, (_COMPARE_TAG,), cases)
+        states, bases = draw_cases(dim, seed, (_COMPARE_TAG,), cases, state_first=True)
         devs[start : cases.stop] = collapse_restriction_gaps(states, bases)
     worst_index = int(np.argmax(devs))
     return ComparisonSummary(

@@ -101,7 +101,7 @@ def collapse_restriction_gap(psi: StateVector, basis: np.ndarray) -> float:
     time: the largest gap between the collapse diagonal of psi in the
     measured basis and the weights its premeasured state, on a minimal
     apparatus, puts on the pointer readout. The package runs a stack of
-    cases at once (scenario.collapse_restriction_gaps)."""
+    cases at once (measurement.collapse_restriction_gaps)."""
     d = basis.shape[1]
     b = _column_major(basis)
     rho_app = apparatus_reduced_state(premeasured_state(psi, b, d), d, d)

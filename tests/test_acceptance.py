@@ -8,17 +8,16 @@ from pathlib import Path
 import numpy as np
 
 from qmeasure.algebra import diagonal_algebra, generate_algebra
-from qmeasure.measurement import coupling_matrix
+from qmeasure.measurement import collapse_restriction_gaps, coupling_matrix
 from qmeasure.randomness import (
-    _draw_cases,
+    draw_cases,
     rand_hermitian,
     rand_state,
     rand_unitary,
-    random_cases,
     substream,
 )
 from qmeasure.report import emit_report
-from qmeasure.scenario import collapse_restriction_gaps, run_cat, run_scenario
+from qmeasure.scenario import run_cat, run_scenario
 from qmeasure.states import StateVector
 from qmeasure.verification import (
     chain_reduction_gap,
@@ -47,7 +46,7 @@ def test_acceptance_1_collapse_restriction_equivalence(capsys):
     worst = 0.0
     cases = 0
     for d in range(2, 11):
-        states, bases = random_cases(d, _SEED, (1, d), range(200))
+        states, bases = draw_cases(d, _SEED, (1, d), range(200), state_first=True)
         gaps = collapse_restriction_gaps(states, bases)
         worst = max(worst, float(gaps.max()))
         cases += gaps.size
@@ -71,7 +70,7 @@ def test_acceptance_2_coupling_fidelity(capsys):
     for d in range(2, 9):
         # case i has dim 2 + i % 7, and draws its basis and then its state
         cases = range(d - 2, 100, 7)
-        states, bases = _draw_cases(d, _SEED, (2,), cases, state_first=False)
+        states, bases = draw_cases(d, _SEED, (2,), cases, state_first=False)
         agree, unitary = coupling_defects(states, bases, d)
         worst_agree = max(worst_agree, float(agree.max()))
         worst_unitary = max(worst_unitary, float(unitary.max()))

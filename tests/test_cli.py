@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmeasure
-from qmeasure import cli, scenario
+from qmeasure import cli, measurement, scenario
 from qmeasure.cli import main
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 
@@ -54,6 +54,24 @@ def test_run_json_output(tmp_path, capsys):
     assert payload["born"]["probabilities"] == [0.36, 0.64]
     assert payload["empirical"] is None
     assert payload["max_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"seed": ' + "7" * 5000 + "}",
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["5000_digit_integer", "100000_nested_brackets"],
+)
+def test_run_hostile_json_exits_one(tmp_path, capsys, text):
+    # json.loads raises a plain ValueError and a RecursionError on these
+    p = tmp_path / "hostile.json"
+    p.write_text(text)
+    assert main(["run", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError" in err
+    assert "internal error" not in err
 
 
 def test_run_missing_file_exits_one(tmp_path, capsys):
@@ -530,7 +548,9 @@ def test_a_misregistering_premeasure_exits_two(capsys, monkeypatch, argv):
     # premeasure, so the restriction moves off the Born weights, which are
     # unequal here so that the swap shows
     assert main(argv) == 0
-    monkeypatch.setattr(scenario, "premeasure", misregistered)
+    # run premeasures in measurement.pointer_weights, the cat in scenario
+    for module in (measurement, scenario):
+        monkeypatch.setattr(module, "premeasure", misregistered)
     assert main(argv) == 2
     assert "exceeds --tol" in capsys.readouterr().err
 

@@ -4,7 +4,8 @@ itself or its benchmark: a name that only its own unit tests use is dead
 code. Methods are matched by attribute name, as functions are. Oracles the
 tests need live in the test tree (tests/oracles.py). Code outside the
 package that is not a test imports none of its private names, so the CLI
-stays the one place that parses arguments."""
+stays the one place that parses arguments, and no package module imports a
+private name of another, so each module's public names are its interface."""
 
 import ast
 from pathlib import Path
@@ -131,11 +132,16 @@ def test_member_names_two_classes_share_are_pinned():
 
 def private_imports(source: str) -> set[str]:
     """The dotted names of the package a module imports that have a private
-    part, as in `from qmeasure.cli import _Parser` or `import qmeasure._m`."""
+    part, as in `from qmeasure.cli import _Parser` or `import qmeasure._m`.
+    A relative import is read as one from inside the package, which is flat:
+    `from .cli import _Parser` and `from . import _m` name the same two."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(["qmeasure", *filter(None, [node.module])])
+            names = [f"{module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         else:
@@ -167,6 +173,21 @@ def test_no_code_outside_the_package_imports_a_private_name():
         for name in private_imports(path.read_text())
     }
     assert found == set(), "private package names imported: " + ", ".join(sorted(found))
+
+
+def test_no_package_module_imports_a_private_name_of_another():
+    assert private_imports(
+        "from .cli import _Parser, main\nfrom . import _m, linalg\n"
+        "from .errors import QmError\nfrom __future__ import annotations\n"
+    ) == {"qmeasure.cli._Parser", "qmeasure._m"}
+    found = {
+        f"{path.name}: {name}"
+        for path in _SRC.glob("*.py")
+        for name in private_imports(path.read_text())
+    }
+    assert found == set(), "private names imported between package modules: " + ", ".join(
+        sorted(found)
+    )
 
 
 def unread_imports(directory: Path) -> set[str]:

@@ -8,18 +8,16 @@ from qmeasure.algebra import SpectralAlgebra, diagonal_algebra
 from qmeasure.measurement import (
     collapse,
     coupling_matrix,
+    factor_rows,
     model_for_observable,
     pointer_diagonal,
     premeasure,
+    readout_weights,
+    reduce,
 )
 from qmeasure.observables import born_distribution
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
-from qmeasure.scenario import (
-    _factor_rows,
-    _readout_weights,
-    _reduce,
-    compare_collapse_vs_restriction,
-)
+from qmeasure.scenario import compare_collapse_vs_restriction
 from qmeasure.states import (
     DensityMatrix,
     StateVector,
@@ -281,13 +279,13 @@ def test_apparatus_reduced_density_matches_dense_premeasurement(d):
         rho = rand_density(d, rng)
         dense = partial_trace(premeasure_density(rho, basis, dm), d, dm)
         diagonal = np.real(np.diag(dense.matrix))
-        m = premeasure(_factor_rows(DensityMatrix(rho)), basis).reshape(-1, d)
+        m = premeasure(factor_rows(DensityMatrix(rho).matrix), basis).reshape(-1, d)
         columns = np.arange(dm, dtype=float)
         for readout in (
             diagonal_algebra([columns]),
             SpectralAlgebra(np.arange(dm), columns[:, None], np.eye(dm, dtype=complex)),
         ):
-            weights, aligned = _readout_weights(_reduce(m), readout, columns[:d])
+            weights, aligned = readout_weights(reduce(m), readout, columns[:d])
             assert_close(weights, diagonal, atol=1e-12, rtol=0)
             assert_close(aligned, diagonal[:d], atol=1e-12, rtol=0)
 
@@ -297,7 +295,7 @@ def test_apparatus_reduced_density_rejects_wrong_size():
     m = premeasure(rand_state(3, substream(157)), np.eye(3, dtype=complex))
     with pytest.raises(errors.DimMismatch):
         readout = diagonal_algebra([np.arange(2.0)])
-        _readout_weights(_reduce(m), readout, np.arange(3.0))
+        readout_weights(reduce(m), readout, np.arange(3.0))
 
 
 def test_apparatus_reduced_state_rejects_wrong_size():
@@ -305,7 +303,7 @@ def test_apparatus_reduced_state_rejects_wrong_size():
     m = premeasure(rand_state(3, substream(149)), np.eye(3, dtype=complex))
     with pytest.raises(errors.DimMismatch):
         readout = diagonal_algebra([np.arange(4.0)])
-        _readout_weights(_reduce(m), readout, np.arange(2.0))
+        readout_weights(reduce(m), readout, np.arange(2.0))
 
 
 def test_collapse_diagonal_weights():

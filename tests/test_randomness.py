@@ -7,14 +7,13 @@ import pytest
 
 from qmeasure.randomness import (
     _VECTOR_SEEDING_CASES,
-    _draw_cases,
     _pcg64_states,
     _row_norms,
-    _substreams,
+    draw_cases,
     rand_state,
     rand_unitary,
-    random_cases,
     substream,
+    substreams,
 )
 
 
@@ -36,7 +35,7 @@ CASE_RANGES = [range(40), range(7, 19), range(3, 100, 7)]
 @pytest.mark.parametrize("cases", CASE_RANGES, ids=str)
 @pytest.mark.parametrize("d", [*range(1, 9), 16, 32])
 def test_random_cases_keep_the_bits_of_rand_state_then_rand_unitary(d, cases):
-    states, unitaries = random_cases(d, 53, (d,), cases)
+    states, unitaries = draw_cases(d, 53, (d,), cases, state_first=True)
     want_states, want_unitaries = one_at_a_time(d, 53, (d,), cases, state_first=True)
     assert np.array_equal(states, want_states)
     assert np.array_equal(unitaries, want_unitaries)
@@ -46,7 +45,7 @@ def test_random_cases_keep_the_bits_of_rand_state_then_rand_unitary(d, cases):
 @pytest.mark.parametrize("d", [*range(1, 9), 16, 32])
 def test_unitary_first_cases_keep_the_bits_of_rand_unitary_then_rand_state(d, cases):
     # the draw order of the coupling fidelity check
-    states, unitaries = _draw_cases(d, 59, (11, d), cases, state_first=False)
+    states, unitaries = draw_cases(d, 59, (11, d), cases, state_first=False)
     want_states, want_unitaries = one_at_a_time(d, 59, (11, d), cases, state_first=False)
     assert np.array_equal(states, want_states)
     assert np.array_equal(unitaries, want_unitaries)
@@ -75,7 +74,7 @@ def test_one_pass_gives_the_pcg64_states_of_substream(seed, tags, n):
 def test_cases_keep_the_bits_of_substream_on_either_side_of_the_seeding_threshold(
     seed, tags, n, state_first
 ):
-    got = _draw_cases(2, seed, tags, range(n), state_first)
+    got = draw_cases(2, seed, tags, range(n), state_first)
     want = one_at_a_time(2, seed, tags, range(n), state_first)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -91,13 +90,13 @@ def test_substreams_draw_what_substream_draws(n):
             rng.uniform(-1, 1, size=2).tolist(),
         )
 
-    got = [draws(rng) for rng in _substreams(71, (13,), range(n))]
+    got = [draws(rng) for rng in substreams(71, (13,), range(n))]
     assert got == [draws(substream(71, 13, i)) for i in range(n)]
 
 
 def test_cases_past_the_last_32_bit_index_keep_the_bits_of_substream():
     cases = range(2**32 - 5, 2**32 + 2 * _VECTOR_SEEDING_CASES)
-    got = _draw_cases(2, 61, (4,), cases, state_first=True)
+    got = draw_cases(2, 61, (4,), cases, state_first=True)
     want = one_at_a_time(2, 61, (4,), cases, state_first=True)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 

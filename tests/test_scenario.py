@@ -8,24 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors, linalg
-from qmeasure.measurement import model_for_observable, pointer_diagonal
+from qmeasure.measurement import (
+    CASE_BLOCK,
+    collapse_restriction_gaps,
+    match_outcomes,
+    model_for_observable,
+    pointer_diagonal,
+)
 from qmeasure.observables import Observable
-from qmeasure.randomness import rand_hermitian, random_cases, substream
+from qmeasure.randomness import draw_cases, rand_hermitian, substream
 from qmeasure.report import (
     ComparisonSummary,
     EmpiricalCounts,
-    _dumps,
+    dumps,
     emit_report,
     report_payload,
     sig12,
 )
 from qmeasure.scenario import (
-    _CASE_BLOCK,
     MAX_ARRAY_ELEMENTS,
     Scenario,
-    _match_outcomes,
     _sample_counts,
-    collapse_restriction_gaps,
     compare_collapse_vs_restriction,
     parse_scenario,
     run_cat,
@@ -414,13 +417,13 @@ def test_match_outcomes_in_runs_gives_the_broadcast_rule():
     gaps = np.abs(values[:, None] - targets)
     tol = linalg.POINTER_MATCH_RTOL * 63
     want = np.where(gaps.min(axis=1) <= tol, gaps.argmin(axis=1), -1)
-    got = _match_outcomes(values, targets)
+    got = match_outcomes(values, targets)
     assert np.array_equal(got, want)
     assert (got >= 0).sum() >= 64
     # 4096 values against 4096 targets: runs of 16, where one broadcast
     # would hold 2^24 gaps, 128 MiB
     points = np.arange(4096.0)
-    got, peak = peak_bytes(_match_outcomes, points, points)
+    got, peak = peak_bytes(match_outcomes, points, points)
     assert np.array_equal(got, np.arange(4096))
     assert peak < 2**22
 
@@ -519,7 +522,7 @@ def per_case_gaps(states, bases) -> np.ndarray:
 def test_stacked_gaps_have_the_bits_of_the_per_case_kernel(d):
     # at d = 1 a plain stacked product rounds differently in about 45% of
     # the cases, so 400 of them
-    states, bases = random_cases(d, 29, (2,), range(400 if d == 1 else 40))
+    states, bases = draw_cases(d, 29, (2,), range(400 if d == 1 else 40), state_first=True)
     gaps = collapse_restriction_gaps(states, bases)
     assert np.array_equal(gaps, per_case_gaps(states, bases))
 
@@ -527,8 +530,8 @@ def test_stacked_gaps_have_the_bits_of_the_per_case_kernel(d):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_compare_across_a_block_boundary_has_the_per_case_bits(offset):
     d, seed = 32, 31
-    n_random = _CASE_BLOCK // d**2 + offset
-    devs = per_case_gaps(*random_cases(d, seed, (2,), range(n_random)))
+    n_random = CASE_BLOCK // d**2 + offset
+    devs = per_case_gaps(*draw_cases(d, seed, (2,), range(n_random), state_first=True))
     worst_index = int(np.argmax(devs))
     assert compare_collapse_vs_restriction(d, n_random, seed) == ComparisonSummary(
         dim=d,
@@ -543,8 +546,8 @@ def test_compare_across_a_block_boundary_has_the_per_case_bits(offset):
 
 def test_compare_memory_does_not_grow_with_n_random():
     # at d = 64 one stack of 256 cases is 16 MiB; the cases run in blocks of
-    # _CASE_BLOCK elements, so the peak stays that of one block
-    per_block = _CASE_BLOCK // 64**2
+    # CASE_BLOCK elements, so the peak stays that of one block
+    per_block = CASE_BLOCK // 64**2
     peaks = []
     for n_random in (per_block, 256):
         compare_collapse_vs_restriction(64, n_random, 5)  # warm-up
@@ -563,7 +566,7 @@ def test_compare_memory_does_not_grow_with_n_random():
     ],
 )
 def test_stacked_kernel_checks_every_case(fault, error):
-    states, bases = random_cases(3, 37, (2,), range(5))
+    states, bases = draw_cases(3, 37, (2,), range(5), state_first=True)
     fault(states, bases)
     with pytest.raises(error):
         collapse_restriction_gaps(states, bases)
@@ -591,7 +594,7 @@ _JSON_SCALARS = st.none() | st.booleans() | st.integers() | _JSON_FLOATS | _JSON
 )
 @settings(max_examples=150, deadline=None)
 def test_json_emitter_writes_the_bytes_of_json_dumps(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)
+    assert dumps(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -604,7 +607,7 @@ def test_json_emitter_writes_the_bytes_of_json_dumps(obj):
     ids=["verify payload", "nested literals", "literals beside numbers"],
 )
 def test_json_emitter_writes_literals_with_the_bytes_of_json_dumps(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)
+    assert dumps(obj) == json.dumps(obj, indent=2)
 
 
 def test_report_payload_fixed_keys():

@@ -21,8 +21,8 @@ from qmeasure.algebra import (
     gelfand_transform,
     generate_algebra,
 )
+from qmeasure.measurement import checked_cases
 from qmeasure.observables import Observable, OutcomeDistribution
-from qmeasure.scenario import _checked_cases
 from qmeasure.states import DensityMatrix, StateVector, mix, projector_of
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "qmeasure"
@@ -38,7 +38,7 @@ def _stretched(d):
 def _measured_basis(d):
     # the check a measured basis that comes as input gets: compare's and
     # verify's random bases, one stack at a time
-    return _checked_cases(np.array([[1.0, 0.0]]), _stretched(d)[None])
+    return checked_cases(np.array([[1.0, 0.0]]), _stretched(d)[None])
 
 
 def _algebra(d):

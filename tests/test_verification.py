@@ -6,10 +6,10 @@ and make the checks of every case's objects."""
 import numpy as np
 import pytest
 
-from qmeasure import errors, linalg, scenario, verification
+from qmeasure import errors, linalg, measurement, verification
 from qmeasure.algebra import diagonal_algebra
 from qmeasure.measurement import coupling_matrix
-from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, random_cases, substream
+from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import StateVector
 
 from conftest import misregistered, nan_state, stretch_a_basis, stretch_a_state
@@ -35,7 +35,7 @@ def assert_fault_caught(check, module, name, replacement):
 
 def test_collapse_restriction_gap_catches_missing_coupling():
     check = verification.check_collapse_restriction
-    assert_fault_caught(check, scenario, "premeasure", uncoupled)
+    assert_fault_caught(check, measurement, "premeasure", uncoupled)
 
 
 def test_coupling_defects_catch_phase_and_off_ready_faults():
@@ -65,7 +65,7 @@ def test_coupling_defects_catch_shifted_pointer_column_in_premeasure():
     # path no longer matches U, which only the agreement term compares
     check = verification.check_coupling_fidelity
     assert_fault_caught(check, verification, "premeasure", misregistered)
-    states, bases = random_cases(3, 67, (), range(4))
+    states, bases = draw_cases(3, 67, (), range(4), state_first=True)
     tol = 1e-10  # check 2's tolerance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "premeasure", misregistered)
@@ -79,7 +79,7 @@ def test_stacked_coupling_defects_have_the_bits_of_the_per_case_oracle(d):
     # d = 1 takes more cases, as the collapse vs restriction stack does
     cases = range(400 if d == 1 else 30)
     for dm in (d, d + 2):
-        states, bases = random_cases(d, 71, (dm,), cases)
+        states, bases = draw_cases(d, 71, (dm,), cases, state_first=True)
         agreement, unitarity = verification.coupling_defects(states, bases, dm)
         for k, (psi, basis) in enumerate(zip(states, bases)):
             want = coupling_defects(basis, StateVector(psi), dm)
@@ -95,14 +95,14 @@ def test_stacked_coupling_defects_have_the_bits_of_the_per_case_oracle(d):
     ],
 )
 def test_stacked_coupling_defects_check_every_case(fault, error):
-    states, bases = random_cases(3, 37, (2,), range(5))
+    states, bases = draw_cases(3, 37, (2,), range(5), state_first=True)
     fault(states, bases)
     with pytest.raises(error):
         verification.coupling_defects(states, bases, 3)
 
 
 def test_stacked_coupling_defects_reject_a_small_apparatus():
-    states, bases = random_cases(3, 37, (2,), range(5))
+    states, bases = draw_cases(3, 37, (2,), range(5), state_first=True)
     with pytest.raises(errors.TooSmall):
         verification.coupling_defects(states, bases, 2)
 
