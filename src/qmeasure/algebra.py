@@ -58,7 +58,7 @@ class SpectralAlgebra:
         chars = np.asarray(self.characters, dtype=float)
         if labels.ndim != 1 or labels.size == 0 or labels.dtype.kind not in "iu":
             raise ValidationError("labels must be a nonempty 1-d integer sequence")
-        labels = labels.astype(np.intp)
+        labels = labels.astype(np.intp, copy=False)
         if chars.ndim != 2 or chars.shape[0] == 0 or chars.shape[1] == 0:
             raise ValidationError("need one nonempty character tuple per spectrum point")
         if labels.min() < 0 or labels.max() >= chars.shape[0]:
@@ -101,15 +101,19 @@ class SpectralAlgebra:
 
     def point_sums(self, per_column) -> np.ndarray:
         """Sum of per-column values over the columns of each spectrum point,
-        along the last axis of a vector or a stack of them."""
+        along the last axis of a vector or a stack of them. That axis may
+        hold only the leading columns: those past it count as zero, and no
+        zero is added, since adding +0.0 changes no sum's bits."""
         per_column = np.asarray(per_column)
+        n = per_column.shape[-1]
+        labels = self.labels[:n]
         if per_column.ndim == 1:
-            return np.bincount(self.labels, weights=per_column, minlength=self.n_points)
+            return np.bincount(labels, weights=per_column, minlength=self.n_points)
         # one bincount for the stack: row r's labels are offset by r points
-        rows = per_column.reshape(-1, self.dim)
+        rows = per_column.reshape(-1, n)
         offsets = np.arange(0, rows.shape[0] * self.n_points, self.n_points)
         sums = np.bincount(
-            (offsets[:, None] + self.labels).ravel(),
+            (offsets[:, None] + labels).ravel(),
             weights=rows.ravel(),
             minlength=offsets.size * self.n_points,
         )

@@ -112,8 +112,18 @@ def _gate(what: str, deviation: float, tol: float) -> int:
     return 0
 
 
+def _read_scenario(path: str):
+    """Parse the scenario file at path; a file that is not UTF-8 text is a
+    parse failure, like any other malformed document."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    return parse_scenario(text)
+
+
 def _cmd_run(args) -> int:
-    scenario = parse_scenario(Path(args.scenario).read_text())
+    scenario = _read_scenario(args.scenario)
     report = run_scenario(scenario)
     sys.stdout.write(emit_report(report, args.format))
     return _gate("max", report.max_deviation, args.tol)
@@ -131,7 +141,7 @@ def _cmd_cat(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scenario = parse_scenario(Path(args.scenario).read_text())
+    scenario = _read_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
     summary = compare_collapse_vs_restriction(scenario.system_dim, args.random, seed)
     sys.stdout.write(emit_summary(summary, args.format))

@@ -60,7 +60,7 @@ from .errors import (
     TooSmall,
     ValidationError,
 )
-from .algebra import SpectralAlgebra, diagonal_algebra, generate_algebra
+from .algebra import SpectralAlgebra, generate_algebra
 from .linalg import default_cluster_tol
 
 # most elements of one stack of premeasured d x d blocks (compare's cases, a
@@ -243,11 +243,12 @@ def readout_weights(
     weights is a (..., d) stack of their real pointer-column weights, pointer
     column j registering outcome j, valued pointer_values[j]; the columns
     past d, never reached from the ready state, carry none. An index-form
-    readout sums them per point, a dense one traces the diagonal matrix
-    they make. Each spectrum point carries the pointer value point_values
-    (default: the readout's first character, for a readout generated by the
-    pointer) and its weight goes to the outcome of that value; the points
-    that match none must carry no weight in all.
+    readout sums them per point through the labels of the d pointer columns
+    alone, a dense one traces the diagonal matrix they make. Each spectrum
+    point carries the pointer value point_values (default: the readout's
+    first character, for a readout generated by the pointer) and its weight
+    goes to the outcome of that value; the points that match none must
+    carry no weight in all.
 
     Returns the (..., n_points) weights on the readout and the (..., d)
     outcome weights, unchecked: the caller checks them, once per stack.
@@ -258,13 +259,10 @@ def readout_weights(
             f"{d} pointer columns, {pointer_values.size} pointer values, "
             f"readout dim {readout.dim}"
         )
-    lead = weights.shape[:-1]
     if readout.basis is None:
-        diag = np.zeros(lead + (readout.dim,))
-        diag[..., :d] = weights
-        on_points = readout.point_sums(diag)
+        on_points = readout.point_sums(weights)
     else:
-        padded = np.zeros(lead + (readout.dim, readout.dim), dtype=complex)
+        padded = np.zeros(weights.shape[:-1] + (readout.dim, readout.dim), dtype=complex)
         padded[..., np.arange(d), np.arange(d)] = weights
         on_points = readout.block_traces(padded)
     if point_values is None:
@@ -297,6 +295,13 @@ def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
+def minimal_readout(d: int) -> SpectralAlgebra:
+    """The pointer readout of a minimal apparatus, pointer value j on column
+    j, in index form: diagonal_algebra([arange(d)]) written down directly,
+    point j holding column j alone."""
+    return SpectralAlgebra(np.arange(d), np.arange(d, dtype=float)[:, None])
+
+
 def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """The collapse vs restriction equivalence on a stack of cases: per case,
     the largest gap between the collapse diagonal of states[i] in the
@@ -306,10 +311,10 @@ def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarr
     checks of one case (checked_cases, the weights' floor and sum) run once
     on the stack, each failing on a NaN, so each case's gap has the bits
     that case alone gets through a run."""
-    pointer_values = np.arange(states.shape[-1], dtype=float)
+    readout = minimal_readout(states.shape[-1])
     b = checked_cases(states, bases)
     weights, aligned = readout_weights(
-        reduce(premeasure(states, b)), diagonal_algebra([pointer_values]), pointer_values
+        reduce(premeasure(states, b)), readout, readout.characters[:, 0]
     )
     low = float(weights.min())
     if not low >= -linalg.WEIGHT_FLOOR:

@@ -39,9 +39,9 @@ matrix is formed for either kind of initial state, nor more than one d x d
 premeasured block at a time from d = 256 on), and the trials draws. A
 document over that limit fails validation before anything is built, and so
 does a randomized comparison asking for more cases. The cat run is held to
-the same limit: its largest arrays are the 2^chain_length readout values
-and point labels, since its readout algebra is in index form, so the chain
-may have up to MAX_CHAIN = 24 cells.
+the same limit: its largest array is the 2^chain_length point labels of
+its readout algebra, held in index form, so the chain may have up to
+MAX_CHAIN = 24 cells.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
+    SpectralAlgebra,
     SpectralProbabilityMeasure,
     diagonal_algebra,
     gelfand_transform,
@@ -87,8 +88,8 @@ _PASS_TRIALS = 2**13
 # largest number of elements any one array of a run may need; documents whose
 # sizes imply more are rejected at parse time, before anything is allocated
 MAX_ARRAY_ELEMENTS = 2**24
-# longest cat chain: its 2**chain_length readout values and point labels are
-# the largest arrays of a cat run
+# longest cat chain: the 2**chain_length point labels of its readout are the
+# largest array of a cat run
 MAX_CHAIN = MAX_ARRAY_ELEMENTS.bit_length() - 1
 
 
@@ -446,22 +447,36 @@ def _branch_cross_terms(generators, n: int) -> tuple[float, ...]:
     return tuple(float(np.max(np.abs(g[:n, :n][off]), initial=0.0)) for g in generators)
 
 
+def cat_readout(chain_length: int) -> SpectralAlgebra:
+    """The cat's readout algebra in index form, written down in closed form:
+    the algebra that the total of the per-cell values of a chain of L =
+    chain_length two-level cells generates. Column b has a down cell per set
+    bit and reads L minus twice their count, down(b), once columns 1 and
+    2^L - 1 trade places so that column 1, which registers outcome 1, reads
+    -L (all down). Point k reads -L + 2k, so column b is on point
+    L - down(b): nothing is sorted or split, and the labels and characters
+    are those diagonal_algebra gives."""
+    down = np.bitwise_count(np.arange(2**chain_length, dtype=np.uint32))
+    down[[1, -1]] = down[[-1, 1]]
+    return SpectralAlgebra(
+        np.subtract(chain_length, down, dtype=np.intp),
+        np.arange(-chain_length, chain_length + 1, 2, dtype=float)[:, None],
+    )
+
+
 def run_cat(c1, c2, chain_length: int) -> Report:
     """The Schrodinger cat as premeasured pointer branches: the qubit
     c1|0> + c2|1>, measured in the z basis by a chain of chain_length
-    two-level cells, read through a commutative readout by the kernel of a
-    run. The readout algebra is generated by the total of the per-cell
-    values, diagonal in the product basis, where label b has a down cell per
-    set bit and reads L - 2 popcount(b). Outcome 0 registers on pointer
-    column 0, all cells up (+L); the readout is relabelled so that column 1,
-    which registers outcome 1, reads -L (all down) and column 2^L - 1 reads
-    L - 2. So c1 carries the highest readout value and c2 the lowest: any
-    "alive"/"dead" naming of those two is report metadata.
+    two-level cells, read through the commutative readout cat_readout by
+    the kernel of a run. Outcome 0 registers on pointer column 0, all cells
+    up (+L), and outcome 1 on column 1, all down (-L). So c1 carries the
+    highest readout value and c2 the lowest: any "alive"/"dead" naming of
+    those two is report metadata.
 
     The report gives the qubit's Born weights, its collapse diagonal and the
     restriction per readout point, and max_deviation the larger of the
-    born-vs-collapse and born-vs-restriction residuals. Only the 2^L readout
-    values and point labels grow with the chain.
+    born-vs-collapse and born-vs-restriction residuals. Only the readout's
+    2^L point labels grow with the chain.
     """
     c1, c2 = complex(c1), complex(c2)
     total = abs(c1) ** 2 + abs(c2) ** 2
@@ -471,18 +486,15 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     if not 1 <= chain_length <= MAX_CHAIN:
         raise ValidationError(f"chain_length must be between 1 and {MAX_CHAIN}")
 
-    dim = 2**chain_length
-    readout = np.bitwise_count(np.arange(dim, dtype=np.uint32)).astype(float)
-    readout *= -2.0
-    readout += chain_length
-    readout[[1, -1]] = readout[[-1, 1]]
-    algebra = diagonal_algebra([readout])
+    algebra = cat_readout(chain_length)
+    # the pointer values of the two outcomes' columns, +L and -L
+    pointer_values = algebra.characters[algebra.labels[:2], 0]
 
     qubit = np.array([c1, c2])
     z = np.eye(2, dtype=complex)
     born = (qubit * qubit.conj()).real
     collapsed = collapse_diagonal(qubit[:, None] * qubit.conj(), z)
-    weights, aligned = readout_weights(reduce(premeasure(qubit, z)), algebra, readout[:2])
+    weights, aligned = readout_weights(reduce(premeasure(qubit, z)), algebra, pointer_values)
 
     # the two outcomes' Born and collapse weights, on their pointer columns' points
     on_points = np.zeros((2, algebra.n_points))

@@ -14,7 +14,6 @@ import numpy as np
 
 from .algebra import (
     SpectralProbabilityMeasure,
-    diagonal_algebra,
     generate_algebra,
     joint_spectrum,
     proper_mixture_representative,
@@ -26,6 +25,7 @@ from .measurement import (
     checked_cases,
     collapse_restriction_gaps,
     coupling_matrix,
+    minimal_readout,
     premeasure,
     readout_weights,
     reduce,
@@ -268,7 +268,7 @@ def check_chain_reduction() -> CheckResult:
     """A second apparatus copying the first reads the same distribution."""
     d = 4
     worst = 0.0
-    algebra = diagonal_algebra([np.arange(d, dtype=float)])
+    algebra = minimal_readout(d)
     copier = coupling_matrix(np.eye(d, dtype=complex), d)
     for rng in substreams(_SEED, (16,), range(20)):
         basis = rand_unitary(d, rng)

@@ -74,6 +74,17 @@ def test_run_hostile_json_exits_one(tmp_path, capsys, text):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_a_scenario_file_that_is_not_utf8_exits_one(tmp_path, capsys, verb):
+    # reading it raises UnicodeDecodeError, a ValueError and no QmError
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"seed": "\xff\xfe"}')
+    assert main([verb, str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "not UTF-8" in err
+    assert "internal error" not in err
+
+
 def test_run_missing_file_exits_one(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err

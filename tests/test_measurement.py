@@ -9,6 +9,7 @@ from qmeasure.measurement import (
     collapse,
     coupling_matrix,
     factor_rows,
+    minimal_readout,
     model_for_observable,
     pointer_diagonal,
     premeasure,
@@ -288,6 +289,32 @@ def test_apparatus_reduced_density_matches_dense_premeasurement(d):
             weights, aligned = readout_weights(reduce(m), readout, columns[:d])
             assert_close(weights, diagonal, atol=1e-12, rtol=0)
             assert_close(aligned, diagonal[:d], atol=1e-12, rtol=0)
+
+
+def test_minimal_readout_is_the_algebra_of_its_pointer_values():
+    for d in range(1, 65):
+        split = diagonal_algebra([np.arange(d, dtype=float)])
+        closed = minimal_readout(d)
+        assert np.array_equal(closed.labels, split.labels)
+        assert np.array_equal(closed.characters, split.characters)
+
+
+def test_minimal_readout_is_read_only():
+    readout = minimal_readout(4)
+    for array in (readout.labels, readout.characters, readout.multiplicities()):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        readout.characters[0, 0] = 1.0
+
+
+def test_point_sums_of_the_leading_columns_match_their_zero_padding():
+    # the pointer columns' weights against the same weights padded with the
+    # zeros of every other column: the same bits
+    readout = diagonal_algebra([np.arange(6.0) % 4])
+    weights = rand_density(3, substream(163)).real[:2, :3] ** 2
+    padded = np.zeros((2, 6))
+    padded[:, :3] = weights
+    assert readout.point_sums(weights).tobytes() == readout.point_sums(padded).tobytes()
 
 
 def test_apparatus_reduced_density_rejects_wrong_size():

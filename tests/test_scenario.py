@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeasure import errors, linalg
+from qmeasure import errors, linalg, scenario
+from qmeasure.algebra import diagonal_algebra
 from qmeasure.measurement import (
     CASE_BLOCK,
     collapse_restriction_gaps,
@@ -29,6 +30,7 @@ from qmeasure.scenario import (
     MAX_ARRAY_ELEMENTS,
     Scenario,
     _sample_counts,
+    cat_readout,
     compare_collapse_vs_restriction,
     parse_scenario,
     run_cat,
@@ -468,11 +470,37 @@ def test_run_cat_chain_characters_are_readout_totals():
     assert chars == [-3.0, -1.0, 1.0, 3.0]
 
 
-def test_run_cat_rejects_bad_amplitudes():
+def test_run_cat_rejects_bad_amplitudes(monkeypatch):
+    # before any readout is built
+    def build(chain_length):
+        raise AssertionError(f"readout of chain {chain_length} built")
+
+    monkeypatch.setattr(scenario, "cat_readout", build)
     with pytest.raises(errors.BadAmplitudes):
         run_cat(0.6, 0.9, chain_length=8)
-    with pytest.raises(errors.ValidationError):
-        run_cat(0.6, 0.8, chain_length=25)
+    for chain_length in (0, 25):
+        with pytest.raises(errors.ValidationError):
+            run_cat(0.6, 0.8, chain_length=chain_length)
+
+
+def test_cat_readout_is_the_algebra_its_readout_generates():
+    # the readout the split loop clusters: L - 2 popcount(b), with the
+    # columns of all down and of the last cell up swapped
+    for chain_length in range(1, 13):
+        readout = np.bitwise_count(np.arange(2**chain_length)) * -2.0 + chain_length
+        readout[[1, -1]] = readout[[-1, 1]]
+        split = diagonal_algebra([readout])
+        closed = cat_readout(chain_length)
+        assert np.array_equal(closed.labels, split.labels)
+        assert np.array_equal(closed.characters, split.characters)
+
+
+def test_cat_readout_is_read_only():
+    readout = cat_readout(7)
+    for array in (readout.labels, readout.characters, readout.multiplicities()):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        readout.labels[0] = 0
 
 
 def test_cat_allocates_no_dense_matrix():
@@ -484,14 +512,15 @@ def test_cat_allocates_no_dense_matrix():
 
 
 def test_cat_forms_no_coefficient_matrix_over_the_chain():
-    # the cat's memory bound: at a chain of 20 the readout values, point
-    # labels and the split's sort orders dominate, 41.0 MiB at numpy 2.4; a
-    # split that also stable-sorts the one point it starts from reaches
-    # 49.0 MiB. The premeasured qubit adds only its 2 x 2 block, where a
+    # the cat's memory bound: at a chain of 20 the 8 MiB of intp point
+    # labels dominate, 9.1 MiB at numpy 2.4, and 16 times the bound stays
+    # under the 400 MiB allowed at chain 24. Reading all 2^20 columns in the
+    # kernel instead of the two pointer columns, or copying the labels, adds
+    # 8 MiB; the premeasured qubit adds only its 2 x 2 block, where a
     # 2 x 2^20 complex coefficient matrix would add 32 MiB
     run_cat(0.6, 0.8j, chain_length=3)  # warm-up
     _, peak = peak_bytes(run_cat, 0.6, 0.8j, 20)
-    assert peak < 45 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_compare_collapse_vs_restriction_deterministic():
