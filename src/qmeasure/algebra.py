@@ -10,6 +10,9 @@ the algebra that observable generates. A state restricted to the algebra is
 then nothing but a probability weight per point, and such a weight vector
 has exactly one decomposition into point masses. That uniqueness is the
 payoff: unrestricted density matrices admit many pure decompositions.
+Restricted to the algebra of one observable, the weights are Born's
+distribution, with the characters as outcomes; and a function of the
+observable, such as exp(-itH), is the element with its values at the points.
 
 One loop generates every algebra: each generator in turn splits every point
 so far by its values there. While the generators are exactly diagonal the
@@ -138,13 +141,20 @@ class SpectralAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class SpectralProbabilityMeasure:
-    """Probability weights over the spectrum points of some algebra."""
+    """Probability weights over the spectrum points of some algebra, with
+    the character tuple of each point. On the algebra of a single observable
+    the characters are its outcomes, and the measure is Born's distribution."""
 
     weights: np.ndarray
+    characters: np.ndarray
 
     def __post_init__(self) -> None:
         w = linalg.require_weights(self.weights)
+        chars = np.asarray(self.characters, dtype=float)
+        if chars.ndim != 2 or chars.shape[0] != w.size or chars.shape[1] == 0:
+            raise ValidationError("need one nonempty character tuple per weight")
         object.__setattr__(self, "weights", linalg.readonly(w))
+        object.__setattr__(self, "characters", linalg.readonly(chars))
 
     @property
     def n_points(self) -> int:
@@ -353,11 +363,11 @@ def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
 def restrict_state(rho, algebra: SpectralAlgebra) -> SpectralProbabilityMeasure:
     """The probability measure a state induces on the algebra's spectrum:
     weight_k = Tr(V_k^dagger rho V_k). This is everything the algebra can
-    see of rho."""
+    see of rho; on the algebra one observable generates it is Born's rule."""
     r = as_density(rho)
     if r.dim != algebra.dim:
         raise DimMismatch(f"state dim {r.dim}, algebra dim {algebra.dim}")
-    return SpectralProbabilityMeasure(algebra.block_traces(r.matrix))
+    return SpectralProbabilityMeasure(algebra.block_traces(r.matrix), algebra.characters)
 
 
 def proper_mixture_representative(

@@ -1,20 +1,21 @@
-"""Dense complex linear algebra kernel for small Hilbert spaces, and the
+"""Validators for dense complex arrays on small Hilbert spaces, and the
 package's one tolerance policy.
 
-Pure functions over immutable numpy arrays; every returned array is marked
-read-only. A run allows dimensions up to 4096 (apparatus.dim^2 within
-scenario.MAX_ARRAY_ELEMENTS), where LAPACK's dense symmetric solver is still
-accurate to about n eps and the tolerances below stay loose by orders of
-magnitude. Every validator in the package reads its
-tolerance from the four constants below, and the CLI its --tol default;
-only the verify checks pin their own, as part of the acceptance spec.
+Pure functions over numpy arrays; readonly marks the arrays the package's
+records hold. No eigensolver lives here: an observable's spectrum, and
+exp(-itH) with it, is read from the algebra it generates. A run allows
+dimensions up to 4096 (apparatus.dim^2 within scenario.MAX_ARRAY_ELEMENTS),
+where LAPACK's dense symmetric solver is still accurate to about n eps and
+the tolerances below stay loose by orders of magnitude. Every validator in
+the package reads its tolerance from the four constants below, and the CLI
+its --tol default; only the verify checks pin their own, as part of the
+acceptance spec.
 
 ROUNDOFF_TOL scales with the input wherever the input's scale is free:
 Hermiticity and commutators are judged in units of the power of two at the
-largest entry (unit_scaled), and an eigendecomposition's residual relative
-to the matrix's norm. Its other uses are absolute because what they bound
-has scale 1 by definition, so that an absolute and a relative bound are the
-same bound:
+largest entry (unit_scaled). Its other uses are absolute because what they
+bound has scale 1 by definition, so that an absolute and a relative bound
+are the same bound:
 - isometry: the entries of V^dagger V for unit columns are at most 1;
 - norm: a state vector has norm 1;
 - trace: a density matrix has trace 1, and its eigenvalues, the lowest of
@@ -33,8 +34,8 @@ import numpy as np
 
 from .errors import NotHermitian, NotSquare, QmError, ValidationError
 
-# roundoff: norms, traces, Hermiticity, orthonormality, commutators,
-# probability sums, and the relative residual of an eigendecomposition
+# roundoff: norms, traces, Hermiticity, orthonormality, commutators and
+# probability sums
 ROUNDOFF_TOL = 1e-10
 # how far a probability weight may dip below zero, or a sampled frequency
 # stray from its count ratio
@@ -96,11 +97,10 @@ def isometry_defect(v: np.ndarray) -> float:
     return float(np.abs(gram).max())
 
 
-def judge_hermitian(a: np.ndarray) -> tuple[float, np.ndarray, int]:
+def judge_hermitian(a: np.ndarray) -> float:
     """The Hermiticity defect of a square complex array in units of 2^k, the
-    power of two at or below its largest real or imaginary part, with the
-    scaled array and k of unit_scaled(a); a defect past ROUNDOFF_TOL raises
-    NotHermitian."""
+    power of two at or below its largest real or imaginary part
+    (unit_scaled); a defect past ROUNDOFF_TOL raises NotHermitian."""
     scaled, k = unit_scaled(a)
     defect = hermiticity_defect(scaled)
     if defect > ROUNDOFF_TOL:
@@ -108,7 +108,7 @@ def judge_hermitian(a: np.ndarray) -> tuple[float, np.ndarray, int]:
             f"max |M - M^dagger| entry is {defect:.3e} x 2^{k}, "
             f"tolerance {ROUNDOFF_TOL:.3e} x 2^{k}"
         )
-    return defect, scaled, k
+    return defect
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -120,7 +120,7 @@ def require_hermitian(m) -> np.ndarray:
     """A square matrix that judge_hermitian accepts, as its Hermitian part:
     the input itself when it is exactly Hermitian, so its bits are kept."""
     a = require_square(m)
-    return _hermitian_part(a) if judge_hermitian(a)[0] else a
+    return _hermitian_part(a) if judge_hermitian(a) else a
 
 
 def require_weights(
@@ -159,41 +159,6 @@ def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     f = a.view(float)
     k = int(np.frexp(np.max(np.abs(f)))[1]) - 1
     return np.ldexp(f, -k).view(complex), k
-
-
-def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition (w, v) of a Hermitian matrix: eigenvalues w
-    ascending, and the unitary matrix v of column eigenvectors.
-
-    The decomposition is verified before returning: columns must be
-    orthonormal and sum_k w_k v_k v_k^dagger must reproduce the input to
-    relative Frobenius accuracy ROUNDOFF_TOL. A spectrum that overflows, or
-    spans more than the largest float, raises ValidationError: no gap
-    between its eigenvalues could be taken.
-    """
-    a = require_square(m)
-    defect, b, k = judge_hermitian(a)
-    if defect:
-        a, b = _hermitian_part(a), _hermitian_part(b)
-    w, v = np.linalg.eigh(a)
-    require_float_span(w, "eigenvalues")
-    ortho = isometry_defect(v)
-    # b is a in units of 2^k near its largest real or imaginary part: no norm overflows
-    resid = float(
-        np.linalg.norm((v * np.ldexp(w, -k)) @ v.conj().T - b) / max(np.linalg.norm(b), 1.0)
-    )
-    # written so that a NaN residual fails
-    if not (ortho <= ROUNDOFF_TOL and resid <= ROUNDOFF_TOL):
-        raise ArithmeticError(
-            f"eigendecomposition failed verification (ortho {ortho:.3e}, resid {resid:.3e})"
-        )
-    return readonly(w), readonly(v)
-
-
-def unitary_exp(h, t: float) -> np.ndarray:
-    """exp(-i t H) for Hermitian H, computed through the eigenbasis."""
-    w, v = hermitian_eigendecompose(h)
-    return readonly((v * np.exp(-1j * float(t) * w)) @ v.conj().T)
 
 
 def default_cluster_tol(values) -> float:

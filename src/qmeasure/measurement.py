@@ -244,7 +244,8 @@ def readout_weights(
     column j registering outcome j, valued pointer_values[j]; the columns
     past d, never reached from the ready state, carry none. An index-form
     readout sums them per point through the labels of the d pointer columns
-    alone, a dense one traces the diagonal matrix they make. Each spectrum
+    alone; a dense one with basis V sums w_j |V_jk|^2 over the d rows of V
+    that carry weight and then over each point's columns k. Each spectrum
     point carries the pointer value point_values (default: the readout's
     first character, for a readout generated by the pointer) and its weight
     goes to the outcome of that value; the points that match none must
@@ -262,9 +263,8 @@ def readout_weights(
     if readout.basis is None:
         on_points = readout.point_sums(weights)
     else:
-        padded = np.zeros(weights.shape[:-1] + (readout.dim, readout.dim), dtype=complex)
-        padded[..., np.arange(d), np.arange(d)] = weights
-        on_points = readout.block_traces(padded)
+        v = readout.basis[:d]
+        on_points = readout.point_sums(weights @ (v.real**2 + v.imag**2))
     if point_values is None:
         point_values = readout.characters[:, 0]
     outcome = match_outcomes(point_values, pointer_values)

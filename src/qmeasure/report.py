@@ -1,5 +1,9 @@
 """Run records and their emission as text tables or machine-readable JSON.
 
+A report's born and restricted records are one type: the state restricted
+to the measured observable's algebra, its one character column printed as
+the outcomes, and to the readout algebra.
+
 Machine form: one JSON object with keys in the fixed order born,
 collapsed_diag, restricted, empirical, max_deviation, cross_terms. Every
 float is printed with 12 significant digits, and values are pre-rounded
@@ -22,7 +26,6 @@ import numpy as np
 from . import linalg
 from .algebra import SpectralProbabilityMeasure
 from .errors import UnknownFormat, ValidationError
-from .observables import OutcomeDistribution
 
 
 _PRINTED = ".12g"  # the 12-significant-digit decimal every float is printed in
@@ -112,19 +115,18 @@ class Report:
     """One run's analytic distributions, optional sampling record, and the
     worst disagreement between the analytic routes."""
 
-    born: OutcomeDistribution
+    born: SpectralProbabilityMeasure
     collapsed_diag: tuple[float, ...]
     restricted: SpectralProbabilityMeasure
-    restricted_characters: tuple[tuple[float, ...], ...]
     empirical: EmpiricalCounts | None
     max_deviation: float
     cross_terms: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if self.born.characters.shape[1] != 1:
+            raise ValidationError("outcomes need the algebra of a single observable")
         linalg.require_weights(self.collapsed_diag, "collapse diagonal")
-        if len(self.restricted_characters) != self.restricted.n_points:
-            raise ValidationError("need one character tuple per restricted weight")
-        if self.empirical is not None and len(self.empirical.counts) != self.born.outcomes.size:
+        if self.empirical is not None and len(self.empirical.counts) != self.born.n_points:
             raise ValidationError("empirical record does not match the outcome list")
 
 
@@ -139,12 +141,12 @@ def report_payload(r: Report) -> dict:
         }
     return {
         "born": {
-            "outcomes": _sig12_list(r.born.outcomes),
-            "probabilities": _sig12_list(r.born.probabilities),
+            "outcomes": _sig12_list(r.born.characters[:, 0]),
+            "probabilities": _sig12_list(r.born.weights),
         },
         "collapsed_diag": _sig12_list(r.collapsed_diag),
         "restricted": {
-            "characters": [_sig12_list(ch) for ch in r.restricted_characters],
+            "characters": [_sig12_list(ch) for ch in r.restricted.characters.tolist()],
             "weights": _sig12_list(r.restricted.weights),
         },
         "empirical": empirical,
@@ -156,17 +158,18 @@ def report_payload(r: Report) -> dict:
 def _table(r: Report) -> list[str]:
     lines = ["born vs collapse (outcomes ascending):"]
     lines.append(f"  {'outcome':<20} {'born':<20} collapse")
-    for o, p, c in zip(r.born.outcomes, r.born.probabilities, r.collapsed_diag):
+    outcomes = r.born.characters[:, 0]
+    for o, p, c in zip(outcomes, r.born.weights, r.collapsed_diag):
         lines.append(f"  {_fmt(o):<20} {_fmt(p):<20} {_fmt(c)}")
     lines.append("restricted measure:")
     lines.append(f"  {'character':<28} weight")
-    for ch, w in zip(r.restricted_characters, r.restricted.weights):
+    for ch, w in zip(r.restricted.characters, r.restricted.weights):
         label = "(" + ", ".join(_fmt(x) for x in ch) + ")"
         lines.append(f"  {label:<28} {_fmt(w)}")
     if r.empirical is not None:
         lines.append(f"empirical (trials={r.empirical.trials}):")
         lines.append(f"  {'outcome':<20} {'count':<12} frequency")
-        for o, c, f in zip(r.born.outcomes, r.empirical.counts, r.empirical.frequencies):
+        for o, c, f in zip(outcomes, r.empirical.counts, r.empirical.frequencies):
             lines.append(f"  {_fmt(o):<20} {c:<12} {_fmt(f)}")
     lines.append(f"max deviation: {_fmt(r.max_deviation)}")
     lines.append("cross terms:")

@@ -58,6 +58,7 @@ from .algebra import (
     diagonal_algebra,
     gelfand_transform,
     generate_algebra,
+    restrict_state,
 )
 from .errors import BadAmplitudes, NotInAlgebra, ParseError, QmError, ValidationError
 from .measurement import (
@@ -71,7 +72,7 @@ from .measurement import (
     readout_weights,
     reduce,
 )
-from .observables import Observable, OutcomeDistribution, born_distribution
+from .observables import Observable
 from .randomness import check_seed, draw_cases, substream
 from .report import ComparisonSummary, EmpiricalCounts, Report
 from .states import DensityMatrix, StateVector, projector_of
@@ -385,7 +386,7 @@ def run_scenario(s: Scenario) -> Report:
     bare = state.amplitudes if isinstance(state, StateVector) else state.matrix
     rho = projector_of(state) if isinstance(state, StateVector) else state
 
-    born = born_distribution(rho, pvm)
+    born = restrict_state(rho, pvm)
     collapsed_diag = collapse_diagonal(rho.matrix, basis)
 
     if s.algebra_generators:
@@ -408,31 +409,27 @@ def run_scenario(s: Scenario) -> Report:
 
     empirical = None
     if s.trials > 0:
-        empirical = _sample_counts(born.probabilities, s.seed, s.trials)
+        empirical = _sample_counts(born.weights, s.seed, s.trials)
 
     return _report(
         born,
         collapsed_diag,
-        SpectralProbabilityMeasure(weights),
-        algebra,
+        SpectralProbabilityMeasure(weights, algebra.characters),
         cross_terms,
         [
-            float(np.max(np.abs(born.probabilities - collapsed_diag))),
-            float(np.max(np.abs(born.probabilities - aligned))),
+            float(np.max(np.abs(born.weights - collapsed_diag))),
+            float(np.max(np.abs(born.weights - aligned))),
         ],
         empirical,
     )
 
 
-def _report(
-    born, collapsed, restricted, algebra, cross_terms, residuals, empirical=None
-) -> Report:
+def _report(born, collapsed, restricted, cross_terms, residuals, empirical=None) -> Report:
     """Assemble a run report; max_deviation is the largest listed residual."""
     return Report(
         born=born,
         collapsed_diag=tuple(collapsed.tolist()),
         restricted=restricted,
-        restricted_characters=tuple(map(tuple, algebra.characters.tolist())),
         empirical=empirical,
         max_deviation=max(residuals),
         cross_terms=cross_terms,
@@ -501,10 +498,9 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     on_points[:, algebra.labels[:2]] = born, collapsed
 
     return _report(
-        OutcomeDistribution(algebra.characters[:, 0], on_points[0]),
+        SpectralProbabilityMeasure(on_points[0], algebra.characters),
         on_points[1],
-        SpectralProbabilityMeasure(weights),
-        algebra,
+        SpectralProbabilityMeasure(weights, algebra.characters),
         # the readout is diagonal, so it has no cross terms
         (0.0,),
         [float(np.abs(born - collapsed).max()), float(np.abs(born - aligned).max())],

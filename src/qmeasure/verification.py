@@ -30,7 +30,7 @@ from .measurement import (
     readout_weights,
     reduce,
 )
-from .observables import Observable, evolve
+from .observables import evolve
 from .randomness import draw_cases, rand_hermitian, rand_state, rand_unitary, substream, substreams
 from .report import CheckResult
 from .scenario import parse_scenario, run_cat, run_scenario
@@ -98,10 +98,11 @@ def joint_diagonalization_defect(family) -> tuple[float, bool]:
 
 def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tuple[float, float]:
     """Composition defect |e^{-isH} e^{-itH} psi - e^{-i(s+t)H} psi| and the
-    worst norm drift of the two evolved states."""
-    obs = Observable(h)
-    stepwise = evolve(evolve(psi, obs, t), obs, s)
-    direct = evolve(psi, obs, s + t)
+    worst norm drift of the two evolved states. The algebra H generates is
+    built once and serves all three evolutions."""
+    generated = generate_algebra([h])
+    stepwise = evolve(evolve(psi, generated, t), generated, s)
+    direct = evolve(psi, generated, s + t)
     group = float(np.max(np.abs(stepwise.amplitudes - direct.amplitudes)))
     norm = max(abs(float(np.linalg.norm(x.amplitudes)) - 1.0) for x in (stepwise, direct))
     return group, norm
@@ -206,7 +207,7 @@ def check_born_sampling() -> CheckResult:
     report = run_scenario(parse_scenario(doc))
     t = report.empirical.trials
     worst = 0.0
-    for p, f in zip(report.born.probabilities, report.empirical.frequencies):
+    for p, f in zip(report.born.weights, report.empirical.frequencies):
         sigma = np.sqrt(p * (1 - p) / t)
         worst = max(worst, abs(f - p) / (4 * sigma))
     return _result("sampling agreement", worst, 1.0, f"{t} trials against (0.36, 0.64), 4 sigma units")
@@ -240,7 +241,7 @@ def check_simplex_contrast() -> CheckResult:
     for rng in substreams(_SEED, (14,), range(10)):
         algebra = generate_algebra([rand_hermitian(int(rng.integers(2, 6)), rng)])
         raw = rng.uniform(0.05, 1.0, size=algebra.n_points)
-        measure = SpectralProbabilityMeasure(raw / raw.sum())
+        measure = SpectralProbabilityMeasure(raw / raw.sum(), algebra.characters)
         rho = proper_mixture_representative(measure, algebra)
         recovered = restrict_state(rho, algebra).weights
         worst = max(worst, float(np.max(np.abs(recovered - measure.weights))))

@@ -19,7 +19,7 @@ from qmeasure.algebra import (
 )
 from qmeasure.linalg import default_cluster_tol
 from qmeasure.measurement import pointer_diagonal
-from qmeasure.randomness import rand_hermitian, rand_unitary, substream
+from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import mix, projector_of
 
 from conftest import assert_close
@@ -282,9 +282,15 @@ def test_restrict_point_mass():
 
 
 def test_restrict_superposition_gives_amplitude_squares():
+    # Born's rule: on the algebra of one observable the measure's characters
+    # are its outcomes, carried read-only with the weights
     alg = generate_algebra([np.diag([0.0, 1.0])])
     m = restrict_state(projector_of([0.6, 0.8]), alg)
     assert_close(m.weights, [0.36, 0.64])
+    assert m.characters.tolist() == [[0.0], [1.0]]
+    for a in (m.weights, m.characters):
+        with pytest.raises(ValueError):
+            a[0] = 5.0
 
 
 def test_restrict_to_trivial_algebra():
@@ -318,7 +324,7 @@ def test_proper_mixture_representative_round_trip():
     alg = generate_algebra([rand_hermitian(5, rng)])
     target = rng.uniform(0.1, 1.0, alg.n_points)
     target /= target.sum()
-    measure = SpectralProbabilityMeasure(target)
+    measure = SpectralProbabilityMeasure(target, alg.characters)
     rho = proper_mixture_representative(measure, alg)
     assert_close(restrict_state(rho, alg).weights, target, atol=1e-12)
 
@@ -326,7 +332,7 @@ def test_proper_mixture_representative_round_trip():
 def test_proper_mixture_commutes_with_projectors():
     alg = generate_algebra([np.diag([1.0, 2.0, 2.0, 3.0])])
     rho = proper_mixture_representative(
-        SpectralProbabilityMeasure(np.array([0.2, 0.5, 0.3])), alg
+        SpectralProbabilityMeasure(np.array([0.2, 0.5, 0.3]), alg.characters), alg
     )
     for p in projectors(alg):
         assert_close(rho.matrix @ p, p @ rho.matrix, atol=1e-12)
@@ -341,7 +347,7 @@ def test_simplex_contrast_fails_on_perturbed_recovery(monkeypatch):
         w = restrict(rho, alg).weights.copy()
         w[0] += 1e-9
         w[-1] -= 1e-9
-        return SpectralProbabilityMeasure(w)
+        return SpectralProbabilityMeasure(w, alg.characters)
 
     assert verification.check_simplex_contrast().passed
     monkeypatch.setattr(verification, "restrict_state", perturbed)
@@ -386,7 +392,7 @@ def test_restrict_rejects_dim_mismatch():
         restrict_state(rand_density(3, substream(163)), alg)
     with pytest.raises(errors.DimMismatch):
         proper_mixture_representative(
-            SpectralProbabilityMeasure(np.array([0.5, 0.3, 0.2])), alg
+            SpectralProbabilityMeasure(np.array([0.5, 0.3, 0.2]), [[0.0], [1.0], [2.0]]), alg
         )
 
 
@@ -408,11 +414,35 @@ def test_spectral_algebra_rejects_a_nonsquare_basis():
 
 
 def test_spectral_measure_validation():
+    two = [[0.0], [1.0]]
     with pytest.raises(errors.ValidationError):
-        SpectralProbabilityMeasure(np.array([0.5, 0.6]))
+        SpectralProbabilityMeasure(np.array([0.5, 0.6]), two)
     with pytest.raises(errors.ValidationError):
-        SpectralProbabilityMeasure(np.array([-0.2, 1.2]))
+        SpectralProbabilityMeasure(np.array([-0.2, 1.2]), two)
     with pytest.raises(errors.ValidationError):
-        SpectralProbabilityMeasure(np.array([]))
+        SpectralProbabilityMeasure(np.array([]), np.zeros((0, 1)))
     with pytest.raises(errors.ValidationError):
-        SpectralProbabilityMeasure(np.array([np.nan, np.nan]))
+        SpectralProbabilityMeasure(np.array([np.nan, np.nan]), two)
+
+
+@pytest.mark.parametrize(
+    "characters",
+    [[[0.0]], [0.0, 1.0], np.zeros((2, 0)), [[[0.0]], [[1.0]]]],
+    ids=["one tuple for two weights", "1-d", "empty tuples", "3-d"],
+)
+def test_spectral_measure_needs_one_character_tuple_per_weight(characters):
+    with pytest.raises(errors.ValidationError, match="character tuple per weight"):
+        SpectralProbabilityMeasure(np.array([0.5, 0.5]), characters)
+
+
+@given(seed=st.integers(0, 5000))
+@settings(max_examples=40, deadline=None)
+def test_born_matches_projected_norms(seed):
+    # for a pure state, Tr(|psi><psi| E_k) = ||E_k psi||^2
+    rng = substream(seed, 71)
+    dim = int(rng.integers(2, 7))
+    psi = rand_state(dim, rng)
+    pvm = generate_algebra([rand_hermitian(dim, rng)])
+    born = restrict_state(projector_of(psi), pvm)
+    norms = [float(np.linalg.norm(p @ psi) ** 2) for p in projectors(pvm)]
+    assert_close(born.weights, norms, atol=1e-12)

@@ -127,7 +127,49 @@ def test_member_names_two_classes_share_are_pinned():
     # "reached" while another class's member of the same name is read: each
     # name here was checked for callers by hand, and a new one fails until
     # its callers are checked and it is added
-    assert shared_member_names(_SRC) == {"dim", "matrix", "n_points", "seed", "trials", "worst"}
+    assert shared_member_names(_SRC) == {
+        "characters",
+        "dim",
+        "matrix",
+        "n_points",
+        "seed",
+        "trials",
+        "worst",
+    }
+
+
+def eigh_callers(directory: Path) -> set[str]:
+    """"module.function" for each top-level function or method of the
+    modules of directory whose body calls np.linalg.eigh."""
+    found = set()
+    for path in directory.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if any(
+                isinstance(call, ast.Call)
+                and ast.unparse(call.func) in {"np.linalg.eigh", "numpy.linalg.eigh"}
+                for call in ast.walk(node)
+            ):
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_lint_finds_every_caller_of_eigh(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n\n"
+        "def split(g):\n    if g:\n        w, v = np.linalg.eigh(g)\n"
+        "    return np.linalg.eigvalsh(g)\n\n"
+        "class K:\n    def solve(self, g):\n        return [numpy.linalg.eigh(x) for x in g]\n\n"
+        "def plain(g):\n    return g\n"
+    )
+    assert eigh_callers(tmp_path) == {"a.split", "a.solve"}
+
+
+def test_spectra_come_from_one_eigensolver_route():
+    # an observable's spectrum, its dynamics included, comes from the
+    # algebra's split loop; only a density's factor rows take eigh besides
+    assert eigh_callers(_SRC) == {"algebra._spectrum", "measurement.factor_rows"}
 
 
 def private_imports(source: str) -> set[str]:

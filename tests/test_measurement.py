@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg
-from qmeasure.algebra import SpectralAlgebra, diagonal_algebra
+from qmeasure.algebra import SpectralAlgebra, diagonal_algebra, generate_algebra, restrict_state
 from qmeasure.measurement import (
     collapse,
     coupling_matrix,
@@ -16,7 +16,6 @@ from qmeasure.measurement import (
     readout_weights,
     reduce,
 )
-from qmeasure.observables import born_distribution
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.scenario import compare_collapse_vs_restriction
 from qmeasure.states import (
@@ -26,7 +25,7 @@ from qmeasure.states import (
     projector_of,
 )
 
-from conftest import assert_close
+from conftest import assert_close, peak_bytes
 from oracles import (
     apparatus_reduced_state,
     premeasure_density,
@@ -291,6 +290,29 @@ def test_apparatus_reduced_density_matches_dense_premeasurement(d):
             assert_close(aligned, diagonal[:d], atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["one state", "a stack of three"])
+def test_dense_readout_forms_no_apparatus_square_matrix(stack):
+    # a pointer diagonal and a splitter that mixes the idle columns: a
+    # readout with a basis, read from its two pointer rows. A D x D complex
+    # matrix alone is 1 MiB at D = 256; the weights against the block traces
+    # of the diagonal matrices they make, built outside the traced call
+    dim = 256
+    w = pointer_diagonal([0.0, 1.0], dim)
+    splitter = np.zeros((dim, dim))
+    splitter[2:, 2:] = 1.0
+    readout = generate_algebra([np.diag(w), splitter])
+    assert readout.basis is not None
+    p = np.linspace(0.2, 0.8, int(np.prod(stack))).reshape(*stack, 1)
+    weights = np.concatenate([p, 1 - p], axis=-1)
+    (on_points, aligned), peak = peak_bytes(readout_weights, weights, readout, w[:2])
+    assert peak < 256 * 1024
+    padded = np.zeros(stack + (dim, dim), dtype=complex)
+    padded[..., [0, 1], [0, 1]] = weights
+    traces = [readout.block_traces(m) for m in padded.reshape(-1, dim, dim)]
+    assert_close(on_points, np.reshape(traces, on_points.shape), atol=1e-15, rtol=0)
+    assert_close(aligned, weights, atol=1e-15, rtol=0)
+
+
 def test_minimal_readout_is_the_algebra_of_its_pointer_values():
     for d in range(1, 65):
         split = diagonal_algebra([np.arange(d, dtype=float)])
@@ -384,10 +406,10 @@ def test_reduced_apparatus_diagonal_equals_born(dim):
     psi = rand_state(dim, rng)
     joint = premeasured_state(psi, basis, dim)
     reduced = apparatus_reduced_state(joint, dim, dim)
-    dist = born_distribution(projector_of(psi), pvm)
+    born = restrict_state(projector_of(psi), pvm)
     pointer_diag = np.real(np.diag(reduced.matrix))
     # outcome j registers on pointer column e_j
-    assert_close(pointer_diag, dist.probabilities, atol=1e-10)
+    assert_close(pointer_diag, born.weights, atol=1e-10)
 
 
 def test_two_stage_chain_keeps_pointer_statistics():

@@ -2,17 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qmeasure import errors, linalg
 from qmeasure.algebra import SpectralAlgebra, generate_algebra, joint_spectrum
-from qmeasure.observables import (
-    Observable,
-    OutcomeDistribution,
-    born_distribution,
-    evolve,
-)
+from qmeasure.observables import Observable, evolve
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.states import DensityMatrix, StateVector, projector_of
 
@@ -154,52 +147,119 @@ def test_joint_single_observable_matches_spectral():
         assert_close(block @ block.conj().T, np.outer(v[:, k], v[:, k].conj()), atol=1e-9)
 
 
-def test_born_distribution_qubit():
-    psi = StateVector(np.array([0.6, 0.8]))
-    pvm = generate_algebra([np.diag([0.0, 1.0])])
-    dist = born_distribution(projector_of(psi), pvm)
-    assert_close(dist.outcomes, [0.0, 1.0])
-    assert_close(dist.probabilities, [0.36, 0.64])
-    two_generators = generate_algebra([np.diag([0.0, 1.0]), np.eye(2)])
-    with pytest.raises(errors.ValidationError, match="single observable"):
-        born_distribution(projector_of(psi), two_generators)
+def test_generated_algebra_checks_reproduction_near_the_float_limit(monkeypatch):
+    # entries of 1e300, whose Frobenius norm would overflow: the reproduction
+    # check must pass true eigenpairs without a warning and catch
+    # eigenvectors that do not reproduce the generator
+    m = 1e300 * np.array([[1.0, 2.0], [2.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pvm = generate_algebra([m])
+    assert_close(pvm.characters[:, 0], [-np.sqrt(5) * 1e300, np.sqrt(5) * 1e300])
+    eigh = np.linalg.eigh
+
+    def permuted(a):
+        w, v = eigh(a)
+        return w, v[:, ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", permuted)
+    with pytest.raises(errors.ValidationError, match="not reproduced"):
+        generate_algebra([m])
 
 
-@given(seed=st.integers(0, 5000))
-@settings(max_examples=40, deadline=None)
-def test_born_matches_projected_norms(seed):
-    # for a pure state, Tr(|psi><psi| E_k) = ||E_k psi||^2
-    rng = substream(seed, 71)
-    dim = int(rng.integers(2, 7))
-    psi = rand_state(dim, rng)
-    pvm = generate_algebra([rand_hermitian(dim, rng)])
-    dist = born_distribution(projector_of(psi), pvm)
-    norms = [float(np.linalg.norm(p @ psi) ** 2) for p in projectors(pvm)]
-    assert_close(dist.probabilities, norms, atol=1e-12)
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.full((2, 2), 1.5e308),  # eigenvalue 3e308 overflows
+        [[0.0, 1e308], [1e308, 1.0]],  # eigenvalues +-1e308: their gap overflows
+    ],
+)
+def test_generated_algebra_rejects_a_spectrum_beyond_the_float_range(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.ValidationError, match="finite|largest float"):
+            generate_algebra([m])
 
 
-def test_outcome_distribution_validation():
-    with pytest.raises(errors.ValidationError):
-        OutcomeDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
-    with pytest.raises(errors.ValidationError):
-        OutcomeDistribution(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
-    with pytest.raises(errors.ValidationError):
-        OutcomeDistribution(np.array([0.0]), np.array([0.5, 0.5]))
+@pytest.mark.parametrize("poison", ["eigenvector", "eigenvalue"])
+def test_generated_algebra_rejects_a_nan_from_the_eigensolver(monkeypatch, poison):
+    eigh = np.linalg.eigh
+
+    def poisoned(a):
+        w, v = eigh(a)
+        w, v = w.copy(), v.copy()
+        (v if poison == "eigenvector" else w)[0] = np.nan
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.ValidationError, match="non-finite|not all finite"):
+            generate_algebra([X])
+
+
+def test_generated_algebra_arrays_are_readonly():
+    pvm = generate_algebra([X])
+    for a in (pvm.labels, pvm.characters, pvm.basis):
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+
+
+def test_observable_rejects_non_square():
+    with pytest.raises(errors.NotSquare):
+        Observable(np.zeros((2, 3)))
 
 
 def test_evolve_preserves_norm_and_eigenstates():
     h = rand_hermitian(4, substream(79))
     psi = StateVector(np.eye(4)[:, 0])
-    out = evolve(psi, np.diag([1.0, 2.0, 3.0, 4.0]), 0.3)
+    out = evolve(psi, generate_algebra([np.diag([1.0, 2.0, 3.0, 4.0])]), 0.3)
     # eigenstate only picks up a phase
     assert_close(projector_of(out).matrix, projector_of(psi).matrix, atol=1e-12)
-    moved = evolve(rand_state(4, substream(80)), h, 1.7)
+    moved = evolve(rand_state(4, substream(80)), generate_algebra([h]), 1.7)
     assert abs(np.linalg.norm(moved.amplitudes) - 1) < 1e-12
 
 
 def test_evolve_under_a_subnormal_generator_warns_nothing():
-    # the eigendecomposition's residual check once divided by the subnormal entry
+    # an eigendecomposition's residual check once divided by the subnormal entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = evolve([1.0, 0.0], [[5e-324, 0.0], [0.0, 0.0]], 1.0)
+        out = evolve([1.0, 0.0], generate_algebra([[[5e-324, 0.0], [0.0, 0.0]]]), 1.0)
     assert_close(out.amplitudes, np.array([1.0, 0.0]), atol=1e-12)
+
+
+def test_evolve_at_zero_time_is_the_identity():
+    h = generate_algebra([rand_hermitian(3, substream(11))])
+    for psi in np.eye(3):
+        assert_close(evolve(psi, h, 0.0).amplitudes, psi)
+
+
+def test_evolve_pauli_x_quarter_turn():
+    # exp(-i pi/2 X) = -i X
+    for psi, flipped in zip(np.eye(2), np.eye(2)[::-1]):
+        got = evolve(psi, generate_algebra([X]), np.pi / 2).amplitudes
+        assert_close(got, -1j * flipped, atol=1e-10)
+
+
+def test_evolve_under_a_diagonal_generator_applies_phases():
+    psi = np.array([0.6, 0.8])
+    got = evolve(psi, generate_algebra([np.diag([1.0, 2.0])]), 0.7).amplitudes
+    assert_close(got, np.exp(-1j * 0.7 * np.array([1.0, 2.0])) * psi)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_evolve_group_law(case):
+    rng = substream(17, case)
+    d = int(rng.integers(2, 7))
+    h = generate_algebra([rand_hermitian(d, rng)])
+    s, t = rng.uniform(-2, 2, size=2)
+    psi = rand_state(d, rng)
+    stepwise = evolve(evolve(psi, h, t), h, s)
+    assert np.max(np.abs(stepwise.amplitudes - evolve(psi, h, s + t).amplitudes)) < 1e-9
+
+
+def test_evolve_needs_the_algebra_of_one_generator_on_the_state_space():
+    with pytest.raises(errors.ValidationError, match="single generator"):
+        evolve([1.0, 0.0], generate_algebra([Z, np.eye(2)]), 1.0)
+    with pytest.raises(errors.DimMismatch):
+        evolve([1.0, 0.0, 0.0], generate_algebra([X]), 1.0)

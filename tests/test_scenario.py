@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors, linalg, scenario
-from qmeasure.algebra import diagonal_algebra
+from qmeasure.algebra import SpectralProbabilityMeasure, diagonal_algebra
 from qmeasure.measurement import (
     CASE_BLOCK,
     collapse_restriction_gaps,
@@ -17,7 +18,7 @@ from qmeasure.measurement import (
     pointer_diagonal,
 )
 from qmeasure.observables import Observable
-from qmeasure.randomness import draw_cases, rand_hermitian, substream
+from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream
 from qmeasure.report import (
     ComparisonSummary,
     EmpiricalCounts,
@@ -211,14 +212,14 @@ def test_run_scenario_eigenstate_is_sharp():
         doc_qubit(initial_state={"kind": "vector", "data": [[1, 0], [0, 0]]})
     )
     r = run_scenario(s)
-    assert_close(r.born.probabilities, [1.0, 0.0])
+    assert_close(r.born.weights, [1.0, 0.0])
     assert_close(r.collapsed_diag, [1.0, 0.0])
     assert r.max_deviation < 1e-12
 
 
 def test_run_scenario_superposition_agrees_three_ways():
     r = run_scenario(parse_scenario(doc_qubit()))
-    assert_close(r.born.probabilities, [0.36, 0.64])
+    assert_close(r.born.weights, [0.36, 0.64])
     assert_close(r.collapsed_diag, [0.36, 0.64], atol=1e-12)
     assert_close(r.restricted.weights, [0.36, 0.64], atol=1e-12)
     assert r.max_deviation < 1e-12
@@ -235,7 +236,7 @@ def test_run_scenario_mixed_state_route():
         )
     )
     r = run_scenario(s)
-    assert_close(r.born.probabilities, [0.3, 0.7], atol=1e-12)
+    assert_close(r.born.weights, [0.3, 0.7], atol=1e-12)
     assert r.max_deviation < 1e-10
 
 
@@ -399,6 +400,65 @@ def test_full_rank_density_run_peaks_at_a_few_apparatus_matrices(idle):
     assert peak < 16 * 16 * dim**2
 
 
+def _run(observable, state, apparatus_dim):
+    return run_scenario(
+        Scenario(
+            system_dim=observable.shape[0],
+            initial_state=state,
+            measured_observable=Observable(observable),
+            apparatus_dim=apparatus_dim,
+            pointer=None,
+            algebra_generators=None,
+            trials=0,
+            seed=1,
+        )
+    )
+
+
+def _assert_same_statistics(before, after):
+    # both runs agree across their routes, and with each other
+    tol = linalg.DEVIATION_TOL
+    for r in (before, after):
+        assert r.max_deviation <= tol
+    assert_close(after.born.weights, before.born.weights, atol=tol, rtol=0)
+    assert_close(after.collapsed_diag, before.collapsed_diag, atol=tol, rtol=0)
+    assert_close(after.restricted.weights, before.restricted.weights, atol=tol, rtol=0)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    scale=st.floats(0.125, 8.0),
+    shift=st.floats(-8.0, 8.0),
+    idle=st.integers(0, 2),
+    density=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_run_statistics_do_not_change_under_an_affine_observable(seed, scale, shift, idle, density):
+    # A -> scale * A + shift keeps each eigenvector and moves its outcome to
+    # scale * lambda + shift, the order of the outcomes included
+    rng = substream(seed, 173)
+    d = int(rng.integers(2, 6))
+    a = rand_hermitian(d, rng)
+    state = DensityMatrix(rand_density(d, rng)) if density else StateVector(rand_state(d, rng))
+    before = _run(a, state, d + idle)
+    after = _run(scale * a + shift * np.eye(d), state, d + idle)
+    _assert_same_statistics(before, after)
+    outcomes = scale * before.born.characters[:, 0] + shift
+    assert_close(after.born.characters[:, 0], outcomes, atol=1e-9 * max(1.0, *np.abs(outcomes)))
+
+
+@given(seed=st.integers(0, 2**16), phase=st.floats(0.0, 2 * math.pi), idle=st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_run_statistics_do_not_change_under_a_global_phase(seed, phase, idle):
+    rng = substream(seed, 179)
+    d = int(rng.integers(2, 6))
+    a = rand_hermitian(d, rng)
+    psi = rand_state(d, rng)
+    before = _run(a, StateVector(psi), d + idle)
+    after = _run(a, StateVector(np.exp(1j * phase) * psi), d + idle)
+    _assert_same_statistics(before, after)
+
+
 def test_vector_run_forms_no_apparatus_matrix():
     # the default readout is the pointer's diagonal: the dense 2048 x 2048
     # pointer observable and its Gelfand transform peaked at 321 MiB here
@@ -466,8 +526,7 @@ def test_run_cat_chain_weights():
 
 def test_run_cat_chain_characters_are_readout_totals():
     r = run_cat(0.6, 0.8, chain_length=3)
-    chars = [ch[0] for ch in r.restricted_characters]
-    assert chars == [-3.0, -1.0, 1.0, 3.0]
+    assert r.restricted.characters[:, 0].tolist() == [-3.0, -1.0, 1.0, 3.0]
 
 
 def test_run_cat_rejects_bad_amplitudes(monkeypatch):
@@ -666,6 +725,17 @@ def test_report_table_sections():
 def test_report_table_includes_empirical_when_sampled():
     r = run_scenario(parse_scenario(doc_qubit(trials=100)))
     assert "empirical (trials=100):" in emit_report(r, "table")
+
+
+def test_report_born_is_the_measure_of_a_single_observable():
+    # born is a state restricted to the measured observable's algebra: one
+    # character column, printed as the outcomes
+    r = run_scenario(parse_scenario(doc_qubit()))
+    chars = r.born.characters
+    two_columns = SpectralProbabilityMeasure(r.born.weights, np.column_stack([chars, chars]))
+    with pytest.raises(errors.ValidationError, match="single observable"):
+        dataclasses.replace(r, born=two_columns)
+    assert report_payload(r)["born"]["outcomes"] == r.born.characters[:, 0].tolist()
 
 
 def test_report_rejects_unknown_format():

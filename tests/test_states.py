@@ -198,7 +198,9 @@ def test_trusted_results_pass_the_public_checks(d):
         partial_trace(composite, 2, d),
         apparatus_reduced_state(premeasured_state(psi, basis, d + 2), d, d + 2),
         premeasure_density(rho, basis, d + 2),
-        proper_mixture_representative(SpectralProbabilityMeasure(raw / raw.sum()), algebra),
+        proper_mixture_representative(
+            SpectralProbabilityMeasure(raw / raw.sum(), algebra.characters), algebra
+        ),
     ]
     collapsed = collapse(rho, basis)
     assert_close(DensityMatrix(collapsed).matrix, collapsed, atol=0, rtol=0)

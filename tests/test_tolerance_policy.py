@@ -20,9 +20,10 @@ from qmeasure.algebra import (
     SpectralProbabilityMeasure,
     gelfand_transform,
     generate_algebra,
+    restrict_state,
 )
 from qmeasure.measurement import checked_cases
-from qmeasure.observables import Observable, OutcomeDistribution
+from qmeasure.observables import Observable
 from qmeasure.states import DensityMatrix, StateVector, mix, projector_of
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "qmeasure"
@@ -51,6 +52,11 @@ def _element_off_block(d):
     # against the largest entry, 1
     alg = generate_algebra([np.diag([0.0, 0.0, 1.0])])
     return gelfand_transform(alg, np.diag([0.0, 2 * d, 1.0]))
+
+
+def _born(d):
+    rho = DensityMatrix(np.diag([-d, 1 + d]))
+    return restrict_state(rho, generate_algebra([np.diag([0.0, 1.0])]))
 
 
 def _mix(weights):
@@ -83,23 +89,16 @@ BOUNDARIES = {
     ),
     "algebra isometry": (_algebra, 1e-10, errors.ValidationError),
     "measured basis": (_measured_basis, 1e-10, errors.NotOrthonormal),
-    "outcome floor": (
-        lambda d: OutcomeDistribution([0, 1], [-d, 1 + d]),
-        1e-12,
-        errors.ValidationError,
-    ),
-    "outcome sum": (
-        lambda d: OutcomeDistribution([0, 1], [0.5, 0.5 + d]),
-        1e-10,
-        errors.ValidationError,
-    ),
+    # Born's distribution: a density that passes its own checks, restricted
+    # to the algebra of one observable, whose weights dip below zero by d
+    "outcome floor": (_born, 1e-12, errors.ValidationError),
     "measure floor": (
-        lambda d: SpectralProbabilityMeasure([-d, 1 + d]),
+        lambda d: SpectralProbabilityMeasure([-d, 1 + d], [[0.0], [1.0]]),
         1e-12,
         errors.ValidationError,
     ),
     "measure sum": (
-        lambda d: SpectralProbabilityMeasure([0.5, 0.5 + d]),
+        lambda d: SpectralProbabilityMeasure([0.5, 0.5 + d], [[0.0], [1.0]]),
         1e-10,
         errors.ValidationError,
     ),
