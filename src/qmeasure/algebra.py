@@ -14,14 +14,19 @@ Restricted to the algebra of one observable, the weights are Born's
 distribution, with the characters as outcomes; and a function of the
 observable, such as exp(-itH), is the element with its values at the points.
 
-One loop generates every algebra: each generator in turn splits every point
+One loop generates every algebra, and it runs over a stack of cases of one
+dimension: each case is the initial point of its own coordinates, so no
+point ever spans two cases, and each generator in turn splits every point
 so far by its values there. While the generators are exactly diagonal the
 algebra is held in index form: its basis is the identity, so it is one point
 label per coordinate, sorted with no eigensolver, and a state restricts to it
 through its diagonal alone. From the first other generator on, the eigh of
 the generator compressed to each point turns the point's columns and gives
-the values. A point with one column keeps it, and its value is the real
-compressed entry: what the eigensolver returns for a 1 x 1 matrix.
+the values; the points that are whole cases take one stacked eigh. A point
+with one column keeps it, and its value is the real compressed entry: what
+the eigensolver returns for a 1 x 1 matrix. Each case keeps the checks and
+the cluster width it would have alone, and the algebra of one family is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -90,6 +95,19 @@ class SpectralAlgebra:
         object.__setattr__(self, "characters", linalg.readonly(chars))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_multiplicities", linalg.readonly(counts))
+
+    @classmethod
+    def _trusted(cls, labels: np.ndarray, characters: np.ndarray, basis) -> "SpectralAlgebra":
+        """Store a spectrum from a validated split loop unchecked: intp labels
+        that use every point, distinct characters in lexicographic order, and
+        an orthonormal basis or None."""
+        algebra = object.__new__(cls)
+        object.__setattr__(algebra, "labels", linalg.readonly(labels))
+        object.__setattr__(algebra, "characters", linalg.readonly(characters))
+        object.__setattr__(algebra, "basis", None if basis is None else linalg.readonly(basis))
+        counts = np.bincount(labels, minlength=characters.shape[0])
+        object.__setattr__(algebra, "_multiplicities", linalg.readonly(counts))
+        return algebra
 
     @property
     def dim(self) -> int:
@@ -161,16 +179,15 @@ class SpectralProbabilityMeasure:
         return self.weights.size
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    """Whether every off-diagonal entry is exactly zero."""
-    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
-
-
 def _split_points(labels, counts, values, tol):
     """Split each point of labels, counts[k] coordinates for point k, into
     the gap-separated clusters of its ascending values, relabelling in place.
     Returns the new counts, the old point of each new point, and each new
     point's mean value. This is the package's one clustering rule.
+
+    tol is the cluster width: one number, or one per case of a stack whose
+    len(tol) cases own equal runs of the points, in order, so that a gap is
+    judged by the width of the case it lies in.
 
     A mean is the cluster's least value plus the mean of its offsets from
     it. A cluster of equal values skips that mean: its offsets are all +0.0,
@@ -191,8 +208,10 @@ def _split_points(labels, counts, values, tol):
         order = order[np.argsort(labels[order], kind="stable")]
     ascending = values[order]
     new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.greater(np.diff(ascending), tol, out=new[1:])
+    tol = np.asarray(tol)[..., None]
+    runs = new.reshape(tol.shape[0], -1)  # a row per case
+    runs[:, 0] = True
+    np.greater(np.diff(ascending.reshape(runs.shape), axis=1), tol, out=runs[:, 1:])
     old_starts = np.cumsum(counts)[:-1]
     new[old_starts] = True
     starts = np.flatnonzero(new)
@@ -214,121 +233,196 @@ def _split_points(labels, counts, values, tol):
 
 
 def _spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The split loop: the raw labels, characters (in ascending lexicographic
-    order) and basis of the joint spectrum of gens, diagonals (1-d) followed
-    by Hermitian matrices. A matrix g turns the columns V_k of each point to
-    the eigenvectors of V_k^dagger g V_k, a submatrix of g while the basis is
-    the identity (None)."""
+    """The split loop, over a stack of n cases of one dimension d: the raw
+    labels (n, d), characters and basis (n, d, d) of the joint spectra of
+    gens, (n, d) stacks of diagonals followed by (n, d, d) stacks of
+    Hermitian matrices, case c of each the family of case c. Coordinate j of
+    case c starts in point c, so no point spans two cases; the points come
+    out case by case, each case's in ascending lexicographic order, and the
+    labels number the points of the whole stack. A matrix g turns the
+    columns V_k of each point to the eigenvectors of V_k^dagger g V_k, a
+    submatrix of g while the basis is the identity (None). Each case's
+    values are checked, and clustered, with that case's span and width
+    alone."""
     if not gens or gens[0].size == 0:
         raise ValidationError("need at least one nonempty observable")
-    n = gens[0].shape[0]
-    if any(g.shape[0] != n for g in gens):
+    n, d = gens[0].shape[:2]
+    if any(g.shape[:2] != (n, d) for g in gens):
         raise DimMismatch("observables live on different spaces")
-    labels = np.zeros(n, dtype=np.intp)
-    counts = np.array([n])
-    chars = np.zeros((1, 0))
+    labels = np.arange(n).repeat(d)
+    counts = np.array([d] * n)
+    chars = np.zeros((n, 0))
     basis = None
     for i, g in enumerate(gens):
-        if g.ndim == 1:
+        if g.ndim == 2:
             values = np.real(g)
-        elif basis is None and counts.size == 1:
-            # a single point: its columns are the whole space
+        elif basis is None and counts.size == n:
+            # every case is a single point: its columns are the whole space
             values, basis = np.linalg.eigh(g)
-        elif basis is None:
-            # each one-column point keeps its column and reads its diagonal entry
-            values = np.real(np.diagonal(g)).copy()
-            basis = np.eye(n, dtype=complex)
-            order = np.argsort(labels, kind="stable")
-            for end, m in zip(np.cumsum(counts), counts):
-                if m > 1:
-                    cols = order[end - m : end]
-                    block = np.ix_(cols, cols)
-                    values[cols], basis[block] = np.linalg.eigh(g[block])
         else:
-            values = np.empty(n)
             order = np.argsort(labels, kind="stable")
             ends = np.cumsum(counts)
-            singles = order[ends[counts == 1] - 1]
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    if singles.size:
-                        # every one-column point's compressed entry at once: per
-                        # column the vector-matrix and the dot product it alone
-                        # would take, on contiguous copies, so with its bits
-                        v = basis[:, singles]
-                        rows = np.ascontiguousarray(v.conj().T)[:, None, :] @ g
-                        entries = rows @ np.ascontiguousarray(v.T)[:, :, None]
-                        values[singles] = entries[:, 0, 0].real
-                    for end, m in zip(ends, counts):
-                        if m > 1:
-                            cols = order[end - m : end]
-                            v = basis[:, cols]
-                            values[cols], u = np.linalg.eigh(v.conj().T @ g @ v)
-                            basis[:, cols] = v @ u
-            except FloatingPointError as err:
-                raise ValidationError(f"generator {i} overflows in its eigenbasis") from err
+            multi = counts > 1
+            if basis is None:
+                # a case that is one point turns by its eigh, all such cases
+                # in one call; each one-column point keeps its column and
+                # reads its diagonal entry; any other point turns by the eigh
+                # of its block of g
+                values = np.real(np.diagonal(g, axis1=1, axis2=2)).copy()
+                basis = np.zeros(g.shape, dtype=complex)
+                basis.reshape(n, -1)[:, :: d + 1] = 1
+                whole = (ends[counts == d] - 1) // d
+                if whole.size:
+                    values[whole], basis[whole] = np.linalg.eigh(g[whole])
+                flat = values.reshape(-1)
+                parts = multi & (counts < d)
+                for end, m in zip(ends[parts], counts[parts]):
+                    coords = order[end - m : end]
+                    c = coords[0] // d
+                    block = np.ix_(coords - c * d, coords - c * d)
+                    flat[coords], basis[c][block] = np.linalg.eigh(g[c][block])
+            else:
+                values = np.empty((n, d))
+                flat = values.reshape(-1)
+                singles = order[ends[counts == 1] - 1]
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        if singles.size:
+                            # every one-column point's compressed entry at once:
+                            # per column the vector-matrix and the dot product it
+                            # alone would take, on contiguous copies, so with its
+                            # bits. The singles come case by case; slot s of case
+                            # c holds its s-th column, zeros pad the rest, and
+                            # each case's g is broadcast over its slots, not copied
+                            cases, cols = np.divmod(singles, d)
+                            slots = np.arange(cases.size) - np.searchsorted(cases, cases)
+                            v = np.zeros((n, slots.max() + 1, d), dtype=complex)
+                            v[cases, slots] = basis[cases, :, cols]
+                            rows = v.conj()[:, :, None, :] @ g[:, None]
+                            entries = rows @ v[..., None]
+                            flat[singles] = entries[cases, slots, 0, 0].real
+                        for end, m in zip(ends[multi], counts[multi]):
+                            coords = order[end - m : end]
+                            c = coords[0] // d
+                            cols = coords - c * d
+                            v = basis[c][:, cols]
+                            flat[coords], u = np.linalg.eigh(v.conj().T @ g[c] @ v)
+                            basis[c][:, cols] = v @ u
+                except FloatingPointError as err:
+                    raise ValidationError(f"generator {i} overflows in its eigenbasis") from err
         linalg.require_float_span(values, f"generator {i} values")
-        counts, parents, means = _split_points(labels, counts, values, default_cluster_tol(values))
+        counts, parents, means = _split_points(
+            labels, counts, values.reshape(-1), default_cluster_tol(values)
+        )
         chars = np.column_stack((chars[parents], means))
-    return labels, chars, basis
+    return labels.reshape(n, d), chars, basis
 
 
-def _element_tol(element: np.ndarray) -> float:
-    """The largest defect at which an element counts as reproduced from its
-    values at the spectrum points: ELEMENT_RTOL relative to its largest
-    entry, floored at the smallest normal float, since an eigensolver cannot
-    return subnormal values to relative accuracy."""
-    return linalg.ELEMENT_RTOL * max(float(np.abs(element).max()), _TINY)
+def _element_tol(largest):
+    """The largest defect at which an element whose largest entry is
+    largest counts as reproduced from its values at the spectrum points:
+    ELEMENT_RTOL relative to that entry, floored at the smallest normal
+    float, since an eigensolver cannot return subnormal values to relative
+    accuracy."""
+    return linalg.ELEMENT_RTOL * np.maximum(largest, _TINY)
 
 
-def _algebra(gens) -> SpectralAlgebra:
-    """The algebra of _spectrum(gens), validated. Each generator must be
+def _algebras(gens) -> list[SpectralAlgebra]:
+    """The algebra of each case of _spectrum(gens), validated once for the
+    stack: every basis must be orthonormal, and each case's generators
     reproduced by its characters, which fails when the cluster width merges
     distinct values."""
-    algebra = SpectralAlgebra(*_spectrum(gens))
+    labels, chars, basis = _spectrum(gens)
+    if basis is not None:
+        if not np.isfinite(basis).all():
+            raise ValidationError("basis has non-finite entries")
+        defect = linalg.isometry_defect(basis).max()
+        if defect > linalg.ROUNDOFF_TOL:
+            raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
     for i, g in enumerate(gens):
-        chars = algebra.characters[:, i]
-        rebuilt = chars[algebra.labels] if g.ndim == 1 else algebra.element(chars)
-        defect = float(np.max(np.abs(rebuilt - g)))
-        if defect > _element_tol(g):
+        values = chars[labels, i]
+        rebuilt = values if g.ndim == 2 else (basis * values[:, None, :]) @ basis.conj().mT
+        axes = tuple(range(1, g.ndim))
+        defect = np.abs(rebuilt - g).max(axis=axes)
+        over = defect > _element_tol(np.abs(g).max(axis=axes))
+        if over.any():
             raise ValidationError(
-                f"generator {i} is not reproduced by its characters (defect {defect:.3e})"
+                f"generator {i} is not reproduced by its characters "
+                f"(defect {defect[over.argmax()]:.3e})"
             )
-    return algebra
+    starts = labels.min(axis=1).tolist()
+    ends = starts[1:] + [len(chars)]
+    return [
+        SpectralAlgebra._trusted(
+            labels[c] - a, chars[a:b], None if basis is None else basis[c]
+        )
+        for c, (a, b) in enumerate(zip(starts, ends))
+    ]
 
 
-def _family(generators) -> list[np.ndarray]:
-    """A commuting Hermitian family as _spectrum takes it: the leading
-    exactly diagonal matrices as their diagonals, the rest as matrices."""
-    obs = [as_observable(g) for g in generators]
-    if any(o.dim != obs[0].dim for o in obs):
+def _family(stacks) -> list[np.ndarray]:
+    """A commuting Hermitian family of (n, d, d) stacks, case c of each the
+    family of case c, as _spectrum takes it: the leading exactly diagonal
+    matrices as their diagonals, the rest as matrices. Every case must lead
+    with the same diagonal generators, so that the stack takes the branch
+    each case would take alone; a stack whose cases differ is rejected."""
+    if not stacks or stacks[0].size == 0:
+        raise ValidationError("need at least one nonempty observable")
+    if any(s.shape[1:] != stacks[0].shape[1:] for s in stacks):
         raise DimMismatch("observables live on different spaces")
-    lead = next((i for i, o in enumerate(obs) if not _is_diagonal(o.matrix)), len(obs))
-    if len(obs) > 1 and lead < len(obs):
+    if any(len(s) != len(stacks[0]) for s in stacks):
+        raise ValidationError("generator stacks hold different numbers of cases")
+    n, d = stacks[0].shape[:2]
+    lead = len(stacks)
+    for i, s in enumerate(stacks):
+        # whether each case has a nonzero off-diagonal entry: past entry 0,
+        # each run of d + 1 entries of a flattened matrix is d off-diagonal
+        # entries and a diagonal one
+        off = s.reshape(n, -1)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d].any(axis=(1, 2))
+        if off.any():
+            if not off.all():
+                raise ValidationError(
+                    "the cases of a stack differ in which generators are diagonal"
+                )
+            lead = i
+            break
+    if len(stacks) > 1 and lead < len(stacks):
         # diagonal matrices commute exactly; every other pair is checked, each
         # matrix in units of a power of two near its largest entry, so that no
         # product overflows
-        scaled = [linalg.unit_scaled(o.matrix)[0] for o in obs]
+        scaled = [linalg.unit_scaled(s)[0] for s in stacks]
         for i, a in enumerate(scaled):
-            for j in range(max(i + 1, lead), len(obs)):
+            for j in range(max(i + 1, lead), len(stacks)):
                 b = scaled[j]
                 # written so that a NaN fails
-                if not float(np.max(np.abs(a @ b - b @ a))) <= linalg.ROUNDOFF_TOL:
+                if not (np.abs(a @ b - b @ a).max(axis=(1, 2)) <= linalg.ROUNDOFF_TOL).all():
                     raise NotCommuting(f"observables {i} and {j} do not commute")
-    return [np.diagonal(o.matrix) for o in obs[:lead]] + [o.matrix for o in obs[lead:]]
+    return [np.diagonal(s, axis1=1, axis2=2) for s in stacks[:lead]] + stacks[lead:]
 
 
-def joint_spectrum(generators) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The raw (labels, characters, basis) of the algebra a commuting
-    Hermitian family generates, before a SpectralAlgebra validates them."""
-    return _spectrum(_family(generators))
+def joint_spectra(generators) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The raw (labels, characters, basis) of the algebras that a stack of
+    commuting Hermitian families generates, before they are validated: each
+    generator an (n, d, d) stack, case c of each the family of case c. The
+    labels (n, d) number the points of the whole stack; case c's points are
+    a run of the characters, in ascending lexicographic order, from
+    labels[c].min() on. The basis is (n, d, d), or None while every
+    generator is exactly diagonal."""
+    return _spectrum(_family([linalg.require_hermitian(g, stack=True) for g in generators]))
+
+
+def generate_algebras(generators) -> list[SpectralAlgebra]:
+    """The algebra each case of a stack of commuting Hermitian families
+    generates, as joint_spectra takes them, validated once for the stack."""
+    return _algebras(_family([linalg.require_hermitian(g, stack=True) for g in generators]))
 
 
 def generate_algebra(generators) -> SpectralAlgebra:
     """Commutative algebra generated by a commuting Hermitian family, one
-    spectrum point per joint eigenspace. It stays in index form, with no
-    eigensolver, while the generators are exactly diagonal."""
-    return _algebra(_family(generators))
+    spectrum point per joint eigenspace: generate_algebras of a stack of
+    one. It stays in index form, with no eigensolver, while the generators
+    are exactly diagonal."""
+    return _algebras(_family([as_observable(g).matrix[None] for g in generators]))[0]
 
 
 def diagonal_algebra(diagonals) -> SpectralAlgebra:
@@ -338,7 +432,7 @@ def diagonal_algebra(diagonals) -> SpectralAlgebra:
     diags = [np.asarray(d) for d in diagonals]
     if any(d.ndim != 1 for d in diags):
         raise DimMismatch("diagonals must be 1-d")
-    return _algebra(diags)
+    return _algebras([d[None] for d in diags])[0]
 
 
 def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
@@ -355,7 +449,7 @@ def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
     scaled, k = linalg.unit_scaled(a.matrix)
     vals = np.ldexp(algebra.block_traces(scaled) / algebra.multiplicities(), k)
     defect = float(np.max(np.abs(algebra.element(vals) - a.matrix)))
-    if defect > _element_tol(a.matrix):
+    if defect > _element_tol(np.abs(a.matrix).max()):
         raise NotInAlgebra(f"element is not block-constant (defect {defect:.3e})")
     return linalg.readonly(vals)
 

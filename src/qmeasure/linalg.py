@@ -1,9 +1,11 @@
 """Validators for dense complex arrays on small Hilbert spaces, and the
 package's one tolerance policy.
 
-Pure functions over numpy arrays; readonly marks the arrays the package's
-records hold. No eigensolver lives here: an observable's spectrum, and
-exp(-itH) with it, is read from the algebra it generates. A run allows
+Pure functions over numpy arrays; readonly gives the read-only views the
+package's records hold. The Hermiticity, isometry, span and cluster-width
+helpers also take a stack of cases and judge each case on its own. No
+eigensolver lives here: an observable's spectrum, and exp(-itH) with it, is
+read from the algebra it generates. A run allows
 dimensions up to 4096 (apparatus.dim^2 within scenario.MAX_ARRAY_ELEMENTS),
 where LAPACK's dense symmetric solver is still accurate to about n eps and
 the tolerances below stay loose by orders of magnitude. Every validator in
@@ -55,8 +57,11 @@ _HALF_MAX = float(np.finfo(float).max) / 2
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    """A read-only view of a, sharing its data: the caller's array stays
+    writeable, and nothing is copied."""
+    view = a[...]
+    view.setflags(write=False)
+    return view
 
 
 def as_vector(v) -> np.ndarray:
@@ -68,44 +73,53 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def as_matrix(m) -> np.ndarray:
+def as_matrix(m, stack: bool = False) -> np.ndarray:
+    """A nonempty finite complex matrix; with stack, a nonempty (n, ., .)
+    stack of them."""
     a = np.array(m, dtype=complex)
-    if a.ndim != 2 or 0 in a.shape:
-        raise ValidationError(f"expected a nonempty matrix, got shape {a.shape}")
+    if a.ndim != 2 + stack or 0 in a.shape:
+        what = "stack of matrices" if stack else "matrix"
+        raise ValidationError(f"expected a nonempty {what}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
 
-def require_square(m) -> np.ndarray:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"matrix is {a.shape[0]}x{a.shape[1]}")
+def require_square(m, stack: bool = False) -> np.ndarray:
+    a = as_matrix(m, stack)
+    if a.shape[-2] != a.shape[-1]:
+        raise NotSquare(f"matrix is {a.shape[-2]}x{a.shape[-1]}")
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
+def hermiticity_defect(m: np.ndarray):
+    """max |M - M^dagger| of a matrix, or of each matrix of a stack."""
+    return np.abs(m - m.conj().mT).max(axis=(-2, -1))
 
 
-def isometry_defect(v: np.ndarray) -> float:
-    """max |V^dagger V - I| over a matrix V or a stack (..., n, k) of them:
-    zero exactly when the columns of every V are orthonormal."""
-    gram = v.conj().swapaxes(-1, -2) @ v
+def isometry_defect(v: np.ndarray):
+    """max |V^dagger V - I| of a matrix V, or of each matrix of a stack
+    (..., n, k): zero exactly when the columns of that V are orthonormal."""
+    gram = v.conj().mT @ v
     k = gram.shape[-1]
     gram.reshape(-1, k * k)[:, :: k + 1] -= 1
-    return float(np.abs(gram).max())
+    return np.abs(gram).max(axis=(-2, -1))
 
 
-def judge_hermitian(a: np.ndarray) -> float:
+def judge_hermitian(a: np.ndarray):
     """The Hermiticity defect of a square complex array in units of 2^k, the
     power of two at or below its largest real or imaginary part
-    (unit_scaled); a defect past ROUNDOFF_TOL raises NotHermitian."""
+    (unit_scaled); of each matrix, in its own unit, for a stack of them. A
+    defect past ROUNDOFF_TOL raises NotHermitian, naming the first such
+    matrix's."""
     scaled, k = unit_scaled(a)
     defect = hermiticity_defect(scaled)
-    if defect > ROUNDOFF_TOL:
+    over = defect > ROUNDOFF_TOL
+    if over.any():
+        first = np.flatnonzero(over)[0]
+        worst, k = np.ravel(defect)[first], np.ravel(k)[first]
         raise NotHermitian(
-            f"max |M - M^dagger| entry is {defect:.3e} x 2^{k}, "
+            f"max |M - M^dagger| entry is {worst:.3e} x 2^{k}, "
             f"tolerance {ROUNDOFF_TOL:.3e} x 2^{k}"
         )
     return defect
@@ -113,14 +127,19 @@ def judge_hermitian(a: np.ndarray) -> float:
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A^dagger) / 2, halved before the sum so that no entry overflows."""
-    return a / 2 + a.conj().T / 2
+    return a / 2 + a.conj().mT / 2
 
 
-def require_hermitian(m) -> np.ndarray:
+def require_hermitian(m, stack: bool = False) -> np.ndarray:
     """A square matrix that judge_hermitian accepts, as its Hermitian part:
-    the input itself when it is exactly Hermitian, so its bits are kept."""
-    a = require_square(m)
-    return _hermitian_part(a) if judge_hermitian(a) else a
+    the input itself when it is exactly Hermitian, so its bits are kept.
+    With stack, an (n, d, d) stack of them, each judged in its own unit and
+    replaced by its Hermitian part only where its defect is nonzero."""
+    a = require_square(m, stack)
+    off = judge_hermitian(a) != 0
+    if off.any():
+        a[off] = _hermitian_part(a[off])
+    return a
 
 
 def require_weights(
@@ -142,30 +161,35 @@ def require_weights(
 
 def require_float_span(values: np.ndarray, what: str) -> None:
     """Reject values that are not all finite or whose span max - min exceeds
-    the largest float, so that no difference of two of them overflows."""
+    the largest float, so that no difference of two of them overflows; for
+    a stack, the span of each row."""
     if not np.isfinite(values).all():
         raise ValidationError(f"{what} are not all finite")
     # the halved span cannot overflow, and exceeds max/2 exactly when the span
-    # itself would round past the largest float
+    # itself would round past the largest float; no row spans more than all
+    # of them do, so only a wide span needs the rows apart
     if float(values.max()) / 2 - float(values.min()) / 2 > _HALF_MAX:
-        raise ValidationError(f"{what} span more than the largest float")
+        if (values.max(axis=-1) / 2 - values.min(axis=-1) / 2 > _HALF_MAX).any():
+            raise ValidationError(f"{what} span more than the largest float")
 
 
-def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a * 2**-k, k) for a complex array a, with 2**k the power of two at or
-    below its largest real or imaginary part, so that part lands in [1, 2).
-    np.ldexp on the float view scales exactly and forms no reciprocal, which
-    would overflow when that part is subnormal."""
+def unit_scaled(a: np.ndarray):
+    """(a * 2**-k, k) for a complex matrix a, with 2**k the power of two at
+    or below its largest real or imaginary part, so that part lands in
+    [1, 2); for a stack of matrices, each in its own unit, with one k per
+    matrix. np.ldexp on the float view scales exactly and forms no
+    reciprocal, which would overflow when that part is subnormal."""
     f = a.view(float)
-    k = int(np.frexp(np.max(np.abs(f)))[1]) - 1
-    return np.ldexp(f, -k).view(complex), k
+    k = np.frexp(np.abs(f).max(axis=(-2, -1)))[1] - 1
+    return np.ldexp(f, -k[..., None, None]).view(complex), k
 
 
-def default_cluster_tol(values) -> float:
+def default_cluster_tol(values):
     """Eigenvalue cluster width, the one every generator's values are
     clustered with: a fixed multiple of the roundoff n * eps * max|eigenvalue|
     of a dense Hermitian eigensolver, so a gap is merged only when roundoff
-    could have produced it."""
+    could have produced it. For a stack, one width per row, from that row's
+    values alone."""
     vals = np.asarray(values, dtype=float)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return _CLUSTER_SAFETY * vals.size * _EPS * scale
+    scale = np.abs(vals).max(axis=-1, initial=0.0)
+    return _CLUSTER_SAFETY * vals.shape[-1] * _EPS * scale

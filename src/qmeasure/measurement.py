@@ -289,7 +289,7 @@ def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
     if not norm_gap <= linalg.ROUNDOFF_TOL:
         raise NotNormalized(f"a state's norm is off by {norm_gap:.3e}")
-    defect = linalg.isometry_defect(bases)
+    defect = linalg.isometry_defect(bases).max()
     if not defect <= linalg.ROUNDOFF_TOL:
         raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
     return np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)

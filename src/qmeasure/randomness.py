@@ -10,11 +10,11 @@ the same order, that rand_state, ginibre and rand_unitary draw one object at
 a time, so each case has the same bits alone or in a stack.
 
 The streams of at least _VECTOR_SEEDING_CASES (10) cases that differ only
-in their last tag (substreams) build no SeedSequence per case. One
-vectorized pass derives the PCG64 state of every case's stream: it
-reimplements numpy's documented SeedSequence entropy mixing and
-generate_state, and PCG64's seeding from that state. Each state is then set
-on one reused PCG64. This ties the package to those two numpy algorithms;
+in their trailing tags, each one 32-bit word (substreams), build no
+SeedSequence per case. One vectorized pass derives the PCG64 state of
+every case's stream: it reimplements numpy's documented SeedSequence
+entropy mixing and generate_state, and PCG64's seeding from that state.
+Each state is then set on one reused PCG64. This ties the package to those two numpy algorithms;
 tests/test_randomness.py holds the pass equal to substream, and the golden
 files pin the draws.
 """
@@ -120,19 +120,36 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return values ^ values >> 16
 
 
-def _pcg64_states(seed: int, tags: tuple[int, ...], cases: range) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of substream(seed, *tags, i) for each case
-    i < 2^32 of cases, in one vectorized pass over the cases: SeedSequence's
-    pool mixing of the entropy words, its generate_state(4, uint64), and
-    PCG64's srandom_r seeding, as numpy documents and implements them."""
+def _case_words(cases) -> np.ndarray | None:
+    """The trailing tags of each case as an (n, m) uint32 array, one row per
+    case: a case is one tag or a tuple of m tags. None when some tag is not
+    a single 32-bit word, which the one-pass seeding does not take."""
+    if isinstance(cases, range):
+        ends = (cases[0], cases[-1]) if cases else (0, 0)
+        if not 0 <= min(ends) <= max(ends) <= _MASK32:
+            return None
+        return np.arange(cases.start, cases.stop, cases.step, dtype=np.uint32)[:, None]
+    keys = [tuple(map(int, key)) if isinstance(key, tuple) else (int(key),) for key in cases]
+    if any(not 0 <= word <= _MASK32 for key in keys for word in key):
+        return None
+    return np.array(keys, dtype=np.uint32).reshape(len(keys), -1)
+
+
+def _pcg64_states(seed: int, tags: tuple[int, ...], words: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of substream(seed, *tags, *key) for each case,
+    its key the row of 32-bit words (_case_words) that ends its tags, in one
+    vectorized pass over the cases: SeedSequence's pool mixing of the
+    entropy words, its generate_state(4, uint64), and PCG64's srandom_r
+    seeding, as numpy documents and implements them."""
     check_seed(seed)
     prefix = [w for key in (seed, *tags) for w in _words(int(key))]
-    entropy = np.empty((len(prefix) + 1, len(cases)), dtype=np.uint32)
-    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(cases.start, cases.stop, cases.step)
+    n = len(words)
+    entropy = np.empty((len(prefix) + words.shape[1], n), dtype=np.uint32)
+    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[len(prefix) :] = words.T
     n_words = max(len(entropy), _POOL)
     consts = _hash_constants(_INIT_A, _MULT_A, _POOL * n_words)
-    pool = np.zeros((_POOL, len(cases)), dtype=np.uint32)
+    pool = np.zeros((_POOL, n), dtype=np.uint32)
     pool[: len(entropy)] = entropy[:_POOL]
     pool = _hashmix(pool, consts[: _POOL + 1])
     k = _POOL
@@ -145,8 +162,8 @@ def _pcg64_states(seed: int, tags: tuple[int, ...], cases: range) -> list[tuple[
         k += _POOL
     # generate_state(4, np.uint64): 8 words cycling the pool, read as
     # little-endian pairs
-    words = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
-    seeds = words.T.astype("<u4", order="C").view("<u8").tolist()
+    out = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    seeds = out.T.astype("<u4", order="C").view("<u8").tolist()
     states = []
     for s_hi, s_lo, i_hi, i_lo in seeds:
         # pcg_setseq_128_srandom_r: inc from the sequence, two LCG steps from 0
@@ -164,17 +181,20 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
 
 
-def substreams(seed: int, tags: tuple[int, ...], cases: range) -> Iterator[np.random.Generator]:
-    """substream(seed, *tags, i) for each case i of cases, in turn. From
-    _VECTOR_SEEDING_CASES cases on, one generator is reset to each case's
-    state from one pass, so each is valid only until the next is taken."""
-    if len(cases) < _VECTOR_SEEDING_CASES or max(cases[0], cases[-1]) > _MASK32:
-        for i in cases:
-            yield substream(seed, *tags, i)
+def substreams(seed: int, tags: tuple[int, ...], cases) -> Iterator[np.random.Generator]:
+    """substream(seed, *tags, *key) for each case of cases, in turn: a range
+    of last tags, or a sequence of equal-length tuples of trailing tags. From
+    _VECTOR_SEEDING_CASES cases on, when every trailing tag is one 32-bit
+    word, one generator is reset to each case's state from one pass, so each
+    is valid only until the next is taken."""
+    words = _case_words(cases) if len(cases) >= _VECTOR_SEEDING_CASES else None
+    if words is None:
+        for key in cases:
+            yield substream(seed, *tags, *(key if isinstance(key, tuple) else (key,)))
         return
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for state, inc in _pcg64_states(seed, tags, cases):
+    for state, inc in _pcg64_states(seed, tags, words):
         bitgen.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},

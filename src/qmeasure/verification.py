@@ -2,10 +2,11 @@
 
 Each check is a fast, seeded, deterministic property run with its own pinned
 tolerance; the CLI tolerance flag does not loosen these. A property's body
-is a kernel returning the residuals of its drawn cases: one case at a time,
-or, for collapse vs restriction and coupling fidelity, one stack of cases
-per dimension, checked once per stack. The acceptance test suite runs the
-same kernels at larger sample sizes.
+is a kernel returning the residuals of its drawn cases, one per case of a
+stack. Every case draws from its own stream, dimension included, and the
+drawn cases run as one stack per dimension, checked once per stack; only
+chain reduction runs one case at a time. The acceptance test suite runs
+the same kernels at larger sample sizes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from .algebra import (
     SpectralProbabilityMeasure,
-    generate_algebra,
-    joint_spectrum,
+    generate_algebras,
+    joint_spectra,
     proper_mixture_representative,
     restrict_state,
 )
@@ -31,7 +32,7 @@ from .measurement import (
     reduce,
 )
 from .observables import evolve
-from .randomness import draw_cases, rand_hermitian, rand_state, rand_unitary, substream, substreams
+from .randomness import draw_cases, rand_hermitian, rand_state, rand_unitary, substreams
 from .report import CheckResult
 from .scenario import parse_scenario, run_cat, run_scenario
 from .states import StateVector, mix, partial_trace, projector_of
@@ -67,45 +68,80 @@ def coupling_defects(
     return np.abs(gap).max(axis=(-2, -1)), np.abs(gram).max(axis=(-2, -1))
 
 
-def spectral_axiom_defect(a: np.ndarray) -> float:
-    """Worst violation of the spectral measure axioms for the algebra a
-    generates, read from its raw joint spectrum before a SpectralAlgebra
-    validates it. For the square basis V, V^dagger V = I makes the blocks
-    orthonormal, their projectors pairwise orthogonal and complete; and the
-    eigenvalues must reconstruct a. It is the route by which
-    model_for_observable builds every run's measured spectral measure."""
-    labels, chars, basis = joint_spectrum([a])
-    v = np.eye(labels.size) if basis is None else basis
-    recon = float(np.max(np.abs((v * chars[labels, 0]) @ v.conj().T - a)))
-    return max(isometry_defect(v), recon)
+def spectral_axiom_defects(hermitians: np.ndarray) -> np.ndarray:
+    """Per case of an (n, d, d) stack of Hermitians, the worst violation of
+    the spectral measure axioms for the algebra it generates, read from the
+    raw joint spectra before they are validated. For the square basis V,
+    V^dagger V = I makes the blocks orthonormal, their projectors pairwise
+    orthogonal and complete; and the eigenvalues must reconstruct the
+    Hermitian. It is the route by which model_for_observable builds every
+    run's measured spectral measure."""
+    labels, chars, basis = joint_spectra([hermitians])
+    v = np.eye(labels.shape[1]) if basis is None else basis
+    rebuilt = (v * chars[labels, 0][:, None, :]) @ v.conj().mT
+    recon = np.abs(rebuilt - hermitians).max(axis=(1, 2))
+    return np.maximum(isometry_defect(v), recon)
 
 
-def joint_diagonalization_defect(family) -> tuple[float, bool]:
-    """Largest off-diagonal entry of any family member in the joint eigenbasis
-    of the family, and whether the joint eigenspaces carry pairwise distinct
-    characters. Both are read from the raw joint spectrum, before a
-    SpectralAlgebra could reject colliding characters."""
-    labels, chars, basis = joint_spectrum(family)
-    n = labels.size
-    v = np.eye(n) if basis is None else basis
-    # one product per member, as a stack; the diagonal entries are cleared
-    off = np.abs(v.conj().T @ np.stack(family) @ v)
-    off.reshape(-1, n * n)[:, :: n + 1] = 0
-    worst = float(off.max())
-    distinct = len({tuple(char) for char in chars}) == len(chars)
-    return worst, distinct
+def joint_diagonalization_defects(family) -> tuple[np.ndarray, np.ndarray]:
+    """Per case of a stack of commuting families, each member an (n, d, d)
+    stack: the largest off-diagonal entry of any member in the joint
+    eigenbasis of its family, and whether the joint eigenspaces carry
+    pairwise distinct characters. Both are read from the raw joint spectra,
+    before validation could reject colliding characters."""
+    labels, chars, basis = joint_spectra(family)
+    n, d = labels.shape
+    v = np.eye(d) if basis is None else basis[:, None]
+    # one product per member and case, as a stack; the diagonal entries are cleared
+    off = np.abs(v.conj().mT @ np.stack(family, axis=1) @ v)
+    off.reshape(n, -1, d * d)[..., :: d + 1] = 0
+    starts = labels.min(axis=1).tolist()
+    ends = starts[1:] + [len(chars)]
+    distinct = [
+        len({tuple(char) for char in chars[a:b].tolist()}) == b - a for a, b in zip(starts, ends)
+    ]
+    return off.max(axis=(1, 2, 3)), np.array(distinct)
 
 
-def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tuple[float, float]:
-    """Composition defect |e^{-isH} e^{-itH} psi - e^{-i(s+t)H} psi| and the
-    worst norm drift of the two evolved states. The algebra H generates is
-    built once and serves all three evolutions."""
-    generated = generate_algebra([h])
-    stepwise = evolve(evolve(psi, generated, t), generated, s)
-    direct = evolve(psi, generated, s + t)
-    group = float(np.max(np.abs(stepwise.amplitudes - direct.amplitudes)))
-    norm = max(abs(float(np.linalg.norm(x.amplitudes)) - 1.0) for x in (stepwise, direct))
+def group_law_defects(
+    hermitians: np.ndarray, s: np.ndarray, t: np.ndarray, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per case of a stack of (n, d, d) Hamiltonians H, times s and t and
+    (n, d) states psi: the composition defect |e^{-isH} e^{-itH} psi -
+    e^{-i(s+t)H} psi| and the worst norm drift of the two evolved states.
+    The algebras are generated as one stack; each case's algebra serves its
+    three evolutions."""
+    group, norm = np.empty(len(states)), np.empty(len(states))
+    for c, generated in enumerate(generate_algebras([hermitians])):
+        psi = StateVector(states[c])
+        stepwise = evolve(evolve(psi, generated, t[c]), generated, s[c])
+        direct = evolve(psi, generated, s[c] + t[c])
+        group[c] = np.max(np.abs(stepwise.amplitudes - direct.amplitudes))
+        norm[c] = max(abs(float(np.linalg.norm(x.amplitudes)) - 1.0) for x in (stepwise, direct))
     return group, norm
+
+
+def round_trip_defects(hermitians: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Per case of a stack of (n, d, d) Hermitians and (n, d) positive raw
+    weights: a spectral measure on the algebra the Hermitian generates, the
+    leading raw weights normalized, one per point, must be recovered by
+    restricting its proper mixture representative to that algebra. The
+    algebras are generated as one stack."""
+    gaps = np.empty(len(raw))
+    for c, algebra in enumerate(generate_algebras([hermitians])):
+        w = raw[c, : algebra.n_points]
+        measure = SpectralProbabilityMeasure(w / w.sum(), algebra.characters)
+        rho = proper_mixture_representative(measure, algebra)
+        gaps[c] = np.max(np.abs(restrict_state(rho, algebra).weights - measure.weights))
+    return gaps
+
+
+def _stacks_by_dim(dims, *columns):
+    """Per dimension, in order of first appearance, each column's entries
+    for the cases of that dimension, in case order, as one stack."""
+    for d in dict.fromkeys(dims):
+        cases = [k for k, dk in enumerate(dims) if dk == d]
+        yield tuple(np.stack([column[k] for k in cases]) for column in columns)
 
 
 def chain_reduction_gap(
@@ -161,21 +197,23 @@ def check_coupling_fidelity() -> CheckResult:
 
 def check_spectral_axioms() -> CheckResult:
     """Spectral blocks are orthonormal, their projectors pairwise orthogonal
-    and complete, and the eigenvalues reconstruct the observable."""
+    and complete, and the eigenvalues reconstruct the observable, one stack
+    of cases per dimension."""
+    keys = [(d, i) for d in range(2, 9) for i in range(5)]
+    drawn = [rand_hermitian(d, rng) for (d, _), rng in zip(keys, substreams(_SEED, (12,), keys))]
     worst = 0.0
-    cases = 0
-    for d in range(2, 9):
-        for i in range(5):
-            rng = substream(_SEED, 12, d, i)
-            worst = max(worst, spectral_axiom_defect(rand_hermitian(d, rng)))
-            cases += 1
-    return _result("spectral measure axioms", worst, 1e-9, f"{cases} random Hermitians, dims 2..8")
+    for (hermitians,) in _stacks_by_dim([d for d, _ in keys], drawn):
+        worst = max(worst, float(spectral_axiom_defects(hermitians).max()))
+    return _result(
+        "spectral measure axioms", worst, 1e-9, f"{len(keys)} random Hermitians, dims 2..8"
+    )
 
 
 def check_joint_diagonalization() -> CheckResult:
-    """Commuting families become simultaneously diagonal with distinct characters."""
-    worst = 0.0
-    cases = 0
+    """Commuting families become simultaneously diagonal with distinct
+    characters. Every case draws its dimension and family from its own
+    stream; the cases then run as one stack per dimension."""
+    dims, families = [], []
     for rng in substreams(_SEED, (13,), range(20)):
         d = int(rng.integers(2, 9))
         h = rand_hermitian(d, rng)
@@ -186,10 +224,13 @@ def check_joint_diagonalization() -> CheckResult:
             family.append(
                 row[0] * np.eye(d) + row[1] * h + row[2] * h @ h + row[3] * h @ h @ h
             )
-        off, distinct = joint_diagonalization_defect(family)
-        worst = max(worst, off, 0.0 if distinct else 1.0)
-        cases += 1
-    return _result("joint diagonalization", worst, 1e-8, f"{cases} random commuting families")
+        dims.append(d)
+        families.append(np.stack(family))
+    worst = 0.0
+    for (stacked,) in _stacks_by_dim(dims, families):
+        off, distinct = joint_diagonalization_defects(list(stacked.swapaxes(0, 1)))
+        worst = max(worst, float(off.max()), 0.0 if distinct.all() else 1.0)
+    return _result("joint diagonalization", worst, 1e-8, f"{len(dims)} random commuting families")
 
 
 def check_born_sampling() -> CheckResult:
@@ -238,13 +279,17 @@ def check_simplex_contrast() -> CheckResult:
     distinct = float(np.max(np.abs(projector_of(e0).matrix - projector_of(plus).matrix)))
     worst = max(agree, 0.0 if distinct > 0.1 else 1.0)
 
+    dims, hermitians, raws = [], [], []
     for rng in substreams(_SEED, (14,), range(10)):
-        algebra = generate_algebra([rand_hermitian(int(rng.integers(2, 6)), rng)])
-        raw = rng.uniform(0.05, 1.0, size=algebra.n_points)
-        measure = SpectralProbabilityMeasure(raw / raw.sum(), algebra.characters)
-        rho = proper_mixture_representative(measure, algebra)
-        recovered = restrict_state(rho, algebra).weights
-        worst = max(worst, float(np.max(np.abs(recovered - measure.weights))))
+        d = int(rng.integers(2, 6))
+        hermitians.append(rand_hermitian(d, rng))
+        # one uniform per point: the leading n_points of d uniforms are the
+        # n_points uniforms the stream would give, so d of them may be drawn
+        # before the algebra says how many points it has
+        raws.append(rng.uniform(0.05, 1.0, size=d))
+        dims.append(d)
+    for stacked in _stacks_by_dim(dims, hermitians, raws):
+        worst = max(worst, float(round_trip_defects(*stacked).max()))
     return _result(
         "simplex contrast",
         worst,
@@ -254,15 +299,20 @@ def check_simplex_contrast() -> CheckResult:
 
 
 def check_dynamics_group() -> CheckResult:
-    """exp(-isH) exp(-itH) psi = exp(-i(s+t)H) psi and norms are preserved."""
-    worst = 0.0
+    """exp(-isH) exp(-itH) psi = exp(-i(s+t)H) psi and norms are preserved,
+    one stack of cases per dimension, each case drawn from its own stream."""
+    dims, hermitians, times, states = [], [], [], []
     for rng in substreams(_SEED, (15,), range(20)):
         d = int(rng.integers(2, 9))
-        h = rand_hermitian(d, rng)
-        s, t = rng.uniform(-3, 3, size=2)
-        psi = StateVector(rand_state(d, rng))
-        worst = max(worst, *group_law_defects(h, s, t, psi))
-    return _result("dynamics group law", worst, 1e-9, "20 random (H, s, t)")
+        hermitians.append(rand_hermitian(d, rng))
+        times.append(rng.uniform(-3, 3, size=2))
+        states.append(rand_state(d, rng))
+        dims.append(d)
+    worst = 0.0
+    for h, st, psi in _stacks_by_dim(dims, hermitians, times, states):
+        group, norm = group_law_defects(h, st[:, 0], st[:, 1], psi)
+        worst = max(worst, float(group.max()), float(norm.max()))
+    return _result("dynamics group law", worst, 1e-9, f"{len(dims)} random (H, s, t)")
 
 
 def check_chain_reduction() -> CheckResult:

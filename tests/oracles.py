@@ -6,10 +6,20 @@ from pathlib import Path
 
 import numpy as np
 
-from qmeasure.algebra import SpectralAlgebra, _split_points, diagonal_algebra, restrict_state
+from qmeasure.algebra import (
+    SpectralAlgebra,
+    SpectralProbabilityMeasure,
+    _split_points,
+    diagonal_algebra,
+    generate_algebra,
+    joint_spectra,
+    proper_mixture_representative,
+    restrict_state,
+)
 from qmeasure.errors import DimMismatch
 from qmeasure.linalg import default_cluster_tol, isometry_defect
 from qmeasure.measurement import collapse, coupling_matrix, premeasure
+from qmeasure.observables import evolve
 from qmeasure.scenario import Scenario, parse_scenario
 from qmeasure.states import DensityMatrix, StateVector, as_density, as_state, projector_of
 
@@ -123,7 +133,7 @@ def coupling_defects(basis: np.ndarray, psi: StateVector, dim_apparatus: int) ->
     d = basis.shape[1]
     gap = (u @ np.outer(psi.amplitudes, ready).reshape(-1)).reshape(d, -1)
     gap[:, :d] -= premeasure(psi.amplitudes, b)
-    return float(np.max(np.abs(gap))), isometry_defect(u)
+    return float(np.max(np.abs(gap))), float(isometry_defect(u))
 
 
 def premeasure_density(rho, basis: np.ndarray, dim_apparatus: int) -> DensityMatrix:
@@ -161,3 +171,64 @@ def sample_outcome(
     j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     j = min(j, amps.size - 1)
     return float(values[j]), StateVector(basis[:, j])
+
+
+def joint_spectrum(family) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The raw spectrum of one commuting family: joint_spectra of a stack of
+    one, the case's labels and basis taken out of the stack."""
+    labels, chars, basis = joint_spectra([np.asarray(g)[None] for g in family])
+    return labels[0], chars, None if basis is None else basis[0]
+
+
+def spectral_axiom_defect(a: np.ndarray) -> float:
+    """One case of the spectral measure axioms, one object at a time: for
+    the square basis V of the raw joint spectrum of [a], the isometry
+    defect of V and the defect of the eigenvalues reconstructing a. The
+    package runs a stack of cases at once
+    (verification.spectral_axiom_defects)."""
+    labels, chars, basis = joint_spectrum([a])
+    v = np.eye(labels.size) if basis is None else basis
+    recon = float(np.max(np.abs((v * chars[labels, 0]) @ v.conj().T - a)))
+    return max(float(isometry_defect(v)), recon)
+
+
+def joint_diagonalization_defect(family) -> tuple[float, bool]:
+    """One case of the joint diagonalization, one object at a time: the
+    largest off-diagonal entry of any family member in the joint eigenbasis
+    of the family, and whether the joint eigenspaces carry pairwise distinct
+    characters. The package runs a stack of families at once
+    (verification.joint_diagonalization_defects)."""
+    labels, chars, basis = joint_spectrum(family)
+    n = labels.size
+    v = np.eye(n) if basis is None else basis
+    off = np.abs(v.conj().T @ np.stack(family) @ v)
+    off.reshape(-1, n * n)[:, :: n + 1] = 0
+    distinct = len({tuple(char) for char in chars}) == len(chars)
+    return float(off.max()), distinct
+
+
+def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tuple[float, float]:
+    """One case of the dynamics group law, one object at a time: the
+    composition defect |e^{-isH} e^{-itH} psi - e^{-i(s+t)H} psi| and the
+    worst norm drift of the two evolved states, all three evolutions on the
+    algebra H generates. The package runs a stack of cases at once
+    (verification.group_law_defects)."""
+    generated = generate_algebra([h])
+    stepwise = evolve(evolve(psi, generated, t), generated, s)
+    direct = evolve(psi, generated, s + t)
+    group = float(np.max(np.abs(stepwise.amplitudes - direct.amplitudes)))
+    norm = max(abs(float(np.linalg.norm(x.amplitudes)) - 1.0) for x in (stepwise, direct))
+    return group, norm
+
+
+def round_trip_defect(h: np.ndarray, raw: np.ndarray) -> float:
+    """One case of the weight round trip, one object at a time: the measure
+    of the leading raw weights, normalized, on the algebra h generates,
+    against its proper mixture representative restricted to that algebra.
+    The package runs a stack of cases at once
+    (verification.round_trip_defects)."""
+    algebra = generate_algebra([h])
+    w = raw[: algebra.n_points]
+    measure = SpectralProbabilityMeasure(w / w.sum(), algebra.characters)
+    rho = proper_mixture_representative(measure, algebra)
+    return float(np.max(np.abs(restrict_state(rho, algebra).weights - measure.weights)))

@@ -18,14 +18,14 @@ from qmeasure.randomness import (
 )
 from qmeasure.report import emit_report
 from qmeasure.scenario import run_cat, run_scenario
-from qmeasure.states import StateVector
 from qmeasure.verification import (
+    _stacks_by_dim,
     chain_reduction_gap,
     check_simplex_contrast,
     coupling_defects,
     group_law_defects,
-    joint_diagonalization_defect,
-    spectral_axiom_defect,
+    joint_diagonalization_defects,
+    spectral_axiom_defects,
 )
 
 from oracles import load_scenario, projectors
@@ -117,11 +117,11 @@ def test_acceptance_3_born_rule_statistics(capsys):
 def test_acceptance_4_spectral_measure_axioms(capsys):
     tol = 1e-9
     t0 = time.perf_counter()
+    dims = [2 + i % 11 for i in range(100)]  # dims 2..12
+    drawn = [rand_hermitian(d, substream(_SEED, 4, i)) for i, d in enumerate(dims)]
     worst = 0.0
-    for i in range(100):
-        rng = substream(_SEED, 4, i)
-        d = 2 + i % 11  # dims 2..12
-        worst = max(worst, spectral_axiom_defect(rand_hermitian(d, rng)))
+    for (hermitians,) in _stacks_by_dim(dims, drawn):
+        worst = max(worst, float(spectral_axiom_defects(hermitians).max()))
     elapsed = time.perf_counter() - t0
     passed = worst <= tol
     _announce(
@@ -137,19 +137,22 @@ def test_acceptance_4_spectral_measure_axioms(capsys):
 def test_acceptance_5_joint_diagonalization(capsys):
     tol = 1e-8
     t0 = time.perf_counter()
-    worst = 0.0
-    all_distinct = True
-    for i in range(100):
+    dims = [2 + i % 11 for i in range(100)]  # dims 2..12
+    families = []
+    for i, d in enumerate(dims):
         rng = substream(_SEED, 5, i)
-        d = 2 + i % 11  # dims 2..12
         h = rand_hermitian(d, rng)
         h = h / max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
         family = [h]
         for row in rng.standard_normal((2, 4)):
             family.append(row[0] * np.eye(d) + row[1] * h + row[2] * h @ h + row[3] * h @ h @ h)
-        off, distinct = joint_diagonalization_defect(family)
-        worst = max(worst, off)
-        all_distinct = all_distinct and distinct
+        families.append(np.stack(family))
+    worst = 0.0
+    all_distinct = True
+    for (stacked,) in _stacks_by_dim(dims, families):
+        off, distinct = joint_diagonalization_defects(list(stacked.swapaxes(0, 1)))
+        worst = max(worst, float(off.max()))
+        all_distinct = all_distinct and bool(distinct.all())
     elapsed = time.perf_counter() - t0
     passed = worst <= tol and all_distinct
     _announce(
@@ -237,17 +240,19 @@ def test_acceptance_8_dynamics_group_law(capsys):
     tol_group = 1e-9
     tol_norm = 1e-10
     t0 = time.perf_counter()
+    dims = [2 + i % 7 for i in range(50)]
+    hermitians, times, states = [], [], []
+    for i, d in enumerate(dims):
+        rng = substream(_SEED, 8, i)
+        hermitians.append(rand_hermitian(d, rng))
+        times.append(rng.uniform(-2.0, 2.0, size=2))
+        states.append(rand_state(d, rng))
     worst_group = 0.0
     worst_norm = 0.0
-    for i in range(50):
-        rng = substream(_SEED, 8, i)
-        d = 2 + i % 7
-        h = rand_hermitian(d, rng)
-        s, t = rng.uniform(-2.0, 2.0, size=2)
-        psi = StateVector(rand_state(d, rng))
-        group, norm = group_law_defects(h, s, t, psi)
-        worst_group = max(worst_group, group)
-        worst_norm = max(worst_norm, norm)
+    for h, st, psi in _stacks_by_dim(dims, hermitians, times, states):
+        group, norm = group_law_defects(h, st[:, 0], st[:, 1], psi)
+        worst_group = max(worst_group, float(group.max()))
+        worst_norm = max(worst_norm, float(norm.max()))
     elapsed = time.perf_counter() - t0
     passed = worst_group <= tol_group and worst_norm <= tol_norm
     _announce(

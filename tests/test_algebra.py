@@ -13,7 +13,9 @@ from qmeasure.algebra import (
     _split_points,
     diagonal_algebra,
     generate_algebra,
+    generate_algebras,
     gelfand_transform,
+    joint_spectra,
     proper_mixture_representative,
     restrict_state,
 )
@@ -22,7 +24,7 @@ from qmeasure.measurement import pointer_diagonal
 from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.states import mix, projector_of
 
-from conftest import assert_close
+from conftest import assert_close, peak_bytes
 from oracles import projectors, rand_density, spectrum_reference
 
 
@@ -105,20 +107,10 @@ def test_diagonal_family_needs_no_eigensolver(monkeypatch):
 _SPLIT_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, 2.5])
 
 
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 9),
-    n_diagonals=st.integers(0, 2),
-    n_matrices=st.integers(0, 3),
-)
-@settings(max_examples=300, deadline=None)
-def test_split_loop_matches_an_eigensolver_at_every_point(seed, n, n_diagonals, n_matrices):
-    # a commuting family: diagonals, then matrices W diag(x) W^dagger with W
-    # a random unitary on each point the diagonals leave, so one-column and
-    # multi-column points mix in both the fresh and the rotated branch
-    if n_diagonals + n_matrices == 0:
-        n_matrices = 1
-    rng = np.random.default_rng(seed)
+def split_family(rng, n, n_diagonals, n_matrices):
+    """A commuting family: diagonals, then matrices W diag(x) W^dagger with
+    W a random unitary on each point the diagonals leave, so one-column and
+    multi-column points mix in both the fresh and the rotated branch."""
     diagonals = [rng.choice(_SPLIT_VALUES, n) for _ in range(n_diagonals)]
     w = np.zeros((n, n), dtype=complex)
     keys = np.array(diagonals).T if diagonals else np.zeros((n, 1))
@@ -129,17 +121,38 @@ def test_split_loop_matches_an_eigensolver_at_every_point(seed, n, n_diagonals, 
     for _ in range(n_matrices):
         g = (w * rng.choice(_SPLIT_VALUES, n)) @ w.conj().T
         matrices.append(g / 2 + g.conj().T / 2)
-    family = [d.astype(complex) for d in diagonals] + matrices
-    labels, chars, basis = _spectrum(family)
-    want_labels, want_chars, want_basis = spectrum_reference(family)
-    assert np.array_equal(labels, want_labels)
-    assert chars.shape == want_chars.shape
-    assert chars.tobytes() == want_chars.tobytes()
-    if basis is None:
-        assert want_basis is None
-    else:
-        # equal elementwise: only the sign of a zero entry may differ
-        assert np.array_equal(basis, want_basis)
+    return [d.astype(complex) for d in diagonals] + matrices
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    n_diagonals=st.integers(0, 2),
+    n_matrices=st.integers(0, 3),
+    n_cases=st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_split_loop_matches_an_eigensolver_at_every_point(
+    seed, n, n_diagonals, n_matrices, n_cases
+):
+    # each case of a stack, split alone by the reference loop
+    if n_diagonals + n_matrices == 0:
+        n_matrices = 1
+    rng = np.random.default_rng(seed)
+    families = [split_family(rng, n, n_diagonals, n_matrices) for _ in range(n_cases)]
+    labels, chars, basis = _spectrum([np.stack(g) for g in zip(*families)])
+    starts = labels.min(axis=1)
+    ends = np.append(starts[1:], len(chars))
+    for c, family in enumerate(families):
+        want_labels, want_chars, want_basis = spectrum_reference(family)
+        assert np.array_equal(labels[c] - starts[c], want_labels)
+        assert chars[starts[c] : ends[c]].tobytes() == want_chars.tobytes()
+        assert chars[starts[c] : ends[c]].shape == want_chars.shape
+        if basis is None:
+            assert want_basis is None
+        else:
+            # equal elementwise: only the sign of a zero entry may differ
+            assert np.array_equal(basis[c], want_basis)
 
 
 def test_one_column_points_keep_a_signed_zero_value():
@@ -446,3 +459,89 @@ def test_born_matches_projected_norms(seed):
     born = restrict_state(projector_of(psi), pvm)
     norms = [float(np.linalg.norm(p @ psi) ** 2) for p in projectors(pvm)]
     assert_close(born.weights, norms, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_diagonals", [0, 1, 2])
+def test_generated_algebras_are_the_algebras_of_each_case_alone(n_diagonals):
+    rng = np.random.default_rng(211 + n_diagonals)
+    families = []
+    while len(families) < 5:
+        family = split_family(rng, 6, n_diagonals, 2)
+        # a case must lead with diagonals exactly as the stack does
+        if not any(np.count_nonzero(g - np.diag(np.diag(g))) == 0 for g in family[n_diagonals:]):
+            families.append([np.diag(g) if g.ndim == 1 else g for g in family])
+    algebras = generate_algebras([np.stack(g) for g in zip(*families)])
+    for family, got in zip(families, algebras):
+        want = generate_algebra(family)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.characters.tobytes() == want.characters.tobytes()
+        assert np.array_equal(got.multiplicities(), want.multiplicities())
+        assert np.array_equal(got.basis, want.basis)
+        for a in (got.labels, got.characters, got.basis, got.multiplicities()):
+            assert not a.flags.writeable
+
+
+def test_each_case_of_a_stack_is_clustered_with_its_own_width():
+    # the width is a multiple of eps times each case's largest value: a gap
+    # of 1e-12 in a case of scale 1e-3 is wider than its width, 7e-15, but
+    # narrower than the width of a stack holding a case of scale 1e6
+    small = np.diag([1e-3, 1e-3 + 1e-12, 0.0])
+    large = np.diag([1e6, 0.0, -1e6])
+    labels, chars, basis = joint_spectra([np.stack([small, large])])
+    assert basis is None
+    assert labels.tolist() == [[1, 2, 0], [5, 4, 3]]
+    assert np.array_equal(chars[:3, 0], [0.0, 1e-3, 1e-3 + 1e-12])
+
+
+def test_one_column_points_copy_no_matrix_per_column():
+    # B = A^2 meets A's 256 one-column points in A's eigenbasis: one 256 x 256
+    # complex matrix is 1 MiB, and a copy of B per column would be 256 MiB
+    def family(d):
+        u = rand_unitary(d, substream(7, d))
+        a = np.linspace(-1.0, 1.0, d)
+        return [(u * a) @ u.conj().T, (u * a**2) @ u.conj().T]
+
+    generate_algebra(family(4))  # warm-up
+    alg, peak = peak_bytes(generate_algebra, family(256))
+    assert alg.n_points == 256
+    assert peak < 16 * 2**20
+
+
+def test_a_stack_whose_cases_lead_with_different_diagonals_is_rejected():
+    # case 0 is diagonal and would stay in index form alone, case 1 would not
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(errors.ValidationError, match="differ in which generators are diagonal"):
+        generate_algebras([np.stack([np.eye(2), x])])
+    with pytest.raises(errors.ValidationError, match="different numbers of cases"):
+        joint_spectra([np.stack([x, x]), x[None]])
+    with pytest.raises(errors.DimMismatch):
+        joint_spectra([np.stack([x, x]), np.stack([np.eye(3)] * 2)])
+    with pytest.raises(errors.NotHermitian):
+        joint_spectra([np.stack([x, x + 1j * np.triu(x)])])
+    for bad in (x, np.zeros((0, 2, 2))):
+        with pytest.raises(errors.ValidationError, match="nonempty stack of matrices"):
+            joint_spectra([bad])
+    with pytest.raises(errors.NotSquare, match="2x3"):
+        joint_spectra([np.zeros((2, 2, 3))])
+    with pytest.raises(errors.ValidationError, match="non-finite"):
+        joint_spectra([np.stack([x, x * np.nan])])
+
+
+def test_records_keep_the_callers_arrays_writeable():
+    # a record marks a read-only view of what it is handed, and copies nothing
+    weights, characters = np.array([0.25, 0.75]), np.array([[0.0], [1.0]])
+    labels, basis = np.array([1, 0]), np.eye(2, dtype=complex)
+    measure = SpectralProbabilityMeasure(weights, characters)
+    algebra = SpectralAlgebra(labels, characters, basis)
+    for record, field, given in [
+        (measure, "weights", weights),
+        (measure, "characters", characters),
+        (algebra, "labels", labels),
+        (algebra, "characters", characters),
+    ]:
+        held = getattr(record, field)
+        assert given.flags.writeable
+        assert not held.flags.writeable
+        assert np.shares_memory(held, given)
+    weights[0] = 0.5
+    labels[0] = 0

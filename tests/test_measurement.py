@@ -151,7 +151,7 @@ def test_measured_basis_is_in_label_order(dense):
 
 def test_model_for_observable_checks_the_basis_once(monkeypatch):
     # the measured measure is generate_algebra([a]): one eigh and one
-    # orthonormality check, by SpectralAlgebra, with no eigensolver of its own
+    # orthonormality check, of its stack of one, with no eigensolver of its own
     calls = []
     defect = linalg.isometry_defect
 
@@ -161,7 +161,7 @@ def test_model_for_observable_checks_the_basis_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "isometry_defect", counted)
     model_for_observable(rand_hermitian(3, substream(173)))
-    assert calls == [(3, 3)]
+    assert calls == [(1, 3, 3)]
 
 
 def test_compare_checks_each_basis_once(monkeypatch):

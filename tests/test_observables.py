@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg
-from qmeasure.algebra import SpectralAlgebra, generate_algebra, joint_spectrum
+from qmeasure.algebra import SpectralAlgebra, generate_algebra
 from qmeasure.observables import Observable, evolve
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.states import DensityMatrix, StateVector, projector_of
 
 from conftest import assert_close
-from oracles import projectors
+from oracles import joint_spectrum, projectors
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])

@@ -7,6 +7,7 @@ import pytest
 
 from qmeasure.randomness import (
     _VECTOR_SEEDING_CASES,
+    _case_words,
     _pcg64_states,
     _row_norms,
     draw_cases,
@@ -63,8 +64,39 @@ def test_one_pass_gives_the_pcg64_states_of_substream(seed, tags, n):
     # the last stack ends at the largest case index the pass takes
     for cases in (range(n), range(2**32 - n, 2**32)):
         want = [substream(seed, *tags, i).bit_generator.state["state"] for i in cases]
-        got = _pcg64_states(seed, tags, cases)
+        got = _pcg64_states(seed, tags, _case_words(cases))
         assert got == [(s["state"], s["inc"]) for s in want]
+
+
+@pytest.mark.parametrize("tags", TAGS, ids=str)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_pass_gives_the_pcg64_states_of_keys_that_vary_in_two_words(seed, tags):
+    # the keys of the spectral axioms check, (12, d, i), and keys whose
+    # varying words reach the last 32-bit word
+    for keys in (
+        [(d, i) for d in range(2, 9) for i in range(5)],
+        [(2**32 - 1 - i, i) for i in range(12)],
+    ):
+        want = [substream(seed, *tags, *key).bit_generator.state["state"] for key in keys]
+        got = _pcg64_states(seed, tags, _case_words(keys))
+        assert got == [(s["state"], s["inc"]) for s in want]
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [(d, i) for d in range(2, 9) for i in range(5)],
+        [(d, 2**32 + i) for d in range(3) for i in range(4)],  # a word past 2^32 - 1
+        [(2**40, i) for i in range(_VECTOR_SEEDING_CASES)],
+        [(d, i) for d in range(2) for i in range(3)],  # below the seeding threshold
+    ],
+    ids=["check-3", "past-32-bits", "wide-first-word", "few"],
+)
+def test_substreams_of_two_word_keys_draw_what_substream_draws(keys):
+    # keys with a word past 2^32 - 1 are seeded one by one, through substream
+    got = [rng.standard_normal(3).tolist() for rng in substreams(73, (12,), keys)]
+    assert got == [substream(73, 12, *key).standard_normal(3).tolist() for key in keys]
+    assert (_case_words(keys) is None) == any(w > 2**32 - 1 for key in keys for w in key)
 
 
 @pytest.mark.parametrize("state_first", [True, False])

@@ -18,7 +18,7 @@ from qmeasure.measurement import (
     pointer_diagonal,
 )
 from qmeasure.observables import Observable
-from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream
+from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, rand_unitary, substream
 from qmeasure.report import (
     ComparisonSummary,
     EmpiricalCounts,
@@ -456,6 +456,26 @@ def test_run_statistics_do_not_change_under_a_global_phase(seed, phase, idle):
     psi = rand_state(d, rng)
     before = _run(a, StateVector(psi), d + idle)
     after = _run(a, StateVector(np.exp(1j * phase) * psi), d + idle)
+    _assert_same_statistics(before, after)
+
+
+@given(seed=st.integers(0, 2**16), idle=st.integers(0, 2), density=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_run_statistics_do_not_change_under_a_joint_change_of_basis(seed, idle, density):
+    # conjugating the state and the observable by one Haar unitary U moves
+    # each eigenvector with the state, so no overlap and no outcome changes
+    rng = substream(seed, 181)
+    d = int(rng.integers(2, 6))
+    a = rand_hermitian(d, rng)
+    u = rand_unitary(d, rng)
+    if density:
+        rho = rand_density(d, rng)
+        state, turned = DensityMatrix(rho), DensityMatrix(u @ rho @ u.conj().T)
+    else:
+        psi = rand_state(d, rng)
+        state, turned = StateVector(psi), StateVector(u @ psi)
+    before = _run(a, state, d + idle)
+    after = _run(u @ a @ u.conj().T, turned, d + idle)
     _assert_same_statistics(before, after)
 
 

@@ -9,11 +9,24 @@ import pytest
 from qmeasure import errors, linalg, measurement, verification
 from qmeasure.algebra import diagonal_algebra
 from qmeasure.measurement import coupling_matrix
-from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, rand_unitary, substream
+from qmeasure.randomness import (
+    draw_cases,
+    rand_hermitian,
+    rand_state,
+    rand_unitary,
+    substream,
+    substreams,
+)
 from qmeasure.states import StateVector
 
 from conftest import misregistered, nan_state, stretch_a_basis, stretch_a_state
-from oracles import coupling_defects
+from oracles import (
+    coupling_defects,
+    group_law_defects,
+    joint_diagonalization_defect,
+    round_trip_defect,
+    spectral_axiom_defect,
+)
 
 
 def uncoupled(states, bases):
@@ -107,28 +120,151 @@ def test_stacked_coupling_defects_reject_a_small_apparatus():
         verification.coupling_defects(states, bases, 2)
 
 
+KINDS = ("random", "degenerate", "diagonal")
+
+
+def hermitian_stack(kind: str, d: int, n: int, rng) -> np.ndarray:
+    """n Hermitians of dim d: random ones, ones whose eigenvalues repeat,
+    or diagonal ones, whose repeated values leave multi-column points."""
+    if kind == "random":
+        return np.stack([rand_hermitian(d, rng) for _ in range(n)])
+    values = rng.choice([-1.0, 0.0, 2.5], size=(n, d))
+    # every case has the same leading values, two equal ones and, from d = 3
+    # on, one that differs, so that the cases agree on being diagonal: a
+    # case that is a multiple of the identity would be, and the others not
+    values[:, 1:2] = values[:, :1] = 0.0
+    values[:, 2:3] = 2.5
+    if kind == "diagonal":
+        return values[:, None, :] * np.eye(d, dtype=complex)
+    u = np.stack([rand_unitary(d, rng) for _ in range(n)])
+    m = (u * values[:, None, :]) @ u.conj().mT
+    return m / 2 + m.conj().mT / 2
+
+
+def family_stack(kind: str, d: int, n: int, rng) -> list[np.ndarray]:
+    """A stack of n commuting families of dim d, one (n, d, d) stack per
+    member: a Hermitian of hermitian_stack and two polynomials in it, or,
+    for "diagonal", a diagonal with repeated values followed by matrices
+    that mix the columns each of its values shares."""
+    h = hermitian_stack(kind, d, n, rng)
+    if kind == "diagonal":
+        w = np.zeros((n, d, d), dtype=complex)
+        for c in range(n):
+            for value in np.unique(h[c].diagonal()):
+                cols = np.flatnonzero(h[c].diagonal() == value)
+                w[c][np.ix_(cols, cols)] = rand_unitary(cols.size, rng)
+        later = []
+        for _ in range(2):
+            m = (w * rng.uniform(-1, 1, size=(n, 1, d))) @ w.conj().mT
+            later.append(m / 2 + m.conj().mT / 2)
+        return [h, *later]
+    coeffs = rng.uniform(-1, 1, size=(2, 3))
+    return [h, *(a * np.eye(d) + b * h + c * h @ h for a, b, c in coeffs)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", range(1, 13))
+def test_stacked_spectral_kernels_have_the_bits_of_the_per_case_oracles(d, kind):
+    rng = substream(89, d, KINDS.index(kind))
+    n = 6
+    hermitians = hermitian_stack(kind, d, n, rng)
+    got = verification.spectral_axiom_defects(hermitians)
+    assert np.array_equal(got, [spectral_axiom_defect(h) for h in hermitians])
+
+    family = family_stack(kind, d, n, rng)
+    off, distinct = verification.joint_diagonalization_defects(family)
+    want = [joint_diagonalization_defect([m[c] for m in family]) for c in range(n)]
+    assert np.array_equal(off, [w[0] for w in want])
+    assert np.array_equal(distinct, [w[1] for w in want])
+
+    s, t = rng.uniform(-3, 3, size=(2, n))
+    states = np.stack([rand_state(d, rng) for _ in range(n)])
+    group, norm = verification.group_law_defects(hermitians, s, t, states)
+    want = [
+        group_law_defects(h, s[c], t[c], StateVector(states[c]))
+        for c, h in enumerate(hermitians)
+    ]
+    assert np.array_equal(group, [w[0] for w in want])
+    assert np.array_equal(norm, [w[1] for w in want])
+
+    raw = rng.uniform(0.05, 1.0, size=(n, d))
+    gaps = verification.round_trip_defects(hermitians, raw)
+    assert np.array_equal(gaps, [round_trip_defect(h, w) for h, w in zip(hermitians, raw)])
+
+
+@pytest.mark.parametrize(
+    "poison, message",
+    [
+        (np.nan, "non-finite"),
+        (1.5e308, "not all finite"),  # an eigenvalue of 3e308 overflows
+    ],
+)
+def test_a_stack_with_one_bad_case_raises_as_that_case_alone(poison, message):
+    hermitians = hermitian_stack("random", 2, 5, substream(97))
+    hermitians[3] = poison
+
+    def round_trips(h):
+        return verification.round_trip_defects(h, np.ones((5, 2)))
+
+    def round_trip(h):
+        return round_trip_defect(h, np.ones(2))
+
+    for kernel, oracle in [
+        (verification.spectral_axiom_defects, spectral_axiom_defect),
+        (round_trips, round_trip),
+    ]:
+        with pytest.raises(errors.ValidationError, match=message):
+            kernel(hermitians)
+        with pytest.raises(errors.ValidationError, match=message):
+            oracle(hermitians[3])
+        for c in (0, 1, 2, 4):
+            oracle(hermitians[c])
+
+
+def test_check_3_and_check_4_run_one_eigensolver_call_per_dimension_stack(monkeypatch):
+    # check 3 draws 5 Hermitians for each dim 2..8, check 4 one family per
+    # case with its dim drawn first; a random Hermitian has distinct
+    # eigenvalues, so each stack splits into one-column points at its first
+    # generator, all in one stacked eigh, and later generators read those
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert verification.check_spectral_axioms().passed
+    assert calls == [(5, d, d) for d in range(2, 9)]
+    calls.clear()
+    dims = [int(rng.integers(2, 9)) for rng in substreams(verification._SEED, (13,), range(20))]
+    assert verification.check_joint_diagonalization().passed
+    assert calls == [(dims.count(d), d, d) for d in dict.fromkeys(dims)]
+
+
 def test_spectral_axiom_defect_catches_shifted_eigenvalues():
-    spectrum = verification.joint_spectrum
+    spectrum = verification.joint_spectra
 
     def shifted(generators):
         labels, chars, basis = spectrum(generators)
         return labels, chars + 1e-6, basis
 
-    assert_fault_caught(verification.check_spectral_axioms, verification, "joint_spectrum", shifted)
+    assert_fault_caught(verification.check_spectral_axioms, verification, "joint_spectra", shifted)
 
 
 def test_spectral_axiom_defect_catches_a_non_orthonormal_raw_basis():
-    # check 3 reads the basis before a SpectralAlgebra could reject it, so
-    # a column stretched by 1e-9 reaches the check instead of raising
-    spectrum = verification.joint_spectrum
+    # check 3 reads the basis before validation could reject it, so a column
+    # of one case stretched by 1e-9 reaches the check instead of raising
+    spectrum = verification.joint_spectra
 
     def stretched(generators):
         labels, chars, basis = spectrum(generators)
         basis = basis.copy()
-        basis[:, 0] *= 1 + 1e-9
+        basis[-1, :, 0] *= 1 + 1e-9
         return labels, chars, basis
 
-    assert_fault_caught(verification.check_spectral_axioms, verification, "joint_spectrum", stretched)
+    check = verification.check_spectral_axioms
+    assert_fault_caught(check, verification, "joint_spectra", stretched)
 
 
 def test_joint_diagonalization_defect_diagonalizes_family():
@@ -137,17 +273,18 @@ def test_joint_diagonalization_defect_diagonalizes_family():
     family = [h]
     for row in rng.standard_normal((2, 3)):
         family.append(row[0] * np.eye(6) + row[1] * h + row[2] * h @ h)
-    off, distinct = verification.joint_diagonalization_defect(family)
-    assert off < 1e-8
-    assert distinct
+    off, distinct = verification.joint_diagonalization_defects([m[None] for m in family])
+    assert off.shape == distinct.shape == (1,)
+    assert off[0] < 1e-8
+    assert distinct[0]
 
 
 def test_joint_diagonalization_defect_catches_wrong_basis_and_collided_characters():
-    spectrum = verification.joint_spectrum
+    spectrum = verification.joint_spectra
 
     def permuted(family):
         labels, chars, basis = spectrum(family)
-        return labels, chars, np.roll(basis, 1, axis=0)
+        return labels, chars, np.roll(basis, 1, axis=1)
 
     def collided(family):
         labels, chars, basis = spectrum(family)
@@ -155,7 +292,7 @@ def test_joint_diagonalization_defect_catches_wrong_basis_and_collided_character
 
     for fault in (permuted, collided):
         check = verification.check_joint_diagonalization
-        assert_fault_caught(check, verification, "joint_spectrum", fault)
+        assert_fault_caught(check, verification, "joint_spectra", fault)
 
 
 def test_group_law_defects_catch_time_offset():
