@@ -39,7 +39,7 @@ from . import linalg
 from .errors import DimMismatch, NotCommuting, NotInAlgebra, NotOrthonormal, ValidationError
 from .linalg import default_cluster_tol
 from .observables import as_observable
-from .states import DensityMatrix, as_density
+from .states import as_density
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -151,10 +151,7 @@ class SpectralAlgebra:
     def element(self, values) -> np.ndarray:
         """The algebra element sum_k values[k] V_k V_k^dagger; in index form
         the diagonal matrix with values[labels] on its diagonal."""
-        per_column = np.asarray(values)[self.labels]
-        if self.basis is None:
-            return np.diag(per_column.astype(complex))
-        return (self.basis * per_column) @ self.basis.conj().T
+        return linalg.from_eigenbasis(self.basis, np.asarray(values)[self.labels])
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,11 +324,10 @@ def _element_tol(largest):
     return linalg.ELEMENT_RTOL * np.maximum(largest, _TINY)
 
 
-def _algebras(gens) -> list[SpectralAlgebra]:
-    """The algebra of each case of _spectrum(gens), validated once for the
-    stack: every basis must be orthonormal, and each case's generators
-    reproduced by its characters, which fails when the cluster width merges
-    distinct values."""
+def _checked_spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """_spectrum(gens), validated once for the stack: every basis must be
+    orthonormal, and each case's generators reproduced by its characters,
+    which fails when the cluster width merges distinct values."""
     labels, chars, basis = _spectrum(gens)
     if basis is not None:
         if not np.isfinite(basis).all():
@@ -341,7 +337,7 @@ def _algebras(gens) -> list[SpectralAlgebra]:
             raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
     for i, g in enumerate(gens):
         values = chars[labels, i]
-        rebuilt = values if g.ndim == 2 else (basis * values[:, None, :]) @ basis.conj().mT
+        rebuilt = values if g.ndim == 2 else linalg.from_eigenbasis(basis, values)
         axes = tuple(range(1, g.ndim))
         defect = np.abs(rebuilt - g).max(axis=axes)
         over = defect > _element_tol(np.abs(g).max(axis=axes))
@@ -350,14 +346,13 @@ def _algebras(gens) -> list[SpectralAlgebra]:
                 f"generator {i} is not reproduced by its characters "
                 f"(defect {defect[over.argmax()]:.3e})"
             )
-    starts = labels.min(axis=1).tolist()
-    ends = starts[1:] + [len(chars)]
-    return [
-        SpectralAlgebra._trusted(
-            labels[c] - a, chars[a:b], None if basis is None else basis[c]
-        )
-        for c, (a, b) in enumerate(zip(starts, ends))
-    ]
+    return labels, chars, basis
+
+
+def _algebra(gens) -> SpectralAlgebra:
+    """The algebra of a stack of one case, _checked_spectrum(gens)."""
+    labels, chars, basis = _checked_spectrum(gens)
+    return SpectralAlgebra._trusted(labels[0], chars, None if basis is None else basis[0])
 
 
 def _family(stacks) -> list[np.ndarray]:
@@ -411,10 +406,13 @@ def joint_spectra(generators) -> tuple[np.ndarray, np.ndarray, np.ndarray | None
     return _spectrum(_family([linalg.require_hermitian(g, stack=True) for g in generators]))
 
 
-def generate_algebras(generators) -> list[SpectralAlgebra]:
-    """The algebra each case of a stack of commuting Hermitian families
-    generates, as joint_spectra takes them, validated once for the stack."""
-    return _algebras(_family([linalg.require_hermitian(g, stack=True) for g in generators]))
+def generate_algebras(generators) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The algebras a stack of commuting Hermitian families generates, as
+    the (labels, characters, basis) joint_spectra gives, validated once for
+    the stack."""
+    return _checked_spectrum(
+        _family([linalg.require_hermitian(g, stack=True) for g in generators])
+    )
 
 
 def generate_algebra(generators) -> SpectralAlgebra:
@@ -422,7 +420,7 @@ def generate_algebra(generators) -> SpectralAlgebra:
     spectrum point per joint eigenspace: generate_algebras of a stack of
     one. It stays in index form, with no eigensolver, while the generators
     are exactly diagonal."""
-    return _algebras(_family([as_observable(g).matrix[None] for g in generators]))[0]
+    return _algebra(_family([as_observable(g).matrix[None] for g in generators]))
 
 
 def diagonal_algebra(diagonals) -> SpectralAlgebra:
@@ -432,7 +430,7 @@ def diagonal_algebra(diagonals) -> SpectralAlgebra:
     diags = [np.asarray(d) for d in diagonals]
     if any(d.ndim != 1 for d in diags):
         raise DimMismatch("diagonals must be 1-d")
-    return _algebras([d[None] for d in diags])[0]
+    return _algebra([d[None] for d in diags])
 
 
 def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
@@ -462,15 +460,3 @@ def restrict_state(rho, algebra: SpectralAlgebra) -> SpectralProbabilityMeasure:
     if r.dim != algebra.dim:
         raise DimMismatch(f"state dim {r.dim}, algebra dim {algebra.dim}")
     return SpectralProbabilityMeasure(algebra.block_traces(r.matrix), algebra.characters)
-
-
-def proper_mixture_representative(
-    measure: SpectralProbabilityMeasure, algebra: SpectralAlgebra
-) -> DensityMatrix:
-    """The canonical density matrix carrying a spectral measure: the
-    normalized projector of each point, weighted by the measure."""
-    if measure.n_points != algebra.n_points:
-        raise DimMismatch(
-            f"measure has {measure.n_points} points, algebra {algebra.n_points}"
-        )
-    return DensityMatrix._trusted(algebra.element(measure.weights / algebra.multiplicities()))

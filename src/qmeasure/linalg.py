@@ -2,13 +2,13 @@
 package's one tolerance policy.
 
 Pure functions over numpy arrays; readonly gives the read-only views the
-package's records hold. The Hermiticity, isometry, span and cluster-width
-helpers also take a stack of cases and judge each case on its own. No
-eigensolver lives here: an observable's spectrum, and exp(-itH) with it, is
-read from the algebra it generates. A run allows
-dimensions up to 4096 (apparatus.dim^2 within scenario.MAX_ARRAY_ELEMENTS),
-where LAPACK's dense symmetric solver is still accurate to about n eps and
-the tolerances below stay loose by orders of magnitude. Every validator in
+package's records hold. The Hermiticity, isometry, norm, weight, span and
+cluster-width helpers also take a stack of cases and judge each case on its
+own. No eigensolver lives here: an observable's spectrum, and exp(-itH) with
+it, is read from the algebra it generates. A run allows dimensions up to
+4096 (apparatus.dim^2 within scenario.MAX_ARRAY_ELEMENTS), where LAPACK's
+dense symmetric solver is still accurate to about n eps and the tolerances
+below stay loose by orders of magnitude. Every validator in
 the package reads its tolerance from the four constants below, and the CLI
 its --tol default; only the verify checks pin their own, as part of the
 acceptance spec.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitian, NotSquare, QmError, ValidationError
+from .errors import NotHermitian, NotNormalized, NotSquare, QmError, ValidationError
 
 # roundoff: norms, traces, Hermiticity, orthonormality, commutators and
 # probability sums
@@ -143,20 +143,51 @@ def require_hermitian(m, stack: bool = False) -> np.ndarray:
 
 
 def require_weights(
-    w, what: str = "weights", error: type[QmError] = ValidationError
+    w, what: str = "weights", error: type[QmError] = ValidationError, stack: bool = False
 ) -> np.ndarray:
     """A nonempty 1-d probability vector: no entry below -WEIGHT_FLOOR and
-    a sum within ROUNDOFF_TOL of 1. Violations raise error, and so does a
-    NaN entry."""
+    a sum within ROUNDOFF_TOL of 1; with stack, a nonempty (n, k) stack of
+    them, checked once. Violations raise error, and so does a NaN entry."""
     a = np.asarray(w, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise error(f"{what} must be a nonempty 1-d sequence")
+    if a.ndim != 1 + stack or a.size == 0:
+        raise error(f"{what} must be a nonempty {'stack of ' * stack}1-d sequence")
     # written so that a NaN fails
     if not a.min() >= -WEIGHT_FLOOR:
         raise error(f"{what}: entry {a.min():.3e} below the roundoff floor")
-    if not abs(float(a.sum()) - 1.0) <= ROUNDOFF_TOL:
-        raise error(f"{what} sum to {a.sum()!r}")
+    sums = a.sum(axis=-1)
+    gap = float(np.abs(sums - 1.0).max()) if stack else abs(float(sums) - 1.0)
+    if not gap <= ROUNDOFF_TOL:
+        raise error(f"{what}: a sum is off from 1 by {gap:.3e}")
     return a
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of an (n, d) complex array, with its bits:
+    the two dot products it takes over the strided real and imaginary parts,
+    as one stacked product each."""
+    re, im = vectors.real[:, None, :], vectors.imag[:, None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
+
+
+def require_normalized(states: np.ndarray) -> np.ndarray:
+    """An (n, d) stack of state vectors, each of unit norm within
+    ROUNDOFF_TOL, checked once; a NaN fails."""
+    gap = float(np.max(np.abs(row_norms(states) - 1.0)))
+    if not gap <= ROUNDOFF_TOL:
+        raise NotNormalized(f"a state's norm is off by {gap:.3e}")
+    return states
+
+
+def from_eigenbasis(basis: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^dagger for a unitary basis V (..., d, d) and its
+    (..., d) values, one per column, as one stacked product; basis None is
+    the identity, and gives the diagonal matrices of the values."""
+    if basis is None:
+        d = values.shape[-1]
+        out = np.zeros(values.shape + (d,), dtype=complex)
+        out.reshape(*values.shape[:-1], d * d)[..., :: d + 1] = values
+        return out
+    return (basis * values[..., None, :]) @ basis.conj().mT
 
 
 def require_float_span(values: np.ndarray, what: str) -> None:

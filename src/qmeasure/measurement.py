@@ -55,7 +55,6 @@ from . import linalg
 from .errors import (
     DegenerateSpectrum,
     DimMismatch,
-    NotNormalized,
     NotOrthonormal,
     TooSmall,
     ValidationError,
@@ -286,9 +285,7 @@ def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     n, d = states.shape
     if bases.shape != (n, d, d):
         raise DimMismatch(f"{n} states of dim {d}, bases of shape {bases.shape}")
-    norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
-    if not norm_gap <= linalg.ROUNDOFF_TOL:
-        raise NotNormalized(f"a state's norm is off by {norm_gap:.3e}")
+    linalg.require_normalized(states)
     defect = linalg.isometry_defect(bases).max()
     if not defect <= linalg.ROUNDOFF_TOL:
         raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
@@ -316,12 +313,7 @@ def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarr
     weights, aligned = readout_weights(
         reduce(premeasure(states, b)), readout, readout.characters[:, 0]
     )
-    low = float(weights.min())
-    if not low >= -linalg.WEIGHT_FLOOR:
-        raise ValidationError(f"weights: entry {low:.3e} below the roundoff floor")
-    sum_gap = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
-    if not sum_gap <= linalg.ROUNDOFF_TOL:
-        raise ValidationError(f"weights: a sum is off from 1 by {sum_gap:.3e}")
+    linalg.require_weights(weights, stack=True)
     # the collapse of the projectors |psi><psi|, read on its diagonal
     projectors = states[:, :, None] * states.conj()[:, None, :]
     return np.max(np.abs(aligned - collapse_diagonal(projectors, b)), axis=-1)

@@ -11,16 +11,11 @@ exp(-it lambda) at each eigenvalue lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
 from .errors import DimMismatch, ValidationError
-from .states import StateVector, as_state
-
-if TYPE_CHECKING:
-    from .algebra import SpectralAlgebra
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,14 +37,18 @@ def as_observable(a) -> Observable:
     return a if isinstance(a, Observable) else Observable(a)
 
 
-def evolve(psi, generated: SpectralAlgebra, t: float) -> StateVector:
-    """Apply exp(-i t H) to a pure state, given the algebra
-    generate_algebra([H]) that the Hamiltonian H generates, so that one
-    decomposition of H serves every time t."""
-    p = as_state(psi)
-    if generated.characters.shape[1] != 1:
+def evolve(states: np.ndarray, generated, times) -> np.ndarray:
+    """Apply exp(-i t H) to each state of an (n, d) stack, case c at time
+    times[c] under its own Hamiltonian: generated is the (labels,
+    characters, basis) that generate_algebras([H]) gives for the (n, d, d)
+    stack of Hamiltonians, so that one decomposition serves every time.
+    The elements exp(-i t H) of the cases are one stacked product, and they
+    act on the states as one stacked matrix-vector product."""
+    labels, chars, basis = generated
+    if chars.shape[1] != 1:
         raise ValidationError("dynamics need the algebra of a single generator")
-    if p.dim != generated.dim:
-        raise DimMismatch(f"state dim {p.dim}, generator dim {generated.dim}")
-    phases = np.exp(-1j * float(t) * generated.characters[:, 0])
-    return StateVector(generated.element(phases) @ p.amplitudes)
+    if np.shape(states) != labels.shape:
+        raise DimMismatch(f"states of shape {np.shape(states)}, generator spectra {labels.shape}")
+    linalg.require_normalized(states)
+    phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None] * chars[labels, 0])
+    return (linalg.from_eigenbasis(basis, phases) @ states[..., None])[..., 0]

@@ -6,8 +6,9 @@ independent generator from SeedSequence([seed, *tags]), so results are a
 pure function of the master seed and the tags, independent of evaluation
 order, and bit-stable across platforms. A stack of random cases draws all
 the normals of each case from its stream in one call: the same variates, in
-the same order, that rand_state, ginibre and rand_unitary draw one object at
-a time, so each case has the same bits alone or in a stack.
+the same order, that rand_state and the standard_normal calls of a Ginibre
+matrix draw one object at a time, so each case has the same bits alone or
+in a stack.
 
 The streams of at least _VECTOR_SEEDING_CASES (10) cases that differ only
 in their trailing tags, each one 32-bit word (substreams), build no
@@ -27,7 +28,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import readonly
+from .linalg import readonly, row_norms
 
 
 def check_seed(seed: int) -> None:
@@ -49,11 +50,6 @@ def rand_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """dim x dim complex Ginibre matrix: independent entries of unit variance."""
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-
-
 def haar_unitaries(z: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries from a Ginibre matrix or a stack (..., d, d)
     of them: QR, with each column's phase fixed by the diagonal of R. One
@@ -61,11 +57,6 @@ def haar_unitaries(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    return haar_unitaries(ginibre(dim, rng))
 
 
 # numpy's SeedSequence with its default pool of 4 uint32 words
@@ -129,10 +120,11 @@ def _case_words(cases) -> np.ndarray | None:
         if not 0 <= min(ends) <= max(ends) <= _MASK32:
             return None
         return np.arange(cases.start, cases.stop, cases.step, dtype=np.uint32)[:, None]
-    keys = [tuple(map(int, key)) if isinstance(key, tuple) else (int(key),) for key in cases]
-    if any(not 0 <= word <= _MASK32 for key in keys for word in key):
+    # a word past int64 makes a float or object array, which is no 32-bit word
+    words = np.asarray(cases)
+    if words.dtype.kind not in "iu" or not 0 <= words.min() <= words.max() <= _MASK32:
         return None
-    return np.array(keys, dtype=np.uint32).reshape(len(keys), -1)
+    return words.astype(np.uint32).reshape(len(words), -1)
 
 
 def _pcg64_states(seed: int, tags: tuple[int, ...], words: np.ndarray) -> list[tuple[int, int]]:
@@ -173,14 +165,6 @@ def _pcg64_states(seed: int, tags: tuple[int, ...], words: np.ndarray) -> list[t
     return states
 
 
-def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of an (n, d) complex array, with its bits:
-    the two dot products it takes over the strided real and imaginary parts,
-    as one stacked product each."""
-    re, im = vectors.real[:, None, :], vectors.imag[:, None, :]
-    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
-
-
 def substreams(seed: int, tags: tuple[int, ...], cases) -> Iterator[np.random.Generator]:
     """substream(seed, *tags, *key) for each case of cases, in turn: a range
     of last tags, or a sequence of equal-length tuples of trailing tags. From
@@ -205,26 +189,28 @@ def substreams(seed: int, tags: tuple[int, ...], cases) -> Iterator[np.random.Ge
 
 
 def draw_cases(
-    dim: int, seed: int, tags: tuple[int, ...], cases: range, state_first: bool
+    dim: int, n: int, streams: Iterator[np.random.Generator], state_first: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A Haar state and a Haar unitary from substream(seed, *tags, i) for each
-    case i, in order: the (n, dim) states and the (n, dim, dim) unitaries of
-    the n cases. Each stream gives all 2 dim + 2 dim^2 normals of its case in
-    one standard_normal call, the state's before the Ginibre matrix's when
-    state_first, else after them; a single call draws the same variates as
-    the calls of rand_state and ginibre in that order. The states are
-    normalized with the bits of np.linalg.norm, and the Ginibre matrices go
-    through one stacked QR."""
+    """A Haar state and a Haar unitary from each of the next n generators of
+    streams (substreams), in order: the (n, dim) states and the (n, dim,
+    dim) unitaries of the n cases. Each stream gives all 2 dim + 2 dim^2
+    normals of its case in one standard_normal call, the state's before the
+    Ginibre matrix's when state_first, else after them; a single call draws
+    the same variates as rand_state and a dim x dim Ginibre matrix's two
+    standard_normal calls in that order. The states are normalized with the
+    bits of np.linalg.norm, and the Ginibre matrices go through one stacked
+    QR. Streams past the n-th are left untaken, so several calls can share
+    one pass of seeding."""
     n_state, n_ginibre = 2 * dim, 2 * dim * dim
-    x = np.empty((len(cases), n_state + n_ginibre))
-    for row, rng in zip(x, substreams(seed, tags, cases)):
+    x = np.empty((n, n_state + n_ginibre))
+    for row, rng in zip(x, streams):
         rng.standard_normal(out=row)
     if state_first:
         v, z = x[:, :n_state], x[:, n_state:]
     else:
         z, v = x[:, :n_ginibre], x[:, n_ginibre:]
     states = v[:, :dim] + 1j * v[:, dim:]
-    states /= _row_norms(states)[:, None]
+    states /= row_norms(states)[:, None]
     ginibres = (z[:, : dim * dim] + 1j * z[:, dim * dim :]) / np.sqrt(2)
     return states, haar_unitaries(ginibres.reshape(-1, dim, dim))
 

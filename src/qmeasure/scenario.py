@@ -73,7 +73,7 @@ from .measurement import (
     reduce,
 )
 from .observables import Observable
-from .randomness import check_seed, draw_cases, substream
+from .randomness import check_seed, draw_cases, substream, substreams
 from .report import ComparisonSummary, EmpiricalCounts, Report
 from .states import DensityMatrix, StateVector, projector_of
 
@@ -523,7 +523,8 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
     devs = np.empty(n_random)
     for start in range(0, n_random, per_block):
         cases = range(start, min(start + per_block, n_random))
-        states, bases = draw_cases(dim, seed, (_COMPARE_TAG,), cases, state_first=True)
+        streams = substreams(seed, (_COMPARE_TAG,), cases)
+        states, bases = draw_cases(dim, len(cases), streams, state_first=True)
         devs[start : cases.stop] = collapse_restriction_gaps(states, bases)
     worst_index = int(np.argmax(devs))
     return ComparisonSummary(

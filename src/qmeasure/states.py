@@ -10,10 +10,10 @@ relies on that one line.
 States are immutable. The public constructors validate what a caller hands
 them; a density matrix the package computes from already-validated inputs
 (a projector, a mixture, a partial trace, a collapse) is Hermitian, positive
-and of unit trace to roundoff, and is stored through DensityMatrix._trusted
-without being checked again. It is not exactly Hermitian: the products that
-form an entry and its mirror image round apart, so M and M^dagger may differ
-in the last bits.
+and of unit trace to roundoff, and is stored through DensityMatrix._trusted,
+or returned as a bare array, without being checked again. It is not exactly
+Hermitian: the products that form an entry and its mirror image round apart,
+so M and M^dagger may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -124,13 +124,16 @@ def mix(weights, states: Sequence[DensityMatrix]) -> DensityMatrix:
     return DensityMatrix._trusted(acc)
 
 
-def partial_trace(rho, dim_system: int, dim_apparatus: int) -> DensityMatrix:
+def partial_trace(rho: np.ndarray, dim_system: int, dim_apparatus: int) -> np.ndarray:
     """Trace the system factor out of a composite density matrix on a
-    dim_system x dim_apparatus product space, keeping the apparatus."""
+    dim_system x dim_apparatus product space, keeping the apparatus; of one
+    matrix or of each of a stack (..., n, n), as one stacked trace. The
+    caller holds density matrices, as projector_of and mix give them; they
+    are not checked again."""
     if dim_system < 1 or dim_apparatus < 1:
         raise ValidationError("factor dimensions must be positive")
-    r = as_density(rho)
-    if r.dim != dim_system * dim_apparatus:
-        raise DimMismatch(f"state dim {r.dim} != {dim_system} x {dim_apparatus}")
-    t = r.matrix.reshape(dim_system, dim_apparatus, dim_system, dim_apparatus)
-    return DensityMatrix._trusted(np.trace(t, axis1=0, axis2=2))
+    n = dim_system * dim_apparatus
+    if rho.shape[-2:] != (n, n):
+        raise DimMismatch(f"state shape {rho.shape[-2:]} != ({dim_system} x {dim_apparatus})^2")
+    t = rho.reshape(*rho.shape[:-2], dim_system, dim_apparatus, dim_system, dim_apparatus)
+    return np.trace(t, axis1=-4, axis2=-2)

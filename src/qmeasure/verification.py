@@ -4,8 +4,8 @@ Each check is a fast, seeded, deterministic property run with its own pinned
 tolerance; the CLI tolerance flag does not loosen these. A property's body
 is a kernel returning the residuals of its drawn cases, one per case of a
 stack. Every case draws from its own stream, dimension included, and the
-drawn cases run as one stack per dimension, checked once per stack; only
-chain reduction runs one case at a time. The acceptance test suite runs
+drawn cases run as one stack per dimension, checked once per stack; no
+kernel loops over the cases of a stack. The acceptance test suite runs
 the same kernels at larger sample sizes.
 """
 
@@ -13,15 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
-    SpectralProbabilityMeasure,
-    generate_algebras,
-    joint_spectra,
-    proper_mixture_representative,
-    restrict_state,
-)
+from .algebra import generate_algebras, joint_spectra
 from .errors import TooSmall
-from .linalg import isometry_defect
+from .linalg import from_eigenbasis, isometry_defect, require_normalized, require_weights, row_norms
 from .measurement import (
     checked_cases,
     collapse_restriction_gaps,
@@ -32,7 +26,7 @@ from .measurement import (
     reduce,
 )
 from .observables import evolve
-from .randomness import draw_cases, rand_hermitian, rand_state, rand_unitary, substreams
+from .randomness import draw_cases, rand_hermitian, rand_state, substreams
 from .report import CheckResult
 from .scenario import parse_scenario, run_cat, run_scenario
 from .states import StateVector, mix, partial_trace, projector_of
@@ -109,31 +103,46 @@ def group_law_defects(
     """Per case of a stack of (n, d, d) Hamiltonians H, times s and t and
     (n, d) states psi: the composition defect |e^{-isH} e^{-itH} psi -
     e^{-i(s+t)H} psi| and the worst norm drift of the two evolved states.
-    The algebras are generated as one stack; each case's algebra serves its
-    three evolutions."""
-    group, norm = np.empty(len(states)), np.empty(len(states))
-    for c, generated in enumerate(generate_algebras([hermitians])):
-        psi = StateVector(states[c])
-        stepwise = evolve(evolve(psi, generated, t[c]), generated, s[c])
-        direct = evolve(psi, generated, s[c] + t[c])
-        group[c] = np.max(np.abs(stepwise.amplitudes - direct.amplitudes))
-        norm[c] = max(abs(float(np.linalg.norm(x.amplitudes)) - 1.0) for x in (stepwise, direct))
-    return group, norm
+    The algebras are generated as one stack, which serves all three
+    evolutions of every case."""
+    generated = generate_algebras([hermitians])
+    stepwise = evolve(evolve(states, generated, t), generated, s)
+    direct = evolve(states, generated, s + t)
+    drift = [np.abs(row_norms(x) - 1.0) for x in (stepwise, direct)]
+    return np.abs(stepwise - direct).max(axis=1), np.maximum(*drift)
 
 
 def round_trip_defects(hermitians: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Per case of a stack of (n, d, d) Hermitians and (n, d) positive raw
     weights: a spectral measure on the algebra the Hermitian generates, the
     leading raw weights normalized, one per point, must be recovered by
-    restricting its proper mixture representative to that algebra. The
-    algebras are generated as one stack."""
-    gaps = np.empty(len(raw))
-    for c, algebra in enumerate(generate_algebras([hermitians])):
-        w = raw[c, : algebra.n_points]
-        measure = SpectralProbabilityMeasure(w / w.sum(), algebra.characters)
-        rho = proper_mixture_representative(measure, algebra)
-        gaps[c] = np.max(np.abs(restrict_state(rho, algebra).weights - measure.weights))
-    return gaps
+    restricting its proper mixture representative (each point's projector
+    over its multiplicity, weighted by the measure) to that algebra. The
+    algebras are generated as one stack, and the representatives and their
+    restrictions are one stacked product each, over the points of the whole
+    stack."""
+    labels, chars, basis = generate_algebras([hermitians])
+    n, d = labels.shape
+    starts = labels.min(axis=1)
+    counts = np.diff(starts, append=len(chars))
+    sums = np.empty(n)
+    for k in set(counts.tolist()):
+        # numpy's sum associates by the count of its values, so the cases of
+        # k points sum their k leading weights together, each as it alone would
+        sums[counts == k] = raw[counts == k, :k].sum(axis=1)
+    slots = np.arange(d) < counts[:, None]
+    weights = (raw / sums[:, None])[slots]
+    points = labels.reshape(-1)
+    rho = from_eigenbasis(basis, (weights / np.bincount(points))[labels])
+    if basis is None:
+        on_columns = np.diagonal(rho, axis1=1, axis2=2)
+    else:
+        on_columns = np.einsum("nij,nij->nj", basis.conj(), rho @ basis)
+    restricted = np.bincount(points, weights=np.real(on_columns).reshape(-1))
+    padded = np.zeros((n, d))
+    padded[slots] = restricted
+    require_weights(padded, stack=True)
+    return np.maximum.reduceat(np.abs(restricted - weights), starts)
 
 
 def _stacks_by_dim(dims, *columns):
@@ -144,28 +153,30 @@ def _stacks_by_dim(dims, *columns):
         yield tuple(np.stack([column[k] for k in cases]) for column in columns)
 
 
-def chain_reduction_gap(
-    psi: np.ndarray, basis: np.ndarray, copier: np.ndarray, algebra
-) -> float:
-    """Gap between the pointer weights after one premeasurement of the state
-    psi in the measured basis, on a minimal apparatus (pointer value j on
-    column j) read through algebra, and those a second such apparatus reads
-    after copier, the dense coupling of the second apparatus to the first
-    pointer, copies that pointer. The state and basis are checked once, as a
-    stack of one case."""
-    d = basis.shape[0]
-    b = checked_cases(psi[None], basis[None])[0]
-    m = premeasure(psi, b)
-    single, _ = readout_weights(reduce(m), algebra, np.arange(d, dtype=float))
-    r = np.eye(d)[0]
-    # U (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
-    u = coupling_matrix(b, d)
-    first = u @ np.outer(np.outer(psi, r), r)
-    final = first.reshape(d, -1) @ copier.T
-    joint = projector_of(StateVector(final.reshape(-1)))
-    rho_last = partial_trace(joint, d * d, d)
-    two_stage = restrict_state(rho_last, algebra).weights
-    return float(np.max(np.abs(single - two_stage)))
+def chain_reduction_gaps(
+    states: np.ndarray, bases: np.ndarray, copier: np.ndarray, algebra
+) -> np.ndarray:
+    """Per case of (n, d) states and (n, d, d) measured bases: the gap
+    between the pointer weights after one premeasurement of the state, on a
+    minimal apparatus (pointer value j on column j) read through algebra,
+    and those a second such apparatus reads after copier, the dense
+    coupling of the second apparatus to the first pointer, copies that
+    pointer. The second stage is dense and shares nothing with premeasure:
+    the couplings U (x) I act on psi (x) e_0 (x) e_0, then I (x) U_copier,
+    and the last apparatus is the partial trace of the joint projector,
+    restricted to algebra. Each step is one stacked product, and the checks
+    of one case (its state and basis, the final norm, the weights' floor
+    and sum) run once on the stack."""
+    n, d = states.shape
+    b = checked_cases(states, bases)
+    single, _ = readout_weights(reduce(premeasure(states, b)), algebra, np.arange(d, dtype=float))
+    ready = np.zeros((n, d * d, d), dtype=complex)
+    ready[:, ::d, 0] = states
+    first = coupling_matrix(b, d) @ ready
+    final = require_normalized((first.reshape(n, d, -1) @ copier.T).reshape(n, -1))
+    joint = final[:, :, None] * final.conj()[:, None, :]
+    two_stage = require_weights(algebra.block_traces(partial_trace(joint, d * d, d)), stack=True)
+    return np.abs(single - two_stage).max(axis=1)
 
 
 def check_collapse_restriction() -> CheckResult:
@@ -173,8 +184,10 @@ def check_collapse_restriction() -> CheckResult:
     stack of cases per dimension."""
     worst = 0.0
     cases = 0
+    # keys (d, i) under tag 10 name the streams of tags (10, d), key i
+    streams = substreams(_SEED, (10,), [(d, i) for d in range(2, 7) for i in range(40)])
     for d in range(2, 7):
-        states, bases = draw_cases(d, _SEED, (10, d), range(40), state_first=True)
+        states, bases = draw_cases(d, 40, streams, state_first=True)
         gaps = collapse_restriction_gaps(states, bases)
         worst = max(worst, float(gaps.max()))
         cases += gaps.size
@@ -187,8 +200,9 @@ def check_coupling_fidelity() -> CheckResult:
     cases per dimension. Each case draws its basis and then its state."""
     worst = 0.0
     cases = 0
+    streams = substreams(_SEED, (11,), [(d, i) for d in range(2, 7) for i in range(30)])
     for d in range(2, 7):
-        states, bases = draw_cases(d, _SEED, (11, d), range(30), state_first=False)
+        states, bases = draw_cases(d, 30, streams, state_first=False)
         agreement, unitarity = coupling_defects(states, bases, d)
         worst = max(worst, float(agreement.max()), float(unitarity.max()))
         cases += agreement.size
@@ -211,24 +225,25 @@ def check_spectral_axioms() -> CheckResult:
 
 def check_joint_diagonalization() -> CheckResult:
     """Commuting families become simultaneously diagonal with distinct
-    characters. Every case draws its dimension and family from its own
-    stream; the cases then run as one stack per dimension."""
-    dims, families = [], []
+    characters. Every case draws its dimension, Hermitian and coefficients
+    from its own stream; per dimension, the cases' Hermitians are rescaled
+    into [-1, 1] and their families built as one stack."""
+    dims, hermitians, coeffs = [], [], []
     for rng in substreams(_SEED, (13,), range(20)):
         d = int(rng.integers(2, 9))
-        h = rand_hermitian(d, rng)
-        h = h / max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
-        coeffs = rng.uniform(-1, 1, size=(2, 4))
-        family = [h]
-        for row in coeffs:
-            family.append(
-                row[0] * np.eye(d) + row[1] * h + row[2] * h @ h + row[3] * h @ h @ h
-            )
+        hermitians.append(rand_hermitian(d, rng))
+        coeffs.append(rng.uniform(-1, 1, size=(2, 4)))
         dims.append(d)
-        families.append(np.stack(family))
     worst = 0.0
-    for (stacked,) in _stacks_by_dim(dims, families):
-        off, distinct = joint_diagonalization_defects(list(stacked.swapaxes(0, 1)))
+    for h, c in _stacks_by_dim(dims, hermitians, coeffs):
+        h = h / np.maximum(1.0, np.abs(np.linalg.eigvalsh(h)).max(axis=1))[:, None, None]
+        family = [h]
+        for row in c.transpose(1, 2, 0)[..., None, None]:
+            # row[2] * h @ h is (row[2] * h) @ h, as Python reads it
+            family.append(
+                row[0] * np.eye(h.shape[-1]) + row[1] * h + row[2] * h @ h + row[3] * h @ h @ h
+            )
+        off, distinct = joint_diagonalization_defects(family)
         worst = max(worst, float(off.max()), 0.0 if distinct.all() else 1.0)
     return _result("joint diagonalization", worst, 1e-8, f"{len(dims)} random commuting families")
 
@@ -316,15 +331,12 @@ def check_dynamics_group() -> CheckResult:
 
 
 def check_chain_reduction() -> CheckResult:
-    """A second apparatus copying the first reads the same distribution."""
+    """A second apparatus copying the first reads the same distribution.
+    Each case draws its basis and then its state."""
     d = 4
-    worst = 0.0
-    algebra = minimal_readout(d)
     copier = coupling_matrix(np.eye(d, dtype=complex), d)
-    for rng in substreams(_SEED, (16,), range(20)):
-        basis = rand_unitary(d, rng)
-        psi = rand_state(d, rng)
-        worst = max(worst, chain_reduction_gap(psi, basis, copier, algebra))
+    states, bases = draw_cases(d, 20, substreams(_SEED, (16,), range(20)), state_first=False)
+    worst = float(chain_reduction_gaps(states, bases, copier, minimal_readout(d)).max())
     return _result("chain reduction", worst, 1e-10, "20 random states, dim 4, two-stage pointer")
 
 

@@ -13,19 +13,39 @@ from qmeasure.algebra import (
     diagonal_algebra,
     generate_algebra,
     joint_spectra,
-    proper_mixture_representative,
     restrict_state,
 )
 from qmeasure.errors import DimMismatch
 from qmeasure.linalg import default_cluster_tol, isometry_defect
-from qmeasure.measurement import collapse, coupling_matrix, premeasure
-from qmeasure.observables import evolve
+from qmeasure.measurement import (
+    checked_cases,
+    collapse,
+    coupling_matrix,
+    premeasure,
+    readout_weights,
+    reduce,
+)
+from qmeasure.randomness import haar_unitaries
 from qmeasure.scenario import Scenario, parse_scenario
-from qmeasure.states import DensityMatrix, StateVector, as_density, as_state, projector_of
+from qmeasure.states import (
+    DensityMatrix,
+    StateVector,
+    as_density,
+    as_state,
+    partial_trace,
+    projector_of,
+)
 
 
 def load_scenario(path) -> Scenario:
     return parse_scenario(Path(path).read_text())
+
+
+def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix,
+    one object at a time: the draws of one case of randomness.draw_cases."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    return haar_unitaries(z)
 
 
 def rand_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -207,6 +227,15 @@ def joint_diagonalization_defect(family) -> tuple[float, bool]:
     return float(off.max()), distinct
 
 
+def evolve_one(psi: StateVector, generated: SpectralAlgebra, t: float) -> StateVector:
+    """exp(-i t H) psi for one state, given the algebra generate_algebra([H]):
+    the element of the algebra valued exp(-i t lambda) at each eigenvalue
+    lambda, applied to psi. The package evolves a stack of states at once
+    (observables.evolve)."""
+    phases = np.exp(-1j * float(t) * generated.characters[:, 0])
+    return StateVector(generated.element(phases) @ psi.amplitudes)
+
+
 def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tuple[float, float]:
     """One case of the dynamics group law, one object at a time: the
     composition defect |e^{-isH} e^{-itH} psi - e^{-i(s+t)H} psi| and the
@@ -214,11 +243,25 @@ def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tu
     algebra H generates. The package runs a stack of cases at once
     (verification.group_law_defects)."""
     generated = generate_algebra([h])
-    stepwise = evolve(evolve(psi, generated, t), generated, s)
-    direct = evolve(psi, generated, s + t)
+    stepwise = evolve_one(evolve_one(psi, generated, t), generated, s)
+    direct = evolve_one(psi, generated, s + t)
     group = float(np.max(np.abs(stepwise.amplitudes - direct.amplitudes)))
     norm = max(abs(float(np.linalg.norm(x.amplitudes)) - 1.0) for x in (stepwise, direct))
     return group, norm
+
+
+def proper_mixture_representative(
+    measure: SpectralProbabilityMeasure, algebra: SpectralAlgebra
+) -> DensityMatrix:
+    """The canonical density matrix carrying a spectral measure: the
+    normalized projector of each point, weighted by the measure. The
+    package forms it for a stack of measures at once
+    (verification.round_trip_defects)."""
+    if measure.n_points != algebra.n_points:
+        raise DimMismatch(
+            f"measure has {measure.n_points} points, algebra {algebra.n_points}"
+        )
+    return DensityMatrix._trusted(algebra.element(measure.weights / algebra.multiplicities()))
 
 
 def round_trip_defect(h: np.ndarray, raw: np.ndarray) -> float:
@@ -232,3 +275,29 @@ def round_trip_defect(h: np.ndarray, raw: np.ndarray) -> float:
     measure = SpectralProbabilityMeasure(w / w.sum(), algebra.characters)
     rho = proper_mixture_representative(measure, algebra)
     return float(np.max(np.abs(restrict_state(rho, algebra).weights - measure.weights)))
+
+
+def chain_reduction_gap(
+    psi: np.ndarray, basis: np.ndarray, copier: np.ndarray, algebra
+) -> float:
+    """One case of the chain reduction, one object at a time: the gap between
+    the pointer weights after one premeasurement of the state psi in the
+    measured basis, on a minimal apparatus (pointer value j on column j)
+    read through algebra, and those a second such apparatus reads after
+    copier, the dense coupling of the second apparatus to the first pointer,
+    copies that pointer. The state and basis are checked as a stack of one
+    case. The package runs a stack of cases at once
+    (verification.chain_reduction_gaps)."""
+    d = basis.shape[0]
+    b = checked_cases(psi[None], basis[None])[0]
+    m = premeasure(psi, b)
+    single, _ = readout_weights(reduce(m), algebra, np.arange(d, dtype=float))
+    r = np.eye(d)[0]
+    # U (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
+    u = coupling_matrix(b, d)
+    first = u @ np.outer(np.outer(psi, r), r)
+    final = first.reshape(d, -1) @ copier.T
+    joint = projector_of(StateVector(final.reshape(-1)))
+    rho_last = DensityMatrix._trusted(partial_trace(joint.matrix, d * d, d))
+    two_stage = restrict_state(rho_last, algebra).weights
+    return float(np.max(np.abs(single - two_stage)))

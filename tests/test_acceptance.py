@@ -9,18 +9,12 @@ import numpy as np
 
 from qmeasure.algebra import diagonal_algebra, generate_algebra
 from qmeasure.measurement import collapse_restriction_gaps, coupling_matrix
-from qmeasure.randomness import (
-    draw_cases,
-    rand_hermitian,
-    rand_state,
-    rand_unitary,
-    substream,
-)
+from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream, substreams
 from qmeasure.report import emit_report
 from qmeasure.scenario import run_cat, run_scenario
 from qmeasure.verification import (
     _stacks_by_dim,
-    chain_reduction_gap,
+    chain_reduction_gaps,
     check_simplex_contrast,
     coupling_defects,
     group_law_defects,
@@ -45,8 +39,10 @@ def test_acceptance_1_collapse_restriction_equivalence(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     cases = 0
+    # keys (d, i) under tag 1 name the streams of tags (1, d), key i
+    streams = substreams(_SEED, (1,), [(d, i) for d in range(2, 11) for i in range(200)])
     for d in range(2, 11):
-        states, bases = draw_cases(d, _SEED, (1, d), range(200), state_first=True)
+        states, bases = draw_cases(d, 200, streams, state_first=True)
         gaps = collapse_restriction_gaps(states, bases)
         worst = max(worst, float(gaps.max()))
         cases += gaps.size
@@ -70,7 +66,8 @@ def test_acceptance_2_coupling_fidelity(capsys):
     for d in range(2, 9):
         # case i has dim 2 + i % 7, and draws its basis and then its state
         cases = range(d - 2, 100, 7)
-        states, bases = draw_cases(d, _SEED, (2,), cases, state_first=False)
+        streams = substreams(_SEED, (2,), cases)
+        states, bases = draw_cases(d, len(cases), streams, state_first=False)
         agree, unitary = coupling_defects(states, bases, d)
         worst_agree = max(worst_agree, float(agree.max()))
         worst_unitary = max(worst_unitary, float(unitary.max()))
@@ -273,12 +270,8 @@ def test_acceptance_9_chain_reduction(capsys):
     d = 4
     algebra = diagonal_algebra([np.arange(d, dtype=float)])
     copier = coupling_matrix(np.eye(d, dtype=complex), d)
-    worst = 0.0
-    for i in range(50):
-        rng = substream(_SEED, 9, i)
-        psi = rand_state(d, rng)
-        basis = rand_unitary(d, rng)
-        worst = max(worst, chain_reduction_gap(psi, basis, copier, algebra))
+    states, bases = draw_cases(d, 50, substreams(_SEED, (9,), range(50)), state_first=True)
+    worst = float(chain_reduction_gaps(states, bases, copier, algebra).max())
     elapsed = time.perf_counter() - t0
     passed = worst <= tol
     _announce(

@@ -138,17 +138,18 @@ def test_member_names_two_classes_share_are_pinned():
     }
 
 
-def eigh_callers(directory: Path) -> set[str]:
+def callers(directory: Path, function: str) -> set[str]:
     """"module.function" for each top-level function or method of the
-    modules of directory whose body calls np.linalg.eigh."""
+    modules of directory whose body calls numpy's function, a dotted name
+    under np or numpy such as "linalg.eigh"."""
+    names = {f"np.{function}", f"numpy.{function}"}
     found = set()
     for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.FunctionDef):
                 continue
             if any(
-                isinstance(call, ast.Call)
-                and ast.unparse(call.func) in {"np.linalg.eigh", "numpy.linalg.eigh"}
+                isinstance(call, ast.Call) and ast.unparse(call.func) in names
                 for call in ast.walk(node)
             ):
                 found.add(f"{path.stem}.{node.name}")
@@ -163,13 +164,30 @@ def test_lint_finds_every_caller_of_eigh(tmp_path):
         "class K:\n    def solve(self, g):\n        return [numpy.linalg.eigh(x) for x in g]\n\n"
         "def plain(g):\n    return g\n"
     )
-    assert eigh_callers(tmp_path) == {"a.split", "a.solve"}
+    assert callers(tmp_path, "linalg.eigh") == {"a.split", "a.solve"}
 
 
 def test_spectra_come_from_one_eigensolver_route():
     # an observable's spectrum, its dynamics included, comes from the
     # algebra's split loop; only a density's factor rows take eigh besides
-    assert eigh_callers(_SRC) == {"algebra._spectrum", "measurement.factor_rows"}
+    assert callers(_SRC, "linalg.eigh") == {"algebra._spectrum", "measurement.factor_rows"}
+
+
+def test_lint_finds_a_second_caller_of_exp(tmp_path):
+    (tmp_path / "observables.py").write_text(
+        "import numpy as np\n\ndef evolve(t, x):\n    return np.exp(-1j * t * x)\n"
+    )
+    (tmp_path / "verification.py").write_text(
+        "import numpy\n\ndef group_law(t, x):\n    return numpy.exp(-1j * t * x)\n\n"
+        "def other(x):\n    return np.expm1(x), np.exp\n"
+    )
+    assert callers(tmp_path, "exp") == {"observables.evolve", "verification.group_law"}
+
+
+def test_dynamics_come_from_one_exponential_route():
+    # exp(-itH) is formed in one place, for a stack of cases, so no check
+    # can evolve its states by a second route
+    assert callers(_SRC, "exp") == {"observables.evolve"}
 
 
 def private_imports(source: str) -> set[str]:

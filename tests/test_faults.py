@@ -53,6 +53,16 @@ def swap_basis_columns_across_cases(mp):
     mp.setattr(algebra, "_spectrum", swapped)
 
 
+def roll_stacked_couplings(mp):
+    dense = verification.coupling_matrix
+
+    def rolled(bases, dim_apparatus):
+        u = dense(bases, dim_apparatus)
+        return u if u.ndim == 2 else np.roll(u, 1, axis=0)
+
+    mp.setattr(verification, "coupling_matrix", rolled)
+
+
 def widen_one_case_to_the_stack(mp):
     width = algebra.default_cluster_tol
 
@@ -91,6 +101,12 @@ ROWS = {
     "one case's basis columns swapped with another case's": (
         swap_basis_columns_across_cases,
         {3, 4},
+        {},
+    ),
+    # a single U, check 9's copier, is left alone
+    "coupling_matrix gives each case of a stack another case's U": (
+        roll_stacked_couplings,
+        {2, 9},
         {},
     ),
     "one case's cluster width taken from the whole stack": (

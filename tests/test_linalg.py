@@ -13,6 +13,16 @@ def test_require_weights_rejects_a_nan():
         linalg.require_weights([np.nan, 1.0])
 
 
+def test_require_weights_formats_a_bad_sum_as_the_other_messages_do():
+    # numpy 2's repr of a float64 scalar reads np.float64(...)
+    with pytest.raises(errors.ValidationError) as err:
+        linalg.require_weights([0.1, 0.1])
+    assert "np.float64" not in str(err.value)
+    assert str(err.value) == "weights: a sum is off from 1 by 8.000e-01"
+    with pytest.raises(errors.ValidationError, match="by 8.000e-01$"):
+        linalg.require_weights([[0.5, 0.5], [0.1, 0.1]], stack=True)
+
+
 def test_cluster_examples():
     # the width is default_cluster_tol, 1e4 * 3 * eps * 2 = 1.3e-11 here
     merged = diagonal_algebra([[1.0, 1.0 + 1e-12, 2.0]])

@@ -16,7 +16,7 @@ from qmeasure.measurement import (
     readout_weights,
     reduce,
 )
-from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
+from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.scenario import compare_collapse_vs_restriction
 from qmeasure.states import (
     DensityMatrix,
@@ -31,6 +31,7 @@ from oracles import (
     premeasure_density,
     premeasured_state,
     rand_density,
+    rand_unitary,
     sample_outcome,
 )
 
@@ -258,7 +259,7 @@ def test_structured_premeasurement_matches_dense_coupling(d):
         assert_close(pure.amplitudes, dense, atol=1e-12, rtol=0)
         assert_close(
             apparatus_reduced_state(pure, d, dm).matrix,
-            partial_trace(projector_of(dense), d, dm).matrix,
+            partial_trace(projector_of(dense).matrix, d, dm),
             atol=1e-12,
             rtol=0,
         )
@@ -277,8 +278,8 @@ def test_apparatus_reduced_density_matches_dense_premeasurement(d):
         rng = substream(151, d, dm)
         basis = rand_unitary(d, rng)
         rho = rand_density(d, rng)
-        dense = partial_trace(premeasure_density(rho, basis, dm), d, dm)
-        diagonal = np.real(np.diag(dense.matrix))
+        dense = partial_trace(premeasure_density(rho, basis, dm).matrix, d, dm)
+        diagonal = np.real(np.diag(dense))
         m = premeasure(factor_rows(DensityMatrix(rho).matrix), basis).reshape(-1, d)
         columns = np.arange(dm, dtype=float)
         for readout in (
@@ -424,14 +425,14 @@ def test_two_stage_chain_keeps_pointer_statistics():
 
     u2 = coupling_matrix(basis, d)  # the same controlled shift, copying factor 2 to factor 3
     joint = np.kron(np.eye(d), u2) @ np.kron(stage1.amplitudes, np.eye(d)[:, 0])
-    rho_last = partial_trace(projector_of(joint), d * d, d)
-    assert_close(np.real(np.diag(rho_last.matrix)), first_diag, atol=1e-10)
+    rho_last = partial_trace(projector_of(joint).matrix, d * d, d)
+    assert_close(np.real(np.diag(rho_last)), first_diag, atol=1e-10)
 
     # factors (S, A1, A2) reordered to (A2, S, A1), so the trace keeps (S, A1)
     swapped = joint.reshape(d * d, d).T.reshape(-1)
-    rho12 = partial_trace(projector_of(swapped), d, d * d)
+    rho12 = partial_trace(projector_of(swapped).matrix, d, d * d)
     assert_close(
-        np.real(np.diag(rho12.matrix)),
+        np.real(np.diag(rho12)),
         np.real(np.diag(projector_of(stage1).matrix)),
         atol=1e-10,
     )

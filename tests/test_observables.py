@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg
-from qmeasure.algebra import SpectralAlgebra, generate_algebra
+from qmeasure.algebra import SpectralAlgebra, generate_algebra, generate_algebras
 from qmeasure.observables import Observable, evolve
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.states import DensityMatrix, StateVector, projector_of
 
 from conftest import assert_close
-from oracles import joint_spectrum, projectors
+from oracles import evolve_one, joint_spectrum, projectors, rand_unitary
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -210,40 +210,45 @@ def test_observable_rejects_non_square():
         Observable(np.zeros((2, 3)))
 
 
+def evolve_case(psi, h, t):
+    """evolve on a stack of one case: psi at time t under the Hamiltonian h."""
+    states = np.asarray(psi, dtype=complex)[None]
+    return evolve(states, generate_algebras([np.asarray(h)[None]]), np.array([t]))[0]
+
+
 def test_evolve_preserves_norm_and_eigenstates():
     h = rand_hermitian(4, substream(79))
-    psi = StateVector(np.eye(4)[:, 0])
-    out = evolve(psi, generate_algebra([np.diag([1.0, 2.0, 3.0, 4.0])]), 0.3)
+    psi = np.eye(4)[0]
+    out = evolve_case(psi, np.diag([1.0, 2.0, 3.0, 4.0]), 0.3)
     # eigenstate only picks up a phase
     assert_close(projector_of(out).matrix, projector_of(psi).matrix, atol=1e-12)
-    moved = evolve(rand_state(4, substream(80)), generate_algebra([h]), 1.7)
-    assert abs(np.linalg.norm(moved.amplitudes) - 1) < 1e-12
+    moved = evolve_case(rand_state(4, substream(80)), h, 1.7)
+    assert abs(np.linalg.norm(moved) - 1) < 1e-12
 
 
 def test_evolve_under_a_subnormal_generator_warns_nothing():
     # an eigendecomposition's residual check once divided by the subnormal entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = evolve([1.0, 0.0], generate_algebra([[[5e-324, 0.0], [0.0, 0.0]]]), 1.0)
-    assert_close(out.amplitudes, np.array([1.0, 0.0]), atol=1e-12)
+        out = evolve_case([1.0, 0.0], [[5e-324, 0.0], [0.0, 0.0]], 1.0)
+    assert_close(out, np.array([1.0, 0.0]), atol=1e-12)
 
 
 def test_evolve_at_zero_time_is_the_identity():
-    h = generate_algebra([rand_hermitian(3, substream(11))])
+    h = rand_hermitian(3, substream(11))
     for psi in np.eye(3):
-        assert_close(evolve(psi, h, 0.0).amplitudes, psi)
+        assert_close(evolve_case(psi, h, 0.0), psi)
 
 
 def test_evolve_pauli_x_quarter_turn():
     # exp(-i pi/2 X) = -i X
     for psi, flipped in zip(np.eye(2), np.eye(2)[::-1]):
-        got = evolve(psi, generate_algebra([X]), np.pi / 2).amplitudes
-        assert_close(got, -1j * flipped, atol=1e-10)
+        assert_close(evolve_case(psi, X, np.pi / 2), -1j * flipped, atol=1e-10)
 
 
 def test_evolve_under_a_diagonal_generator_applies_phases():
     psi = np.array([0.6, 0.8])
-    got = evolve(psi, generate_algebra([np.diag([1.0, 2.0])]), 0.7).amplitudes
+    got = evolve_case(psi, np.diag([1.0, 2.0]), 0.7)
     assert_close(got, np.exp(-1j * 0.7 * np.array([1.0, 2.0])) * psi)
 
 
@@ -251,15 +256,41 @@ def test_evolve_under_a_diagonal_generator_applies_phases():
 def test_evolve_group_law(case):
     rng = substream(17, case)
     d = int(rng.integers(2, 7))
-    h = generate_algebra([rand_hermitian(d, rng)])
+    h = rand_hermitian(d, rng)
     s, t = rng.uniform(-2, 2, size=2)
     psi = rand_state(d, rng)
-    stepwise = evolve(evolve(psi, h, t), h, s)
-    assert np.max(np.abs(stepwise.amplitudes - evolve(psi, h, s + t).amplitudes)) < 1e-9
+    stepwise = evolve_case(evolve_case(psi, h, t), h, s)
+    assert np.max(np.abs(stepwise - evolve_case(psi, h, s + t))) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "degenerate"])
+def test_a_stack_evolves_each_case_at_its_own_time_as_that_case_alone(kind):
+    # per-case times on dense, index-form and degenerate algebras, each case
+    # with the bits of the one-case element product
+    rng = substream(19, len(kind))
+    n, d = 5, 4
+    h = np.stack([rand_hermitian(d, rng) for _ in range(n)])
+    if kind != "dense":
+        values = np.array([0.0, 0.0, 1.5, -2.0]) * rng.uniform(0.5, 2.0, size=(n, 1))
+        h = values[:, None, :] * np.eye(d)
+        if kind == "degenerate":
+            u = np.stack([rand_unitary(d, rng) for _ in range(n)])
+            h = (u * values[:, None, :]) @ u.conj().mT
+            h = h / 2 + h.conj().mT / 2
+    states = np.stack([rand_state(d, rng) for _ in range(n)])
+    times = rng.uniform(-3, 3, size=n)
+    generated = generate_algebras([h])
+    assert (generated[2] is None) == (kind == "diagonal")
+    got = evolve(states, generated, times)
+    for c in range(n):
+        want = evolve_one(StateVector(states[c]), generate_algebra([h[c]]), times[c])
+        assert np.array_equal(got[c], want.amplitudes)
 
 
 def test_evolve_needs_the_algebra_of_one_generator_on_the_state_space():
     with pytest.raises(errors.ValidationError, match="single generator"):
-        evolve([1.0, 0.0], generate_algebra([Z, np.eye(2)]), 1.0)
+        evolve(np.eye(2)[:1], generate_algebras([Z[None], np.eye(2)[None]]), np.ones(1))
     with pytest.raises(errors.DimMismatch):
-        evolve([1.0, 0.0, 0.0], generate_algebra([X]), 1.0)
+        evolve(np.eye(3)[:1], generate_algebras([X[None]]), np.ones(1))
+    with pytest.raises(errors.NotNormalized):
+        evolve(np.eye(2)[:1] * 1.1, generate_algebras([X[None]]), np.ones(1))

@@ -5,17 +5,18 @@ streams are seeded one by one or in one pass."""
 import numpy as np
 import pytest
 
+from qmeasure.linalg import row_norms
 from qmeasure.randomness import (
     _VECTOR_SEEDING_CASES,
     _case_words,
     _pcg64_states,
-    _row_norms,
     draw_cases,
     rand_state,
-    rand_unitary,
     substream,
     substreams,
 )
+
+from oracles import rand_unitary
 
 
 def one_at_a_time(dim, seed, tags, cases, state_first):
@@ -36,7 +37,7 @@ CASE_RANGES = [range(40), range(7, 19), range(3, 100, 7)]
 @pytest.mark.parametrize("cases", CASE_RANGES, ids=str)
 @pytest.mark.parametrize("d", [*range(1, 9), 16, 32])
 def test_random_cases_keep_the_bits_of_rand_state_then_rand_unitary(d, cases):
-    states, unitaries = draw_cases(d, 53, (d,), cases, state_first=True)
+    states, unitaries = draw_cases(d, len(cases), substreams(53, (d,), cases), state_first=True)
     want_states, want_unitaries = one_at_a_time(d, 53, (d,), cases, state_first=True)
     assert np.array_equal(states, want_states)
     assert np.array_equal(unitaries, want_unitaries)
@@ -46,7 +47,8 @@ def test_random_cases_keep_the_bits_of_rand_state_then_rand_unitary(d, cases):
 @pytest.mark.parametrize("d", [*range(1, 9), 16, 32])
 def test_unitary_first_cases_keep_the_bits_of_rand_unitary_then_rand_state(d, cases):
     # the draw order of the coupling fidelity check
-    states, unitaries = draw_cases(d, 59, (11, d), cases, state_first=False)
+    streams = substreams(59, (11, d), cases)
+    states, unitaries = draw_cases(d, len(cases), streams, state_first=False)
     want_states, want_unitaries = one_at_a_time(d, 59, (11, d), cases, state_first=False)
     assert np.array_equal(states, want_states)
     assert np.array_equal(unitaries, want_unitaries)
@@ -106,7 +108,7 @@ def test_substreams_of_two_word_keys_draw_what_substream_draws(keys):
 def test_cases_keep_the_bits_of_substream_on_either_side_of_the_seeding_threshold(
     seed, tags, n, state_first
 ):
-    got = draw_cases(2, seed, tags, range(n), state_first)
+    got = draw_cases(2, n, substreams(seed, tags, range(n)), state_first)
     want = one_at_a_time(2, seed, tags, range(n), state_first)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -128,7 +130,7 @@ def test_substreams_draw_what_substream_draws(n):
 
 def test_cases_past_the_last_32_bit_index_keep_the_bits_of_substream():
     cases = range(2**32 - 5, 2**32 + 2 * _VECTOR_SEEDING_CASES)
-    got = draw_cases(2, 61, (4,), cases, state_first=True)
+    got = draw_cases(2, len(cases), substreams(61, (4,), cases), state_first=True)
     want = one_at_a_time(2, 61, (4,), cases, state_first=True)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -138,4 +140,4 @@ def test_row_norms_keep_the_bits_of_np_linalg_norm(d):
     rng = substream(67, d)
     for n in (1, 2, 5, 16, 63, 200):
         vectors = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        assert np.array_equal(_row_norms(vectors), [np.linalg.norm(v) for v in vectors])
+        assert np.array_equal(row_norms(vectors), [np.linalg.norm(v) for v in vectors])

@@ -18,7 +18,7 @@ from qmeasure.measurement import (
     pointer_diagonal,
 )
 from qmeasure.observables import Observable
-from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, rand_unitary, substream
+from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream, substreams
 from qmeasure.report import (
     ComparisonSummary,
     EmpiricalCounts,
@@ -40,7 +40,13 @@ from qmeasure.scenario import (
 from qmeasure.states import DensityMatrix, StateVector
 
 from conftest import assert_close, nan_state, peak_bytes, stretch_a_basis, stretch_a_state
-from oracles import collapse_restriction_gap, load_scenario, rand_density, sample_outcome
+from oracles import (
+    collapse_restriction_gap,
+    load_scenario,
+    rand_density,
+    rand_unitary,
+    sample_outcome,
+)
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -400,14 +406,17 @@ def test_full_rank_density_run_peaks_at_a_few_apparatus_matrices(idle):
     assert peak < 16 * 16 * dim**2
 
 
-def _run(observable, state, apparatus_dim):
+def _run(observable, state, apparatus_dim, pointer_values=None):
+    pointer = None
+    if pointer_values is not None:
+        pointer = linalg.readonly(pointer_diagonal(pointer_values, apparatus_dim))
     return run_scenario(
         Scenario(
             system_dim=observable.shape[0],
             initial_state=state,
             measured_observable=Observable(observable),
             apparatus_dim=apparatus_dim,
-            pointer=None,
+            pointer=pointer,
             algebra_generators=None,
             trials=0,
             seed=1,
@@ -477,6 +486,34 @@ def test_run_statistics_do_not_change_under_a_joint_change_of_basis(seed, idle, 
     before = _run(a, state, d + idle)
     after = _run(u @ a @ u.conj().T, turned, d + idle)
     _assert_same_statistics(before, after)
+
+
+@given(seed=st.integers(0, 2**16), idle=st.integers(0, 2), density=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_run_statistics_do_not_change_when_the_pointer_values_are_permuted(seed, idle, density):
+    # outcome j's pointer column reads values[j], then values[perm[j]]: the
+    # Born, collapse and aligned weights stay, and each outcome's restricted
+    # weight moves with its value to that value's readout point
+    rng = substream(seed, 191)
+    d = int(rng.integers(2, 6))
+    a = rand_hermitian(d, rng)
+    state = DensityMatrix(rand_density(d, rng)) if density else StateVector(rand_state(d, rng))
+    values = rng.choice(np.arange(-8.0, 9.0), size=d, replace=False)
+    perm = rng.permutation(d)
+    before = _run(a, state, d + idle, values)
+    after = _run(a, state, d + idle, values[perm])
+    tol = linalg.DEVIATION_TOL
+    for r in (before, after):
+        assert r.max_deviation <= tol
+    assert_close(after.born.weights, before.born.weights, atol=tol, rtol=0)
+    assert_close(after.collapsed_diag, before.collapsed_diag, atol=tol, rtol=0)
+    assert np.array_equal(after.restricted.characters, before.restricted.characters)
+
+    def on_outcomes(report, pointer_values):
+        points = np.searchsorted(report.restricted.characters[:, 0], pointer_values)
+        return report.restricted.weights[points]
+
+    assert_close(on_outcomes(after, values[perm]), on_outcomes(before, values), atol=tol, rtol=0)
 
 
 def test_vector_run_forms_no_apparatus_matrix():
@@ -630,7 +667,8 @@ def per_case_gaps(states, bases) -> np.ndarray:
 def test_stacked_gaps_have_the_bits_of_the_per_case_kernel(d):
     # at d = 1 a plain stacked product rounds differently in about 45% of
     # the cases, so 400 of them
-    states, bases = draw_cases(d, 29, (2,), range(400 if d == 1 else 40), state_first=True)
+    n = 400 if d == 1 else 40
+    states, bases = draw_cases(d, n, substreams(29, (2,), range(n)), state_first=True)
     gaps = collapse_restriction_gaps(states, bases)
     assert np.array_equal(gaps, per_case_gaps(states, bases))
 
@@ -639,7 +677,8 @@ def test_stacked_gaps_have_the_bits_of_the_per_case_kernel(d):
 def test_compare_across_a_block_boundary_has_the_per_case_bits(offset):
     d, seed = 32, 31
     n_random = CASE_BLOCK // d**2 + offset
-    devs = per_case_gaps(*draw_cases(d, seed, (2,), range(n_random), state_first=True))
+    streams = substreams(seed, (2,), range(n_random))
+    devs = per_case_gaps(*draw_cases(d, n_random, streams, state_first=True))
     worst_index = int(np.argmax(devs))
     assert compare_collapse_vs_restriction(d, n_random, seed) == ComparisonSummary(
         dim=d,
@@ -674,7 +713,7 @@ def test_compare_memory_does_not_grow_with_n_random():
     ],
 )
 def test_stacked_kernel_checks_every_case(fault, error):
-    states, bases = draw_cases(3, 37, (2,), range(5), state_first=True)
+    states, bases = draw_cases(3, 5, substreams(37, (2,), range(5)), state_first=True)
     fault(states, bases)
     with pytest.raises(error):
         collapse_restriction_gaps(states, bases)

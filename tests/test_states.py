@@ -7,10 +7,9 @@ from qmeasure import errors
 from qmeasure.algebra import (
     SpectralProbabilityMeasure,
     generate_algebra,
-    proper_mixture_representative,
 )
 from qmeasure.measurement import collapse
-from qmeasure.randomness import rand_hermitian, rand_state, rand_unitary, substream
+from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.states import (
     DensityMatrix,
     StateVector,
@@ -26,7 +25,9 @@ from oracles import (
     apparatus_reduced_state,
     premeasure_density,
     premeasured_state,
+    proper_mixture_representative,
     rand_density,
+    rand_unitary,
 )
 
 
@@ -142,15 +143,15 @@ def test_tensor_state_ordering():
 
 def test_partial_trace_bell_state():
     bell = projector_of(StateVector.normalized([1, 0, 0, 1]))
-    assert_close(partial_trace(bell, 2, 2).matrix, np.eye(2) / 2)
+    assert_close(partial_trace(bell.matrix, 2, 2), np.eye(2) / 2)
 
 
 def test_partial_trace_product_state():
     sys = rand_state(3, substream(31))
     app = rand_state(2, substream(32))
     joint = projector_of(np.kron(sys, app))
-    rho_a = partial_trace(joint, 3, 2)
-    assert_close(rho_a.matrix, projector_of(app).matrix, atol=1e-12)
+    rho_a = partial_trace(joint.matrix, 3, 2)
+    assert_close(rho_a, projector_of(app).matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -163,7 +164,7 @@ def test_partial_trace_defining_property(case):
     for _ in range(4):
         y = rand_hermitian(da, rng)
         lifted = np.kron(np.eye(ds), y)
-        assert abs(np.trace(reduced.matrix @ y) - np.trace(rho @ lifted)) < 1e-10
+        assert abs(np.trace(reduced @ y) - np.trace(rho @ lifted)) < 1e-10
 
 
 def test_partial_trace_rejects_wrong_dims():
@@ -181,9 +182,9 @@ def test_partial_trace_rejects_nonpositive_dims():
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_trusted_results_pass_the_public_checks(d):
-    # these six functions (two of them test oracles) store their results without validating them;
-    # each result, and the bare array the collapse returns, must still be a density matrix
-    # the public constructor accepts
+    # these five functions (three of them test oracles) store their results without validating
+    # them; each result, and the bare arrays the collapse and the partial trace return, must
+    # still be a density matrix the public constructor accepts
     rng = substream(157, d)
     psi = StateVector(rand_state(d, rng))
     rho = rand_density(d, rng)
@@ -195,15 +196,14 @@ def test_trusted_results_pass_the_public_checks(d):
     results = [
         projector_of(psi),
         mix([w, 1 - w], [rho, projector_of(psi)]),
-        partial_trace(composite, 2, d),
         apparatus_reduced_state(premeasured_state(psi, basis, d + 2), d, d + 2),
         premeasure_density(rho, basis, d + 2),
         proper_mixture_representative(
             SpectralProbabilityMeasure(raw / raw.sum(), algebra.characters), algebra
         ),
     ]
-    collapsed = collapse(rho, basis)
-    assert_close(DensityMatrix(collapsed).matrix, collapsed, atol=0, rtol=0)
+    for bare in (collapse(rho, basis), partial_trace(composite, 2, d)):
+        assert_close(DensityMatrix(bare).matrix, bare, atol=0, rtol=0)
     for result in results:
         assert not result.matrix.flags.writeable
         assert_close(DensityMatrix(result.matrix).matrix, result.matrix, atol=0, rtol=0)

@@ -7,23 +7,17 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg, measurement, verification
-from qmeasure.algebra import diagonal_algebra
-from qmeasure.measurement import coupling_matrix
-from qmeasure.randomness import (
-    draw_cases,
-    rand_hermitian,
-    rand_state,
-    rand_unitary,
-    substream,
-    substreams,
-)
+from qmeasure.measurement import coupling_matrix, minimal_readout
+from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream, substreams
 from qmeasure.states import StateVector
 
 from conftest import misregistered, nan_state, stretch_a_basis, stretch_a_state
 from oracles import (
+    chain_reduction_gap,
     coupling_defects,
     group_law_defects,
     joint_diagonalization_defect,
+    rand_unitary,
     round_trip_defect,
     spectral_axiom_defect,
 )
@@ -78,7 +72,7 @@ def test_coupling_defects_catch_shifted_pointer_column_in_premeasure():
     # path no longer matches U, which only the agreement term compares
     check = verification.check_coupling_fidelity
     assert_fault_caught(check, verification, "premeasure", misregistered)
-    states, bases = draw_cases(3, 67, (), range(4), state_first=True)
+    states, bases = draw_cases(3, 4, substreams(67, (), range(4)), state_first=True)
     tol = 1e-10  # check 2's tolerance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "premeasure", misregistered)
@@ -92,7 +86,7 @@ def test_stacked_coupling_defects_have_the_bits_of_the_per_case_oracle(d):
     # d = 1 takes more cases, as the collapse vs restriction stack does
     cases = range(400 if d == 1 else 30)
     for dm in (d, d + 2):
-        states, bases = draw_cases(d, 71, (dm,), cases, state_first=True)
+        states, bases = draw_cases(d, len(cases), substreams(71, (dm,), cases), state_first=True)
         agreement, unitarity = verification.coupling_defects(states, bases, dm)
         for k, (psi, basis) in enumerate(zip(states, bases)):
             want = coupling_defects(basis, StateVector(psi), dm)
@@ -108,14 +102,14 @@ def test_stacked_coupling_defects_have_the_bits_of_the_per_case_oracle(d):
     ],
 )
 def test_stacked_coupling_defects_check_every_case(fault, error):
-    states, bases = draw_cases(3, 37, (2,), range(5), state_first=True)
+    states, bases = draw_cases(3, 5, substreams(37, (2,), range(5)), state_first=True)
     fault(states, bases)
     with pytest.raises(error):
         verification.coupling_defects(states, bases, 3)
 
 
 def test_stacked_coupling_defects_reject_a_small_apparatus():
-    states, bases = draw_cases(3, 37, (2,), range(5), state_first=True)
+    states, bases = draw_cases(3, 5, substreams(37, (2,), range(5)), state_first=True)
     with pytest.raises(errors.TooSmall):
         verification.coupling_defects(states, bases, 2)
 
@@ -190,6 +184,17 @@ def test_stacked_spectral_kernels_have_the_bits_of_the_per_case_oracles(d, kind)
     raw = rng.uniform(0.05, 1.0, size=(n, d))
     gaps = verification.round_trip_defects(hermitians, raw)
     assert np.array_equal(gaps, [round_trip_defect(h, w) for h, w in zip(hermitians, raw)])
+
+    # the chain's dense stage holds a d^3 x d^3 joint projector per case, so
+    # past d = 8 two cases; the measured bases are the Hermitians'
+    # eigenbases, dense or, for "diagonal", columns of the identity
+    m = n if d <= 8 else 2
+    bases = np.linalg.eigh(hermitians[:m])[1]
+    copier = coupling_matrix(np.eye(d, dtype=complex), d)
+    readout = minimal_readout(d)
+    gaps = verification.chain_reduction_gaps(states[:m], bases, copier, readout)
+    want = [chain_reduction_gap(psi, b, copier, readout) for psi, b in zip(states, bases)]
+    assert np.array_equal(gaps, want)
 
 
 @pytest.mark.parametrize(
@@ -308,14 +313,13 @@ def test_chain_reduction_gap_catches_missing_coupling():
     assert_fault_caught(verification.check_chain_reduction, verification, "premeasure", uncoupled)
 
 
-def test_chain_reduction_gap_checks_its_state_and_basis_once(monkeypatch):
-    # as a stack of one case, through the check compare's stacks get; the
+def test_chain_reduction_gaps_check_their_states_and_bases_once(monkeypatch):
+    # once for the stack, through the check compare's stacks get; the
     # pointer readout is diagonal and has no basis to check
     d = 3
-    rng = substream(151)
-    psi, basis = rand_state(d, rng), rand_unitary(d, rng)
+    states, bases = draw_cases(d, 5, substreams(151, (), range(5)), state_first=True)
     copier = coupling_matrix(np.eye(d, dtype=complex), d)
-    algebra = diagonal_algebra([np.arange(d, dtype=float)])
+    algebra = minimal_readout(d)
     calls = []
     defect = linalg.isometry_defect
 
@@ -324,12 +328,17 @@ def test_chain_reduction_gap_checks_its_state_and_basis_once(monkeypatch):
         return defect(v)
 
     monkeypatch.setattr(linalg, "isometry_defect", counted)
-    assert verification.chain_reduction_gap(psi, basis, copier, algebra) <= 1e-12
-    assert calls == [(1, d, d)]
-    with pytest.raises(errors.NotOrthonormal):
-        verification.chain_reduction_gap(psi, basis * [1 + 1e-9, 1, 1], copier, algebra)
-    with pytest.raises(errors.NotNormalized):
-        verification.chain_reduction_gap(psi * (1 + 1e-9), basis, copier, algebra)
+    assert verification.chain_reduction_gaps(states, bases, copier, algebra).max() <= 1e-12
+    assert calls == [(5, d, d)]
+    for fault, error in [
+        (stretch_a_basis, errors.NotOrthonormal),
+        (stretch_a_state, errors.NotNormalized),
+        (nan_state, errors.NotNormalized),
+    ]:
+        faulty = states.copy(), bases.copy()
+        fault(*faulty)
+        with pytest.raises(error):
+            verification.chain_reduction_gaps(*faulty, copier, algebra)
 
 
 def test_run_all_forms_no_kronecker_product(monkeypatch):
@@ -349,7 +358,8 @@ def test_run_all_forms_no_kronecker_product(monkeypatch):
 
 def test_run_all_builds_each_dense_coupling_once_per_stack(monkeypatch):
     # check 2 builds one stack of 30 couplings per dimension 2..6; check 9
-    # builds its copier once and then the first stage of each of its 20 cases
+    # builds its copier once and then the first stages of its 20 cases as
+    # one stack
     calls = []
     dense = verification.coupling_matrix
 
@@ -360,5 +370,22 @@ def test_run_all_builds_each_dense_coupling_once_per_stack(monkeypatch):
     monkeypatch.setattr(verification, "coupling_matrix", counted)
     assert all(r.passed for r in verification.run_all())
     check_2 = [((30, d, d), False) for d in range(2, 7)]
-    check_9 = [((4, 4), True)] + [((4, 4), False)] * 20
+    check_9 = [((4, 4), True), ((20, 4, 4), False)]
     assert calls == check_2 + check_9
+
+
+def test_run_all_makes_one_qr_call_per_drawn_stack(monkeypatch):
+    # checks 1, 2 and 9 draw Haar unitaries, one stacked QR per dimension's
+    # stack: check 9 makes one call for its 20 cases, not 20
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a):
+        calls.append(a.shape)
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    assert all(r.passed for r in verification.run_all())
+    check_1 = [(40, d, d) for d in range(2, 7)]
+    check_2 = [(30, d, d) for d in range(2, 7)]
+    assert calls == check_1 + check_2 + [(20, 4, 4)]
