@@ -38,8 +38,6 @@ import numpy as np
 from . import linalg
 from .errors import DimMismatch, NotCommuting, NotInAlgebra, NotOrthonormal, ValidationError
 from .linalg import default_cluster_tol
-from .observables import as_observable
-from .states import as_density
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -416,11 +414,12 @@ def generate_algebras(generators) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
 
 
 def generate_algebra(generators) -> SpectralAlgebra:
-    """Commutative algebra generated by a commuting Hermitian family, one
-    spectrum point per joint eigenspace: generate_algebras of a stack of
-    one. It stays in index form, with no eigensolver, while the generators
-    are exactly diagonal."""
-    return _algebra(_family([as_observable(g).matrix[None] for g in generators]))
+    """Commutative algebra generated by a commuting family of Hermitian
+    arrays, as require_hermitian checks them, one spectrum point per joint
+    eigenspace: generate_algebras of a stack of one, without judging the
+    generators again. It stays in index form, with no eigensolver, while
+    the generators are exactly diagonal."""
+    return _algebra(_family([g[None] for g in generators]))
 
 
 def diagonal_algebra(diagonals) -> SpectralAlgebra:
@@ -433,30 +432,30 @@ def diagonal_algebra(diagonals) -> SpectralAlgebra:
     return _algebra([d[None] for d in diags])
 
 
-def gelfand_transform(algebra: SpectralAlgebra, element) -> np.ndarray:
-    """Values of an algebra element at each spectrum point.
+def gelfand_transform(algebra: SpectralAlgebra, element: np.ndarray) -> np.ndarray:
+    """Values of an algebra element, a Hermitian complex array, at each
+    spectrum point.
 
     The element must be block-constant on the joint eigenspaces; anything
     with off-block structure or in-block variation raises NotInAlgebra.
     """
-    a = as_observable(element)
-    if a.dim != algebra.dim:
-        raise DimMismatch(f"element dim {a.dim}, algebra dim {algebra.dim}")
+    if len(element) != algebra.dim:
+        raise DimMismatch(f"element dim {len(element)}, algebra dim {algebra.dim}")
     # a point's trace is summed in units of a power of two near the largest
     # entry, so it cannot overflow; scaling by a power of two is exact
-    scaled, k = linalg.unit_scaled(a.matrix)
+    scaled, k = linalg.unit_scaled(element)
     vals = np.ldexp(algebra.block_traces(scaled) / algebra.multiplicities(), k)
-    defect = float(np.max(np.abs(algebra.element(vals) - a.matrix)))
-    if defect > _element_tol(np.abs(a.matrix).max()):
+    defect = float(np.max(np.abs(algebra.element(vals) - element)))
+    if defect > _element_tol(np.abs(element).max()):
         raise NotInAlgebra(f"element is not block-constant (defect {defect:.3e})")
     return linalg.readonly(vals)
 
 
-def restrict_state(rho, algebra: SpectralAlgebra) -> SpectralProbabilityMeasure:
-    """The probability measure a state induces on the algebra's spectrum:
-    weight_k = Tr(V_k^dagger rho V_k). This is everything the algebra can
-    see of rho; on the algebra one observable generates it is Born's rule."""
-    r = as_density(rho)
-    if r.dim != algebra.dim:
-        raise DimMismatch(f"state dim {r.dim}, algebra dim {algebra.dim}")
-    return SpectralProbabilityMeasure(algebra.block_traces(r.matrix), algebra.characters)
+def restrict_state(rho: np.ndarray, algebra: SpectralAlgebra) -> SpectralProbabilityMeasure:
+    """The probability measure a density matrix induces on the algebra's
+    spectrum: weight_k = Tr(V_k^dagger rho V_k). This is everything the
+    algebra can see of rho; on the algebra one observable generates it is
+    Born's rule."""
+    if len(rho) != algebra.dim:
+        raise DimMismatch(f"state dim {len(rho)}, algebra dim {algebra.dim}")
+    return SpectralProbabilityMeasure(algebra.block_traces(rho), algebra.characters)

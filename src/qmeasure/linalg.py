@@ -2,7 +2,7 @@
 package's one tolerance policy.
 
 Pure functions over numpy arrays; readonly gives the read-only views the
-package's records hold. The Hermiticity, isometry, norm, weight, span and
+validators return. The Hermiticity, isometry, norm, weight, span and
 cluster-width helpers also take a stack of cases and judge each case on its
 own. No eigensolver lives here: an observable's spectrum, and exp(-itH) with
 it, is read from the algebra it generates. A run allows dimensions up to
@@ -131,15 +131,16 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m, stack: bool = False) -> np.ndarray:
-    """A square matrix that judge_hermitian accepts, as its Hermitian part:
-    the input itself when it is exactly Hermitian, so its bits are kept.
-    With stack, an (n, d, d) stack of them, each judged in its own unit and
-    replaced by its Hermitian part only where its defect is nonzero."""
+    """An observable or a generator: a square matrix that judge_hermitian
+    accepts, as its Hermitian part, read-only: the input itself when it is
+    exactly Hermitian, so its bits are kept. With stack, an (n, d, d) stack
+    of them, each judged in its own unit and replaced by its Hermitian part
+    only where its defect is nonzero."""
     a = require_square(m, stack)
     off = judge_hermitian(a) != 0
     if off.any():
         a[off] = _hermitian_part(a[off])
-    return a
+    return readonly(a)
 
 
 def require_weights(

@@ -88,9 +88,10 @@ def coupling_matrix(bases: np.ndarray, dim_apparatus: int) -> np.ndarray:
     return g_pi @ np.conjugate(g, out=g).swapaxes(-1, -2)
 
 
-def model_for_observable(a) -> tuple[SpectralAlgebra, np.ndarray]:
-    """The measured spectral measure of a nondegenerate Hermitian observable
-    and its basis in label order, column j the eigenvector of outcome j.
+def model_for_observable(a: np.ndarray) -> tuple[SpectralAlgebra, np.ndarray]:
+    """The measured spectral measure of a nondegenerate observable, a
+    Hermitian array as require_hermitian checks it, and its basis in label
+    order, column j the eigenvector of outcome j.
 
     The measure is generate_algebra([a]), the algebra the observable
     generates, which checks its basis once; its points are the eigenvalues
@@ -277,7 +278,7 @@ def readout_weights(
 
 
 def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The checks a StateVector and a measured spectral measure make on one
+    """The checks state_vector and a measured spectral measure make on one
     case, run once on a stack of cases, each failing on a NaN: (n, d)
     states of unit norm and (n, d, d) orthonormal bases. Returns the bases
     copied column-major, the layout model_for_observable gives a measured

@@ -1,6 +1,7 @@
 """Hermitian observables and their dynamics.
 
-An observable's statistics and its dynamics are both read from the
+An observable is a Hermitian complex array, as linalg.require_hermitian
+checks it. Its statistics and its dynamics are both read from the
 commutative algebra it generates (`algebra.generate_algebra([a])`): a point
 spectrum, one isometry block per outcome. Born's distribution in a state is
 that state restricted to the algebra (`algebra.restrict_state`), and
@@ -10,31 +11,10 @@ exp(-it lambda) at each eigenvalue lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
 from .errors import DimMismatch, ValidationError
-
-
-@dataclass(frozen=True, eq=False)
-class Observable:
-    """A Hermitian matrix. Any Hermitian matrix is accepted."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = linalg.require_hermitian(self.matrix)
-        object.__setattr__(self, "matrix", linalg.readonly(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def as_observable(a) -> Observable:
-    return a if isinstance(a, Observable) else Observable(a)
 
 
 def evolve(states: np.ndarray, generated, times) -> np.ndarray:

@@ -167,14 +167,15 @@ def _pcg64_states(seed: int, tags: tuple[int, ...], words: np.ndarray) -> list[t
 
 def substreams(seed: int, tags: tuple[int, ...], cases) -> Iterator[np.random.Generator]:
     """substream(seed, *tags, *key) for each case of cases, in turn: a range
-    of last tags, or a sequence of equal-length tuples of trailing tags. From
+    of last tags, a sequence of equal-length tuples of trailing tags, or an
+    (n, m) integer array of them, one row per case. From
     _VECTOR_SEEDING_CASES cases on, when every trailing tag is one 32-bit
     word, one generator is reset to each case's state from one pass, so each
     is valid only until the next is taken."""
     words = _case_words(cases) if len(cases) >= _VECTOR_SEEDING_CASES else None
     if words is None:
         for key in cases:
-            yield substream(seed, *tags, *(key if isinstance(key, tuple) else (key,)))
+            yield substream(seed, *tags, *np.ravel(key).tolist())
         return
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)

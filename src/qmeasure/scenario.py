@@ -60,7 +60,7 @@ from .algebra import (
     generate_algebra,
     restrict_state,
 )
-from .errors import BadAmplitudes, NotInAlgebra, ParseError, QmError, ValidationError
+from .errors import BadAmplitudes, NotInAlgebra, NotNormalized, ParseError, QmError, ValidationError
 from .measurement import (
     CASE_BLOCK,
     collapse_diagonal,
@@ -72,10 +72,9 @@ from .measurement import (
     readout_weights,
     reduce,
 )
-from .observables import Observable
 from .randomness import check_seed, draw_cases, substream, substreams
 from .report import ComparisonSummary, EmpiricalCounts, Report
-from .states import DensityMatrix, StateVector, projector_of
+from .states import density_matrix, projector_of, state_vector
 
 _TRIALS_TAG = 1
 _COMPARE_TAG = 2
@@ -96,16 +95,18 @@ MAX_CHAIN = MAX_ARRAY_ELEMENTS.bit_length() - 1
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A parsed and validated run description."""
+    """A parsed and validated run description, its matrices and vectors
+    checked read-only arrays."""
 
     system_dim: int
-    initial_state: StateVector | DensityMatrix
-    measured_observable: Observable
+    # a state vector (1-d) or a density matrix (2-d)
+    initial_state: np.ndarray
+    measured_observable: np.ndarray
     apparatus_dim: int
     # the checked pointer diagonal (pointer_diagonal) of the document's
     # pointer values, or None to value the pointer at the eigenvalues
     pointer: np.ndarray | None
-    algebra_generators: tuple[Observable, ...] | None
+    algebra_generators: tuple[np.ndarray, ...] | None
     trials: int
     seed: int
 
@@ -193,7 +194,7 @@ def _check_budget(where: str, elements: int) -> None:
 
 
 def _wrap(where: str, build):
-    """Run a constructor, renaming any package error to a ValidationError
+    """Run a validator, renaming any package error to a ValidationError
     that names the violated invariant and the offending field."""
     try:
         return build()
@@ -201,7 +202,18 @@ def _wrap(where: str, build):
         raise ValidationError(f"{where}: {type(err).__name__}: {err}") from err
 
 
-def _parse_initial_state(doc, system_dim: int) -> StateVector | DensityMatrix:
+def _unit_norm(data: np.ndarray) -> np.ndarray:
+    """A finite nonzero vector scaled to unit norm; one whose norm overflows
+    scales to zero, which state_vector rejects."""
+    amp = linalg.as_vector(data)
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(amp))
+    if nrm == 0.0:
+        raise NotNormalized("cannot normalize the zero vector")
+    return amp / nrm
+
+
+def _parse_initial_state(doc, system_dim: int) -> np.ndarray:
     where = "initial_state"
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object")
@@ -219,19 +231,22 @@ def _parse_initial_state(doc, system_dim: int) -> StateVector | DensityMatrix:
                 f"{where}.data: length {data.size} does not match system_dim {system_dim}"
             )
         if normalize:
-            return _wrap(where, lambda: StateVector.normalized(data))
-        return _wrap(where, lambda: StateVector(data))
+            data = _wrap(where, lambda: _unit_norm(data))
+        return _wrap(where, lambda: state_vector(data))
     data = _complex_matrix(doc["data"], f"{where}.data")
     if data.shape != (system_dim, system_dim):
         raise ValidationError(
             f"{where}.data: shape {data.shape} does not match system_dim {system_dim}"
         )
     if normalize:
-        tr = float(np.trace(data).real)
-        if tr <= 0:
-            raise ValidationError(f"{where}.data: cannot normalize trace {tr!r}")
-        data = data / tr
-    return _wrap(where, lambda: DensityMatrix(data))
+        # a trace that overflows scales the data to zero, and a NaN one makes
+        # it NaN, which density_matrix rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = float(np.trace(data).real)
+            if tr <= 0:
+                raise ValidationError(f"{where}.data: cannot normalize trace {tr!r}")
+            data = data / tr
+    return _wrap(where, lambda: density_matrix(data))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -270,7 +285,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(
             f"observable: shape {obs_data.shape} does not match system_dim {system_dim}"
         )
-    observable = _wrap("observable", lambda: Observable(obs_data))
+    observable = _wrap("observable", lambda: linalg.require_hermitian(obs_data))
 
     app = doc["apparatus"]
     if not isinstance(app, dict):
@@ -300,7 +315,7 @@ def parse_scenario(text: str) -> Scenario:
             _wrap("apparatus.pointer_values", lambda: pointer_diagonal(values, apparatus_dim))
         )
 
-    generators: tuple[Observable, ...] | None = None
+    generators: tuple[np.ndarray, ...] | None = None
     if "algebra_generators" in doc:
         gen_docs = doc["algebra_generators"]
         if not isinstance(gen_docs, list) or not gen_docs:
@@ -313,7 +328,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ValidationError(
                     f"{where}: shape {mat.shape} does not match apparatus.dim {apparatus_dim}"
                 )
-            parsed.append(_wrap(where, lambda m=mat: Observable(m)))
+            parsed.append(_wrap(where, lambda m=mat: linalg.require_hermitian(m)))
         generators = tuple(parsed)
 
     trials = _int_field(doc, "trials", "top level")
@@ -383,28 +398,27 @@ def run_scenario(s: Scenario) -> Report:
     if w is None:
         w = pointer_diagonal(pvm.characters[:, 0], s.apparatus_dim)
     state = s.initial_state
-    bare = state.amplitudes if isinstance(state, StateVector) else state.matrix
-    rho = projector_of(state) if isinstance(state, StateVector) else state
+    rho = projector_of(state) if state.ndim == 1 else state
 
     born = restrict_state(rho, pvm)
-    collapsed_diag = collapse_diagonal(rho.matrix, basis)
+    collapsed_diag = collapse_diagonal(rho, basis)
 
     if s.algebra_generators:
         algebra = generate_algebra(s.algebra_generators)
         try:
-            point_values = gelfand_transform(algebra, np.diag(w))
+            point_values = gelfand_transform(algebra, np.diag(w.astype(complex)))
         except NotInAlgebra as err:
             raise ValidationError(
                 "algebra_generators: the generated algebra does not contain the "
                 f"pointer readout ({err})"
             ) from err
-        cross_terms = _branch_cross_terms([g.matrix for g in s.algebra_generators], basis.shape[0])
+        cross_terms = _branch_cross_terms(s.algebra_generators, basis.shape[0])
     else:
         # the pointer alone: its points carry their own values, its diagonal no cross terms
         algebra, point_values, cross_terms = diagonal_algebra([w]), None, (0.0,)
 
     weights, aligned = readout_weights(
-        pointer_weights(bare, basis), algebra, w[: basis.shape[0]], point_values
+        pointer_weights(state, basis), algebra, w[: basis.shape[0]], point_values
     )
 
     empirical = None
@@ -476,7 +490,8 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     2^L point labels grow with the chain.
     """
     c1, c2 = complex(c1), complex(c2)
-    total = abs(c1) ** 2 + abs(c2) ** 2
+    # products, not powers: a float power raises where a product overflows to inf
+    total = abs(c1) * abs(c1) + abs(c2) * abs(c2)
     # written so that a NaN amplitude fails
     if not abs(total - 1.0) <= linalg.ROUNDOFF_TOL:
         raise BadAmplitudes(f"|c1|^2 + |c2|^2 = {total!r}")

@@ -29,7 +29,7 @@ from .observables import evolve
 from .randomness import draw_cases, rand_hermitian, rand_state, substreams
 from .report import CheckResult
 from .scenario import parse_scenario, run_cat, run_scenario
-from .states import StateVector, mix, partial_trace, projector_of
+from .states import mix, partial_trace, projector_of, state_vector
 
 _SEED = 20240811
 
@@ -145,6 +145,12 @@ def round_trip_defects(hermitians: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(np.abs(restricted - weights), starts)
 
 
+def _dim_keys(dims: range, n: int) -> np.ndarray:
+    """The stream keys (d, i) for each d of dims and i < n, d-major, as one
+    (len(dims) * n, 2) array."""
+    return np.column_stack((np.repeat(dims, n), np.tile(np.arange(n), len(dims))))
+
+
 def _stacks_by_dim(dims, *columns):
     """Per dimension, in order of first appearance, each column's entries
     for the cases of that dimension, in case order, as one stack."""
@@ -185,7 +191,7 @@ def check_collapse_restriction() -> CheckResult:
     worst = 0.0
     cases = 0
     # keys (d, i) under tag 10 name the streams of tags (10, d), key i
-    streams = substreams(_SEED, (10,), [(d, i) for d in range(2, 7) for i in range(40)])
+    streams = substreams(_SEED, (10,), _dim_keys(range(2, 7), 40))
     for d in range(2, 7):
         states, bases = draw_cases(d, 40, streams, state_first=True)
         gaps = collapse_restriction_gaps(states, bases)
@@ -200,7 +206,7 @@ def check_coupling_fidelity() -> CheckResult:
     cases per dimension. Each case draws its basis and then its state."""
     worst = 0.0
     cases = 0
-    streams = substreams(_SEED, (11,), [(d, i) for d in range(2, 7) for i in range(30)])
+    streams = substreams(_SEED, (11,), _dim_keys(range(2, 7), 30))
     for d in range(2, 7):
         states, bases = draw_cases(d, 30, streams, state_first=False)
         agreement, unitarity = coupling_defects(states, bases, d)
@@ -213,10 +219,11 @@ def check_spectral_axioms() -> CheckResult:
     """Spectral blocks are orthonormal, their projectors pairwise orthogonal
     and complete, and the eigenvalues reconstruct the observable, one stack
     of cases per dimension."""
-    keys = [(d, i) for d in range(2, 9) for i in range(5)]
-    drawn = [rand_hermitian(d, rng) for (d, _), rng in zip(keys, substreams(_SEED, (12,), keys))]
+    keys = _dim_keys(range(2, 9), 5)
+    dims = keys[:, 0].tolist()
+    drawn = [rand_hermitian(d, rng) for d, rng in zip(dims, substreams(_SEED, (12,), keys))]
     worst = 0.0
-    for (hermitians,) in _stacks_by_dim([d for d, _ in keys], drawn):
+    for (hermitians,) in _stacks_by_dim(dims, drawn):
         worst = max(worst, float(spectral_axiom_defects(hermitians).max()))
     return _result(
         "spectral measure axioms", worst, 1e-9, f"{len(keys)} random Hermitians, dims 2..8"
@@ -284,14 +291,14 @@ def check_simplex_contrast() -> CheckResult:
     """The maximally mixed qubit has two distinct pure decompositions, while
     a spectral measure is recovered from its proper mixture representative
     by restriction, on random algebras."""
-    e0 = StateVector([1, 0])
-    e1 = StateVector([0, 1])
-    plus = StateVector([1 / np.sqrt(2), 1 / np.sqrt(2)])
-    minus = StateVector([1 / np.sqrt(2), -1 / np.sqrt(2)])
+    e0 = state_vector([1, 0])
+    e1 = state_vector([0, 1])
+    plus = state_vector([1 / np.sqrt(2), 1 / np.sqrt(2)])
+    minus = state_vector([1 / np.sqrt(2), -1 / np.sqrt(2)])
     mix_z = mix([0.5, 0.5], [projector_of(e0), projector_of(e1)])
     mix_x = mix([0.5, 0.5], [projector_of(plus), projector_of(minus)])
-    agree = float(np.max(np.abs(mix_z.matrix - mix_x.matrix)))
-    distinct = float(np.max(np.abs(projector_of(e0).matrix - projector_of(plus).matrix)))
+    agree = float(np.max(np.abs(mix_z - mix_x)))
+    distinct = float(np.max(np.abs(projector_of(e0) - projector_of(plus))))
     worst = max(agree, 0.0 if distinct > 0.1 else 1.0)
 
     dims, hermitians, raws = [], [], []

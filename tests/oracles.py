@@ -16,7 +16,7 @@ from qmeasure.algebra import (
     restrict_state,
 )
 from qmeasure.errors import DimMismatch
-from qmeasure.linalg import default_cluster_tol, isometry_defect
+from qmeasure.linalg import default_cluster_tol, isometry_defect, require_hermitian
 from qmeasure.measurement import (
     checked_cases,
     collapse,
@@ -27,14 +27,7 @@ from qmeasure.measurement import (
 )
 from qmeasure.randomness import haar_unitaries
 from qmeasure.scenario import Scenario, parse_scenario
-from qmeasure.states import (
-    DensityMatrix,
-    StateVector,
-    as_density,
-    as_state,
-    partial_trace,
-    projector_of,
-)
+from qmeasure.states import partial_trace, projector_of, state_vector
 
 
 def load_scenario(path) -> Scenario:
@@ -106,27 +99,27 @@ def _column_major(basis: np.ndarray) -> np.ndarray:
     return np.asfortranarray(basis, dtype=complex)
 
 
-def premeasured_state(psi, basis: np.ndarray, dim_apparatus: int) -> StateVector:
+def premeasured_state(psi: np.ndarray, basis: np.ndarray, dim_apparatus: int) -> np.ndarray:
     """The premeasured composite sum_j c_j b_j (x) e_j on the whole product
-    space: premeasure's d x d block padded with the zero columns past d."""
+    space: premeasure's d x d block padded with the zero columns past d,
+    checked as a state vector."""
     d = basis.shape[1]
     m = np.zeros((d, dim_apparatus), dtype=complex)
-    m[:, :d] = premeasure(as_state(psi).amplitudes, basis)
-    return StateVector(m.reshape(-1))
+    m[:, :d] = premeasure(psi, basis)
+    return state_vector(m.reshape(-1))
 
 
-def apparatus_reduced_state(composite, dim_system: int, dim_apparatus: int) -> DensityMatrix:
+def apparatus_reduced_state(composite: np.ndarray, dim_system: int, dim_apparatus: int) -> np.ndarray:
     """Reduced apparatus state of a composite pure state: with M the
     coefficient matrix of the composite, M^T conj(M), without forming the
     composite projector."""
-    amp = as_state(composite).amplitudes
-    if amp.size != dim_system * dim_apparatus:
-        raise DimMismatch(f"state dim {amp.size} != {dim_system} x {dim_apparatus}")
-    m = amp.reshape(dim_system, dim_apparatus)
-    return DensityMatrix._trusted(m.T @ m.conj())
+    if composite.size != dim_system * dim_apparatus:
+        raise DimMismatch(f"state dim {composite.size} != {dim_system} x {dim_apparatus}")
+    m = composite.reshape(dim_system, dim_apparatus)
+    return m.T @ m.conj()
 
 
-def collapse_restriction_gap(psi: StateVector, basis: np.ndarray) -> float:
+def collapse_restriction_gap(psi: np.ndarray, basis: np.ndarray) -> float:
     """One case of the collapse vs restriction equivalence, one object at a
     time: the largest gap between the collapse diagonal of psi in the
     measured basis and the weights its premeasured state, on a minimal
@@ -136,12 +129,12 @@ def collapse_restriction_gap(psi: StateVector, basis: np.ndarray) -> float:
     b = _column_major(basis)
     rho_app = apparatus_reduced_state(premeasured_state(psi, b, d), d, d)
     weights = restrict_state(rho_app, diagonal_algebra([np.arange(d, dtype=float)])).weights
-    collapsed = collapse(projector_of(psi).matrix, b)
+    collapsed = collapse(projector_of(psi), b)
     diag = np.real(np.diag(basis.conj().T @ collapsed @ basis))
     return float(np.max(np.abs(weights - diag)))
 
 
-def coupling_defects(basis: np.ndarray, psi: StateVector, dim_apparatus: int) -> tuple[float, float]:
+def coupling_defects(basis: np.ndarray, psi: np.ndarray, dim_apparatus: int) -> tuple[float, float]:
     """Agreement and unitarity defects of one coupling, one case at a time:
     premeasure must give, without U, the composite the dense U makes of
     psi (x) e_0, its d x d block and zero columns after it, and U must be
@@ -151,30 +144,29 @@ def coupling_defects(basis: np.ndarray, psi: StateVector, dim_apparatus: int) ->
     u = coupling_matrix(b, dim_apparatus)
     ready = np.eye(dim_apparatus)[0]
     d = basis.shape[1]
-    gap = (u @ np.outer(psi.amplitudes, ready).reshape(-1)).reshape(d, -1)
-    gap[:, :d] -= premeasure(psi.amplitudes, b)
+    gap = (u @ np.outer(psi, ready).reshape(-1)).reshape(d, -1)
+    gap[:, :d] -= premeasure(psi, b)
     return float(np.max(np.abs(gap))), float(isometry_defect(u))
 
 
-def premeasure_density(rho, basis: np.ndarray, dim_apparatus: int) -> DensityMatrix:
+def premeasure_density(rho: np.ndarray, basis: np.ndarray, dim_apparatus: int) -> np.ndarray:
     """Mixed-state premeasurement as the dense W rho W^dagger, with the
     ready-input isometry W = sum_j (b_j (x) e_j) b_j^dagger, equal to
     U (rho (x) |e_0><e_0|) U^dagger. It is (d * dim_apparatus)^2; a run
     premeasures a factor of rho instead and forms only the d x d reduced
     apparatus block."""
-    r = as_density(rho)
     d = basis.shape[1]
-    if r.dim != d:
-        raise DimMismatch(f"state dim {r.dim}, system dim {d}")
+    if len(rho) != d:
+        raise DimMismatch(f"state dim {len(rho)}, system dim {d}")
     f = np.eye(dim_apparatus, d)
     # column j of the product array is b_j (x) e_j
     w = (basis[:, None, :] * f[None, :, :]).reshape(-1, d) @ basis.conj().T
-    return DensityMatrix._trusted(w @ r.matrix @ w.conj().T)
+    return w @ rho @ w.conj().T
 
 
 def sample_outcome(
-    psi, basis: np.ndarray, values: np.ndarray, rng: np.random.Generator
-) -> tuple[float, StateVector]:
+    psi: np.ndarray, basis: np.ndarray, values: np.ndarray, rng: np.random.Generator
+) -> tuple[float, np.ndarray]:
     """Draw one outcome with probability |<b_j|psi>|^2, valued values[j]:
     the one-draw-at-a-time form of the scenario sampling.
 
@@ -183,14 +175,13 @@ def sample_outcome(
     column j; reporting it is a labeling convention for the run record, not
     a claim about dynamics.
     """
-    p = as_state(psi)
-    if p.dim != basis.shape[1]:
-        raise DimMismatch(f"state dim {p.dim}, system dim {basis.shape[1]}")
-    amps = basis.conj().T @ p.amplitudes
+    if psi.size != basis.shape[1]:
+        raise DimMismatch(f"state dim {psi.size}, system dim {basis.shape[1]}")
+    amps = basis.conj().T @ psi
     cum = np.cumsum(np.abs(amps) ** 2)
     j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     j = min(j, amps.size - 1)
-    return float(values[j]), StateVector(basis[:, j])
+    return float(values[j]), state_vector(basis[:, j])
 
 
 def joint_spectrum(family) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -227,32 +218,33 @@ def joint_diagonalization_defect(family) -> tuple[float, bool]:
     return float(off.max()), distinct
 
 
-def evolve_one(psi: StateVector, generated: SpectralAlgebra, t: float) -> StateVector:
+def evolve_one(psi: np.ndarray, generated: SpectralAlgebra, t: float) -> np.ndarray:
     """exp(-i t H) psi for one state, given the algebra generate_algebra([H]):
     the element of the algebra valued exp(-i t lambda) at each eigenvalue
     lambda, applied to psi. The package evolves a stack of states at once
     (observables.evolve)."""
     phases = np.exp(-1j * float(t) * generated.characters[:, 0])
-    return StateVector(generated.element(phases) @ psi.amplitudes)
+    return state_vector(generated.element(phases) @ psi)
 
 
-def group_law_defects(h: np.ndarray, s: float, t: float, psi: StateVector) -> tuple[float, float]:
+def group_law_defects(h: np.ndarray, s: float, t: float, psi: np.ndarray) -> tuple[float, float]:
     """One case of the dynamics group law, one object at a time: the
     composition defect |e^{-isH} e^{-itH} psi - e^{-i(s+t)H} psi| and the
     worst norm drift of the two evolved states, all three evolutions on the
-    algebra H generates. The package runs a stack of cases at once
+    algebra H generates, H checked as the package checks a stack of them.
+    The package runs a stack of cases at once
     (verification.group_law_defects)."""
-    generated = generate_algebra([h])
+    generated = generate_algebra([require_hermitian(h)])
     stepwise = evolve_one(evolve_one(psi, generated, t), generated, s)
     direct = evolve_one(psi, generated, s + t)
-    group = float(np.max(np.abs(stepwise.amplitudes - direct.amplitudes)))
-    norm = max(abs(float(np.linalg.norm(x.amplitudes)) - 1.0) for x in (stepwise, direct))
+    group = float(np.max(np.abs(stepwise - direct)))
+    norm = max(abs(float(np.linalg.norm(x)) - 1.0) for x in (stepwise, direct))
     return group, norm
 
 
 def proper_mixture_representative(
     measure: SpectralProbabilityMeasure, algebra: SpectralAlgebra
-) -> DensityMatrix:
+) -> np.ndarray:
     """The canonical density matrix carrying a spectral measure: the
     normalized projector of each point, weighted by the measure. The
     package forms it for a stack of measures at once
@@ -261,16 +253,16 @@ def proper_mixture_representative(
         raise DimMismatch(
             f"measure has {measure.n_points} points, algebra {algebra.n_points}"
         )
-    return DensityMatrix._trusted(algebra.element(measure.weights / algebra.multiplicities()))
+    return algebra.element(measure.weights / algebra.multiplicities())
 
 
 def round_trip_defect(h: np.ndarray, raw: np.ndarray) -> float:
     """One case of the weight round trip, one object at a time: the measure
-    of the leading raw weights, normalized, on the algebra h generates,
-    against its proper mixture representative restricted to that algebra.
-    The package runs a stack of cases at once
+    of the leading raw weights, normalized, on the algebra h generates, h
+    checked as the package checks a stack of them, against its proper
+    mixture representative restricted to that algebra. The package runs a stack of cases at once
     (verification.round_trip_defects)."""
-    algebra = generate_algebra([h])
+    algebra = generate_algebra([require_hermitian(h)])
     w = raw[: algebra.n_points]
     measure = SpectralProbabilityMeasure(w / w.sum(), algebra.characters)
     rho = proper_mixture_representative(measure, algebra)
@@ -297,7 +289,7 @@ def chain_reduction_gap(
     u = coupling_matrix(b, d)
     first = u @ np.outer(np.outer(psi, r), r)
     final = first.reshape(d, -1) @ copier.T
-    joint = projector_of(StateVector(final.reshape(-1)))
-    rho_last = DensityMatrix._trusted(partial_trace(joint.matrix, d * d, d))
+    joint = projector_of(state_vector(final.reshape(-1)))
+    rho_last = partial_trace(joint, d * d, d)
     two_stage = restrict_state(rho_last, algebra).weights
     return float(np.max(np.abs(single - two_stage)))

@@ -13,6 +13,7 @@ from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substrea
 from qmeasure.report import emit_report
 from qmeasure.scenario import run_cat, run_scenario
 from qmeasure.verification import (
+    _dim_keys,
     _stacks_by_dim,
     chain_reduction_gaps,
     check_simplex_contrast,
@@ -40,7 +41,7 @@ def test_acceptance_1_collapse_restriction_equivalence(capsys):
     worst = 0.0
     cases = 0
     # keys (d, i) under tag 1 name the streams of tags (1, d), key i
-    streams = substreams(_SEED, (1,), [(d, i) for d in range(2, 11) for i in range(200)])
+    streams = substreams(_SEED, (1,), _dim_keys(range(2, 11), 200))
     for d in range(2, 11):
         states, bases = draw_cases(d, 200, streams, state_first=True)
         gaps = collapse_restriction_gaps(states, bases)

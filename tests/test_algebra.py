@@ -18,10 +18,10 @@ from qmeasure.algebra import (
     joint_spectra,
     restrict_state,
 )
-from qmeasure.linalg import default_cluster_tol
+from qmeasure.linalg import default_cluster_tol, require_hermitian
 from qmeasure.measurement import pointer_diagonal
 from qmeasure.randomness import rand_hermitian, rand_state, substream
-from qmeasure.states import mix, projector_of
+from qmeasure.states import mix, projector_of, state_vector
 
 from conftest import assert_close, peak_bytes
 from oracles import (
@@ -76,8 +76,8 @@ def test_index_form_matches_the_dense_path_in_a_rotated_basis(seed, mixed):
         splitter[np.ix_(block, block)] = rand_hermitian(block.size, rng)
         family = [np.diag(diags[0]), splitter]
     u = rand_unitary(n, rng)
-    index = generate_algebra(family)
-    rotated = generate_algebra([u @ g @ u.conj().T for g in family])
+    index = generate_algebra([require_hermitian(g) for g in family])
+    rotated = generate_algebra([require_hermitian(u @ g @ u.conj().T) for g in family])
     assert (index.basis is None) is not mixed
     assert_close(index.characters, rotated.characters)
     assert list(index.multiplicities()) == list(rotated.multiplicities())
@@ -91,7 +91,7 @@ def test_index_form_matches_the_dense_path_in_a_rotated_basis(seed, mixed):
     element = index.element(rng.standard_normal(index.n_points))
     assert_close(
         gelfand_transform(index, element),
-        gelfand_transform(rotated, u @ element @ u.conj().T),
+        gelfand_transform(rotated, require_hermitian(u @ element @ u.conj().T)),
         atol=1e-12,
         rtol=0,
     )
@@ -262,7 +262,7 @@ def test_gelfand_transform_polynomial_oracle():
 
 
 def test_gelfand_transform_of_generator_is_identity_map():
-    a = np.diag([-1.0, 0.0, 3.0])
+    a = require_hermitian(np.diag([-1.0, 0.0, 3.0]))
     alg = generate_algebra([a])
     assert_close(gelfand_transform(alg, a), [-1.0, 0.0, 3.0])
 
@@ -271,11 +271,11 @@ def test_gelfand_transform_rejects_outside_element():
     alg = generate_algebra([np.diag([1.0, 1.0, 2.0])])
     stranger = np.diag([1.0, 5.0, 2.0])  # varies inside the first eigenspace
     with pytest.raises(errors.NotInAlgebra):
-        gelfand_transform(alg, stranger)
+        gelfand_transform(alg, require_hermitian(stranger))
     off_block = np.zeros((3, 3))
     off_block[0, 2] = off_block[2, 0] = 1.0
     with pytest.raises(errors.NotInAlgebra):
-        gelfand_transform(alg, np.diag([1.0, 1.0, 2.0]) + 0.5 * off_block)
+        gelfand_transform(alg, require_hermitian(np.diag([1.0, 1.0, 2.0]) + 0.5 * off_block))
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0])
@@ -284,18 +284,18 @@ def test_gelfand_transform_rejects_a_small_element_outside_the_algebra(s):
     # of 1e-9 once let 1e-12 X through as the element [0, 0]
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(errors.NotInAlgebra):
-        gelfand_transform(diagonal_algebra([[0.0, 1.0]]), s * x)
+        gelfand_transform(diagonal_algebra([[0.0, 1.0]]), require_hermitian(s * x))
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-320])
 def test_gelfand_transform_of_a_small_element_in_the_algebra(s):
-    got = gelfand_transform(diagonal_algebra([[0.0, 1.0]]), np.diag([0.0, s]))
+    got = gelfand_transform(diagonal_algebra([[0.0, 1.0]]), require_hermitian(np.diag([0.0, s])))
     assert list(got) == [0.0, s]
 
 
 def test_restrict_point_mass():
     alg = generate_algebra([np.diag([0.0, 1.0])])
-    m = restrict_state(projector_of([0.0, 1.0]), alg)
+    m = restrict_state(projector_of(state_vector([0.0, 1.0])), alg)
     assert_close(m.weights, [0.0, 1.0])
 
 
@@ -303,7 +303,7 @@ def test_restrict_superposition_gives_amplitude_squares():
     # Born's rule: on the algebra of one observable the measure's characters
     # are its outcomes, carried read-only with the weights
     alg = generate_algebra([np.diag([0.0, 1.0])])
-    m = restrict_state(projector_of([0.6, 0.8]), alg)
+    m = restrict_state(projector_of(state_vector([0.6, 0.8])), alg)
     assert_close(m.weights, [0.36, 0.64])
     assert m.characters.tolist() == [[0.0], [1.0]]
     for a in (m.weights, m.characters):
@@ -353,7 +353,7 @@ def test_proper_mixture_commutes_with_projectors():
         SpectralProbabilityMeasure(np.array([0.2, 0.5, 0.3]), alg.characters), alg
     )
     for p in projectors(alg):
-        assert_close(rho.matrix @ p, p @ rho.matrix, atol=1e-12)
+        assert_close(rho @ p, p @ rho, atol=1e-12)
 
 
 def test_simplex_contrast_fails_on_perturbed_recovery(monkeypatch):
@@ -378,11 +378,11 @@ def test_simplex_contrast_fails_on_perturbed_recovery(monkeypatch):
 def test_density_matrix_decompositions_are_not_unique():
     # the same density matrix from two different proper mixtures; restriction
     # to a pointer algebra is where uniqueness lives, not at the matrix level
-    plus = projector_of(np.array([1.0, 1.0]) / np.sqrt(2))
-    minus = projector_of(np.array([1.0, -1.0]) / np.sqrt(2))
+    plus = projector_of(state_vector(np.array([1.0, 1.0]) / np.sqrt(2)))
+    minus = projector_of(state_vector(np.array([1.0, -1.0]) / np.sqrt(2)))
     by_x = mix([0.5, 0.5], [plus, minus])
-    by_z = mix([0.5, 0.5], [projector_of([1, 0]), projector_of([0, 1])])
-    assert_close(by_x.matrix, by_z.matrix, atol=1e-12)
+    by_z = mix([0.5, 0.5], [projector_of(state_vector([1, 0])), projector_of(state_vector([0, 1]))])
+    assert_close(by_x, by_z, atol=1e-12)
     alg = generate_algebra([np.diag([0.0, 1.0])])
     w_x = restrict_state(by_x, alg).weights
     w_z = restrict_state(by_z, alg).weights

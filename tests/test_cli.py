@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmeasure
-from qmeasure import cli, measurement, scenario
+from qmeasure import cli, linalg, measurement, scenario
 from qmeasure.cli import main
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 
@@ -205,6 +205,29 @@ def test_run_observable_entry_near_the_float_limit_warns_nothing(tmp_path, capsy
     assert json.loads(capsys.readouterr().out)["born"]["outcomes"] == [0.0, 1e308]
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize(
+    "kind, data, error",
+    [
+        ("vector", [[1e200, 0], [1e200, 0]], "NotNormalized"),
+        ("density", [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]], "TraceNotOne"),
+        ("density", [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]], "non-finite entries"),
+    ],
+)
+def test_run_state_whose_norm_or_trace_is_not_finite_exits_one_warning_nothing(
+    tmp_path, capsys, kind, data, error, normalize
+):
+    # the norm or the trace overflows to inf, or normalizing by it scales the
+    # data to zero, or a NaN entry makes the trace NaN; each fails the state's
+    # own check, with no numpy warning
+    state = {"kind": kind, "data": data, "normalize": normalize}
+    path = write_qubit_scenario(tmp_path, initial_state=state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path]) == 1
+    assert error in capsys.readouterr().err
+
+
 def test_run_observable_with_a_subnormal_entry_exits_zero(tmp_path, capsys):
     # the largest entry is subnormal, so nothing may scale by its reciprocal
     path = write_qubit_scenario(tmp_path, observable=[[[5e-324, 0], [0, 0]], [[0, 0], [0, 0]]])
@@ -362,6 +385,28 @@ def test_pointer_values_are_checked_once_per_verb(tmp_path, monkeypatch, verb):
     path = write_qubit_scenario(tmp_path, apparatus={"dim": 3, "pointer_values": [4, 6]})
     assert main([verb, path]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "name, eigvalsh_calls, judge_calls",
+    # mixed_splitter: the density at parse time and its factor rows, the
+    # observable and the two generators; never the pointer readout the run builds
+    [("mixed_splitter.json", 1, 5), ("dense_ququart.json", 0, 1)],
+)
+def test_run_checks_each_document_value_once(monkeypatch, capsys, name, eigvalsh_calls, judge_calls):
+    calls = {"eigvalsh": 0, "judge": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(linalg, "judge_hermitian", counted("judge", linalg.judge_hermitian))
+    assert main(["run", str(_SCENARIOS / name)]) == 0
+    assert (calls["eigvalsh"], calls["judge"]) == (eigvalsh_calls, judge_calls)
 
 
 @pytest.mark.parametrize("seed, code", [(2**64, 1), (2**64 - 1, 0), (-1, 1)])
@@ -575,6 +620,14 @@ def test_cat_bad_amplitudes_exit_one(capsys):
 def test_cat_nan_amplitude_exits_one(capsys, c1, c2):
     assert main(["cat", "--chain", "3", "--c1", c1, "--c2", c2]) == 1
     assert "BadAmplitudes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c1", ["1e308", "1e308,1e308"])
+def test_cat_amplitude_whose_square_overflows_exits_one(capsys, c1):
+    # |c1|^2 overflows to inf, which fails the amplitude check like any other bad total
+    assert main(["cat", "--chain", "3", "--c1", c1, "--c2", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "BadAmplitudes" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("chain", ["0", "25"])

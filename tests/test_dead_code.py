@@ -130,7 +130,6 @@ def test_member_names_two_classes_share_are_pinned():
     assert shared_member_names(_SRC) == {
         "characters",
         "dim",
-        "matrix",
         "n_points",
         "seed",
         "trials",
@@ -171,6 +170,16 @@ def test_spectra_come_from_one_eigensolver_route():
     # an observable's spectrum, its dynamics included, comes from the
     # algebra's split loop; only a density's factor rows take eigh besides
     assert callers(_SRC, "linalg.eigh") == {"algebra._spectrum", "measurement.factor_rows"}
+
+
+def test_positivity_is_judged_in_one_place():
+    # a density's lowest eigenvalue costs a dense solve, 0.35 s at d = 1024:
+    # only the density check takes it, and verify's joint diagonalization
+    # check to scale its drawn Hermitians, so no run judges positivity twice
+    assert callers(_SRC, "linalg.eigvalsh") == {
+        "states.density_matrix",
+        "verification.check_joint_diagonalization",
+    }
 
 
 def test_lint_finds_a_second_caller_of_exp(tmp_path):

@@ -15,6 +15,7 @@ from qmeasure.randomness import (
     substream,
     substreams,
 )
+from qmeasure.verification import _dim_keys
 
 from oracles import rand_unitary
 
@@ -91,8 +92,11 @@ def test_one_pass_gives_the_pcg64_states_of_keys_that_vary_in_two_words(seed, ta
         [(d, 2**32 + i) for d in range(3) for i in range(4)],  # a word past 2^32 - 1
         [(2**40, i) for i in range(_VECTOR_SEEDING_CASES)],
         [(d, i) for d in range(2) for i in range(3)],  # below the seeding threshold
+        # verify's keys as one integer array, a row per case
+        _dim_keys(range(2, 7), 40),
+        _dim_keys(range(2, 4), 2),
     ],
-    ids=["check-3", "past-32-bits", "wide-first-word", "few"],
+    ids=["check-3", "past-32-bits", "wide-first-word", "few", "array", "few-array"],
 )
 def test_substreams_of_two_word_keys_draw_what_substream_draws(keys):
     # keys with a word past 2^32 - 1 are seeded one by one, through substream

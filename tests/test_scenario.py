@@ -17,7 +17,6 @@ from qmeasure.measurement import (
     model_for_observable,
     pointer_diagonal,
 )
-from qmeasure.observables import Observable
 from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream, substreams
 from qmeasure.report import (
     ComparisonSummary,
@@ -37,7 +36,7 @@ from qmeasure.scenario import (
     run_cat,
     run_scenario,
 )
-from qmeasure.states import DensityMatrix, StateVector
+from qmeasure.states import density_matrix, state_vector
 
 from conftest import assert_close, nan_state, peak_bytes, stretch_a_basis, stretch_a_state
 from oracles import (
@@ -67,7 +66,7 @@ def doc_qubit(**overrides) -> str:
 def test_parse_minimal_scenario():
     s = parse_scenario(doc_qubit())
     assert s.system_dim == 2
-    assert isinstance(s.initial_state, StateVector)
+    assert s.initial_state.ndim == 1
     assert s.apparatus_dim == 2
     assert s.pointer is None
     assert s.algebra_generators is None
@@ -144,7 +143,7 @@ def test_parse_keeps_every_bit_of_the_pairs():
     data = [[-0.0, 0.6], [0.8, -0.0]]
     s = parse_scenario(doc_qubit(initial_state={"kind": "vector", "data": data}))
     want = np.array([complex(-0.0, 0.6), complex(0.8, -0.0)])
-    assert s.initial_state.amplitudes.tobytes() == want.tobytes()
+    assert s.initial_state.tobytes() == want.tobytes()
 
 
 def test_parse_rejects_bool_dims():
@@ -167,7 +166,21 @@ def test_parse_normalize_flag_rescales():
     s = parse_scenario(
         doc_qubit(initial_state={"kind": "vector", "data": [[3, 0], [4, 0]], "normalize": True})
     )
-    assert_close(s.initial_state.amplitudes, [0.6, 0.8])
+    assert_close(s.initial_state, [0.6, 0.8])
+
+
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [
+        ("vector", [[0, 0], [0, 0]], "initial_state: NotNormalized: cannot normalize the zero vector"),
+        ("density", [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "initial_state.data: cannot normalize trace 0.0"),
+    ],
+)
+def test_parse_normalize_flag_rejects_data_it_cannot_scale(kind, data, message):
+    doc = doc_qubit(initial_state={"kind": kind, "data": data, "normalize": True})
+    with pytest.raises(errors.ValidationError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == message
 
 
 def test_parse_density_state():
@@ -179,8 +192,8 @@ def test_parse_density_state():
             }
         )
     )
-    assert isinstance(s.initial_state, DensityMatrix)
-    assert_close(s.initial_state.matrix, np.eye(2) / 2)
+    assert s.initial_state.ndim == 2
+    assert_close(s.initial_state, np.eye(2) / 2)
 
 
 def test_parse_rejects_small_apparatus():
@@ -277,7 +290,7 @@ def test_sample_counts_match_sequential_draws():
     r = run_scenario(s)
     pvm, basis = model_for_observable(np.diag([0.0, 1.0]))
     rng = substream(s.seed, 1)
-    psi = StateVector(np.array([0.6, 0.8]))
+    psi = state_vector(np.array([0.6, 0.8]))
     seq = [sample_outcome(psi, basis, pvm.characters[:, 0], rng)[0] for _ in range(200)]
     counts = [seq.count(0.0), seq.count(1.0)]
     assert list(r.empirical.counts) == counts
@@ -383,17 +396,17 @@ def test_full_rank_density_run_peaks_at_a_few_apparatus_matrices(idle):
     d = 256
     dim = d + idle
     rng = substream(163, idle)
-    observable = Observable(rand_hermitian(d, rng))
+    observable = linalg.require_hermitian(rand_hermitian(d, rng))
     generators = ()
     if idle:
         pvm, _ = model_for_observable(observable)
         splitter = np.zeros((dim, dim), dtype=complex)
         splitter[d:, d:] = 1.0
-        pointer = Observable(np.diag(pointer_diagonal(pvm.characters[:, 0], dim)))
-        generators = (pointer, Observable(splitter))
+        pointer = linalg.require_hermitian(np.diag(pointer_diagonal(pvm.characters[:, 0], dim)))
+        generators = (pointer, linalg.require_hermitian(splitter))
     s = Scenario(
         system_dim=d,
-        initial_state=DensityMatrix(rand_density(d, rng)),
+        initial_state=density_matrix(rand_density(d, rng)),
         measured_observable=observable,
         apparatus_dim=dim,
         pointer=None,
@@ -414,7 +427,7 @@ def _run(observable, state, apparatus_dim, pointer_values=None):
         Scenario(
             system_dim=observable.shape[0],
             initial_state=state,
-            measured_observable=Observable(observable),
+            measured_observable=linalg.require_hermitian(observable),
             apparatus_dim=apparatus_dim,
             pointer=pointer,
             algebra_generators=None,
@@ -448,7 +461,7 @@ def test_run_statistics_do_not_change_under_an_affine_observable(seed, scale, sh
     rng = substream(seed, 173)
     d = int(rng.integers(2, 6))
     a = rand_hermitian(d, rng)
-    state = DensityMatrix(rand_density(d, rng)) if density else StateVector(rand_state(d, rng))
+    state = density_matrix(rand_density(d, rng)) if density else state_vector(rand_state(d, rng))
     before = _run(a, state, d + idle)
     after = _run(scale * a + shift * np.eye(d), state, d + idle)
     _assert_same_statistics(before, after)
@@ -463,8 +476,8 @@ def test_run_statistics_do_not_change_under_a_global_phase(seed, phase, idle):
     d = int(rng.integers(2, 6))
     a = rand_hermitian(d, rng)
     psi = rand_state(d, rng)
-    before = _run(a, StateVector(psi), d + idle)
-    after = _run(a, StateVector(np.exp(1j * phase) * psi), d + idle)
+    before = _run(a, state_vector(psi), d + idle)
+    after = _run(a, state_vector(np.exp(1j * phase) * psi), d + idle)
     _assert_same_statistics(before, after)
 
 
@@ -479,10 +492,10 @@ def test_run_statistics_do_not_change_under_a_joint_change_of_basis(seed, idle, 
     u = rand_unitary(d, rng)
     if density:
         rho = rand_density(d, rng)
-        state, turned = DensityMatrix(rho), DensityMatrix(u @ rho @ u.conj().T)
+        state, turned = density_matrix(rho), density_matrix(u @ rho @ u.conj().T)
     else:
         psi = rand_state(d, rng)
-        state, turned = StateVector(psi), StateVector(u @ psi)
+        state, turned = state_vector(psi), state_vector(u @ psi)
     before = _run(a, state, d + idle)
     after = _run(u @ a @ u.conj().T, turned, d + idle)
     _assert_same_statistics(before, after)
@@ -497,7 +510,7 @@ def test_run_statistics_do_not_change_when_the_pointer_values_are_permuted(seed,
     rng = substream(seed, 191)
     d = int(rng.integers(2, 6))
     a = rand_hermitian(d, rng)
-    state = DensityMatrix(rand_density(d, rng)) if density else StateVector(rand_state(d, rng))
+    state = density_matrix(rand_density(d, rng)) if density else state_vector(rand_state(d, rng))
     values = rng.choice(np.arange(-8.0, 9.0), size=d, replace=False)
     perm = rng.permutation(d)
     before = _run(a, state, d + idle, values)
@@ -659,7 +672,7 @@ def test_compare_allocates_no_composite_matrix():
 def per_case_gaps(states, bases) -> np.ndarray:
     """The gaps of the one-case-at-a-time kernel."""
     return np.array(
-        [collapse_restriction_gap(StateVector(psi), basis) for psi, basis in zip(states, bases)]
+        [collapse_restriction_gap(state_vector(psi), basis) for psi, basis in zip(states, bases)]
     )
 
 

@@ -23,8 +23,8 @@ from qmeasure.algebra import (
     restrict_state,
 )
 from qmeasure.measurement import checked_cases
-from qmeasure.observables import Observable
-from qmeasure.states import DensityMatrix, StateVector, mix, projector_of
+from qmeasure.linalg import require_hermitian
+from qmeasure.states import density_matrix, mix, projector_of, state_vector
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "qmeasure"
 _POLICY_FILES = {"linalg.py", "verification.py"}
@@ -51,39 +51,39 @@ def _element_off_block(d):
     # entries 0 and 2d on the degenerate block: its mean d misses both by d,
     # against the largest entry, 1
     alg = generate_algebra([np.diag([0.0, 0.0, 1.0])])
-    return gelfand_transform(alg, np.diag([0.0, 2 * d, 1.0]))
+    return gelfand_transform(alg, require_hermitian(np.diag([0.0, 2 * d, 1.0])))
 
 
 def _born(d):
-    rho = DensityMatrix(np.diag([-d, 1 + d]))
+    rho = density_matrix(np.diag([-d, 1 + d]))
     return restrict_state(rho, generate_algebra([np.diag([0.0, 1.0])]))
 
 
 def _mix(weights):
-    return mix(weights, [projector_of([1, 0]), projector_of([0, 1])])
+    return mix(weights, [projector_of(state_vector([1, 0])), projector_of(state_vector([0, 1]))])
 
 
 # name: (build with defect d, the tolerance d is measured against, error)
 BOUNDARIES = {
-    "state norm": (lambda d: StateVector([1 + d, 0]), 1e-10, errors.NotNormalized),
+    "state norm": (lambda d: state_vector([1 + d, 0]), 1e-10, errors.NotNormalized),
     # Hermiticity is judged in units of the largest entry, here 1
     "density hermiticity": (
-        lambda d: DensityMatrix([[1, d], [0, 0]]),
+        lambda d: density_matrix([[1, d], [0, 0]]),
         1e-10,
         errors.NotHermitian,
     ),
     "density positivity": (
-        lambda d: DensityMatrix(np.diag([1 + d, -d])),
+        lambda d: density_matrix(np.diag([1 + d, -d])),
         1e-10,
         errors.NotPositive,
     ),
     "density trace": (
-        lambda d: DensityMatrix(np.diag([0.5, 0.5 + d])),
+        lambda d: density_matrix(np.diag([0.5, 0.5 + d])),
         1e-10,
         errors.TraceNotOne,
     ),
     "observable hermiticity": (
-        lambda d: Observable([[1, d], [0, 1]]),
+        lambda d: require_hermitian([[1, d], [0, 1]]),
         1e-10,
         errors.NotHermitian,
     ),

@@ -9,7 +9,6 @@ import pytest
 from qmeasure import errors, linalg, measurement, verification
 from qmeasure.measurement import coupling_matrix, minimal_readout
 from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream, substreams
-from qmeasure.states import StateVector
 
 from conftest import misregistered, nan_state, stretch_a_basis, stretch_a_state
 from oracles import (
@@ -89,7 +88,7 @@ def test_stacked_coupling_defects_have_the_bits_of_the_per_case_oracle(d):
         states, bases = draw_cases(d, len(cases), substreams(71, (dm,), cases), state_first=True)
         agreement, unitarity = verification.coupling_defects(states, bases, dm)
         for k, (psi, basis) in enumerate(zip(states, bases)):
-            want = coupling_defects(basis, StateVector(psi), dm)
+            want = coupling_defects(basis, psi, dm)
             assert (agreement[k], unitarity[k]) == want
 
 
@@ -175,7 +174,7 @@ def test_stacked_spectral_kernels_have_the_bits_of_the_per_case_oracles(d, kind)
     states = np.stack([rand_state(d, rng) for _ in range(n)])
     group, norm = verification.group_law_defects(hermitians, s, t, states)
     want = [
-        group_law_defects(h, s[c], t[c], StateVector(states[c]))
+        group_law_defects(h, s[c], t[c], states[c])
         for c, h in enumerate(hermitians)
     ]
     assert np.array_equal(group, [w[0] for w in want])
