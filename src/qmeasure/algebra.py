@@ -49,10 +49,16 @@ class SpectralAlgebra:
     point, strictly ascending in lexicographic order. basis None is the
     identity: the index form of a diagonal algebra, never multiplied.
 
-    The labels must use every point, so the columns of each point form a
-    nonempty isometry block V_k. A unitary basis makes every block
+    These are preconditions, not checks. The labels are intp, in range, and
+    use every point, so the columns of each point form a nonempty isometry
+    block V_k; the basis is square and unitary, which makes every block
     orthonormal, the blocks' spans pairwise orthogonal, and their projectors
-    V_k V_k^dagger a resolution of the identity, all in one check.
+    V_k V_k^dagger a resolution of the identity. The three producers meet
+    them: the split loop, validated once per stack (_checked_spectrum), and
+    the closed forms measurement.minimal_readout and scenario.cat_readout,
+    which tests hold equal to diagonal_algebra of their pointer values. The
+    record keeps read-only views of its arrays and counts each point's
+    columns.
     """
 
     labels: np.ndarray
@@ -60,52 +66,14 @@ class SpectralAlgebra:
     basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels)
-        chars = np.asarray(self.characters, dtype=float)
-        if labels.ndim != 1 or labels.size == 0 or labels.dtype.kind not in "iu":
-            raise ValidationError("labels must be a nonempty 1-d integer sequence")
-        labels = labels.astype(np.intp, copy=False)
-        if chars.ndim != 2 or chars.shape[0] == 0 or chars.shape[1] == 0:
-            raise ValidationError("need one nonempty character tuple per spectrum point")
-        if labels.min() < 0 or labels.max() >= chars.shape[0]:
-            raise ValidationError(f"labels must name one of the {chars.shape[0]} spectrum points")
-        counts = np.bincount(labels, minlength=chars.shape[0])
-        if not counts.all():
-            raise ValidationError("every spectrum point needs at least one basis column")
-        basis = self.basis
-        if basis is not None:
-            basis = linalg.as_matrix(basis)
-            if basis.shape != (labels.size, labels.size):
-                raise ValidationError(
-                    f"{basis.shape[1]} basis columns cannot resolve the identity "
-                    f"in dim {basis.shape[0]} with {labels.size} labels"
-                )
-            defect = linalg.isometry_defect(basis)
-            if defect > linalg.ROUNDOFF_TOL:
-                raise NotOrthonormal(f"block columns are not orthonormal (defect {defect:.3e})")
-            basis = linalg.readonly(basis)
-        rows = [tuple(row) for row in chars]
-        if len(set(rows)) != len(rows):
-            raise ValidationError("character tuples must be pairwise distinct")
-        if rows != sorted(rows):
-            raise ValidationError("spectrum points must be in lexicographic order")
-        object.__setattr__(self, "labels", linalg.readonly(labels))
-        object.__setattr__(self, "characters", linalg.readonly(chars))
-        object.__setattr__(self, "basis", basis)
+        # counted before the labels turn read-only: bincount copies a
+        # read-only input
+        counts = np.bincount(self.labels, minlength=self.characters.shape[0])
         object.__setattr__(self, "_multiplicities", linalg.readonly(counts))
-
-    @classmethod
-    def _trusted(cls, labels: np.ndarray, characters: np.ndarray, basis) -> "SpectralAlgebra":
-        """Store a spectrum from a validated split loop unchecked: intp labels
-        that use every point, distinct characters in lexicographic order, and
-        an orthonormal basis or None."""
-        algebra = object.__new__(cls)
-        object.__setattr__(algebra, "labels", linalg.readonly(labels))
-        object.__setattr__(algebra, "characters", linalg.readonly(characters))
-        object.__setattr__(algebra, "basis", None if basis is None else linalg.readonly(basis))
-        counts = np.bincount(labels, minlength=characters.shape[0])
-        object.__setattr__(algebra, "_multiplicities", linalg.readonly(counts))
-        return algebra
+        object.__setattr__(self, "labels", linalg.readonly(self.labels))
+        object.__setattr__(self, "characters", linalg.readonly(self.characters))
+        if self.basis is not None:
+            object.__setattr__(self, "basis", linalg.readonly(self.basis))
 
     @property
     def dim(self) -> int:
@@ -162,12 +130,8 @@ class SpectralProbabilityMeasure:
     characters: np.ndarray
 
     def __post_init__(self) -> None:
-        w = linalg.require_weights(self.weights)
-        chars = np.asarray(self.characters, dtype=float)
-        if chars.ndim != 2 or chars.shape[0] != w.size or chars.shape[1] == 0:
-            raise ValidationError("need one nonempty character tuple per weight")
-        object.__setattr__(self, "weights", linalg.readonly(w))
-        object.__setattr__(self, "characters", linalg.readonly(chars))
+        object.__setattr__(self, "weights", linalg.readonly(linalg.require_weights(self.weights)))
+        object.__setattr__(self, "characters", linalg.readonly(self.characters))
 
     @property
     def n_points(self) -> int:
@@ -350,7 +314,7 @@ def _checked_spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
 def _algebra(gens) -> SpectralAlgebra:
     """The algebra of a stack of one case, _checked_spectrum(gens)."""
     labels, chars, basis = _checked_spectrum(gens)
-    return SpectralAlgebra._trusted(labels[0], chars, None if basis is None else basis[0])
+    return SpectralAlgebra(labels[0], chars, None if basis is None else basis[0])
 
 
 def _family(stacks) -> list[np.ndarray]:

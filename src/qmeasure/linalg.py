@@ -39,8 +39,7 @@ from .errors import NotHermitian, NotNormalized, NotSquare, QmError, ValidationE
 # roundoff: norms, traces, Hermiticity, orthonormality, commutators and
 # probability sums
 ROUNDOFF_TOL = 1e-10
-# how far a probability weight may dip below zero, or a sampled frequency
-# stray from its count ratio
+# how far a probability weight may dip below zero
 WEIGHT_FLOOR = 1e-12
 # relative accuracy to which an algebra element is reproduced from its
 # values at the spectrum points
@@ -125,7 +124,7 @@ def judge_hermitian(a: np.ndarray):
     return defect
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
+def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A^dagger) / 2, halved before the sum so that no entry overflows."""
     return a / 2 + a.conj().mT / 2
 
@@ -139,7 +138,7 @@ def require_hermitian(m, stack: bool = False) -> np.ndarray:
     a = require_square(m, stack)
     off = judge_hermitian(a) != 0
     if off.any():
-        a[off] = _hermitian_part(a[off])
+        a[off] = hermitian_part(a[off])
     return readonly(a)
 
 

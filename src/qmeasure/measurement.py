@@ -206,10 +206,14 @@ def factor_rows(state: np.ndarray) -> np.ndarray:
     """Rows f_i with sum_i f_i f_i^dagger the state: a bare state vector is
     its one row, a density matrix the eigenvectors of its Hermitian part
     (eigh reads one triangle only) scaled by the roots of their positive
-    eigenvalues."""
+    eigenvalues. The density is checked already, by density_matrix, so it is
+    not judged again: its Hermitian part is taken only where it is not
+    exactly Hermitian, as require_hermitian takes it."""
     if state.ndim == 1:
         return state[None]
-    lam, v = np.linalg.eigh(linalg.require_hermitian(state))
+    if not np.array_equal(state, state.conj().T):
+        state = linalg.hermitian_part(state)
+    lam, v = np.linalg.eigh(state)
     keep = lam > 0
     return (v[:, keep] * np.sqrt(lam[keep])).T
 
@@ -242,24 +246,21 @@ def readout_weights(
 
     weights is a (..., d) stack of their real pointer-column weights, pointer
     column j registering outcome j, valued pointer_values[j]; the columns
-    past d, never reached from the ready state, carry none. An index-form
-    readout sums them per point through the labels of the d pointer columns
-    alone; a dense one with basis V sums w_j |V_jk|^2 over the d rows of V
-    that carry weight and then over each point's columns k. Each spectrum
-    point carries the pointer value point_values (default: the readout's
-    first character, for a readout generated by the pointer) and its weight
-    goes to the outcome of that value; the points that match none must
-    carry no weight in all.
+    past d, never reached from the ready state, carry none. The callers pass
+    d pointer values and a readout of dim d or more: a document's
+    apparatus.dim is held to at least system_dim when it is parsed. An
+    index-form readout sums the weights per point through the labels of the
+    d pointer columns alone; a dense one with basis V sums w_j |V_jk|^2
+    over the d rows of V that carry weight and then over each point's
+    columns k. Each spectrum point carries the pointer value point_values
+    (default: the readout's first character, for a readout generated by the
+    pointer) and its weight goes to the outcome of that value; the points
+    that match none must carry no weight in all.
 
     Returns the (..., n_points) weights on the readout and the (..., d)
     outcome weights, unchecked: the caller checks them, once per stack.
     """
     d = weights.shape[-1]
-    if pointer_values.size != d or d > readout.dim:
-        raise DimMismatch(
-            f"{d} pointer columns, {pointer_values.size} pointer values, "
-            f"readout dim {readout.dim}"
-        )
     if readout.basis is None:
         on_points = readout.point_sums(weights)
     else:

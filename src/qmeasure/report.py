@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import SpectralProbabilityMeasure
-from .errors import UnknownFormat, ValidationError
+from .errors import UnknownFormat
 
 
 _PRINTED = ".12g"  # the 12-significant-digit decimal every float is printed in
@@ -90,24 +90,11 @@ def dumps(obj, indent: str = "") -> str:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCounts:
-    """Sampled outcome counts and their relative frequencies."""
+    """Sampled outcome counts out of trials; each relative frequency,
+    count / trials, is computed where it is printed or read."""
 
     counts: tuple[int, ...]
-    frequencies: tuple[float, ...]
     trials: int
-
-    def __post_init__(self) -> None:
-        if self.trials <= 0:
-            raise ValidationError("empirical record needs a positive trial count")
-        if len(self.counts) != len(self.frequencies) or not self.counts:
-            raise ValidationError("counts and frequencies must match in length")
-        if sum(self.counts) != self.trials:
-            raise ValidationError("counts do not add up to the trial count")
-        expected = np.divide(self.counts, self.trials)
-        gaps = np.abs(np.asarray(self.frequencies, dtype=float) - expected)
-        # written so that a NaN fails
-        if not gaps.max() <= linalg.WEIGHT_FLOOR:
-            raise ValidationError("frequencies do not match counts")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,11 +110,7 @@ class Report:
     cross_terms: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.born.characters.shape[1] != 1:
-            raise ValidationError("outcomes need the algebra of a single observable")
         linalg.require_weights(self.collapsed_diag, "collapse diagonal")
-        if self.empirical is not None and len(self.empirical.counts) != self.born.n_points:
-            raise ValidationError("empirical record does not match the outcome list")
 
 
 def report_payload(r: Report) -> dict:
@@ -136,7 +119,7 @@ def report_payload(r: Report) -> dict:
     if r.empirical is not None:
         empirical = {
             "counts": list(r.empirical.counts),
-            "frequencies": _sig12_list(r.empirical.frequencies),
+            "frequencies": _sig12_list([c / r.empirical.trials for c in r.empirical.counts]),
             "trials": r.empirical.trials,
         }
     return {
@@ -169,8 +152,8 @@ def _table(r: Report) -> list[str]:
     if r.empirical is not None:
         lines.append(f"empirical (trials={r.empirical.trials}):")
         lines.append(f"  {'outcome':<20} {'count':<12} frequency")
-        for o, c, f in zip(outcomes, r.empirical.counts, r.empirical.frequencies):
-            lines.append(f"  {_fmt(o):<20} {c:<12} {_fmt(f)}")
+        for o, c in zip(outcomes, r.empirical.counts):
+            lines.append(f"  {_fmt(o):<20} {c:<12} {_fmt(c / r.empirical.trials)}")
     lines.append(f"max deviation: {_fmt(r.max_deviation)}")
     lines.append("cross terms:")
     for i, x in enumerate(r.cross_terms):

@@ -382,16 +382,17 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
         u.sort()
         below = np.searchsorted(u, bounds, side="left")
     counts = np.diff(below, prepend=0, append=trials)
-    return EmpiricalCounts(
-        counts=tuple(int(c) for c in counts),
-        frequencies=tuple(float(c) / trials for c in counts),
-        trials=trials,
-    )
+    return EmpiricalCounts(counts=tuple(int(c) for c in counts), trials=trials)
 
 
 def run_scenario(s: Scenario) -> Report:
-    """Execute one scenario and cross-check the three analytic routes."""
-    pvm, basis = model_for_observable(s.measured_observable)
+    """Execute one scenario and cross-check the three analytic routes. An
+    algebra that cannot be built fails with its error's type, the message
+    naming the document field it was built from, as a parse error does."""
+    try:
+        pvm, basis = model_for_observable(s.measured_observable)
+    except QmError as err:
+        raise type(err)(f"observable: {err}") from err
     # the pointer diagonal of a document's values is checked at parse time;
     # the eigenvalues are checked here, against the apparatus they fill
     w = s.pointer
@@ -404,7 +405,10 @@ def run_scenario(s: Scenario) -> Report:
     collapsed_diag = collapse_diagonal(rho, basis)
 
     if s.algebra_generators:
-        algebra = generate_algebra(s.algebra_generators)
+        try:
+            algebra = generate_algebra(s.algebra_generators)
+        except QmError as err:
+            raise type(err)(f"algebra_generators: {err}") from err
         try:
             point_values = gelfand_transform(algebra, np.diag(w.astype(complex)))
         except NotInAlgebra as err:

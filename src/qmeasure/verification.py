@@ -72,8 +72,7 @@ def spectral_axiom_defects(hermitians: np.ndarray) -> np.ndarray:
     run's measured spectral measure."""
     labels, chars, basis = joint_spectra([hermitians])
     v = np.eye(labels.shape[1]) if basis is None else basis
-    rebuilt = (v * chars[labels, 0][:, None, :]) @ v.conj().mT
-    recon = np.abs(rebuilt - hermitians).max(axis=(1, 2))
+    recon = np.abs(from_eigenbasis(basis, chars[labels, 0]) - hermitians).max(axis=(1, 2))
     return np.maximum(isometry_defect(v), recon)
 
 
@@ -270,9 +269,9 @@ def check_born_sampling() -> CheckResult:
     report = run_scenario(parse_scenario(doc))
     t = report.empirical.trials
     worst = 0.0
-    for p, f in zip(report.born.weights, report.empirical.frequencies):
+    for p, count in zip(report.born.weights, report.empirical.counts):
         sigma = np.sqrt(p * (1 - p) / t)
-        worst = max(worst, abs(f - p) / (4 * sigma))
+        worst = max(worst, abs(count / t - p) / (4 * sigma))
     return _result("sampling agreement", worst, 1.0, f"{t} trials against (0.36, 0.64), 4 sigma units")
 
 

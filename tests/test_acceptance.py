@@ -95,7 +95,7 @@ def test_acceptance_3_born_rule_statistics(capsys):
     identical = emit_report(first, "json") == emit_report(second, "json")
 
     probs = np.array([0.36, 0.64])
-    freqs = np.array(first.empirical.frequencies)
+    freqs = np.array(first.empirical.counts) / first.empirical.trials
     sigma = np.sqrt(probs * (1 - probs) / scenario.trials)
     worst_sigmas = float(np.max(np.abs(freqs - probs) / sigma))
     elapsed = time.perf_counter() - t0

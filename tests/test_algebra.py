@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeasure import errors, verification
+from qmeasure import errors, linalg, verification
 from qmeasure.algebra import (
     SpectralAlgebra,
     SpectralProbabilityMeasure,
@@ -19,8 +19,9 @@ from qmeasure.algebra import (
     restrict_state,
 )
 from qmeasure.linalg import default_cluster_tol, require_hermitian
-from qmeasure.measurement import pointer_diagonal
+from qmeasure.measurement import minimal_readout, pointer_diagonal
 from qmeasure.randomness import rand_hermitian, rand_state, substream
+from qmeasure.scenario import cat_readout
 from qmeasure.states import mix, projector_of, state_vector
 
 from conftest import assert_close, peak_bytes
@@ -219,26 +220,6 @@ def test_split_points_values_equal_clusters_with_the_bits_of_the_offset_mean():
     assert means[2] != 7.0  # the differing cluster was averaged
 
 
-def test_index_form_rejects_bad_labels():
-    chars = [[0.0], [1.0]]
-    with pytest.raises(errors.ValidationError, match="at least one"):
-        SpectralAlgebra(np.array([0, 0, 0]), chars)  # point 1 is empty
-    with pytest.raises(errors.ValidationError, match="name one of"):
-        SpectralAlgebra(np.array([0, 2, 1]), chars)
-    with pytest.raises(errors.ValidationError, match="integer"):
-        SpectralAlgebra(np.array([0.0, 1.0]), chars)
-    with pytest.raises(errors.ValidationError, match="lexicographic"):
-        SpectralAlgebra(np.array([0, 1]), chars[::-1])
-
-
-def test_algebra_constructor_rejects_disorder():
-    labels, basis = np.array([0, 1]), np.eye(2)
-    with pytest.raises(errors.ValidationError, match="lexicographic"):
-        SpectralAlgebra(labels, np.array([[2.0, 0.0], [1.0, 5.0]]), basis)
-    with pytest.raises(errors.ValidationError, match="distinct"):
-        SpectralAlgebra(labels, np.array([[1.0, 3.0], [1.0, 3.0]]), basis)
-
-
 def test_algebra_constructor_rejects_wrong_reconstruction():
     # 64 values, each gap 0.9 cluster widths: no gap splits them, so one
     # point at their mean misses the ends by 31.5 gaps, 4.0e-9 > 1e-9
@@ -410,9 +391,8 @@ def test_restrict_rejects_dim_mismatch():
     with pytest.raises(errors.DimMismatch):
         restrict_state(rand_density(3, substream(163)), alg)
     with pytest.raises(errors.DimMismatch):
-        proper_mixture_representative(
-            SpectralProbabilityMeasure(np.array([0.5, 0.3, 0.2]), [[0.0], [1.0], [2.0]]), alg
-        )
+        three = SpectralProbabilityMeasure(np.array([0.5, 0.3, 0.2]), np.arange(3.0)[:, None])
+        proper_mixture_representative(three, alg)
 
 
 def test_pointer_algebra_has_idle_point():
@@ -427,13 +407,51 @@ def test_pointer_algebra_has_idle_point():
     assert np.array_equal(dense.characters, alg.characters)
 
 
-def test_spectral_algebra_rejects_a_nonsquare_basis():
-    with pytest.raises(errors.ValidationError, match="cannot resolve the identity"):
-        SpectralAlgebra(np.arange(2), [[0.0], [1.0]], np.eye(3)[:, :2])
+def _dense_family(diagonals, seed):
+    # commuting Hermitian matrices V diag(a) V^dagger with one Haar basis V
+    v = rand_unitary(len(diagonals[0]), substream(seed))
+    return [require_hermitian((v * np.asarray(a, dtype=float)) @ v.conj().T) for a in diagonals]
+
+
+PRODUCERS = {
+    "index form, one generator": lambda: diagonal_algebra([[2.0, 0.0, 2.0, 1.0]]),
+    "index form, two generators": lambda: diagonal_algebra(
+        [[1.0, 1.0, 0.0, 1.0, 0.0], [3.0, 2.0, 2.0, 3.0, 2.0]]
+    ),
+    "dense, one generator": lambda: generate_algebra(
+        [require_hermitian(rand_hermitian(5, substream(199)))]
+    ),
+    "dense, degenerate": lambda: generate_algebra(_dense_family([[1, 3, 1, 2, 3, 3]], 211)),
+    "dense, two generators": lambda: generate_algebra(
+        _dense_family([[0, 0, 1, 1, 0], [-1, 2, -1, 2, 5]], 223)
+    ),
+    "minimal_readout": lambda: minimal_readout(9),
+    "cat_readout": lambda: cat_readout(5),
+}
+
+
+@pytest.mark.parametrize("make", PRODUCERS.values(), ids=PRODUCERS.keys())
+def test_producers_meet_the_spectral_algebra_preconditions(make):
+    # SpectralAlgebra checks nothing, so each of its producers must hand it
+    # intp labels in range that use every point, a square unitary basis or
+    # None, and distinct character tuples in ascending lexicographic order
+    alg = make()
+    labels, chars = alg.labels, alg.characters
+    assert labels.dtype == np.intp and labels.ndim == 1 and labels.size > 0
+    assert chars.dtype == float and chars.ndim == 2 and chars.size > 0
+    assert 0 <= labels.min() and labels.max() < alg.n_points
+    assert alg.multiplicities().tolist() == np.bincount(labels, minlength=alg.n_points).tolist()
+    assert alg.multiplicities().all()
+    rows = [tuple(row) for row in chars.tolist()]
+    assert rows == sorted(set(rows))
+    if alg.basis is not None:
+        assert alg.basis.shape == (alg.dim, alg.dim)
+        assert linalg.isometry_defect(alg.basis) <= linalg.ROUNDOFF_TOL
+    assert not (labels.flags.writeable or chars.flags.writeable)
 
 
 def test_spectral_measure_validation():
-    two = [[0.0], [1.0]]
+    two = np.array([[0.0], [1.0]])
     with pytest.raises(errors.ValidationError):
         SpectralProbabilityMeasure(np.array([0.5, 0.6]), two)
     with pytest.raises(errors.ValidationError):
@@ -442,16 +460,6 @@ def test_spectral_measure_validation():
         SpectralProbabilityMeasure(np.array([]), np.zeros((0, 1)))
     with pytest.raises(errors.ValidationError):
         SpectralProbabilityMeasure(np.array([np.nan, np.nan]), two)
-
-
-@pytest.mark.parametrize(
-    "characters",
-    [[[0.0]], [0.0, 1.0], np.zeros((2, 0)), [[[0.0]], [[1.0]]]],
-    ids=["one tuple for two weights", "1-d", "empty tuples", "3-d"],
-)
-def test_spectral_measure_needs_one_character_tuple_per_weight(characters):
-    with pytest.raises(errors.ValidationError, match="character tuple per weight"):
-        SpectralProbabilityMeasure(np.array([0.5, 0.5]), characters)
 
 
 @given(seed=st.integers(0, 5000))

@@ -285,10 +285,35 @@ def test_run_rejects_generator_values_beyond_the_float_range(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", path]) == 1
-    assert f"ValidationError: {message}" in capsys.readouterr().err
+    assert f"ValidationError: algebra_generators: {message}" in capsys.readouterr().err
     strict = run_strict(["run", path])
     assert strict.returncode == 1, strict.stderr
     assert message in strict.stderr
+
+
+_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+_Z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "overrides, line",
+    [
+        (
+            {"observable": [[[0, 0], [1e308, 0]], [[1e308, 0], [0, 0]]]},
+            "ValidationError: observable: generator 0 values span more than the largest float",
+        ),
+        (
+            {"algebra_generators": [_X, _Z]},
+            "NotCommuting: algebra_generators: observables 0 and 1 do not commute",
+        ),
+    ],
+    ids=["observable", "algebra_generators"],
+)
+def test_run_names_the_field_an_algebra_cannot_be_built_from(tmp_path, capsys, overrides, line):
+    # the algebra is built when the document runs, not when it is parsed, and
+    # its error keeps its type but names the field, as a parse error does
+    assert main(["run", write_qubit_scenario(tmp_path, **overrides)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_run_accepts_commuting_generators_with_entries_near_1e200(tmp_path, capsys):
@@ -389,9 +414,10 @@ def test_pointer_values_are_checked_once_per_verb(tmp_path, monkeypatch, verb):
 
 @pytest.mark.parametrize(
     "name, eigvalsh_calls, judge_calls",
-    # mixed_splitter: the density at parse time and its factor rows, the
-    # observable and the two generators; never the pointer readout the run builds
-    [("mixed_splitter.json", 1, 5), ("dense_ququart.json", 0, 1)],
+    # mixed_splitter: the density, the observable and the two generators, all
+    # at parse time; never the density's factor rows or the pointer readout
+    # the run builds
+    [("mixed_splitter.json", 1, 4), ("dense_ququart.json", 0, 1)],
 )
 def test_run_checks_each_document_value_once(monkeypatch, capsys, name, eigvalsh_calls, judge_calls):
     calls = {"eigvalsh": 0, "judge": 0}
@@ -785,3 +811,138 @@ def test_in_process_calls_share_no_state(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == golden.read_text()
     assert main(["run", path]) == 0
+
+
+# markers json.dumps writes as strings, replaced in the text by what no
+# json.dumps writes: an integer literal past Python's 4300-digit limit and
+# brackets nested past the recursion limit
+_RAW_TEXT = {"__huge_literal__": "9" * 5000, "__deep__": "[" * 5000 + "]" * 5000}
+_PLAIN = st.one_of(st.integers(-3, 3), st.floats(-4, 4))
+_EXTREME = st.one_of(
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 1.5e308, 1e200, 5e-324, -5e-324, 1e-300, 2**64, 10**400]),
+)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([[], {}, [[]], [[0, 0]], {"kind": "vector"}]),
+    st.lists(st.integers(-1, 1), max_size=3),
+)
+_SIZES = st.sampled_from([0, 1, 2, 3, 50, -1, 2**24 + 1, 10**30, 1.5, True])
+
+
+@st.composite
+def _scenario_texts(draw):
+    """A scenario document's text: the right structure, of system dim 1 to 3,
+    its vectors and Hermitian or diagonal matrices of plain numbers or of
+    numbers of any size, NaN and infinities included, a density's diagonal
+    not negative; and up to three of its fields swapped for wrong types or
+    sizes, dropped, or added."""
+    numbers = draw(st.sampled_from([_PLAIN, st.one_of(_PLAIN, _EXTREME)]))
+    d = draw(st.integers(1, 3))
+    dim = d + draw(st.integers(0, 2))
+
+    def pair():
+        return [draw(numbers), draw(numbers)]
+
+    def matrix(n, positive=False):
+        m = [[[0, 0] for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            m[i][i] = [abs(draw(numbers)) if positive else draw(numbers), 0]
+        if draw(st.booleans()):  # else diagonal
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m[i][j] = pair()
+                    m[j][i] = [m[i][j][0], -m[i][j][1]]
+        return m
+
+    kind = draw(st.sampled_from(["vector", "density"]))
+    doc = {
+        "system_dim": d,
+        "initial_state": {
+            "kind": kind,
+            "data": [pair() for _ in range(d)] if kind == "vector" else matrix(d, True),
+            "normalize": draw(st.sampled_from([True, True, True, False])),
+        },
+        "observable": matrix(d),
+        "apparatus": {"dim": dim},
+        "trials": draw(_SIZES),
+        "seed": draw(st.sampled_from([0, 7, -1, 2**64 - 1, 2**64, 1.5])),
+    }
+    if draw(st.booleans()):
+        doc["apparatus"]["pointer_values"] = [draw(numbers) for _ in range(d)]
+    if draw(st.booleans()):
+        doc["algebra_generators"] = [matrix(dim) for _ in range(draw(st.integers(1, 2)))]
+    fields = [
+        (doc, "system_dim"),
+        (doc, "observable"),
+        (doc, "apparatus"),
+        (doc, "trials"),
+        (doc, "seed"),
+        (doc, "extra"),
+        (doc["initial_state"], "data"),
+        (doc["initial_state"], "kind"),
+        (doc["initial_state"], "normalize"),
+        (doc["apparatus"], "dim"),
+        (doc["apparatus"], "pointer_values"),
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        where, key = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            markers = st.sampled_from(list(_RAW_TEXT))
+            where[key] = draw(st.one_of(_JUNK, _EXTREME, _SIZES, markers))
+        else:
+            where.pop(key, None)
+    text = json.dumps(doc)
+    for marker, raw in _RAW_TEXT.items():
+        text = text.replace(f'"{marker}"', raw)
+    return text
+
+
+_AMPLITUDES = ["0.6", "0,0.8", "1", "0", "1e308", "1e308,1e308", "nan,0", "1,2,3", "x", ""]
+# each option with values it takes and values it rejects
+_OPTIONS = {
+    "--format": ["json", "table", "yaml"],
+    "--tol": ["0", "1e-9", "-1", "nan", "inf", "1e308"],
+    "--c1": _AMPLITUDES,
+    "--c2": _AMPLITUDES,
+    "--chain": ["1", "3", "0", "25", "-1", "9" * 5000],
+    "--random": ["1", "3", "0", "-1", str(2**24 + 1), "9" * 5000],
+    "--seed": ["0", "-1", str(2**64 - 1), str(2**64)],
+}
+_VERB_OPTIONS = {"cat": ["--chain"], "compare": ["--random", "--seed"]}
+
+
+@st.composite
+def _argvs(draw, path):
+    """An argv list: a verb, the scenario path where the verb takes one, up
+    to three of the verb's options with drawn values, and one time in ten a
+    stray token."""
+    verb = draw(st.sampled_from(["run", "run", "run", "compare", "cat", "verify", "frobnicate"]))
+    argv = [verb, path] if verb in ("run", "compare") else [verb]
+    flags = ["--c1", "--c2"] if verb == "cat" else []
+    takes = ["--format", "--tol", *_VERB_OPTIONS.get(verb, ())]
+    flags += draw(st.lists(st.sampled_from(takes), max_size=3))
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_OPTIONS[flag]))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--help", "", "x", path])))
+    return argv
+
+
+@given(text=_scenario_texts(), data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_no_document_or_argv_exits_three(text, data):
+    # exit 3 is an internal error: every input, however malformed or extreme,
+    # must exit 0, 1 or 2; warnings are errors here, so a RuntimeWarning in
+    # the package also exits 3. Sizes stay far below MAX_ARRAY_ELEMENTS, and
+    # main runs in this process
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(text)
+        argv = data.draw(_argvs(str(path)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, text[:2000], err.getvalue())

@@ -137,11 +137,10 @@ def test_member_names_two_classes_share_are_pinned():
     }
 
 
-def callers(directory: Path, function: str) -> set[str]:
+def callers(directory: Path, *names: str) -> set[str]:
     """"module.function" for each top-level function or method of the
-    modules of directory whose body calls numpy's function, a dotted name
-    under np or numpy such as "linalg.eigh"."""
-    names = {f"np.{function}", f"numpy.{function}"}
+    modules of directory whose body calls one of names, each the callee as
+    it is written, such as "np.linalg.eigh" or "SpectralAlgebra"."""
     found = set()
     for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -161,22 +160,27 @@ def test_lint_finds_every_caller_of_eigh(tmp_path):
         "def split(g):\n    if g:\n        w, v = np.linalg.eigh(g)\n"
         "    return np.linalg.eigvalsh(g)\n\n"
         "class K:\n    def solve(self, g):\n        return [numpy.linalg.eigh(x) for x in g]\n\n"
-        "def plain(g):\n    return g\n"
+        "def plain(g):\n    return g\n\n"
+        "def build(g):\n    return K(g), K\n"
     )
-    assert callers(tmp_path, "linalg.eigh") == {"a.split", "a.solve"}
+    assert callers(tmp_path, "np.linalg.eigh", "numpy.linalg.eigh") == {"a.split", "a.solve"}
+    assert callers(tmp_path, "K") == {"a.build"}
 
 
 def test_spectra_come_from_one_eigensolver_route():
     # an observable's spectrum, its dynamics included, comes from the
     # algebra's split loop; only a density's factor rows take eigh besides
-    assert callers(_SRC, "linalg.eigh") == {"algebra._spectrum", "measurement.factor_rows"}
+    assert callers(_SRC, "np.linalg.eigh", "numpy.linalg.eigh") == {
+        "algebra._spectrum",
+        "measurement.factor_rows",
+    }
 
 
 def test_positivity_is_judged_in_one_place():
     # a density's lowest eigenvalue costs a dense solve, 0.35 s at d = 1024:
     # only the density check takes it, and verify's joint diagonalization
     # check to scale its drawn Hermitians, so no run judges positivity twice
-    assert callers(_SRC, "linalg.eigvalsh") == {
+    assert callers(_SRC, "np.linalg.eigvalsh", "numpy.linalg.eigvalsh") == {
         "states.density_matrix",
         "verification.check_joint_diagonalization",
     }
@@ -190,13 +194,27 @@ def test_lint_finds_a_second_caller_of_exp(tmp_path):
         "import numpy\n\ndef group_law(t, x):\n    return numpy.exp(-1j * t * x)\n\n"
         "def other(x):\n    return np.expm1(x), np.exp\n"
     )
-    assert callers(tmp_path, "exp") == {"observables.evolve", "verification.group_law"}
+    assert callers(tmp_path, "np.exp", "numpy.exp") == {
+        "observables.evolve",
+        "verification.group_law",
+    }
 
 
 def test_dynamics_come_from_one_exponential_route():
     # exp(-itH) is formed in one place, for a stack of cases, so no check
     # can evolve its states by a second route
-    assert callers(_SRC, "exp") == {"observables.evolve"}
+    assert callers(_SRC, "np.exp", "numpy.exp") == {"observables.evolve"}
+
+
+def test_spectral_algebras_come_from_three_producers():
+    # SpectralAlgebra checks nothing: the split loop's spectra, validated once
+    # per stack, and the two closed-form readouts meet its preconditions, and
+    # no other code may build one, from outside input or otherwise
+    assert callers(_SRC, "SpectralAlgebra", "algebra.SpectralAlgebra") == {
+        "algebra._algebra",
+        "measurement.minimal_readout",
+        "scenario.cat_readout",
+    }
 
 
 def private_imports(source: str) -> set[str]:

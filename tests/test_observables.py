@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg
-from qmeasure.algebra import SpectralAlgebra, generate_algebra, generate_algebras
+from qmeasure.algebra import generate_algebra, generate_algebras
 from qmeasure.observables import evolve
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.states import density_matrix, projector_of
@@ -80,21 +80,6 @@ def test_spectral_decomposition_cluster_tol():
     assert merged.n_points == 2
     split = generate_algebra([np.diag([0.0, 1e-10, 1.0])])
     assert split.n_points == 3
-
-
-def test_pvm_constructor_rejects_bad_input():
-    e0, e1 = np.eye(2)[:, 0], np.eye(2)[:, 1]
-    labels = np.array([0, 1])
-    outcomes = np.array([[1.0], [2.0]])
-    with pytest.raises(errors.ValidationError, match="orthonormal"):
-        SpectralAlgebra(labels, outcomes, np.column_stack((2 * e0, e1)))  # non-orthonormal block
-    with pytest.raises(errors.ValidationError, match="orthonormal"):
-        overlapping = np.column_stack((e0, (e0 + e1) / np.sqrt(2)))
-        SpectralAlgebra(labels, outcomes, overlapping)
-    with pytest.raises(errors.ValidationError, match="identity"):
-        SpectralAlgebra(labels[:1], outcomes[:1], e0[:, None])  # incomplete blocks
-    with pytest.raises(errors.ValidationError, match="lexicographic"):
-        SpectralAlgebra(labels, outcomes[::-1], np.eye(2))  # descending outcomes
 
 
 def test_commutation_check_basic_cases():

@@ -16,7 +16,6 @@ import pytest
 
 from qmeasure import errors
 from qmeasure.algebra import (
-    SpectralAlgebra,
     SpectralProbabilityMeasure,
     gelfand_transform,
     generate_algebra,
@@ -40,11 +39,6 @@ def _measured_basis(d):
     # the check a measured basis that comes as input gets: compare's and
     # verify's random bases, one stack at a time
     return checked_cases(np.array([[1.0, 0.0]]), _stretched(d)[None])
-
-
-def _algebra(d):
-    v = _stretched(d)
-    return SpectralAlgebra(np.arange(2), [[0.0], [1.0]], v)
 
 
 def _element_off_block(d):
@@ -87,18 +81,17 @@ BOUNDARIES = {
         1e-10,
         errors.NotHermitian,
     ),
-    "algebra isometry": (_algebra, 1e-10, errors.ValidationError),
     "measured basis": (_measured_basis, 1e-10, errors.NotOrthonormal),
     # Born's distribution: a density that passes its own checks, restricted
     # to the algebra of one observable, whose weights dip below zero by d
     "outcome floor": (_born, 1e-12, errors.ValidationError),
     "measure floor": (
-        lambda d: SpectralProbabilityMeasure([-d, 1 + d], [[0.0], [1.0]]),
+        lambda d: SpectralProbabilityMeasure([-d, 1 + d], np.array([[0.0], [1.0]])),
         1e-12,
         errors.ValidationError,
     ),
     "measure sum": (
-        lambda d: SpectralProbabilityMeasure([0.5, 0.5 + d], [[0.0], [1.0]]),
+        lambda d: SpectralProbabilityMeasure([0.5, 0.5 + d], np.array([[0.0], [1.0]])),
         1e-10,
         errors.ValidationError,
     ),
