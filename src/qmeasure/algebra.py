@@ -55,9 +55,9 @@ class SpectralAlgebra:
     orthonormal, the blocks' spans pairwise orthogonal, and their projectors
     V_k V_k^dagger a resolution of the identity. The three producers meet
     them: the split loop, validated once per stack (_checked_spectrum), and
-    the closed forms measurement.minimal_readout and scenario.cat_readout,
-    which tests hold equal to diagonal_algebra of their pointer values. The
-    record keeps read-only views of its arrays and counts each point's
+    the closed forms measurement.pointer_readout and scenario.cat_readout,
+    which tests hold equal to generate_algebra of their pointer diagonals.
+    The record keeps read-only views of its arrays and counts each point's
     columns.
     """
 
@@ -202,12 +202,8 @@ def _spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     columns V_k of each point to the eigenvectors of V_k^dagger g V_k, a
     submatrix of g while the basis is the identity (None). Each case's
     values are checked, and clustered, with that case's span and width
-    alone."""
-    if not gens or gens[0].size == 0:
-        raise ValidationError("need at least one nonempty observable")
+    alone. _family gives gens, so they are nonempty and of one shape."""
     n, d = gens[0].shape[:2]
-    if any(g.shape[:2] != (n, d) for g in gens):
-        raise DimMismatch("observables live on different spaces")
     labels = np.arange(n).repeat(d)
     counts = np.array([d] * n)
     chars = np.zeros((n, 0))
@@ -311,12 +307,6 @@ def _checked_spectrum(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return labels, chars, basis
 
 
-def _algebra(gens) -> SpectralAlgebra:
-    """The algebra of a stack of one case, _checked_spectrum(gens)."""
-    labels, chars, basis = _checked_spectrum(gens)
-    return SpectralAlgebra(labels[0], chars, None if basis is None else basis[0])
-
-
 def _family(stacks) -> list[np.ndarray]:
     """A commuting Hermitian family of (n, d, d) stacks, case c of each the
     family of case c, as _spectrum takes it: the leading exactly diagonal
@@ -383,17 +373,8 @@ def generate_algebra(generators) -> SpectralAlgebra:
     eigenspace: generate_algebras of a stack of one, without judging the
     generators again. It stays in index form, with no eigensolver, while
     the generators are exactly diagonal."""
-    return _algebra(_family([g[None] for g in generators]))
-
-
-def diagonal_algebra(diagonals) -> SpectralAlgebra:
-    """Index-form algebra generated by a family of diagonal matrices, given
-    by their diagonals: generate_algebra of those matrices, without forming
-    them."""
-    diags = [np.asarray(d) for d in diagonals]
-    if any(d.ndim != 1 for d in diags):
-        raise DimMismatch("diagonals must be 1-d")
-    return _algebra([d[None] for d in diags])
+    labels, chars, basis = _checked_spectrum(_family([g[None] for g in generators]))
+    return SpectralAlgebra(labels[0], chars, None if basis is None else basis[0])
 
 
 def gelfand_transform(algebra: SpectralAlgebra, element: np.ndarray) -> np.ndarray:
@@ -423,3 +404,22 @@ def restrict_state(rho: np.ndarray, algebra: SpectralAlgebra) -> SpectralProbabi
     if len(rho) != algebra.dim:
         raise DimMismatch(f"state dim {len(rho)}, algebra dim {algebra.dim}")
     return SpectralProbabilityMeasure(algebra.block_traces(rho), algebra.characters)
+
+
+def evolve(states: np.ndarray, generated, times) -> np.ndarray:
+    """Apply exp(-i t H) to each state of an (n, d) stack, case c at time
+    times[c] under its own Hamiltonian: generated is the (labels,
+    characters, basis) that generate_algebras([H]) gives for the (n, d, d)
+    stack of Hamiltonians, so that one decomposition serves every time.
+    exp(-itH) is the element of the algebra H generates with the value
+    exp(-it lambda) at each eigenvalue lambda; the elements of the cases are
+    one stacked product, and they act on the states as one stacked
+    matrix-vector product."""
+    labels, chars, basis = generated
+    if chars.shape[1] != 1:
+        raise ValidationError("dynamics need the algebra of a single generator")
+    if np.shape(states) != labels.shape:
+        raise DimMismatch(f"states of shape {np.shape(states)}, generator spectra {labels.shape}")
+    linalg.require_normalized(states)
+    phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None] * chars[labels, 0])
+    return (linalg.from_eigenbasis(basis, phases) @ states[..., None])[..., 0]

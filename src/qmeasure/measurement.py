@@ -7,8 +7,8 @@ eigenvector of outcome j (model_for_observable gives it for an observable),
 the apparatus dimension, and one real pointer value per outcome.
 pointer_diagonal is the one check of the pointer values and the apparatus
 dimension: it returns the pointer readout as its diagonal w, and
-diagonal_algebra([w]) is the readout algebra, held in index form, so no
-apparatus.dim^2 pointer matrix is formed.
+pointer_readout writes down the algebra w generates in index form, from
+those guarantees, so no apparatus.dim^2 pointer matrix is formed.
 
 The pointer is written in the standard basis e_k of the apparatus: e_0 is
 the ready state and e_j registers outcome j. Which orthonormal basis the
@@ -144,6 +144,20 @@ def pointer_diagonal(pointer_values, dim_apparatus: int) -> np.ndarray:
             f"pointer values {gap:.3e} apart fall in one readout point (cluster width {tol:.3e})"
         )
     return w
+
+
+def pointer_readout(w: np.ndarray, n: int) -> SpectralAlgebra:
+    """The readout algebra of the pointer diagonal w of n outcomes, in index
+    form: generate_algebra([diag(w)]) written down from pointer_diagonal's
+    guarantees, with no sort of the idle columns and no clustering. The n
+    values are distinct and over a cluster width apart, so each is a point
+    of one column that keeps its value; the idle value of the columns past
+    n, if there are any, lies below them all, so it is point 0."""
+    order = np.argsort(w[:n])
+    idle = int(w.size > n)
+    labels = np.zeros(w.size, dtype=np.intp)
+    labels[order] = np.arange(idle, n + idle)
+    return SpectralAlgebra(labels, np.concatenate((w[n : n + idle], w[order]))[:, None])
 
 
 def match_outcomes(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -294,13 +308,6 @@ def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def minimal_readout(d: int) -> SpectralAlgebra:
-    """The pointer readout of a minimal apparatus, pointer value j on column
-    j, in index form: diagonal_algebra([arange(d)]) written down directly,
-    point j holding column j alone."""
-    return SpectralAlgebra(np.arange(d), np.arange(d, dtype=float)[:, None])
-
-
 def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """The collapse vs restriction equivalence on a stack of cases: per case,
     the largest gap between the collapse diagonal of states[i] in the
@@ -310,7 +317,8 @@ def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarr
     checks of one case (checked_cases, the weights' floor and sum) run once
     on the stack, each failing on a NaN, so each case's gap has the bits
     that case alone gets through a run."""
-    readout = minimal_readout(states.shape[-1])
+    d = states.shape[-1]
+    readout = pointer_readout(np.arange(d, dtype=float), d)
     b = checked_cases(states, bases)
     weights, aligned = readout_weights(
         reduce(premeasure(states, b)), readout, readout.characters[:, 0]

@@ -38,10 +38,11 @@ held to (the default readout is the pointer's diagonal; no composite state
 matrix is formed for either kind of initial state, nor more than one d x d
 premeasured block at a time from d = 256 on), and the trials draws. A
 document over that limit fails validation before anything is built, and so
-does a randomized comparison asking for more cases. The cat run is held to
-the same limit: its largest array is the 2^chain_length point labels of
-its readout algebra, held in index form, so the chain may have up to
-MAX_CHAIN = 24 cells.
+does a randomized comparison whose n_random cases of d x d blocks need more
+than it between them (n_random * system_dim^2), since its time grows with
+that work. The cat run is held to the same limit: its largest array is the
+2^chain_length point labels of its readout algebra, held in index form, so
+the chain may have up to MAX_CHAIN = 24 cells.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from . import linalg
 from .algebra import (
     SpectralAlgebra,
     SpectralProbabilityMeasure,
-    diagonal_algebra,
     gelfand_transform,
     generate_algebra,
     restrict_state,
@@ -67,6 +67,7 @@ from .measurement import (
     collapse_restriction_gaps,
     model_for_observable,
     pointer_diagonal,
+    pointer_readout,
     pointer_weights,
     premeasure,
     readout_weights,
@@ -389,15 +390,16 @@ def run_scenario(s: Scenario) -> Report:
     """Execute one scenario and cross-check the three analytic routes. An
     algebra that cannot be built fails with its error's type, the message
     naming the document field it was built from, as a parse error does."""
+    # the pointer diagonal of a document's values is checked at parse time;
+    # the eigenvalues that stand in for absent ones are checked here, against
+    # the apparatus they fill
     try:
         pvm, basis = model_for_observable(s.measured_observable)
+        w = s.pointer
+        if w is None:
+            w = pointer_diagonal(pvm.characters[:, 0], s.apparatus_dim)
     except QmError as err:
         raise type(err)(f"observable: {err}") from err
-    # the pointer diagonal of a document's values is checked at parse time;
-    # the eigenvalues are checked here, against the apparatus they fill
-    w = s.pointer
-    if w is None:
-        w = pointer_diagonal(pvm.characters[:, 0], s.apparatus_dim)
     state = s.initial_state
     rho = projector_of(state) if state.ndim == 1 else state
 
@@ -419,7 +421,7 @@ def run_scenario(s: Scenario) -> Report:
         cross_terms = _branch_cross_terms(s.algebra_generators, basis.shape[0])
     else:
         # the pointer alone: its points carry their own values, its diagonal no cross terms
-        algebra, point_values, cross_terms = diagonal_algebra([w]), None, (0.0,)
+        algebra, point_values, cross_terms = pointer_readout(w, basis.shape[0]), None, (0.0,)
 
     weights, aligned = readout_weights(
         pointer_weights(state, basis), algebra, w[: basis.shape[0]], point_values
@@ -470,7 +472,7 @@ def cat_readout(chain_length: int) -> SpectralAlgebra:
     2^L - 1 trade places so that column 1, which registers outcome 1, reads
     -L (all down). Point k reads -L + 2k, so column b is on point
     L - down(b): nothing is sorted or split, and the labels and characters
-    are those diagonal_algebra gives."""
+    are those generate_algebra gives the diagonal matrix of those readings."""
     down = np.bitwise_count(np.arange(2**chain_length, dtype=np.uint32))
     down[[1, -1]] = down[[-1, 1]]
     return SpectralAlgebra(
@@ -537,7 +539,11 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
     """
     if n_random < 1:
         raise ValidationError("n_random must be positive")
-    _check_budget("n_random", n_random)
+    if n_random * dim**2 > MAX_ARRAY_ELEMENTS:
+        raise ValidationError(
+            f"n_random: {n_random} cases at dimension {dim} need {n_random * dim**2} "
+            f"elements, over the limit of {MAX_ARRAY_ELEMENTS}"
+        )
     per_block = max(1, CASE_BLOCK // dim**2)
     devs = np.empty(n_random)
     for start in range(0, n_random, per_block):

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import generate_algebras, joint_spectra
+from .algebra import evolve, generate_algebras, joint_spectra
 from .errors import TooSmall
 from .linalg import from_eigenbasis, isometry_defect, require_normalized, require_weights, row_norms
 from .measurement import (
     checked_cases,
     collapse_restriction_gaps,
     coupling_matrix,
-    minimal_readout,
+    pointer_readout,
     premeasure,
     readout_weights,
     reduce,
 )
-from .observables import evolve
 from .randomness import draw_cases, rand_hermitian, rand_state, substreams
 from .report import CheckResult
 from .scenario import parse_scenario, run_cat, run_scenario
@@ -342,7 +341,8 @@ def check_chain_reduction() -> CheckResult:
     d = 4
     copier = coupling_matrix(np.eye(d, dtype=complex), d)
     states, bases = draw_cases(d, 20, substreams(_SEED, (16,), range(20)), state_first=False)
-    worst = float(chain_reduction_gaps(states, bases, copier, minimal_readout(d)).max())
+    readout = pointer_readout(np.arange(d, dtype=float), d)
+    worst = float(chain_reduction_gaps(states, bases, copier, readout).max())
     return _result("chain reduction", worst, 1e-10, "20 random states, dim 4, two-stage pointer")
 
 

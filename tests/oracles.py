@@ -10,7 +10,6 @@ from qmeasure.algebra import (
     SpectralAlgebra,
     SpectralProbabilityMeasure,
     _split_points,
-    diagonal_algebra,
     generate_algebra,
     joint_spectra,
     restrict_state,
@@ -128,7 +127,8 @@ def collapse_restriction_gap(psi: np.ndarray, basis: np.ndarray) -> float:
     d = basis.shape[1]
     b = _column_major(basis)
     rho_app = apparatus_reduced_state(premeasured_state(psi, b, d), d, d)
-    weights = restrict_state(rho_app, diagonal_algebra([np.arange(d, dtype=float)])).weights
+    readout = generate_algebra([np.diag(np.arange(d, dtype=float))])
+    weights = restrict_state(rho_app, readout).weights
     collapsed = collapse(projector_of(psi), b)
     diag = np.real(np.diag(basis.conj().T @ collapsed @ basis))
     return float(np.max(np.abs(weights - diag)))
@@ -222,7 +222,7 @@ def evolve_one(psi: np.ndarray, generated: SpectralAlgebra, t: float) -> np.ndar
     """exp(-i t H) psi for one state, given the algebra generate_algebra([H]):
     the element of the algebra valued exp(-i t lambda) at each eigenvalue
     lambda, applied to psi. The package evolves a stack of states at once
-    (observables.evolve)."""
+    (algebra.evolve)."""
     phases = np.exp(-1j * float(t) * generated.characters[:, 0])
     return state_vector(generated.element(phases) @ psi)
 

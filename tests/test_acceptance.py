@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qmeasure.algebra import diagonal_algebra, generate_algebra
+from qmeasure.algebra import generate_algebra
 from qmeasure.measurement import collapse_restriction_gaps, coupling_matrix
 from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream, substreams
 from qmeasure.report import emit_report
@@ -269,7 +269,7 @@ def test_acceptance_9_chain_reduction(capsys):
     tol = 1e-10
     t0 = time.perf_counter()
     d = 4
-    algebra = diagonal_algebra([np.arange(d, dtype=float)])
+    algebra = generate_algebra([np.diag(np.arange(d, dtype=float))])
     copier = coupling_matrix(np.eye(d, dtype=complex), d)
     states, bases = draw_cases(d, 50, substreams(_SEED, (9,), range(50)), state_first=True)
     worst = float(chain_reduction_gaps(states, bases, copier, algebra).max())

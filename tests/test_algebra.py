@@ -11,7 +11,6 @@ from qmeasure.algebra import (
     SpectralProbabilityMeasure,
     _spectrum,
     _split_points,
-    diagonal_algebra,
     generate_algebra,
     generate_algebras,
     gelfand_transform,
@@ -19,7 +18,7 @@ from qmeasure.algebra import (
     restrict_state,
 )
 from qmeasure.linalg import default_cluster_tol, require_hermitian
-from qmeasure.measurement import minimal_readout, pointer_diagonal
+from qmeasure.measurement import pointer_diagonal, pointer_readout
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.scenario import cat_readout
 from qmeasure.states import mix, projector_of, state_vector
@@ -162,10 +161,10 @@ def test_split_loop_matches_an_eigensolver_at_every_point(
 
 
 def test_one_column_points_keep_a_signed_zero_value():
-    alg = diagonal_algebra([[-0.0, 1.0]])
+    alg = generate_algebra([np.diag([-0.0, 1.0])])
     assert alg.characters.tobytes() == np.array([[-0.0], [1.0]]).tobytes()
     # a cluster of -0.0 and +0.0 is valued +0.0, the mean of its offsets
-    alg = diagonal_algebra([[0.0, -0.0, 1.0]])
+    alg = generate_algebra([np.diag([0.0, -0.0, 1.0])])
     assert alg.characters.tobytes() == np.array([[0.0], [1.0]]).tobytes()
 
 
@@ -224,8 +223,6 @@ def test_algebra_constructor_rejects_wrong_reconstruction():
     # 64 values, each gap 0.9 cluster widths: no gap splits them, so one
     # point at their mean misses the ends by 31.5 gaps, 4.0e-9 > 1e-9
     values = 1.0 + 0.9 * default_cluster_tol(np.ones(64)) * np.arange(64)
-    with pytest.raises(errors.ValidationError, match="reproduced"):
-        diagonal_algebra([values])
     with pytest.raises(errors.ValidationError, match=r"reproduced .*defect 4\.0"):
         generate_algebra([np.diag(values)])
 
@@ -265,12 +262,13 @@ def test_gelfand_transform_rejects_a_small_element_outside_the_algebra(s):
     # of 1e-9 once let 1e-12 X through as the element [0, 0]
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(errors.NotInAlgebra):
-        gelfand_transform(diagonal_algebra([[0.0, 1.0]]), require_hermitian(s * x))
+        gelfand_transform(generate_algebra([np.diag([0.0, 1.0])]), require_hermitian(s * x))
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-320])
 def test_gelfand_transform_of_a_small_element_in_the_algebra(s):
-    got = gelfand_transform(diagonal_algebra([[0.0, 1.0]]), require_hermitian(np.diag([0.0, s])))
+    alg = generate_algebra([np.diag([0.0, 1.0])])
+    got = gelfand_transform(alg, require_hermitian(np.diag([0.0, s])))
     assert list(got) == [0.0, s]
 
 
@@ -397,10 +395,10 @@ def test_restrict_rejects_dim_mismatch():
 
 def test_pointer_algebra_has_idle_point():
     w = pointer_diagonal([4.0, 6.0], 3)
-    alg = diagonal_algebra([w])
+    alg = pointer_readout(w, 2)
     chars = alg.characters[:, 0]
     assert_close(sorted(chars), [3.0, 4.0, 6.0])  # idle value min - 1
-    # the algebra the dense pointer generates, held the same way
+    # the algebra the pointer matrix generates, held the same way
     dense = generate_algebra([np.diag(w)])
     assert dense.basis is None and alg.basis is None
     assert np.array_equal(dense.labels, alg.labels)
@@ -414,9 +412,9 @@ def _dense_family(diagonals, seed):
 
 
 PRODUCERS = {
-    "index form, one generator": lambda: diagonal_algebra([[2.0, 0.0, 2.0, 1.0]]),
-    "index form, two generators": lambda: diagonal_algebra(
-        [[1.0, 1.0, 0.0, 1.0, 0.0], [3.0, 2.0, 2.0, 3.0, 2.0]]
+    "index form, one generator": lambda: generate_algebra([np.diag([2.0, 0.0, 2.0, 1.0])]),
+    "index form, two generators": lambda: generate_algebra(
+        [np.diag([1.0, 1.0, 0.0, 1.0, 0.0]), np.diag([3.0, 2.0, 2.0, 3.0, 2.0])]
     ),
     "dense, one generator": lambda: generate_algebra(
         [require_hermitian(rand_hermitian(5, substream(199)))]
@@ -425,7 +423,10 @@ PRODUCERS = {
     "dense, two generators": lambda: generate_algebra(
         _dense_family([[0, 0, 1, 1, 0], [-1, 2, -1, 2, 5]], 223)
     ),
-    "minimal_readout": lambda: minimal_readout(9),
+    "pointer_readout, minimal": lambda: pointer_readout(np.arange(9.0), 9),
+    "pointer_readout, idle columns": lambda: pointer_readout(
+        pointer_diagonal([4.0, -1.0, 6.0], 7), 3
+    ),
     "cat_readout": lambda: cat_readout(5),
 }
 

@@ -256,13 +256,35 @@ def test_run_rejects_spectra_beyond_the_float_range(tmp_path, capsys, overrides)
     assert "largest float" in err or "not all finite" in err
 
 
-def run_strict(argv):
+def run_strict(argv, script=_MAIN):
     """The CLI in a fresh interpreter that turns every warning into an error."""
     env = {**os.environ, "PYTHONPATH": str(Path(qmeasure.__file__).resolve().parents[1])}
     return subprocess.run(
-        [sys.executable, "-W", "error", "-c", _MAIN, *argv],
+        [sys.executable, "-W", "error", "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(_SCENARIOS / "eigenstate.json")],
+        ["run", str(_SCENARIOS / "mixed_splitter.json")],
+        ["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "7"],
+        ["compare", str(_SCENARIOS / "qubit_0608.json"), "--random", "20"],
+        ["verify"],
+    ],
+    ids=["run, default readout", "run, generators", "cat", "compare", "verify"],
+)
+def test_no_verb_imports_numpy_ma(argv):
+    # np.unique imports numpy.ma, about 20 ms and 0.5 MB of every start
+    script = (
+        "import sys; from qmeasure.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy.ma' in sys.modules); sys.exit(code)"
+    )
+    result = run_strict(argv, script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize(
@@ -306,8 +328,18 @@ _Z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
             {"algebra_generators": [_X, _Z]},
             "NotCommuting: algebra_generators: observables 0 and 1 do not commute",
         ),
+        # with no pointer_values the eigenvalues stand in for them, and the
+        # idle value below -1.7976931348623157e308 is not finite
+        (
+            {
+                "observable": [[[-1.7976931348623157e308, 0], [0, 0]], [[0, 0], [0, 0]]],
+                "apparatus": {"dim": 3},
+            },
+            "ValidationError: observable: pointer values with the idle value below them "
+            "are not all finite",
+        ),
     ],
-    ids=["observable", "algebra_generators"],
+    ids=["observable", "algebra_generators", "eigenvalues as pointer values"],
 )
 def test_run_names_the_field_an_algebra_cannot_be_built_from(tmp_path, capsys, overrides, line):
     # the algebra is built when the document runs, not when it is parsed, and
@@ -703,6 +735,38 @@ def test_compare_oversized_random_exits_one(tmp_path, capsys, n_random):
     err = capsys.readouterr().err
     assert "ValidationError" in err
     assert "n_random" in err
+
+
+class _Drawn(Exception):
+    pass
+
+
+def _refuse_draws(*args, **kwargs):
+    raise _Drawn
+
+
+@pytest.mark.parametrize("d, n_random", [(2, 2**22 + 1), (64, 2**12 + 1)])
+def test_compare_work_over_the_budget_exits_one_before_drawing(
+    tmp_path, capsys, monkeypatch, d, n_random
+):
+    # n_random * d^2 past MAX_ARRAY_ELEMENTS: a case drawn would exit 3
+    monkeypatch.setattr(scenario, "draw_cases", _refuse_draws)
+    diagonal = [[[float(i) if i == j else 0.0, 0] for j in range(d)] for i in range(d)]
+    path = write_qubit_scenario(
+        tmp_path,
+        system_dim=d,
+        initial_state={"kind": "vector", "data": [[1, 0]] + [[0, 0]] * (d - 1)},
+        observable=diagonal,
+        apparatus={"dim": d},
+    )
+    assert main(["compare", path, "--random", str(n_random)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValidationError: n_random: {n_random} cases at dimension {d} need "
+        f"{n_random * d * d} elements, over the limit of {scenario.MAX_ARRAY_ELEMENTS}\n"
+    )
+    # at the limit the cases are drawn
+    with pytest.raises(_Drawn):
+        scenario.compare_collapse_vs_restriction(d, n_random - 1, 1)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -187,7 +187,7 @@ def test_positivity_is_judged_in_one_place():
 
 
 def test_lint_finds_a_second_caller_of_exp(tmp_path):
-    (tmp_path / "observables.py").write_text(
+    (tmp_path / "algebra.py").write_text(
         "import numpy as np\n\ndef evolve(t, x):\n    return np.exp(-1j * t * x)\n"
     )
     (tmp_path / "verification.py").write_text(
@@ -195,7 +195,7 @@ def test_lint_finds_a_second_caller_of_exp(tmp_path):
         "def other(x):\n    return np.expm1(x), np.exp\n"
     )
     assert callers(tmp_path, "np.exp", "numpy.exp") == {
-        "observables.evolve",
+        "algebra.evolve",
         "verification.group_law",
     }
 
@@ -203,7 +203,7 @@ def test_lint_finds_a_second_caller_of_exp(tmp_path):
 def test_dynamics_come_from_one_exponential_route():
     # exp(-itH) is formed in one place, for a stack of cases, so no check
     # can evolve its states by a second route
-    assert callers(_SRC, "np.exp", "numpy.exp") == {"observables.evolve"}
+    assert callers(_SRC, "np.exp", "numpy.exp") == {"algebra.evolve"}
 
 
 def test_spectral_algebras_come_from_three_producers():
@@ -211,8 +211,8 @@ def test_spectral_algebras_come_from_three_producers():
     # per stack, and the two closed-form readouts meet its preconditions, and
     # no other code may build one, from outside input or otherwise
     assert callers(_SRC, "SpectralAlgebra", "algebra.SpectralAlgebra") == {
-        "algebra._algebra",
-        "measurement.minimal_readout",
+        "algebra.generate_algebra",
+        "measurement.pointer_readout",
         "scenario.cat_readout",
     }
 

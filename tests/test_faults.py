@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmeasure import algebra, measurement, verification
+from qmeasure import algebra, measurement, scenario, verification
 from qmeasure.cli import main
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -74,6 +74,19 @@ def widen_one_case_to_the_stack(mp):
     mp.setattr(algebra, "default_cluster_tol", stack_wide)
 
 
+def swap_first_two_readout_columns(mp):
+    readout = measurement.pointer_readout
+
+    def swapped(w, n):
+        alg = readout(w, n)
+        labels = alg.labels.copy()
+        labels[[0, 1]] = labels[[1, 0]]
+        return algebra.SpectralAlgebra(labels, alg.characters)
+
+    for module in (measurement, scenario, verification):
+        mp.setattr(module, "pointer_readout", swapped)
+
+
 def run_codes(names) -> dict[str, int]:
     codes = {}
     for name in names:
@@ -113,6 +126,13 @@ ROWS = {
         widen_one_case_to_the_stack,
         {3, 4},
         {},
+    ),
+    # mixed_splitter builds its readout from its generators, and check 9
+    # reads one readout in both of its stages, so neither sees the swap
+    "pointer_readout puts the first two outcome columns on each other's points": (
+        swap_first_two_readout_columns,
+        {1},
+        {name: 2 for name in ("dense_ququart", "eigenstate", "qubit_0608", "qutrit_mixed")},
     ),
 }
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import errors, linalg
-from qmeasure.algebra import _split_points, diagonal_algebra
+from qmeasure.algebra import _split_points, generate_algebra
 
 
 def test_require_weights_rejects_a_nan():
@@ -25,11 +25,11 @@ def test_require_weights_formats_a_bad_sum_as_the_other_messages_do():
 
 def test_cluster_examples():
     # the width is default_cluster_tol, 1e4 * 3 * eps * 2 = 1.3e-11 here
-    merged = diagonal_algebra([[1.0, 1.0 + 1e-12, 2.0]])
+    merged = generate_algebra([np.diag([1.0, 1.0 + 1e-12, 2.0])])
     assert merged.multiplicities().tolist() == [2, 1]
-    assert diagonal_algebra([[1.0, 1.1, 2.0]]).n_points == 3
+    assert generate_algebra([np.diag([1.0, 1.1, 2.0])]).n_points == 3
     # the values need not come sorted
-    assert diagonal_algebra([[2.0, 1.0 + 1e-12, 1.0]]).labels.tolist() == [1, 0, 0]
+    assert generate_algebra([np.diag([2.0, 1.0 + 1e-12, 1.0])]).labels.tolist() == [1, 0, 0]
 
 
 @given(

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg
-from qmeasure.algebra import generate_algebra, generate_algebras
-from qmeasure.observables import evolve
+from qmeasure.algebra import evolve, generate_algebra, generate_algebras
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.states import density_matrix, projector_of
 

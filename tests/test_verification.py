@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmeasure import errors, linalg, measurement, verification
-from qmeasure.measurement import coupling_matrix, minimal_readout
+from qmeasure.measurement import coupling_matrix, pointer_readout
 from qmeasure.randomness import draw_cases, rand_hermitian, rand_state, substream, substreams
 
 from conftest import misregistered, nan_state, stretch_a_basis, stretch_a_state
@@ -190,7 +190,7 @@ def test_stacked_spectral_kernels_have_the_bits_of_the_per_case_oracles(d, kind)
     m = n if d <= 8 else 2
     bases = np.linalg.eigh(hermitians[:m])[1]
     copier = coupling_matrix(np.eye(d, dtype=complex), d)
-    readout = minimal_readout(d)
+    readout = pointer_readout(np.arange(d, dtype=float), d)
     gaps = verification.chain_reduction_gaps(states[:m], bases, copier, readout)
     want = [chain_reduction_gap(psi, b, copier, readout) for psi, b in zip(states, bases)]
     assert np.array_equal(gaps, want)
@@ -318,7 +318,7 @@ def test_chain_reduction_gaps_check_their_states_and_bases_once(monkeypatch):
     d = 3
     states, bases = draw_cases(d, 5, substreams(151, (), range(5)), state_first=True)
     copier = coupling_matrix(np.eye(d, dtype=complex), d)
-    algebra = minimal_readout(d)
+    algebra = pointer_readout(np.arange(d, dtype=float), d)
     calls = []
     defect = linalg.isometry_defect
 
