@@ -104,12 +104,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _gate(what: str, deviation: float, tol: float) -> int:
-    """Exit code 2 when an analytic deviation exceeds --tol, else 0."""
-    if deviation > tol:
-        sys.stderr.write(f"error: {what} deviation {deviation:.3e} exceeds --tol {tol:.3e}\n")
+def _gate(route: str, gap: float, where: str, tol: float) -> int:
+    """Exit code 2, naming the route and where its gap peaks, if it exceeds --tol."""
+    if gap > tol:
+        sys.stderr.write(f"error: {route} deviation {gap:.3e} at {where} exceeds --tol {tol:.3e}\n")
         return 2
     return 0
+
+
+def _emit_report(report, args) -> int:
+    """Print a run or cat report; _gate its route that strays furthest."""
+    sys.stdout.write(emit_report(report, args.format))
+    route, (gap, outcome) = max(report.residuals.items(), key=lambda item: item[1][0])
+    return _gate(route, gap, f"outcome {outcome}", args.tol)
 
 
 def _read_scenario(path: str):
@@ -123,10 +130,7 @@ def _read_scenario(path: str):
 
 
 def _cmd_run(args) -> int:
-    scenario = _read_scenario(args.scenario)
-    report = run_scenario(scenario)
-    sys.stdout.write(emit_report(report, args.format))
-    return _gate("max", report.max_deviation, args.tol)
+    return _emit_report(run_scenario(_read_scenario(args.scenario)), args)
 
 
 def _cmd_cat(args) -> int:
@@ -136,8 +140,7 @@ def _cmd_cat(args) -> int:
             f"cat run: chain of {args.chain} cells, branch 1 (alive) at readout "
             f"+{args.chain}, branch 2 (dead) at -{args.chain}\n"
         )
-    sys.stdout.write(emit_report(report, args.format))
-    return _gate("max", report.max_deviation, args.tol)
+    return _emit_report(report, args)
 
 
 def _cmd_compare(args) -> int:
@@ -145,7 +148,8 @@ def _cmd_compare(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     summary = compare_collapse_vs_restriction(scenario.system_dim, args.random, seed)
     sys.stdout.write(emit_summary(summary, args.format))
-    return _gate("worst", summary.worst, args.tol)
+    where = f"case {summary.worst_index} (stream key {list(summary.worst_case_key)})"
+    return _gate("collapse-vs-restrict", summary.worst, where, args.tol)
 
 
 def _cmd_verify(args) -> int:

@@ -42,9 +42,9 @@ and verify's chain check: it restricts the reduced apparatus state to a
 commutative readout algebra and aligns its points to outcomes by pointer
 value. The readout holds the pointer, whose values are distinct, so no
 projector of it mixes two pointer columns: the kernel takes the state's
-diagonal, from reduce for a stack of premeasured blocks, from
-pointer_weights for a bare vector or, through the rows of one factor of it,
-density matrix. collapse_diagonal reads the collapse on its diagonal too.
+diagonal, from reduce for compare's and check 9's premeasured stacks, and
+from pointer_weights for the bare vector or density matrix (one factor's
+rows) that route_residuals reads for run and the cat with collapse_diagonal.
 """
 
 from __future__ import annotations
@@ -290,6 +290,22 @@ def readout_weights(
     if idle > linalg.ROUNDOFF_TOL:
         raise ValidationError(f"restriction puts weight {idle:.3e} outside the pointer range")
     return on_points, folded[..., 1:]
+
+
+def route_residuals(
+    born, state, rho, basis, readout: SpectralAlgebra, pointer_values, point_values=None
+) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[float, int]]]:
+    """Both routes of one bare state, rho as a density matrix: its collapse
+    diagonal, the unchecked point weights readout_weights reads off it
+    premeasured, and per route (born-vs-collapse, born-vs-restrict) the
+    largest gap from the Born weights born and the outcome where it peaks."""
+    collapsed = collapse_diagonal(rho, basis)
+    weights, aligned = readout_weights(
+        pointer_weights(state, basis), readout, pointer_values, point_values
+    )
+    routes = (("born-vs-collapse", collapsed), ("born-vs-restrict", aligned))
+    gaps = {route: np.abs(born - other) for route, other in routes}
+    return collapsed, weights, {r: (float(g.max()), int(g.argmax())) for r, g in gaps.items()}
 
 
 def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:

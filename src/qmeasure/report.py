@@ -100,17 +100,22 @@ class EmpiricalCounts:
 @dataclass(frozen=True, eq=False)
 class Report:
     """One run's analytic distributions, optional sampling record, and the
-    worst disagreement between the analytic routes."""
+    named route residuals of measurement.route_residuals."""
 
     born: SpectralProbabilityMeasure
     collapsed_diag: tuple[float, ...]
     restricted: SpectralProbabilityMeasure
     empirical: EmpiricalCounts | None
-    max_deviation: float
+    residuals: dict[str, tuple[float, int]]
     cross_terms: tuple[float, ...]
 
     def __post_init__(self) -> None:
         linalg.require_weights(self.collapsed_diag, "collapse diagonal")
+
+    @property
+    def max_deviation(self) -> float:
+        """The worst disagreement: the largest route residual."""
+        return max(gap for gap, _ in self.residuals.values())
 
 
 def report_payload(r: Report) -> dict:

@@ -20,11 +20,11 @@ before validation. apparatus.pointer_values and algebra_generators are
 optional; generators act on the apparatus space and default to the pointer
 readout alone. Unknown fields anywhere are rejected.
 
-Running a scenario computes the outcome statistics three ways and reports
-the worst disagreement: the spectral probabilities of the measured
-observable, the diagonal kept by the collapse map, and the weights the
-premeasured composite puts on the commutative readout algebra after the
-system is traced out, through the readout kernel of the measurement module.
+Running a scenario, or the cat, computes the outcome statistics three ways:
+Born's spectral probabilities of the measured observable, and through
+measurement.route_residuals, which names each route's largest gap from them,
+the collapse diagonal and the weights the premeasured composite puts on the
+commutative readout algebra once the system is traced out.
 With trials > 0 the report also carries sampled counts; trial t consumes the
 t-th variate of a dedicated substream, so the counts depend only on (seed,
 trials). They are counted without looking each trial up on its own, and
@@ -63,15 +63,11 @@ from .algebra import (
 from .errors import BadAmplitudes, NotInAlgebra, NotNormalized, ParseError, QmError, ValidationError
 from .measurement import (
     CASE_BLOCK,
-    collapse_diagonal,
     collapse_restriction_gaps,
     model_for_observable,
     pointer_diagonal,
     pointer_readout,
-    pointer_weights,
-    premeasure,
-    readout_weights,
-    reduce,
+    route_residuals,
 )
 from .randomness import check_seed, draw_cases, substream, substreams
 from .report import ComparisonSummary, EmpiricalCounts, Report
@@ -387,9 +383,10 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
 
 
 def run_scenario(s: Scenario) -> Report:
-    """Execute one scenario and cross-check the three analytic routes. An
-    algebra that cannot be built fails with its error's type, the message
-    naming the document field it was built from, as a parse error does."""
+    """Execute one scenario and hold its collapse and restriction routes
+    against Born (route_residuals). An algebra that cannot be built fails
+    with its error's type, the message naming the document field it was
+    built from, as a parse error does."""
     # the pointer diagonal of a document's values is checked at parse time;
     # the eigenvalues that stand in for absent ones are checked here, against
     # the apparatus they fill
@@ -402,9 +399,7 @@ def run_scenario(s: Scenario) -> Report:
         raise type(err)(f"observable: {err}") from err
     state = s.initial_state
     rho = projector_of(state) if state.ndim == 1 else state
-
     born = restrict_state(rho, pvm)
-    collapsed_diag = collapse_diagonal(rho, basis)
 
     if s.algebra_generators:
         try:
@@ -423,35 +418,16 @@ def run_scenario(s: Scenario) -> Report:
         # the pointer alone: its points carry their own values, its diagonal no cross terms
         algebra, point_values, cross_terms = pointer_readout(w, basis.shape[0]), None, (0.0,)
 
-    weights, aligned = readout_weights(
-        pointer_weights(state, basis), algebra, w[: basis.shape[0]], point_values
+    collapsed, weights, residuals = route_residuals(
+        born.weights, state, rho, basis, algebra, w[: basis.shape[0]], point_values
     )
 
-    empirical = None
-    if s.trials > 0:
-        empirical = _sample_counts(born.weights, s.seed, s.trials)
-
-    return _report(
-        born,
-        collapsed_diag,
-        SpectralProbabilityMeasure(weights, algebra.characters),
-        cross_terms,
-        [
-            float(np.max(np.abs(born.weights - collapsed_diag))),
-            float(np.max(np.abs(born.weights - aligned))),
-        ],
-        empirical,
-    )
-
-
-def _report(born, collapsed, restricted, cross_terms, residuals, empirical=None) -> Report:
-    """Assemble a run report; max_deviation is the largest listed residual."""
     return Report(
         born=born,
         collapsed_diag=tuple(collapsed.tolist()),
-        restricted=restricted,
-        empirical=empirical,
-        max_deviation=max(residuals),
+        restricted=SpectralProbabilityMeasure(weights, algebra.characters),
+        empirical=_sample_counts(born.weights, s.seed, s.trials) if s.trials > 0 else None,
+        residuals=residuals,
         cross_terms=cross_terms,
     )
 
@@ -485,16 +461,13 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     """The Schrodinger cat as premeasured pointer branches: the qubit
     c1|0> + c2|1>, measured in the z basis by a chain of chain_length
     two-level cells, read through the commutative readout cat_readout by
-    the kernel of a run. Outcome 0 registers on pointer column 0, all cells
-    up (+L), and outcome 1 on column 1, all down (-L). So c1 carries the
-    highest readout value and c2 the lowest: any "alive"/"dead" naming of
-    those two is report metadata.
+    route_residuals, as a vector run is read. Outcome 0 registers on pointer
+    column 0, all cells up (+L), and outcome 1 on column 1, all down (-L).
+    So c1 carries the highest readout value and c2 the lowest: any
+    "alive"/"dead" naming of those two is report metadata.
 
-    The report gives the qubit's Born weights, its collapse diagonal and the
-    restriction per readout point, and max_deviation the larger of the
-    born-vs-collapse and born-vs-restriction residuals. Only the readout's
-    2^L point labels grow with the chain.
-    """
+    The report holds both routes on the readout's points; only its 2^L
+    point labels grow with the chain."""
     c1, c2 = complex(c1), complex(c2)
     # products, not powers: a float power raises where a product overflows to inf
     total = abs(c1) * abs(c1) + abs(c2) * abs(c2)
@@ -509,22 +482,23 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     pointer_values = algebra.characters[algebra.labels[:2], 0]
 
     qubit = np.array([c1, c2])
-    z = np.eye(2, dtype=complex)
     born = (qubit * qubit.conj()).real
-    collapsed = collapse_diagonal(qubit[:, None] * qubit.conj(), z)
-    weights, aligned = readout_weights(reduce(premeasure(qubit, z)), algebra, pointer_values)
+    collapsed, weights, residuals = route_residuals(
+        born, qubit, projector_of(qubit), np.eye(2, dtype=complex), algebra, pointer_values
+    )
 
     # the two outcomes' Born and collapse weights, on their pointer columns' points
     on_points = np.zeros((2, algebra.n_points))
     on_points[:, algebra.labels[:2]] = born, collapsed
 
-    return _report(
-        SpectralProbabilityMeasure(on_points[0], algebra.characters),
-        on_points[1],
-        SpectralProbabilityMeasure(weights, algebra.characters),
+    return Report(
+        born=SpectralProbabilityMeasure(on_points[0], algebra.characters),
+        collapsed_diag=tuple(on_points[1].tolist()),
+        restricted=SpectralProbabilityMeasure(weights, algebra.characters),
+        empirical=None,
+        residuals=residuals,
         # the readout is diagonal, so it has no cross terms
-        (0.0,),
-        [float(np.abs(born - collapsed).max()), float(np.abs(born - aligned).max())],
+        cross_terms=(0.0,),
     )
 
 

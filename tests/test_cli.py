@@ -558,6 +558,23 @@ def test_run_statistics_do_not_change_when_the_apparatus_is_padded(d, seed, scal
         assert chars[0] < chars[1]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="padding rejects tiny pointer values (CHANGES.md, FOUND on apparatus padding): "
+    "the idle value sits near -1, so the cluster width of the padded diagonal dwarfs "
+    "their gap; ROADMAP item 5",
+)
+def test_padding_accepts_pointer_values_near_the_smallest_float(tmp_path):
+    # pointer values 1e-300 apart, far below the padding property's grid
+    codes = []
+    for dim in (2, 3):
+        apparatus = {"dim": dim, "pointer_values": [1e-300, 2e-300]}
+        path = write_qubit_scenario(tmp_path, apparatus=apparatus)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(["run", path, "--format", "json"]))
+    assert codes == [0, 0]
+
+
 def test_run_factors_the_hermitian_part_of_a_density(tmp_path, capsys):
     # a density skewed on its lower triangle by just under the Hermiticity
     # tolerance, 5e-11 at a largest entry of 1/2; eigh reads one triangle,
@@ -643,10 +660,12 @@ def test_cat_deviation_above_tol_exits_two(capsys, monkeypatch):
     # 0.64 - 0.36 = 0.28 off the Born weights
     argv = ["cat", "--c1", "0.6", "--c2", "0,0.8", "--chain", "3"]
     assert main(argv + ["--tol", "0"]) == 0
-    monkeypatch.setattr(scenario, "premeasure", misregistered)
+    monkeypatch.setattr(measurement, "premeasure", misregistered)
     assert main(argv + ["--tol", "0.3"]) == 0
     assert main(argv) == 2
-    assert "exceeds --tol" in capsys.readouterr().err
+    assert "born-vs-restrict deviation 2.800e-01 at outcome 0 exceeds --tol" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(
@@ -660,13 +679,14 @@ def test_cat_deviation_above_tol_exits_two(capsys, monkeypatch):
 def test_a_misregistering_premeasure_exits_two(capsys, monkeypatch, argv):
     # outcome j registers on pointer column j + 1 (mod d): both routes
     # premeasure, so the restriction moves off the Born weights, which are
-    # unequal here so that the swap shows
+    # unequal here so that the swap shows; both read the state through
+    # measurement.route_residuals, so exit 2 names that route and outcome
     assert main(argv) == 0
-    # run premeasures in measurement.pointer_weights, the cat in scenario
-    for module in (measurement, scenario):
-        monkeypatch.setattr(module, "premeasure", misregistered)
+    monkeypatch.setattr(measurement, "premeasure", misregistered)
     assert main(argv) == 2
-    assert "exceeds --tol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: born-vs-restrict deviation" in err
+    assert "at outcome 0 exceeds --tol" in err
 
 
 def test_cat_bad_amplitudes_exit_one(capsys):
@@ -723,7 +743,9 @@ def test_compare_uses_scenario_seed_by_default(tmp_path, capsys):
 def test_compare_impossible_tol_exits_two(tmp_path, capsys):
     path = write_qubit_scenario(tmp_path)
     assert main(["compare", path, "--random", "5", "--tol", "0"]) == 2
-    assert "exceeds --tol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: collapse-vs-restrict deviation" in err
+    assert "at case 3 (stream key [11, 2, 3]) exceeds --tol" in err
 
 
 # 2^24 + 1 is one case over the array budget: rejected before the per-case

@@ -217,6 +217,15 @@ def test_spectral_algebras_come_from_three_producers():
     }
 
 
+def test_run_and_cat_read_their_routes_through_one_function():
+    # each equivalence is computed once: run and the cat hand a bare state
+    # to measurement.route_residuals, the one reader of pointer_weights, and
+    # build no step of the chain themselves
+    chain = ("premeasure", "reduce", "readout_weights", "pointer_weights", "collapse_diagonal")
+    assert {name for name in callers(_SRC, *chain) if name.startswith("scenario.")} == set()
+    assert callers(_SRC, "pointer_weights") == {"measurement.route_residuals"}
+
+
 def private_imports(source: str) -> set[str]:
     """The dotted names of the package a module imports that have a private
     part, as in `from qmeasure.cli import _Parser` or `import qmeasure._m`.

@@ -1,8 +1,9 @@
 """The fault catalogue: each row is one fault, made by one monkeypatch, and
 names what must catch it: verify checks that must fail, and exit codes that
-`run` must return on the scenario files. A row that stops being caught fails
-here. A row that nothing catches yet is an expected failure that says why,
-and fails as an unexpected pass once something catches it."""
+`run` must return on the scenario files, or `cat` and `compare` on one input
+each. A row that stops being caught fails here. A row that nothing catches
+yet is an expected failure that says why, and fails as an unexpected pass
+once something catches it."""
 
 import contextlib
 import io
@@ -87,11 +88,30 @@ def swap_first_two_readout_columns(mp):
         mp.setattr(module, "pointer_readout", swapped)
 
 
+def reverse_collapse_outcomes(mp):
+    diagonal = measurement.collapse_diagonal
+    mp.setattr(
+        measurement, "collapse_diagonal", lambda rhos, bases: diagonal(rhos, bases)[..., ::-1]
+    )
+
+
+def collapse_to_its_input(mp):
+    mp.setattr(measurement, "collapse", lambda rhos, bases: rhos)
+
+
+# the argv of a row's other verbs; any other name is `run` on that scenario file
+_VERBS = {
+    "cat": ["cat", "--chain", "7", "--c1", "0.6,0", "--c2", "0,0.8"],
+    "compare": ["compare", str(_SCENARIOS / "qutrit_mixed.json"), "--random", "20"],
+}
+
+
 def run_codes(names) -> dict[str, int]:
     codes = {}
     for name in names:
+        argv = _VERBS.get(name, ["run", str(_SCENARIOS / f"{name}.json")])
         with contextlib.redirect_stdout(io.StringIO()):
-            codes[name] = main(["run", str(_SCENARIOS / f"{name}.json"), "--format", "json"])
+            codes[name] = main([*argv, "--format", "json"])
     return codes
 
 
@@ -134,6 +154,13 @@ ROWS = {
         {1},
         {name: 2 for name in ("dense_ququart", "eigenstate", "qubit_0608", "qutrit_mixed")},
     ),
+    "collapse_diagonal returns its outcomes reversed": (
+        reverse_collapse_outcomes,
+        {1, 6},
+        {**_ALL_RUNS, "cat": 2, "compare": 2},
+    ),
+    # collapse(rho) = rho is what a run would see if the map were never applied
+    "collapse returns its input": (collapse_to_its_input, {1}, {"qubit_0608": 2}),
 }
 
 # rows that no check or exit code sees yet, with the reason
@@ -144,6 +171,11 @@ UNCAUGHT = {
         "residuals within tolerance (CHANGES.md, FOUND); "
         "test_algebra.py::test_each_case_of_a_stack_is_clustered_with_its_own_width "
         "holds the per-case width"
+    ),
+    "collapse returns its input": (
+        "not caught: every route reads the collapse only through its diagonal in "
+        "the measured basis, which the identity map leaves as Born's weights, so "
+        "all nine checks pass and every run, cat and compare exits 0 (ROADMAP item 2)"
     ),
 }
 

@@ -17,6 +17,7 @@ from qmeasure.measurement import (
     premeasure,
     readout_weights,
     reduce,
+    route_residuals,
 )
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.scenario import compare_collapse_vs_restriction
@@ -387,6 +388,23 @@ def test_collapse_diagonal_weights():
     rho = projector_of(state_vector([0.6, 0.8]))
     out = collapse(rho, np.eye(2))
     assert_close(out, np.diag([0.36, 0.64]))
+
+
+def test_route_residuals_name_each_route_and_the_outcome_where_it_peaks():
+    # Born weights off by 1e-3 at outcome 2 only, which both routes then miss
+    weights = np.array([0.2, 0.3, 0.5])
+    psi = np.sqrt(weights).astype(complex)
+    w = np.arange(3.0)
+    born = weights + [0.0, 0.0, 1e-3]
+    collapsed, on_points, residuals = route_residuals(
+        born, psi, projector_of(psi), np.eye(3, dtype=complex), pointer_readout(w, 3), w
+    )
+    assert_close(collapsed, weights)
+    assert_close(on_points, weights)
+    assert list(residuals) == ["born-vs-collapse", "born-vs-restrict"]
+    for gap, outcome in residuals.values():
+        assert outcome == 2
+        assert gap == pytest.approx(1e-3)
 
 
 def test_collapse_is_idempotent():
