@@ -94,16 +94,18 @@ class SpectralAlgebra:
         per_column = np.asarray(per_column)
         n = per_column.shape[-1]
         labels = self.labels[:n]
-        if per_column.ndim == 1:
-            return np.bincount(labels, weights=per_column, minlength=self.n_points)
-        # one bincount for the stack: row r's labels are offset by r points
-        rows = per_column.reshape(-1, n)
-        offsets = np.arange(0, rows.shape[0] * self.n_points, self.n_points)
-        sums = np.bincount(
-            (offsets[:, None] + labels).ravel(),
-            weights=rows.ravel(),
-            minlength=offsets.size * self.n_points,
-        )
+        if per_column.size == n:
+            # one vector, alone or as a stack of one
+            sums = np.bincount(labels, weights=per_column.reshape(n), minlength=self.n_points)
+        else:
+            # one bincount for the stack: row r's labels are offset by r points
+            rows = per_column.reshape(-1, n)
+            offsets = np.arange(0, rows.shape[0] * self.n_points, self.n_points)
+            sums = np.bincount(
+                (offsets[:, None] + labels).ravel(),
+                weights=rows.ravel(),
+                minlength=offsets.size * self.n_points,
+            )
         return sums.reshape(*per_column.shape[:-1], self.n_points)
 
     def block_traces(self, m: np.ndarray) -> np.ndarray:

@@ -149,7 +149,7 @@ def _cmd_compare(args) -> int:
     summary = compare_collapse_vs_restriction(scenario.system_dim, args.random, seed)
     sys.stdout.write(emit_summary(summary, args.format))
     where = f"case {summary.worst_index} (stream key {list(summary.worst_case_key)})"
-    return _gate("collapse-vs-restrict", summary.worst, where, args.tol)
+    return _gate(summary.route, summary.worst, where, args.tol)
 
 
 def _cmd_verify(args) -> int:

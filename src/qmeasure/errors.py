@@ -29,10 +29,6 @@ class TraceNotOne(QmError):
     """Density matrix trace differs from 1 beyond tolerance."""
 
 
-class BadWeights(QmError):
-    """Mixture weights are negative, mismatched in length, or do not sum to 1."""
-
-
 class DimMismatch(QmError):
     """Operands live on spaces of incompatible dimension."""
 

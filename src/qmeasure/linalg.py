@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitian, NotNormalized, NotSquare, QmError, ValidationError
+from .errors import NotHermitian, NotNormalized, NotSquare, ValidationError
 
 # roundoff: norms, traces, Hermiticity, orthonormality, commutators and
 # probability sums
@@ -142,22 +142,21 @@ def require_hermitian(m, stack: bool = False) -> np.ndarray:
     return readonly(a)
 
 
-def require_weights(
-    w, what: str = "weights", error: type[QmError] = ValidationError, stack: bool = False
-) -> np.ndarray:
+def require_weights(w, what: str = "weights", stack: bool = False) -> np.ndarray:
     """A nonempty 1-d probability vector: no entry below -WEIGHT_FLOOR and
     a sum within ROUNDOFF_TOL of 1; with stack, a nonempty (n, k) stack of
-    them, checked once. Violations raise error, and so does a NaN entry."""
+    them, checked once. Violations raise ValidationError, and so does a NaN
+    entry."""
     a = np.asarray(w, dtype=float)
     if a.ndim != 1 + stack or a.size == 0:
-        raise error(f"{what} must be a nonempty {'stack of ' * stack}1-d sequence")
+        raise ValidationError(f"{what} must be a nonempty {'stack of ' * stack}1-d sequence")
     # written so that a NaN fails
     if not a.min() >= -WEIGHT_FLOOR:
-        raise error(f"{what}: entry {a.min():.3e} below the roundoff floor")
+        raise ValidationError(f"{what}: entry {a.min():.3e} below the roundoff floor")
     sums = a.sum(axis=-1)
     gap = float(np.abs(sums - 1.0).max()) if stack else abs(float(sums) - 1.0)
     if not gap <= ROUNDOFF_TOL:
-        raise error(f"{what}: a sum is off from 1 by {gap:.3e}")
+        raise ValidationError(f"{what}: a sum is off from 1 by {gap:.3e}")
     return a
 
 

@@ -37,14 +37,17 @@ is formed either.
 The dense U is built only by coupling_matrix, the oracle the verify suite
 and the tests hold the structured path against.
 
-One kernel, readout_weights, reads the composite for run, compare, the cat
-and verify's chain check: it restricts the reduced apparatus state to a
-commutative readout algebra and aligns its points to outcomes by pointer
-value. The readout holds the pointer, whose values are distinct, so no
-projector of it mixes two pointer columns: the kernel takes the state's
-diagonal, from reduce for compare's and check 9's premeasured stacks, and
-from pointer_weights for the bare vector or density matrix (one factor's
-rows) that route_residuals reads for run and the cat with collapse_diagonal.
+One function, route_weights, reads the chain for every verb and check: a
+stack of cases' collapse diagonals, and the weights their premeasured
+apparatus states put on a commutative readout algebra, aligned to outcomes
+by pointer value (readout_weights). The readout holds the pointer, whose
+values are distinct, so no projector of it mixes two pointer columns: the
+kernel reads only the pointer-column weights sum_a |M_aj|^2 of the
+premeasured blocks M (pointer_weights), of a vector state's one row or a
+density's factor rows. largest_gaps names each case's largest gap from a
+reference, with the outcome where it peaks: born-vs-collapse and
+born-vs-restrict for run and the cat, collapse-vs-restrict for the stacks
+compare and verify check 1 draw (collapse_restriction_gaps).
 """
 
 from __future__ import annotations
@@ -232,23 +235,20 @@ def factor_rows(state: np.ndarray) -> np.ndarray:
     return (v[:, keep] * np.sqrt(lam[keep])).T
 
 
-def reduce(m: np.ndarray) -> np.ndarray:
-    """The pointer-column weights of the reduced apparatus state of k
-    premeasured rows (..., k, d): the real diagonal of M^T conj(M)."""
-    return np.real(np.diagonal(m.swapaxes(-1, -2) @ m.conj(), axis1=-2, axis2=-1))
-
-
-def pointer_weights(state: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The pointer-column weights of the apparatus after premeasuring a bare
-    state vector or density matrix in the measured basis: its factor rows
-    premeasured CASE_BLOCK elements at a time, and the diagonals
-    sum_a |M_aj|^2 of their reduced states summed."""
-    rows = factor_rows(state)
-    step = max(1, CASE_BLOCK // basis.size)
-    diag = np.zeros(basis.shape[0])
-    for i in range(0, rows.shape[0], step):
-        m = premeasure(rows[i : i + step], basis)
-        diag += np.einsum("kaj,kaj->j", m.real, m.real) + np.einsum("kaj,kaj->j", m.imag, m.imag)
+def pointer_weights(rows: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The (n, d) pointer-column weights of the apparatus of n cases after
+    premeasuring their (n, k, d) factor rows, each case's in its measured
+    basis of the (n, d, d) bases: the rows premeasured CASE_BLOCK elements
+    at a time, and the diagonals sum_a |M_aj|^2 of their reduced states
+    summed over the rows."""
+    n, k, d = rows.shape
+    step = max(1, CASE_BLOCK // (n * d * d))
+    diag = 0.0
+    for i in range(0, k, step):
+        m = premeasure(rows[:, i : i + step], bases[:, None])
+        diag = diag + (
+            np.einsum("nkaj,nkaj->nj", m.real, m.real) + np.einsum("nkaj,nkaj->nj", m.imag, m.imag)
+        )
     return diag
 
 
@@ -292,20 +292,28 @@ def readout_weights(
     return on_points, folded[..., 1:]
 
 
-def route_residuals(
-    born, state, rho, basis, readout: SpectralAlgebra, pointer_values, point_values=None
-) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[float, int]]]:
-    """Both routes of one bare state, rho as a density matrix: its collapse
-    diagonal, the unchecked point weights readout_weights reads off it
-    premeasured, and per route (born-vs-collapse, born-vs-restrict) the
-    largest gap from the Born weights born and the outcome where it peaks."""
-    collapsed = collapse_diagonal(rho, basis)
+def route_weights(
+    states, rhos, bases, readout: SpectralAlgebra, pointer_values, point_values=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both routes of a stack of n cases: states (n, d) state vectors, each
+    premeasured as its one row, or (n, d, d) density matrices of one rank,
+    each through its factor_rows; rhos their (n, d, d) density matrices;
+    bases their measured bases. Returns the (n, d) collapse diagonals, and
+    the unchecked (n, n_points) point weights and (n, d) outcome weights
+    readout_weights reads off the premeasured states."""
+    rows = states[:, None] if states.ndim == 2 else np.stack([factor_rows(s) for s in states])
     weights, aligned = readout_weights(
-        pointer_weights(state, basis), readout, pointer_values, point_values
+        pointer_weights(rows, bases), readout, pointer_values, point_values
     )
-    routes = (("born-vs-collapse", collapsed), ("born-vs-restrict", aligned))
-    gaps = {route: np.abs(born - other) for route, other in routes}
-    return collapsed, weights, {r: (float(g.max()), int(g.argmax())) for r, g in gaps.items()}
+    return collapse_diagonal(rhos, bases), weights, aligned
+
+
+def largest_gaps(reference: str, weights: np.ndarray, routes: dict[str, np.ndarray]) -> dict:
+    """Per route, named reference-vs-route, each case's largest gap between
+    its weights and the reference weights, and the outcome where it
+    peaks."""
+    gaps = {f"{reference}-vs-{route}": np.abs(weights - other) for route, other in routes.items()}
+    return {route: (g.max(axis=-1), g.argmax(axis=-1)) for route, g in gaps.items()}
 
 
 def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -324,22 +332,21 @@ def checked_cases(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(bases.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The collapse vs restriction equivalence on a stack of cases: per case,
-    the largest gap between the collapse diagonal of states[i] in the
-    measured basis bases[i] and the weights its premeasured apparatus state
-    puts on the pointer readout of a minimal apparatus, pointer value j on
-    column j, in index form. Each step is one stacked product, and the
-    checks of one case (checked_cases, the weights' floor and sum) run once
-    on the stack, each failing on a NaN, so each case's gap has the bits
-    that case alone gets through a run."""
+def collapse_restriction_gaps(states: np.ndarray, bases: np.ndarray) -> dict:
+    """The collapse vs restriction equivalence on a stack of drawn cases,
+    (n, d) states and (n, d, d) measured bases: per case, the largest gap
+    between its collapse diagonal and the weights its premeasured apparatus
+    state puts on the pointer readout of a minimal apparatus, pointer value
+    j on column j, in index form, and the outcome where it peaks, as the
+    route collapse-vs-restrict. The checks of one case (checked_cases, the
+    weights' floor and sum) run once on the stack, each failing on a NaN,
+    so each case's gap has the bits that case alone gets."""
     d = states.shape[-1]
     readout = pointer_readout(np.arange(d, dtype=float), d)
     b = checked_cases(states, bases)
-    weights, aligned = readout_weights(
-        reduce(premeasure(states, b)), readout, readout.characters[:, 0]
+    projectors = states[:, :, None] * states.conj()[:, None, :]
+    collapsed, weights, aligned = route_weights(
+        states, projectors, b, readout, readout.characters[:, 0]
     )
     linalg.require_weights(weights, stack=True)
-    # the collapse of the projectors |psi><psi|, read on its diagonal
-    projectors = states[:, :, None] * states.conj()[:, None, :]
-    return np.max(np.abs(aligned - collapse_diagonal(projectors, b)), axis=-1)
+    return largest_gaps("collapse", collapsed, {"restrict": aligned})

@@ -100,7 +100,7 @@ class EmpiricalCounts:
 @dataclass(frozen=True, eq=False)
 class Report:
     """One run's analytic distributions, optional sampling record, and the
-    named route residuals of measurement.route_residuals."""
+    named route residuals of measurement.largest_gaps."""
 
     born: SpectralProbabilityMeasure
     collapsed_diag: tuple[float, ...]
@@ -179,7 +179,8 @@ def emit_report(r: Report, format_selector: str) -> str:
 class ComparisonSummary:
     """Worst and mean disagreement between the collapse diagonal and the
     restriction weights over randomized runs. worst_case_key is the full
-    substream key of the offending case, so it can be replayed alone."""
+    substream key of the offending case, so it can be replayed alone; route
+    is the residual's name, which the printed summary leaves out."""
 
     dim: int
     n_random: int
@@ -188,17 +189,19 @@ class ComparisonSummary:
     mean: float
     worst_index: int
     worst_case_key: tuple[int, ...]
+    route: str
 
 
 def emit_summary(s: ComparisonSummary, format_selector: str) -> str:
     if format_selector == "json":
-        # the fields in declaration order, the floats at printed precision
+        # the fields in declaration order but the route, the floats at printed precision
         payload = {
             **vars(s),
             "worst": sig12(s.worst),
             "mean": sig12(s.mean),
             "worst_case_key": list(s.worst_case_key),
         }
+        del payload["route"]
         return dumps(payload) + "\n"
     if format_selector == "table":
         lines = [

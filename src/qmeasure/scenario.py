@@ -22,9 +22,10 @@ readout alone. Unknown fields anywhere are rejected.
 
 Running a scenario, or the cat, computes the outcome statistics three ways:
 Born's spectral probabilities of the measured observable, and through
-measurement.route_residuals, which names each route's largest gap from them,
-the collapse diagonal and the weights the premeasured composite puts on the
-commutative readout algebra once the system is traced out.
+measurement.route_weights, as a stack of one case, the collapse diagonal and
+the weights the premeasured composite puts on the commutative readout
+algebra once the system is traced out; measurement.largest_gaps names each
+route's largest gap from Born's.
 With trials > 0 the report also carries sampled counts; trial t consumes the
 t-th variate of a dedicated substream, so the counts depend only on (seed,
 trials). They are counted without looking each trial up on its own, and
@@ -64,10 +65,11 @@ from .errors import BadAmplitudes, NotInAlgebra, NotNormalized, ParseError, QmEr
 from .measurement import (
     CASE_BLOCK,
     collapse_restriction_gaps,
+    largest_gaps,
     model_for_observable,
     pointer_diagonal,
     pointer_readout,
-    route_residuals,
+    route_weights,
 )
 from .randomness import check_seed, draw_cases, substream, substreams
 from .report import ComparisonSummary, EmpiricalCounts, Report
@@ -384,9 +386,9 @@ def _sample_counts(probabilities: np.ndarray, seed: int, trials: int) -> Empiric
 
 def run_scenario(s: Scenario) -> Report:
     """Execute one scenario and hold its collapse and restriction routes
-    against Born (route_residuals). An algebra that cannot be built fails
-    with its error's type, the message naming the document field it was
-    built from, as a parse error does."""
+    (route_weights) against Born (largest_gaps). An algebra that cannot be
+    built fails with its error's type, the message naming the document field
+    it was built from, as a parse error does."""
     # the pointer diagonal of a document's values is checked at parse time;
     # the eigenvalues that stand in for absent ones are checked here, against
     # the apparatus they fill
@@ -418,16 +420,18 @@ def run_scenario(s: Scenario) -> Report:
         # the pointer alone: its points carry their own values, its diagonal no cross terms
         algebra, point_values, cross_terms = pointer_readout(w, basis.shape[0]), None, (0.0,)
 
-    collapsed, weights, residuals = route_residuals(
-        born.weights, state, rho, basis, algebra, w[: basis.shape[0]], point_values
+    collapsed, weights, aligned = route_weights(
+        state[None], rho[None], basis[None], algebra, w[: basis.shape[0]], point_values
     )
 
     return Report(
         born=born,
-        collapsed_diag=tuple(collapsed.tolist()),
-        restricted=SpectralProbabilityMeasure(weights, algebra.characters),
+        collapsed_diag=tuple(collapsed[0].tolist()),
+        restricted=SpectralProbabilityMeasure(weights[0], algebra.characters),
         empirical=_sample_counts(born.weights, s.seed, s.trials) if s.trials > 0 else None,
-        residuals=residuals,
+        residuals=largest_gaps(
+            "born", born.weights, {"collapse": collapsed[0], "restrict": aligned[0]}
+        ),
         cross_terms=cross_terms,
     )
 
@@ -461,7 +465,7 @@ def run_cat(c1, c2, chain_length: int) -> Report:
     """The Schrodinger cat as premeasured pointer branches: the qubit
     c1|0> + c2|1>, measured in the z basis by a chain of chain_length
     two-level cells, read through the commutative readout cat_readout by
-    route_residuals, as a vector run is read. Outcome 0 registers on pointer
+    route_weights, as a vector run is read. Outcome 0 registers on pointer
     column 0, all cells up (+L), and outcome 1 on column 1, all down (-L).
     So c1 carries the highest readout value and c2 the lowest: any
     "alive"/"dead" naming of those two is report metadata.
@@ -483,20 +487,19 @@ def run_cat(c1, c2, chain_length: int) -> Report:
 
     qubit = np.array([c1, c2])
     born = (qubit * qubit.conj()).real
-    collapsed, weights, residuals = route_residuals(
-        born, qubit, projector_of(qubit), np.eye(2, dtype=complex), algebra, pointer_values
-    )
+    rho, basis = projector_of(qubit)[None], np.eye(2, dtype=complex)[None]
+    collapsed, weights, aligned = route_weights(qubit[None], rho, basis, algebra, pointer_values)
 
     # the two outcomes' Born and collapse weights, on their pointer columns' points
     on_points = np.zeros((2, algebra.n_points))
-    on_points[:, algebra.labels[:2]] = born, collapsed
+    on_points[:, algebra.labels[:2]] = born, collapsed[0]
 
     return Report(
         born=SpectralProbabilityMeasure(on_points[0], algebra.characters),
         collapsed_diag=tuple(on_points[1].tolist()),
-        restricted=SpectralProbabilityMeasure(weights, algebra.characters),
+        restricted=SpectralProbabilityMeasure(weights[0], algebra.characters),
         empirical=None,
-        residuals=residuals,
+        residuals=largest_gaps("born", born, {"collapse": collapsed[0], "restrict": aligned[0]}),
         # the readout is diagonal, so it has no cross terms
         cross_terms=(0.0,),
     )
@@ -524,7 +527,8 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
         cases = range(start, min(start + per_block, n_random))
         streams = substreams(seed, (_COMPARE_TAG,), cases)
         states, bases = draw_cases(dim, len(cases), streams, state_first=True)
-        devs[start : cases.stop] = collapse_restriction_gaps(states, bases)
+        ((route, (gaps, _)),) = collapse_restriction_gaps(states, bases).items()
+        devs[start : cases.stop] = gaps
     worst_index = int(np.argmax(devs))
     return ComparisonSummary(
         dim=dim,
@@ -534,4 +538,5 @@ def compare_collapse_vs_restriction(dim: int, n_random: int, seed: int) -> Compa
         mean=float(devs.mean()),
         worst_index=worst_index,
         worst_case_key=(seed, _COMPARE_TAG, worst_index),
+        route=route,
     )

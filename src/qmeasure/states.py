@@ -1,4 +1,4 @@
-"""Quantum states: unit vectors, density matrices, mixtures, reduction.
+"""Quantum states: unit vectors, density matrices, projectors, reduction.
 
 Composite index convention used by the whole package: a joint basis label is
 
@@ -11,27 +11,18 @@ States are bare complex arrays: a state vector is 1-d and a density matrix
 2-d. state_vector and density_matrix check what a caller hands them, once,
 and return it read-only; the functions below take arrays they checked. A
 density matrix the package computes from checked inputs (a projector, a
-mixture, a partial trace, a collapse) is Hermitian, positive and of unit
-trace to roundoff, and is not checked again. It is not exactly Hermitian:
+partial trace, a collapse) is Hermitian, positive and of unit trace to
+roundoff, and is not checked again. It is not exactly Hermitian:
 the products that form an entry and its mirror image round apart, so M and
 M^dagger may differ in the last bits.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadWeights,
-    DimMismatch,
-    NotNormalized,
-    NotPositive,
-    TraceNotOne,
-    ValidationError,
-)
+from .errors import DimMismatch, NotNormalized, NotPositive, TraceNotOne, ValidationError
 
 
 def state_vector(x) -> np.ndarray:
@@ -69,25 +60,11 @@ def projector_of(psi: np.ndarray) -> np.ndarray:
     return linalg.readonly(np.outer(psi, psi.conj()))
 
 
-def mix(weights, states: Sequence[np.ndarray]) -> np.ndarray:
-    """Convex combination sum_k w_k rho_k of density matrices, read-only."""
-    w = linalg.require_weights(weights, error=BadWeights)
-    if w.size != len(states):
-        raise BadWeights(f"{w.size} weights for {len(states)} states")
-    dim = len(states[0])
-    if any(len(r) != dim for r in states):
-        raise DimMismatch("mixture components live on different spaces")
-    acc = np.zeros((dim, dim), dtype=complex)
-    for wk, rk in zip(w, states):
-        acc += wk * rk
-    return linalg.readonly(acc)
-
-
 def partial_trace(rho: np.ndarray, dim_system: int, dim_apparatus: int) -> np.ndarray:
     """Trace the system factor out of a composite density matrix on a
     dim_system x dim_apparatus product space, keeping the apparatus; of one
     matrix or of each of a stack (..., n, n), as one stacked trace. The
-    caller holds density matrices, as projector_of and mix give them; they
+    caller holds density matrices, as projector_of gives them; they
     are not checked again."""
     if dim_system < 1 or dim_apparatus < 1:
         raise ValidationError("factor dimensions must be positive")

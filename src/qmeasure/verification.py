@@ -22,13 +22,12 @@ from .measurement import (
     coupling_matrix,
     pointer_readout,
     premeasure,
-    readout_weights,
-    reduce,
+    route_weights,
 )
 from .randomness import draw_cases, rand_hermitian, rand_state, substreams
 from .report import CheckResult
 from .scenario import parse_scenario, run_cat, run_scenario
-from .states import mix, partial_trace, projector_of, state_vector
+from .states import partial_trace, projector_of, state_vector
 
 _SEED = 20240811
 
@@ -162,10 +161,10 @@ def chain_reduction_gaps(
 ) -> np.ndarray:
     """Per case of (n, d) states and (n, d, d) measured bases: the gap
     between the pointer weights after one premeasurement of the state, on a
-    minimal apparatus (pointer value j on column j) read through algebra,
-    and those a second such apparatus reads after copier, the dense
-    coupling of the second apparatus to the first pointer, copies that
-    pointer. The second stage is dense and shares nothing with premeasure:
+    minimal apparatus (pointer value j on column j) read through algebra by
+    route_weights, and those a second such apparatus reads after copier,
+    the dense coupling of the second apparatus to the first pointer, copies
+    that pointer. The second stage is dense and shares nothing with premeasure:
     the couplings U (x) I act on psi (x) e_0 (x) e_0, then I (x) U_copier,
     and the last apparatus is the partial trace of the joint projector,
     restricted to algebra. Each step is one stacked product, and the checks
@@ -173,7 +172,8 @@ def chain_reduction_gaps(
     and sum) run once on the stack."""
     n, d = states.shape
     b = checked_cases(states, bases)
-    single, _ = readout_weights(reduce(premeasure(states, b)), algebra, np.arange(d, dtype=float))
+    projectors = states[:, :, None] * states.conj()[:, None, :]
+    _, single, _ = route_weights(states, projectors, b, algebra, np.arange(d, dtype=float))
     ready = np.zeros((n, d * d, d), dtype=complex)
     ready[:, ::d, 0] = states
     first = coupling_matrix(b, d) @ ready
@@ -185,17 +185,24 @@ def chain_reduction_gaps(
 
 def check_collapse_restriction() -> CheckResult:
     """Collapse diagonal equals restriction weights for random pairs, one
-    stack of cases per dimension."""
-    worst = 0.0
+    stack of cases per dimension. A failure names the route and the
+    dimension, case and outcome of its worst gap."""
+    worst, where = 0.0, ""
     cases = 0
     # keys (d, i) under tag 10 name the streams of tags (10, d), key i
     streams = substreams(_SEED, (10,), _dim_keys(range(2, 7), 40))
     for d in range(2, 7):
         states, bases = draw_cases(d, 40, streams, state_first=True)
-        gaps = collapse_restriction_gaps(states, bases)
-        worst = max(worst, float(gaps.max()))
+        ((route, (gaps, outcomes)),) = collapse_restriction_gaps(states, bases).items()
+        i = int(gaps.argmax())
+        if gaps[i] > worst:
+            worst, where = float(gaps[i]), f"{route} at dim {d}, case {i}, outcome {outcomes[i]}"
         cases += gaps.size
-    return _result("collapse vs restriction", worst, 1e-9, f"{cases} random cases, dims 2..6")
+    tol = 1e-9
+    detail = f"{cases} random cases, dims 2..6"
+    if not worst <= tol:
+        detail += f"; {where}"
+    return _result("collapse vs restriction", worst, tol, detail)
 
 
 def check_coupling_fidelity() -> CheckResult:
@@ -293,8 +300,8 @@ def check_simplex_contrast() -> CheckResult:
     e1 = state_vector([0, 1])
     plus = state_vector([1 / np.sqrt(2), 1 / np.sqrt(2)])
     minus = state_vector([1 / np.sqrt(2), -1 / np.sqrt(2)])
-    mix_z = mix([0.5, 0.5], [projector_of(e0), projector_of(e1)])
-    mix_x = mix([0.5, 0.5], [projector_of(plus), projector_of(minus)])
+    mix_z = 0.5 * projector_of(e0) + 0.5 * projector_of(e1)
+    mix_x = 0.5 * projector_of(plus) + 0.5 * projector_of(minus)
     agree = float(np.max(np.abs(mix_z - mix_x)))
     distinct = float(np.max(np.abs(projector_of(e0) - projector_of(plus))))
     worst = max(agree, 0.0 if distinct > 0.1 else 1.0)

@@ -22,7 +22,6 @@ from qmeasure.measurement import (
     coupling_matrix,
     premeasure,
     readout_weights,
-    reduce,
 )
 from qmeasure.randomness import haar_unitaries
 from qmeasure.scenario import Scenario, parse_scenario
@@ -118,6 +117,13 @@ def apparatus_reduced_state(composite: np.ndarray, dim_system: int, dim_apparatu
     return m.T @ m.conj()
 
 
+def _pointer_column_weights(m: np.ndarray) -> np.ndarray:
+    """The pointer-column weights sum_a |M_aj|^2 of one premeasured d x d
+    block: the diagonal of its reduced state M^T conj(M), which is all a
+    pointer readout reads of it."""
+    return np.einsum("aj,aj->j", m.real, m.real) + np.einsum("aj,aj->j", m.imag, m.imag)
+
+
 def collapse_restriction_gap(psi: np.ndarray, basis: np.ndarray) -> float:
     """One case of the collapse vs restriction equivalence, one object at a
     time: the largest gap between the collapse diagonal of psi in the
@@ -126,8 +132,8 @@ def collapse_restriction_gap(psi: np.ndarray, basis: np.ndarray) -> float:
     cases at once (measurement.collapse_restriction_gaps)."""
     d = basis.shape[1]
     b = _column_major(basis)
-    rho_app = apparatus_reduced_state(premeasured_state(psi, b, d), d, d)
     readout = generate_algebra([np.diag(np.arange(d, dtype=float))])
+    rho_app = np.diag(_pointer_column_weights(premeasure(psi, b)))
     weights = restrict_state(rho_app, readout).weights
     collapsed = collapse(projector_of(psi), b)
     diag = np.real(np.diag(basis.conj().T @ collapsed @ basis))
@@ -283,7 +289,7 @@ def chain_reduction_gap(
     d = basis.shape[0]
     b = checked_cases(psi[None], basis[None])[0]
     m = premeasure(psi, b)
-    single, _ = readout_weights(reduce(m), algebra, np.arange(d, dtype=float))
+    single, _ = readout_weights(_pointer_column_weights(m), algebra, np.arange(d, dtype=float))
     r = np.eye(d)[0]
     # U (x) I on psi (x) e_0 (x) e_0, then I (x) U_copier
     u = coupling_matrix(b, d)

@@ -21,7 +21,7 @@ from qmeasure.linalg import default_cluster_tol, require_hermitian
 from qmeasure.measurement import pointer_diagonal, pointer_readout
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.scenario import cat_readout
-from qmeasure.states import mix, projector_of, state_vector
+from qmeasure.states import projector_of, state_vector
 
 from conftest import assert_close, peak_bytes
 from oracles import (
@@ -359,8 +359,8 @@ def test_density_matrix_decompositions_are_not_unique():
     # to a pointer algebra is where uniqueness lives, not at the matrix level
     plus = projector_of(state_vector(np.array([1.0, 1.0]) / np.sqrt(2)))
     minus = projector_of(state_vector(np.array([1.0, -1.0]) / np.sqrt(2)))
-    by_x = mix([0.5, 0.5], [plus, minus])
-    by_z = mix([0.5, 0.5], [projector_of(state_vector([1, 0])), projector_of(state_vector([0, 1]))])
+    by_x = 0.5 * plus + 0.5 * minus
+    by_z = 0.5 * projector_of(state_vector([1, 0])) + 0.5 * projector_of(state_vector([0, 1]))
     assert_close(by_x, by_z, atol=1e-12)
     alg = generate_algebra([np.diag([0.0, 1.0])])
     w_x = restrict_state(by_x, alg).weights

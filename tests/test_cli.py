@@ -680,7 +680,7 @@ def test_a_misregistering_premeasure_exits_two(capsys, monkeypatch, argv):
     # outcome j registers on pointer column j + 1 (mod d): both routes
     # premeasure, so the restriction moves off the Born weights, which are
     # unequal here so that the swap shows; both read the state through
-    # measurement.route_residuals, so exit 2 names that route and outcome
+    # measurement.route_weights, so exit 2 names that route and outcome
     assert main(argv) == 0
     monkeypatch.setattr(measurement, "premeasure", misregistered)
     assert main(argv) == 2

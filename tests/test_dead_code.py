@@ -8,6 +8,8 @@ stays the one place that parses arguments, and no package module imports a
 private name of another, so each module's public names are its interface."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -217,13 +219,60 @@ def test_spectral_algebras_come_from_three_producers():
     }
 
 
-def test_run_and_cat_read_their_routes_through_one_function():
-    # each equivalence is computed once: run and the cat hand a bare state
-    # to measurement.route_residuals, the one reader of pointer_weights, and
-    # build no step of the chain themselves
-    chain = ("premeasure", "reduce", "readout_weights", "pointer_weights", "collapse_diagonal")
-    assert {name for name in callers(_SRC, *chain) if name.startswith("scenario.")} == set()
-    assert callers(_SRC, "pointer_weights") == {"measurement.route_residuals"}
+def test_every_verb_and_check_reads_the_chain_through_one_function():
+    # each equivalence is computed once: run, the cat, compare and verify
+    # checks 1 and 9 reach the chain only through measurement.route_weights,
+    # the one caller of the pointer-weight formula, the readout kernel and
+    # the collapse diagonal; check 2 premeasures only to hold premeasure
+    # against the dense coupling, and measurement.reduce, a second formula
+    # for the pointer weights, is gone
+    chain = ("premeasure", "pointer_weights", "readout_weights", "collapse_diagonal")
+    readers = callers(_SRC, *chain)
+    assert {name for name in readers if name.startswith(("scenario.", "cli."))} == set()
+    assert callers(_SRC, "premeasure") == {
+        "measurement.pointer_weights",
+        "verification.coupling_defects",
+    }
+    for step in chain[1:]:
+        assert callers(_SRC, step) == {"measurement.route_weights"}
+    assert callers(_SRC, "route_weights") == {
+        "measurement.collapse_restriction_gaps",
+        "scenario.run_scenario",
+        "scenario.run_cat",
+        "verification.chain_reduction_gaps",
+    }
+    assert "reduce" not in public_definitions((_SRC / "measurement.py").read_text())
+
+
+def readme_citations(text: str, modules) -> set[tuple[str, str]]:
+    """(module, name) for each `module.name` a markdown text cites in code
+    spans, a span's leading dotted name alone, whose module is one of
+    modules."""
+    return {
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)", text)
+        if module in modules
+    }
+
+
+def test_lint_finds_the_package_names_a_readme_cites():
+    text = "`measurement.reduce` and `states.state_vector(x)`; `apparatus.dim`, `np.exp`"
+    assert readme_citations(text, {"measurement", "states"}) == {
+        ("measurement", "reduce"),
+        ("states", "state_vector"),
+    }
+
+
+def test_every_name_the_readme_cites_exists():
+    modules = {path.stem for path in _SRC.glob("*.py")} - {"__init__"}
+    cited = readme_citations((_ROOT / "README.md").read_text(), modules)
+    assert cited
+    missing = {
+        f"{module}.{name}"
+        for module, name in cited
+        if not hasattr(importlib.import_module(f"qmeasure.{module}"), name)
+    }
+    assert missing == set(), "README cites names the package lacks: " + ", ".join(sorted(missing))
 
 
 def private_imports(source: str) -> set[str]:

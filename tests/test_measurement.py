@@ -11,13 +11,14 @@ from qmeasure.measurement import (
     collapse,
     coupling_matrix,
     factor_rows,
+    largest_gaps,
     model_for_observable,
     pointer_diagonal,
     pointer_readout,
+    pointer_weights,
     premeasure,
     readout_weights,
-    reduce,
-    route_residuals,
+    route_weights,
 )
 from qmeasure.randomness import rand_hermitian, rand_state, substream
 from qmeasure.scenario import compare_collapse_vs_restriction
@@ -278,13 +279,13 @@ def test_apparatus_reduced_density_matches_dense_premeasurement(d):
         rho = rand_density(d, rng)
         dense = partial_trace(premeasure_density(rho, basis, dm), d, dm)
         diagonal = np.real(np.diag(dense))
-        m = premeasure(factor_rows(density_matrix(rho)), basis).reshape(-1, d)
+        (reduced,) = pointer_weights(factor_rows(density_matrix(rho))[None], basis[None])
         columns = np.arange(dm, dtype=float)
         for readout in (
             generate_algebra([np.diag(columns)]),
             SpectralAlgebra(np.arange(dm), columns[:, None], np.eye(dm, dtype=complex)),
         ):
-            weights, aligned = readout_weights(reduce(m), readout, columns[:d])
+            weights, aligned = readout_weights(reduced, readout, columns[:d])
             assert_close(weights, diagonal, atol=1e-12, rtol=0)
             assert_close(aligned, diagonal[:d], atol=1e-12, rtol=0)
 
@@ -390,21 +391,45 @@ def test_collapse_diagonal_weights():
     assert_close(out, np.diag([0.36, 0.64]))
 
 
-def test_route_residuals_name_each_route_and_the_outcome_where_it_peaks():
+def test_route_gaps_name_each_route_and_the_outcome_where_it_peaks():
     # Born weights off by 1e-3 at outcome 2 only, which both routes then miss
     weights = np.array([0.2, 0.3, 0.5])
     psi = np.sqrt(weights).astype(complex)
     w = np.arange(3.0)
     born = weights + [0.0, 0.0, 1e-3]
-    collapsed, on_points, residuals = route_residuals(
-        born, psi, projector_of(psi), np.eye(3, dtype=complex), pointer_readout(w, 3), w
+    collapsed, on_points, aligned = route_weights(
+        psi[None], projector_of(psi)[None], np.eye(3, dtype=complex)[None], pointer_readout(w, 3), w
     )
-    assert_close(collapsed, weights)
-    assert_close(on_points, weights)
+    assert_close(collapsed, [weights])
+    assert_close(on_points, [weights])
+    assert_close(aligned, [weights])
+    residuals = largest_gaps("born", born, {"collapse": collapsed, "restrict": aligned})
     assert list(residuals) == ["born-vs-collapse", "born-vs-restrict"]
     for gap, outcome in residuals.values():
-        assert outcome == 2
-        assert gap == pytest.approx(1e-3)
+        assert outcome.tolist() == [2]
+        assert gap.tolist() == pytest.approx([1e-3])
+
+
+def test_route_weights_of_a_stack_have_the_bits_of_each_case_alone():
+    # vector and density cases of several dimensions: each case of a stack,
+    # and the stack's pointer weights, against the case run as a stack of one
+    for d in (1, 2, 5):
+        rng = substream(211, d)
+        bases = np.stack([rand_unitary(d, rng) for _ in range(4)])
+        vectors = np.stack([rand_state(d, rng) for _ in range(4)])
+        densities = np.stack([rand_density(d, rng) for _ in range(4)])
+        readout = pointer_readout(np.arange(d, dtype=float), d)
+        for states, rhos in (
+            (vectors, vectors[:, :, None] * vectors.conj()[:, None, :]),
+            (densities, densities),
+        ):
+            values = readout.characters[:, 0]
+            stacked = route_weights(states, rhos, bases, readout, values)
+            for i in range(4):
+                one = slice(i, i + 1)
+                alone = route_weights(states[one], rhos[one], bases[one], readout, values)
+                for got, want in zip(stacked, alone):
+                    assert got[i].tobytes() == want[0].tobytes()
 
 
 def test_collapse_is_idempotent():

@@ -703,7 +703,8 @@ def test_stacked_gaps_have_the_bits_of_the_per_case_kernel(d):
     # the cases, so 400 of them
     n = 400 if d == 1 else 40
     states, bases = draw_cases(d, n, substreams(29, (2,), range(n)), state_first=True)
-    gaps = collapse_restriction_gaps(states, bases)
+    ((route, (gaps, _)),) = collapse_restriction_gaps(states, bases).items()
+    assert route == "collapse-vs-restrict"
     assert np.array_equal(gaps, per_case_gaps(states, bases))
 
 
@@ -722,6 +723,7 @@ def test_compare_across_a_block_boundary_has_the_per_case_bits(offset):
         mean=float(devs.mean()),
         worst_index=worst_index,
         worst_case_key=(seed, 2, worst_index),
+        route="collapse-vs-restrict",
     )
 
 

@@ -10,7 +10,7 @@ from qmeasure.algebra import (
 )
 from qmeasure.measurement import collapse
 from qmeasure.randomness import rand_hermitian, rand_state, substream
-from qmeasure.states import density_matrix, mix, partial_trace, projector_of, state_vector
+from qmeasure.states import density_matrix, partial_trace, projector_of, state_vector
 
 from conftest import assert_close
 from oracles import (
@@ -89,43 +89,6 @@ def test_projector_from_raw_amplitudes():
     assert_close(rho, [[0.36, 0.48], [0.48, 0.64]])
 
 
-def test_mix_two_pure_states():
-    up = projector_of(state_vector([1, 0]))
-    down = projector_of(state_vector([0, 1]))
-    rho = mix([0.36, 0.64], [up, down])
-    assert_close(rho, np.diag([0.36, 0.64]))
-
-
-def test_mix_accepts_raw_matrices():
-    rho = mix([0.5, 0.5], [np.eye(2) / 2, np.diag([1.0, 0.0])])
-    assert_close(rho, np.diag([0.75, 0.25]))
-
-
-def test_mix_rejects_bad_weights():
-    up = projector_of(state_vector([1, 0]))
-    with pytest.raises(errors.BadWeights):
-        mix([0.5, 0.6], [up, up])
-    with pytest.raises(errors.BadWeights):
-        mix([1.5, -0.5], [up, up])
-    with pytest.raises(errors.BadWeights):
-        mix([], [])
-    with pytest.raises(errors.BadWeights):
-        mix([0.5, 0.5], [up])
-
-
-def test_mix_rejects_dimension_mismatch():
-    with pytest.raises(errors.DimMismatch):
-        mix([0.5, 0.5], [projector_of(state_vector([1, 0])), projector_of(state_vector([1, 0, 0]))])
-
-
-@given(w=st.floats(0.01, 0.99))
-@settings(max_examples=30, deadline=None)
-def test_mix_trace_is_one(w):
-    rng = substream(23)
-    rho = mix([w, 1 - w], [rand_density(3, rng), rand_density(3, rng)])
-    assert abs(np.trace(rho) - 1) < 1e-12
-
-
 def test_tensor_state_ordering():
     # system index is the slow factor
     sys = state_vector(np.array([1, 1]) / np.sqrt(2))
@@ -175,7 +138,7 @@ def test_partial_trace_rejects_nonpositive_dims():
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_trusted_results_pass_the_public_checks(d):
-    # these seven functions (three of them test oracles) return their results without
+    # these six functions (three of them test oracles) return their results without
     # validating them; each must still be a density matrix the public validator accepts as it is
     rng = substream(157, d)
     psi = state_vector(rand_state(d, rng))
@@ -184,17 +147,14 @@ def test_trusted_results_pass_the_public_checks(d):
     composite = rand_density(2 * d, rng)
     algebra = generate_algebra([rand_hermitian(d, rng)])
     raw = rng.uniform(0.05, 1.0, size=algebra.n_points)
-    w = float(rng.uniform())
     results = [
         projector_of(psi),
-        mix([w, 1 - w], [rho, projector_of(psi)]),
         apparatus_reduced_state(premeasured_state(psi, basis, d + 2), d, d + 2),
         premeasure_density(rho, basis, d + 2),
         proper_mixture_representative(
             SpectralProbabilityMeasure(raw / raw.sum(), algebra.characters), algebra
         ),
     ]
-    for result in results[:2]:
-        assert not result.flags.writeable
+    assert not results[0].flags.writeable
     for result in results + [collapse(rho, basis), partial_trace(composite, 2, d)]:
         assert_close(density_matrix(result), result, atol=0, rtol=0)

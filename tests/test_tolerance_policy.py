@@ -23,7 +23,7 @@ from qmeasure.algebra import (
 )
 from qmeasure.measurement import checked_cases
 from qmeasure.linalg import require_hermitian
-from qmeasure.states import density_matrix, mix, projector_of, state_vector
+from qmeasure.states import density_matrix, state_vector
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "qmeasure"
 _POLICY_FILES = {"linalg.py", "verification.py"}
@@ -51,10 +51,6 @@ def _element_off_block(d):
 def _born(d):
     rho = density_matrix(np.diag([-d, 1 + d]))
     return restrict_state(rho, generate_algebra([np.diag([0.0, 1.0])]))
-
-
-def _mix(weights):
-    return mix(weights, [projector_of(state_vector([1, 0])), projector_of(state_vector([0, 1]))])
 
 
 # name: (build with defect d, the tolerance d is measured against, error)
@@ -95,8 +91,6 @@ BOUNDARIES = {
         1e-10,
         errors.ValidationError,
     ),
-    "mix floor": (lambda d: _mix([-d, 1 + d]), 1e-12, errors.BadWeights),
-    "mix sum": (lambda d: _mix([0.5, 0.5 + d]), 1e-10, errors.BadWeights),
     "gelfand element": (_element_off_block, 1e-9, errors.NotInAlgebra),
 }
 

@@ -3,6 +3,8 @@ it checks has to push its verify check past the check's tolerance. A
 stacked kernel must also give every case the bits of its per-case oracle
 and make the checks of every case's objects."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,28 @@ def assert_fault_caught(check, module, name, replacement):
 def test_collapse_restriction_gap_catches_missing_coupling():
     check = verification.check_collapse_restriction
     assert_fault_caught(check, measurement, "premeasure", uncoupled)
+
+
+def test_a_failing_collapse_restriction_check_names_its_route_and_worst_case():
+    # the fault catalogue's reversed collapse diagonal; a pass keeps the
+    # plain count as its detail
+    assert verification.check_collapse_restriction().detail == "200 random cases, dims 2..6"
+    diagonal = measurement.collapse_diagonal
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measurement, "collapse_diagonal", lambda r, b: diagonal(r, b)[..., ::-1])
+        result = verification.check_collapse_restriction()
+        detail = re.fullmatch(
+            r"200 random cases, dims 2\.\.6; collapse-vs-restrict at dim (\d), case (\d+), "
+            r"outcome (\d)",
+            result.detail,
+        )
+        assert not result.passed and detail, result.detail
+        # the named case, drawn alone from its stream, peaks there with the worst gap
+        d, case, outcome = map(int, detail.groups())
+        streams = substreams(verification._SEED, (10, d), [case])
+        residuals = measurement.collapse_restriction_gaps(*draw_cases(d, 1, streams, True))
+    (gap, at) = residuals["collapse-vs-restrict"]
+    assert (gap.tolist(), at.tolist()) == ([result.worst], [outcome])
 
 
 def test_coupling_defects_catch_phase_and_off_ready_faults():
@@ -309,7 +333,8 @@ def test_group_law_defects_catch_time_offset():
 
 
 def test_chain_reduction_gap_catches_missing_coupling():
-    assert_fault_caught(verification.check_chain_reduction, verification, "premeasure", uncoupled)
+    # the single stage reads the chain through measurement.route_weights
+    assert_fault_caught(verification.check_chain_reduction, measurement, "premeasure", uncoupled)
 
 
 def test_chain_reduction_gaps_check_their_states_and_bases_once(monkeypatch):
