@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmeasure import errors, linalg
+from qmeasure import errors, linalg, measurement
 from qmeasure.algebra import SpectralAlgebra, generate_algebra, restrict_state
 from qmeasure.measurement import (
     collapse,
@@ -430,6 +430,53 @@ def test_route_weights_of_a_stack_have_the_bits_of_each_case_alone():
                 alone = route_weights(states[one], rhos[one], bases[one], readout, values)
                 for got, want in zip(stacked, alone):
                     assert got[i].tobytes() == want[0].tobytes()
+
+
+def test_largest_gaps_give_each_case_of_a_stack_its_own_peak():
+    # three cases that miss the reference at different outcomes, one of them
+    # nowhere: each gets its own gap and outcome, and a case with no gap
+    # peaks at outcome 0
+    reference = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+    route = reference + [[0.0, 0.0, 0.0], [2e-3, 0.0, -3e-3], [0.0, 1e-3, 0.0]]
+    ((name, (gap, outcome)),) = largest_gaps("collapse", reference, {"restrict": route}).items()
+    assert name == "collapse-vs-restrict"
+    assert outcome.tolist() == [0, 2, 1]
+    assert gap.tolist() == pytest.approx([0.0, 3e-3, 1e-3])
+
+
+def test_pointer_weights_are_each_case_reduced_apparatus_diagonal_in_any_block(monkeypatch):
+    # a stack of densities premeasured through their factor rows, all rows
+    # in one block and one row per block: the same weights, each the
+    # pointer diagonal of the case's reduced apparatus state
+    d = 3
+    rng = substream(223)
+    bases = np.stack([rand_unitary(d, rng) for _ in range(4)])
+    rhos = np.stack([rand_density(d, rng) for _ in range(4)])
+    rows = np.stack([factor_rows(density_matrix(rho)) for rho in rhos])
+    whole = pointer_weights(rows, bases)
+    monkeypatch.setattr(measurement, "CASE_BLOCK", 1)
+    by_row = pointer_weights(rows, bases)
+    assert_close(by_row, whole, atol=1e-15, rtol=0)
+    for rho, basis, got in zip(rhos, bases, whole):
+        reduced = partial_trace(premeasure_density(rho, basis, d), d, d)
+        assert_close(got, np.real(np.diag(reduced)), atol=1e-12, rtol=0)
+
+
+def test_route_weights_align_a_density_to_its_outcomes_by_pointer_value():
+    # pointer values out of ascending order, so readout point k is not
+    # outcome k: the restriction aligned by value, the collapse diagonal and
+    # the Born weights of each density agree outcome for outcome
+    d = 3
+    rng = substream(227)
+    bases = np.stack([rand_unitary(d, rng) for _ in range(2)])
+    rhos = np.stack([rand_density(d, rng) for _ in range(2)])
+    values = np.array([2.0, -1.0, 0.5])
+    readout = pointer_readout(pointer_diagonal(values, d), d)
+    collapsed, on_points, aligned = route_weights(rhos, rhos, bases, readout, values)
+    born = np.real(np.diagonal(bases.conj().swapaxes(-1, -2) @ rhos @ bases, axis1=-2, axis2=-1))
+    assert_close(collapsed, born, atol=1e-12, rtol=0)
+    assert_close(aligned, born, atol=1e-12, rtol=0)
+    assert_close(on_points, born[:, np.argsort(values)], atol=1e-12, rtol=0)
 
 
 def test_collapse_is_idempotent():

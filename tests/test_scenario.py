@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeasure import errors, linalg, scenario
+from qmeasure import errors, linalg, measurement, scenario
 from qmeasure.algebra import generate_algebra
 from qmeasure.measurement import (
     CASE_BLOCK,
@@ -752,6 +752,21 @@ def test_stacked_kernel_checks_every_case(fault, error):
     states, bases = draw_cases(3, 5, substreams(37, (2,), range(5)), state_first=True)
     fault(states, bases)
     with pytest.raises(error):
+        collapse_restriction_gaps(states, bases)
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [(2.0, "a sum is off from 1 by 1.000e[+]00"), (-1.0, "below the roundoff floor")],
+    ids=["sum", "floor"],
+)
+def test_stacked_kernel_checks_the_point_weights(monkeypatch, scale, message):
+    # pointer weights doubled or negated: the stack's point weights fail the
+    # weights' sum or floor before any gap is taken
+    pointer_weights = measurement.pointer_weights
+    monkeypatch.setattr(measurement, "pointer_weights", lambda *a: scale * pointer_weights(*a))
+    states, bases = draw_cases(3, 5, substreams(37, (2,), range(5)), state_first=True)
+    with pytest.raises(errors.ValidationError, match=message):
         collapse_restriction_gaps(states, bases)
 
 
